@@ -1,17 +1,16 @@
-// Fleet throughput bench: per-bit vs word-lane ingestion and multi-channel
+// Fleet throughput bench: per-bit vs span-lane ingestion and multi-channel
 // scaling.
 //
 //   $ ./bench_fleet_throughput            # full run
 //   $ OTF_SMOKE=1 ./bench_fleet_throughput  # ctest smoke entry
 //
-// Four measurements, the first three on the n = 65536 high-tier design
+// Five measurements, the first three on the n = 65536 high-tier design
 // (all nine tests, double-buffered):
 //
 //   1. single-channel per-bit lane  -- the paper-faithful oracle path
 //      (hw::testing_block::feed, one virtual dispatch per engine per bit);
-//   2. single-channel word and span lanes -- hw::testing_block::feed_word
-//      batching and the feed_span kernels; the acceptance target for the
-//      word lane is >= 5x over (1);
+//   2. single-channel span lane     -- the feed_span kernels (the
+//      default lane); the acceptance target is >= 5x over (1);
 //   3. fleet scaling                -- core::fleet_monitor over 1..C
 //      channels with the span lane, reporting aggregate Mbit/s and the
 //      efficiency relative to one channel (bounded by the machine's core
@@ -27,11 +26,11 @@
 //      tile -> feed_tile).  OTF_ENFORCE_FUSED_BAR=1 turns the fused >=
 //      threaded comparison into an exit code for CI.
 //
-// Timing only -- equivalence is proven separately by tests/test_word_path,
-// test_kernel_oracle and test_fleet_monitor.  Results are also written to
-// BENCH_fleet.json (schema "otf-fleet-bench/3", see docs/BENCHMARKS.md;
-// OTF_BENCH_DIR overrides the output directory) so CI can archive the
-// perf trajectory.
+// Timing only -- equivalence is proven separately by
+// tests/test_kernel_oracle and test_fleet_monitor.  Results are also
+// written to BENCH_fleet.json (schema "otf-fleet-bench/4", see
+// docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the output directory) so CI
+// can archive the perf trajectory.
 #include "base/env.hpp"
 #include "base/json.hpp"
 #include "core/design_config.hpp"
@@ -106,27 +105,14 @@ int main(int argc, char** argv)
         std::printf("per-bit lane : %8.1f Mbit/s\n", bit_mbps);
     }
 
-    // 2. Single channel, word and span lanes.
-    double word_mbps;
-    {
-        core::monitor mon(design, 0.01);
-        trng::ideal_source src(2025);
-        const auto t0 = clock_type::now();
-        for (std::uint64_t w = 0; w < windows; ++w) {
-            mon.test_window_words(src);
-        }
-        const double s = seconds_since(t0);
-        word_mbps = mbit_per_s(windows * n, s);
-        std::printf("word lane    : %8.1f Mbit/s   (%.1fx per-bit)\n",
-                    word_mbps, word_mbps / bit_mbps);
-    }
+    // 2. Single channel, span lane (the default).
     double span_mbps;
     {
         core::monitor mon(design, 0.01);
         trng::ideal_source src(2025);
         const auto t0 = clock_type::now();
         for (std::uint64_t w = 0; w < windows; ++w) {
-            mon.test_window_words(src, core::ingest_lane::span);
+            mon.test_window_words(src);
         }
         const double s = seconds_since(t0);
         span_mbps = mbit_per_s(windows * n, s);
@@ -149,7 +135,6 @@ int main(int argc, char** argv)
         cfg.block = design;
         cfg.channels = channels;
         cfg.threads = 0; // hardware concurrency
-        cfg.lane = core::ingest_lane::span;
         core::fleet_monitor fleet(cfg);
         const auto report = fleet.run(
             [](unsigned c) {
@@ -249,7 +234,7 @@ int main(int argc, char** argv)
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-fleet-bench/3");
+    json.value("schema", "otf-fleet-bench/4");
     json.value("smoke", smoke_mode());
     json.value("design", design.name);
     json.value("window_bits", n);
@@ -257,8 +242,6 @@ int main(int argc, char** argv)
     json.value("hardware_concurrency",
                std::thread::hardware_concurrency());
     json.value("per_bit_mbps", bit_mbps);
-    json.value("word_mbps", word_mbps);
-    json.value("word_speedup", word_mbps / bit_mbps);
     json.value("span_mbps", span_mbps);
     json.value("span_speedup", span_mbps / bit_mbps);
     json.begin_object("sliced");

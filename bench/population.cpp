@@ -16,7 +16,7 @@
 // work-stealing scheduler vs the threaded per-channel rings); any
 // mismatch fails the run.
 //
-// Results go to BENCH_population.json (schema "otf-population/2", see
+// Results go to BENCH_population.json (schema "otf-population/3", see
 // docs/BENCHMARKS.md; OTF_BENCH_DIR / --bench-dir= override the output
 // directory).
 #include "base/env.hpp"
@@ -116,7 +116,7 @@ int main(int argc, char** argv)
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-population/2");
+    json.value("schema", "otf-population/3");
     json.value("smoke", smoke_mode());
     json.value("design", cfg.block.name);
     json.value("escalated_design", cfg.escalated_block->name);
@@ -183,7 +183,6 @@ int main(int argc, char** argv)
         json.value("confirmed_escalations", sr.confirmed_escalations);
         json.value("producer_stalls", sr.producer_stalls);
         json.value("consumer_stalls", sr.consumer_stalls);
-        json.value("seconds", sr.seconds);
         json.end_object();
     }
     json.end_array();

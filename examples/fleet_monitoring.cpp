@@ -7,8 +7,8 @@
 // on-the-fly testing pipeline, supervised together.  Six channels are
 // healthy; channel 6 is under a supply-voltage attack that biases it to
 // p(1) = 0.53, and channel 7 has a correlated (sticky) output.  The fleet
-// runs every channel's window through the word-at-a-time fast lane on a
-// worker pool and aggregates the verdicts; the per-channel AIS-31-style
+// runs every channel's window through the span fast lane on a worker pool
+// and aggregates the verdicts; the per-channel AIS-31-style
 // alarm (3 failures in the last 8 windows) singles out exactly the two
 // attacked channels.
 #include "base/env.hpp"
@@ -64,8 +64,9 @@ int main()
     // counters -- that this table used to drop.
     std::printf("%s", core::format_fleet(report).c_str());
     std::printf("aggregate simulation throughput: %.1f Mbit/s "
-                "(word lane, %.2f s wall clock)\n",
-                report.bits_per_second() / 1e6, report.seconds);
+                "(%s lane, %.2f s wall clock)\n",
+                report.bits_per_second() / 1e6, report.lane.c_str(),
+                report.seconds);
 
     // The scenario succeeds when exactly the attacked channels alarmed.
     bool correct = report.channels_in_alarm == 2;

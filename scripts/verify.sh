@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, and run the full ctest suite, then the
 # fleet-throughput, scenario-matrix and stream-throughput smoke runs (the
-# word-lane/fleet, scenario and streaming-pipeline subsystems must never
+# span-lane/fleet, scenario and streaming-pipeline subsystems must never
 # bit-rot silently, so they run explicitly even outside ctest).  The
 # benches drop their BENCH_*.json telemetry into the build directory
 # (docs/BENCHMARKS.md); the files are validated as JSON when python3 is
@@ -57,53 +57,61 @@ if command -v python3 >/dev/null 2>&1; then
         echo "ok: $f"
     done
 
-    echo "== validating otf-fleet-bench/3 schema =="
-    # The fleet bench must report the /3 schema: the execution axis
+    echo "== validating otf-fleet-bench/4 schema =="
+    # The fleet bench must report the /4 schema: the execution axis
     # (threaded vs fused span vs fused 64x64 tile, single worker) next
-    # to the lane and scaling axes (docs/BENCHMARKS.md).
+    # to the per-bit vs span lane and scaling axes (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_fleet.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-fleet-bench/3", doc["schema"]
+assert doc["schema"] == "otf-fleet-bench/4", doc["schema"]
+assert "word_mbps" not in doc, "the word lane is gone"
+assert doc["span_speedup"] > 0, doc["span_speedup"]
 exe = doc["execution"]
 assert exe["threads"] == 1, exe
 assert exe["tile_words"] == 64, exe
 for key in ("threaded_mbps", "fused_span_mbps", "fused_tile_mbps",
             "fused_tile_over_threaded"):
     assert exe[key] > 0, (key, exe)
-print("ok: otf-fleet-bench/3 (fused tile %.2fx threaded)"
+print("ok: otf-fleet-bench/4 (fused tile %.2fx threaded)"
       % exe["fused_tile_over_threaded"])
 EOF
 
-    echo "== validating otf-population/2 schema =="
-    # The population bench must report the /2 schema: the execution
-    # block with the work-stealing scheduler's telemetry, and the
-    # layout sweep (now including the threaded execution) deterministic.
+    echo "== validating otf-population/3 schema =="
+    # The population bench must report the /3 schema: the execution
+    # block with the work-stealing scheduler's telemetry, the layout
+    # sweep (including the threaded execution) deterministic, the span
+    # lane by default, and no dead per-shard wall clock.
     python3 - "$BUILD_DIR"/BENCH_population.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-population/2", doc["schema"]
+assert doc["schema"] == "otf-population/3", doc["schema"]
 assert doc["deterministic_across_layouts"] is True
+assert doc["execution"]["lane"] == "span", doc["execution"]
+assert all("seconds" not in s for s in doc["shards"]), doc["shards"]
 exe = doc["execution"]
 assert exe["model"] == "fused", exe
 assert exe["worker_threads"] > 0, exe
 assert exe["steal_batch_devices"] > 0, exe
 assert exe["telemetry_flushes"] > 0, exe
-print("ok: otf-population/2 (%d workers, %d steals, %d flushes)"
+print("ok: otf-population/3 (%d workers, %d steals, %d flushes)"
       % (exe["worker_threads"], exe["steals"], exe["telemetry_flushes"]))
 EOF
 
-    echo "== validating otf-stream-bench/3 schema =="
-    # The stream bench must report the /3 schema: the generation axis
-    # with all six adversarial models, and a streamed channel that took
-    # the zero-copy window path (docs/BENCHMARKS.md).
+    echo "== validating otf-stream-bench/4 schema =="
+    # The stream bench must report the /4 schema: span kernels measured
+    # against the per-bit lane, the generation axis with all six
+    # adversarial models, and a streamed channel that took the zero-copy
+    # window path (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_stream.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-stream-bench/3", doc["schema"]
+assert doc["schema"] == "otf-stream-bench/4", doc["schema"]
+assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
+assert all("over_per_bit_lane" in k for k in doc["span_kernels"])
 models = [g["model"] for g in doc["generation"]]
 expected = {"rtn", "bias_drift", "lockin", "fault", "entropy_collapse",
             "substitution"}
@@ -111,7 +119,7 @@ assert set(models) == expected and len(models) == 6, models
 assert doc["zero_copy_windows"] == doc["windows"], (
     doc["zero_copy_windows"], doc["windows"])
 assert doc["batch_sweep"], "batch_sweep must not be empty"
-print("ok: otf-stream-bench/3 (%d generation models, %d zero-copy windows)"
+print("ok: otf-stream-bench/4 (%d generation models, %d zero-copy windows)"
       % (len(models), doc["zero_copy_windows"]))
 EOF
 fi

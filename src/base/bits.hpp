@@ -9,13 +9,14 @@
 //
 // `otf::bits` holds the portable kernel primitives behind the span ingestion
 // lane (engine::consume_span) and the bit-sliced fleet lane
-// (hw::sliced_block): span popcount, transition counting, the SWAR +/-1
-// walk summary that replaces the cusum byte table, and the 64x64 bit-matrix
-// transpose.  Every primitive is runtime-dispatched through a process-wide
+// (hw::sliced_block): span popcount, transition counting, the +/-1 walk
+// summary behind the cusum engine, and the 64x64 bit-matrix transpose.
+// Every primitive is runtime-dispatched through a process-wide
 // kernel_variant so the differential test harness can pin each variant
 // against the per-bit oracle and the benches can report a per-variant axis.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -102,10 +103,10 @@ public:
         return v;
     }
 
-    /// Pack the sequence into 64-bit words for the word-at-a-time fast
-    /// lane: bit i of word j is bit 64*j + i of the sequence (LSB-first
-    /// stream order, the convention of engine::consume_word).  Bits past
-    /// the end of a partial final word are zero.
+    /// Pack the sequence into 64-bit words for the packed span lane: bit i
+    /// of word j is bit 64*j + i of the sequence (LSB-first stream order,
+    /// the convention of engine::consume_span).  Bits past the end of a
+    /// partial final word are zero.
     std::vector<std::uint64_t> to_words() const
     {
         std::vector<std::uint64_t> words((bits_.size() + 63) / 64, 0);
@@ -159,7 +160,7 @@ namespace bits {
 /// is the fuzz oracle); they differ only in speed.
 enum class kernel_variant {
     reference, ///< naive per-bit loops -- the in-module oracle
-    portable,  ///< SWAR / std::popcount batching, plain C++
+    portable,  ///< byte-table / std::popcount batching, plain C++
     simd,      ///< AVX2 kernels when compiled in, else == portable
 };
 
@@ -175,8 +176,15 @@ constexpr bool simd_compiled()
 #endif
 }
 
+/// The variant a process starts with: `simd` when AVX2 is compiled in,
+/// `portable` otherwise -- so reports name the code that actually runs.
+constexpr kernel_variant default_kernel_variant()
+{
+    return simd_compiled() ? kernel_variant::simd : kernel_variant::portable;
+}
+
 namespace detail {
-inline std::atomic<kernel_variant> g_kernel_variant{kernel_variant::simd};
+inline std::atomic<kernel_variant> g_kernel_variant{default_kernel_variant()};
 } // namespace detail
 
 inline kernel_variant active_kernel_variant()
@@ -307,6 +315,22 @@ inline std::uint64_t span_popcount(const std::uint64_t* words,
     return total;
 }
 
+/// \brief Ones among bits [first, first + nbits) of a packed span -- the
+/// span_popcount of a segment that may start mid-word.
+inline std::uint64_t range_popcount(const std::uint64_t* words,
+                                    std::size_t first, std::size_t nbits)
+{
+    words += first / 64;
+    const unsigned off = static_cast<unsigned>(first % 64);
+    if (off == 0 || nbits == 0) {
+        return span_popcount(words, nbits);
+    }
+    const unsigned head = nbits < 64 - off ? static_cast<unsigned>(nbits)
+                                           : 64 - off;
+    return prefix_popcount(words[0] >> off, head)
+        + span_popcount(words + 1, nbits - head);
+}
+
 /// \brief Adjacent-bit transitions inside a full-word span: transitions
 /// within each word plus the seams between consecutive words (the runs
 /// test's shifted-XOR popcount, batched over the whole span).
@@ -342,11 +366,12 @@ inline std::uint64_t span_transitions(const std::uint64_t* words,
     return total;
 }
 
-/// Summary of the +/-1 random walk over one word's 64 bits (bit = 1 steps
-/// up, 0 down; bits taken LSB-first): total displacement and the extreme
-/// prefix sums after 1..64 steps.  Combining summaries left to right
+/// Summary of the +/-1 random walk over a run of bits (bit = 1 steps up,
+/// 0 down; bits taken LSB-first): total displacement and the extreme
+/// prefix sums after 1..k steps.  Combining summaries left to right
 /// reproduces the exact per-bit max/min trajectory -- the cusum span
-/// kernel's building block, without the 256-entry byte table.
+/// kernel's building block.  The empty walk is {0, -65, 65}, neutral
+/// under the fold.
 struct walk_summary {
     int delta;
     int max_prefix;
@@ -355,49 +380,63 @@ struct walk_summary {
 
 namespace detail {
 
-/// SWAR byte-lane walk: all 8 bytes of `x` walk their 8 bits in parallel,
-/// lanes biased at +8 so every value stays an unsigned byte in [0, 16].
-/// The per-byte (delta, max, min) lanes are then folded left to right.
-inline walk_summary word_walk_portable(std::uint64_t x)
+/// Per-byte walk summaries, indexed by the byte value.
+struct byte_walk {
+    std::int8_t delta;
+    std::int8_t max_prefix;
+    std::int8_t min_prefix;
+};
+
+constexpr std::array<byte_walk, 256> make_walk_table()
 {
-    constexpr std::uint64_t lanes_one = 0x0101010101010101ull;
-    constexpr std::uint64_t lanes_msb = 0x8080808080808080ull;
-    const std::uint64_t first = (x & lanes_one) << 1; // +-1 as 0 or 2
-    std::uint64_t w = lanes_one * 8 + first - lanes_one;
-    std::uint64_t mx = w;
-    std::uint64_t mn = w;
-    for (unsigned k = 1; k < 8; ++k) {
-        w += (((x >> k) & lanes_one) << 1);
-        w -= lanes_one;
-        // Packed unsigned max/min: lane values stay below 0x80, so the
-        // borrow of ((a | msb) - b) never leaves its lane and the lane's
-        // top bit reads "a >= b"; the 0xff multiply widens it to a mask.
-        std::uint64_t t = (w | lanes_msb) - mx;
-        std::uint64_t m = ((t & lanes_msb) >> 7) * 0xff;
-        mx = (w & m) | (mx & ~m);
-        t = (mn | lanes_msb) - w;
-        m = ((t & lanes_msb) >> 7) * 0xff;
-        mn = (w & m) | (mn & ~m);
+    std::array<byte_walk, 256> table{};
+    for (unsigned b = 0; b < 256; ++b) {
+        int s = 0;
+        int hi = -8;
+        int lo = 8;
+        for (unsigned i = 0; i < 8; ++i) {
+            s += ((b >> i) & 1u) ? 1 : -1;
+            hi = s > hi ? s : hi;
+            lo = s < lo ? s : lo;
+        }
+        table[b] = {static_cast<std::int8_t>(s),
+                    static_cast<std::int8_t>(hi),
+                    static_cast<std::int8_t>(lo)};
     }
+    return table;
+}
+
+inline constexpr std::array<byte_walk, 256> kWalkTable = make_walk_table();
+
+/// Byte-table fold over the low `k` bits of `x`: one lookup per whole
+/// byte, then single steps for the last k % 8 bits.  Faster than a SWAR
+/// byte-lane walk without AVX2, so it is the portable variant.
+inline walk_summary walk_bits_portable(std::uint64_t x, unsigned k)
+{
     int s = 0;
     int hi = -65;
     int lo = 65;
-    for (unsigned j = 0; j < 8; ++j) {
-        const int byte_hi = s + static_cast<int>((mx >> (8 * j)) & 0xff) - 8;
-        const int byte_lo = s + static_cast<int>((mn >> (8 * j)) & 0xff) - 8;
-        hi = byte_hi > hi ? byte_hi : hi;
-        lo = byte_lo < lo ? byte_lo : lo;
-        s += static_cast<int>((w >> (8 * j)) & 0xff) - 8;
+    unsigned i = 0;
+    for (; i + 8 <= k; i += 8) {
+        const byte_walk& bw = kWalkTable[(x >> i) & 0xffu];
+        hi = s + bw.max_prefix > hi ? s + bw.max_prefix : hi;
+        lo = s + bw.min_prefix < lo ? s + bw.min_prefix : lo;
+        s += bw.delta;
+    }
+    for (; i < k; ++i) {
+        s += ((x >> i) & 1u) ? 1 : -1;
+        hi = s > hi ? s : hi;
+        lo = s < lo ? s : lo;
     }
     return {s, hi, lo};
 }
 
-inline walk_summary word_walk_reference(std::uint64_t x)
+inline walk_summary walk_bits_reference(std::uint64_t x, unsigned k)
 {
     int s = 0;
     int hi = -65;
     int lo = 65;
-    for (unsigned i = 0; i < 64; ++i) {
+    for (unsigned i = 0; i < k; ++i) {
         s += ((x >> i) & 1u) ? 1 : -1;
         hi = s > hi ? s : hi;
         lo = s < lo ? s : lo;
@@ -407,18 +446,18 @@ inline walk_summary word_walk_reference(std::uint64_t x)
 
 } // namespace detail
 
-/// \brief Walk summary of one full 64-bit word.
-inline walk_summary word_walk(std::uint64_t x)
+/// \brief Walk summary of the low `k` bits of `x` (k in [0, 64]).
+inline walk_summary prefix_walk(std::uint64_t x, unsigned k)
 {
     if (active_kernel_variant() == kernel_variant::reference) {
-        return detail::word_walk_reference(x);
+        return detail::walk_bits_reference(x, k);
     }
-    return detail::word_walk_portable(x);
+    return detail::walk_bits_portable(x, k);
 }
 
 /// \brief Walk summary of a whole full-word span: the per-word summaries
-/// (SIMD-friendly, computed four words at a time under AVX2) folded
-/// left to right into the exact span trajectory.
+/// (a SWAR byte-lane walk four words at a time under AVX2, the byte
+/// table otherwise) folded left to right into the exact span trajectory.
 inline walk_summary span_walk(const std::uint64_t* words, std::size_t nwords)
 {
     walk_summary acc{0, -65, 65};
@@ -464,8 +503,8 @@ inline walk_summary span_walk(const std::uint64_t* words, std::size_t nwords)
 #endif
     for (; j < nwords; ++j) {
         const walk_summary s = variant == kernel_variant::reference
-            ? detail::word_walk_reference(words[j])
-            : detail::word_walk_portable(words[j]);
+            ? detail::walk_bits_reference(words[j], 64)
+            : detail::walk_bits_portable(words[j], 64);
         const int hi = acc.delta + s.max_prefix;
         const int lo = acc.delta + s.min_prefix;
         acc.max_prefix = hi > acc.max_prefix ? hi : acc.max_prefix;

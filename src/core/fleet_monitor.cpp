@@ -55,8 +55,6 @@ std::string fleet_config::lane_description() const
                                                        : "sliced+span";
     }
     switch (lane) {
-    case ingest_lane::word:
-        return "word";
     case ingest_lane::span:
         return "span";
     case ingest_lane::per_bit:
@@ -159,7 +157,7 @@ struct channel_state {
         if (nwords == 0) {
             // Sub-word designs (n < 64) cannot ride the word-granular
             // tiles or rings; keep the direct batch loop for them (the
-            // word lane rejects them with its length error, exactly as
+            // packed lanes reject them with their length error, exactly as
             // before).  fleet_config::validate() rejects supervision
             // here.
             for (std::uint64_t w = 0; w < windows; ++w) {

@@ -81,13 +81,13 @@ struct fleet_config {
     /// Execution model of the worker pool (see fleet_execution); both
     /// models produce bit-identical reports for the same seeds.
     fleet_execution execution = fleet_execution::fused;
-    /// Ingestion lane for every channel (word fast lane by default).
+    /// Ingestion lane for every channel (span fast lane by default).
     /// The per-bit lane is kept selectable as the equivalence oracle:
     /// all lanes must produce identical reports for the same seeds.
     /// `sliced` batches eligible channels (cheap always-on designs, no
     /// supervision) 64-wide through hw::sliced_block; ineligible
     /// channels fall back to the span lane.
-    ingest_lane lane = ingest_lane::word;
+    ingest_lane lane = ingest_lane::span;
     /// AIS-31-style per-channel alarm: raise when at least
     /// `fail_threshold` of the last `policy_window` window verdicts
     /// failed.  Mirrors health_monitor::policy.
@@ -140,7 +140,7 @@ struct fleet_config {
     bool uses_sliced_lane() const;
 
     /// The lane this configuration *actually* runs, fallback included:
-    /// "word", "span", "per_bit", "sliced" (all groups of 64 sliced),
+    /// "span", "per_bit", "sliced" (all groups of 64 sliced),
     /// "sliced+span" (leftover channels on the span lane), or
     /// "span (sliced fallback)" when lane == sliced but
     /// uses_sliced_lane() is false -- the silent degradations, made

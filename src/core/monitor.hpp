@@ -46,19 +46,21 @@ struct window_report {
 
 /// \brief Which ingestion lane a packed window takes through the hardware.
 /// All lanes are register-exact for the same words; the per-bit lane is
-/// the paper-faithful equivalence oracle, the word and span lanes the fast
-/// paths (tests/test_kernel_oracle.cpp enforces the equivalence).
+/// the paper-faithful equivalence oracle, the span lane the fast path
+/// (tests/test_kernel_oracle.cpp enforces the equivalence).  The values
+/// are the lane codes of supervisor checkpoints (core/telemetry_log.hpp);
+/// code 0 was the retired word lane.
 enum class ingest_lane {
-    word,    ///< hw::testing_block::feed_word batching (production default)
-    per_bit, ///< one feed() per bit (one hardware clock per bit)
-    span,    ///< hw::testing_block::feed_span whole-window SIMD kernels
+    per_bit = 1, ///< one feed() per bit (one hardware clock per bit)
+    /// hw::testing_block::feed_span whole-span kernels (the default)
+    span = 2,
     /// Bit-sliced transposed lane (hw::sliced_block): 64 fleet channels
     /// advance per instruction through the cheap always-on tests.  Only
     /// the fleet honors it -- it needs 64 channels side by side -- and
     /// only for eligible designs (frequency/runs, no supervision);
     /// ineligible channels fall back to the span lane.  A single monitor
     /// asked for this lane uses the span lane instead.
-    sliced,
+    sliced = 3,
 };
 
 /// \brief Per-window callback of the streaming pipeline (core/stream.hpp):
@@ -95,18 +97,18 @@ public:
 
     /// \brief Packed-lane variant of test_window(): bulk-generates the
     /// window with entropy_source::fill_words and streams it through the
-    /// selected fast lane (feed_word batching or the feed_span kernels).
-    /// Bit-exact with test_window() for the same source state; several
-    /// times faster in simulation.
+    /// selected lane (the feed_span kernels by default).  Bit-exact with
+    /// test_window() for the same source state; many times faster in
+    /// simulation.
     window_report test_window_words(trng::entropy_source& source,
-                                    ingest_lane lane = ingest_lane::word);
+                                    ingest_lane lane = ingest_lane::span);
 
     /// \brief Test a pre-recorded sequence (length must equal n).
     /// \throws std::invalid_argument naming the expected and actual
     /// lengths when they differ.
     window_report test_sequence(const bit_sequence& seq);
 
-    /// \brief Word-lane variant of test_sequence() for a pre-packed
+    /// \brief Span-lane variant of test_sequence() for a pre-packed
     /// window (`words` must hold exactly n bits, LSB-first per word).
     window_report test_sequence_words(
         const std::vector<std::uint64_t>& words);
@@ -115,13 +117,13 @@ public:
     /// pipeline's allocation-free entry point (core/stream.hpp).
     /// \param words  LSB-first packed window; `nwords * 64` must equal n
     /// \param nwords number of 64-bit words
-    /// \param lane   word/span fast lane or per-bit oracle lane;
+    /// \param lane   span fast lane or per-bit oracle lane;
     ///               register-exact either way (sliced degrades to span)
     /// \throws std::invalid_argument naming the expected and actual
     /// lengths when they differ
     window_report test_packed(const std::uint64_t* words,
                               std::size_t nwords,
-                              ingest_lane lane = ingest_lane::word);
+                              ingest_lane lane = ingest_lane::span);
 
     /// \brief Zero-copy streaming ingestion, step 1: feed part of the
     /// current window from a contiguous span.  Unlike test_packed() the
@@ -134,7 +136,7 @@ public:
     /// \param nwords span length in 64-bit words
     /// \param lane   ingestion lane (sliced degrades to span)
     void feed_packed(const std::uint64_t* words, std::size_t nwords,
-                     ingest_lane lane = ingest_lane::word);
+                     ingest_lane lane = ingest_lane::span);
 
     /// \brief Zero-copy streaming ingestion, step 2: close the window the
     /// feed_packed() calls filled and run the software pass.
@@ -157,7 +159,7 @@ public:
     /// \return windows tested during this call
     std::uint64_t run_stream(base::ring_buffer& ring,
                              const window_sink& sink,
-                             ingest_lane lane = ingest_lane::word,
+                             ingest_lane lane = ingest_lane::span,
                              std::uint64_t max_windows = 0);
 
     /// \brief On-the-fly reconfiguration: reprogram the live testing

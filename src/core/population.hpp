@@ -125,7 +125,7 @@ struct population_config {
     std::uint64_t dwell_windows = 16;
     double offline_alpha = 0.01;
     unsigned offline_min_failures = 2;
-    ingest_lane lane = ingest_lane::word;
+    ingest_lane lane = ingest_lane::span;
     std::size_t ring_words = 0;
     /// Execution model of the worker pool (fused by default; threaded
     /// keeps the per-channel producer/ring pipeline selectable as the
@@ -193,12 +193,8 @@ struct population_shard_report {
     unsigned escalations = 0;
     unsigned channels_escalated = 0;
     unsigned confirmed_escalations = 0;
-    /// Wall clock and backpressure (nondeterministic; excluded from ==).
-    /// Under the work-stealing scheduler a shard has no wall clock of
-    /// its own (its devices run interleaved across the whole pool), so
-    /// seconds stays 0; the stall counters are nonzero on the threaded
-    /// execution only.
-    double seconds = 0.0;
+    /// Backpressure (nondeterministic; excluded from ==): nonzero on the
+    /// threaded execution only.
     std::uint64_t producer_stalls = 0;
     std::uint64_t consumer_stalls = 0;
 

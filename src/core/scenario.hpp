@@ -86,9 +86,9 @@ struct scenario_config {
     unsigned trials = 3;
     /// Base seed; per-trial source/model seeds are derived from it.
     std::uint64_t seed = 0x0f1e2d3c4b5a6978ULL;
-    /// Ingestion lane (word fast lane by default; the per-bit oracle lane
+    /// Ingestion lane (span fast lane by default; the per-bit oracle lane
     /// stays selectable for equivalence runs).
-    ingest_lane lane = ingest_lane::word;
+    ingest_lane lane = ingest_lane::span;
 
     /// \throws std::invalid_argument on zero windows/trials or an
     /// inconsistent alarm policy

@@ -184,7 +184,7 @@ public:
     /// than one 64-bit word (the stream is word-granular; sub-word
     /// designs keep the direct batch paths)
     window_pump(base::ring_buffer& ring, monitor& mon,
-                ingest_lane lane = ingest_lane::word);
+                ingest_lane lane = ingest_lane::span);
 
     /// \brief Pump until the ring drains, `max_windows` is reached, or
     /// the sink returns false.

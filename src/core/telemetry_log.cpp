@@ -101,7 +101,9 @@ supervisor_config parse_supervisor_config(base::byte_cursor& cursor)
             "parse_supervisor_config: unknown ingest_lane "
             + std::to_string(lane));
     }
-    cfg.lane = static_cast<ingest_lane>(lane);
+    // Code 0 is the retired word lane, register-exact with the span lane
+    // that replaced it.
+    cfg.lane = lane == 0 ? ingest_lane::span : static_cast<ingest_lane>(lane);
     return cfg;
 }
 

@@ -2,7 +2,6 @@
 
 #include "base/bits.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace otf::hw {
@@ -33,41 +32,10 @@ void block_frequency_hw::consume(bool bit, std::uint64_t bit_index)
     }
 }
 
-void block_frequency_hw::consume_word(std::uint64_t word, unsigned nbits,
-                                      std::uint64_t bit_index)
-{
-    unsigned done = 0;
-    while (done < nbits) {
-        const std::uint64_t pos_in_block = (bit_index + done) & block_mask_;
-        const std::uint64_t to_boundary = (block_mask_ + 1) - pos_in_block;
-        const unsigned take = to_boundary < nbits - done
-            ? static_cast<unsigned>(to_boundary)
-            : nbits - done;
-        const std::uint64_t seg = (word >> done)
-            & (take == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << take) - 1);
-        ones_.advance(static_cast<std::uint64_t>(std::popcount(seg)));
-        if (pos_in_block + take == block_mask_ + 1) {
-            const auto slot =
-                static_cast<unsigned>((bit_index + done) >> log2_m_);
-            bank_.write(slot, ones_.value());
-            ones_.clear();
-        }
-        done += take;
-    }
-}
-
 void block_frequency_hw::consume_span(const std::uint64_t* words,
                                       std::size_t nbits,
                                       std::uint64_t bit_index)
 {
-    // Word-aligned block boundaries are what make the whole-block popcount
-    // legal; sub-word blocks (M < 64) and unaligned spans take the per-word
-    // path, which handles arbitrary boundaries.
-    if (log2_m_ < 6 || bit_index % 64 != 0) {
-        engine::consume_span(words, nbits, bit_index);
-        return;
-    }
     std::size_t done = 0;
     while (done < nbits) {
         const std::uint64_t pos_in_block = (bit_index + done) & block_mask_;
@@ -75,9 +43,7 @@ void block_frequency_hw::consume_span(const std::uint64_t* words,
         const std::size_t take = to_boundary < nbits - done
             ? static_cast<std::size_t>(to_boundary)
             : nbits - done;
-        // `done` stays a multiple of 64: boundaries are word-aligned and
-        // only the final segment can be ragged.
-        ones_.advance(bits::span_popcount(words + done / 64, take));
+        ones_.advance(bits::range_popcount(words, done, take));
         if (pos_in_block + take == block_mask_ + 1) {
             const auto slot =
                 static_cast<unsigned>((bit_index + done) >> log2_m_);

@@ -21,14 +21,10 @@ public:
     block_frequency_hw(unsigned log2_n, unsigned log2_m);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched counting: one popcount per block-bounded segment of
-    /// the word, with the same boundary/bank-slot decode as the per-bit
-    /// path.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
-    /// \brief Span kernel: one bits::span_popcount per block-bounded run
-    /// of whole words (blocks with M >= 64 on aligned spans are
-    /// word-aligned); sub-word blocks fall back to the per-word path.
+    /// \brief Span kernel: one bits::range_popcount per block-bounded
+    /// segment of the span (whole-block popcounts when M >= 64, one
+    /// segment per block inside a word otherwise), with the same
+    /// boundary/bank-slot decode as the per-bit path.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;

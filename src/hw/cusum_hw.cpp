@@ -2,44 +2,7 @@
 
 #include "base/bits.hpp"
 
-#include <array>
-
 namespace otf::hw {
-
-namespace {
-
-// Per-byte summary of the +/-1 random walk (bit = 1 steps up, 0 down),
-// bits taken LSB-first: total displacement and the extreme prefix sums
-// after 1..8 steps.  Combining byte summaries left to right reproduces the
-// exact per-bit max/min trajectory.
-struct byte_walk {
-    std::int8_t delta;
-    std::int8_t max_prefix;
-    std::int8_t min_prefix;
-};
-
-constexpr std::array<byte_walk, 256> make_walk_table()
-{
-    std::array<byte_walk, 256> table{};
-    for (unsigned b = 0; b < 256; ++b) {
-        int s = 0;
-        int hi = -8;
-        int lo = 8;
-        for (unsigned i = 0; i < 8; ++i) {
-            s += ((b >> i) & 1u) ? 1 : -1;
-            hi = s > hi ? s : hi;
-            lo = s < lo ? s : lo;
-        }
-        table[b] = {static_cast<std::int8_t>(s),
-                    static_cast<std::int8_t>(hi),
-                    static_cast<std::int8_t>(lo)};
-    }
-    return table;
-}
-
-constexpr std::array<byte_walk, 256> kWalkTable = make_walk_table();
-
-} // namespace
 
 cusum_hw::cusum_hw(unsigned log2_n)
     : engine("cusum"), walk_("walk", log2_n + 2),
@@ -56,32 +19,6 @@ void cusum_hw::consume(bool bit, std::uint64_t bit_index)
     walk_.step(bit);
     max_.observe(walk_.value());
     min_.observe(walk_.value());
-}
-
-void cusum_hw::consume_word(std::uint64_t word, unsigned nbits,
-                            std::uint64_t bit_index)
-{
-    (void)bit_index;
-    std::int64_t walk = walk_.value();
-    std::int64_t hi = walk_.min_representable();
-    std::int64_t lo = walk_.max_representable();
-    unsigned i = 0;
-    for (; i + 8 <= nbits; i += 8) {
-        const byte_walk& bw = kWalkTable[(word >> i) & 0xffu];
-        const std::int64_t bhi = walk + bw.max_prefix;
-        const std::int64_t blo = walk + bw.min_prefix;
-        hi = bhi > hi ? bhi : hi;
-        lo = blo < lo ? blo : lo;
-        walk += bw.delta;
-    }
-    for (; i < nbits; ++i) {
-        walk += ((word >> i) & 1u) ? 1 : -1;
-        hi = walk > hi ? walk : hi;
-        lo = walk < lo ? walk : lo;
-    }
-    walk_.advance(walk - walk_.value());
-    max_.observe(hi);
-    min_.observe(lo);
 }
 
 void cusum_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
@@ -101,10 +38,11 @@ void cusum_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
         walk += ws.delta;
     }
     const unsigned tail = static_cast<unsigned>(nbits % 64);
-    for (unsigned i = 0; i < tail; ++i) {
-        walk += ((words[nwords] >> i) & 1u) ? 1 : -1;
-        hi = walk > hi ? walk : hi;
-        lo = walk < lo ? walk : lo;
+    if (tail != 0) {
+        const bits::walk_summary ts = bits::prefix_walk(words[nwords], tail);
+        hi = walk + ts.max_prefix > hi ? walk + ts.max_prefix : hi;
+        lo = walk + ts.min_prefix < lo ? walk + ts.min_prefix : lo;
+        walk += ts.delta;
     }
     walk_.advance(walk - walk_.value());
     max_.observe(hi);

@@ -23,14 +23,11 @@ public:
     explicit cusum_hw(unsigned log2_n);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched walk update: per-byte lookup of (delta, prefix max,
-    /// prefix min) folded into the running extrema -- 8 table hits
-    /// replace 64 counter steps.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
-    /// \brief Span kernel: one bits::span_walk (SWAR byte lanes, no byte
-    /// table) summarizes the whole span's trajectory; the walk counter and
-    /// both extrema trackers commit exactly once.
+    /// \brief Span kernel: one bits::span_walk over the full words plus a
+    /// bits::prefix_walk of the ragged tail summarize the whole span's
+    /// trajectory (per-byte lookups of delta, prefix max and prefix min --
+    /// 8 table hits replace 64 counter steps); the walk counter and both
+    /// extrema trackers commit exactly once.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;

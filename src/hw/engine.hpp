@@ -13,6 +13,7 @@
 #include "hw/register_map.hpp"
 #include "rtl/component.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -32,51 +33,26 @@ public:
     ///        bits, not a private counter)
     virtual void consume(bool bit, std::uint64_t bit_index) = 0;
 
-    /// \brief Word-at-a-time fast lane: consume up to 64 stream bits at
-    /// once.  Must leave the engine in exactly the state that `nbits`
-    /// consume() calls would -- the per-bit path is the equivalence
-    /// oracle, enforced by tests/test_word_path.cpp.  The default simply
-    /// loops consume(); engines override it with popcount / table /
-    /// run-scan batching.
+    /// \brief Packed fast lane: consume a whole packed span at once.  Must
+    /// leave the engine in exactly the state that `nbits` consume() calls
+    /// would -- the per-bit path is the equivalence oracle, enforced by
+    /// tests/test_kernel_oracle.cpp.  A span of 64 bits or fewer is the
+    /// single-word case; there is no separate word entry point.  The
+    /// default simply loops consume(); engines override it with whole-span
+    /// kernels (popcount accumulation, match masks, the walk summary) that
+    /// hoist state into locals and commit once per span.
+    ///
+    /// Overrides may assume nothing about alignment: `bit_index` can fall
+    /// anywhere (odd-length chunking), and ragged lengths are legal.
     ///
     /// Engines that watch the testing block's *shared* template window
     /// must return true from watches_shared_window() AND override this,
-    /// reconstructing the sliding window locally from its pre-word state:
-    /// on the word lane the block advances the shared register once per
-    /// word, after dispatching to the engines, not once per bit -- so the
-    /// per-bit default below would read a stale window.  The default
-    /// enforces that contract by refusing to run for such engines
-    /// (loudly, instead of silently producing wrong counters).
-    /// \param word      stream bits packed LSB-first (bit i of `word` is
-    ///                  stream bit `bit_index + i`)
-    /// \param nbits     number of valid bits in `word`, 1..64
-    /// \param bit_index global bit counter value at the word's first bit
-    virtual void consume_word(std::uint64_t word, unsigned nbits,
-                              std::uint64_t bit_index)
-    {
-        if (watches_shared_window()) {
-            throw std::logic_error(
-                "engine '" + name()
-                + "' watches the shared template window and must override "
-                  "consume_word() (the per-bit default would read a stale "
-                  "window on the word lane)");
-        }
-        for (unsigned i = 0; i < nbits; ++i) {
-            consume(((word >> i) & 1u) != 0, bit_index + i);
-        }
-    }
-
-    /// \brief Bulk-span fast lane: consume a whole packed span at once.
-    /// Must leave the engine in exactly the state that `nbits` consume()
-    /// calls would -- same oracle contract as consume_word(), enforced by
-    /// tests/test_kernel_oracle.cpp.  The default walks the span one word
-    /// at a time through consume_word(); engines override it with
-    /// whole-span kernels (popcount accumulation, match masks, the SWAR
-    /// walk) that hoist state into locals and commit once per span.
-    ///
-    /// Overrides may assume nothing about alignment: `bit_index` can fall
-    /// anywhere (odd-length chunking), and kernels that need word-aligned
-    /// block boundaries must fall back to the per-word path otherwise.
+    /// reconstructing the sliding window locally from its pre-span state:
+    /// the block advances the shared register once per span, after
+    /// dispatching to the engines, not once per bit -- so the per-bit
+    /// default below would read a stale window.  The default enforces
+    /// that contract by refusing to run for such engines (loudly, instead
+    /// of silently producing wrong counters).
     /// \param words     stream bits packed LSB-first: bit i of words[i/64]
     ///                  is stream bit `bit_index + i`
     /// \param nbits     number of valid bits in the span
@@ -85,28 +61,20 @@ public:
                               std::uint64_t bit_index)
     {
         if (watches_shared_window()) {
-            // On the span lane the shared register advances once per
-            // *span*, so even an engine-provided consume_word override
-            // would read a stale window after the first word.
             throw std::logic_error(
                 "engine '" + name()
                 + "' watches the shared template window and must override "
-                  "consume_span() (the word-looping default would read a "
-                  "stale window beyond the first word)");
+                  "consume_span() (the per-bit default would read a stale "
+                  "window)");
         }
-        std::size_t done = 0;
-        while (done < nbits) {
-            const unsigned take = nbits - done < 64
-                ? static_cast<unsigned>(nbits - done)
-                : 64u;
-            consume_word(words[done / 64], take, bit_index + done);
-            done += take;
+        for (std::size_t i = 0; i < nbits; ++i) {
+            consume(((words[i / 64] >> (i % 64)) & 1u) != 0, bit_index + i);
         }
     }
 
     /// \brief True for engines that read the testing block's shared
     /// template shift register during consume() (sharing trick 4).
-    /// Paired with the consume_word() contract above.
+    /// Paired with the consume_span() contract above.
     virtual bool watches_shared_window() const { return false; }
 
     /// \brief Cyclic-extension flush cycle, fed with the stored opening

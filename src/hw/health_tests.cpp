@@ -37,40 +37,6 @@ void repetition_count_hw::consume(bool bit, std::uint64_t bit_index)
     }
 }
 
-void repetition_count_hw::consume_word(std::uint64_t word, unsigned nbits,
-                                       std::uint64_t bit_index)
-{
-    (void)bit_index;
-    const std::uint64_t sat = run_.max_value();
-    std::uint64_t longest = static_cast<std::uint64_t>(longest_.value());
-    unsigned pos = 0;
-    std::uint64_t run = run_.value();
-    while (pos < nbits) {
-        const bool cur = ((word >> pos) & 1u) != 0;
-        // Length of the maximal run of `cur` starting at pos.
-        const std::uint64_t same = cur ? (word >> pos) : ~(word >> pos);
-        unsigned len = static_cast<unsigned>(std::countr_one(same));
-        if (len > nbits - pos) {
-            len = nbits - pos;
-        }
-        if (pos == 0 && primed_ && cur == prev_) {
-            run = run + len >= sat ? sat : run + len; // continue prior run
-        } else {
-            run = len >= sat ? sat : len;
-        }
-        longest = run > longest ? run : longest;
-        if (run >= cutoff_) {
-            alarm_ = true;
-        }
-        prev_ = cur;
-        pos += len;
-    }
-    primed_ = true;
-    run_.clear();
-    run_.advance(run);
-    longest_.observe(static_cast<std::int64_t>(longest));
-}
-
 void repetition_count_hw::consume_span(const std::uint64_t* words,
                                        std::size_t nbits,
                                        std::uint64_t bit_index)
@@ -173,57 +139,22 @@ void adaptive_proportion_hw::consume(bool bit, std::uint64_t bit_index)
     }
 }
 
-void adaptive_proportion_hw::consume_word(std::uint64_t word, unsigned nbits,
-                                          std::uint64_t bit_index)
-{
-    unsigned done = 0;
-    while (done < nbits) {
-        const std::uint64_t pos = (bit_index + done) & window_mask_;
-        if (pos == 0) {
-            reference_ = ((word >> done) & 1u) != 0;
-            occurrences_.clear();
-        }
-        const std::uint64_t to_boundary = (window_mask_ + 1) - pos;
-        const unsigned take = to_boundary < nbits - done
-            ? static_cast<unsigned>(to_boundary)
-            : nbits - done;
-        const std::uint64_t seg = (word >> done)
-            & (take == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << take) - 1);
-        const auto ones = static_cast<unsigned>(std::popcount(seg));
-        occurrences_.advance(reference_ ? ones : take - ones);
-        if (occurrences_.value() >= cutoff_) {
-            alarm_ = true;
-        }
-        done += take;
-    }
-}
-
 void adaptive_proportion_hw::consume_span(const std::uint64_t* words,
                                           std::size_t nbits,
                                           std::uint64_t bit_index)
 {
-    // Whole-window popcounts need word-aligned window boundaries; windows
-    // below 64 bits and unaligned spans take the per-word path.
-    if (log2_window_ < 6 || bit_index % 64 != 0) {
-        engine::consume_span(words, nbits, bit_index);
-        return;
-    }
     std::size_t done = 0;
     while (done < nbits) {
         const std::uint64_t pos = (bit_index + done) & window_mask_;
         if (pos == 0) {
-            reference_ = (words[done / 64] & 1u) != 0;
+            reference_ = ((words[done / 64] >> (done % 64)) & 1u) != 0;
             occurrences_.clear();
         }
         const std::uint64_t to_boundary = (window_mask_ + 1) - pos;
         const std::size_t take = to_boundary < nbits - done
             ? static_cast<std::size_t>(to_boundary)
             : nbits - done;
-        const std::uint64_t ones = bits::span_popcount(words + done / 64,
-                                                       take);
-        // The count is monotone within a window, so one cutoff check per
-        // window-bounded segment is equivalent to the per-bit check.
+        const std::uint64_t ones = bits::range_popcount(words, done, take);
         occurrences_.advance(reference_ ? ones : take - ones);
         if (occurrences_.value() >= cutoff_) {
             alarm_ = true;

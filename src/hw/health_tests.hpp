@@ -34,14 +34,12 @@ public:
     repetition_count_hw(unsigned cutoff);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched run scan: iterates the word's maximal equal-bit runs with
-    /// count-trailing tricks instead of stepping per bit.  The alarm is
-    /// checked against each run's final length, which is equivalent to
-    /// the per-bit check because runs only grow.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
-    /// \brief Span kernel: the run scan with all state (run, longest,
-    /// seam flip-flops, alarm) hoisted into locals; one commit per span.
+    /// \brief Span kernel: iterates each word's maximal equal-bit runs
+    /// with count-trailing tricks instead of stepping per bit, with all
+    /// state (run, longest, seam flip-flops, alarm) hoisted into locals
+    /// and one commit per span.  The alarm is checked against each run's
+    /// final length, which is equivalent to the per-bit check because
+    /// runs only grow.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;
@@ -88,13 +86,10 @@ public:
     adaptive_proportion_hw(unsigned log2_window, unsigned cutoff);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched proportion counting: one popcount per window-bounded
-    /// segment.  The occurrence count is monotone within a window, so
-    /// checking the cutoff at segment ends is equivalent to per-bit.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
-    /// \brief Span kernel: one bits::span_popcount per window-bounded run
-    /// of whole words; sub-word windows fall back to the per-word path.
+    /// \brief Span kernel: one bits::range_popcount per window-bounded
+    /// segment of the span, at any alignment.  The occurrence count is
+    /// monotone within a window, so checking the cutoff at segment ends
+    /// is equivalent to the per-bit check.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;

@@ -1,5 +1,7 @@
 #include "hw/longest_run_hw.hpp"
 
+#include "base/bits.hpp"
+
 #include <bit>
 #include <stdexcept>
 
@@ -59,21 +61,26 @@ void longest_run_hw::consume(bool bit, std::uint64_t bit_index)
     }
 }
 
-void longest_run_hw::consume_word(std::uint64_t word, unsigned nbits,
-                                  std::uint64_t bit_index)
+void longest_run_hw::consume_span(const std::uint64_t* words,
+                                  std::size_t nbits, std::uint64_t bit_index)
 {
-    unsigned done = 0;
+    // The carried run and the block maximum live in locals; the RTL
+    // counters commit once at the end of the span.  Each segment stops at
+    // the next word or block boundary, whichever comes first, so any
+    // block length and any span alignment take the same loop.
+    const std::uint64_t run_sat = run_length_.max_value();
+    std::uint64_t run = run_length_.value();
+    std::int64_t bmax = block_max_.value();
+    std::size_t done = 0;
     while (done < nbits) {
+        const unsigned off = static_cast<unsigned>(done % 64);
         const std::uint64_t pos_in_block = (bit_index + done) & block_mask_;
-        const std::uint64_t to_boundary = (block_mask_ + 1) - pos_in_block;
-        const unsigned take = to_boundary < nbits - done
-            ? static_cast<unsigned>(to_boundary)
-            : nbits - done;
-        const std::uint64_t seg = (word >> done)
-            & (take == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << take) - 1);
-
-        const auto carried = run_length_.value();
+        std::uint64_t limit = (block_mask_ + 1) - pos_in_block;
+        limit = limit < 64 - off ? limit : 64 - off;
+        const unsigned take = static_cast<unsigned>(
+            limit < nbits - done ? limit : nbits - done);
+        const std::uint64_t seg =
+            (words[done / 64] >> off) & bits::low_mask(take);
         const unsigned lead =
             static_cast<unsigned>(std::countr_one(seg)) < take
             ? static_cast<unsigned>(std::countr_one(seg))
@@ -82,76 +89,11 @@ void longest_run_hw::consume_word(std::uint64_t word, unsigned nbits,
         std::uint64_t run_out;
         if (lead == take) {
             // All ones: the carried run extends across the whole segment.
-            seg_max = carried + take;
+            seg_max = run + take;
             run_out = seg_max;
         } else {
             // Longest interior run of ones via the shift-AND scan; random
             // segments terminate in a handful of iterations.
-            std::uint64_t y = seg;
-            unsigned interior = 0;
-            while (y != 0) {
-                ++interior;
-                y &= y << 1;
-            }
-            const std::uint64_t head = carried + lead;
-            seg_max = head > interior ? head : interior;
-            run_out = static_cast<unsigned>(
-                std::countl_one(seg << (64 - take)));
-        }
-        if (seg_max > 0) {
-            block_max_.observe(static_cast<std::int64_t>(seg_max));
-        }
-        run_length_.clear();
-        run_length_.advance(run_out);
-
-        if (pos_in_block + take == block_mask_ + 1) {
-            const auto longest = static_cast<unsigned>(block_max_.value());
-            unsigned category;
-            if (longest <= v_lo_) {
-                category = 0;
-            } else if (longest >= v_hi_) {
-                category = v_hi_ - v_lo_;
-            } else {
-                category = longest - v_lo_;
-            }
-            categories_[category]->step();
-            run_length_.clear();
-            block_max_.clear();
-        }
-        done += take;
-    }
-}
-
-void longest_run_hw::consume_span(const std::uint64_t* words,
-                                  std::size_t nbits, std::uint64_t bit_index)
-{
-    // The hoisted-state loop needs word-aligned block boundaries; sub-word
-    // blocks (M < 64) and unaligned spans use the per-word path.
-    if (log2_m_ < 6 || bit_index % 64 != 0) {
-        engine::consume_span(words, nbits, bit_index);
-        return;
-    }
-    const std::uint64_t run_sat = run_length_.max_value();
-    std::uint64_t run = run_length_.value();
-    std::int64_t bmax = block_max_.value();
-    std::size_t done = 0;
-    while (done < nbits) {
-        const unsigned take = nbits - done < 64
-            ? static_cast<unsigned>(nbits - done)
-            : 64u;
-        const std::uint64_t seg = words[done / 64]
-            & (take == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << take) - 1);
-        const unsigned lead =
-            static_cast<unsigned>(std::countr_one(seg)) < take
-            ? static_cast<unsigned>(std::countr_one(seg))
-            : take;
-        std::uint64_t seg_max;
-        std::uint64_t run_out;
-        if (lead == take) {
-            seg_max = run + take;
-            run_out = seg_max;
-        } else {
             std::uint64_t y = seg;
             unsigned interior = 0;
             while (y != 0) {
@@ -168,7 +110,7 @@ void longest_run_hw::consume_span(const std::uint64_t* words,
         }
         run = run_out < run_sat ? run_out : run_sat;
 
-        if (((bit_index + done) & block_mask_) + take == block_mask_ + 1) {
+        if (pos_in_block + take == block_mask_ + 1) {
             const auto longest = static_cast<unsigned>(bmax);
             unsigned category;
             if (longest <= v_lo_) {

@@ -27,15 +27,12 @@ public:
                    unsigned v_hi);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched run tracking: per block-bounded segment, the
+    /// \brief Span kernel: per word- and block-bounded segment, the
     /// carried-in run extends by the segment's leading ones, the interior
     /// maximum comes from the shift-AND longest-run scan, and the
-    /// trailing ones carry out -- no per-bit counter stepping.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
-    /// \brief Span kernel: the per-word run scan with the carried run and
-    /// block maximum hoisted into locals; the RTL counters commit once at
-    /// the end of the span instead of once per word.
+    /// trailing ones carry out -- no per-bit counter stepping.  The
+    /// carried run and block maximum live in locals; the RTL counters
+    /// commit once per span.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;

@@ -26,29 +26,6 @@ void runs_hw::consume(bool bit, std::uint64_t bit_index)
     prev_ = bit;
 }
 
-void runs_hw::consume_word(std::uint64_t word, unsigned nbits,
-                           std::uint64_t bit_index)
-{
-    (void)bit_index;
-    const std::uint64_t x =
-        nbits == 64 ? word : word & ((std::uint64_t{1} << nbits) - 1);
-    // Transitions between adjacent bits inside the word: bits 0..nbits-2
-    // of x ^ (x >> 1).
-    const std::uint64_t pair_mask = nbits == 64
-        ? ~std::uint64_t{0} >> 1
-        : (std::uint64_t{1} << (nbits - 1)) - 1;
-    std::uint64_t steps = std::popcount((x ^ (x >> 1)) & pair_mask);
-    const bool first = (x & 1u) != 0;
-    if (!primed_) {
-        ++steps; // the first bit of the stream opens run number one
-        primed_ = true;
-    } else if (first != prev_) {
-        ++steps; // seam transition against the previous word's last bit
-    }
-    runs_.advance(steps);
-    prev_ = ((word >> (nbits - 1)) & 1u) != 0;
-}
-
 void runs_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
                            std::uint64_t bit_index)
 {

@@ -17,11 +17,6 @@ public:
     explicit runs_hw(unsigned log2_n);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched run counting: interior transitions are one popcount
-    /// of word ^ (word >> 1); only the seam with the previous bit needs
-    /// the stored flip-flop.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
     /// \brief Span kernel: one bits::span_transitions over the whole span
     /// (intra-word shifted-XOR popcounts plus word seams), a single seam
     /// check against the stored flip-flop, one counter commit.

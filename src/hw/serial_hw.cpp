@@ -91,80 +91,37 @@ void serial_hw::consume(bool bit, std::uint64_t bit_index)
     count_window(0, false);
 }
 
-void serial_hw::consume_word(std::uint64_t word, unsigned nbits,
-                             std::uint64_t bit_index)
-{
-    // Warm-up (window not yet full / opening bits still latching) runs on
-    // the per-bit path; it only ever covers the first m-1 bits of a
-    // window, so the steady-state loop below stays branch-light.
-    unsigned i = 0;
-    while (i < nbits && seen_ < m_) {
-        consume(((word >> i) & 1u) != 0, bit_index + i);
-        ++i;
-    }
-    if (i == nbits) {
-        return;
-    }
-
-    const unsigned steady_from = i;
-    const std::uint64_t mask_m = (std::uint64_t{1} << m_) - 1;
-    std::uint64_t w = window_.window() & mask_m;
-    std::uint32_t delta_m[256] = {};
-    std::uint32_t delta_m1[128] = {};
-    std::uint32_t delta_m2[64] = {};
-    const bool all_lengths = !marginals_in_software_;
-    for (; i < nbits; ++i) {
-        w = ((w << 1) | ((word >> i) & 1u)) & mask_m;
-        ++delta_m[w];
-        if (all_lengths) {
-            ++delta_m1[w & (mask_m >> 1)];
-            ++delta_m2[w & (mask_m >> 2)];
-        }
-    }
-    // The warm-up bits already went through shift()/seen_ inside consume();
-    // commit only the steady-state tail here.
-    window_.shift_word(word >> steady_from, nbits - steady_from);
-    seen_ += nbits - steady_from;
-    for (std::uint32_t p = 0; p < (1u << m_); ++p) {
-        if (delta_m[p] != 0) {
-            file_m_[p]->advance(delta_m[p]);
-        }
-    }
-    if (all_lengths) {
-        for (std::uint32_t p = 0; p < (1u << (m_ - 1)); ++p) {
-            if (delta_m1[p] != 0) {
-                file_m1_[p]->advance(delta_m1[p]);
-            }
-        }
-        for (std::uint32_t p = 0; p < (1u << (m_ - 2)); ++p) {
-            if (delta_m2[p] != 0) {
-                file_m2_[p]->advance(delta_m2[p]);
-            }
-        }
-    }
-}
-
 void serial_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
                              std::uint64_t bit_index)
 {
-    // Warm-up (and any leading sub-word chunk) rides the per-word path; it
-    // only covers the window's first bits, so the kernel below can assume
-    // every position is steady-state.
+    const auto bit_at = [words](std::size_t i) {
+        return ((words[i / 64] >> (i % 64)) & 1u) != 0;
+    };
+    // Warm-up (window not yet full / opening bits still latching) runs on
+    // the per-bit path; it only ever covers the first m bits of a window,
+    // so every position below is steady-state.
     std::size_t done = 0;
-    if (seen_ < m_) {
-        const unsigned take =
-            nbits < 64 ? static_cast<unsigned>(nbits) : 64u;
-        consume_word(words[0], take, bit_index);
-        done = take;
+    for (; done < nbits && seen_ < m_; ++done) {
+        consume(bit_at(done), bit_index + done);
     }
-    if (done >= nbits) {
+    if (done == nbits) {
         return;
     }
 
     const std::uint64_t mask_m = (std::uint64_t{1} << m_) - 1;
     std::uint64_t w = window_.window() & mask_m;
     std::uint32_t delta_m[256] = {};
-    std::size_t widx = done / 64; // done is 0 or 64 here
+    const auto slide = [&](std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; ++i) {
+            w = ((w << 1) | (bit_at(i) ? 1u : 0u)) & mask_m;
+            ++delta_m[w];
+        }
+    };
+    // Bits before the next word boundary slide one at a time, so the
+    // kernels below start word-aligned.
+    const std::size_t head_end = std::min(nbits, (done + 63) / 64 * 64);
+    slide(done, head_end);
+    std::size_t widx = head_end / 64;
     const std::size_t full_end = nbits / 64;
 
     if (m_ <= 5 && widx < full_end) {
@@ -202,30 +159,19 @@ void serial_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
         for (unsigned j = 0; j < m_; ++j) {
             w |= ((prev >> (63u - j)) & 1u) << j;
         }
-    } else {
+    } else if (widx < full_end) {
         // m in [6, 8]: the per-pattern mask set no longer pays for itself;
         // slide the window in a local register instead (still one counter
-        // commit for the whole span, unlike the per-word path).
-        for (; widx < full_end; ++widx) {
-            const std::uint64_t x = words[widx];
-            for (unsigned i = 0; i < 64; ++i) {
-                w = ((w << 1) | ((x >> i) & 1u)) & mask_m;
-                ++delta_m[w];
-            }
-        }
+        // commit for the whole span).
+        slide(widx * 64, full_end * 64);
     }
-    const unsigned tail = static_cast<unsigned>(nbits % 64);
-    for (unsigned i = 0; i < tail; ++i) {
-        w = ((w << 1) | ((words[full_end] >> i) & 1u)) & mask_m;
-        ++delta_m[w];
-    }
+    slide(std::max(head_end, full_end * 64), nbits);
 
-    for (std::size_t p = done; p < nbits; p += 64) {
-        const unsigned take = nbits - p < 64
-            ? static_cast<unsigned>(nbits - p)
-            : 64u;
-        window_.shift_word(words[p / 64], take);
+    if (head_end > done) {
+        window_.shift_word(words[done / 64] >> (done % 64),
+                           static_cast<unsigned>(head_end - done));
     }
+    window_.shift_span(words + head_end / 64, nbits - head_end);
     seen_ += nbits - done;
     for (std::uint32_t p = 0; p <= mask_m; ++p) {
         if (delta_m[p] != 0) {

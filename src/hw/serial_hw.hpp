@@ -42,11 +42,6 @@ public:
     bool marginals_in_software() const { return marginals_in_software_; }
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched pattern counting: slides the m-bit window across
-    /// the word in a local register, accumulates per-pattern deltas in
-    /// stack arrays and commits each touched counter once per word.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
     /// \brief Span kernel: for m <= 5 the occurrence count of every
     /// pattern in a word is one popcount of an AND-combined match mask
     /// (no per-position sliding); for m in [6, 8] the window slides in a

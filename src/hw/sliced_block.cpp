@@ -192,7 +192,7 @@ void sliced_block::step(std::uint64_t plane)
     ++total_bits_;
 }
 
-void sliced_block::feed_words(const std::uint64_t channel_words[lanes])
+void sliced_block::feed_chunk(const std::uint64_t channel_words[lanes])
 {
     if (window_bits_ + lanes > cfg_.n) {
         throw std::logic_error(
@@ -265,7 +265,7 @@ void sliced_block::feed_tile(const std::uint64_t* tile, std::size_t stride,
             "sliced_block: tile would overrun the window");
     }
     if (!cfg_.rct && !cfg_.apt) {
-        // The feed_words collapse, amortized across the whole tile: sum
+        // The feed_chunk collapse, amortized across the whole tile: sum
         // each channel's ones and transitions over all its words first
         // (the per-word popcounts plus the seams between consecutive
         // words), then transpose the packed sums *once* and ripple them
@@ -289,7 +289,7 @@ void sliced_block::feed_tile(const std::uint64_t* tile, std::size_t stride,
                 flips += static_cast<std::uint64_t>(
                     std::popcount((x ^ (x >> 1)) & body));
                 // Seam between word k-1's closing bit and word k's
-                // opening bit -- the transition feed_words charges to
+                // opening bit -- the transition feed_chunk charges to
                 // its per-chunk seam plane.
                 flips += ((prev >> 63) ^ x) & std::uint64_t{1};
                 prev = x;

@@ -73,7 +73,7 @@ public:
     /// collapses into one sliced multi-bit add per statistic (bit-exact
     /// with 64 step() calls -- tests/test_kernel_oracle.cpp pins it).
     /// \throws std::logic_error when 64 steps would overrun the window
-    void feed_words(const std::uint64_t channel_words[lanes]);
+    void feed_chunk(const std::uint64_t channel_words[lanes]);
 
     /// \brief Feed a channel-major tile: `tile[i * stride + k]` holds
     /// channel i's k-th word, for `words_per_channel` words per channel
@@ -83,8 +83,8 @@ public:
     /// transpose and one sliced multi-bit add per statistic -- the
     /// per-word popcounts are summed channel-side first, so the
     /// transpose cost is amortized over up to 64 words per channel
-    /// instead of paid per word as in feed_words().  Bit-exact with
-    /// words_per_channel feed_words() calls (tests/test_kernel_oracle
+    /// instead of paid per word as in feed_chunk().  Bit-exact with
+    /// words_per_channel feed_chunk() calls (tests/test_kernel_oracle
     /// .cpp pins it).
     /// \throws std::invalid_argument when words_per_channel exceeds 64
     /// \throws std::logic_error when the tile would overrun the window

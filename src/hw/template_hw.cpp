@@ -108,38 +108,6 @@ void non_overlapping_hw::consume(bool bit, std::uint64_t bit_index)
     }
 }
 
-void non_overlapping_hw::consume_word(std::uint64_t word, unsigned nbits,
-                                      std::uint64_t bit_index)
-{
-    const std::uint64_t len_mask =
-        (std::uint64_t{1} << template_length_) - 1;
-    const std::uint64_t pattern = matcher_.pattern() & len_mask;
-    std::uint64_t w = window_.window();
-    std::uint64_t matches = w_.value();
-    unsigned inhibit = inhibit_;
-    for (unsigned i = 0; i < nbits; ++i) {
-        w = (w << 1) | ((word >> i) & 1u);
-        const std::uint64_t idx = bit_index + i;
-        const std::uint64_t pos_in_block = idx & block_mask_;
-        const bool window_inside = pos_in_block >= template_length_ - 1;
-        if (window_inside && inhibit == 0 && (w & len_mask) == pattern) {
-            ++matches;
-            inhibit = template_length_ - 1;
-        } else if (inhibit > 0) {
-            --inhibit;
-        }
-        if (pos_in_block == block_mask_) {
-            bank_.write(static_cast<unsigned>(idx >> log2_m_),
-                        matches & ((std::uint64_t{1} << w_.width()) - 1));
-            matches = 0;
-            inhibit = 0;
-        }
-    }
-    w_.clear();
-    w_.advance(matches);
-    inhibit_ = inhibit;
-}
-
 void non_overlapping_hw::consume_span(const std::uint64_t* words,
                                       std::size_t nbits,
                                       std::uint64_t bit_index)
@@ -154,7 +122,7 @@ void non_overlapping_hw::consume_span(const std::uint64_t* words,
 
     // Shared-window engines reconstruct the window across the whole span
     // (the block shifts the shared register only after the span), so both
-    // paths below track it locally; the per-word default would read a
+    // paths below track it locally; the per-bit default would read a
     // stale register and is never used here.
     const auto scan = [&](std::uint64_t& w, std::size_t first,
                           std::size_t last) {
@@ -301,35 +269,6 @@ void overlapping_hw::consume(bool bit, std::uint64_t bit_index)
         categories_[category]->step();
         block_matches_.clear();
     }
-}
-
-void overlapping_hw::consume_word(std::uint64_t word, unsigned nbits,
-                                  std::uint64_t bit_index)
-{
-    const std::uint64_t len_mask =
-        (std::uint64_t{1} << template_length_) - 1;
-    const std::uint64_t pattern = matcher_.pattern() & len_mask;
-    const std::uint64_t sat = block_matches_.max_value();
-    std::uint64_t w = window_.window();
-    std::uint64_t matches = block_matches_.value();
-    for (unsigned i = 0; i < nbits; ++i) {
-        w = (w << 1) | ((word >> i) & 1u);
-        const std::uint64_t idx = bit_index + i;
-        const std::uint64_t pos_in_block = idx & block_mask_;
-        if (pos_in_block >= template_length_ - 1
-            && (w & len_mask) == pattern && matches < sat) {
-            ++matches;
-        }
-        if (pos_in_block == block_mask_) {
-            const unsigned category = matches >= max_count_
-                ? max_count_
-                : static_cast<unsigned>(matches);
-            categories_[category]->step();
-            matches = 0;
-        }
-    }
-    block_matches_.clear();
-    block_matches_.advance(matches);
 }
 
 void overlapping_hw::consume_span(const std::uint64_t* words,

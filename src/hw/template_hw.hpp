@@ -41,13 +41,6 @@ public:
                        rtl::shift_register& window);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched scan: reconstructs the sliding window locally from
-    /// the shared register's pre-word state (the block advances the
-    /// shared register once per word on the fast lane) and accumulates
-    /// matches with the same inhibit/boundary decisions as the per-bit
-    /// path.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
     /// \brief Span kernel: one AND-combined match mask per word flags
     /// every window position equal to the template; non-overlapped
     /// matches are picked greedily from the mask with count-trailing
@@ -94,11 +87,6 @@ public:
                    rtl::shift_register& window);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched scan against the locally reconstructed shared
-    /// window (see non_overlapping_hw::consume_word), with the saturating
-    /// per-block match count accumulated in a local and committed once.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
     /// \brief Span kernel: overlapping matches per word are the popcount
     /// of the match mask (see non_overlapping_hw::consume_span), clamped
     /// by the saturating block counter.

@@ -261,38 +261,6 @@ void testing_block::feed(bool bit)
     global_counter_->step();
 }
 
-void testing_block::feed_word(std::uint64_t word, unsigned nbits)
-{
-    if (nbits == 0 || nbits > 64) {
-        throw std::invalid_argument(
-            "testing_block: feed_word nbits must be in [1, 64]");
-    }
-    if (consumed_ + nbits > config_.n()) {
-        throw std::logic_error(
-            "testing_block: word would run past the end of the sequence");
-    }
-    const std::uint64_t index = consumed_;
-    // Engines that watch the shared template window reconstruct it locally
-    // from its pre-word state, so the shared register advances once, after
-    // the engines have seen the word.
-    for (engine* e : engines_) {
-        e->consume_word(word, nbits, index);
-    }
-    if (template_window_) {
-        template_window_->shift_word(word, nbits);
-    }
-    consumed_ += nbits;
-    global_counter_->advance(nbits);
-}
-
-void testing_block::feed_words(const std::uint64_t* words,
-                               std::size_t nwords)
-{
-    for (std::size_t j = 0; j < nwords; ++j) {
-        feed_word(words[j], 64);
-    }
-}
-
 void testing_block::feed_span(const std::uint64_t* words, std::size_t nbits)
 {
     if (nbits == 0) {
@@ -303,32 +271,17 @@ void testing_block::feed_span(const std::uint64_t* words, std::size_t nbits)
             "testing_block: span would run past the end of the sequence");
     }
     const std::uint64_t index = consumed_;
-    // As on the word lane, shared-window engines reconstruct the window
-    // locally (here across the whole span); the shared register catches up
-    // afterwards in one pass.
+    // Engines that watch the shared template window reconstruct it locally
+    // from its pre-span state, so the shared register advances once, after
+    // the engines have seen the whole span.
     for (engine* e : engines_) {
         e->consume_span(words, nbits, index);
     }
     if (template_window_) {
-        for (std::size_t p = 0; p < nbits; p += 64) {
-            const unsigned take = nbits - p < 64
-                ? static_cast<unsigned>(nbits - p)
-                : 64u;
-            template_window_->shift_word(words[p / 64], take);
-        }
+        template_window_->shift_span(words, nbits);
     }
     consumed_ += nbits;
     global_counter_->advance(nbits);
-}
-
-void testing_block::run_words(const std::vector<std::uint64_t>& words)
-{
-    if (words.size() * 64 != config_.n()) {
-        throw std::invalid_argument(
-            "testing_block: word buffer must hold exactly n bits");
-    }
-    feed_words(words.data(), words.size());
-    finish();
 }
 
 void testing_block::finish()

@@ -54,40 +54,18 @@ public:
     /// \throws std::logic_error if the sequence is already complete
     void feed(bool bit);
 
-    /// \brief Word-at-a-time fast lane: consume up to 64 bits at once.
-    /// Bit-exact with nbits feed() calls -- the per-bit path stays the
-    /// equivalence oracle.
-    /// \param word  bits packed LSB-first (bit i is stream bit
-    ///              bits_consumed() + i)
-    /// \param nbits number of valid bits in `word`, 1..64
-    /// \throws std::logic_error if the word would run past n
-    void feed_word(std::uint64_t word, unsigned nbits = 64);
-
-    /// \brief Streaming feed path: consume `nwords` full words from a raw
-    /// span (the pipeline pump's entry point -- no container required).
-    /// Bit-exact with 64 * nwords feed() calls.
-    /// \param words  bits packed LSB-first, in stream order
-    /// \param nwords number of 64-bit words; 64 * nwords bits must still
-    ///        fit in the current sequence
-    void feed_words(const std::uint64_t* words, std::size_t nwords);
-
-    /// \brief Bulk-span fast lane: consume a whole packed span in one
+    /// \brief Packed fast lane: consume a whole packed span in one
     /// dispatch per engine (engine::consume_span kernels -- popcount
-    /// accumulation, match masks, the SWAR walk -- each committing their
-    /// RTL state once).  Bit-exact with nbits feed() calls; the per-bit
-    /// path stays the equivalence oracle (tests/test_kernel_oracle.cpp).
+    /// accumulation, match masks, the walk summary -- each committing
+    /// their RTL state once).  Bit-exact with nbits feed() calls at any
+    /// chunking, down to one bit per span; the per-bit path stays the
+    /// equivalence oracle (tests/test_kernel_oracle.cpp).
     /// \param words bits packed LSB-first, in stream order (bit i of
     ///        words[i/64] is stream bit bits_consumed() + i)
     /// \param nbits number of valid bits; ragged (non-multiple-of-64)
     ///        lengths are allowed
     /// \throws std::logic_error if the span would run past n
     void feed_span(const std::uint64_t* words, std::size_t nbits);
-
-    /// \brief Feed a whole pre-packed sequence through the word lane and
-    /// finish.
-    /// \param words exactly n bits (n is a multiple of 64 for every
-    ///        supported design, so there is no partial final word)
-    void run_words(const std::vector<std::uint64_t>& words);
 
     /// \brief End of sequence: replays the stored opening bits through
     /// the serial engine (cyclic extension) and latches the done flag.

@@ -7,20 +7,30 @@ namespace otf::rtl {
 
 namespace {
 
-void check_width(unsigned width)
+// Validates before the width is used as a shift count: the member
+// initializers below shift by it.
+unsigned checked_width(unsigned width)
 {
     if (width == 0 || width > 63) {
         throw std::invalid_argument("counter width must be in [1, 63]");
     }
+    return width;
+}
+
+unsigned checked_walk_width(unsigned width)
+{
+    if (width < 2 || width > 63) {
+        throw std::invalid_argument("up/down counter width must be in [2, 63]");
+    }
+    return width;
 }
 
 } // namespace
 
 counter::counter(std::string name, unsigned width)
-    : component(std::move(name)), width_(width),
-      modulus_(std::uint64_t{1} << width)
+    : component(std::move(name)), width_(checked_width(width)),
+      modulus_(std::uint64_t{1} << width_)
 {
-    check_width(width);
 }
 
 void counter::step()
@@ -44,10 +54,9 @@ resources counter::self_cost() const
 }
 
 saturating_counter::saturating_counter(std::string name, unsigned width)
-    : component(std::move(name)), width_(width),
-      max_((std::uint64_t{1} << width) - 1)
+    : component(std::move(name)), width_(checked_width(width)),
+      max_((std::uint64_t{1} << width_) - 1)
 {
-    check_width(width);
 }
 
 void saturating_counter::step()
@@ -74,13 +83,10 @@ resources saturating_counter::self_cost() const
 }
 
 up_down_counter::up_down_counter(std::string name, unsigned width)
-    : component(std::move(name)), width_(width),
-      min_(-(std::int64_t{1} << (width - 1))),
-      max_((std::int64_t{1} << (width - 1)) - 1)
+    : component(std::move(name)), width_(checked_walk_width(width)),
+      min_(-(std::int64_t{1} << (width_ - 1))),
+      max_((std::int64_t{1} << (width_ - 1)) - 1)
 {
-    if (width < 2 || width > 63) {
-        throw std::invalid_argument("up/down counter width must be in [2, 63]");
-    }
 }
 
 void up_down_counter::step(bool up)

@@ -4,13 +4,24 @@
 
 namespace otf::rtl {
 
-shift_register::shift_register(std::string name, unsigned length)
-    : component(std::move(name)), length_(length),
-      mask_((std::uint64_t{1} << length) - 1)
+namespace {
+
+// Validates before the length is used as a shift count by the member
+// initializers.
+unsigned checked_length(unsigned length)
 {
     if (length == 0 || length > 63) {
         throw std::invalid_argument("shift register length must be in [1, 63]");
     }
+    return length;
+}
+
+} // namespace
+
+shift_register::shift_register(std::string name, unsigned length)
+    : component(std::move(name)), length_(checked_length(length)),
+      mask_((std::uint64_t{1} << length_) - 1)
+{
 }
 
 void shift_register::shift(bool bit)
@@ -36,6 +47,18 @@ void shift_register::shift_word(std::uint64_t word, unsigned nbits)
     }
     window_ = w & mask_;
     fill_ = fill_ + nbits < length_ ? fill_ + nbits : length_;
+}
+
+void shift_register::shift_span(const std::uint64_t* words,
+                                std::size_t nbits)
+{
+    // Only the last length_ (< 64) bits survive and the fill saturates,
+    // so whole words before the final 65+ bits need not be shifted.
+    std::size_t p = nbits > 128 ? (nbits - 65) / 64 * 64 : 0;
+    for (; p < nbits; p += 64) {
+        shift_word(words[p / 64],
+                   nbits - p < 64 ? static_cast<unsigned>(nbits - p) : 64u);
+    }
 }
 
 resources shift_register::self_cost() const

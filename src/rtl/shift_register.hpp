@@ -11,6 +11,7 @@
 
 #include "rtl/component.hpp"
 
+#include <cstddef>
 #include <cstdint>
 
 namespace otf::rtl {
@@ -26,6 +27,11 @@ public:
     /// where bit i of `word` is the i-th bit shifted in (LSB-first stream
     /// order).  Model-only shortcut for the batched software pipeline.
     void shift_word(std::uint64_t word, unsigned nbits);
+
+    /// Span bulk update: equivalent of `nbits` shift() calls fed from a
+    /// packed LSB-first span (bit i of words[i/64] is the i-th bit
+    /// shifted in); ragged lengths are allowed.
+    void shift_span(const std::uint64_t* words, std::size_t nbits);
 
     /// Parallel taps: bit i of the result is the value shifted in i cycles
     /// ago (LSB = newest).

@@ -29,7 +29,7 @@ public:
 
     /// \brief Bulk fast lane: fill `out[0..nwords)` with packed words
     /// where bit i of out[j] is the (64*j + i)-th bit next_bit() would
-    /// have produced (LSB-first stream order, the engine::consume_word
+    /// have produced (LSB-first stream order, the engine::consume_span
     /// convention).
     ///
     /// The default assembles words from next_bit(), so every model is

@@ -1,7 +1,8 @@
 // Property tests for the span-kernel primitives in base/bits.hpp: every
 // kernel variant (reference, portable, simd) must agree with a naive
-// per-bit model on ragged lengths, word seams and extreme inputs, and the
-// 64x64 transpose must be an involution with the documented orientation.
+// per-bit model on ragged lengths, word seams and extreme inputs, the
+// 64x64 transpose must be an involution with the documented orientation,
+// and bit_sequence must round-trip through its packed form.
 //
 // tests/test_kernel_oracle.cpp pins the *users* of these primitives (the
 // engines' consume_span kernels, the sliced block) against the per-bit
@@ -39,7 +40,10 @@ const char* variant_name(bits::kernel_variant v)
 }
 
 struct variant_guard {
-    ~variant_guard() { bits::set_kernel_variant(bits::kernel_variant::simd); }
+    ~variant_guard()
+    {
+        bits::set_kernel_variant(bits::default_kernel_variant());
+    }
 };
 
 std::vector<std::uint64_t> random_words(std::uint64_t seed, std::size_t n)
@@ -157,6 +161,28 @@ TEST(bits_kernels, span_popcount_masks_garbage_past_the_tail)
     }
 }
 
+TEST(bits_kernels, range_popcount_matches_naive_at_every_offset)
+{
+    variant_guard guard;
+    const auto words = random_words(fixture_seed(8), 6);
+    for (const bits::kernel_variant v : kAllVariants) {
+        bits::set_kernel_variant(v);
+        for (std::size_t first = 0; first <= 130; ++first) {
+            for (const std::size_t nbits :
+                 {0u, 1u, 7u, 63u, 64u, 65u, 200u}) {
+                std::uint64_t naive = 0;
+                for (std::size_t i = first; i < first + nbits; ++i) {
+                    naive += (words[i / 64] >> (i % 64)) & 1u;
+                }
+                ASSERT_EQ(bits::range_popcount(words.data(), first, nbits),
+                          naive)
+                    << variant_name(v) << " first=" << first
+                    << " nbits=" << nbits;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // span_transitions: word seams carry the previous MSB across.
 // ---------------------------------------------------------------------------
@@ -189,11 +215,64 @@ TEST(bits_kernels, span_transitions_counts_seam_transitions)
 }
 
 // ---------------------------------------------------------------------------
-// word_walk / span_walk: the SWAR and SIMD walks against the per-bit
-// trajectory, including extreme words that saturate the byte lanes.
+// prefix_walk / span_walk: the byte-table (portable) and SWAR
+// (simd) walks against the per-bit trajectory, including extreme words
+// that saturate the byte lanes.
 // ---------------------------------------------------------------------------
 
-TEST(bits_kernels, word_walk_matches_naive_on_random_and_extreme_words)
+TEST(bits_kernels, walk_table_holds_every_byte_summary)
+{
+    // The portable walk folds one table entry per byte, so every entry
+    // must be the exact 8-step summary of its byte.
+    for (unsigned b = 0; b < 256; ++b) {
+        int s = 0;
+        int hi = -8;
+        int lo = 8;
+        for (unsigned i = 0; i < 8; ++i) {
+            s += ((b >> i) & 1u) != 0 ? 1 : -1;
+            hi = s > hi ? s : hi;
+            lo = s < lo ? s : lo;
+        }
+        const auto& entry = bits::detail::kWalkTable[b];
+        EXPECT_EQ(entry.delta, s) << "byte " << b;
+        EXPECT_EQ(entry.max_prefix, hi) << "byte " << b;
+        EXPECT_EQ(entry.min_prefix, lo) << "byte " << b;
+    }
+}
+
+TEST(bits_kernels, prefix_walk_matches_naive_for_every_k)
+{
+    variant_guard guard;
+    auto words = random_words(fixture_seed(7), 8);
+    words.push_back(0);
+    words.push_back(~std::uint64_t{0});
+    for (const bits::kernel_variant v : kAllVariants) {
+        bits::set_kernel_variant(v);
+        for (const std::uint64_t w : words) {
+            for (unsigned k = 0; k <= 64; ++k) {
+                bits::walk_summary naive{0, -65, 65};
+                for (unsigned i = 0; i < k; ++i) {
+                    naive.delta += ((w >> i) & 1u) != 0 ? 1 : -1;
+                    naive.max_prefix = naive.delta > naive.max_prefix
+                        ? naive.delta
+                        : naive.max_prefix;
+                    naive.min_prefix = naive.delta < naive.min_prefix
+                        ? naive.delta
+                        : naive.min_prefix;
+                }
+                const bits::walk_summary got = bits::prefix_walk(w, k);
+                ASSERT_EQ(got.delta, naive.delta)
+                    << variant_name(v) << " k=" << k;
+                ASSERT_EQ(got.max_prefix, naive.max_prefix)
+                    << variant_name(v) << " k=" << k;
+                ASSERT_EQ(got.min_prefix, naive.min_prefix)
+                    << variant_name(v) << " k=" << k;
+            }
+        }
+    }
+}
+
+TEST(bits_kernels, full_word_walk_matches_naive_on_random_and_extreme_words)
 {
     variant_guard guard;
     auto words = random_words(fixture_seed(3), 32);
@@ -207,7 +286,7 @@ TEST(bits_kernels, word_walk_matches_naive_on_random_and_extreme_words)
         for (const std::uint64_t w : words) {
             const std::vector<std::uint64_t> one = {w};
             const bits::walk_summary naive = naive_walk(one, 1);
-            const bits::walk_summary got = bits::word_walk(w);
+            const bits::walk_summary got = bits::prefix_walk(w, 64);
             EXPECT_EQ(got.delta, naive.delta) << variant_name(v);
             EXPECT_EQ(got.max_prefix, naive.max_prefix) << variant_name(v);
             EXPECT_EQ(got.min_prefix, naive.min_prefix) << variant_name(v);
@@ -295,6 +374,24 @@ TEST(bits_kernels, transpose_of_identity_is_identity)
     for (unsigned i = 0; i < 64; ++i) {
         EXPECT_EQ(m[i], std::uint64_t{1} << i) << "row " << i;
     }
+}
+
+// ---------------------------------------------------------------------------
+// bit_sequence packing: to_words / from_words round trip.
+// ---------------------------------------------------------------------------
+
+TEST(bits_kernels, bit_sequence_word_round_trip)
+{
+    bit_sequence seq;
+    const auto words = random_words(fixture_seed(11), 16);
+    for (std::size_t i = 0; i < 1000; ++i) {
+        seq.push_back(((words[i / 64] >> (i % 64)) & 1u) != 0);
+    }
+    const auto packed = seq.to_words();
+    EXPECT_EQ(packed.size(), 16u); // ceil(1000 / 64)
+    EXPECT_EQ(packed[15] >> (1000 % 64), 0u) << "bits past the end are zero";
+    EXPECT_EQ(bit_sequence::from_words(packed, 1000), seq);
+    EXPECT_THROW(bit_sequence::from_words(packed, 1025), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------

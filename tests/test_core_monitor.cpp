@@ -203,9 +203,56 @@ TEST(monitor, lifetime_ops_accumulate)
 
 TEST(monitor, rejects_wrong_sequence_length)
 {
-    core::monitor mon(fast_cfg(), 0.01);
-    EXPECT_THROW((void)mon.test_sequence(bit_sequence(100, true)),
+    core::monitor mon(core::paper_design(7, core::tier::light), 0.01);
+    try {
+        mon.test_sequence(bit_sequence(100, false));
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("128"), std::string::npos)
+            << "message should name the expected length: " << what;
+        EXPECT_NE(what.find("100"), std::string::npos)
+            << "message should name the actual length: " << what;
+    }
+    // Too long is rejected up front as well, not mid-stream, on both the
+    // per-bit and the packed entry points.
+    EXPECT_THROW(mon.test_sequence(bit_sequence(256, false)),
                  std::invalid_argument);
+    EXPECT_THROW(mon.test_sequence_words(std::vector<std::uint64_t>(3)),
+                 std::invalid_argument);
+    EXPECT_EQ(mon.windows_tested(), 0u);
+}
+
+TEST(monitor, feed_packed_rejects_overrun)
+{
+    // Streaming ingestion feeds partial windows through feed_span; a span
+    // that would run past n is refused before any bit is consumed.
+    core::monitor mon(core::paper_design(7, core::tier::light), 0.01);
+    const std::vector<std::uint64_t> words(3, 0);
+    EXPECT_THROW(mon.feed_packed(words.data(), 3), std::logic_error);
+    EXPECT_EQ(mon.block().bits_consumed(), 0u);
+    mon.feed_packed(words.data(), 2);
+    EXPECT_THROW(mon.feed_packed(words.data(), 1), std::logic_error);
+    (void)mon.finish_packed();
+    EXPECT_EQ(mon.windows_tested(), 1u);
+}
+
+TEST(monitor, sequence_and_packed_sequence_agree)
+{
+    const hw::block_config cfg = core::paper_design(7, core::tier::medium);
+    const bit_sequence seq =
+        trng::ideal_source(test::fixture_seed(13)).generate(cfg.n());
+    core::monitor oracle(cfg, 0.01);
+    core::monitor fast(cfg, 0.01);
+    const auto a = oracle.test_sequence(seq);
+    const auto b = fast.test_sequence_words(seq.to_words());
+    EXPECT_EQ(a.software.all_pass, b.software.all_pass);
+    ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size());
+    for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
+        EXPECT_EQ(a.software.verdicts[i].statistic,
+                  b.software.verdicts[i].statistic);
+    }
+    EXPECT_EQ(a.sw_cycles, b.sw_cycles);
 }
 
 TEST(health_monitor, alarm_after_threshold_failures)

@@ -125,9 +125,9 @@ TEST(device_profile, zero_weight_kinds_are_never_drawn)
 
 TEST(device_profile, device_source_lanes_are_bit_exact)
 {
-    // The fleet runs devices through the word lane; the per-bit lane is
-    // the oracle.  Both must agree for every kind, across the onset (and
-    // churn) transitions.
+    // The fleet generates device words in bulk (fill_words); the per-bit
+    // lane is the oracle.  Both must agree for every kind, across the
+    // onset (and churn) transitions.
     for (const device_kind kind : kAttackedKinds) {
         const device_profile p = attacked_profile(kind);
         device_source via_bits(p, 128);

@@ -35,7 +35,7 @@ hw::block_config small_design()
 
 core::fleet_config
 base_config(unsigned channels, unsigned threads,
-            core::ingest_lane lane = core::ingest_lane::word)
+            core::ingest_lane lane = core::ingest_lane::span)
 {
     core::fleet_config cfg;
     cfg.block = small_design();
@@ -81,8 +81,7 @@ TEST(fleet, every_ingest_lane_agrees_with_the_per_bit_oracle)
         core::fleet_monitor(base_config(4, 2, core::ingest_lane::per_bit))
             .run(ideal_factory(), windows);
     for (const core::ingest_lane lane :
-         {core::ingest_lane::word, core::ingest_lane::span,
-          core::ingest_lane::sliced}) {
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
         const auto fast = core::fleet_monitor(base_config(4, 2, lane))
                               .run(ideal_factory(), windows);
         EXPECT_TRUE(fast.same_counters(bit));
@@ -446,27 +445,23 @@ TEST(fleet, fused_and_threaded_executions_are_bit_identical)
     const auto oracle =
         core::fleet_monitor(base_config(4, 1, core::ingest_lane::per_bit))
             .run(ideal_factory(), windows);
-    for (const core::ingest_lane lane :
-         {core::ingest_lane::word, core::ingest_lane::span}) {
-        for (const unsigned threads : {1u, 2u, 4u}) {
-            for (const core::fleet_execution execution :
-                 {core::fleet_execution::fused,
-                  core::fleet_execution::threaded}) {
-                auto cfg = base_config(4, threads, lane);
-                cfg.execution = execution;
-                const auto report =
-                    core::fleet_monitor(cfg).run(ideal_factory(),
-                                                 windows);
-                const std::string ctx =
-                    std::string(core::to_string(execution)) + " lane "
-                    + cfg.lane_description() + " threads "
-                    + std::to_string(threads);
-                EXPECT_TRUE(report.same_counters(oracle)) << ctx;
-                ASSERT_EQ(report.channels.size(), oracle.channels.size());
-                for (std::size_t c = 0; c < report.channels.size(); ++c) {
-                    EXPECT_EQ(report.channels[c], oracle.channels[c])
-                        << ctx << " channel " << c;
-                }
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        for (const core::fleet_execution execution :
+             {core::fleet_execution::fused,
+              core::fleet_execution::threaded}) {
+            auto cfg = base_config(4, threads);
+            cfg.execution = execution;
+            const auto report =
+                core::fleet_monitor(cfg).run(ideal_factory(), windows);
+            const std::string ctx =
+                std::string(core::to_string(execution)) + " lane "
+                + cfg.lane_description() + " threads "
+                + std::to_string(threads);
+            EXPECT_TRUE(report.same_counters(oracle)) << ctx;
+            ASSERT_EQ(report.channels.size(), oracle.channels.size());
+            for (std::size_t c = 0; c < report.channels.size(); ++c) {
+                EXPECT_EQ(report.channels[c], oracle.channels[c])
+                    << ctx << " channel " << c;
             }
         }
     }
@@ -546,7 +541,7 @@ TEST(fleet, execution_and_lane_metadata_are_reported)
     const auto fused =
         core::fleet_monitor(cfg).run(ideal_factory(), windows);
     EXPECT_EQ(fused.execution, "fused");
-    EXPECT_EQ(fused.lane, "word");
+    EXPECT_EQ(fused.lane, "span");
     EXPECT_EQ(fused.worker_threads, 2u);
     EXPECT_EQ(fused.producer_threads, 0u)
         << "the fused execution must not spawn producer threads";

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -24,6 +25,22 @@ TEST(protocol, feed_beyond_n_throws)
         block.feed(true);
     }
     EXPECT_THROW(block.feed(true), std::logic_error);
+}
+
+TEST(protocol, feed_span_rejects_overrun)
+{
+    hw::testing_block block(paper_design(7, tier::light));
+    const std::vector<std::uint64_t> words(3, 0);
+    // 192 bits into a 128-bit sequence must be refused up front, without
+    // consuming anything.
+    EXPECT_THROW(block.feed_span(words.data(), 192), std::logic_error);
+    EXPECT_EQ(block.bits_consumed(), 0u);
+    block.feed_span(words.data(), 0); // an empty span is a no-op
+    EXPECT_EQ(block.bits_consumed(), 0u);
+    block.feed_span(words.data(), 127);
+    block.feed_span(words.data(), 1); // exactly n: accepted
+    EXPECT_THROW(block.feed_span(words.data(), 1), std::logic_error);
+    EXPECT_EQ(block.bits_consumed(), 128u);
 }
 
 TEST(protocol, finish_before_n_throws)
@@ -240,17 +257,18 @@ TEST(area_model, audit_covers_all_engines)
 
 // -------------------------------------- on-the-fly reconfiguration --
 
-/// Feed one full window into `block` from `source`, word lane or per-bit
+/// Feed one full window into `block` from `source`, span lane or per-bit
 /// oracle lane, and finish.
 void run_window(hw::testing_block& block, trng::ideal_source& source,
-                bool word_lane)
+                bool span_lane)
 {
     const std::uint64_t n = block.config().n();
-    if (word_lane && n >= 64) {
+    if (span_lane && n >= 64) {
         std::vector<std::uint64_t> words(
             static_cast<std::size_t>(n / 64));
         source.fill_words(words.data(), words.size());
-        block.run_words(words);
+        block.feed_span(words.data(), n);
+        block.finish();
     } else {
         for (std::uint64_t i = 0; i < n; ++i) {
             block.feed(source.next_bit());
@@ -280,7 +298,7 @@ TEST(reconfigure, reprogrammed_block_is_register_exact_with_fresh)
     // map to design D matches a freshly constructed D on the same
     // subsequent words -- across all 8 paper designs x both lanes.
     const auto designs = core::all_paper_designs();
-    for (const bool word_lane : {true, false}) {
+    for (const bool span_lane : {true, false}) {
         for (std::size_t t = 0; t < designs.size(); ++t) {
             // Escalate/de-escalate between neighbouring design points.
             const hw::block_config& from =
@@ -294,11 +312,11 @@ TEST(reconfigure, reprogrammed_block_is_register_exact_with_fresh)
             hw::testing_block fresh(to);
 
             trng::ideal_source source_a(0xD0 + t), source_b(0xD0 + t);
-            run_window(reprogrammed, source_a, word_lane);
-            run_window(fresh, source_b, word_lane);
+            run_window(reprogrammed, source_a, span_lane);
+            run_window(fresh, source_b, span_lane);
             expect_registers_equal(reprogrammed, fresh,
                                    to.name
-                                       + (word_lane ? " (word)"
+                                       + (span_lane ? " (span)"
                                                     : " (per-bit)"));
         }
     }

@@ -1,13 +1,15 @@
 // Differential kernel-oracle harness: the per-bit lane is the ground
-// truth, and every fast lane -- word, span (under each kernel variant)
-// and the bit-sliced fleet lane -- must reproduce it register-exactly.
+// truth, and every fast lane -- span (under each kernel variant, at every
+// chunking) and the bit-sliced fleet lane -- must reproduce it
+// register-exactly.
 //
 // The span kernels (base/bits.hpp) are runtime-dispatched through a
 // process-wide kernel_variant; this suite pins each variant (reference,
 // portable, simd) against the per-bit oracle over all eight paper design
 // points, seeded random streams, adversarial source models at several
 // severities, and pathological inputs (all-zero, all-one, alternating,
-// a single flipped bit at every word offset).  The sliced lane
+// template floods, a single flipped bit at every word offset), fed as one
+// span or as chunks of every size from 1 to 64 bits.  The sliced lane
 // (hw::sliced_block) is pinned against 64 independent scalar engines fed
 // the same per-channel streams, and core::sliced_software_pass against
 // the full software_runner verdict path.
@@ -16,6 +18,8 @@
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
+#include "core/population.hpp"
+#include "core/scenario.hpp"
 #include "core/sw_routines.hpp"
 #include "hw/health_tests.hpp"
 #include "hw/sliced_block.hpp"
@@ -26,6 +30,7 @@
 
 #include "support/fixed_seed.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
@@ -42,7 +47,7 @@ using test::kCanonicalSeed;
 
 // ---------------------------------------------------------------------------
 // Kernel-variant sweep plumbing.  The variant is process-wide state, so
-// every test restores the production default (simd) on exit.
+// every test restores the process default on exit.
 // ---------------------------------------------------------------------------
 
 constexpr bits::kernel_variant kAllVariants[] = {
@@ -62,7 +67,10 @@ const char* variant_name(bits::kernel_variant v)
 }
 
 struct variant_guard {
-    ~variant_guard() { bits::set_kernel_variant(bits::kernel_variant::simd); }
+    ~variant_guard()
+    {
+        bits::set_kernel_variant(bits::default_kernel_variant());
+    }
 };
 
 // ---------------------------------------------------------------------------
@@ -80,6 +88,18 @@ bit_sequence alternating_sequence(std::uint64_t n)
     bit_sequence seq;
     for (std::uint64_t i = 0; i < n; ++i) {
         seq.push_back((i & 1) != 0);
+    }
+    return seq;
+}
+
+// Repeats the non-overlapping test's 9-bit template so matches straddle
+// word and block boundaries.
+bit_sequence template_stress_sequence(std::uint64_t n)
+{
+    const bit_sequence pattern = bit_sequence::from_string("000000001");
+    bit_sequence seq;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        seq.push_back(pattern[i % pattern.size()]);
     }
     return seq;
 }
@@ -153,6 +173,43 @@ TEST_P(kernel_oracle_designs, span_lane_matches_per_bit_for_every_variant)
         cfg, bit_sequence(cfg.n(), true), cfg.name + " all-one");
     expect_span_matches_oracle(
         cfg, alternating_sequence(cfg.n()), cfg.name + " alternating");
+    expect_span_matches_oracle(cfg, template_stress_sequence(cfg.n()),
+                               cfg.name + " template flood");
+}
+
+// ---------------------------------------------------------------------------
+// Every chunk size: the window fed as consecutive spans of 1..64 bits (and
+// a few longer odd lengths) walks every chunk seam through every word
+// offset -- the single-word case of the span lane, at every width.
+// ---------------------------------------------------------------------------
+
+TEST_P(kernel_oracle_designs, every_chunk_size_matches_per_bit)
+{
+    const hw::block_config cfg = GetParam();
+    const bit_sequence seq = random_sequence(fixture_seed(14), cfg.n());
+    hw::testing_block oracle(cfg);
+    oracle.run(seq);
+
+    std::vector<std::size_t> sizes;
+    for (std::size_t c = 1; c <= 64; ++c) {
+        sizes.push_back(c);
+    }
+    sizes.insert(sizes.end(), {100, 997, 4097});
+    for (const std::size_t chunk_bits : sizes) {
+        hw::testing_block fast(cfg);
+        for (std::size_t pos = 0; pos < seq.size(); pos += chunk_bits) {
+            const std::size_t take = std::min(chunk_bits, seq.size() - pos);
+            const auto chunk = pack_range(seq, pos, take);
+            fast.feed_span(chunk.data(), take);
+        }
+        fast.finish();
+        expect_identical_registers(
+            oracle, fast,
+            cfg.name + " chunks of " + std::to_string(chunk_bits));
+        if (::testing::Test::HasFailure()) {
+            return; // one failing width is enough to diagnose
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -167,6 +224,51 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+// ---------------------------------------------------------------------------
+// Option coverage: marginal transfer and double buffering, under every
+// kernel variant (the double-buffered block is checked across a restart,
+// where the latched first window must give way to identical second-window
+// results).
+// ---------------------------------------------------------------------------
+
+TEST(kernel_oracle, marginal_transfer_configuration_matches_per_bit)
+{
+    hw::block_config cfg = paper_design(16, tier::high);
+    cfg.serial_transfer_marginals = true;
+    expect_span_matches_oracle(cfg, random_sequence(fixture_seed(2), cfg.n()),
+                               "marginal transfer");
+}
+
+TEST(kernel_oracle, double_buffered_configuration_matches_per_bit)
+{
+    hw::block_config cfg = paper_design(16, tier::high);
+    cfg.double_buffered = true;
+    const bit_sequence first = random_sequence(fixture_seed(3), cfg.n());
+    const bit_sequence second = random_sequence(fixture_seed(4), cfg.n());
+    const auto first_words = first.to_words();
+    const auto second_words = second.to_words();
+    hw::testing_block oracle(cfg);
+    oracle.run(first);
+    hw::testing_block oracle2(cfg);
+    oracle2.run(first);
+    oracle2.restart();
+    oracle2.run(second);
+    variant_guard guard;
+    for (const bits::kernel_variant v : kAllVariants) {
+        bits::set_kernel_variant(v);
+        const std::string ctx =
+            std::string("double buffered [") + variant_name(v) + "]";
+        hw::testing_block fast(cfg);
+        fast.feed_span(first_words.data(), cfg.n());
+        fast.finish();
+        expect_identical_registers(oracle, fast, ctx);
+        fast.restart();
+        fast.feed_span(second_words.data(), cfg.n());
+        fast.finish();
+        expect_identical_registers(oracle2, fast, ctx + " window 2");
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Adversarial streams: each of the six source models, at a mild and at
@@ -268,7 +370,116 @@ TEST(kernel_oracle, ragged_span_chunks_match_per_bit_for_every_variant)
 }
 
 // ---------------------------------------------------------------------------
-// Monitor end to end: all four selectable lanes produce the same window
+// SP 800-90B health-test engines: span chunks of every size from 1 to 64
+// bits, then random ragged sizes, against the per-bit engines on healthy,
+// sticky and stuck streams.
+// ---------------------------------------------------------------------------
+
+struct health_pair {
+    hw::repetition_count_hw rct{21};
+    hw::adaptive_proportion_hw apt{10, 700};
+};
+
+void expect_same_health(const health_pair& oracle, const health_pair& fast,
+                        const std::string& context)
+{
+    EXPECT_EQ(oracle.rct.current_run(), fast.rct.current_run()) << context;
+    EXPECT_EQ(oracle.rct.longest_run(), fast.rct.longest_run()) << context;
+    EXPECT_EQ(oracle.rct.alarm(), fast.rct.alarm()) << context;
+    EXPECT_EQ(oracle.apt.current_count(), fast.apt.current_count())
+        << context;
+    EXPECT_EQ(oracle.apt.alarm(), fast.apt.alarm()) << context;
+}
+
+/// Drive the per-bit `oracle` pair and span-chunked pairs (every fixed
+/// chunk size 1..64, then random 1..64-bit chunks) over `seq`; the caller
+/// checks its alarm expectations on `oracle`.
+void check_health_chunks(const bit_sequence& seq, std::uint64_t chunk_seed,
+                         const std::string& context, health_pair& oracle)
+{
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        oracle.rct.consume(seq[i], i);
+        oracle.apt.consume(seq[i], i);
+    }
+    const auto feed = [&](health_pair& fast, std::size_t pos,
+                          std::size_t take) {
+        const auto chunk = pack_range(seq, pos, take);
+        fast.rct.consume_span(chunk.data(), take, pos);
+        fast.apt.consume_span(chunk.data(), take, pos);
+    };
+    for (std::size_t size = 1; size <= 64; ++size) {
+        health_pair fast;
+        for (std::size_t pos = 0; pos < seq.size(); pos += size) {
+            feed(fast, pos, std::min(size, seq.size() - pos));
+        }
+        expect_same_health(oracle, fast,
+                           context + " chunks of " + std::to_string(size));
+    }
+    health_pair fast;
+    trng::xoshiro256ss chunk_rng(chunk_seed);
+    for (std::size_t pos = 0; pos < seq.size();) {
+        const std::size_t take = std::min<std::size_t>(
+            1 + chunk_rng.next() % 64, seq.size() - pos);
+        feed(fast, pos, take);
+        pos += take;
+    }
+    expect_same_health(oracle, fast, context + " ragged chunks");
+}
+
+TEST(kernel_oracle, health_engines_match_per_bit_on_random_stream)
+{
+    health_pair oracle;
+    check_health_chunks(random_sequence(fixture_seed(7), 1 << 14), 11,
+                        "random", oracle);
+    EXPECT_FALSE(oracle.rct.alarm());
+}
+
+TEST(kernel_oracle, health_engines_match_per_bit_on_sticky_stream)
+{
+    // Sticky source: long equal runs trip the RCT on both lanes alike
+    // (runs average ~33 bits, far beyond the cutoff of 21; the APT stays
+    // quiet because the 0-runs and 1-runs balance within its window).
+    trng::markov_source src(fixture_seed(8), 0.97);
+    health_pair oracle;
+    check_health_chunks(src.generate(1 << 12), 13, "sticky", oracle);
+    EXPECT_TRUE(oracle.rct.alarm());
+}
+
+TEST(kernel_oracle, health_engines_match_per_bit_on_stuck_stream)
+{
+    // Total failure: every bit matches the window reference, so the APT
+    // must alarm on both lanes (and the RCT trivially does too).
+    health_pair oracle;
+    check_health_chunks(bit_sequence(1 << 12, true), 17, "stuck", oracle);
+    EXPECT_TRUE(oracle.rct.alarm());
+    EXPECT_TRUE(oracle.apt.alarm());
+}
+
+TEST(kernel_oracle, shared_window_engine_must_override_consume_span)
+{
+    // An engine that declares it watches the shared template window but
+    // inherits the per-bit consume_span default would silently read a
+    // stale window (the block shifts it once per span); the base class
+    // refuses loudly.
+    class lazy_engine final : public hw::engine {
+    public:
+        lazy_engine() : hw::engine("lazy") {}
+        void consume(bool, std::uint64_t) override {}
+        bool watches_shared_window() const override { return true; }
+        void add_registers(hw::register_map&) const override {}
+
+    protected:
+        rtl::resources self_cost() const override { return {}; }
+        void self_reset() override {}
+    };
+    lazy_engine engine;
+    engine.consume(true, 0); // the per-bit lane stays usable
+    const std::uint64_t word = 0;
+    EXPECT_THROW(engine.consume_span(&word, 64, 0), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Monitor end to end: every selectable lane produces the same window
 // report for the same packed window (a lone monitor maps sliced to span).
 // ---------------------------------------------------------------------------
 
@@ -283,8 +494,7 @@ TEST(kernel_oracle, monitor_lanes_agree_end_to_end)
         oracle.test_packed(words.data(), words.size(),
                            core::ingest_lane::per_bit);
     for (const core::ingest_lane lane :
-         {core::ingest_lane::word, core::ingest_lane::span,
-          core::ingest_lane::sliced}) {
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
         core::monitor fast(cfg, 0.01);
         const auto b = fast.test_packed(words.data(), words.size(), lane);
         EXPECT_EQ(a.software.all_pass, b.software.all_pass);
@@ -379,7 +589,7 @@ TEST(kernel_oracle, sliced_block_matches_scalar_engines_across_windows)
                                               w * window + k * 64, 64);
                 chunk[c] = words[0];
             }
-            group.feed_words(chunk);
+            group.feed_chunk(chunk);
         }
         // Scalar lane: one engine pair per channel plus naive per-window
         // frequency/runs references.
@@ -450,16 +660,16 @@ TEST(kernel_oracle, sliced_block_validates_configuration_and_overruns)
 
     hw::sliced_block group({.n = 128});
     const std::uint64_t zeros[hw::sliced_block::lanes] = {};
-    group.feed_words(zeros);
-    group.feed_words(zeros);
+    group.feed_chunk(zeros);
+    group.feed_chunk(zeros);
     EXPECT_THROW(group.step(0), std::logic_error);
-    EXPECT_THROW(group.feed_words(zeros), std::logic_error);
+    EXPECT_THROW(group.feed_chunk(zeros), std::logic_error);
     EXPECT_THROW(group.ones(64), std::invalid_argument);
     // Health-test accessors refuse when the test is not configured.
     EXPECT_THROW(group.rct_alarm(0), std::logic_error);
     EXPECT_THROW(group.apt_alarm(0), std::logic_error);
     group.restart();
-    group.feed_words(zeros); // restart reopens the window
+    group.feed_chunk(zeros); // restart reopens the window
     EXPECT_EQ(group.window_bits(), 64u);
     EXPECT_EQ(group.bits_consumed(), 192u);
 }
@@ -470,7 +680,7 @@ TEST(kernel_oracle, sliced_block_validates_configuration_and_overruns)
 // passes and both failure directions.
 // ---------------------------------------------------------------------------
 
-// Without health tests configured, feed_words takes a batched path
+// Without health tests configured, feed_chunk takes a batched path
 // (per-channel popcounts rippled in as sliced multi-bit addends) instead
 // of 64 per-plane step() calls.  Both must land on identical counters,
 // including the run seam between consecutive chunks and across restarts.
@@ -499,7 +709,7 @@ TEST(kernel_oracle, sliced_batched_feed_matches_stepwise)
                 default: words[i] = 0xaaaaaaaaaaaaaaaaULL; break;
                 }
             }
-            batched.feed_words(words);
+            batched.feed_chunk(words);
             std::uint64_t planes[lanes];
             for (unsigned i = 0; i < lanes; ++i) {
                 planes[i] = words[i];
@@ -524,9 +734,9 @@ TEST(kernel_oracle, sliced_batched_feed_matches_stepwise)
 // feed_tile is the fused fleet's ingest call: a channel-major tile of up
 // to 64 words per channel, one transpose per tile instead of one per
 // 64-bit chunk.  It must be bit-exact with the equivalent sequence of
-// feed_words calls -- across ragged tile widths, window restarts, run
+// feed_chunk calls -- across ragged tile widths, window restarts, run
 // seams between tiles, and with the health tests configured.
-TEST(kernel_oracle, feed_tile_matches_feed_words)
+TEST(kernel_oracle, feed_tile_matches_feed_chunk)
 {
     constexpr unsigned lanes = hw::sliced_block::lanes;
     constexpr std::uint64_t n = 6 * 64;
@@ -562,7 +772,7 @@ TEST(kernel_oracle, feed_tile_matches_feed_words)
                 for (unsigned i = 0; i < lanes; ++i) {
                     chunk[i] = tile[std::size_t{i} * stride + k];
                 }
-                worded.feed_words(chunk);
+                worded.feed_chunk(chunk);
             }
         }
         for (unsigned c = 0; c < lanes; ++c) {
@@ -821,9 +1031,61 @@ TEST(kernel_oracle, sliced_lane_eligibility_rules)
     supervised.escalated_block = paper_design(16, tier::light);
     EXPECT_FALSE(supervised.uses_sliced_lane());
 
-    core::fleet_config word = cfg;
-    word.lane = core::ingest_lane::word;
-    EXPECT_FALSE(word.uses_sliced_lane());
+    core::fleet_config per_bit = cfg;
+    per_bit.lane = core::ingest_lane::per_bit;
+    EXPECT_FALSE(per_bit.uses_sliced_lane());
+}
+
+// ---------------------------------------------------------------------------
+// Defaults: with no lane named, every layer runs the span lane, and the
+// default packed feed is register-exact with the per-bit oracle.
+// ---------------------------------------------------------------------------
+
+TEST(kernel_oracle, defaults_run_the_span_lane)
+{
+    const core::fleet_config fleet;
+    EXPECT_EQ(fleet.lane, core::ingest_lane::span);
+    EXPECT_EQ(fleet.lane_description(), "span");
+    EXPECT_EQ(core::supervisor_config{}.lane, core::ingest_lane::span);
+    EXPECT_EQ(core::scenario_config{}.lane, core::ingest_lane::span);
+
+    core::population_config pop;
+    EXPECT_EQ(pop.lane, core::ingest_lane::span);
+    pop.block = paper_design(7, tier::light);
+    pop.devices = 4;
+    pop.windows_per_device = 2;
+    pop.shards = 1;
+    pop.threads_per_shard = 1;
+    EXPECT_EQ(core::population_monitor(pop).run().lane, "span");
+}
+
+TEST(kernel_oracle, default_feed_packed_is_register_exact_with_per_bit)
+{
+    const hw::block_config cfg = paper_design(16, tier::high);
+    trng::ideal_source src(fixture_seed(12));
+    core::monitor oracle(cfg, 0.01);
+    core::monitor fast(cfg, 0.01);
+    for (int w = 0; w < 3; ++w) {
+        const auto words = src.generate_words(cfg.n() / 64);
+        oracle.feed_packed(words.data(), words.size(),
+                           core::ingest_lane::per_bit);
+        fast.feed_packed(words.data(), words.size());
+        // Before the close: every live counter of the two blocks.
+        expect_identical_registers(oracle.block(), fast.block(),
+                                   "window " + std::to_string(w));
+        const auto a = oracle.finish_packed();
+        const auto b = fast.finish_packed();
+        EXPECT_EQ(a.software.all_pass, b.software.all_pass);
+        ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size());
+        for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
+            EXPECT_EQ(a.software.verdicts[i].pass,
+                      b.software.verdicts[i].pass);
+            EXPECT_EQ(a.software.verdicts[i].statistic,
+                      b.software.verdicts[i].statistic)
+                << a.software.verdicts[i].name << " window " << w;
+        }
+        EXPECT_EQ(a.sw_cycles, b.sw_cycles);
+    }
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 #include "rtl/registers.hpp"
 #include "rtl/shift_register.hpp"
 
+#include <cstddef>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <string>
 
@@ -187,6 +189,42 @@ TEST(shift_register, drops_bits_older_than_length)
     sr.shift(false);
     sr.shift(false);
     EXPECT_EQ(sr.window(), 0u);
+}
+
+TEST(shift_register, rejects_invalid_length)
+{
+    EXPECT_THROW(shift_register("sr", 0), std::invalid_argument);
+    EXPECT_THROW(shift_register("sr", 64), std::invalid_argument);
+}
+
+TEST(shift_register, shift_span_matches_per_bit_shifts)
+{
+    // A fixed pseudo-random span; every length from empty to five words,
+    // on a short and a long register, from a primed start.
+    std::uint64_t words[5];
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (std::uint64_t& w : words) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        w = x;
+    }
+    for (const unsigned length : {4u, 63u}) {
+        for (std::size_t nbits = 0; nbits <= 5 * 64; ++nbits) {
+            shift_register bulk("bulk", length);
+            shift_register serial("serial", length);
+            bulk.shift(true);
+            serial.shift(true);
+            bulk.shift_span(words, nbits);
+            for (std::size_t i = 0; i < nbits; ++i) {
+                serial.shift(((words[i / 64] >> (i % 64)) & 1u) != 0);
+            }
+            ASSERT_EQ(bulk.window(), serial.window())
+                << "length " << length << " nbits " << nbits;
+            ASSERT_EQ(bulk.fill(), serial.fill())
+                << "length " << length << " nbits " << nbits;
+        }
+    }
 }
 
 TEST(pattern_matcher, equality_against_constant)

@@ -82,14 +82,14 @@ std::vector<core::window_report> streamed_windows(
 // paper designs, both ingestion lanes (the acceptance oracle).
 // ---------------------------------------------------------------------------
 
-TEST(stream, pipeline_matches_batch_word_lane_all_designs)
+TEST(stream, pipeline_matches_batch_span_lane_all_designs)
 {
     for (const hw::block_config& cfg : core::all_paper_designs()) {
         const std::uint64_t windows = cfg.n() > 100000 ? 2 : 3;
         core::monitor batch(cfg, 0.01);
         trng::ideal_source batch_src(fixture_seed(21));
         const auto streamed = streamed_windows(
-            cfg, fixture_seed(21), windows, core::ingest_lane::word);
+            cfg, fixture_seed(21), windows, core::ingest_lane::span);
         ASSERT_EQ(streamed.size(), windows) << cfg.name;
         for (std::uint64_t w = 0; w < windows; ++w) {
             const auto ref = batch.test_window_words(batch_src);

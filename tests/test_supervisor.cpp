@@ -272,7 +272,7 @@ TEST(supervisor, every_ingest_lane_agrees_with_the_per_bit_oracle)
     };
     const auto bit = run_lane(core::ingest_lane::per_bit);
     for (const core::ingest_lane lane :
-         {core::ingest_lane::word, core::ingest_lane::span}) {
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
         const auto fast = run_lane(lane);
         EXPECT_EQ(fast.failures, bit.failures);
         EXPECT_EQ(fast.escalations, bit.escalations);
@@ -411,8 +411,7 @@ TEST(supervisor_checkpoint, round_trips_across_paper_designs_and_lanes)
                                     .with(3)
                                     .with(13);
             for (const core::ingest_lane lane :
-                 {core::ingest_lane::per_bit, core::ingest_lane::word,
-                  core::ingest_lane::span}) {
+                 {core::ingest_lane::per_bit, core::ingest_lane::span}) {
                 cfg.lane = lane;
                 // Stuck-at-one from window 1 onward: escalated (and
                 // confirmed) well before the split at window 4.

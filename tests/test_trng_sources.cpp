@@ -121,6 +121,47 @@ TEST(ideal_source, generate_is_equivalent_to_bit_loop)
     }
 }
 
+TEST(xoshiro, next_bits64_matches_bit_stream)
+{
+    xoshiro256ss bits(test::kCanonicalSeed);
+    xoshiro256ss words(test::kCanonicalSeed);
+    // Misalign the word generator's internal buffer first.
+    for (int i = 0; i < 13; ++i) {
+        EXPECT_EQ(bits.next_bit(), words.next_bit());
+    }
+    for (int w = 0; w < 8; ++w) {
+        const std::uint64_t word = words.next_bits64();
+        for (unsigned i = 0; i < 64; ++i) {
+            ASSERT_EQ(bits.next_bit(), ((word >> i) & 1u) != 0)
+                << "word " << w << " bit " << i;
+        }
+    }
+    // And bits drawn after the bulk run stay in sync.
+    for (int i = 0; i < 13; ++i) {
+        EXPECT_EQ(bits.next_bit(), words.next_bit());
+    }
+}
+
+TEST(ideal_source, fill_words_matches_bit_stream)
+{
+    ideal_source bit_src(test::fixture_seed(9));
+    ideal_source word_src(test::fixture_seed(9));
+    const auto words = word_src.generate_words(16);
+    const bit_sequence seq = bit_src.generate(16 * 64);
+    EXPECT_EQ(bit_sequence::from_words(words, 16 * 64), seq);
+}
+
+TEST(entropy_source, default_fill_words_matches_bit_stream)
+{
+    // markov_source does not override fill_words: the base-class
+    // assembler must still be bit-exact.
+    markov_source bit_src(test::fixture_seed(10), 0.7);
+    markov_source word_src(test::fixture_seed(10), 0.7);
+    const auto words = word_src.generate_words(4);
+    const bit_sequence seq = bit_src.generate(4 * 64);
+    EXPECT_EQ(bit_sequence::from_words(words, 4 * 64), seq);
+}
+
 class bias_sweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(bias_sweep, empirical_bias_matches_parameter)

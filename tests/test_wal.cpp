@@ -562,6 +562,18 @@ TEST(TelemetryRecords, SupervisorConfigRoundTrip)
     }
     EXPECT_EQ(back.offline_min_failures, cfg.offline_min_failures);
     EXPECT_EQ(back.lane, cfg.lane);
+
+    // The lane travels as its enum code in the last byte: code 0, the
+    // retired word lane, restores as the span lane that replaced it, and
+    // codes past `sliced` are refused.
+    std::vector<std::uint8_t> bytes = sink.bytes();
+    bytes.back() = 0;
+    base::byte_cursor legacy(bytes);
+    EXPECT_EQ(core::parse_supervisor_config(legacy).lane,
+              core::ingest_lane::span);
+    bytes.back() = 4;
+    base::byte_cursor unknown(bytes);
+    EXPECT_THROW(core::parse_supervisor_config(unknown), std::runtime_error);
 }
 
 } // namespace
