@@ -12,24 +12,23 @@
 // map on each attack, confirm the captured evidence offline through the
 // SP 800-22 battery, and stay at the baseline on the healthy null
 // scenario.  A separate timing pass measures the supervision overhead on
-// a healthy stream against the bare streaming pipeline.
+// a healthy stream against the bare window loop.
 //
 // Results go to BENCH_escalation.json (schema "otf-escalation/1", see
 // docs/BENCHMARKS.md).  Exit status enforces the contract:
 //   - every attack scenario escalates in every trial, pre-onset never;
 //   - every escalation is offline-confirmed;
 //   - the null scenario never escalates (false-escalation budget 0);
-//   - baseline throughput overhead vs un-supervised streaming <= 10%
+//   - baseline throughput overhead vs the un-supervised loop <= 10%
 //     (full runs only; smoke proves the plumbing).
 #include "base/env.hpp"
 #include "base/json.hpp"
-#include "base/ring_buffer.hpp"
 #include "core/design_config.hpp"
 #include "core/scenario.hpp"
-#include "core/stream.hpp"
 #include "core/supervisor.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
+#include "what_ran.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -121,8 +120,6 @@ int main(int argc, char** argv)
     const unsigned trials = smoke_scaled(3u, 1u);
     const std::uint64_t onset = smoke_scaled<std::uint64_t>(8, 4);
     const std::uint64_t ramp = smoke_scaled<std::uint64_t>(8, 4);
-    const std::size_t nwords =
-        static_cast<std::size_t>(sup_cfg.baseline.n() / 64);
 
     std::vector<core::scenario> scenarios =
         core::standard_scenarios(onset, ramp);
@@ -184,18 +181,14 @@ int main(int argc, char** argv)
             }
 
             core::supervisor sup(sup_cfg, cv_baseline, cv_escalated);
-            core::producer_options opts;
-            opts.hook_stride_words = nwords;
+            core::window_barrier schedule;
             if (model) {
-                const core::severity_schedule schedule = sc.schedule;
-                opts.word_hook = [model, schedule,
-                                  nwords](std::uint64_t word) {
-                    model->set_severity(
-                        schedule.severity_at(word / nwords));
+                schedule = [model, &sc](std::uint64_t w) {
+                    model->set_severity(sc.schedule.severity_at(w));
                 };
             }
             const core::supervision_report rep =
-                sup.run(*source, windows, std::move(opts));
+                sup.run(*source, windows, schedule);
 
             res.bits += rep.bits;
             res.de_escalations += rep.de_escalations;
@@ -261,7 +254,7 @@ int main(int argc, char** argv)
 
     // Supervision overhead on a healthy stream: the supervisor's
     // baseline loop (alarm policy + evidence capture + barrier checks)
-    // against the bare producer -> pump pipeline at the same design.
+    // against the bare window loop at the same design.
     // Best-of-N on interleaved measurements so scheduler noise on a
     // loaded machine cannot flip the acceptance ratio (the bar is only
     // enforced on full runs; smoke proves the plumbing).
@@ -274,18 +267,8 @@ int main(int argc, char** argv)
         {
             core::monitor mon(sup_cfg.baseline, cv_baseline);
             trng::ideal_source src(2026);
-            const std::size_t ring_words =
-                core::default_ring_words(nwords);
-            base::ring_buffer ring(ring_words);
-            core::producer_options opts;
-            opts.total_words = overhead_windows * nwords;
-            opts.batch_words =
-                core::default_batch_words(nwords, ring_words);
-            core::word_producer producer(src, ring, opts);
-            core::window_pump pump(ring, mon);
             const auto t0 = std::chrono::steady_clock::now();
-            core::run_pipeline(producer, pump, nullptr,
-                               overhead_windows);
+            core::run_windows(mon, src, overhead_windows);
             const double s = seconds_since(t0);
             plain_mbps = std::max(
                 plain_mbps,
@@ -336,6 +319,7 @@ int main(int argc, char** argv)
     json.begin_object();
     json.value("schema", "otf-escalation/1");
     json.value("smoke", smoke_mode());
+    write_what_ran(json);
     json.value("filtered", filtered);
     json.value("baseline", sup_cfg.baseline.name);
     json.value("escalated", sup_cfg.escalated.name);

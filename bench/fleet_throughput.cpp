@@ -19,16 +19,15 @@
 //      always-on design (frequency + runs, n = 2^16), span lane vs the
 //      bit-sliced transposed lane (hw::sliced_block), reporting the
 //      aggregate Mbit/s of each and their ratio;
-//   5. execution axis               -- the same 64-channel cheap config
-//      pinned to ONE worker thread, threaded execution (producer ->
-//      ring -> pump per channel) vs fused span (generate + test inline)
+//   5. single worker                -- the same 64-channel cheap config
+//      pinned to ONE worker thread, fused span (generate + test inline)
 //      vs the fused 64x64 tile lane (fill_tile -> one transpose per
-//      tile -> feed_tile).  OTF_ENFORCE_FUSED_BAR=1 turns the fused >=
-//      threaded comparison into an exit code for CI.
+//      tile -> feed_tile).  OTF_ENFORCE_FUSED_BAR=1 turns the tile >=
+//      span comparison into an exit code for CI.
 //
 // Timing only -- equivalence is proven separately by
 // tests/test_kernel_oracle and test_fleet_monitor.  Results are also
-// written to BENCH_fleet.json (schema "otf-fleet-bench/4", see
+// written to BENCH_fleet.json (schema "otf-fleet-bench/5", see
 // docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the output directory) so CI
 // can archive the perf trajectory.
 #include "base/env.hpp"
@@ -38,6 +37,7 @@
 #include "core/monitor.hpp"
 #include "hw/sliced_block.hpp"
 #include "trng/sources.hpp"
+#include "what_ran.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -163,14 +163,12 @@ int main(int argc, char** argv)
     const unsigned sliced_channels = hw::sliced_block::lanes;
     const std::uint64_t sliced_windows = smoke_scaled<std::uint64_t>(8, 1);
     const auto run_cheap_fleet = [&](core::ingest_lane lane,
-                                     core::fleet_execution execution,
                                      unsigned threads) {
         core::fleet_config cfg;
         cfg.block = cheap;
         cfg.channels = sliced_channels;
         cfg.threads = threads;
         cfg.lane = lane;
-        cfg.execution = execution;
         core::fleet_monitor fleet(cfg);
         const auto report = fleet.run(
             [](unsigned c) {
@@ -181,61 +179,42 @@ int main(int argc, char** argv)
     };
     std::printf("\nsliced lane (%s, %u channels):\n", cheap.name.c_str(),
                 sliced_channels);
-    const double cheap_span_mbps = run_cheap_fleet(
-        core::ingest_lane::span, core::fleet_execution::fused, 0);
-    const double cheap_sliced_mbps = run_cheap_fleet(
-        core::ingest_lane::sliced, core::fleet_execution::fused, 0);
+    const double cheap_span_mbps =
+        run_cheap_fleet(core::ingest_lane::span, 0);
+    const double cheap_sliced_mbps =
+        run_cheap_fleet(core::ingest_lane::sliced, 0);
     std::printf("  span lane   : %10.1f Mbit/s\n"
                 "  sliced lane : %10.1f Mbit/s   (%.2fx span)\n",
                 cheap_span_mbps, cheap_sliced_mbps,
                 cheap_sliced_mbps / cheap_span_mbps);
 
-    // 5. Execution axis, one worker thread: same data, three execution
-    // paths.  The threaded row is the PR-era baseline (producer thread +
-    // ring + pump per channel; the sliced request degrades to span
-    // there); the fused rows generate and test inline on the one core,
-    // the tile row through the 64x64 staging tile.
-    std::printf("\nexecution axis (%s, %u channels, 1 thread):\n",
+    // 5. One worker thread, same data: the fused span lane against the
+    // fused 64x64 tile lane, both generating and testing inline on the
+    // one core.
+    std::printf("\nsingle worker (%s, %u channels, 1 thread):\n",
                 cheap.name.c_str(), sliced_channels);
-    const double threaded_mbps = run_cheap_fleet(
-        core::ingest_lane::sliced, core::fleet_execution::threaded, 1);
-    const double fused_span_mbps = run_cheap_fleet(
-        core::ingest_lane::span, core::fleet_execution::fused, 1);
-    const double fused_tile_mbps = run_cheap_fleet(
-        core::ingest_lane::sliced, core::fleet_execution::fused, 1);
-    const double tile_over_threaded = fused_tile_mbps / threaded_mbps;
-    const double span_over_threaded = fused_span_mbps / threaded_mbps;
-    std::printf("  threaded (ring+span) : %10.1f Mbit/s\n"
-                "  fused span           : %10.1f Mbit/s   (%.2fx threaded)\n"
-                "  fused 64x64 tile     : %10.1f Mbit/s   (%.2fx threaded)\n",
-                threaded_mbps, fused_span_mbps, span_over_threaded,
-                fused_tile_mbps, tile_over_threaded);
+    const double fused_span_mbps =
+        run_cheap_fleet(core::ingest_lane::span, 1);
+    const double fused_tile_mbps =
+        run_cheap_fleet(core::ingest_lane::sliced, 1);
+    const double tile_over_span = fused_tile_mbps / fused_span_mbps;
+    std::printf("  fused span       : %10.1f Mbit/s\n"
+                "  fused 64x64 tile : %10.1f Mbit/s   (%.2fx span)\n",
+                fused_span_mbps, fused_tile_mbps, tile_over_span);
     bool fused_bar_ok = true;
-    if (env_flag("OTF_ENFORCE_FUSED_BAR")) {
-        if (tile_over_threaded < 1.0) {
-            std::fprintf(stderr,
-                         "FAIL: fused tile lane %.2fx threaded "
-                         "(must be >= 1.0x)\n",
-                         tile_over_threaded);
-            fused_bar_ok = false;
-        }
-        // The span rows do the same per-word work on both sides, so
-        // their ratio hovers around 1.0x and scheduling noise flips the
-        // sign on a single core; the floor only catches a real
-        // regression, the tile bar above is the perf contract.
-        if (span_over_threaded < 0.7) {
-            std::fprintf(stderr,
-                         "FAIL: fused span lane %.2fx threaded "
-                         "(must be >= 0.7x)\n",
-                         span_over_threaded);
-            fused_bar_ok = false;
-        }
+    if (env_flag("OTF_ENFORCE_FUSED_BAR") && tile_over_span < 1.0) {
+        std::fprintf(stderr,
+                     "FAIL: fused tile lane %.2fx fused span "
+                     "(must be >= 1.0x)\n",
+                     tile_over_span);
+        fused_bar_ok = false;
     }
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-fleet-bench/4");
+    json.value("schema", "otf-fleet-bench/5");
     json.value("smoke", smoke_mode());
+    write_what_ran(json);
     json.value("design", design.name);
     json.value("window_bits", n);
     json.value("windows_per_channel", windows);
@@ -252,16 +231,14 @@ int main(int argc, char** argv)
     json.value("sliced_mbps", cheap_sliced_mbps);
     json.value("sliced_over_span", cheap_sliced_mbps / cheap_span_mbps);
     json.end_object();
-    json.begin_object("execution");
+    json.begin_object("single_worker");
     json.value("design", cheap.name);
     json.value("channels", sliced_channels);
     json.value("threads", 1u);
     json.value("tile_words", std::uint64_t{hw::sliced_block::lanes});
-    json.value("threaded_mbps", threaded_mbps);
     json.value("fused_span_mbps", fused_span_mbps);
     json.value("fused_tile_mbps", fused_tile_mbps);
-    json.value("fused_span_over_threaded", span_over_threaded);
-    json.value("fused_tile_over_threaded", tile_over_threaded);
+    json.value("fused_tile_over_span", tile_over_span);
     json.end_object();
     json.begin_array("fleet");
     for (const scaling_point& p : scaling) {

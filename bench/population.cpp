@@ -12,17 +12,16 @@
 // percentiles across attacked devices -- and *enforces* the population
 // determinism guarantee: the same master seed must produce identical
 // reports (per-device records included) across {1, 2, auto} worker
-// threads, {2, 4} shard layouts, AND both execution models (the fused
-// work-stealing scheduler vs the threaded per-channel rings); any
-// mismatch fails the run.
+// threads and {2, 4} shard layouts; any mismatch fails the run.
 //
-// Results go to BENCH_population.json (schema "otf-population/3", see
+// Results go to BENCH_population.json (schema "otf-population/4", see
 // docs/BENCHMARKS.md; OTF_BENCH_DIR / --bench-dir= override the output
 // directory).
 #include "base/env.hpp"
 #include "base/json.hpp"
 #include "core/design_config.hpp"
 #include "core/population.hpp"
+#include "what_ran.hpp"
 
 #include <cstdio>
 #include <fstream>
@@ -62,30 +61,22 @@ int main(int argc, char** argv)
     struct layout {
         unsigned shards;
         unsigned threads_per_shard; // 0 = auto
-        core::fleet_execution execution;
     };
-    const std::vector<layout> layouts = {
-        {2, 0, core::fleet_execution::fused},
-        {2, 1, core::fleet_execution::fused},
-        {2, 2, core::fleet_execution::fused},
-        {4, 2, core::fleet_execution::fused},
-        {2, 2, core::fleet_execution::threaded}};
+    const std::vector<layout> layouts = {{2, 0}, {2, 1}, {2, 2}, {4, 2}};
 
     std::vector<core::population_report> reports;
     bool deterministic = true;
     for (const layout& l : layouts) {
         cfg.shards = l.shards;
         cfg.threads_per_shard = l.threads_per_shard;
-        cfg.execution = l.execution;
         core::population_monitor pop(cfg);
         reports.push_back(pop.run());
         const core::population_report& r = reports.back();
         const bool same = r.same_counters(reports.front());
         deterministic = deterministic && same;
-        std::printf("layout %u shards x %u threads (%s): %.2fs, "
+        std::printf("layout %u shards x %u threads: %.2fs, "
                     "%.2f Mbit/s, %llu steals, counters %s\n",
-                    l.shards, l.threads_per_shard, r.execution.c_str(),
-                    r.seconds, r.bits_per_second() / 1e6,
+                    l.shards, l.threads_per_shard, r.seconds, r.bits_per_second() / 1e6,
                     static_cast<unsigned long long>(r.steals),
                     same ? "match" : "MISMATCH");
     }
@@ -116,8 +107,9 @@ int main(int argc, char** argv)
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-population/3");
+    json.value("schema", "otf-population/4");
     json.value("smoke", smoke_mode());
+    write_what_ran(json);
     json.value("design", cfg.block.name);
     json.value("escalated_design", cfg.escalated_block->name);
     json.value("window_bits", cfg.block.n());
@@ -181,8 +173,6 @@ int main(int argc, char** argv)
         json.value("channels_in_alarm", sr.channels_in_alarm);
         json.value("escalations", sr.escalations);
         json.value("confirmed_escalations", sr.confirmed_escalations);
-        json.value("producer_stalls", sr.producer_stalls);
-        json.value("consumer_stalls", sr.consumer_stalls);
         json.end_object();
     }
     json.end_array();

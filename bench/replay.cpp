@@ -30,6 +30,7 @@
 #include "core/telemetry_log.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
+#include "what_ran.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -78,8 +79,6 @@ core::supervision_report run_attack(const core::supervisor_config& cfg,
                                     std::uint64_t onset,
                                     core::telemetry_log* log)
 {
-    const std::size_t nwords =
-        static_cast<std::size_t>(cfg.baseline.n() / 64);
     std::vector<core::scenario> scenarios =
         core::standard_scenarios(onset, smoke_scaled<std::uint64_t>(8, 4));
     std::erase_if(scenarios, [](const core::scenario& sc) {
@@ -100,13 +99,10 @@ core::supervision_report run_attack(const core::supervisor_config& cfg,
     if (log != nullptr) {
         sup.attach_telemetry(log);
     }
-    core::producer_options opts;
-    opts.hook_stride_words = nwords;
     const core::severity_schedule schedule = sc.schedule;
-    opts.word_hook = [model, schedule, nwords](std::uint64_t word) {
-        model->set_severity(schedule.severity_at(word / nwords));
-    };
-    return sup.run(*stacked, windows, std::move(opts));
+    return sup.run(*stacked, windows, [model, schedule](std::uint64_t w) {
+        model->set_severity(schedule.severity_at(w));
+    });
 }
 
 /// Healthy supervised run, for the overhead phase.
@@ -269,6 +265,7 @@ int main(int argc, char** argv)
     json_writer json;
     json.begin_object();
     json.value("schema", "otf-replay/1");
+    write_what_ran(json);
     json.value("smoke", smoke_mode());
     json.value("baseline", cfg.baseline.name);
     json.value("escalated", cfg.escalated.name);

@@ -27,6 +27,7 @@
 #include "base/json.hpp"
 #include "core/design_config.hpp"
 #include "core/scenario.hpp"
+#include "what_ran.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -192,6 +193,7 @@ int main(int argc, char** argv)
     json_writer json;
     json.begin_object();
     json.value("schema", "otf-scenario-matrix/1");
+    write_what_ran(json);
     json.value("smoke", smoke_mode());
     json.value("filtered", filtered);
     json.value("alpha", cfg.alpha);

@@ -57,9 +57,6 @@ int main()
     const std::uint64_t windows = smoke_scaled<std::uint64_t>(64, 40);
     const std::uint64_t attack_on = 10;
     const std::uint64_t attack_off = 22;
-    const std::size_t nwords =
-        static_cast<std::size_t>(cfg.baseline.n() / 64);
-
     std::printf("adaptive monitoring: %s -> %s on suspicion\n",
                 cfg.baseline.name.c_str(), cfg.escalated.name.c_str());
     std::printf("alarm %u-of-%u at alpha %.4g, evidence %zu windows, "
@@ -74,7 +71,8 @@ int main()
                 static_cast<unsigned long long>(windows));
 
     // The attacked channel: an SRAM collapse pulse riding the severity
-    // schedule at word granularity (the supply dips and recovers).
+    // schedule, stepped at every window boundary (the supply dips and
+    // recovers).
     trng::entropy_collapse_source::parameters params;
     params.cell_one_prob = 0.6;
     auto source = std::make_unique<trng::entropy_collapse_source>(
@@ -85,13 +83,10 @@ int main()
         0, attack_off - attack_on};
 
     core::supervisor sup(cfg);
-    core::producer_options opts;
-    opts.hook_stride_words = nwords;
-    opts.word_hook = [model, schedule, nwords](std::uint64_t word) {
-        model->set_severity(schedule.severity_at(word / nwords));
-    };
     const core::supervision_report rep =
-        sup.run(*source, windows, std::move(opts));
+        sup.run(*source, windows, [model, schedule](std::uint64_t w) {
+            model->set_severity(schedule.severity_at(w));
+        });
 
     std::printf("timeline (%zu events over %llu windows):\n",
                 rep.events.size(),

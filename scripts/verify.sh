@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, and run the full ctest suite, then the
 # fleet-throughput, scenario-matrix and stream-throughput smoke runs (the
-# span-lane/fleet, scenario and streaming-pipeline subsystems must never
-# bit-rot silently, so they run explicitly even outside ctest).  The
+# span-lane/fleet, scenario and window-loop subsystems must never bit-rot
+# silently, so they run explicitly even outside ctest).  The
 # benches drop their BENCH_*.json telemetry into the build directory
 # (docs/BENCHMARKS.md); the files are validated as JSON when python3 is
 # available.
@@ -24,7 +24,7 @@ OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_fleet_throughput
 echo "== scenario matrix smoke (OTF_SMOKE=1) =="
 OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_scenario_matrix
 
-echo "== stream pipeline smoke (OTF_SMOKE=1) =="
+echo "== window loop / stream bench smoke (OTF_SMOKE=1) =="
 OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_stream_throughput
 
 echo "== escalation supervisor smoke (OTF_SMOKE=1) =="
@@ -57,79 +57,96 @@ if command -v python3 >/dev/null 2>&1; then
         echo "ok: $f"
     done
 
-    echo "== validating otf-fleet-bench/4 schema =="
-    # The fleet bench must report the /4 schema: the execution axis
-    # (threaded vs fused span vs fused 64x64 tile, single worker) next
-    # to the per-bit vs span lane and scaling axes (docs/BENCHMARKS.md).
+    echo "== validating what ran =="
+    # Every BENCH JSON records the dispatched bits kernel variant and
+    # whether the AVX2 kernels were compiled in.
+    python3 - "$BUILD_DIR" <<'EOF'
+import json, os, sys
+for name in ("fleet", "scenarios", "stream", "escalation", "population",
+             "replay"):
+    with open(os.path.join(sys.argv[1], "BENCH_%s.json" % name)) as f:
+        doc = json.load(f)
+    assert doc["kernel_variant"] in ("reference", "portable", "simd"), (
+        name, doc.get("kernel_variant"))
+    assert isinstance(doc["simd_compiled"], bool), name
+print("ok: kernel_variant + simd_compiled in all six BENCH files")
+EOF
+
+    echo "== validating otf-fleet-bench/5 schema =="
+    # The fleet bench must report the /5 schema: the per-bit vs span lane
+    # and scaling axes plus the single-worker fused span vs fused 64x64
+    # tile pair -- and no execution axis (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_fleet.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-fleet-bench/4", doc["schema"]
+assert doc["schema"] == "otf-fleet-bench/5", doc["schema"]
 assert "word_mbps" not in doc, "the word lane is gone"
+assert "execution" not in doc, "the execution axis is gone"
 assert doc["span_speedup"] > 0, doc["span_speedup"]
-exe = doc["execution"]
-assert exe["threads"] == 1, exe
-assert exe["tile_words"] == 64, exe
-for key in ("threaded_mbps", "fused_span_mbps", "fused_tile_mbps",
-            "fused_tile_over_threaded"):
-    assert exe[key] > 0, (key, exe)
-print("ok: otf-fleet-bench/4 (fused tile %.2fx threaded)"
-      % exe["fused_tile_over_threaded"])
+one = doc["single_worker"]
+assert one["threads"] == 1, one
+assert one["tile_words"] == 64, one
+for key in ("fused_span_mbps", "fused_tile_mbps", "fused_tile_over_span"):
+    assert one[key] > 0, (key, one)
+assert not any("threaded" in k for k in one), one
+print("ok: otf-fleet-bench/5 (fused tile %.2fx span)"
+      % one["fused_tile_over_span"])
 EOF
 
-    echo "== validating otf-population/3 schema =="
-    # The population bench must report the /3 schema: the execution
+    echo "== validating otf-population/4 schema =="
+    # The population bench must report the /4 schema: the execution
     # block with the work-stealing scheduler's telemetry, the layout
-    # sweep (including the threaded execution) deterministic, the span
-    # lane by default, and no dead per-shard wall clock.
+    # sweep deterministic, the span lane by default, and no stall fields
+    # or dead per-shard wall clock.
     python3 - "$BUILD_DIR"/BENCH_population.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-population/3", doc["schema"]
+assert doc["schema"] == "otf-population/4", doc["schema"]
 assert doc["deterministic_across_layouts"] is True
 assert doc["execution"]["lane"] == "span", doc["execution"]
-assert all("seconds" not in s for s in doc["shards"]), doc["shards"]
+for s in doc["shards"]:
+    assert "seconds" not in s, s
+    assert "producer_stalls" not in s and "consumer_stalls" not in s, s
 exe = doc["execution"]
 assert exe["model"] == "fused", exe
 assert exe["worker_threads"] > 0, exe
 assert exe["steal_batch_devices"] > 0, exe
 assert exe["telemetry_flushes"] > 0, exe
-print("ok: otf-population/3 (%d workers, %d steals, %d flushes)"
+print("ok: otf-population/4 (%d workers, %d steals, %d flushes)"
       % (exe["worker_threads"], exe["steals"], exe["telemetry_flushes"]))
 EOF
 
-    echo "== validating otf-stream-bench/4 schema =="
-    # The stream bench must report the /4 schema: span kernels measured
-    # against the per-bit lane, the generation axis with all six
-    # adversarial models, and a streamed channel that took the zero-copy
-    # window path (docs/BENCHMARKS.md).
+    echo "== validating otf-stream-bench/5 schema =="
+    # The stream bench must report the /5 schema: span kernels measured
+    # against the per-bit lane and the generation axis with all six
+    # adversarial models -- and no streamed, zero-copy, batch-sweep or
+    # ring keys (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_stream.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-stream-bench/4", doc["schema"]
+assert doc["schema"] == "otf-stream-bench/5", doc["schema"]
 assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
 assert all("over_per_bit_lane" in k for k in doc["span_kernels"])
 models = [g["model"] for g in doc["generation"]]
 expected = {"rtn", "bias_drift", "lockin", "fault", "entropy_collapse",
             "substitution"}
 assert set(models) == expected and len(models) == 6, models
-assert doc["zero_copy_windows"] == doc["windows"], (
-    doc["zero_copy_windows"], doc["windows"])
-assert doc["batch_sweep"], "batch_sweep must not be empty"
-print("ok: otf-stream-bench/4 (%d generation models, %d zero-copy windows)"
-      % (len(models), doc["zero_copy_windows"]))
+for key in ("streamed_mwords_per_s", "streamed_over_fused",
+            "zero_copy_windows", "batch_sweep", "channel_ring"):
+    assert key not in doc, key
+assert all("stalls" not in k for p in doc["fleet"] for k in p), doc["fleet"]
+print("ok: otf-stream-bench/5 (%d generation models)" % len(models))
 EOF
 fi
 
-echo "== Release perf guard: fused vs threaded fleet execution =="
+echo "== Release perf guard: fused tile vs fused span fleet lane =="
 # A separate Release build runs the fleet bench with the enforcement
-# flag: the fused 64x64 tile lane must not fall behind the threaded
-# ring pipeline on a single worker (coarse >= 1.0x bar; full runs track
-# the >= 1.3x tile acceptance in BENCH_fleet.json), and the fused span
-# lane must stay within scheduling noise of it (>= 0.7x).
+# flag: on a single worker the fused 64x64 tile lane must not fall
+# behind the fused span lane on the same channels (fused_tile_over_span
+# >= 1.0 in BENCH_fleet.json).
 PERF_DIR="$BUILD_DIR-perfguard"
 cmake -B "$PERF_DIR" -S "$(dirname "$0")/.." -DCMAKE_BUILD_TYPE=Release \
     -DOTF_BUILD_EXAMPLES=OFF

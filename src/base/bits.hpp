@@ -164,6 +164,21 @@ enum class kernel_variant {
     simd,      ///< AVX2 kernels when compiled in, else == portable
 };
 
+/// Stable lowercase name ("reference" / "portable" / "simd") for reports
+/// and BENCH JSON.
+constexpr const char* to_string(kernel_variant v)
+{
+    switch (v) {
+    case kernel_variant::reference:
+        return "reference";
+    case kernel_variant::portable:
+        return "portable";
+    case kernel_variant::simd:
+        return "simd";
+    }
+    return "unknown";
+}
+
 /// True when the translation unit was built with AVX2 enabled
 /// (e.g. the -march=x86-64-v3 CI leg); the `simd` variant silently
 /// behaves like `portable` otherwise.

@@ -1,8 +1,6 @@
 // Lock-free bounded multi-producer queue of trivially-copyable events.
 //
-// The sibling of base/ring_buffer.hpp one level up the telemetry path: the
-// ring carries one channel's raw words between exactly two threads, while
-// this queue carries finished *telemetry records* from many shard workers
+// The queue carries finished *telemetry records* from many shard workers
 // to the single population aggregator (core/population.hpp) -- the
 // many-devices-into-one-supervisor fan-in of the fleet-of-fleets, so the
 // aggregate view builds up while shards are still running instead of
@@ -19,8 +17,7 @@
 //   * any number of threads may call try_pop() (one, in practice);
 //   * the *owner* calls close() after every producer has quiesced (for
 //     the population run: after joining the shard threads); consumers
-//     drain until drained() -- closed and empty -- exactly like the word
-//     ring's end-of-stream protocol.
+//     drain until drained() -- closed and empty.
 //
 // Capacity is rounded up to a power of two, with a floor of two cells:
 // the lap protocol needs the "data pending at pos" stamp (pos + 1) and

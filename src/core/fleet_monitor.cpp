@@ -2,7 +2,6 @@
 
 #include "hw/sliced_block.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -10,11 +9,6 @@
 #include <thread>
 
 namespace otf::core {
-
-const char* to_string(fleet_execution execution)
-{
-    return execution == fleet_execution::fused ? "fused" : "threaded";
-}
 
 void fleet_config::validate() const
 {
@@ -38,12 +32,9 @@ bool fleet_config::uses_sliced_lane() const
     // The bit-sliced lane needs 64 identical channels side by side, a
     // word-granular window, no supervision (escalation reprograms a
     // channel to a heavy design mid-run) and a test set the sliced
-    // software pass can verify.  It is part of the *fused* execution
-    // model -- its 64x64 tile is the fused staging tile, while the
-    // threaded model streams each channel through its own ring.
-    // Everything else degrades to the span lane per channel.
-    return execution == fleet_execution::fused
-        && lane == ingest_lane::sliced && !escalated_block
+    // software pass can verify.  Everything else degrades to the span
+    // lane per channel.
+    return lane == ingest_lane::sliced && !escalated_block
         && channels >= hw::sliced_block::lanes && block.n() >= 64
         && sliced_pass_supported(block.tests);
 }
@@ -118,11 +109,8 @@ fleet_monitor::fleet_monitor(fleet_config cfg, critical_values cv,
 
 namespace {
 
-/// One channel's pipeline: a monitor (or an escalation supervisor owning
-/// one), its source, the windowed alarm policy, and the execution lane
-/// that hands windows from generation to analysis -- fused (generate
-/// into a staging tile and test in the same pass) or threaded (producer
-/// thread -> ring -> pump).
+/// One channel: a monitor (or an escalation supervisor owning one), its
+/// source and the windowed alarm policy.
 struct channel_state {
     channel_state(const fleet_config& cfg, const critical_values& cv,
                   const std::optional<critical_values>& cv_escalated,
@@ -147,156 +135,23 @@ struct channel_state {
 
     monitor& active_monitor() { return sup ? sup->inner() : *mon; }
 
-    void run_windows(const fleet_config& cfg, std::uint64_t windows)
+    /// Run the channel through the shared window loop; a supervisor
+    /// plugs in its reconfiguration barrier and evidence tap.
+    void run(const fleet_config& cfg, std::uint64_t windows)
     {
-        const std::size_t nwords =
-            static_cast<std::size_t>(cfg.block.n() / 64);
-        if (windows == 0) {
-            return; // total_words = 0 would mean open-ended, not empty
-        }
-        if (nwords == 0) {
-            // Sub-word designs (n < 64) cannot ride the word-granular
-            // tiles or rings; keep the direct batch loop for them (the
-            // packed lanes reject them with their length error, exactly as
-            // before).  fleet_config::validate() rejects supervision
-            // here.
-            for (std::uint64_t w = 0; w < windows; ++w) {
-                observe(cfg.lane == ingest_lane::per_bit
-                            ? mon->test_window(*source)
-                            : mon->test_window_words(*source, cfg.lane));
-            }
-            finish(windows);
-            return;
-        }
-        if (cfg.execution == fleet_execution::fused) {
-            run_fused(cfg, windows, nwords);
-        } else {
-            run_threaded(cfg, windows, nwords);
-        }
-        finish(windows);
-    }
-
-    /// Fused execution: the worker generates each window into a local
-    /// staging buffer and tests it in the same pass on the same core.
-    /// No ring, no producer thread, no SPSC hand-off -- and bit-exact
-    /// with the threaded pipeline, whose pump performs the same
-    /// fill-then-test sequence against the same source stream.
-    void run_fused(const fleet_config& cfg, std::uint64_t windows,
-                   std::size_t nwords)
-    {
-        std::vector<std::uint64_t> staging(nwords);
-        window_tap tap;
-        window_barrier barrier;
+        window_hooks hooks;
         if (sup) {
-            tap = sup->tap();
-            barrier = sup->barrier();
+            hooks.before = sup->barrier();
+            hooks.tap = sup->tap();
         }
-        for (std::uint64_t w = 0; w < windows; ++w) {
-            if (sup) {
-                // The reconfiguration barrier between windows: no
-                // window is in flight, so the supervisor may reprogram
-                // the design -- same contract as window_pump, which
-                // fires it whenever a window boundary is crossed.
-                barrier(active_monitor().windows_tested());
-                const auto now = static_cast<std::size_t>(
-                    active_monitor().config().n() / 64);
-                if (now != nwords) {
-                    nwords = now;
-                    staging.assign(nwords, 0);
-                }
-            }
-            std::size_t filled = 0;
-            while (filled < nwords) {
-                const std::size_t got = source->fill_words_available(
-                    staging.data() + filled, nwords - filled);
-                if (got == 0) {
-                    // Same failure mode (and loudness) as the threaded
-                    // lane's fixed-total producer underrun.
-                    throw std::runtime_error(
-                        "source \"" + report.source_name
-                        + "\" ran dry after " + std::to_string(w)
-                        + " of " + std::to_string(windows) + " windows");
-                }
-                filled += got;
-            }
-            if (sup) {
-                tap(active_monitor().windows_tested(), staging.data(),
-                    nwords);
-            }
-            const window_report wr = active_monitor().test_packed(
-                staging.data(), nwords, cfg.lane);
+        hooks.sink = [this](const window_report& wr) {
             if (sup) {
                 sup->observe(wr);
             }
             observe(wr);
-        }
-    }
-
-    /// Threaded execution: the streamed producer/ring/pump pipeline --
-    /// the software analogue of the TRNG-to-testing-block FIFO, kept as
-    /// the fused lanes' differential oracle.
-    void run_threaded(const fleet_config& cfg, std::uint64_t windows,
-                      std::size_t nwords)
-    {
-        // A two-window ring is the software double buffer: generation
-        // always writes words the analysis lane is not reading, and the
-        // pipeline stays gap-free as long as either stage has work.
-        // Supervised channels may escalate to a longer window, so the
-        // automatic ring covers the larger of the two designs.
-        std::size_t ring_words = cfg.ring_words;
-        if (ring_words == 0) {
-            std::size_t max_words = nwords;
-            if (cfg.escalated_block) {
-                max_words = std::max(
-                    max_words, static_cast<std::size_t>(
-                                   cfg.escalated_block->n() / 64));
-            }
-            ring_words = default_ring_words(max_words);
-        }
-        base::ring_buffer ring(ring_words);
-        producer_options opts;
-        // A supervised window count is open-ended in *words* (escalation
-        // changes the window length mid-run); the pump caps the windows
-        // and run_pipeline winds the producer down.
-        opts.total_words = sup ? 0 : windows * nwords;
-        opts.batch_words = cfg.batch_words != 0
-            ? cfg.batch_words
-            : default_batch_words(nwords, ring_words);
-        word_producer producer(*source, ring, opts);
-        window_pump pump(ring, active_monitor(), cfg.lane);
-        if (sup) {
-            pump.set_tap(sup->tap());
-            pump.set_barrier(sup->barrier());
-        }
-        std::uint64_t pumped = 0;
-        try {
-            pumped = run_pipeline(producer, pump,
-                                  [&](const window_report& wr) {
-                                      if (sup) {
-                                          sup->observe(wr);
-                                      }
-                                      observe(wr);
-                                      return true;
-                                  },
-                                  windows);
-        } catch (...) {
-            // The backpressure stats are exactly what explains a stalled
-            // or dried-up pipeline -- they must survive into the error
-            // report, not just the success path.
-            report.stream = snapshot(ring);
-            throw;
-        }
-        report.stream = snapshot(ring);
-        if (pumped < windows) {
-            // Supervised channels produce open-ended (the window length
-            // can change mid-run), so the producer cannot raise the
-            // fixed-total "ran dry" error itself -- keep the failure as
-            // loud as the unsupervised path's.
-            throw std::runtime_error(
-                "source \"" + report.source_name + "\" ran dry after "
-                + std::to_string(pumped) + " of "
-                + std::to_string(windows) + " windows");
-        }
+        };
+        run_windows(active_monitor(), *source, windows, cfg.lane, hooks);
+        finish();
     }
 
     void observe(const window_report& wr)
@@ -328,7 +183,7 @@ struct channel_state {
 
     /// Post-run bookkeeping: sentinel the never-alarmed case and fold in
     /// the supervisor's escalation telemetry.
-    void finish(std::uint64_t)
+    void finish()
     {
         if (!report.alarm) {
             report.first_alarm_window = report.windows;
@@ -352,24 +207,7 @@ channel_report run_fleet_channel(
 {
     channel_state state(cfg, cv, cv_escalated, source);
     state.report.channel = channel;
-    try {
-        state.run_windows(cfg, windows);
-    } catch (const std::exception& e) {
-        // The ring telemetry (snapshotted on the throw path too)
-        // explains *why* a threaded pipeline stalled or dried up, so
-        // carry it into the message when there is any; the fused lane
-        // has no ring, and no stall modes to explain.
-        std::string what = e.what();
-        const stream_stats& ss = state.report.stream;
-        if (ss.ring_capacity > 0) {
-            what += " [stream: words=" + std::to_string(ss.words)
-                + ", producer_stalls=" + std::to_string(ss.producer_stalls)
-                + ", consumer_stalls=" + std::to_string(ss.consumer_stalls)
-                + ", max_occupancy=" + std::to_string(ss.max_occupancy)
-                + "/" + std::to_string(ss.ring_capacity) + "]";
-        }
-        throw std::runtime_error(what);
-    }
+    state.run(cfg, windows);
     return std::move(state.report);
 }
 
@@ -431,7 +269,7 @@ void run_fleet_sliced_group(const fleet_config& cfg,
             }
         }
         for (unsigned i = 0; i < lanes; ++i) {
-            states[i]->finish(windows);
+            states[i]->finish();
         }
     }
     for (unsigned i = 0; i < lanes; ++i) {
@@ -479,10 +317,8 @@ fleet_report fleet_monitor::run(const source_factory& make_source,
             first_single = g + lanes;
         }
     }
-    unsigned singles = 0;
     for (unsigned c = first_single; c < cfg_.channels; ++c) {
         units.push_back(work_unit{c, 1});
-        ++singles;
     }
     const auto unit_count = static_cast<unsigned>(units.size());
 
@@ -585,16 +421,8 @@ fleet_report fleet_monitor::run(const source_factory& make_source,
             fleet.failures_by_test[name] += count;
         }
     }
-    fleet.execution = to_string(cfg_.execution);
     fleet.lane = cfg_.lane_description();
     fleet.worker_threads = workers;
-    // Only the threaded execution spawns producer threads, one per
-    // streamed (word-granular) channel unit actually run.
-    fleet.producer_threads =
-        cfg_.execution == fleet_execution::threaded && cfg_.block.n() >= 64
-            && windows_per_channel > 0
-        ? singles
-        : 0;
     fleet.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
                         .count();

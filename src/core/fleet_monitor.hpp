@@ -8,28 +8,22 @@
 // the aggregated result is a pure function of the per-channel seeds --
 // independent of thread count and scheduling.
 //
-// Execution is *fused* by default: the worker thread that owns a channel
-// generates its words into a per-worker staging tile and tests them in
-// the same pass on the same core -- no ring, no producer thread, no SPSC
-// hand-off.  Groups of 64 eligible channels additionally ride the
-// bit-sliced lane through a 64x64-word tile (one transpose per tile,
-// hw::sliced_block::feed_tile).  The streamed model -- a word_producer
-// thread feeding a lock-free SPSC ring drained by a window_pump
-// (core/stream.hpp) -- stays selectable as fleet_execution::threaded:
-// it is the software analogue of the FIFO between a free-running TRNG
-// and its testing block, it still backs the single-channel monitor, and
-// it doubles as the differential oracle the fused lanes must match
-// bit for bit (tests/test_fleet_monitor.cpp pins the equivalence).
+// Execution is *fused*: the worker thread that owns a channel generates
+// its words and tests them in the same pass on the same core, through
+// the shared window loop (core::run_windows).  Groups of 64 eligible
+// channels additionally ride the bit-sliced lane through a 64x64-word
+// tile (one transpose per tile, hw::sliced_block::feed_tile).  The
+// per-bit lane is the differential oracle the fast lanes must match bit
+// for bit (tests/test_fleet_monitor.cpp pins the equivalence).
 //
 // Telemetry is aggregated two ways: per channel (windows, failures,
-// failures-by-test, an AIS-31-style windowed alarm, ring backpressure
-// stats on the threaded lane) and fleet-wide (totals, channels in alarm,
-// the execution/lane actually used, wall-clock throughput).
+// failures-by-test, an AIS-31-style windowed alarm) and fleet-wide
+// (totals, channels in alarm, the lane actually used, wall-clock
+// throughput).
 #pragma once
 
 #include "core/critical_values.hpp"
 #include "core/monitor.hpp"
-#include "core/stream.hpp"
 #include "core/supervisor.hpp"
 #include "hw/config.hpp"
 #include "trng/entropy_source.hpp"
@@ -44,23 +38,6 @@
 
 namespace otf::core {
 
-/// \brief How fleet/population work units execute on their workers.
-enum class fleet_execution {
-    /// Generation and testing fused in one pass on the worker thread
-    /// (per-worker staging tile; no producer threads, no rings).  The
-    /// default: at fleet scale the thread-per-channel producer model
-    /// cannot scale past a handful of channels.
-    fused,
-    /// The streamed model: every active channel runs its own
-    /// word_producer thread feeding an SPSC ring (core/stream.hpp).
-    /// Kept selectable as the differential oracle for the fused lanes
-    /// and for workloads that want the pipeline's overlap.
-    threaded,
-};
-
-/// Stable lowercase name ("fused" / "threaded") for reports and JSON.
-const char* to_string(fleet_execution execution);
-
 /// \brief Configuration of a monitor fleet.  Every channel runs the same
 /// hardware design point; critical values are inverted once and shared.
 struct fleet_config {
@@ -70,17 +47,11 @@ struct fleet_config {
     double alpha = 0.01;
     /// Number of independent monitor channels.
     unsigned channels = 4;
-    /// Worker threads; 0 picks std::thread::hardware_concurrency().
-    /// Under the default fused execution these are the *only* threads:
-    /// each worker generates and tests its channels in one pass.  Under
-    /// fleet_execution::threaded every active channel additionally runs
-    /// its own word_producer thread, so up to 2x this many threads
-    /// compute at once.  Thread count never changes the report, only
-    /// the wall-clock time.
+    /// Worker threads; 0 picks the hardware concurrency.
+    /// These are the *only* threads: each worker generates and tests its
+    /// channels in one pass.  Thread count never changes the report,
+    /// only the wall-clock time.
     unsigned threads = 0;
-    /// Execution model of the worker pool (see fleet_execution); both
-    /// models produce bit-identical reports for the same seeds.
-    fleet_execution execution = fleet_execution::fused;
     /// Ingestion lane for every channel (span fast lane by default).
     /// The per-bit lane is kept selectable as the equivalence oracle:
     /// all lanes must produce identical reports for the same seeds.
@@ -93,16 +64,6 @@ struct fleet_config {
     /// failed.  Mirrors health_monitor::policy.
     unsigned fail_threshold = 2;
     unsigned policy_window = 8;
-    /// Per-channel stream ring capacity in 64-bit words; 0 = automatic
-    /// (two windows deep, mirroring the hardware's double-buffered
-    /// hand-off).  Depth changes timing only, never the report.
-    std::size_t ring_words = 0;
-    /// Per-channel generation batch in 64-bit words; 0 = automatic (half
-    /// the ring, so batches grow past one window on deeper rings).  The
-    /// batched generation lane gets cheaper per word the larger the
-    /// batch; like ring depth this changes timing only, never the
-    /// report.
-    std::size_t batch_words = 0;
 
     /// Adaptive escalation (optional): when set, every channel runs
     /// under a core::supervisor -- `block` is the cheap always-on
@@ -131,10 +92,8 @@ struct fleet_config {
     supervisor_config supervised_config() const;
 
     /// True when this configuration routes channel groups of 64 through
-    /// the bit-sliced lane (hw::sliced_block): fused execution (the
-    /// tile pipeline is part of the fused model; the threaded rings are
-    /// per channel), lane == sliced, at least 64 channels, no
-    /// supervision, a word-granular window and a test set limited to
+    /// the bit-sliced lane (hw::sliced_block): lane == sliced, at least
+    /// 64 channels, no supervision, a word-granular window and a test set limited to
     /// the cheap always-on tests (frequency, runs).  Leftover and
     /// ineligible channels ride the span lane instead.
     bool uses_sliced_lane() const;
@@ -148,8 +107,8 @@ struct fleet_config {
     std::string lane_description() const;
 };
 
-/// \brief Telemetry of one channel after a fleet run.  Every field except
-/// `stream` is a deterministic function of the channel's source.
+/// \brief Telemetry of one channel after a fleet run.  Every field is a
+/// deterministic function of the channel's source.
 struct channel_report {
     unsigned channel = 0;
     std::string source_name;
@@ -171,27 +130,9 @@ struct channel_report {
     std::uint64_t windows_escalated = 0;
     /// Failure count per test name across the channel's run.
     std::map<std::string, std::uint64_t> failures_by_test;
-    /// Ring occupancy/backpressure telemetry of the channel's pipeline
-    /// (scheduling-dependent -- excluded from operator==, which covers
-    /// the determinism guarantee only).
-    stream_stats stream;
 
-    /// Compares the deterministic fields; `stream` is telemetry about
-    /// thread timing, not about the data.
-    friend bool operator==(const channel_report& a, const channel_report& b)
-    {
-        return a.channel == b.channel && a.source_name == b.source_name
-            && a.windows == b.windows && a.failures == b.failures
-            && a.alarm == b.alarm
-            && a.first_alarm_window == b.first_alarm_window
-            && a.bits == b.bits && a.sw_cycles == b.sw_cycles
-            && a.worst_sw_cycles == b.worst_sw_cycles
-            && a.escalations == b.escalations
-            && a.confirmed_escalations == b.confirmed_escalations
-            && a.de_escalations == b.de_escalations
-            && a.windows_escalated == b.windows_escalated
-            && a.failures_by_test == b.failures_by_test;
-    }
+    friend bool operator==(const channel_report&,
+                           const channel_report&) = default;
 };
 
 /// \brief Aggregated fleet telemetry: per-channel reports in channel order
@@ -206,18 +147,15 @@ struct fleet_report {
     unsigned channels_escalated = 0;  ///< channels that escalated at all
     unsigned confirmed_escalations = 0; ///< offline battery agreed
     std::map<std::string, std::uint64_t> failures_by_test;
-    /// How the run executed: fleet_execution name ("fused"/"threaded"),
-    /// the lane actually used with fallbacks spelled out
-    /// (fleet_config::lane_description -- a silent sliced-to-span
-    /// degradation is visible here), and the thread budget it really
-    /// spent.  Deterministic given the configuration, but descriptive of
-    /// the execution rather than the data, so outside same_counters:
-    /// the determinism guarantee compares *across* executions and
-    /// thread counts.
-    std::string execution;
+    /// How the run executed: the lane actually used with fallbacks
+    /// spelled out (fleet_config::lane_description -- a silent
+    /// sliced-to-span degradation is visible here) and the thread budget
+    /// it really spent.  Deterministic given the configuration, but
+    /// descriptive of the execution rather than the data, so outside
+    /// same_counters: the determinism guarantee compares *across* lanes
+    /// and thread counts.
     std::string lane;
-    unsigned worker_threads = 0;   ///< pool size after capping
-    unsigned producer_threads = 0; ///< word_producer threads spawned
+    unsigned worker_threads = 0; ///< pool size after capping
     /// Wall-clock duration of the run (the only nondeterministic field).
     double seconds = 0.0;
 
@@ -229,7 +167,7 @@ struct fleet_report {
 
     /// Everything except the wall clock and the execution description --
     /// what the determinism guarantee ("same seeds, any thread count,
-    /// either execution") covers.
+    /// any lane") covers.
     bool same_counters(const fleet_report& other) const;
 };
 
@@ -282,8 +220,6 @@ public:
     /// \throws std::runtime_error naming the channel index and source of
     /// a channel whose pipeline throws mid-run (the first failing channel
     /// in claim order; the fleet drains and joins before rethrowing).
-    /// The message carries the channel's ring backpressure stats when the
-    /// streaming pipeline got far enough to have any.
     fleet_report run(const source_factory& make_source,
                      std::uint64_t windows_per_channel,
                      const channel_hook& on_channel = {});
@@ -300,9 +236,8 @@ private:
 /// its report.  This is the per-channel work unit fleet_monitor::run
 /// executes on its pool, exported so the population scheduler can run
 /// devices directly on its work-stealing workers without instantiating a
-/// fleet per shard.  Honors cfg.execution (fused inline loop or the
-/// threaded producer/ring/pump pipeline) and cfg.lane; supervision
-/// (cfg.escalated_block) works on both.
+/// fleet per shard.  Runs the channel through core::run_windows on
+/// cfg.lane, under a supervisor when cfg.escalated_block is set.
 /// \param cfg          a *validated* fleet configuration; channels /
 ///        threads are ignored here
 /// \param cv           bounds for cfg.block at cfg.alpha
@@ -310,9 +245,8 @@ private:
 ///        when that design is set
 /// \param source       the channel's entropy source (borrowed)
 /// \param channel      channel id stamped into the report
-/// \param windows      windows to run (must be >= 1)
-/// \throws std::runtime_error when the source throws or runs dry; on the
-/// threaded lane the message carries the ring backpressure telemetry
+/// \param windows      windows to run (0 runs nothing)
+/// \throws std::runtime_error naming the source when it runs dry
 channel_report run_fleet_channel(
     const fleet_config& cfg, const critical_values& cv,
     const std::optional<critical_values>& cv_escalated,

@@ -2,6 +2,7 @@
 
 #include "core/sp80090b.hpp"
 
+#include <stdexcept>
 #include <string>
 
 namespace otf::core {
@@ -110,6 +111,48 @@ void monitor::feed_packed(const std::uint64_t* words, std::size_t nwords,
 window_report monitor::finish_packed()
 {
     return finish_window();
+}
+
+void run_windows(monitor& mon, trng::entropy_source& source,
+                 std::uint64_t windows, ingest_lane lane,
+                 const window_hooks& hooks)
+{
+    std::vector<std::uint64_t> staging;
+    for (std::uint64_t w = 0; w < windows; ++w) {
+        if (hooks.before) {
+            // No window is in flight: the hook may reprogram the design.
+            hooks.before(mon.windows_tested());
+        }
+        const std::uint64_t n = mon.config().n();
+        window_report wr;
+        if (n < 64 && lane == ingest_lane::per_bit) {
+            wr = mon.test_window(source);
+        } else {
+            // Re-read per window: a reconfiguring barrier may have
+            // changed the length.
+            const auto nwords = static_cast<std::size_t>(n / 64);
+            staging.resize(nwords);
+            std::size_t filled = 0;
+            while (filled < nwords) {
+                const std::size_t got = source.fill_words_available(
+                    staging.data() + filled, nwords - filled);
+                if (got == 0) {
+                    throw std::runtime_error(
+                        "source \"" + source.name() + "\" ran dry after "
+                        + std::to_string(w) + " of "
+                        + std::to_string(windows) + " windows");
+                }
+                filled += got;
+            }
+            if (hooks.tap) {
+                hooks.tap(mon.windows_tested(), staging.data(), nwords);
+            }
+            wr = mon.test_packed(staging.data(), nwords, lane);
+        }
+        if (hooks.sink) {
+            hooks.sink(wr);
+        }
+    }
 }
 
 void monitor::reconfigure(const hw::block_config& target,

@@ -28,10 +28,6 @@
 #include <optional>
 #include <vector>
 
-namespace otf::base {
-class ring_buffer;
-} // namespace otf::base
-
 namespace otf::core {
 
 struct window_report {
@@ -63,10 +59,34 @@ enum class ingest_lane {
     sliced = 3,
 };
 
-/// \brief Per-window callback of the streaming pipeline (core/stream.hpp):
-/// alarm policies, scenario accounting and fleet aggregation are all sinks
-/// over the shared window stream.  Return false to stop the stream.
-using window_sink = std::function<bool(const window_report&)>;
+/// \brief Per-window callback of run_windows(): alarm policies, scenario
+/// accounting and fleet aggregation are all sinks over the window stream.
+using window_sink = std::function<void(const window_report&)>;
+
+/// \brief Raw-window observer of run_windows(): invoked with every packed
+/// window *before* it is tested.  This is the evidence-capture hook of the
+/// escalation supervisor (core/supervisor.hpp): online verdicts come from
+/// the sink, the raw words that produced them from the tap, so a
+/// suspicious stretch can be replayed offline.
+using window_tap = std::function<void(
+    std::uint64_t window_index, const std::uint64_t* words,
+    std::size_t nwords)>;
+
+/// \brief Between-windows callback of run_windows(): runs at every window
+/// boundary (never mid-window) with the index of the window about to be
+/// tested.  It is both the *reconfiguration barrier* -- a hook that
+/// reprograms the monitor's testing block here changes the design point,
+/// window length included, and the next window is framed at the new
+/// length without dropping a word -- and the home of per-window severity
+/// schedules.
+using window_barrier = std::function<void(std::uint64_t next_window)>;
+
+/// \brief The three per-window hooks of run_windows(); any may be null.
+struct window_hooks {
+    window_barrier before; ///< boundary: reconfiguration or schedule
+    window_tap tap;        ///< raw window words, before testing
+    window_sink sink;      ///< the window's verdicts
+};
 
 class monitor {
 public:
@@ -113,8 +133,8 @@ public:
     window_report test_sequence_words(
         const std::vector<std::uint64_t>& words);
 
-    /// \brief Test one pre-packed window from a raw span -- the streaming
-    /// pipeline's allocation-free entry point (core/stream.hpp).
+    /// \brief Test one pre-packed window from a raw span -- the
+    /// allocation-free entry point of run_windows().
     /// \param words  LSB-first packed window; `nwords * 64` must equal n
     /// \param nwords number of 64-bit words
     /// \param lane   span fast lane or per-bit oracle lane;
@@ -125,42 +145,22 @@ public:
                               std::size_t nwords,
                               ingest_lane lane = ingest_lane::span);
 
-    /// \brief Zero-copy streaming ingestion, step 1: feed part of the
-    /// current window from a contiguous span.  Unlike test_packed() the
-    /// span need not be a whole window -- the window_pump feeds ring
-    /// spans as they surface (base::ring_buffer::peek) and closes the
-    /// window with finish_packed() once exactly n bits have arrived.
-    /// All lanes are chunk-invariant, so ragged spans are register-exact
-    /// with one whole-window feed.
+    /// \brief Incremental ingestion, step 1: feed part of the current
+    /// window from a contiguous span.  Unlike test_packed() the span need
+    /// not be a whole window; close the window with finish_packed() once
+    /// exactly n bits have arrived.  All lanes are chunk-invariant, so
+    /// ragged spans are register-exact with one whole-window feed.
     /// \param words  LSB-first packed span
     /// \param nwords span length in 64-bit words
     /// \param lane   ingestion lane (sliced degrades to span)
     void feed_packed(const std::uint64_t* words, std::size_t nwords,
                      ingest_lane lane = ingest_lane::span);
 
-    /// \brief Zero-copy streaming ingestion, step 2: close the window the
+    /// \brief Incremental ingestion, step 2: close the window the
     /// feed_packed() calls filled and run the software pass.
     /// \throws std::logic_error (from the testing block) unless exactly n
     /// bits were fed since the last window boundary
     window_report finish_packed();
-
-    /// \brief Continuous streaming mode: drain whole windows from `ring`
-    /// until the producer closes it (open-ended window count), invoking
-    /// `sink` after every window.  The paper's deployment shape -- the
-    /// FPGA block streams while the MSP430 polls verdicts -- with the
-    /// ring standing in for the hardware FIFO.  Defined in
-    /// core/stream.cpp on top of core::window_pump.
-    /// \param ring        SPSC word ring a core::word_producer (or any
-    ///                    single producer) is feeding
-    /// \param sink        per-window callback; return false to stop early
-    ///                    (may be null)
-    /// \param lane        ingestion lane for every window
-    /// \param max_windows optional cap; 0 = run until the ring drains
-    /// \return windows tested during this call
-    std::uint64_t run_stream(base::ring_buffer& ring,
-                             const window_sink& sink,
-                             ingest_lane lane = ingest_lane::span,
-                             std::uint64_t max_windows = 0);
 
     /// \brief On-the-fly reconfiguration: reprogram the live testing
     /// block to `target` *through the register-map write path*
@@ -181,8 +181,8 @@ public:
     std::uint64_t windows_tested() const { return windows_; }
 
     /// \brief Checkpoint restore: continue the global window numbering
-    /// of a previous run.  `window_report.window_index` and the stream
-    /// pump's tap/barrier indices all derive from this counter, so a
+    /// of a previous run.  `window_report.window_index` and the
+    /// run_windows() hook indices all derive from this counter, so a
     /// restored channel numbers its windows exactly as the uninterrupted
     /// run would.  Legal between windows only (the counter is read at
     /// window boundaries).
@@ -199,6 +199,31 @@ private:
 
     window_report finish_window();
 };
+
+/// \brief The window loop every caller shares -- the paper's deployment
+/// shape: the hardware block consumes an n-bit window, the MCU reads the
+/// counters at the window boundary, and the block restarts.  Each window
+/// goes through
+///
+///   hooks.before(i) -> fill n bits from `source` -> hooks.tap(i, words)
+///     -> monitor::test_packed -> hooks.sink(report)
+///
+/// where `i` is the monitor's window counter.  The window length is
+/// re-read after `before`, so a barrier that reconfigures the monitor
+/// re-frames the stream without dropping a word.  Sub-word designs
+/// (n < 64) on the per-bit lane are fed one next_bit() per clock instead
+/// (no packed words: the tap is not called); on the packed lanes they
+/// throw test_packed()'s length error.
+/// \param mon     the channel's monitor
+/// \param source  word supplier (entropy_source::fill_words_available)
+/// \param windows windows to test; 0 tests nothing
+/// \param lane    ingestion lane for every window
+/// \param hooks   per-window callbacks (each may be null)
+/// \throws std::runtime_error naming the source and the window count when
+/// the source runs dry before `windows` windows were tested
+void run_windows(monitor& mon, trng::entropy_source& source,
+                 std::uint64_t windows, ingest_lane lane = ingest_lane::span,
+                 const window_hooks& hooks = {});
 
 /// \brief One observable rising edge of an alarm path.  The alarm used
 /// to be a bare boolean; supervision needs the *when* and the evidence

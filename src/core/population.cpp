@@ -95,8 +95,6 @@ fleet_config population_config::shard_fleet_config() const
     fc.offline_alpha = offline_alpha;
     fc.offline_min_failures = offline_min_failures;
     fc.lane = lane;
-    fc.ring_words = ring_words;
-    fc.execution = execution;
     return fc;
 }
 
@@ -170,8 +168,6 @@ struct shard_partial {
     unsigned escalations = 0;
     unsigned channels_escalated = 0;
     unsigned confirmed_escalations = 0;
-    std::uint64_t producer_stalls = 0;
-    std::uint64_t consumer_stalls = 0;
 };
 
 } // namespace
@@ -375,8 +371,6 @@ population_report population_monitor::run()
             sp.escalations += cr.escalations;
             sp.channels_escalated += cr.escalations > 0 ? 1 : 0;
             sp.confirmed_escalations += cr.confirmed_escalations;
-            sp.producer_stalls += cr.stream.producer_stalls;
-            sp.consumer_stalls += cr.stream.consumer_stalls;
             for (const auto& [name, count] : cr.failures_by_test) {
                 fails_by_test[w][name] += count;
             }
@@ -396,8 +390,6 @@ population_report population_monitor::run()
             rec.confirmed_escalations = cr.confirmed_escalations;
             rec.de_escalations = cr.de_escalations;
             rec.windows_escalated = cr.windows_escalated;
-            rec.producer_stalls = cr.stream.producer_stalls;
-            rec.consumer_stalls = cr.stream.consumer_stalls;
             pending.push_back(rec);
             if (pending.size() >= cfg_.telemetry_flush_records) {
                 flush();
@@ -508,7 +500,7 @@ population_report population_monitor::run()
             t.join();
         }
     }
-    // All producers have quiesced; let the aggregator drain and finish.
+    // All workers have quiesced; let the aggregator drain and finish.
     queue.close();
     aggregator.join();
 
@@ -535,8 +527,6 @@ population_report population_monitor::run()
             sr.escalations += sp.escalations;
             sr.channels_escalated += sp.channels_escalated;
             sr.confirmed_escalations += sp.confirmed_escalations;
-            sr.producer_stalls += sp.producer_stalls;
-            sr.consumer_stalls += sp.consumer_stalls;
         }
         report.shard_reports.push_back(std::move(sr));
     }
@@ -577,7 +567,7 @@ population_report population_monitor::run()
             report.false_alarm_rate_per_window * windows_per_day;
     }
 
-    report.execution = to_string(cfg_.execution);
+    report.execution = "fused";
     if (cfg_.lane != ingest_lane::sliced) {
         report.lane = fcfg.lane_description();
     } else if (sliced_units == 0) {

@@ -75,10 +75,6 @@ struct device_record {
     unsigned confirmed_escalations = 0;
     unsigned de_escalations = 0;
     std::uint64_t windows_escalated = 0;
-    /// Ring backpressure telemetry (scheduling-dependent; excluded from
-    /// operator==, like channel_report::stream).
-    std::uint64_t producer_stalls = 0;
-    std::uint64_t consumer_stalls = 0;
 
     /// Alarm at or after the attack's onset -- attributable detection.
     bool detected() const
@@ -94,8 +90,8 @@ struct device_record {
         return first_alarm_window - onset_window + 1;
     }
 
-    /// Deterministic fields only: stall counters are thread timing, and
-    /// the shard id is layout bookkeeping -- the same device lands on a
+    /// Deterministic fields only: the shard id is layout bookkeeping --
+    /// the same device lands on a
     /// different shard under a different layout with the same outcome.
     friend bool operator==(const device_record& a, const device_record& b)
     {
@@ -126,11 +122,6 @@ struct population_config {
     double offline_alpha = 0.01;
     unsigned offline_min_failures = 2;
     ingest_lane lane = ingest_lane::span;
-    std::size_t ring_words = 0;
-    /// Execution model of the worker pool (fused by default; threaded
-    /// keeps the per-channel producer/ring pipeline selectable as the
-    /// differential oracle).  Never changes the report.
-    fleet_execution execution = fleet_execution::fused;
 
     /// Population shape.
     std::uint32_t devices = 1024;
@@ -193,22 +184,9 @@ struct population_shard_report {
     unsigned escalations = 0;
     unsigned channels_escalated = 0;
     unsigned confirmed_escalations = 0;
-    /// Backpressure (nondeterministic; excluded from ==): nonzero on the
-    /// threaded execution only.
-    std::uint64_t producer_stalls = 0;
-    std::uint64_t consumer_stalls = 0;
 
-    friend bool operator==(const population_shard_report& a,
-                           const population_shard_report& b)
-    {
-        return a.shard == b.shard && a.first_device == b.first_device
-            && a.device_count == b.device_count && a.windows == b.windows
-            && a.failures == b.failures && a.bits == b.bits
-            && a.channels_in_alarm == b.channels_in_alarm
-            && a.escalations == b.escalations
-            && a.channels_escalated == b.channels_escalated
-            && a.confirmed_escalations == b.confirmed_escalations;
-    }
+    friend bool operator==(const population_shard_report&,
+                           const population_shard_report&) = default;
 };
 
 /// Per-device-kind outcome tally.
@@ -242,9 +220,9 @@ struct latency_percentiles {
 std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
                            double q);
 
-/// \brief Aggregated population telemetry.  Everything except `seconds`,
-/// the queue/stream backpressure counters and the per-shard wall clocks
-/// is a deterministic function of (config, master seed).
+/// \brief Aggregated population telemetry.  Everything except `seconds`
+/// and the scheduling telemetry (steals, flushes, queue counters) is a
+/// deterministic function of (config, master seed).
 struct population_report {
     std::uint32_t devices = 0;
     unsigned shards = 0;
@@ -283,10 +261,10 @@ struct population_report {
 
     /// How the run executed (deterministic given the configuration but
     /// descriptive of the schedule, not the data -- outside
-    /// same_counters, which compares across executions and layouts):
-    /// fleet_execution name, the lane actually used (fallbacks spelled
-    /// out), the global worker-pool size and the resolved device-batch
-    /// granularity.
+    /// same_counters, which compares across lanes and layouts): the
+    /// execution model (always "fused": workers generate and test in one
+    /// pass), the lane actually used (fallbacks spelled out), the global
+    /// worker-pool size and the resolved device-batch granularity.
     std::string execution;
     std::string lane;
     unsigned worker_threads = 0;

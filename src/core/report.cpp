@@ -57,16 +57,6 @@ std::string format_fleet(const fleet_report& report)
             << std::setw(9) << ch.failures << std::setw(8)
             << (ch.alarm ? "RAISED" : "-") << std::setw(18)
             << escalations << "  " << tests << '\n';
-        // Which pipeline stage bounds the channel's throughput
-        // (scheduling-dependent, so reported, never compared).  Sub-word
-        // channels run the direct batch loop -- no ring, no telemetry.
-        if (ch.stream.ring_capacity > 0) {
-            out << "         stream: " << ch.stream.words
-                << " words, ring " << ch.stream.max_occupancy << "/"
-                << ch.stream.ring_capacity << " high-water, stalls"
-                << " producer=" << ch.stream.producer_stalls
-                << " consumer=" << ch.stream.consumer_stalls << '\n';
-        }
     }
     out << "fleet totals: " << report.windows << " windows, "
         << report.bits << " bits, " << report.channels_in_alarm

@@ -17,9 +17,7 @@ std::string format_verdicts(const software_result& result);
 std::string format_window(const window_report& report);
 
 /// \brief Multi-line fleet summary: one row per channel (windows,
-/// failures, alarm, escalations, failing tests) plus the per-channel
-/// stream telemetry -- ring occupancy high-water and producer/consumer
-/// stall counters -- and the fleet totals.
+/// failures, alarm, escalations, failing tests) plus the fleet totals.
 std::string format_fleet(const fleet_report& report);
 
 /// \brief Area/frequency summary of a testing block in Table III layout:

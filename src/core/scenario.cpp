@@ -1,7 +1,5 @@
 #include "core/scenario.hpp"
 
-#include "base/ring_buffer.hpp"
-#include "core/stream.hpp"
 #include "trng/sources.hpp"
 
 #include <chrono>
@@ -124,9 +122,16 @@ scenario_report scenario_runner::run(const scenario& sc) const
 
         bool alarmed = false;
         bool false_alarmed = false;
-        // The detection accounting is a window sink over the stream --
-        // shared by the pipeline and the sub-word fallback below.
-        const window_sink account = [&](const window_report& wr) {
+        // One trial = one pass through the window loop: the severity
+        // schedule steps at every window boundary, and the detection
+        // accounting is the window sink.
+        window_hooks hooks;
+        if (model) {
+            hooks.before = [model, &sc](std::uint64_t w) {
+                model->set_severity(sc.schedule.severity_at(w));
+            };
+        }
+        hooks.sink = [&](const window_report& wr) {
             const std::uint64_t w = wr.window_index;
             const bool failed = !wr.software.all_pass;
             if (w < rep.onset_window) {
@@ -156,45 +161,12 @@ scenario_report scenario_runner::run(const scenario& sc) const
                     }
                 }
             }
-            return true;
         };
-
-        // One trial = one pass through the streaming ingestion core.
-        // The severity schedule rides the producer's word hook: it is
-        // advanced at word granularity (word_index / words-per-window),
-        // which lands on exactly the per-window steps of the old batch
-        // loop because windows are whole multiples of the hook stride.
-        const std::size_t nwords =
-            static_cast<std::size_t>(block_.n() / 64);
-        if (nwords == 0) {
-            // Sub-word designs (n < 64) cannot ride the word-granular
-            // ring; keep the direct batch loop for them.
-            for (std::uint64_t w = 0; w < cfg_.windows; ++w) {
-                if (model) {
-                    model->set_severity(sc.schedule.severity_at(w));
-                }
-                account(cfg_.lane == ingest_lane::per_bit
-                            ? mon.test_window(*source)
-                            : mon.test_window_words(*source, cfg_.lane));
-            }
-        } else {
-            const std::size_t ring_words = default_ring_words(nwords);
-            base::ring_buffer ring(ring_words);
-            producer_options opts;
-            opts.total_words = cfg_.windows * nwords;
-            opts.batch_words = default_batch_words(nwords, ring_words);
-            opts.hook_stride_words = nwords;
-            if (model) {
-                const severity_schedule& schedule = sc.schedule;
-                opts.word_hook = [model, schedule,
-                                  nwords](std::uint64_t word) {
-                    model->set_severity(
-                        schedule.severity_at(word / nwords));
-                };
-            }
-            word_producer producer(*source, ring, opts);
-            window_pump pump(ring, mon, cfg_.lane);
-            run_pipeline(producer, pump, account, cfg_.windows);
+        try {
+            run_windows(mon, *source, cfg_.windows, cfg_.lane, hooks);
+        } catch (const std::exception& e) {
+            throw std::runtime_error("scenario \"" + sc.name + "\" trial "
+                                     + std::to_string(t) + ": " + e.what());
         }
         rep.trials_alarmed += alarmed ? 1 : 0;
         rep.trials_false_alarmed += false_alarmed ? 1 : 0;

@@ -8,10 +8,9 @@
 // k-of-w alarm policy and reports detection latency, false alarms and
 // per-test failure attribution -- the platform's operating
 // characteristics, measured instead of assumed.  Each trial is one pass
-// through the streaming ingestion core (core/stream.hpp): the severity
-// schedule rides the producer's word hook, advanced at word granularity
-// (bit-exact with per-window stepping), and the detection accounting is
-// a window sink.  `standard_scenarios()`
+// through the window loop (core::run_windows): the severity schedule is
+// the boundary hook, stepped once per window, and the detection
+// accounting is the window sink.  `standard_scenarios()`
 // is the library of the six adversarial models plus the healthy null
 // scenario; `bench/scenario_matrix.cpp` sweeps it across the eight paper
 // designs into BENCH_scenarios.json (schema: docs/BENCHMARKS.md; model
@@ -165,6 +164,8 @@ public:
 
     /// \brief Run one scenario for the configured trials and aggregate.
     /// \throws std::invalid_argument on an invalid schedule
+    /// \throws std::runtime_error naming the scenario and trial when a
+    /// trial fails (e.g. its source runs dry)
     scenario_report run(const scenario& sc) const;
 
     /// Run every scenario in order (one report per scenario).

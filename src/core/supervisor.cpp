@@ -1,9 +1,7 @@
 #include "core/supervisor.hpp"
 
-#include "base/ring_buffer.hpp"
 #include "core/telemetry_log.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -342,8 +340,7 @@ void supervisor::escalate(std::uint64_t next_window)
         }
     }
     // The on-the-fly reconfiguration itself: the live block is
-    // reprogrammed through the register-map write path; the stream's
-    // words wait in the ring meanwhile.
+    // reprogrammed through the register-map write path between windows.
     mon_.reconfigure(cfg_.escalated, cv_escalated_);
     state_ = supervision_state::escalated;
     clean_streak_ = 0;
@@ -353,8 +350,9 @@ void supervisor::escalate(std::uint64_t next_window)
     }
 
     // Offline confirmation: replay the captured evidence through the
-    // composable battery.  Runs on the consumer thread -- the deployment
-    // analogue of the MCU shipping the suspicious stretch to a host.
+    // composable battery.  Runs on the window loop's thread -- the
+    // deployment analogue of the MCU shipping the suspicious stretch to a
+    // host.
     confirmation_result conf = confirm_offline();
     if (conf.confirmed) {
         ++confirmed_escalations_;
@@ -420,10 +418,7 @@ confirmation_result supervisor::confirm_offline() const
 
 window_sink supervisor::sink()
 {
-    return [this](const window_report& report) {
-        observe(report);
-        return true;
-    };
+    return [this](const window_report& report) { observe(report); };
 }
 
 window_tap supervisor::tap()
@@ -441,42 +436,21 @@ window_barrier supervisor::barrier()
 
 supervision_report supervisor::run(trng::entropy_source& source,
                                    std::uint64_t windows,
-                                   producer_options opts)
+                                   window_barrier schedule)
 {
     const auto start = std::chrono::steady_clock::now();
-    const std::size_t base_words =
-        static_cast<std::size_t>(cfg_.baseline.n() / 64);
-    const std::size_t esc_words =
-        static_cast<std::size_t>(cfg_.escalated.n() / 64);
-
-    const std::size_t ring_words =
-        default_ring_words(std::max(base_words, esc_words));
-    base::ring_buffer ring(ring_words);
-    // The word total is not knowable up front (escalation changes the
-    // window length mid-run): produce open-ended, let the pump cap the
-    // window count and run_pipeline wind the producer down.
-    opts.total_words = 0;
-    if (opts.batch_words == 0) {
-        opts.batch_words = default_batch_words(base_words, ring_words);
-    }
-    word_producer producer(source, ring, opts);
-    window_pump pump(ring, mon_, cfg_.lane);
-    pump.set_tap(tap());
-    pump.set_barrier(barrier());
-    const std::uint64_t pumped =
-        run_pipeline(producer, pump, sink(), windows);
-    if (pumped < windows) {
-        // The open-ended producer ends an exhausted stream quietly; a
-        // fixed window count starving is still an error, exactly as in
-        // the unsupervised fixed-length loops.
-        throw std::runtime_error(
-            "supervisor: source \"" + source.name() + "\" ran dry after "
-            + std::to_string(pumped) + " of " + std::to_string(windows)
-            + " windows");
-    }
+    window_hooks hooks;
+    hooks.before = [this, &schedule](std::uint64_t next_window) {
+        if (schedule) {
+            schedule(next_window);
+        }
+        at_barrier(next_window);
+    };
+    hooks.tap = tap();
+    hooks.sink = sink();
+    run_windows(mon_, source, windows, cfg_.lane, hooks);
 
     supervision_report rep = report();
-    rep.stream = snapshot(ring);
     rep.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();

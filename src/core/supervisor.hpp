@@ -4,18 +4,17 @@
 // The paper's platform is sold on two mechanisms this module finally wires
 // together: the testing block is *reconfigured on the fly* through its
 // register map, and online hardware verdicts are *re-verified offline in
-// software*.  The supervisor runs the streaming pipeline at a cheap
-// always-on baseline design, keeps a bounded evidence ring of recent raw
-// windows (tapped off the pump), and reacts to a k-of-w alarm in three
-// moves:
+// software*.  The supervisor runs the window loop (core::run_windows) at
+// a cheap always-on baseline design, keeps a bounded evidence ring of
+// recent raw windows (tapped off the loop), and reacts to a k-of-w alarm
+// in three moves:
 //
 //   1. escalate  -- at the next window boundary the live testing block is
 //                   reprogrammed to a heavier design point through the
 //                   hw::register_map write path (the paper's actual
 //                   reconfiguration mechanism); no word of the stream is
-//                   dropped -- the words wait in the ring while the
-//                   hardware rebuilds, and the pump re-frames to the new
-//                   window length;
+//                   dropped -- the next window is simply framed at the
+//                   new window length;
 //   2. confirm   -- the captured evidence is replayed offline through the
 //                   composable SP 800-22 battery (nist/battery.hpp), the
 //                   embedded analogue of shipping a suspicious stretch to
@@ -35,7 +34,6 @@
 #include "base/wal.hpp"
 #include "core/critical_values.hpp"
 #include "core/monitor.hpp"
-#include "core/stream.hpp"
 #include "nist/battery.hpp"
 
 #include <cstdint>
@@ -143,7 +141,7 @@ struct supervisor_config {
 };
 
 /// \brief Aggregated telemetry of one supervised run.  Deterministic for
-/// a fixed source except `seconds` and `stream`.
+/// a fixed source except `seconds`.
 struct supervision_report {
     std::uint64_t windows = 0;  ///< windows tested (all designs)
     std::uint64_t failures = 0; ///< windows with any failing test
@@ -159,7 +157,6 @@ struct supervision_report {
     std::map<std::string, std::uint64_t> failures_by_test;
     /// The full structured timeline.
     std::vector<supervision_event> events;
-    stream_stats stream;  ///< pipeline backpressure (run() only)
     double seconds = 0.0; ///< wall clock (run() only)
 };
 
@@ -222,9 +219,10 @@ supervisor_checkpoint parse_checkpoint(
 
 /// \brief The escalation supervisor for one channel.  Owns the monitor
 /// (constructed at the baseline design) and the evidence ring; exposes
-/// the three pipeline hooks -- sink (verdicts), tap (evidence), barrier
-/// (reconfiguration) -- so it drops onto any producer/pump pipeline, and
-/// a one-call run() that builds the pipeline itself.
+/// the three window hooks -- sink (verdicts), tap (evidence), barrier
+/// (reconfiguration) -- so it drops onto any run_windows() caller (the
+/// fleet's channel loop), and a one-call run() that drives the loop
+/// itself.
 class supervisor {
 public:
     /// \brief Validate the policy and invert both designs' critical
@@ -254,33 +252,32 @@ public:
 
     /// \brief The between-windows barrier action: apply a queued
     /// escalation (reprogram through the register map + offline-confirm
-    /// the evidence) or a matured de-escalation.  Called by the pump's
-    /// barrier hook, never mid-window.
+    /// the evidence) or a matured de-escalation.  Called by the window
+    /// loop's barrier hook, never mid-window.
     void at_barrier(std::uint64_t next_window);
 
-    // Pipeline adapters for external pumps (the fleet's channel loops).
+    // Hook adapters for external window loops (the fleet's channels).
     window_sink sink();
     window_tap tap();
     window_barrier barrier();
 
-    /// \brief Run one source through a private producer/ring/pump
-    /// pipeline for `windows` windows (producer on its own thread).
+    /// \brief Run one source through the window loop for `windows`
+    /// windows on the calling thread.
     /// \param source   entropy source (typically a source_model stack)
-    /// \param windows  windows to test; counts windows of whatever
-    ///                 design is live when each is assembled
-    /// \param opts     producer pass-through: the severity schedule's
-    ///                 word hook and an optional ring-depth override
-    ///                 (total_words is forced open-ended -- window
-    ///                 length changes mid-run, so the word total is not
-    ///                 knowable up front)
+    /// \param windows  windows to test (0 tests nothing); counts windows
+    ///                 of whatever design is live when each is framed
+    /// \param schedule optional boundary hook run before the supervisor's
+    ///                 own barrier with the index of the next window --
+    ///                 the home of a source_model severity schedule
     /// \return the aggregated report (also available via report())
+    /// \throws std::runtime_error naming the source when it runs dry
     supervision_report run(trng::entropy_source& source,
                            std::uint64_t windows,
-                           producer_options opts = {});
+                           window_barrier schedule = {});
 
-    /// \brief Aggregate the counters accumulated so far (for external-
-    /// pipeline integrations that drive observe/capture/at_barrier
-    /// themselves; `stream` and `seconds` stay zero).
+    /// \brief Aggregate the counters accumulated so far (for external
+    /// window loops that drive observe/capture/at_barrier themselves;
+    /// `seconds` stays zero).
     supervision_report report() const;
 
     /// \brief Serialize the event timeline as a JSON array under `key`

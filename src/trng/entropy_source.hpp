@@ -40,11 +40,11 @@ public:
     /// \param nwords number of 64-bit words (= 64 * nwords stream bits)
     virtual void fill_words(std::uint64_t* out, std::size_t nwords);
 
-    /// \brief Streaming-producer adapter hook (core::word_producer): like
+    /// \brief Window-loop adapter hook (core::run_windows): like
     /// fill_words(), but a *finite* source may deliver fewer words than
     /// requested once its trace runs dry, and signals end-of-stream by
-    /// returning 0 instead of throwing -- a graceful close is the normal
-    /// end of an open-ended stream, not an error.
+    /// returning 0 instead of throwing -- the loop turns that into one
+    /// error naming the source and the window count.
     ///
     /// The default forwards to fill_words() and reports `nwords` (the
     /// behavioural models are endless); finite sources (replay_source)

@@ -1,16 +1,20 @@
 // Tests of the on-the-fly monitor: statistical behaviour over many windows
 // (type-1 rate near alpha for ideal sources, detection of every defect
-// class), latency accounting against the paper's claims, and the
-// health-monitor alarm policy.
+// class), latency accounting against the paper's claims, the shared
+// window loop (core::run_windows) and the health-monitor alarm policy.
 #include "core/monitor.hpp"
 #include "core/design_config.hpp"
+#include "core/scenario.hpp"
 #include "trng/ring_oscillator.hpp"
+#include "trng/source_model.hpp"
 #include "trng/sources.hpp"
 
 #include "support/fixed_seed.hpp"
 
 #include <gtest/gtest.h>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -225,8 +229,8 @@ TEST(monitor, rejects_wrong_sequence_length)
 
 TEST(monitor, feed_packed_rejects_overrun)
 {
-    // Streaming ingestion feeds partial windows through feed_span; a span
-    // that would run past n is refused before any bit is consumed.
+    // Incremental ingestion feeds partial windows through feed_span; a
+    // span that would run past n is refused before any bit is consumed.
     core::monitor mon(core::paper_design(7, core::tier::light), 0.01);
     const std::vector<std::uint64_t> words(3, 0);
     EXPECT_THROW(mon.feed_packed(words.data(), 3), std::logic_error);
@@ -253,6 +257,217 @@ TEST(monitor, sequence_and_packed_sequence_agree)
                   b.software.verdicts[i].statistic);
     }
     EXPECT_EQ(a.sw_cycles, b.sw_cycles);
+}
+
+// ---------------------------------------------------------------------------
+// run_windows: the one window loop every caller shares.
+// ---------------------------------------------------------------------------
+
+void expect_same_report(const core::window_report& a,
+                        const core::window_report& b,
+                        const std::string& context)
+{
+    EXPECT_EQ(a.window_index, b.window_index) << context;
+    EXPECT_EQ(a.software.all_pass, b.software.all_pass) << context;
+    ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size())
+        << context;
+    for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
+        const core::test_verdict& x = a.software.verdicts[i];
+        const core::test_verdict& y = b.software.verdicts[i];
+        EXPECT_EQ(x.name, y.name) << context;
+        EXPECT_EQ(x.pass, y.pass) << context << ": " << x.name;
+        EXPECT_EQ(x.statistic, y.statistic) << context << ": " << x.name;
+        EXPECT_EQ(x.bound, y.bound) << context << ": " << x.name;
+    }
+    EXPECT_EQ(a.sw_cycles, b.sw_cycles) << context;
+    EXPECT_EQ(a.generation_cycles, b.generation_cycles) << context;
+}
+
+/// Collects every report the loop hands to its sink.
+core::window_sink collect(std::vector<core::window_report>& into)
+{
+    return [&into](const core::window_report& wr) { into.push_back(wr); };
+}
+
+TEST(run_windows, equals_a_per_window_test_packed_loop_on_every_design)
+{
+    for (const hw::block_config& cfg : core::all_paper_designs()) {
+        const auto nwords = static_cast<std::size_t>(cfg.n() / 64);
+        for (const core::ingest_lane lane :
+             {core::ingest_lane::span, core::ingest_lane::per_bit}) {
+            const std::uint64_t windows = cfg.n() > 100000 ? 2 : 3;
+            core::monitor ref(cfg, 0.01);
+            trng::ideal_source ref_src(test::fixture_seed(21));
+            std::vector<std::uint64_t> buf(nwords);
+
+            core::monitor mon(cfg, 0.01);
+            trng::ideal_source src(test::fixture_seed(21));
+            std::vector<core::window_report> got;
+            core::run_windows(mon, src, windows, lane,
+                              {nullptr, nullptr, collect(got)});
+
+            ASSERT_EQ(got.size(), windows) << cfg.name;
+            for (std::uint64_t w = 0; w < windows; ++w) {
+                ref_src.fill_words(buf.data(), nwords);
+                const auto want = ref.test_packed(buf.data(), nwords, lane);
+                expect_same_report(want, got[w],
+                                   cfg.name + " window "
+                                       + std::to_string(w));
+            }
+        }
+    }
+}
+
+TEST(run_windows, severity_schedule_is_bit_exact_with_set_then_test)
+{
+    // Reference: set the severity for the window, then generate-and-test
+    // it.  The loop: the schedule is the `before` hook.
+    const hw::block_config cfg =
+        core::custom_design(12, hw::test_set{}
+                                    .with(hw::test_id::frequency)
+                                    .with(hw::test_id::block_frequency)
+                                    .with(hw::test_id::runs)
+                                    .with(hw::test_id::longest_run)
+                                    .with(hw::test_id::cumulative_sums));
+    const std::uint64_t windows = 12;
+    const core::severity_schedule schedule{
+        core::severity_schedule::shape::ramp, 1.0, 4, 6, 0};
+
+    core::monitor ref(cfg, 0.01);
+    trng::rtn_source ref_model(
+        std::make_unique<trng::ideal_source>(test::fixture_seed(25)),
+        test::fixture_seed(26));
+    std::vector<core::window_report> want;
+    for (std::uint64_t w = 0; w < windows; ++w) {
+        ref_model.set_severity(schedule.severity_at(w));
+        want.push_back(ref.test_window_words(ref_model));
+    }
+
+    core::monitor mon(cfg, 0.01);
+    trng::rtn_source model(
+        std::make_unique<trng::ideal_source>(test::fixture_seed(25)),
+        test::fixture_seed(26));
+    std::vector<core::window_report> got;
+    core::run_windows(mon, model, windows, core::ingest_lane::span,
+                      {[&](std::uint64_t w) {
+                           model.set_severity(schedule.severity_at(w));
+                       },
+                       nullptr, collect(got)});
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::uint64_t w = 0; w < windows; ++w) {
+        expect_same_report(want[w], got[w], "window " + std::to_string(w));
+    }
+}
+
+TEST(run_windows, tap_sees_exactly_the_raw_window_words)
+{
+    const hw::block_config cfg = core::paper_design(7, core::tier::light);
+    const std::size_t nwords = 2; // 128-bit windows
+    const std::uint64_t windows = 6;
+
+    core::monitor mon(cfg, 0.01);
+    trng::ideal_source src(test::fixture_seed(21));
+    std::vector<std::uint64_t> tapped;
+    std::vector<std::uint64_t> tap_indexes;
+    core::run_windows(mon, src, windows, core::ingest_lane::span,
+                      {nullptr,
+                       [&](std::uint64_t index, const std::uint64_t* words,
+                           std::size_t n) {
+                           EXPECT_EQ(n, nwords);
+                           tap_indexes.push_back(index);
+                           tapped.insert(tapped.end(), words, words + n);
+                       },
+                       nullptr});
+
+    trng::ideal_source replay(test::fixture_seed(21));
+    EXPECT_EQ(tapped, replay.generate_words(windows * nwords));
+    EXPECT_EQ(tap_indexes, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(run_windows, barrier_reconfigures_mid_run_without_dropping_words)
+{
+    // Two 128-bit windows at design A, then the barrier reprograms the
+    // live block to the 4x-longer design B and the loop re-frames: the
+    // next 16 words become two 512-bit windows.
+    const hw::block_config design_a =
+        core::paper_design(7, core::tier::light);
+    const hw::block_config design_b = core::custom_design(
+        9, hw::test_set{}
+               .with(hw::test_id::frequency)
+               .with(hw::test_id::runs)
+               .with(hw::test_id::cumulative_sums));
+
+    core::monitor mon(design_a, 0.01);
+    trng::ideal_source src(test::fixture_seed(22));
+    std::vector<core::window_report> got;
+    core::run_windows(mon, src, 4, core::ingest_lane::span,
+                      {[&](std::uint64_t next_window) {
+                           if (next_window == 2) {
+                               mon.reconfigure(design_b, 0.01);
+                           }
+                       },
+                       nullptr, collect(got)});
+    ASSERT_EQ(got.size(), 4u);
+
+    // Register-exactness of the split: fresh monitors fed the same word
+    // stream must reproduce every verdict, and the source stands exactly
+    // after word 20 -- no word was dropped or drawn twice.
+    trng::ideal_source replay(test::fixture_seed(22));
+    const std::vector<std::uint64_t> words = replay.generate_words(21);
+    EXPECT_EQ(src.generate_words(1).front(), words[20]);
+    core::monitor fresh_a(design_a, 0.01);
+    core::monitor fresh_b(design_b, 0.01);
+    const auto window_of = [&](core::monitor& m, std::size_t from,
+                               std::size_t count, std::uint64_t index) {
+        auto wr = m.test_packed(words.data() + from, count);
+        // The fresh monitors start counting at 0; align to the live
+        // monitor's continuous window count.
+        wr.window_index = index;
+        return wr;
+    };
+    expect_same_report(got[0], window_of(fresh_a, 0, 2, 0), "A window 0");
+    expect_same_report(got[1], window_of(fresh_a, 2, 2, 1), "A window 1");
+    expect_same_report(got[2], window_of(fresh_b, 4, 8, 2), "B window 2");
+    expect_same_report(got[3], window_of(fresh_b, 12, 8, 3), "B window 3");
+}
+
+TEST(run_windows, dry_source_throws_naming_the_source_and_window_count)
+{
+    const hw::block_config cfg = core::paper_design(7, core::tier::light);
+    trng::ideal_source gen(test::fixture_seed(28));
+    trng::replay_source src(gen.generate(cfg.n() + 64)); // 1.5 windows
+
+    core::monitor mon(cfg, 0.01);
+    try {
+        core::run_windows(mon, src, 3);
+        FAIL() << "expected the dry source to surface as an error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("\"replay\""), std::string::npos) << what;
+        EXPECT_NE(what.find("ran dry after 1 of 3 windows"),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(mon.windows_tested(), 1u);
+}
+
+TEST(run_windows, zero_windows_runs_nothing)
+{
+    const hw::block_config cfg = core::paper_design(7, core::tier::light);
+    core::monitor mon(cfg, 0.01);
+    trng::ideal_source src(test::fixture_seed(29));
+    unsigned calls = 0;
+    core::run_windows(
+        mon, src, 0, core::ingest_lane::span,
+        {[&](std::uint64_t) { ++calls; },
+         [&](std::uint64_t, const std::uint64_t*, std::size_t) { ++calls; },
+         [&](const core::window_report&) { ++calls; }});
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(mon.windows_tested(), 0u);
+    trng::ideal_source fresh(test::fixture_seed(29));
+    EXPECT_EQ(src.generate_words(1), fresh.generate_words(1))
+        << "no word may be drawn";
 }
 
 TEST(health_monitor, alarm_after_threshold_failures)

@@ -156,8 +156,7 @@ TEST(fleet, channel_reports_keep_channel_order)
 TEST(fleet, zero_windows_returns_an_empty_report)
 {
     // windows_per_channel == 0 must come back immediately with zeroed
-    // channels -- it must not be mistaken for the producer's open-ended
-    // mode (total_words == 0), which would never close the ring.
+    // channels -- it must not be mistaken for an open-ended run.
     const auto report =
         core::fleet_monitor(base_config(3, 2)).run(ideal_factory(), 0);
     EXPECT_EQ(report.windows, 0u);
@@ -171,9 +170,9 @@ TEST(fleet, zero_windows_returns_an_empty_report)
 
 TEST(fleet, sub_word_designs_fall_back_to_the_batch_loop)
 {
-    // n < 64 cannot ride the word-granular ring; the per-bit lane must
-    // keep working through the direct loop (and both lanes must agree
-    // with a plain monitor run).
+    // n < 64 cannot be packed into 64-bit words; the per-bit lane must
+    // keep working one bit per clock (and agree with a plain monitor
+    // run).
     hw::block_config tiny;
     tiny.name = "tiny n=32";
     tiny.log2_n = 5;
@@ -203,12 +202,13 @@ TEST(fleet, sub_word_designs_fall_back_to_the_batch_loop)
 
 TEST(fleet, first_alarm_window_is_stamped_alike_by_batch_and_stream)
 {
-    // The sub-word batch loop bypasses the window_pump, but both lanes
-    // take their window numbering from the monitor's own counter through
-    // the shared observe() path -- so a channel failing from the first
-    // window must stamp the same 0-based first_alarm_window whether it
-    // rode the n=32 batch loop or the n=4096 streamed pipeline.  Pin both
-    // against the policy replayed by hand.
+    // The sub-word per-bit branch of the window loop skips the packed
+    // words, but both branches take their window numbering from the
+    // monitor's own counter through the shared observe() path -- so a
+    // channel failing from the first window must stamp the same 0-based
+    // first_alarm_window whether it rode the n=32 per-bit branch or the
+    // n=4096 packed span lane.  Pin both against the policy replayed by
+    // hand.
     hw::block_config tiny;
     tiny.name = "tiny n=32";
     tiny.log2_n = 5;
@@ -253,14 +253,14 @@ TEST(fleet, first_alarm_window_is_stamped_alike_by_batch_and_stream)
     EXPECT_EQ(batch.channels[1].first_alarm_window, windows)
         << "never-alarmed sentinel on the batch lane";
 
-    auto streamed_cfg = base_config(2, 1);
-    streamed_cfg.fail_threshold = tiny_cfg.fail_threshold;
-    streamed_cfg.policy_window = tiny_cfg.policy_window;
-    const auto streamed =
-        core::fleet_monitor(streamed_cfg).run(factory, windows);
-    EXPECT_TRUE(streamed.channels[0].alarm);
-    EXPECT_EQ(streamed.channels[0].first_alarm_window, want)
-        << "the streamed lane numbers windows differently";
+    auto packed_cfg = base_config(2, 1);
+    packed_cfg.fail_threshold = tiny_cfg.fail_threshold;
+    packed_cfg.policy_window = tiny_cfg.policy_window;
+    const auto packed =
+        core::fleet_monitor(packed_cfg).run(factory, windows);
+    EXPECT_TRUE(packed.channels[0].alarm);
+    EXPECT_EQ(packed.channels[0].first_alarm_window, want)
+        << "the packed lane numbers windows differently";
 }
 
 TEST(fleet, configuration_is_validated)
@@ -276,58 +276,11 @@ TEST(fleet, configuration_is_validated)
     EXPECT_THROW(core::fleet_monitor{bad_policy}, std::invalid_argument);
 }
 
-TEST(fleet, channel_stream_telemetry_is_populated)
-{
-    // Under threaded execution each channel is one producer → ring →
-    // pump pipeline; its report must carry the ring telemetry (words
-    // through the ring, capacity) even though those fields are excluded
-    // from the determinism comparison.  (The fused default never builds
-    // a ring, so this pins the threaded lane explicitly.)
-    const std::uint64_t windows = 4;
-    auto cfg = base_config(3, 2);
-    cfg.execution = core::fleet_execution::threaded;
-    const auto report =
-        core::fleet_monitor(cfg).run(ideal_factory(), windows);
-    const std::uint64_t nwords = small_design().n() / 64;
-    for (const auto& ch : report.channels) {
-        EXPECT_EQ(ch.stream.words, windows * nwords)
-            << "channel " << ch.channel;
-        EXPECT_GE(ch.stream.ring_capacity, 2 * nwords)
-            << "channel " << ch.channel;
-        EXPECT_GE(ch.stream.max_occupancy, 1u) << "channel " << ch.channel;
-        EXPECT_LE(ch.stream.max_occupancy, ch.stream.ring_capacity)
-            << "channel " << ch.channel;
-    }
-}
-
-TEST(fleet, ring_depth_never_changes_the_report)
-{
-    const std::uint64_t windows = 5;
-    auto base_cfg = base_config(3, 2);
-    base_cfg.execution = core::fleet_execution::threaded;
-    const auto baseline =
-        core::fleet_monitor(base_cfg).run(ideal_factory(), windows);
-    for (const std::size_t ring_words : {64u, 1024u}) {
-        auto cfg = base_cfg;
-        cfg.ring_words = ring_words;
-        const auto report =
-            core::fleet_monitor(cfg).run(ideal_factory(), windows);
-        EXPECT_TRUE(baseline.same_counters(report))
-            << "ring_words " << ring_words;
-        ASSERT_EQ(baseline.channels.size(), report.channels.size());
-        for (std::size_t c = 0; c < baseline.channels.size(); ++c) {
-            EXPECT_EQ(baseline.channels[c], report.channels[c])
-                << "channel " << c << " at ring_words " << ring_words;
-        }
-    }
-}
-
 TEST(fleet, worker_exception_propagates_naming_the_channel)
 {
-    // A replay source that runs dry mid-run now starves the channel's
-    // word_producer thread; the failure must cross the producer join,
-    // the worker pool and the fleet barrier, still naming the offending
-    // channel and its source.
+    // A replay source that runs dry mid-run starves the channel's window
+    // loop; the failure must cross the worker pool and the fleet
+    // barrier, still naming the offending channel and its source.
     const auto factory =
         [](unsigned c) -> std::unique_ptr<trng::entropy_source> {
         if (c == 1) {
@@ -376,42 +329,6 @@ TEST(fleet, mid_run_exception_from_a_late_channel_drains_the_fleet)
     }
 }
 
-TEST(fleet, failed_channel_error_carries_its_ring_telemetry)
-{
-    // Regression: run_windows used to snapshot the ring only on the
-    // success path, so the backpressure stats that explain a stalled or
-    // dried-up pipeline were lost exactly when they mattered.  The error
-    // must now carry the stream telemetry of the failed channel.
-    const std::uint64_t n = small_design().n();
-    const auto factory =
-        [&](unsigned c) -> std::unique_ptr<trng::entropy_source> {
-        if (c == 0) {
-            trng::ideal_source gen(fixture_seed(5));
-            // Two full windows, then mid-window starvation.
-            return std::make_unique<trng::replay_source>(
-                gen.generate(2 * n + 64));
-        }
-        return std::make_unique<trng::ideal_source>(fixture_seed(c));
-    };
-    auto cfg = base_config(2, 1);
-    cfg.execution = core::fleet_execution::threaded;
-    core::fleet_monitor fleet(cfg);
-    try {
-        (void)fleet.run(factory, 4);
-        FAIL() << "expected the starvation to propagate";
-    } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("ran dry"), std::string::npos) << what;
-        EXPECT_NE(what.find("[stream:"), std::string::npos)
-            << "ring telemetry missing from the failure: " << what;
-        // The replay carried two whole windows plus a partial one; all of
-        // it went through the ring before the pipeline died.
-        EXPECT_NE(what.find("words=" + std::to_string(2 * n / 64 + 1)),
-                  std::string::npos)
-            << what;
-    }
-}
-
 TEST(fleet, null_source_factory_result_names_the_channel)
 {
     const auto factory =
@@ -432,49 +349,38 @@ TEST(fleet, null_source_factory_result_names_the_channel)
     }
 }
 
-// --------------------------------------- fused vs threaded execution --
+// ------------------------------------- fast lanes vs per-bit oracle --
 
-TEST(fleet, fused_and_threaded_executions_are_bit_identical)
+TEST(fleet, span_lane_matches_the_per_bit_oracle_at_every_thread_count)
 {
-    // The fused worker lanes (generate + test inline on one core, no
-    // ring, no producer thread) must be indistinguishable from the
-    // threaded producer/ring pipeline in every deterministic report
-    // field -- for every ingest lane, at every thread count, against
-    // the per-bit oracle.
+    // The span lane (generate + test inline on the worker) must be
+    // indistinguishable from the per-bit oracle in every deterministic
+    // report field, at every thread count.
     const std::uint64_t windows = 4;
     const auto oracle =
         core::fleet_monitor(base_config(4, 1, core::ingest_lane::per_bit))
             .run(ideal_factory(), windows);
     for (const unsigned threads : {1u, 2u, 4u}) {
-        for (const core::fleet_execution execution :
-             {core::fleet_execution::fused,
-              core::fleet_execution::threaded}) {
-            auto cfg = base_config(4, threads);
-            cfg.execution = execution;
-            const auto report =
-                core::fleet_monitor(cfg).run(ideal_factory(), windows);
-            const std::string ctx =
-                std::string(core::to_string(execution)) + " lane "
-                + cfg.lane_description() + " threads "
-                + std::to_string(threads);
-            EXPECT_TRUE(report.same_counters(oracle)) << ctx;
-            ASSERT_EQ(report.channels.size(), oracle.channels.size());
-            for (std::size_t c = 0; c < report.channels.size(); ++c) {
-                EXPECT_EQ(report.channels[c], oracle.channels[c])
-                    << ctx << " channel " << c;
-            }
+        auto cfg = base_config(4, threads);
+        const auto report =
+            core::fleet_monitor(cfg).run(ideal_factory(), windows);
+        const std::string ctx = "lane " + cfg.lane_description()
+            + " threads " + std::to_string(threads);
+        EXPECT_TRUE(report.same_counters(oracle)) << ctx;
+        ASSERT_EQ(report.channels.size(), oracle.channels.size());
+        for (std::size_t c = 0; c < report.channels.size(); ++c) {
+            EXPECT_EQ(report.channels[c], oracle.channels[c])
+                << ctx << " channel " << c;
         }
     }
 }
 
-TEST(fleet, fused_tile_lane_matches_threaded_and_the_per_bit_oracle)
+TEST(fleet, fused_tile_lane_matches_the_per_bit_oracle)
 {
     // 66 channels: one full 64-wide group riding the 64x64 tile
     // pipeline (fill_tile -> one transpose per tile -> feed_tile) plus
-    // two span leftovers.  The same config under threaded execution
-    // degrades to span-over-rings; the per-bit lane is the oracle.  All
-    // three must produce byte-identical channel reports at every thread
-    // count.
+    // two span leftovers; the per-bit lane is the oracle.  Both must
+    // produce byte-identical channel reports at every thread count.
     const unsigned channels = 66;
     const std::uint64_t windows = 4;
     const auto design = core::custom_design(
@@ -505,53 +411,37 @@ TEST(fleet, fused_tile_lane_matches_threaded_and_the_per_bit_oracle)
         auto fused = make_cfg(core::ingest_lane::sliced, threads);
         ASSERT_TRUE(fused.uses_sliced_lane());
         EXPECT_EQ(fused.lane_description(), "sliced+span");
-        auto threaded = fused;
-        threaded.execution = core::fleet_execution::threaded;
-        EXPECT_FALSE(threaded.uses_sliced_lane())
-            << "the tile lane is part of the fused execution model";
-        for (const core::fleet_config& cfg : {fused, threaded}) {
-            const auto report =
-                core::fleet_monitor(cfg).run(ideal_factory(), windows);
-            const std::string ctx = report.execution + "/" + report.lane
-                + " threads " + std::to_string(threads);
-            EXPECT_EQ(report.windows, oracle.windows) << ctx;
-            EXPECT_EQ(report.failures, oracle.failures) << ctx;
-            EXPECT_EQ(report.bits, oracle.bits) << ctx;
-            EXPECT_EQ(report.channels_in_alarm, oracle.channels_in_alarm)
-                << ctx;
-            EXPECT_EQ(report.failures_by_test, oracle.failures_by_test)
-                << ctx;
-            ASSERT_EQ(report.channels.size(), oracle.channels.size());
-            for (std::size_t c = 0; c < report.channels.size(); ++c) {
-                EXPECT_EQ(strip_cycles(report.channels[c]),
-                          strip_cycles(oracle.channels[c]))
-                    << ctx << " channel " << c;
-            }
+        const auto report =
+            core::fleet_monitor(fused).run(ideal_factory(), windows);
+        const std::string ctx =
+            report.lane + " threads " + std::to_string(threads);
+        EXPECT_EQ(report.windows, oracle.windows) << ctx;
+        EXPECT_EQ(report.failures, oracle.failures) << ctx;
+        EXPECT_EQ(report.bits, oracle.bits) << ctx;
+        EXPECT_EQ(report.channels_in_alarm, oracle.channels_in_alarm)
+            << ctx;
+        EXPECT_EQ(report.failures_by_test, oracle.failures_by_test)
+            << ctx;
+        ASSERT_EQ(report.channels.size(), oracle.channels.size());
+        for (std::size_t c = 0; c < report.channels.size(); ++c) {
+            EXPECT_EQ(strip_cycles(report.channels[c]),
+                      strip_cycles(oracle.channels[c]))
+                << ctx << " channel " << c;
         }
     }
 }
 
-TEST(fleet, execution_and_lane_metadata_are_reported)
+TEST(fleet, lane_metadata_is_reported)
 {
-    // The report must say which execution model and ingest lane
-    // actually ran, and how many threads of each kind were spawned --
-    // in particular the sliced->span fallback that used to be silent.
+    // The report must say which ingest lane actually ran and how many
+    // worker threads were spawned -- in particular the sliced->span
+    // fallback that used to be silent.
     const std::uint64_t windows = 2;
     auto cfg = base_config(3, 2);
     const auto fused =
         core::fleet_monitor(cfg).run(ideal_factory(), windows);
-    EXPECT_EQ(fused.execution, "fused");
     EXPECT_EQ(fused.lane, "span");
     EXPECT_EQ(fused.worker_threads, 2u);
-    EXPECT_EQ(fused.producer_threads, 0u)
-        << "the fused execution must not spawn producer threads";
-
-    cfg.execution = core::fleet_execution::threaded;
-    const auto threaded =
-        core::fleet_monitor(cfg).run(ideal_factory(), windows);
-    EXPECT_EQ(threaded.execution, "threaded");
-    EXPECT_EQ(threaded.producer_threads, 3u)
-        << "one producer per streamed channel";
 
     const auto fallback = base_config(3, 1, core::ingest_lane::sliced);
     const auto degraded =
@@ -701,25 +591,25 @@ TEST(fleet_supervision, mixed_outcomes_aggregate_channel_by_channel)
         << "the offline bar must not change the online trigger";
 }
 
-TEST(fleet_supervision, fused_and_threaded_executions_agree)
+TEST(fleet_supervision, span_and_per_bit_lanes_agree)
 {
     // Supervision re-programs a channel mid-run (baseline -> escalated
-    // design); the fused path emulates the window_pump's barrier/tap
-    // contract, so the reframe must land on exactly the same window in
-    // both execution models.
+    // design) at the window loop's barrier, so the reframe must land on
+    // exactly the same window on the span lane and on the per-bit
+    // oracle, channel for channel.
     auto cfg = supervised_config(3, 2);
-    const auto fused =
+    const auto span =
         core::fleet_monitor(cfg).run(one_bad_channel(2), 24);
-    cfg.execution = core::fleet_execution::threaded;
-    const auto threaded =
+    cfg.lane = core::ingest_lane::per_bit;
+    const auto per_bit =
         core::fleet_monitor(cfg).run(one_bad_channel(2), 24);
-    EXPECT_TRUE(fused.same_counters(threaded));
-    ASSERT_EQ(fused.channels.size(), threaded.channels.size());
-    for (std::size_t c = 0; c < fused.channels.size(); ++c) {
-        EXPECT_EQ(fused.channels[c], threaded.channels[c])
+    EXPECT_TRUE(span.same_counters(per_bit));
+    ASSERT_EQ(span.channels.size(), per_bit.channels.size());
+    for (std::size_t c = 0; c < span.channels.size(); ++c) {
+        EXPECT_EQ(span.channels[c], per_bit.channels[c])
             << "channel " << c;
     }
-    EXPECT_GT(fused.escalations, 0u)
+    EXPECT_GT(span.escalations, 0u)
         << "the differential run must actually cross an escalation";
 }
 

@@ -87,10 +87,10 @@ TEST(population, report_is_independent_of_shard_and_thread_layout)
     }
 }
 
-TEST(population, execution_batch_and_flush_epoch_never_change_the_report)
+TEST(population, lane_batch_and_flush_epoch_never_change_the_report)
 {
-    // The work-stealing scheduler's knobs -- execution model, steal
-    // batch granularity, telemetry flush epoch -- move work between
+    // The per-bit oracle lane and the work-stealing scheduler's knobs --
+    // steal batch granularity, telemetry flush epoch -- move work between
     // threads and batch queue traffic; none of them may reach the
     // report, down to the per-device records.
     const core::population_report baseline =
@@ -100,7 +100,7 @@ TEST(population, execution_batch_and_flush_epoch_never_change_the_report)
     std::vector<core::population_config> variants;
     {
         core::population_config cfg = small_config();
-        cfg.execution = core::fleet_execution::threaded;
+        cfg.lane = core::ingest_lane::per_bit;
         variants.push_back(cfg);
     }
     for (const std::uint32_t batch : {1u, 7u, 64u}) {
@@ -116,7 +116,7 @@ TEST(population, execution_batch_and_flush_epoch_never_change_the_report)
     for (const core::population_config& cfg : variants) {
         const core::population_report report =
             core::population_monitor(cfg).run();
-        const std::string ctx = report.execution + " batch "
+        const std::string ctx = report.lane + " batch "
             + std::to_string(report.steal_batch_devices) + " epoch "
             + std::to_string(cfg.telemetry_flush_records);
         EXPECT_TRUE(baseline.same_counters(report)) << ctx;
@@ -128,13 +128,13 @@ TEST(population, execution_batch_and_flush_epoch_never_change_the_report)
     }
 }
 
-TEST(population, sliced_lane_agrees_across_executions_and_layouts)
+TEST(population, sliced_lane_agrees_across_lanes_and_layouts)
 {
     // A sliced-eligible population (>= 64 devices per shard) rides the
-    // fused 64x64 tile lane; smaller shards and the threaded execution
-    // degrade to the span lane.  All of it must land on the same
-    // numbers.
-    const auto run_with = [](unsigned shards, core::fleet_execution exe) {
+    // fused 64x64 tile lane; smaller shards degrade to the span lane,
+    // and the per-bit lane is the oracle.  All of it must land on the
+    // same numbers.
+    const auto run_with = [](unsigned shards, core::ingest_lane lane) {
         core::population_config cfg = small_config();
         // Only the cheap always-on pair rides the sliced verdict path.
         cfg.block = core::custom_design(7, hw::test_set{}
@@ -142,35 +142,30 @@ TEST(population, sliced_lane_agrees_across_executions_and_layouts)
                                                .with(hw::test_id::runs));
         cfg.devices = 128;
         cfg.shards = shards;
-        cfg.lane = core::ingest_lane::sliced;
-        cfg.execution = exe;
+        cfg.lane = lane;
         return core::population_monitor(cfg).run();
     };
     const core::population_report baseline =
-        run_with(1, core::fleet_execution::fused);
+        run_with(1, core::ingest_lane::sliced);
     EXPECT_EQ(baseline.lane, "sliced")
         << "128 devices in one shard must fill two whole tile groups";
     const struct {
         unsigned shards;
-        core::fleet_execution exe;
-    } layouts[] = {{2, core::fleet_execution::fused},
-                   {4, core::fleet_execution::fused},
-                   {1, core::fleet_execution::threaded},
-                   {3, core::fleet_execution::fused}};
+        core::ingest_lane lane;
+    } layouts[] = {{2, core::ingest_lane::sliced},
+                   {4, core::ingest_lane::sliced},
+                   {1, core::ingest_lane::per_bit},
+                   {3, core::ingest_lane::sliced}};
     for (const auto& l : layouts) {
-        const core::population_report report = run_with(l.shards, l.exe);
+        const core::population_report report = run_with(l.shards, l.lane);
         EXPECT_TRUE(baseline.same_counters(report))
-            << l.shards << " shards, " << report.execution << "/"
-            << report.lane;
+            << l.shards << " shards, " << report.lane;
         for (std::uint32_t d = 0; d < baseline.devices; ++d) {
             ASSERT_EQ(baseline.device_records[d], report.device_records[d])
                 << "device " << d << " at " << l.shards << " shards "
-                << report.execution;
+                << report.lane;
         }
     }
-    EXPECT_EQ(run_with(1, core::fleet_execution::threaded).lane,
-              "span (sliced fallback)")
-        << "the threaded execution cannot claim the tile lane";
 }
 
 TEST(population, scheduler_telemetry_is_reported)

@@ -59,8 +59,6 @@ core::supervision_report run_scenario(const core::scenario& sc,
                                       const core::critical_values& cv_esc,
                                       core::telemetry_log* log)
 {
-    const std::size_t nwords =
-        static_cast<std::size_t>(cfg.baseline.n() / 64);
     std::unique_ptr<trng::entropy_source> source =
         std::make_unique<trng::ideal_source>(otf::test::kCanonicalSeed);
 
@@ -68,19 +66,17 @@ core::supervision_report run_scenario(const core::scenario& sc,
     if (log != nullptr) {
         sup.attach_telemetry(log);
     }
-    core::producer_options opts;
     if (sc.make_model) {
         auto stacked =
             sc.make_model(std::move(source), otf::test::fixture_seed(11));
         trng::source_model* model = stacked.get();
-        opts.hook_stride_words = nwords;
         const core::severity_schedule schedule = sc.schedule;
-        opts.word_hook = [model, schedule, nwords](std::uint64_t word) {
-            model->set_severity(schedule.severity_at(word / nwords));
-        };
-        return sup.run(*stacked, kWindows, std::move(opts));
+        return sup.run(*stacked, kWindows,
+                       [model, schedule](std::uint64_t window) {
+                           model->set_severity(schedule.severity_at(window));
+                       });
     }
-    return sup.run(*source, kWindows, std::move(opts));
+    return sup.run(*source, kWindows);
 }
 
 std::string temp_log(const std::string& tag)

@@ -7,12 +7,14 @@
 #include "core/design_config.hpp"
 #include "core/scenario.hpp"
 #include "trng/source_model.hpp"
+#include "trng/sources.hpp"
 
 #include "support/fixed_seed.hpp"
 
 #include <gtest/gtest.h>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 namespace {
 
@@ -180,6 +182,32 @@ TEST(scenario_runner, null_model_factory_reports_scenario_name)
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("broken"), std::string::npos);
+    }
+}
+
+TEST(scenario_runner, trial_errors_name_the_scenario_and_trial)
+{
+    // A source failure inside a trial must say which scenario and trial
+    // failed, not surface as a bare source error.
+    const core::scenario_runner runner(small_design(), smoke_config());
+    core::scenario sc;
+    sc.name = "short-trace";
+    sc.make_model = [](std::unique_ptr<trng::entropy_source>,
+                       std::uint64_t seed) {
+        // Two windows of recorded trace for a 24-window trial.
+        trng::ideal_source gen(seed);
+        return std::make_unique<trng::rtn_source>(
+            std::make_unique<trng::replay_source>(
+                gen.generate(2 * small_design().n())),
+            seed);
+    };
+    try {
+        (void)runner.run(sc);
+        FAIL() << "expected the short trace to fail the trial";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("scenario \"short-trace\" trial 0: ", 0), 0u)
+            << what;
     }
 }
 

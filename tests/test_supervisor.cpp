@@ -3,13 +3,12 @@
 // bounding, mixed-length window accounting, determinism and the JSON
 // event log.
 #include "base/json.hpp"
-#include "base/ring_buffer.hpp"
 #include "core/design_config.hpp"
-#include "core/stream.hpp"
 #include "core/supervisor.hpp"
 #include "trng/entropy_source.hpp"
 #include "trng/sources.hpp"
 
+#include <chrono>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
@@ -213,7 +212,7 @@ TEST(supervisor, evidence_ring_is_bounded)
 TEST(supervisor, escalation_to_longer_windows_reframes_the_stream)
 {
     // The heavy design has 4x the baseline window: after escalation the
-    // pump must assemble 512-bit windows from the same word stream
+    // window loop must frame 512-bit windows from the same word stream
     // without losing a word.
     core::supervisor_config cfg = small_config();
     cfg.escalated = core::custom_design(
@@ -304,22 +303,16 @@ TEST(supervisor, event_log_serializes_as_json)
 // Checkpoint / restore: register-exact continuation.
 // ---------------------------------------------------------------------
 
-/// Drive `sup` for exactly `windows` windows from `source` through the
-/// external pipeline, producing exactly the words those windows need --
-/// so the source's position afterwards is the precise window boundary
-/// and a later segment continues the very same stream.
+/// Drive `sup` for exactly `windows` windows from `source` through an
+/// external window loop wired to its hooks.  The loop draws exactly the
+/// words those windows need, so the source's position afterwards is the
+/// precise window boundary and a later segment continues the very same
+/// stream.
 void drive(core::supervisor& sup, trng::entropy_source& source,
            std::uint64_t windows)
 {
-    const std::size_t nwords = sup.inner().config().n() / 64;
-    base::ring_buffer ring(core::default_ring_words(nwords));
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    core::word_producer producer(source, ring, opts);
-    core::window_pump pump(ring, sup.inner());
-    pump.set_tap(sup.tap());
-    pump.set_barrier(sup.barrier());
-    core::run_pipeline(producer, pump, sup.sink(), windows);
+    core::run_windows(sup.inner(), source, windows, sup.config().lane,
+                      {sup.barrier(), sup.tap(), sup.sink()});
 }
 
 /// Everything a continuation must reproduce -- counters, verdict state
@@ -484,8 +477,9 @@ TEST(supervisor, dwell_counter_rides_every_event)
 
 TEST(supervisor, external_pipeline_adapters_match_run)
 {
-    // Driving the hooks from an external pump (the fleet's channel loop
-    // shape) must produce the same verdict/event stream as run().
+    // Driving the hooks from an external window loop (the fleet's
+    // channel loop shape) must produce the same verdict/event stream as
+    // run().
     core::supervisor_config cfg = small_config();
     core::supervisor inline_sup(cfg);
     burst_source a(31, 2 * 128, 8 * 128);
@@ -493,19 +487,31 @@ TEST(supervisor, external_pipeline_adapters_match_run)
 
     core::supervisor external(cfg);
     burst_source b(31, 2 * 128, 8 * 128);
-    base::ring_buffer ring(core::default_ring_words(8));
-    core::producer_options opts; // open-ended
-    core::word_producer producer(b, ring, opts);
-    core::window_pump pump(ring, external.inner());
-    pump.set_tap(external.tap());
-    pump.set_barrier(external.barrier());
-    core::run_pipeline(producer, pump, external.sink(), 20);
+    core::run_windows(external.inner(), b, 20, cfg.lane,
+                      {external.barrier(), external.tap(), external.sink()});
     const auto via_hooks = external.report();
 
     EXPECT_EQ(via_hooks.windows, via_run.windows);
     EXPECT_EQ(via_hooks.failures, via_run.failures);
     EXPECT_EQ(via_hooks.escalations, via_run.escalations);
     EXPECT_EQ(via_hooks.events.size(), via_run.events.size());
+}
+
+TEST(supervisor, run_of_zero_windows_returns_at_once)
+{
+    // Regression: a zero window count used to mean "until the stream
+    // ends", so an endless source never returned.  It now tests nothing.
+    // small_config steps from the n = 128 light design up to medium.
+    core::supervisor sup(small_config());
+    trng::ideal_source endless(3);
+    const auto start = std::chrono::steady_clock::now();
+    const auto rep = sup.run(endless, 0);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    EXPECT_EQ(rep.windows, 0u);
+    EXPECT_EQ(rep.bits, 0u);
+    EXPECT_TRUE(rep.events.empty());
+    EXPECT_EQ(sup.inner().windows_tested(), 0u);
 }
 
 } // namespace
