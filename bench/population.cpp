@@ -1,5 +1,5 @@
 // Population bench: a heterogeneous device fleet under the paper's alpha
-// calibration, sharded with streaming telemetry aggregation.
+// calibration, sharded over the shared unit pool.
 //
 //   $ ./bench_population            # full run (10k devices)
 //   $ OTF_SMOKE=1 ./bench_population  # ctest smoke entry (1k devices)
@@ -14,7 +14,7 @@
 // reports (per-device records included) across {1, 2, auto} worker
 // threads and {2, 4} shard layouts; any mismatch fails the run.
 //
-// Results go to BENCH_population.json (schema "otf-population/4", see
+// Results go to BENCH_population.json (schema "otf-population/5", see
 // docs/BENCHMARKS.md; OTF_BENCH_DIR / --bench-dir= override the output
 // directory).
 #include "base/env.hpp"
@@ -75,10 +75,9 @@ int main(int argc, char** argv)
         const bool same = r.same_counters(reports.front());
         deterministic = deterministic && same;
         std::printf("layout %u shards x %u threads: %.2fs, "
-                    "%.2f Mbit/s, %llu steals, counters %s\n",
-                    l.shards, l.threads_per_shard, r.seconds, r.bits_per_second() / 1e6,
-                    static_cast<unsigned long long>(r.steals),
-                    same ? "match" : "MISMATCH");
+                    "%.2f Mbit/s, counters %s\n",
+                    l.shards, l.threads_per_shard, r.seconds,
+                    r.bits_per_second() / 1e6, same ? "match" : "MISMATCH");
     }
     const core::population_report& report = reports.front();
 
@@ -92,12 +91,19 @@ int main(int argc, char** argv)
                      "percentiles are empty\n");
         ok = false;
     }
-    if (report.queue_pushed != report.devices) {
+    std::uint64_t kind_devices = 0;
+    for (const core::kind_summary& ks : report.by_kind) {
+        kind_devices += ks.devices;
+    }
+    if (kind_devices != report.devices
+        || report.windows != report.devices * cfg.windows_per_device) {
         std::fprintf(stderr,
-                     "FAIL: %llu records through the queue for %u "
-                     "devices\n",
-                     static_cast<unsigned long long>(report.queue_pushed),
-                     report.devices);
+                     "FAIL: %llu devices and %llu windows aggregated for "
+                     "%u devices x %llu windows\n",
+                     static_cast<unsigned long long>(kind_devices),
+                     static_cast<unsigned long long>(report.windows),
+                     report.devices,
+                     static_cast<unsigned long long>(cfg.windows_per_device));
         ok = false;
     }
     if (!deterministic) {
@@ -107,7 +113,7 @@ int main(int argc, char** argv)
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-population/4");
+    json.value("schema", "otf-population/5");
     json.value("smoke", smoke_mode());
     write_what_ran(json);
     json.value("design", cfg.block.name);
@@ -123,9 +129,6 @@ int main(int argc, char** argv)
     json.value("model", report.execution);
     json.value("lane", report.lane);
     json.value("worker_threads", report.worker_threads);
-    json.value("steal_batch_devices", report.steal_batch_devices);
-    json.value("steals", report.steals);
-    json.value("telemetry_flushes", report.telemetry_flushes);
     json.end_object();
     json.value("windows", report.windows);
     json.value("failures", report.failures);
@@ -176,14 +179,6 @@ int main(int argc, char** argv)
         json.end_object();
     }
     json.end_array();
-    json.begin_object("queue");
-    json.value("pushed", report.queue_pushed);
-    json.value("capacity", static_cast<std::uint64_t>(report.queue_capacity));
-    json.value("max_occupancy",
-               static_cast<std::uint64_t>(report.queue_max_occupancy));
-    json.value("push_stalls", report.queue_push_stalls);
-    json.value("pop_stalls", report.queue_pop_stalls);
-    json.end_object();
     json.value("seconds", report.seconds);
     json.value("mbps", report.bits_per_second() / 1e6);
     json.end_object();

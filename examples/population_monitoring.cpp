@@ -6,9 +6,9 @@
 // The production shape of the paper's platform: hundreds of devices, each
 // with its own bias point, some fraction under attack with per-device
 // model, severity and onset drawn from one master seed
-// (trng::sample_device), monitored by independent per-shard fleets whose
-// telemetry streams into a single aggregator through a lock-free event
-// queue (core::population_monitor).  The report answers the fleet
+// (trng::sample_device), monitored shard by shard on one worker pool
+// whose per-worker tallies merge into one report
+// (core::population_monitor).  The report answers the fleet
 // operator's questions: which device kinds alarmed, how fast attacks were
 // caught (latency percentiles), and how many false escalations a
 // device-day of healthy traffic is expected to cost.
@@ -44,10 +44,14 @@ int main()
     std::printf("%s", core::format_population(report).c_str());
 
     // The run succeeds when the monitoring caught attacks: some attacked
-    // device must have been detected at or after its onset, and the
-    // telemetry path must have carried every device's record.
-    const bool ok = report.detected > 0
-        && report.queue_pushed == report.devices
+    // device must have been detected at or after its onset, and every
+    // device's windows must have reached the aggregate.
+    std::uint64_t kind_devices = 0;
+    for (const core::kind_summary& ks : report.by_kind) {
+        kind_devices += ks.devices;
+    }
+    const bool ok = report.detected > 0 && kind_devices == report.devices
+        && report.windows == report.devices * cfg.windows_per_device
         && report.devices_attacked + report.devices_healthy
         == report.devices;
     std::printf("\n%s\n", ok ? "population monitoring: attacks detected"

@@ -34,8 +34,9 @@ echo "== escalation supervisor smoke (OTF_SMOKE=1) =="
 OTF_SMOKE=1 "$BUILD_DIR"/bench/bench_escalation --bench-dir="$BUILD_DIR"
 
 echo "== population fleet smoke (OTF_SMOKE=1) =="
-# Sharded fleet-of-fleets: exit status enforces detections, full queue
-# delivery, and same_counters determinism across shard/thread layouts.
+# Sharded fleet-of-fleets: exit status enforces detections, every device
+# and window aggregated, and same_counters determinism across shard/thread
+# layouts.
 OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_population
 
 echo "== replay / durable telemetry smoke (OTF_SMOKE=1) =="
@@ -94,28 +95,31 @@ print("ok: otf-fleet-bench/5 (fused tile %.2fx span)"
       % one["fused_tile_over_span"])
 EOF
 
-    echo "== validating otf-population/4 schema =="
-    # The population bench must report the /4 schema: the execution
-    # block with the work-stealing scheduler's telemetry, the layout
-    # sweep deterministic, the span lane by default, and no stall fields
-    # or dead per-shard wall clock.
+    echo "== validating otf-population/5 schema =="
+    # The population bench must report the /5 schema: the execution
+    # block (model, lane, pool size), the layout sweep deterministic,
+    # the span lane by default, and none of the deleted scheduler keys
+    # (steal batch, steals, telemetry flushes, the queue block) nor the
+    # stall fields or dead per-shard wall clock.
     python3 - "$BUILD_DIR"/BENCH_population.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-population/4", doc["schema"]
+assert doc["schema"] == "otf-population/5", doc["schema"]
 assert doc["deterministic_across_layouts"] is True
 assert doc["execution"]["lane"] == "span", doc["execution"]
+assert "queue" not in doc, "the aggregation queue is gone"
 for s in doc["shards"]:
     assert "seconds" not in s, s
     assert "producer_stalls" not in s and "consumer_stalls" not in s, s
 exe = doc["execution"]
 assert exe["model"] == "fused", exe
 assert exe["worker_threads"] > 0, exe
-assert exe["steal_batch_devices"] > 0, exe
-assert exe["telemetry_flushes"] > 0, exe
-print("ok: otf-population/4 (%d workers, %d steals, %d flushes)"
-      % (exe["worker_threads"], exe["steals"], exe["telemetry_flushes"]))
+for key in ("steal_batch_devices", "steals", "telemetry_flushes"):
+    assert key not in exe, (key, exe)
+assert sum(k["devices"] for k in doc["by_kind"]) == doc["devices"], doc
+assert doc["windows"] == doc["devices"] * doc["windows_per_device"], doc
+print("ok: otf-population/5 (%d workers)" % exe["worker_threads"])
 EOF
 
     echo "== validating otf-stream-bench/5 schema =="

@@ -1,23 +1,20 @@
 // Lock-free bounded multi-producer queue of trivially-copyable events.
 //
-// The queue carries finished *telemetry records* from many shard workers
-// to the single population aggregator (core/population.hpp) -- the
-// many-devices-into-one-supervisor fan-in of the fleet-of-fleets, so the
-// aggregate view builds up while shards are still running instead of
-// join-then-merge at the end.
+// The queue carries serialized telemetry records from the supervision
+// hot path to the single WAL writer thread (core/telemetry_log.hpp), so
+// logging never blocks a producer on I/O.
 //
 // The algorithm is the classic bounded MPMC queue (Vyukov): every cell
 // carries a sequence number that encodes which lap of the ring may write
 // or read it, so producers claim slots with one fetch-free CAS on the
 // enqueue cursor and never touch a lock.  The implementation is fully
-// MPMC-capable; the population layer uses it MPSC (one aggregator).
+// MPMC-capable; the telemetry log uses it MPSC (one writer).
 //
 // Protocol:
 //   * any number of threads may call try_push();
 //   * any number of threads may call try_pop() (one, in practice);
-//   * the *owner* calls close() after every producer has quiesced (for
-//     the population run: after joining the shard threads); consumers
-//     drain until drained() -- closed and empty.
+//   * the *owner* calls close() after every producer has quiesced;
+//     consumers drain until drained() -- closed and empty.
 //
 // Capacity is rounded up to a power of two, with a floor of two cells:
 // the lap protocol needs the "data pending at pos" stamp (pos + 1) and
@@ -169,7 +166,7 @@ public:
     }
     /// Approximate high-water occupancy (events).  Sampled with relaxed
     /// cursor reads, so it may over- or under-shoot by in-flight events;
-    /// good enough to answer "did the aggregator keep up".
+    /// good enough to answer "did the consumer keep up".
     std::size_t max_occupancy() const
     {
         return max_occupancy_.load(std::memory_order_relaxed);

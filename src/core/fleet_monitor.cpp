@@ -2,6 +2,7 @@
 
 #include "hw/sliced_block.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -277,9 +278,74 @@ void run_fleet_sliced_group(const fleet_config& cfg,
     }
 }
 
+unit_pool::unit_pool(unsigned workers)
+    : requested_(workers != 0 ? workers
+                              : std::thread::hardware_concurrency())
+{
+}
+
+void unit_pool::add(unsigned shard, unsigned first, unsigned count,
+                    bool sliced)
+{
+    constexpr unsigned lanes = hw::sliced_block::lanes;
+    const unsigned end = first + count;
+    unsigned c = first;
+    if (sliced) {
+        for (; c + lanes <= end; c += lanes) {
+            units_.push_back(pool_unit{shard, c, lanes});
+        }
+    }
+    for (; c < end; ++c) {
+        units_.push_back(pool_unit{shard, c, 1});
+    }
+}
+
+unsigned unit_pool::workers() const
+{
+    const auto cap = static_cast<unsigned>(units_.size());
+    return std::max(1u, std::min(requested_, cap));
+}
+
+void unit_pool::run(const unit_body& body) const
+{
+    const auto unit_count = units_.size();
+    std::atomic<std::size_t> next{0};
+    std::exception_ptr failure;
+    std::mutex failure_mutex;
+    const auto worker = [&](unsigned w) {
+        try {
+            for (std::size_t u = next.fetch_add(1); u < unit_count;
+                 u = next.fetch_add(1)) {
+                body(w, units_[u]);
+            }
+        } catch (...) {
+            const std::lock_guard<std::mutex> lock(failure_mutex);
+            if (!failure) {
+                failure = std::current_exception();
+            }
+            next.store(unit_count); // drain the cursor, stop the pool
+        }
+    };
+    const unsigned threads = workers();
+    if (threads == 1) {
+        worker(0);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (unsigned w = 0; w < threads; ++w) {
+            pool.emplace_back(worker, w);
+        }
+        for (std::thread& t : pool) {
+            t.join();
+        }
+    }
+    if (failure) {
+        std::rethrow_exception(failure);
+    }
+}
+
 fleet_report fleet_monitor::run(const source_factory& make_source,
-                                std::uint64_t windows_per_channel,
-                                const channel_hook& on_channel)
+                                std::uint64_t windows_per_channel)
 {
     const auto start = std::chrono::steady_clock::now();
 
@@ -298,114 +364,44 @@ fleet_report fleet_monitor::run(const source_factory& make_source,
     }
     std::vector<channel_report> reports(cfg_.channels);
 
-    // Work units: on the sliced lane, whole groups of 64 channels
-    // advance together through one hw::sliced_block and form one unit;
-    // leftover and ineligible channels stay one-channel units on their
-    // scalar lanes.  Units are independent, so any assignment of units
-    // to workers yields the same per-channel reports -- determinism by
-    // construction, exactly as with per-channel stealing.
-    struct work_unit {
-        unsigned first = 0;
-        unsigned count = 1; // 64 = sliced group, 1 = scalar channel
-    };
-    std::vector<work_unit> units;
-    unsigned first_single = 0;
-    if (cfg_.uses_sliced_lane()) {
-        constexpr unsigned lanes = hw::sliced_block::lanes;
-        for (unsigned g = 0; g + lanes <= cfg_.channels; g += lanes) {
-            units.push_back(work_unit{g, lanes});
-            first_single = g + lanes;
+    // On the sliced lane, whole groups of 64 channels advance together
+    // through one hw::sliced_block and form one unit; leftover and
+    // ineligible channels stay one-channel units on their scalar lanes.
+    unit_pool pool(cfg_.threads);
+    pool.add(0, 0, cfg_.channels, cfg_.uses_sliced_lane());
+    pool.run([&](unsigned, const pool_unit& unit) {
+        if (unit.count == 1) {
+            const unsigned c = unit.first;
+            try {
+                reports[c] = run_fleet_channel(cfg_, cv_, cv_escalated_,
+                                               *sources[c], c,
+                                               windows_per_channel);
+            } catch (const std::exception& e) {
+                // Name the offending channel: "a source threw" is
+                // undebuggable in an N-channel fleet without it.
+                throw std::runtime_error(
+                    "fleet_monitor: channel " + std::to_string(c)
+                    + " (source \"" + sources[c]->name() + "\"): "
+                    + e.what());
+            }
+            return;
         }
-    }
-    for (unsigned c = first_single; c < cfg_.channels; ++c) {
-        units.push_back(work_unit{c, 1});
-    }
-    const auto unit_count = static_cast<unsigned>(units.size());
-
-    unsigned workers = cfg_.threads != 0
-        ? cfg_.threads
-        : std::thread::hardware_concurrency();
-    if (workers == 0) {
-        workers = 1;
-    }
-    if (workers > unit_count) {
-        workers = unit_count;
-    }
-
-    std::atomic<unsigned> next{0};
-    std::exception_ptr failure;
-    std::mutex failure_mutex;
-    const auto worker = [&] {
+        trng::entropy_source* group[hw::sliced_block::lanes];
+        for (unsigned i = 0; i < unit.count; ++i) {
+            group[i] = sources[unit.first + i].get();
+        }
         try {
-            for (unsigned u = next.fetch_add(1); u < unit_count;
-                 u = next.fetch_add(1)) {
-                const work_unit& unit = units[u];
-                if (unit.count == 1) {
-                    const unsigned c = unit.first;
-                    try {
-                        reports[c] = run_fleet_channel(
-                            cfg_, cv_, cv_escalated_, *sources[c], c,
-                            windows_per_channel);
-                    } catch (const std::exception& e) {
-                        // Name the offending channel: "a source threw"
-                        // is undebuggable in an N-channel fleet without
-                        // it.
-                        throw std::runtime_error(
-                            "fleet_monitor: channel " + std::to_string(c)
-                            + " (source \"" + sources[c]->name()
-                            + "\"): " + e.what());
-                    }
-                    if (on_channel) {
-                        on_channel(reports[c]);
-                    }
-                } else {
-                    trng::entropy_source* group[hw::sliced_block::lanes];
-                    for (unsigned i = 0; i < unit.count; ++i) {
-                        group[i] = sources[unit.first + i].get();
-                    }
-                    try {
-                        run_fleet_sliced_group(cfg_, cv_, group,
-                                               unit.first,
-                                               windows_per_channel,
-                                               reports.data()
-                                                   + unit.first);
-                    } catch (const std::exception& e) {
-                        throw std::runtime_error(
-                            "fleet_monitor: sliced group (channels "
-                            + std::to_string(unit.first) + ".."
-                            + std::to_string(unit.first + unit.count - 1)
-                            + "): " + e.what());
-                    }
-                    if (on_channel) {
-                        for (unsigned i = 0; i < unit.count; ++i) {
-                            on_channel(reports[unit.first + i]);
-                        }
-                    }
-                }
-            }
-        } catch (...) {
-            const std::lock_guard<std::mutex> lock(failure_mutex);
-            if (!failure) {
-                failure = std::current_exception();
-            }
-            next.store(unit_count); // drain the queue, stop the fleet
+            run_fleet_sliced_group(cfg_, cv_, group, unit.first,
+                                   windows_per_channel,
+                                   reports.data() + unit.first);
+        } catch (const std::exception& e) {
+            throw std::runtime_error(
+                "fleet_monitor: sliced group (channels "
+                + std::to_string(unit.first) + ".."
+                + std::to_string(unit.first + unit.count - 1)
+                + "): " + e.what());
         }
-    };
-    if (workers == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned t = 0; t < workers; ++t) {
-            pool.emplace_back(worker);
-        }
-        for (std::thread& t : pool) {
-            t.join();
-        }
-    }
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
+    });
 
     fleet_report fleet;
     fleet.channels = std::move(reports);
@@ -422,7 +418,7 @@ fleet_report fleet_monitor::run(const source_factory& make_source,
         }
     }
     fleet.lane = cfg_.lane_description();
-    fleet.worker_threads = workers;
+    fleet.worker_threads = pool.workers();
     fleet.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
                         .count();

@@ -15,6 +15,9 @@
 // tile (one transpose per tile, hw::sliced_block::feed_tile).  The
 // per-bit lane is the differential oracle the fast lanes must match bit
 // for bit (tests/test_fleet_monitor.cpp pins the equivalence).
+// Scheduling is one unit_pool, shared with the population layer
+// (core/population.hpp): a table of work units -- whole sliced groups,
+// then one-channel units -- that the workers claim off one atomic cursor.
 //
 // Telemetry is aggregated two ways: per channel (windows, failures,
 // failures-by-test, an AIS-31-style windowed alarm) and fleet-wide
@@ -186,13 +189,6 @@ public:
     using source_factory =
         std::function<std::unique_ptr<trng::entropy_source>(unsigned)>;
 
-    /// Observer of finished channels: invoked on the *worker thread* that
-    /// ran the channel, immediately after it completes, so telemetry can
-    /// stream out while other channels are still running (the population
-    /// layer feeds its aggregator queue through this).  Must be
-    /// thread-safe; must not throw.
-    using channel_hook = std::function<void(const channel_report&)>;
-
     /// \brief Validate the configuration and invert the critical values
     /// once for the whole fleet.
     explicit fleet_monitor(fleet_config cfg);
@@ -213,16 +209,13 @@ public:
 
     /// \brief Run every channel for `windows_per_channel` windows and
     /// aggregate.  Blocks until the fleet is done.
-    /// \param on_channel optional observer of each finished channel (see
-    /// channel_hook); not called for channels that failed or never ran
     /// \throws std::invalid_argument naming the channel index when the
     /// factory returns null
     /// \throws std::runtime_error naming the channel index and source of
     /// a channel whose pipeline throws mid-run (the first failing channel
     /// in claim order; the fleet drains and joins before rethrowing).
     fleet_report run(const source_factory& make_source,
-                     std::uint64_t windows_per_channel,
-                     const channel_hook& on_channel = {});
+                     std::uint64_t windows_per_channel);
 
 private:
     fleet_config cfg_;
@@ -234,9 +227,9 @@ private:
 
 /// \brief Run one channel to completion on the calling thread and return
 /// its report.  This is the per-channel work unit fleet_monitor::run
-/// executes on its pool, exported so the population scheduler can run
-/// devices directly on its work-stealing workers without instantiating a
-/// fleet per shard.  Runs the channel through core::run_windows on
+/// executes on its unit_pool, exported so the population monitor can run
+/// devices directly on the same pool without instantiating a fleet per
+/// shard.  Runs the channel through core::run_windows on
 /// cfg.lane, under a supervisor when cfg.escalated_block is set.
 /// \param cfg          a *validated* fleet configuration; channels /
 ///        threads are ignored here
@@ -270,5 +263,55 @@ void run_fleet_sliced_group(const fleet_config& cfg,
                             trng::entropy_source* const* sources,
                             unsigned first_channel, std::uint64_t windows,
                             channel_report* reports);
+
+/// \brief One schedulable unit of a unit_pool: `count` consecutive
+/// channels from `first`, all in reporting group `shard` -- either a whole
+/// bit-sliced group (count == hw::sliced_block::lanes) or one scalar
+/// channel (count == 1).
+struct pool_unit {
+    unsigned shard = 0;
+    unsigned first = 0;
+    unsigned count = 1;
+};
+
+/// \brief The worker pool behind fleet_monitor::run and
+/// population_monitor::run.  Units are independent, so any assignment of
+/// units to workers gives the same per-channel results: the pool only
+/// decides the wall-clock time.
+///
+/// Usage:
+///   core::unit_pool pool(threads);
+///   pool.add(0, 0, channels, cfg.uses_sliced_lane());
+///   pool.run([&](unsigned worker, const core::pool_unit& u) { ... });
+class unit_pool {
+public:
+    /// Runs one unit on worker `worker` (0 <= worker < workers()).
+    using unit_body = std::function<void(unsigned worker, const pool_unit&)>;
+
+    /// \param workers requested pool size; 0 picks the hardware
+    /// concurrency
+    explicit unit_pool(unsigned workers);
+
+    /// Append channels [first, first + count) of reporting group `shard`:
+    /// whole 64-channel sliced groups from the front when `sliced`, then
+    /// one unit per remaining channel.
+    void add(unsigned shard, unsigned first, unsigned count, bool sliced);
+
+    const std::vector<pool_unit>& units() const { return units_; }
+
+    /// Threads a run uses: the request capped at the unit count, at
+    /// least 1.
+    unsigned workers() const;
+
+    /// \brief Run `body` once on every unit.  Workers claim units off one
+    /// atomic cursor; a single worker runs inline on the calling thread.
+    /// \throws the first exception a body throws, after the cursor is
+    /// drained (no new unit starts) and every worker has joined
+    void run(const unit_body& body) const;
+
+private:
+    unsigned requested_;
+    std::vector<pool_unit> units_;
+};
 
 } // namespace otf::core

@@ -1,16 +1,13 @@
 #include "core/population.hpp"
 
-#include "base/event_queue.hpp"
-#include "base/work_deque.hpp"
+#include "hw/sliced_block.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -65,14 +62,6 @@ void population_config::validate() const
     if (!(device_bits_per_second > 0.0)) {
         throw std::invalid_argument(
             "population_config: device_bits_per_second must be positive");
-    }
-    if (queue_records == 0) {
-        throw std::invalid_argument(
-            "population_config: telemetry queue needs capacity >= 1");
-    }
-    if (telemetry_flush_records == 0) {
-        throw std::invalid_argument(
-            "population_config: telemetry flush epoch needs >= 1 record");
     }
     profile.validate();
     // The per-shard fleet config is the authoritative check for the
@@ -148,26 +137,46 @@ population_monitor::population_monitor(population_config cfg)
 
 namespace {
 
-/// One schedulable batch: `count` consecutive devices of one shard,
-/// either a 64-wide bit-sliced group or a scalar run.  The deques carry
-/// indices into the unit table (one atomic word each).
-struct device_unit {
-    std::uint32_t first_device = 0;
-    std::uint32_t count = 0;
-    std::uint32_t shard = 0;
-    bool sliced = false;
-};
+/// One worker's share of the aggregate: folded device by device on the
+/// worker, merged in worker order after the join.  Every field is an
+/// integer sum (or a latency sample sorted before the percentile cut), so
+/// the order in which workers claim units cannot reach the report.
+struct worker_partial {
+    explicit worker_partial(unsigned shards) : shards(shards) {}
 
-/// Per-(worker, shard) partial sums, merged in fixed order after the
-/// join -- integer sums, so the steal schedule cannot reach the report.
-struct shard_partial {
-    std::uint64_t windows = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t bits = 0;
-    unsigned in_alarm = 0;
-    unsigned escalations = 0;
-    unsigned channels_escalated = 0;
-    unsigned confirmed_escalations = 0;
+    std::vector<population_shard_report> shards;
+    std::array<kind_summary, trng::device_kind_count> by_kind{};
+    std::uint32_t churned = 0; ///< healthy devices that churned
+    std::uint64_t healthy_windows = 0;
+    std::vector<std::uint64_t> latencies;
+    std::map<std::string, std::uint64_t> failures_by_test;
+
+    void fold(const device_record& rec,
+              const std::map<std::string, std::uint64_t>& fails)
+    {
+        population_shard_report& sr = shards[rec.shard];
+        sr.windows += rec.windows;
+        sr.failures += rec.failures;
+        sr.bits += rec.bits;
+        sr.channels_in_alarm += rec.alarm ? 1 : 0;
+        sr.escalations += rec.escalations;
+        sr.channels_escalated += rec.escalations > 0 ? 1 : 0;
+        sr.confirmed_escalations += rec.confirmed_escalations;
+        kind_summary& kind = by_kind[static_cast<std::size_t>(rec.kind)];
+        ++kind.devices;
+        kind.alarmed += rec.alarm ? 1 : 0;
+        if (rec.detected()) {
+            ++kind.detected;
+            latencies.push_back(rec.detection_latency());
+        }
+        if (!rec.attacked) {
+            healthy_windows += rec.windows;
+            churned += rec.churned ? 1 : 0;
+        }
+        for (const auto& [name, count] : fails) {
+            failures_by_test[name] += count;
+        }
+    }
 };
 
 } // namespace
@@ -178,8 +187,7 @@ population_report population_monitor::run()
 
     // Profiles are pure functions of (master_seed, device): sampling them
     // up front is equivalent to sampling inside any worker, so neither
-    // the shard layout nor the steal schedule can leak into the
-    // population.
+    // the shard layout nor the claim order can leak into the population.
     std::vector<trng::device_profile> profiles;
     profiles.reserve(cfg_.devices);
     for (std::uint32_t d = 0; d < cfg_.devices; ++d) {
@@ -201,179 +209,30 @@ population_report population_monitor::run()
         const unsigned hw = std::thread::hardware_concurrency();
         threads_per_shard = std::max(1u, hw / cfg_.shards);
     }
-    const std::uint64_t pool_budget =
-        std::uint64_t{threads_per_shard} * cfg_.shards;
 
-    // Device-batch granularity: big enough that a unit amortizes its
-    // scheduling, small enough that stealing can still balance (a
-    // handful of units per worker).  Sliced groups are always 64 wide
-    // (the tile width); batch size changes timing only, never data.
-    std::uint32_t batch = cfg_.steal_batch_devices;
-    if (batch == 0) {
-        const std::uint64_t target = pool_budget * 4;
-        const std::uint64_t auto_batch = cfg_.devices / target;
-        batch = static_cast<std::uint32_t>(
-            std::clamp<std::uint64_t>(auto_batch, 1, 64));
-    }
-
-    // The unit table: per shard, carve sliced-eligible 64-device groups
-    // off the front (mirroring fleet_monitor's grouping for a shard of
-    // that size), then batch the rest for the scalar lane.
+    // The unit table: per shard, the grouping fleet_monitor would use
+    // for a shard of that size (sliced 64-device groups when eligible,
+    // then one unit per device).
     const fleet_config fcfg = cfg_.shard_fleet_config();
-    std::vector<device_unit> units;
-    std::uint64_t sliced_units = 0;
+    unit_pool pool(threads_per_shard * cfg_.shards);
     for (unsigned s = 0; s < cfg_.shards; ++s) {
-        const std::uint32_t count = first[s + 1] - first[s];
         fleet_config probe = fcfg;
-        probe.channels = count;
-        std::uint32_t d = first[s];
-        if (probe.uses_sliced_lane()) {
-            constexpr std::uint32_t lanes = 64;
-            for (; d + lanes <= first[s + 1]; d += lanes) {
-                units.push_back(device_unit{d, lanes, s, true});
-                ++sliced_units;
-            }
-        }
-        while (d < first[s + 1]) {
-            const std::uint32_t take =
-                std::min(batch, first[s + 1] - d);
-            units.push_back(device_unit{d, take, s, false});
-            d += take;
-        }
+        probe.channels = first[s + 1] - first[s];
+        pool.add(s, first[s], probe.channels, probe.uses_sliced_lane());
     }
-    const auto unit_count = static_cast<std::uint32_t>(units.size());
-
-    unsigned workers = static_cast<unsigned>(
-        std::min<std::uint64_t>(pool_budget, unit_count));
-    if (workers == 0) {
-        workers = 1;
-    }
-
-    // One Chase-Lev deque per worker, seeded round-robin with unit
-    // indices before any worker starts; no pushes afterwards, so an
-    // empty sweep across every deque is a termination proof.
-    std::vector<std::unique_ptr<base::work_deque<std::uint32_t>>> deques;
-    deques.reserve(workers);
-    const std::size_t per_worker = (unit_count + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-        deques.push_back(std::make_unique<base::work_deque<std::uint32_t>>(
-            per_worker));
-    }
-    for (std::uint32_t u = 0; u < unit_count; ++u) {
-        deques[u % workers]->push(u);
-    }
-
-    base::event_queue<device_record> queue(cfg_.queue_records);
 
     population_report report;
     report.devices = cfg_.devices;
     report.shards = cfg_.shards;
-    report.queue_capacity = queue.capacity();
     if (cfg_.keep_device_records) {
         report.device_records.resize(cfg_.devices);
     }
-    std::vector<std::uint64_t> latencies;
+    std::vector<worker_partial> partials(pool.workers(),
+                                         worker_partial(cfg_.shards));
 
-    // The single aggregator drains records as flush epochs land, while
-    // the workers are still running.  All accumulation is
-    // order-independent (integer sums; the latency sample is sorted
-    // before the percentile cut), so arrival order -- the one thing
-    // scheduling controls -- cannot reach the report.
-    std::thread aggregator([&] {
-        device_record rec;
-        for (;;) {
-            if (!queue.try_pop(rec)) {
-                if (queue.drained()) {
-                    return;
-                }
-                std::this_thread::yield();
-                continue;
-            }
-            report.windows += rec.windows;
-            report.failures += rec.failures;
-            report.bits += rec.bits;
-            report.escalations += rec.escalations;
-            report.channels_escalated += rec.escalations > 0 ? 1 : 0;
-            report.confirmed_escalations += rec.confirmed_escalations;
-            auto& kind = report.by_kind[static_cast<std::size_t>(rec.kind)];
-            ++kind.devices;
-            if (rec.attacked) {
-                ++report.devices_attacked;
-                if (rec.alarm) {
-                    ++report.attacked_alarmed;
-                    ++kind.alarmed;
-                }
-                if (rec.detected()) {
-                    ++report.detected;
-                    ++kind.detected;
-                    latencies.push_back(rec.detection_latency());
-                }
-            } else {
-                ++report.devices_healthy;
-                report.healthy_windows += rec.windows;
-                if (rec.churned) {
-                    ++report.devices_churned;
-                }
-                if (rec.alarm) {
-                    ++report.healthy_alarms;
-                    ++kind.alarmed;
-                }
-            }
-            if (rec.alarm) {
-                ++report.devices_alarmed;
-            }
-            if (cfg_.keep_device_records) {
-                report.device_records[rec.device] = rec;
-            }
-        }
-    });
-
-    // Worker-local accumulators (partial shard sums, steal/flush
-    // counters, the failures-by-test merge input), folded together in
-    // fixed order after the join.
-    std::vector<std::vector<shard_partial>> partials(
-        workers, std::vector<shard_partial>(cfg_.shards));
-    std::vector<std::map<std::string, std::uint64_t>> fails_by_test(
-        workers);
-    std::vector<std::uint64_t> steal_counts(workers, 0);
-    std::vector<std::uint64_t> flush_counts(workers, 0);
-
-    std::atomic<bool> stop{false};
-    std::exception_ptr failure;
-    std::mutex failure_mutex;
-
-    const auto worker_main = [&](unsigned w) {
-        std::vector<device_record> pending;
-        pending.reserve(cfg_.telemetry_flush_records);
-        const auto flush = [&] {
-            if (pending.empty()) {
-                return;
-            }
-            for (const device_record& rec : pending) {
-                while (!queue.try_push(rec)) {
-                    // Bounded queue full: the aggregator is behind;
-                    // yield until a slot frees (backpressure, never
-                    // loss -- capacity changes timing, not data).
-                    std::this_thread::yield();
-                }
-            }
-            pending.clear();
-            ++flush_counts[w];
-        };
-        const auto emit = [&](const device_unit& u,
-                              const channel_report& cr,
+    pool.run([&](unsigned w, const pool_unit& u) {
+        const auto emit = [&](const channel_report& cr,
                               const trng::device_profile& p) {
-            shard_partial& sp = partials[w][u.shard];
-            sp.windows += cr.windows;
-            sp.failures += cr.failures;
-            sp.bits += cr.bits;
-            sp.in_alarm += cr.alarm ? 1 : 0;
-            sp.escalations += cr.escalations;
-            sp.channels_escalated += cr.escalations > 0 ? 1 : 0;
-            sp.confirmed_escalations += cr.confirmed_escalations;
-            for (const auto& [name, count] : cr.failures_by_test) {
-                fails_by_test[w][name] += count;
-            }
             device_record rec;
             rec.device = p.device;
             rec.shard = u.shard;
@@ -390,152 +249,113 @@ population_report population_monitor::run()
             rec.confirmed_escalations = cr.confirmed_escalations;
             rec.de_escalations = cr.de_escalations;
             rec.windows_escalated = cr.windows_escalated;
-            pending.push_back(rec);
-            if (pending.size() >= cfg_.telemetry_flush_records) {
-                flush();
+            partials[w].fold(rec, cr.failures_by_test);
+            if (cfg_.keep_device_records) {
+                // Each device owns its slot: no two workers share one.
+                report.device_records[rec.device] = rec;
             }
         };
-        const auto run_unit = [&](const device_unit& u) {
-            try {
-                if (u.sliced) {
-                    constexpr unsigned lanes = 64;
-                    std::unique_ptr<trng::entropy_source> srcs[lanes];
-                    trng::entropy_source* raw[lanes];
-                    for (unsigned i = 0; i < lanes; ++i) {
-                        srcs[i] = trng::make_device_source(
-                            profiles[u.first_device + i], cfg_.block.n());
-                        raw[i] = srcs[i].get();
-                    }
-                    std::vector<channel_report> crs(lanes);
-                    try {
-                        run_fleet_sliced_group(
-                            fcfg, cv_, raw,
-                            u.first_device - first[u.shard],
-                            cfg_.windows_per_device, crs.data());
-                    } catch (const std::exception& e) {
-                        throw std::runtime_error(
-                            "devices "
-                            + std::to_string(u.first_device) + ".."
-                            + std::to_string(u.first_device + lanes - 1)
-                            + ": " + e.what());
-                    }
-                    for (unsigned i = 0; i < lanes; ++i) {
-                        emit(u, crs[i], profiles[u.first_device + i]);
-                    }
-                } else {
-                    for (std::uint32_t d = u.first_device;
-                         d < u.first_device + u.count; ++d) {
-                        auto src = trng::make_device_source(
-                            profiles[d], cfg_.block.n());
-                        channel_report cr;
-                        try {
-                            cr = run_fleet_channel(
-                                fcfg, cv_, cv_escalated_, *src,
-                                d - first[u.shard],
-                                cfg_.windows_per_device);
-                        } catch (const std::exception& e) {
-                            throw std::runtime_error(
-                                "device " + std::to_string(d)
-                                + " (source \"" + src->name() + "\"): "
-                                + e.what());
-                        }
-                        emit(u, cr, profiles[d]);
-                    }
+        const unsigned channel = u.first - first[u.shard];
+        try {
+            if (u.count == 1) {
+                const std::uint32_t d = u.first;
+                auto src =
+                    trng::make_device_source(profiles[d], cfg_.block.n());
+                channel_report cr;
+                try {
+                    cr = run_fleet_channel(fcfg, cv_, cv_escalated_, *src,
+                                           channel,
+                                           cfg_.windows_per_device);
+                } catch (const std::exception& e) {
+                    throw std::runtime_error(
+                        "device " + std::to_string(d) + " (source \""
+                        + src->name() + "\"): " + e.what());
                 }
+                emit(cr, profiles[d]);
+                return;
+            }
+            constexpr unsigned lanes = hw::sliced_block::lanes;
+            std::unique_ptr<trng::entropy_source> srcs[lanes];
+            trng::entropy_source* raw[lanes];
+            for (unsigned i = 0; i < lanes; ++i) {
+                srcs[i] = trng::make_device_source(profiles[u.first + i],
+                                                   cfg_.block.n());
+                raw[i] = srcs[i].get();
+            }
+            std::vector<channel_report> crs(lanes);
+            try {
+                run_fleet_sliced_group(fcfg, cv_, raw, channel,
+                                       cfg_.windows_per_device, crs.data());
             } catch (const std::exception& e) {
                 throw std::runtime_error(
-                    "population_monitor: shard "
-                    + std::to_string(u.shard) + ": " + e.what());
+                    "devices " + std::to_string(u.first) + ".."
+                    + std::to_string(u.first + lanes - 1) + ": "
+                    + e.what());
             }
-        };
-        try {
-            std::uint32_t idx = 0;
-            while (!stop.load(std::memory_order_relaxed)) {
-                // Own work first (LIFO, cache-hot) ...
-                if (deques[w]->pop(idx)) {
-                    run_unit(units[idx]);
-                    continue;
-                }
-                // ... then steal the oldest unit from a busy peer.  A
-                // failed steal may be a lost race rather than an empty
-                // deque, so the sweep only terminates once every deque
-                // looks empty.
-                bool busy = false;
-                for (unsigned v = 1; v < workers && !busy; ++v) {
-                    base::work_deque<std::uint32_t>& victim =
-                        *deques[(w + v) % workers];
-                    if (victim.steal(idx)) {
-                        ++steal_counts[w];
-                        run_unit(units[idx]);
-                        busy = true;
-                    } else if (!victim.empty()) {
-                        busy = true; // lost a race; sweep again
-                    }
-                }
-                if (!busy) {
-                    break; // no pushes after seeding: done for good
-                }
+            for (unsigned i = 0; i < lanes; ++i) {
+                emit(crs[i], profiles[u.first + i]);
             }
-        } catch (...) {
-            {
-                const std::lock_guard<std::mutex> lock(failure_mutex);
-                if (!failure) {
-                    failure = std::current_exception();
-                }
-            }
-            stop.store(true); // drain the pool, stop the population
+        } catch (const std::exception& e) {
+            throw std::runtime_error("population_monitor: shard "
+                                     + std::to_string(u.shard) + ": "
+                                     + e.what());
         }
-        flush();
-    };
+    });
 
-    if (workers == 1) {
-        worker_main(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.emplace_back(worker_main, w);
+    // Merge the worker partials in worker order.
+    report.shard_reports.resize(cfg_.shards);
+    std::vector<std::uint64_t> latencies;
+    for (const worker_partial& part : partials) {
+        for (unsigned s = 0; s < cfg_.shards; ++s) {
+            population_shard_report& sr = report.shard_reports[s];
+            const population_shard_report& ps = part.shards[s];
+            sr.windows += ps.windows;
+            sr.failures += ps.failures;
+            sr.bits += ps.bits;
+            sr.channels_in_alarm += ps.channels_in_alarm;
+            sr.escalations += ps.escalations;
+            sr.channels_escalated += ps.channels_escalated;
+            sr.confirmed_escalations += ps.confirmed_escalations;
         }
-        for (std::thread& t : pool) {
-            t.join();
+        for (std::size_t k = 0; k < report.by_kind.size(); ++k) {
+            report.by_kind[k].devices += part.by_kind[k].devices;
+            report.by_kind[k].alarmed += part.by_kind[k].alarmed;
+            report.by_kind[k].detected += part.by_kind[k].detected;
+        }
+        report.devices_churned += part.churned;
+        report.healthy_windows += part.healthy_windows;
+        latencies.insert(latencies.end(), part.latencies.begin(),
+                         part.latencies.end());
+        for (const auto& [name, count] : part.failures_by_test) {
+            report.failures_by_test[name] += count;
         }
     }
-    // All workers have quiesced; let the aggregator drain and finish.
-    queue.close();
-    aggregator.join();
 
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
-
-    // Per-shard summaries and the failures-by-test merge fold the
-    // worker-local partials in fixed (shard, worker) order
-    // (device_records carry no strings -- the queue payload stays
-    // trivially copyable).
-    report.shard_reports.reserve(cfg_.shards);
+    // Population totals are the shard sums; the attacked/healthy split is
+    // the per-kind tally (every kind but healthy is an attack).
     for (unsigned s = 0; s < cfg_.shards; ++s) {
-        population_shard_report sr;
+        population_shard_report& sr = report.shard_reports[s];
         sr.shard = s;
         sr.first_device = first[s];
         sr.device_count = first[s + 1] - first[s];
-        for (unsigned w = 0; w < workers; ++w) {
-            const shard_partial& sp = partials[w][s];
-            sr.windows += sp.windows;
-            sr.failures += sp.failures;
-            sr.bits += sp.bits;
-            sr.channels_in_alarm += sp.in_alarm;
-            sr.escalations += sp.escalations;
-            sr.channels_escalated += sp.channels_escalated;
-            sr.confirmed_escalations += sp.confirmed_escalations;
-        }
-        report.shard_reports.push_back(std::move(sr));
+        report.windows += sr.windows;
+        report.failures += sr.failures;
+        report.bits += sr.bits;
+        report.devices_alarmed += sr.channels_in_alarm;
+        report.escalations += sr.escalations;
+        report.channels_escalated += sr.channels_escalated;
+        report.confirmed_escalations += sr.confirmed_escalations;
     }
-    for (unsigned w = 0; w < workers; ++w) {
-        for (const auto& [name, count] : fails_by_test[w]) {
-            report.failures_by_test[name] += count;
+    for (std::size_t k = 0; k < report.by_kind.size(); ++k) {
+        const kind_summary& ks = report.by_kind[k];
+        if (static_cast<trng::device_kind>(k) == trng::device_kind::healthy) {
+            report.devices_healthy += ks.devices;
+            report.healthy_alarms += ks.alarmed;
+        } else {
+            report.devices_attacked += ks.devices;
+            report.attacked_alarmed += ks.alarmed;
         }
-        report.steals += steal_counts[w];
-        report.telemetry_flushes += flush_counts[w];
+        report.detected += ks.detected;
     }
 
     std::sort(latencies.begin(), latencies.end());
@@ -568,20 +388,18 @@ population_report population_monitor::run()
     }
 
     report.execution = "fused";
+    const auto sliced_units = static_cast<std::size_t>(std::count_if(
+        pool.units().begin(), pool.units().end(),
+        [](const pool_unit& u) { return u.count != 1; }));
     if (cfg_.lane != ingest_lane::sliced) {
         report.lane = fcfg.lane_description();
     } else if (sliced_units == 0) {
         report.lane = "span (sliced fallback)";
     } else {
-        report.lane = sliced_units == unit_count ? "sliced"
-                                                 : "sliced+span";
+        report.lane = sliced_units == pool.units().size() ? "sliced"
+                                                          : "sliced+span";
     }
-    report.worker_threads = workers;
-    report.steal_batch_devices = batch;
-    report.queue_pushed = queue.total_pushed();
-    report.queue_push_stalls = queue.push_stalls();
-    report.queue_pop_stalls = queue.pop_stalls();
-    report.queue_max_occupancy = queue.max_occupancy();
+    report.worker_threads = pool.workers();
     report.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -598,13 +416,9 @@ std::string format_population(const population_report& report)
         static_cast<unsigned long long>(report.failures),
         static_cast<double>(report.bits) / 1.0e6, report.seconds,
         report.bits_per_second() / 1.0e6);
-    out += format_line(
-        "execution: %s (%s lane), %u workers, steal batch %u devices, "
-        "%llu steals, %llu telemetry flushes\n",
-        report.execution.c_str(), report.lane.c_str(),
-        report.worker_threads, report.steal_batch_devices,
-        static_cast<unsigned long long>(report.steals),
-        static_cast<unsigned long long>(report.telemetry_flushes));
+    out += format_line("execution: %s (%s lane), %u workers\n",
+                       report.execution.c_str(), report.lane.c_str(),
+                       report.worker_threads);
     out += format_line("%-18s %9s %9s %9s\n", "kind", "devices", "alarmed",
                        "detected");
     for (std::size_t k = 0; k < report.by_kind.size(); ++k) {
@@ -657,13 +471,6 @@ std::string format_population(const population_report& report)
             static_cast<unsigned long long>(sr.failures),
             sr.channels_in_alarm, sr.escalations);
     }
-    out += format_line(
-        "queue: %llu records through %zu slots, high-water %zu, "
-        "push stalls %llu, pop stalls %llu\n",
-        static_cast<unsigned long long>(report.queue_pushed),
-        report.queue_capacity, report.queue_max_occupancy,
-        static_cast<unsigned long long>(report.queue_push_stalls),
-        static_cast<unsigned long long>(report.queue_pop_stalls));
     return out;
 }
 

@@ -1,5 +1,4 @@
-// Population-scale monitoring: a sharded fleet-of-fleets with streaming
-// telemetry aggregation.
+// Population-scale monitoring: a sharded fleet-of-fleets.
 //
 // The paper's platform guards one TRNG; the production question it leaves
 // open is what its alpha calibration means across *millions* of devices --
@@ -8,37 +7,30 @@
 // different operating point.  This layer answers that at simulation scale:
 //
 //   population_monitor
-//     ├── worker 0: work_deque ◄─┐ steals  (device-batch units, all
-//     ├── worker 1: work_deque ◄─┤─────►    shards; fused generation
-//     │     ...                 ◄─┘         + testing on the worker)
-//     │     epoch-batched device_record flushes
-//     └──────────────► base::event_queue
-//                            │ (lock-free MPSC)
-//                       aggregator thread
+//     unit table: per shard, whole sliced 64-device groups, then
+//     │           one-device units (core::unit_pool, as the fleet)
+//     ├── worker 0 ─┐  claim the next unit off one atomic cursor;
+//     ├── worker 1 ─┤  fused generation + testing; fold each
+//     │     ...     ─┘  device_record into a worker-local partial
+//     │ join
+//     calling thread: merge the partials in worker order
 //                            │
 //                     population_report
 //
-// Devices still belong to contiguous per-shard ranges (shards are the
-// reporting granularity), but the *schedule* is a global work-stealing
-// pool: every worker owns a Chase-Lev deque (base/work_deque.hpp)
-// seeded with device batches, drains it LIFO, and steals FIFO from busy
-// peers once dry -- so a shard full of escalating devices no longer
-// strands the workers of the quiet shards.  Each worker runs its
-// devices through the fused fleet lanes (core/fleet_monitor.hpp:
+// Devices belong to contiguous per-shard ranges (shards are the
+// reporting granularity), but the pool is population-wide: one unit
+// table over every shard, so a shard full of escalating devices does not
+// strand the workers of the quiet ones.  Each worker runs its devices
+// through the fused fleet lanes (core/fleet_monitor.hpp:
 // run_fleet_channel / run_fleet_sliced_group), with critical values
 // inverted once for the whole population and shared.  Devices are
 // heterogeneous: trng::sample_device draws each unit's bias point,
 // attack model, severity and onset from the master seed (a pure
 // function of (master_seed, device id)), so the population is identical
-// under any shard layout, thread count, batch size or steal schedule.
-// Telemetry streams to the single aggregator through the lock-free
-// event queue in worker-local epochs (telemetry_flush_records per
-// flush, so per-device pushes stop contending) -- the aggregate builds
-// up while workers are still running, instead of join-then-merge -- and
-// every aggregate is accumulated order-independently (integer sums;
-// latencies sorted before the percentile cut), so `same_counters` holds
-// across {1, 2, N} threads and any shard count, mirroring the
-// fleet-level guarantee.
+// under any shard layout, thread count or claim order.  Every aggregate
+// is accumulated order-independently (integer sums; latencies sorted
+// before the percentile cut), so `same_counters` holds across {1, 2, N}
+// threads and any shard count, mirroring the fleet-level guarantee.
 #pragma once
 
 #include "core/critical_values.hpp"
@@ -55,9 +47,8 @@
 
 namespace otf::core {
 
-/// One device's outcome, as carried through the telemetry queue (plain
-/// trivially-copyable data: the queue requires it, and it keeps the
-/// aggregator allocation-free on the hot path).
+/// One device's outcome (plain data: the per-device slot of the report
+/// and the unit the aggregation folds).
 struct device_record {
     std::uint32_t device = 0;
     std::uint32_t shard = 0;
@@ -126,7 +117,7 @@ struct population_config {
     /// Population shape.
     std::uint32_t devices = 1024;
     /// Shards (contiguous device ranges -- the reporting granularity;
-    /// scheduling is population-wide work stealing).
+    /// the worker pool is population-wide).
     unsigned shards = 2;
     /// Worker threads per shard; 0 = hardware_concurrency / shards
     /// (at least 1).  The pool is global (shards x this many workers,
@@ -135,14 +126,6 @@ struct population_config {
     /// never changes the report.
     unsigned threads_per_shard = 0;
     std::uint64_t windows_per_device = 16;
-    /// Work-stealing batch granularity in devices per unit (0 =
-    /// automatic).  Sliced-eligible groups always form 64-device units.
-    /// Batch size changes timing only, never the report.
-    std::uint32_t steal_batch_devices = 0;
-    /// Device records a worker buffers locally before one epoch flush
-    /// into the aggregator queue (>= 1).  Epoch size changes timing
-    /// only, never the report.
-    std::size_t telemetry_flush_records = 32;
 
     /// Per-device variation: the master seed and the distributions every
     /// device's parameters are drawn from.
@@ -153,17 +136,13 @@ struct population_config {
     /// rates to device-days (the paper's TRNG-side bit rate).
     double device_bits_per_second = 1.0e6;
 
-    /// Telemetry queue capacity in records (rounded up to a power of
-    /// two).  Capacity changes timing only, never the report.
-    std::size_t queue_records = 1024;
     /// Keep every device_record in the report (device-count memory;
     /// off by default at population scale).
     bool keep_device_records = false;
 
     /// \throws std::invalid_argument on an empty population, more shards
     /// than devices, a sub-word design (device variation needs word-
-    /// aligned windows), an empty flush epoch, or invalid profile/fleet
-    /// knobs
+    /// aligned windows), or invalid profile/fleet knobs
     void validate() const;
 
     /// The per-shard fleet configuration this implies (channel count
@@ -171,8 +150,8 @@ struct population_config {
     fleet_config shard_fleet_config() const;
 };
 
-/// \brief One shard's totals (its fleet_report folded down; the
-/// per-channel details travel through the queue as device_records).
+/// \brief One shard's totals (the per-device details are the
+/// device_records).
 struct population_shard_report {
     unsigned shard = 0;
     std::uint32_t first_device = 0;
@@ -221,8 +200,7 @@ std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
                            double q);
 
 /// \brief Aggregated population telemetry.  Everything except `seconds`
-/// and the scheduling telemetry (steals, flushes, queue counters) is a
-/// deterministic function of (config, master seed).
+/// is a deterministic function of (config, master seed).
 struct population_report {
     std::uint32_t devices = 0;
     unsigned shards = 0;
@@ -263,25 +241,18 @@ struct population_report {
     /// descriptive of the schedule, not the data -- outside
     /// same_counters, which compares across lanes and layouts): the
     /// execution model (always "fused": workers generate and test in one
-    /// pass), the lane actually used (fallbacks spelled out), the global
-    /// worker-pool size and the resolved device-batch granularity.
+    /// pass), the lane actually used (fallbacks spelled out) and the
+    /// global worker-pool size.
     std::string execution;
     std::string lane;
     unsigned worker_threads = 0;
-    std::uint32_t steal_batch_devices = 0;
-    /// Work-stealing / flush telemetry (scheduling-dependent): units a
-    /// worker took from another worker's deque, and epoch flushes into
-    /// the aggregator queue.
+    /// Always 0: the pool has no work stealing and no aggregation queue.
+    /// Kept only because the benchmark harness still reads them.
     std::uint64_t steals = 0;
-    std::uint64_t telemetry_flushes = 0;
-
-    /// Wall clock and aggregation-queue telemetry (nondeterministic).
-    double seconds = 0.0;
-    std::uint64_t queue_pushed = 0;
-    std::uint64_t queue_push_stalls = 0;
     std::uint64_t queue_pop_stalls = 0;
-    std::size_t queue_max_occupancy = 0;
-    std::size_t queue_capacity = 0;
+
+    /// Wall clock of the run (nondeterministic).
+    double seconds = 0.0;
 
     /// Aggregate simulation throughput over the wall clock.
     double bits_per_second() const
@@ -298,12 +269,12 @@ struct population_report {
 };
 
 /// \brief Multi-line plain-text population summary: per-kind outcome
-/// table, latency percentiles, false-escalation extrapolation, per-shard
-/// rows and queue telemetry.
+/// table, latency percentiles, false-escalation extrapolation and
+/// per-shard rows.
 std::string format_population(const population_report& report);
 
-/// \brief Runs a heterogeneous device population over a work-stealing
-/// worker pool with streaming aggregation.
+/// \brief Runs a heterogeneous device population over the shared
+/// unit_pool.
 ///
 /// Usage:
 ///   core::population_monitor pop(cfg);

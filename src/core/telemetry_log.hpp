@@ -3,8 +3,8 @@
 //
 // The supervision hot path must never block on I/O -- a fleet channel
 // that stalls on fwrite() is a fleet channel that drops words.  So the
-// log is split across a thread boundary by the same MPMC event queue
-// that carries fleet telemetry (base/event_queue.hpp): producers
+// log is split across a thread boundary by a lock-free MPMC event queue
+// (base/event_queue.hpp): producers
 // serialize each record into a heap buffer and enqueue a descriptor;
 // one writer thread owns the wal_writer and drains the queue.  When the
 // queue is full the record is *dropped and counted*, never waited on --

@@ -253,6 +253,11 @@ public:
     virtual void TestBody() = 0;
     virtual void SetUp() {}
     virtual void TearDown() {}
+    /// True once the running test has recorded any failure.
+    static bool HasFailure()
+    {
+        return otf_gtest::current_result().failures > 0;
+    }
 };
 
 template <class T>

@@ -1,5 +1,5 @@
-// Tests of the lock-free bounded MPMC event queue behind the population
-// aggregator: FIFO order, full/empty rejection with stall counters, index
+// Tests of the lock-free bounded MPMC event queue behind the WAL writer
+// thread: FIFO order, full/empty rejection with stall counters, index
 // wraparound, the close/drained end-of-stream protocol, and a
 // multi-producer stress run checking per-producer order survives
 // contention.
@@ -136,8 +136,8 @@ TEST(event_queue, minimum_capacity_survives_contention)
 
 TEST(event_queue, multi_producer_preserves_per_producer_order)
 {
-    // The population layer's actual shape: many shard workers pushing,
-    // one aggregator popping.  Producers contend for slots, so global
+    // The telemetry log's shape: many producers pushing, one writer
+    // popping.  Producers contend for slots, so global
     // order is unspecified -- but each producer's own events must arrive
     // in the order it pushed them, exactly once.
     constexpr unsigned kProducers = 4;

@@ -1,16 +1,21 @@
 // Tests of the multi-channel fleet monitor: determinism across thread
 // counts and ingestion lanes, telemetry aggregation, per-channel alarm
-// policy, and configuration validation.
+// policy, configuration validation, and the unit pool that fleet and
+// population runs share.
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "trng/sources.hpp"
 
 #include "support/fixed_seed.hpp"
 
+#include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace {
 
@@ -625,6 +630,90 @@ TEST(fleet, bits_per_second_handles_a_zero_duration_run)
     EXPECT_EQ(report.bits_per_second(), 0.0);
     report.seconds = 2.0;
     EXPECT_DOUBLE_EQ(report.bits_per_second(), (1u << 20) / 2.0);
+}
+
+TEST(unit_pool, unit_table_is_sliced_groups_then_single_channels)
+{
+    core::unit_pool pool(2);
+    pool.add(0, 0, 130, true);   // two sliced groups + 2 singles
+    pool.add(1, 130, 64, true);  // exactly one sliced group
+    pool.add(2, 194, 10, true);  // too few for a group: 10 singles
+    pool.add(3, 204, 70, false); // not sliced: 70 singles
+    const std::vector<core::pool_unit>& units = pool.units();
+    ASSERT_EQ(units.size(), 2u + 2u + 1u + 10u + 70u);
+    const auto shard_of = [](unsigned c) {
+        return c < 130 ? 0u : c < 194 ? 1u : c < 204 ? 2u : 3u;
+    };
+    unsigned next = 0;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const core::pool_unit& u = units[i];
+        EXPECT_EQ(u.first, next) << "unit " << i;
+        EXPECT_EQ(u.count, i < 2 || i == 4 ? 64u : 1u) << "unit " << i;
+        EXPECT_EQ(u.shard, shard_of(u.first)) << "unit " << i;
+        next += u.count;
+    }
+    EXPECT_EQ(next, 274u);
+    EXPECT_EQ(pool.workers(), 2u);
+    EXPECT_EQ(core::unit_pool(1000).workers(), 1u)
+        << "an empty table still runs on one worker";
+}
+
+TEST(unit_pool, every_unit_is_claimed_exactly_once)
+{
+    // The scheduler's correctness contract: whatever the worker count,
+    // every unit is run by exactly one worker.  Each claim bumps a
+    // per-unit counter; any counter != 1 is a lost or duplicated unit.
+    constexpr unsigned units = 4096;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        core::unit_pool pool(threads);
+        pool.add(0, 0, units, false);
+        ASSERT_EQ(pool.workers(), threads);
+        std::vector<std::atomic<unsigned>> claimed(units);
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<bool> off_caller{false};
+        pool.run([&](unsigned w, const core::pool_unit& u) {
+            ASSERT_LT(w, threads);
+            claimed[u.first].fetch_add(1, std::memory_order_relaxed);
+            if (std::this_thread::get_id() != caller) {
+                off_caller.store(true, std::memory_order_relaxed);
+            }
+        });
+        for (unsigned c = 0; c < units; ++c) {
+            ASSERT_EQ(claimed[c].load(), 1u)
+                << "unit " << c << " with " << threads << " workers";
+        }
+        EXPECT_EQ(off_caller.load(), threads != 1)
+            << "one worker runs inline on the calling thread";
+    }
+}
+
+TEST(unit_pool, first_exception_is_rethrown_after_every_worker_joins)
+{
+    constexpr unsigned units = 2000;
+    core::unit_pool pool(4);
+    pool.add(0, 0, units, false);
+    std::atomic<unsigned> started{0};
+    std::atomic<unsigned> running{0};
+    try {
+        pool.run([&](unsigned, const core::pool_unit& u) {
+            started.fetch_add(1);
+            running.fetch_add(1);
+            if (u.first == 100) {
+                running.fetch_sub(1);
+                throw std::runtime_error("unit 100 failed");
+            }
+            // Slow enough that the throw and the cursor drain land long
+            // before the other workers could start every unit.
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            running.fetch_sub(1);
+        });
+        FAIL() << "expected the unit's exception to propagate";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "unit 100 failed");
+    }
+    EXPECT_EQ(running.load(), 0u) << "a body outlived the rethrow";
+    EXPECT_LT(started.load(), units)
+        << "the cursor drains: later units never start";
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 // Tests of the population-scale fleet-of-fleets: layout-independent
 // determinism (the master-seed guarantee across shard and thread counts),
-// aggregation invariants between the queue-fed totals and the per-shard
-// fleet reports, the false-escalation extrapolation, nearest-rank
-// percentiles, queue-capacity independence and configuration validation.
+// aggregation invariants between the population totals, the per-shard
+// reports and the device records, the false-escalation extrapolation,
+// nearest-rank percentiles and configuration validation.
 #include "core/design_config.hpp"
 #include "core/population.hpp"
 
@@ -87,12 +87,10 @@ TEST(population, report_is_independent_of_shard_and_thread_layout)
     }
 }
 
-TEST(population, lane_batch_and_flush_epoch_never_change_the_report)
+TEST(population, per_bit_lane_never_changes_the_report)
 {
-    // The per-bit oracle lane and the work-stealing scheduler's knobs --
-    // steal batch granularity, telemetry flush epoch -- move work between
-    // threads and batch queue traffic; none of them may reach the
-    // report, down to the per-device records.
+    // The per-bit oracle lane must not reach the report, down to the
+    // per-device records.
     const core::population_report baseline =
         core::population_monitor(small_config()).run();
     EXPECT_EQ(baseline.execution, "fused");
@@ -103,22 +101,10 @@ TEST(population, lane_batch_and_flush_epoch_never_change_the_report)
         cfg.lane = core::ingest_lane::per_bit;
         variants.push_back(cfg);
     }
-    for (const std::uint32_t batch : {1u, 7u, 64u}) {
-        core::population_config cfg = small_config();
-        cfg.steal_batch_devices = batch;
-        variants.push_back(cfg);
-    }
-    for (const std::size_t epoch : {std::size_t{1}, std::size_t{1000}}) {
-        core::population_config cfg = small_config();
-        cfg.telemetry_flush_records = epoch;
-        variants.push_back(cfg);
-    }
     for (const core::population_config& cfg : variants) {
         const core::population_report report =
             core::population_monitor(cfg).run();
-        const std::string ctx = report.lane + " batch "
-            + std::to_string(report.steal_batch_devices) + " epoch "
-            + std::to_string(cfg.telemetry_flush_records);
+        const std::string ctx = report.lane;
         EXPECT_TRUE(baseline.same_counters(report)) << ctx;
         ASSERT_EQ(report.device_records.size(), baseline.devices) << ctx;
         for (std::uint32_t d = 0; d < baseline.devices; ++d) {
@@ -168,34 +154,12 @@ TEST(population, sliced_lane_agrees_across_lanes_and_layouts)
     }
 }
 
-TEST(population, scheduler_telemetry_is_reported)
-{
-    core::population_config cfg = small_config();
-    cfg.shards = 4;
-    cfg.threads_per_shard = 1;
-    cfg.steal_batch_devices = 2;
-    cfg.telemetry_flush_records = 4;
-    const core::population_report report =
-        core::population_monitor(cfg).run();
-    EXPECT_EQ(report.execution, "fused");
-    EXPECT_FALSE(report.lane.empty());
-    EXPECT_GT(report.worker_threads, 0u);
-    EXPECT_LE(report.worker_threads, 4u);
-    EXPECT_EQ(report.steal_batch_devices, 2u);
-    EXPECT_GT(report.telemetry_flushes, 0u);
-    // 64 devices in batches of 2 through 4 workers flushing every 4
-    // records: at least ceil(64 / 4) = 16 epochs fleet-wide.
-    EXPECT_GE(report.telemetry_flushes, 16u);
-    EXPECT_EQ(report.queue_pushed, report.devices);
-}
-
 TEST(population, aggregates_match_the_shard_reports_and_device_records)
 {
     const core::population_report report =
         core::population_monitor(supervised_config()).run();
 
-    // Queue-fed totals vs the per-shard fleet reports: two independent
-    // aggregation paths over the same run must agree exactly.
+    // Population totals vs the per-shard reports.
     std::uint64_t windows = 0;
     std::uint64_t failures = 0;
     std::uint64_t bits = 0;
@@ -221,7 +185,6 @@ TEST(population, aggregates_match_the_shard_reports_and_device_records)
     EXPECT_EQ(shard_devices, report.devices);
 
     // Population-level bookkeeping.
-    EXPECT_EQ(report.queue_pushed, report.devices);
     EXPECT_EQ(report.devices_attacked + report.devices_healthy,
               report.devices);
     std::uint32_t kind_devices = 0;
@@ -239,10 +202,16 @@ TEST(population, aggregates_match_the_shard_reports_and_device_records)
     std::uint64_t record_windows = 0;
     std::uint64_t healthy_windows = 0;
     std::uint32_t detected = 0;
+    std::vector<core::population_shard_report> by_shard(
+        report.shard_reports.size());
     for (std::uint32_t d = 0; d < report.devices; ++d) {
         const core::device_record& rec = report.device_records[d];
         EXPECT_EQ(rec.device, d) << "records are indexed by device";
         record_windows += rec.windows;
+        ASSERT_LT(rec.shard, by_shard.size());
+        by_shard[rec.shard].failures += rec.failures;
+        by_shard[rec.shard].channels_in_alarm += rec.alarm ? 1 : 0;
+        by_shard[rec.shard].escalations += rec.escalations;
         if (!rec.attacked) {
             healthy_windows += rec.windows;
         }
@@ -251,6 +220,13 @@ TEST(population, aggregates_match_the_shard_reports_and_device_records)
     EXPECT_EQ(report.windows, record_windows);
     EXPECT_EQ(report.healthy_windows, healthy_windows);
     EXPECT_EQ(report.detected, detected);
+    for (std::size_t s = 0; s < by_shard.size(); ++s) {
+        const core::population_shard_report& sr = report.shard_reports[s];
+        EXPECT_EQ(sr.failures, by_shard[s].failures) << "shard " << s;
+        EXPECT_EQ(sr.channels_in_alarm, by_shard[s].channels_in_alarm)
+            << "shard " << s;
+        EXPECT_EQ(sr.escalations, by_shard[s].escalations) << "shard " << s;
+    }
 }
 
 TEST(population, attacks_are_detected_with_ordered_percentiles)
@@ -287,22 +263,6 @@ TEST(population, false_escalation_extrapolation_recomputes)
                      rate * windows_per_day);
 }
 
-TEST(population, queue_capacity_never_changes_the_report)
-{
-    // A minimum-size queue forces constant producer backpressure; the
-    // report must not notice (capacity is timing, never data).
-    const core::population_report roomy =
-        core::population_monitor(small_config()).run();
-    core::population_config tight_cfg = small_config();
-    tight_cfg.queue_records = 1;
-    const core::population_report tight =
-        core::population_monitor(tight_cfg).run();
-    EXPECT_EQ(tight.queue_capacity, 2u) << "the queue's two-cell floor";
-    EXPECT_TRUE(roomy.same_counters(tight));
-    EXPECT_EQ(roomy.shard_reports, tight.shard_reports)
-        << "same layout: the per-shard breakdown must match too";
-}
-
 TEST(population, device_records_are_off_by_default)
 {
     core::population_config cfg = small_config();
@@ -310,8 +270,13 @@ TEST(population, device_records_are_off_by_default)
     const core::population_report report =
         core::population_monitor(cfg).run();
     EXPECT_TRUE(report.device_records.empty());
-    EXPECT_EQ(report.queue_pushed, report.devices)
-        << "aggregation still flows through the queue";
+    std::uint32_t kind_devices = 0;
+    for (const core::kind_summary& ks : report.by_kind) {
+        kind_devices += ks.devices;
+    }
+    EXPECT_EQ(kind_devices, report.devices)
+        << "every device is still aggregated";
+    EXPECT_EQ(report.windows, report.devices * cfg.windows_per_device);
 }
 
 TEST(population, shard_ranges_are_contiguous)
@@ -360,11 +325,6 @@ TEST(population, configuration_is_validated)
         EXPECT_THROW(core::population_monitor{cfg}, std::invalid_argument);
     }
     {
-        core::population_config cfg = small_config();
-        cfg.queue_records = 0;
-        EXPECT_THROW(core::population_monitor{cfg}, std::invalid_argument);
-    }
-    {
         // Sub-word designs cannot host per-device variation: onset and
         // churn are scheduled on word boundaries.
         core::population_config cfg = small_config();
@@ -374,11 +334,6 @@ TEST(population, configuration_is_validated)
     {
         core::population_config cfg = small_config();
         cfg.profile.attacked_fraction = 2.0;
-        EXPECT_THROW(core::population_monitor{cfg}, std::invalid_argument);
-    }
-    {
-        core::population_config cfg = small_config();
-        cfg.telemetry_flush_records = 0;
         EXPECT_THROW(core::population_monitor{cfg}, std::invalid_argument);
     }
 }
