@@ -6,7 +6,7 @@
 //   $ OTF_SMOKE=1 ./bench_stream_throughput  # ctest / verify.sh smoke entry
 //
 // Four measurements on the n = 65536 high-tier design (all nine tests,
-// double-buffered):
+// double-buffered), then one on the paper's short windows:
 //
 //   1. window loop     -- core::run_windows on the default (span) lane:
 //      one thread alternating fill_words_available and the window test;
@@ -22,12 +22,19 @@
 //      the batched lane (fill_words); the acceptance bar is >= 3x
 //      batched-over-scalar for every model on full runs.  The two lanes
 //      are bit-exact (tests/test_generation_oracle.cpp); this times the
-//      generation side of the window loop.
+//      generation side of the window loop;
+//   5. short windows   -- core::run_windows on the n = 128 light and
+//      medium designs, where the window close (result latch, register
+//      readout, sw16 software pass) dominates: Mbit/s, close us per
+//      window, and sw16 instructions and MSP430 cycles per window.  The
+//      first window of each run is a golden Table III window
+//      (tests/support/sw_golden.hpp); its instruction vector and cycle
+//      count must match exactly on every run, smoke included.
 //
 // Equivalence is proven separately (tests/test_core_monitor.cpp,
 // tests/test_kernel_oracle.cpp and tests/test_generation_oracle.cpp);
 // this is timing only.  Results go to BENCH_stream.json (schema
-// "otf-stream-bench/5", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
+// "otf-stream-bench/6", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
 // output directory).
 #include "base/bits.hpp"
 #include "base/env.hpp"
@@ -35,6 +42,7 @@
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
+#include "support/sw_golden.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
 #include "what_ran.hpp"
@@ -282,9 +290,73 @@ int main(int argc, char** argv)
                     gm.name, p.scalar_mwps, p.batched_mwps, speedup);
     }
 
+    // 5. Short windows.  Golden windows 0 and 1 are the n = 128 light and
+    // medium designs; a run seeded like the golden window starts with it.
+    struct short_point {
+        std::string design;
+        std::uint64_t window_bits;
+        double mbps;
+        double close_us;
+        double ops_per_window;
+        double cycles_per_window;
+        bool golden_match;
+    };
+    const std::vector<test::golden_window> golden = test::golden_windows();
+    const std::uint64_t short_windows =
+        smoke_scaled<std::uint64_t>(200000, 2000);
+    std::vector<short_point> short_points;
+    std::printf("\nshort windows (%llu windows each):\n",
+                static_cast<unsigned long long>(short_windows));
+    for (std::size_t g = 0; g < 2; ++g) {
+        const hw::block_config& cfg = golden[g].design;
+        const std::uint64_t seed = test::kGoldenSeedBase + g;
+        const double bits = static_cast<double>(short_windows * cfg.n());
+        short_point p{cfg.name, cfg.n(), 0.0, 0.0, 0.0, 0.0, false};
+        for (unsigned r = 0; r < reps; ++r) {
+            core::monitor mon(cfg, 0.01);
+            trng::ideal_source src(seed);
+            const auto t0 = clock_type::now();
+            core::run_windows(mon, src, short_windows);
+            p.mbps = std::max(p.mbps, bits / seconds_since(t0) / 1e6);
+        }
+        // The same windows again, one at a time, timing only the close.
+        core::monitor mon(cfg, 0.01);
+        trng::ideal_source src(seed);
+        std::vector<std::uint64_t> words(cfg.n() / 64);
+        double close_s = 0.0;
+        std::uint64_t ops = 0;
+        std::uint64_t cycles = 0;
+        for (std::uint64_t w = 0; w < short_windows; ++w) {
+            src.fill_words(words.data(), words.size());
+            mon.feed_packed(words.data(), words.size());
+            const auto t0 = clock_type::now();
+            const core::window_report rep = mon.finish_packed();
+            close_s += seconds_since(t0);
+            ops += rep.software.total_ops.total();
+            cycles += rep.sw_cycles;
+            if (w == 0) {
+                p.golden_match =
+                    test::op_vector(rep.software.total_ops)
+                        == golden[g].ops
+                    && rep.sw_cycles == golden[g].sw_cycles;
+            }
+        }
+        const auto per_window = [&](double total) {
+            return total / static_cast<double>(short_windows);
+        };
+        p.close_us = per_window(close_s * 1e6);
+        p.ops_per_window = per_window(static_cast<double>(ops));
+        p.cycles_per_window = per_window(static_cast<double>(cycles));
+        std::printf("  %-14s %8.2f Mbit/s  close %6.3f us/window  "
+                    "sw16 %6.2f ops, %7.2f cycles/window  golden %s\n",
+                    p.design.c_str(), p.mbps, p.close_us, p.ops_per_window,
+                    p.cycles_per_window, p.golden_match ? "ok" : "MISMATCH");
+        short_points.push_back(p);
+    }
+
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-stream-bench/5");
+    json.value("schema", "otf-stream-bench/6");
     json.value("smoke", smoke_mode());
     write_what_ran(json);
     json.value("design", design.name);
@@ -326,6 +398,20 @@ int main(int argc, char** argv)
     }
     json.end_array();
     json.value("generation_min_speedup", generation_min_speedup);
+    json.begin_array("short_windows");
+    for (const short_point& p : short_points) {
+        json.begin_object();
+        json.value("design", p.design);
+        json.value("window_bits", p.window_bits);
+        json.value("windows", short_windows);
+        json.value("mbit_per_s", p.mbps);
+        json.value("close_us_per_window", p.close_us);
+        json.value("sw_ops_per_window", p.ops_per_window);
+        json.value("sw_cycles_per_window", p.cycles_per_window);
+        json.value("golden_ops_match", p.golden_match);
+        json.end_object();
+    }
+    json.end_array();
     json.end_object();
 
     const std::string path = bench_output_path("BENCH_stream.json");
@@ -341,8 +427,17 @@ int main(int argc, char** argv)
     // Acceptance bars, on full runs only (smoke runs are too short to
     // time reliably): the dispatched span kernels must run at least 5x
     // the per-bit lane, and the batched generation lane must at least
-    // triple the per-word lane for every model.
+    // triple the per-word lane for every model.  The golden software
+    // accounting is exact, so it holds on every run.
     bool failed = false;
+    for (const short_point& p : short_points) {
+        if (!p.golden_match) {
+            std::printf("GOLDEN FAILED: %s window 0 sw16 ops or cycles "
+                        "differ from tests/support/sw_golden.hpp\n",
+                        p.design.c_str());
+            failed = true;
+        }
+    }
     if (!smoke_mode() && span_over_per_bit < 5.0) {
         std::printf("BAR FAILED: span/per-bit = %.3f < 5.0\n",
                     span_over_per_bit);

@@ -122,16 +122,18 @@ assert doc["windows"] == doc["devices"] * doc["windows_per_device"], doc
 print("ok: otf-population/5 (%d workers)" % exe["worker_threads"])
 EOF
 
-    echo "== validating otf-stream-bench/5 schema =="
-    # The stream bench must report the /5 schema: span kernels measured
-    # against the per-bit lane and the generation axis with all six
-    # adversarial models -- and no streamed, zero-copy, batch-sweep or
-    # ring keys (docs/BENCHMARKS.md).
+    echo "== validating otf-stream-bench/6 schema =="
+    # The stream bench must report the /6 schema: span kernels measured
+    # against the per-bit lane, the generation axis with all six
+    # adversarial models and the n = 128 short-window section -- and no
+    # streamed, zero-copy, batch-sweep or ring keys (docs/BENCHMARKS.md).
+    # The bench itself exits nonzero unless each short run's first window
+    # reproduces the golden sw16 accounting (tests/support/sw_golden.hpp).
     python3 - "$BUILD_DIR"/BENCH_stream.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-stream-bench/5", doc["schema"]
+assert doc["schema"] == "otf-stream-bench/6", doc["schema"]
 assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
 assert all("over_per_bit_lane" in k for k in doc["span_kernels"])
 models = [g["model"] for g in doc["generation"]]
@@ -142,7 +144,17 @@ for key in ("streamed_mwords_per_s", "streamed_over_fused",
             "zero_copy_windows", "batch_sweep", "channel_ring"):
     assert key not in doc, key
 assert all("stalls" not in k for p in doc["fleet"] for k in p), doc["fleet"]
-print("ok: otf-stream-bench/5 (%d generation models)" % len(models))
+short = doc["short_windows"]
+assert [p["design"] for p in short] == ["n=128 light", "n=128 medium"], short
+for p in short:
+    assert p["window_bits"] == 128 and p["windows"] > 0, p
+    for key in ("mbit_per_s", "close_us_per_window", "sw_ops_per_window",
+                "sw_cycles_per_window"):
+        assert p[key] > 0, (key, p)
+    assert p["golden_ops_match"] is True, p
+print("ok: otf-stream-bench/6 (%d generation models, short windows %s)"
+      % (len(models), ", ".join("%.1f Mbit/s" % p["mbit_per_s"]
+                                for p in short)))
 EOF
 fi
 

@@ -3,8 +3,10 @@
 #include "sw16/pwl_xlogx.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <charconv>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 
 namespace otf::core {
 
@@ -29,117 +31,226 @@ software_runner::software_runner(hw::block_config cfg, critical_values cv)
     cfg_.validate();
 }
 
-const reg& software_runner::fetched::get(const std::string& name) const
+namespace {
+
+constexpr std::size_t unbound = static_cast<std::size_t>(-1);
+
+/// A register-map entry name split as "<prefix>[<index>]"; any other
+/// name is a scalar (`indexed` false, `prefix` the whole name).
+struct entry_name {
+    std::string_view prefix;
+    std::size_t index = 0;
+    bool indexed = false;
+};
+
+entry_name parse_entry_name(std::string_view name)
 {
-    const auto it = values.find(name);
-    if (it == values.end()) {
-        throw std::out_of_range("software_runner: value not collected: "
-                                + name);
+    const std::size_t open = name.find('[');
+    if (open == std::string_view::npos || name.back() != ']') {
+        return {name};
     }
-    return it->second;
+    const char* first = name.data() + open + 1;
+    const char* last = name.data() + name.size() - 1;
+    std::size_t index = 0;
+    const auto [end, error] = std::from_chars(first, last, index);
+    if (error != std::errc{} || end != last) {
+        return {name};
+    }
+    return {name.substr(0, open), index, true};
 }
 
-software_runner::fetched
-software_runner::collect(const hw::register_map& map, soft_cpu& cpu) const
+} // namespace
+
+void software_runner::bind(const hw::register_map& map) const
+{
+    using hw::test_id;
+    const hw::test_set& tests = cfg_.tests;
+    const bool serial_any = tests.has(test_id::serial)
+        || tests.has(test_id::approximate_entropy);
+    const unsigned m = cfg_.serial_m;
+
+    binding b;
+    b.mapped = map.size();
+    b.derive_marginals = cfg_.serial_transfer_marginals && serial_any;
+
+    // Every value the enabled routines read: a scalar entry, or a counter
+    // file of entries named "<name>[<index>]".
+    struct request {
+        std::string_view name;
+        bool indexed;
+        std::span<std::size_t> slots;
+    };
+    std::vector<request> wanted;
+    const auto scalar = [&](std::string_view name, std::size_t& slot) {
+        slot = unbound;
+        wanted.push_back({name, false, {&slot, 1}});
+    };
+    const auto file = [&](std::string_view name,
+                          std::vector<std::size_t>& slots,
+                          std::size_t count) {
+        slots.assign(count, unbound);
+        wanted.push_back({name, true, slots});
+    };
+    if (tests.has(test_id::frequency) || tests.has(test_id::runs)
+        || tests.has(test_id::cumulative_sums)) {
+        scalar("cusum.s_final", b.s_final);
+    }
+    if (tests.has(test_id::runs)) {
+        scalar("runs.n_runs", b.n_runs);
+    }
+    if (tests.has(test_id::cumulative_sums)) {
+        scalar("cusum.s_max", b.s_max);
+        scalar("cusum.s_min", b.s_min);
+    }
+    if (tests.has(test_id::block_frequency)) {
+        file("block_frequency.eps", b.eps,
+             std::size_t{1} << (cfg_.log2_n - cfg_.bf_log2_m));
+    }
+    if (tests.has(test_id::longest_run)) {
+        file("longest_run.nu", b.lr_nu, cv_.t4_weights_q.size());
+    }
+    if (tests.has(test_id::non_overlapping_template)) {
+        file("non_overlapping.w", b.t7_w,
+             std::size_t{1} << (cfg_.log2_n - cfg_.t7_log2_m));
+    }
+    if (tests.has(test_id::overlapping_template)) {
+        file("overlapping.nu_temp", b.t8_nu, cv_.t8_weights_q.size());
+    }
+    if (serial_any) {
+        file("serial.nu_m", b.nu_m, std::size_t{1} << m);
+        if (!b.derive_marginals) {
+            file("serial.nu_m1", b.nu_m1, std::size_t{1} << (m - 1));
+            file("serial.nu_m2", b.nu_m2, std::size_t{1} << (m - 2));
+        }
+    }
+
+    // One pass over the entries; a repeated name binds its last entry,
+    // as a by-name store would.
+    for (std::size_t i = 0; i < map.size(); ++i) {
+        const entry_name e = parse_entry_name(map.entry(i).name);
+        for (const request& r : wanted) {
+            if (r.indexed == e.indexed && r.name == e.prefix
+                && e.index < r.slots.size()) {
+                r.slots[e.index] = i;
+            }
+        }
+    }
+    for (const request& r : wanted) {
+        for (std::size_t k = 0; k < r.slots.size(); ++k) {
+            if (r.slots[k] == unbound) {
+                std::string name{r.name};
+                if (r.indexed) {
+                    name += "[" + std::to_string(k) + "]";
+                }
+                throw std::out_of_range(
+                    "software_runner: value not collected: " + name);
+            }
+        }
+    }
+
+    // Interface-reduction option: the shorter serial counts are derived
+    // in software (collect()) into slots past the end of the map.
+    std::size_t next = b.mapped;
+    if (b.derive_marginals) {
+        const auto place = [&](std::vector<std::size_t>& slots,
+                               std::size_t count) {
+            slots.resize(count);
+            for (std::size_t& slot : slots) {
+                slot = next++;
+            }
+        };
+        place(b.nu_m1, std::size_t{1} << (m - 1));
+        place(b.nu_m2, std::size_t{1} << (m - 2));
+    }
+
+    store_.assign(next, reg{});
+    b.layout = map.layout();
+    binding_ = std::move(b);
+}
+
+void software_runner::collect(const hw::register_map& map,
+                              soft_cpu& cpu) const
 {
     // The collection pass: one multi-word peripheral read per mapped value.
-    fetched store;
-    for (std::size_t i = 0; i < map.size(); ++i) {
+    for (std::size_t i = 0; i < binding_.mapped; ++i) {
         const hw::map_entry& e = map.entry(i);
         cpu.charge_read(e.width);
-        store.values[e.name] = reg{map.read_value(i), e.width};
+        store_[i] = reg{map.read_value(i), e.width};
     }
 
     // Interface-reduction option: the hardware only transfers the m-bit
     // pattern counts; the shorter counts are their cyclic marginals,
     // nu_{k-1}[p] = nu_k[2p] + nu_k[2p+1], derived here at one ADD each.
-    if (cfg_.serial_transfer_marginals
-        && (cfg_.tests.has(hw::test_id::serial)
-            || cfg_.tests.has(hw::test_id::approximate_entropy))) {
-        const auto derive = [&](const char* from, const char* to,
-                                unsigned patterns) {
-            for (unsigned p = 0; p < patterns; ++p) {
-                const reg lo = store.get(std::string{from} + "["
-                                         + std::to_string(2 * p) + "]");
-                const reg hi = store.get(std::string{from} + "["
-                                         + std::to_string(2 * p + 1)
-                                         + "]");
-                store.values[std::string{to} + "[" + std::to_string(p)
-                             + "]"] = cpu.add(lo, hi);
-            }
-        };
-        derive("serial.nu_m", "serial.nu_m1", 1u << (cfg_.serial_m - 1));
-        derive("serial.nu_m1", "serial.nu_m2", 1u << (cfg_.serial_m - 2));
+    if (!binding_.derive_marginals) {
+        return;
     }
-    return store;
+    const auto derive = [&](const std::vector<std::size_t>& from,
+                            const std::vector<std::size_t>& to) {
+        for (std::size_t p = 0; p < to.size(); ++p) {
+            store_[to[p]] =
+                cpu.add(store_[from[2 * p]], store_[from[2 * p + 1]]);
+        }
+    };
+    derive(binding_.nu_m, binding_.nu_m1);
+    derive(binding_.nu_m1, binding_.nu_m2);
 }
 
 software_result software_runner::run(const hw::register_map& map,
                                      soft_cpu& cpu) const
 {
+    if (map.layout() != binding_.layout) {
+        bind(map);
+    }
+    const sw16::op_counts before = cpu.counts();
+    collect(map, cpu);
+
     software_result result;
-
-    const sw16::op_counts before_collect = cpu.counts();
-    const fetched values = collect(map, cpu);
-    result.collection_ops = cpu.counts() - before_collect;
-
-    const auto run_one = [&](const char* name, auto&& routine) {
-        const sw16::op_counts before = cpu.counts();
-        test_verdict verdict = routine();
+    result.verdicts.reserve(cfg_.tests.count());
+    const auto run_one = [&](const char* name, test_verdict verdict) {
         verdict.name = name;
-        result.per_test_ops[name] = cpu.counts() - before;
         result.all_pass = result.all_pass && verdict.pass;
         result.verdicts.push_back(std::move(verdict));
     };
 
     using hw::test_id;
     if (cfg_.tests.has(test_id::frequency)) {
-        run_one("frequency", [&] { return run_frequency(cpu, values); });
+        run_one("frequency", run_frequency(cpu));
     }
     if (cfg_.tests.has(test_id::block_frequency)) {
-        run_one("block_frequency",
-                [&] { return run_block_frequency(cpu, values); });
+        run_one("block_frequency", run_block_frequency(cpu));
     }
     if (cfg_.tests.has(test_id::runs)) {
-        run_one("runs", [&] { return run_runs(cpu, values); });
+        run_one("runs", run_runs(cpu));
     }
     if (cfg_.tests.has(test_id::longest_run)) {
-        run_one("longest_run", [&] { return run_longest_run(cpu, values); });
+        run_one("longest_run", run_longest_run(cpu));
     }
     if (cfg_.tests.has(test_id::non_overlapping_template)) {
-        run_one("non_overlapping_template",
-                [&] { return run_non_overlapping(cpu, values); });
+        run_one("non_overlapping_template", run_non_overlapping(cpu));
     }
     if (cfg_.tests.has(test_id::overlapping_template)) {
-        run_one("overlapping_template",
-                [&] { return run_overlapping(cpu, values); });
+        run_one("overlapping_template", run_overlapping(cpu));
     }
     if (cfg_.tests.has(test_id::serial)) {
-        run_one("serial", [&] { return run_serial(cpu, values); });
+        run_one("serial", run_serial(cpu));
     }
     if (cfg_.tests.has(test_id::approximate_entropy)) {
-        run_one("approximate_entropy",
-                [&] { return run_approximate_entropy(cpu, values); });
+        run_one("approximate_entropy", run_approximate_entropy(cpu));
     }
     if (cfg_.tests.has(test_id::cumulative_sums)) {
-        run_one("cumulative_sums",
-                [&] { return run_cumulative_sums(cpu, values); });
+        run_one("cumulative_sums", run_cumulative_sums(cpu));
     }
 
-    result.total_ops = result.collection_ops;
-    for (const auto& entry : result.per_test_ops) {
-        result.total_ops += entry.second;
-    }
+    result.total_ops = cpu.counts() - before;
     return result;
 }
 
 // ---------------------------------------------------------------- test 1 --
-test_verdict software_runner::run_frequency(soft_cpu& cpu,
-                                            const fetched& v) const
+test_verdict software_runner::run_frequency(soft_cpu& cpu) const
 {
     // |S_final| <= precomputed sqrt(2n) erfc^-1(alpha).  S_final comes from
     // the cusum walk (sharing trick 1: no ones-counter exists in hardware).
-    const reg s = v.get("cusum.s_final");
+    const reg s = store_[binding_.s_final];
     const reg magnitude = cpu.abs(s);
     const reg bound = soft_cpu::constant(
         cv_.t1_max_deviation, bits_for_signed(cv_.t1_max_deviation));
@@ -152,8 +263,7 @@ test_verdict software_runner::run_frequency(soft_cpu& cpu,
 }
 
 // ---------------------------------------------------------------- test 2 --
-test_verdict software_runner::run_block_frequency(soft_cpu& cpu,
-                                                  const fetched& v) const
+test_verdict software_runner::run_block_frequency(soft_cpu& cpu) const
 {
     // sum (2 eps_i - M)^2 <= M * chi2_crit(N dof).
     const unsigned blocks = 1u << (cfg_.log2_n - cfg_.bf_log2_m);
@@ -162,8 +272,7 @@ test_verdict software_runner::run_block_frequency(soft_cpu& cpu,
         soft_cpu::constant(m_value, bits_for_signed(m_value));
     reg acc = soft_cpu::constant(0, 1);
     for (unsigned i = 0; i < blocks; ++i) {
-        const reg eps =
-            v.get("block_frequency.eps[" + std::to_string(i) + "]");
+        const reg eps = store_[binding_.eps[i]];
         reg d = cpu.shift_left(eps, 1);
         d = cpu.sub(d, m_const);
         d = cpu.abs(d);
@@ -181,13 +290,13 @@ test_verdict software_runner::run_block_frequency(soft_cpu& cpu,
 }
 
 // ---------------------------------------------------------------- test 3 --
-test_verdict software_runner::run_runs(soft_cpu& cpu, const fetched& v) const
+test_verdict software_runner::run_runs(soft_cpu& cpu) const
 {
     test_verdict verdict;
     verdict.id = hw::test_id::runs;
 
     // Frequency prerequisite on the walk's final value.
-    const reg s = v.get("cusum.s_final");
+    const reg s = store_[binding_.s_final];
     const reg magnitude = cpu.abs(s);
     const reg prereq = soft_cpu::constant(
         cv_.t3_prereq_deviation, bits_for_signed(cv_.t3_prereq_deviation));
@@ -222,7 +331,7 @@ test_verdict software_runner::run_runs(soft_cpu& cpu, const fetched& v) const
     }
     const runs_interval& iv = cv_.t3_intervals[lo];
 
-    const reg runs = v.get("runs.n_runs");
+    const reg runs = store_[binding_.n_runs];
     const reg lo_bound =
         soft_cpu::constant(iv.runs_lo, bits_for_signed(iv.runs_lo));
     const reg hi_bound =
@@ -236,13 +345,12 @@ test_verdict software_runner::run_runs(soft_cpu& cpu, const fetched& v) const
 }
 
 // ---------------------------------------------------------------- test 4 --
-test_verdict software_runner::run_longest_run(soft_cpu& cpu,
-                                              const fetched& v) const
+test_verdict software_runner::run_longest_run(soft_cpu& cpu) const
 {
     // sum nu_i^2 w_i <= 2^q N (crit + N), w_i = round(2^q / pi_i).
     reg acc = soft_cpu::constant(0, 1);
     for (std::size_t c = 0; c < cv_.t4_weights_q.size(); ++c) {
-        const reg nu = v.get("longest_run.nu[" + std::to_string(c) + "]");
+        const reg nu = store_[binding_.lr_nu[c]];
         const reg square = cpu.sqr(nu);
         const reg w = soft_cpu::constant(
             cv_.t4_weights_q[c], bits_for_signed(cv_.t4_weights_q[c]));
@@ -260,8 +368,7 @@ test_verdict software_runner::run_longest_run(soft_cpu& cpu,
 }
 
 // ---------------------------------------------------------------- test 7 --
-test_verdict software_runner::run_non_overlapping(soft_cpu& cpu,
-                                                  const fetched& v) const
+test_verdict software_runner::run_non_overlapping(soft_cpu& cpu) const
 {
     // sum (2^m W_i - (M - m + 1))^2 <= 2^{2m} sigma^2 crit.
     const unsigned blocks = 1u << (cfg_.log2_n - cfg_.t7_log2_m);
@@ -270,7 +377,7 @@ test_verdict software_runner::run_non_overlapping(soft_cpu& cpu,
     const reg mu = soft_cpu::constant(mu_scaled, bits_for_signed(mu_scaled));
     reg acc = soft_cpu::constant(0, 1);
     for (unsigned i = 0; i < blocks; ++i) {
-        const reg w = v.get("non_overlapping.w[" + std::to_string(i) + "]");
+        const reg w = store_[binding_.t7_w[i]];
         reg d = cpu.shift_left(w, cfg_.template_length);
         d = cpu.sub(d, mu);
         d = cpu.abs(d);
@@ -288,13 +395,11 @@ test_verdict software_runner::run_non_overlapping(soft_cpu& cpu,
 }
 
 // ---------------------------------------------------------------- test 8 --
-test_verdict software_runner::run_overlapping(soft_cpu& cpu,
-                                              const fetched& v) const
+test_verdict software_runner::run_overlapping(soft_cpu& cpu) const
 {
     reg acc = soft_cpu::constant(0, 1);
     for (std::size_t c = 0; c < cv_.t8_weights_q.size(); ++c) {
-        const reg nu = v.get("overlapping.nu_temp[" + std::to_string(c)
-                             + "]");
+        const reg nu = store_[binding_.t8_nu[c]];
         const reg square = cpu.sqr(nu);
         const reg w = soft_cpu::constant(
             cv_.t8_weights_q[c], bits_for_signed(cv_.t8_weights_q[c]));
@@ -315,12 +420,12 @@ test_verdict software_runner::run_overlapping(soft_cpu& cpu,
 namespace {
 
 /// Sum of squares over a counter file.
-reg sum_of_squares(soft_cpu& cpu, const std::function<reg(unsigned)>& at,
-                   unsigned count)
+reg sum_of_squares(soft_cpu& cpu, const std::vector<reg>& store,
+                   const std::vector<std::size_t>& file)
 {
     reg acc = soft_cpu::constant(0, 1);
-    for (unsigned i = 0; i < count; ++i) {
-        const reg square = cpu.sqr(at(i));
+    for (const std::size_t slot : file) {
+        const reg square = cpu.sqr(store[slot]);
         acc = cpu.add(acc, square);
     }
     return acc;
@@ -329,22 +434,12 @@ reg sum_of_squares(soft_cpu& cpu, const std::function<reg(unsigned)>& at,
 } // namespace
 
 // --------------------------------------------------------------- test 11 --
-test_verdict software_runner::run_serial(soft_cpu& cpu,
-                                         const fetched& v) const
+test_verdict software_runner::run_serial(soft_cpu& cpu) const
 {
     const unsigned m = cfg_.serial_m;
-    const auto file_value = [&](const char* file, unsigned i) {
-        return v.get(std::string{file} + "[" + std::to_string(i) + "]");
-    };
-    const reg sum_m = sum_of_squares(
-        cpu, [&](unsigned i) { return file_value("serial.nu_m", i); },
-        1u << m);
-    const reg sum_m1 = sum_of_squares(
-        cpu, [&](unsigned i) { return file_value("serial.nu_m1", i); },
-        1u << (m - 1));
-    const reg sum_m2 = sum_of_squares(
-        cpu, [&](unsigned i) { return file_value("serial.nu_m2", i); },
-        1u << (m - 2));
+    const reg sum_m = sum_of_squares(cpu, store_, binding_.nu_m);
+    const reg sum_m1 = sum_of_squares(cpu, store_, binding_.nu_m1);
+    const reg sum_m2 = sum_of_squares(cpu, store_, binding_.nu_m2);
 
     // n del-psi^2   = 2^m sum_m - 2^{m-1} sum_m1
     // n del2-psi^2  = 2^m sum_m - 2^m sum_m1 + 2^{m-2} sum_m2
@@ -370,31 +465,27 @@ test_verdict software_runner::run_serial(soft_cpu& cpu,
 }
 
 // --------------------------------------------------------------- test 12 --
-test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu,
-                                                      const fetched& v) const
+test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu) const
 {
     // ApEn(m-1) = phi_{m-1} - phi_m = sum g(nu_m / n) - sum g(nu_{m-1} / n)
     // with g(x) = -x ln x evaluated by the 32-segment PWL table; the
     // division by n is a pure shift because n is a power of two.
-    const unsigned m = cfg_.serial_m;
     const auto to_q16 = [&](reg nu) {
         if (cfg_.log2_n >= 16) {
             return cpu.shift_right(nu, cfg_.log2_n - 16);
         }
         return cpu.shift_left(nu, 16 - cfg_.log2_n);
     };
-    const auto phi_sum = [&](const char* file, unsigned count) {
+    const auto phi_sum = [&](const std::vector<std::size_t>& file) {
         reg acc = soft_cpu::constant(0, 1);
-        for (unsigned i = 0; i < count; ++i) {
-            const reg nu =
-                v.get(std::string{file} + "[" + std::to_string(i) + "]");
-            const reg g = sw16::pwl_xlogx(cpu, to_q16(nu));
+        for (const std::size_t slot : file) {
+            const reg g = sw16::pwl_xlogx(cpu, to_q16(store_[slot]));
             acc = cpu.add(acc, g);
         }
         return acc;
     };
-    const reg a = phi_sum("serial.nu_m", 1u << m);
-    const reg b = phi_sum("serial.nu_m1", 1u << (m - 1));
+    const reg a = phi_sum(binding_.nu_m);
+    const reg b = phi_sum(binding_.nu_m1);
     const reg apen_q16 = cpu.sub(a, b);
     const reg bound = soft_cpu::constant(
         cv_.t12_apen_min_q16, bits_for_signed(cv_.t12_apen_min_q16));
@@ -407,15 +498,14 @@ test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu,
 }
 
 // --------------------------------------------------------------- test 13 --
-test_verdict software_runner::run_cumulative_sums(soft_cpu& cpu,
-                                                  const fetched& v) const
+test_verdict software_runner::run_cumulative_sums(soft_cpu& cpu) const
 {
     // Forward mode:  z = max(S_max, -S_min).
     // Backward mode: z = max(S_max - S_final, S_final - S_min) -- the
     // Table II formula; both modes from the same three registers.
-    const reg s_final = v.get("cusum.s_final");
-    const reg s_max = v.get("cusum.s_max");
-    const reg s_min = v.get("cusum.s_min");
+    const reg s_final = store_[binding_.s_final];
+    const reg s_max = store_[binding_.s_max];
+    const reg s_min = store_[binding_.s_min];
 
     const reg zero = soft_cpu::constant(0, 1);
     const reg neg_min = cpu.sub(zero, s_min);

@@ -18,7 +18,6 @@
 #include "hw/register_map.hpp"
 #include "sw16/cpu.hpp"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -37,16 +36,19 @@ struct test_verdict {
 struct software_result {
     std::vector<test_verdict> verdicts;
     bool all_pass = true;
-    /// Instruction cost of reading every hardware value (the READ pass).
-    sw16::op_counts collection_ops;
-    /// Instruction cost per test routine (arithmetic only), keyed by name.
-    std::map<std::string, sw16::op_counts> per_test_ops;
-    /// Collection + all routines.
+    /// Every instruction the pass charged: the collection READs, the
+    /// derived marginals and all test routines.
     sw16::op_counts total_ops;
 
     const test_verdict* find(hw::test_id id) const;
 };
 
+/// The software pass of one design point.  It resolves where each value
+/// it reads sits in the register map once per map layout
+/// (hw::register_map::layout()) and keeps a reused flat store, so a
+/// window's pass does no name lookups and no allocation beyond its
+/// result.  That cached binding makes run() stateful: use one runner per
+/// monitor and never share one across threads.
 class software_runner {
 public:
     /// \brief Bind the software pass to one design point.
@@ -63,36 +65,52 @@ public:
     /// \param cpu instruction-accounting CPU that executes (and charges)
     ///            every READ and every arithmetic instruction
     /// \return per-test verdicts with raw statistics and op counts
+    /// \throws std::out_of_range naming the first value the design needs
+    /// that `map` lacks
     software_result run(const hw::register_map& map,
                         sw16::soft_cpu& cpu) const;
 
 private:
-    hw::block_config cfg_;
-    critical_values cv_;
-
-    // Local store of values fetched during the collection pass.
-    struct fetched {
-        std::map<std::string, sw16::reg> values;
-        const sw16::reg& get(const std::string& name) const;
+    /// Positions in store_ of every value the routines read, resolved by
+    /// name for one map layout.
+    struct binding {
+        std::uint64_t layout = 0; ///< 0: not bound yet (no map has it)
+        std::size_t s_final = 0;
+        std::size_t s_max = 0;
+        std::size_t s_min = 0;
+        std::size_t n_runs = 0;
+        std::vector<std::size_t> eps;     ///< block_frequency.eps
+        std::vector<std::size_t> lr_nu;   ///< longest_run.nu
+        std::vector<std::size_t> t7_w;    ///< non_overlapping.w
+        std::vector<std::size_t> t8_nu;   ///< overlapping.nu_temp
+        std::vector<std::size_t> nu_m;    ///< serial.nu_m
+        std::vector<std::size_t> nu_m1;   ///< serial.nu_m1
+        std::vector<std::size_t> nu_m2;   ///< serial.nu_m2
+        /// Entries in the map; derived marginals sit past them.
+        std::size_t mapped = 0;
+        /// serial_transfer_marginals: nu_m1/nu_m2 are derived from nu_m.
+        bool derive_marginals = false;
     };
 
-    fetched collect(const hw::register_map& map, sw16::soft_cpu& cpu) const;
+    hw::block_config cfg_;
+    critical_values cv_;
+    mutable binding binding_;
+    /// The collection pass's values: one slot per mapped entry in map
+    /// order, then the derived marginals (reused across windows).
+    mutable std::vector<sw16::reg> store_;
 
-    test_verdict run_frequency(sw16::soft_cpu& cpu, const fetched& v) const;
-    test_verdict run_block_frequency(sw16::soft_cpu& cpu,
-                                     const fetched& v) const;
-    test_verdict run_runs(sw16::soft_cpu& cpu, const fetched& v) const;
-    test_verdict run_longest_run(sw16::soft_cpu& cpu,
-                                 const fetched& v) const;
-    test_verdict run_non_overlapping(sw16::soft_cpu& cpu,
-                                     const fetched& v) const;
-    test_verdict run_overlapping(sw16::soft_cpu& cpu,
-                                 const fetched& v) const;
-    test_verdict run_serial(sw16::soft_cpu& cpu, const fetched& v) const;
-    test_verdict run_approximate_entropy(sw16::soft_cpu& cpu,
-                                         const fetched& v) const;
-    test_verdict run_cumulative_sums(sw16::soft_cpu& cpu,
-                                     const fetched& v) const;
+    void bind(const hw::register_map& map) const;
+    void collect(const hw::register_map& map, sw16::soft_cpu& cpu) const;
+
+    test_verdict run_frequency(sw16::soft_cpu& cpu) const;
+    test_verdict run_block_frequency(sw16::soft_cpu& cpu) const;
+    test_verdict run_runs(sw16::soft_cpu& cpu) const;
+    test_verdict run_longest_run(sw16::soft_cpu& cpu) const;
+    test_verdict run_non_overlapping(sw16::soft_cpu& cpu) const;
+    test_verdict run_overlapping(sw16::soft_cpu& cpu) const;
+    test_verdict run_serial(sw16::soft_cpu& cpu) const;
+    test_verdict run_approximate_entropy(sw16::soft_cpu& cpu) const;
+    test_verdict run_cumulative_sums(sw16::soft_cpu& cpu) const;
 };
 
 /// \brief True when `tests` only enables tests the bit-sliced fleet lane

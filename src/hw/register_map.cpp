@@ -1,14 +1,28 @@
 #include "hw/register_map.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 namespace otf::hw {
+
+namespace {
+
+std::uint64_t next_layout()
+{
+    static std::atomic<std::uint64_t> stamps{0};
+    return stamps.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+} // namespace
+
+register_map::register_map() : layout_(next_layout()) {}
 
 void register_map::add_scalar(std::string name, unsigned width,
                               bool is_signed,
                               std::function<std::uint64_t()> read)
 {
+    layout_ = next_layout();
     entries_.push_back(map_entry{std::move(name), width, is_signed,
                                  std::move(read), std::string{}});
 }
@@ -20,6 +34,7 @@ void register_map::add_group_element(std::string group, std::string name,
     if (group.empty()) {
         throw std::invalid_argument("register_map: group name is empty");
     }
+    layout_ = next_layout();
     entries_.push_back(map_entry{std::move(name), width, is_signed,
                                  std::move(read), std::move(group)});
 }

@@ -45,6 +45,8 @@ struct control_entry {
 
 class register_map {
 public:
+    register_map();
+
     /// \brief Register a scalar value (one top-level mux input).
     /// \param name      unique map-wide name, e.g. "cusum.s_final"
     /// \param width     value width in bits
@@ -71,6 +73,14 @@ public:
 
     /// Index of the entry called `name`, throws if absent.
     std::size_t index_of(const std::string& name) const;
+
+    /// \brief Stamp of the result plane's entry list, unique process-wide:
+    /// every add_scalar / add_group_element and every freshly constructed
+    /// map takes a new one, so equal stamps mean the same entries in the
+    /// same order (a copy shares its source's stamp).  Consumers that
+    /// resolve entry positions once (core::software_runner) rebind when
+    /// it changes.
+    std::uint64_t layout() const { return layout_; }
 
     /// Raw value (two's complement in `width` bits for signed entries).
     std::uint64_t read_raw(std::size_t index) const;
@@ -121,6 +131,7 @@ public:
 private:
     std::vector<map_entry> entries_;
     std::vector<control_entry> controls_;
+    std::uint64_t layout_;
 };
 
 } // namespace otf::hw

@@ -323,13 +323,10 @@ void testing_block::run(const bit_sequence& seq)
 
 void testing_block::restart()
 {
-    // component::reset() clears the engines; the latched results (if any)
-    // survive so software can still read the finished window.
-    const std::vector<std::uint64_t> keep = latch_;
-    const bool keep_valid = latch_valid_;
+    // component::reset() clears the engines; self_reset() leaves the
+    // result latch alone, so latched results (if any) survive and
+    // software can still read the finished window.
     reset();
-    latch_ = keep;
-    latch_valid_ = keep_valid;
 }
 
 rtl::resources testing_block::self_cost() const

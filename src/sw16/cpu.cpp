@@ -1,6 +1,7 @@
 #include "sw16/cpu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace otf::sw16 {
@@ -32,7 +33,9 @@ op_counts operator-(const op_counts& a, const op_counts& b)
     return r;
 }
 
-soft_cpu::soft_cpu(unsigned word_bits) : word_bits_(word_bits)
+soft_cpu::soft_cpu(unsigned word_bits)
+    : word_bits_(word_bits),
+      word_shift_(static_cast<unsigned>(std::countr_zero(word_bits)))
 {
     if (word_bits != 8 && word_bits != 16 && word_bits != 32) {
         throw std::invalid_argument("soft_cpu: word width must be 8/16/32");
@@ -49,7 +52,9 @@ void soft_cpu::check_width(unsigned bits)
 unsigned soft_cpu::words(unsigned bits) const
 {
     check_width(bits);
-    return (bits + word_bits_ - 1) / word_bits_;
+    // word_bits_ is a power of two: a shift, not a division, on the
+    // path every charged instruction takes.
+    return (bits + word_bits_ - 1) >> word_shift_;
 }
 
 reg soft_cpu::add(reg a, reg b)
@@ -177,12 +182,7 @@ void soft_cpu::charge_read(unsigned bits)
 
 unsigned bits_for_unsigned(std::uint64_t value)
 {
-    unsigned bits = 1;
-    while (value > 1) {
-        value >>= 1;
-        ++bits;
-    }
-    return bits;
+    return std::max(1u, static_cast<unsigned>(std::bit_width(value)));
 }
 
 unsigned bits_for_signed(std::int64_t value)

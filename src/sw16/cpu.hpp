@@ -108,6 +108,7 @@ public:
 
 private:
     unsigned word_bits_;
+    unsigned word_shift_; ///< log2(word_bits_)
     op_counts counts_;
 
     static void check_width(unsigned bits);

@@ -1,6 +1,6 @@
 // Direct unit tests of the memory-mapped register interface: entry
 // registration, group accounting for the top-level mux, width masking and
-// sign extension, word accounting across bus widths.
+// sign extension, word accounting across bus widths, layout stamps.
 #include "hw/register_map.hpp"
 
 #include <cstdint>
@@ -111,6 +111,33 @@ TEST(register_map, getters_are_live_views)
     EXPECT_EQ(map.read_value("live"), 0);
     counter = 77;
     EXPECT_EQ(map.read_value("live"), 77);
+}
+
+TEST(register_map, layout_stamp_changes_with_every_entry_list)
+{
+    // Two maps built the same way have different stamps: a consumer
+    // bound to one must rebind on the other.
+    register_map map = small_map();
+    EXPECT_NE(map.layout(), small_map().layout());
+    EXPECT_NE(map.layout(), register_map{}.layout());
+
+    // A copy has the same entries, hence the same stamp.
+    const register_map copy = map;
+    EXPECT_EQ(copy.layout(), map.layout());
+
+    // Every added entry renews it; a control register does not touch the
+    // result plane.
+    std::uint64_t before = map.layout();
+    map.add_scalar("gamma", 4, false, [] { return 1u; });
+    EXPECT_NE(map.layout(), before);
+    before = map.layout();
+    map.add_group_element("bank", "bank[2]", 12, false, [] { return 2u; });
+    EXPECT_NE(map.layout(), before);
+    before = map.layout();
+    map.add_control(
+        "cfg.y", 4, [] { return std::uint64_t{0}; }, [](std::uint64_t) {});
+    EXPECT_EQ(map.layout(), before);
+    EXPECT_NE(copy.layout(), map.layout());
 }
 
 // ----------------------------------------------------- control plane --
