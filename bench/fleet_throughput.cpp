@@ -4,8 +4,8 @@
 //   $ ./bench_fleet_throughput            # full run
 //   $ OTF_SMOKE=1 ./bench_fleet_throughput  # ctest smoke entry
 //
-// Five measurements, the first three on the n = 65536 high-tier design
-// (all nine tests, double-buffered):
+// Three measurements on the n = 65536 high-tier design (all nine tests,
+// double-buffered):
 //
 //   1. single-channel per-bit lane  -- the paper-faithful oracle path
 //      (hw::testing_block::feed, one virtual dispatch per engine per bit);
@@ -14,20 +14,11 @@
 //   3. fleet scaling                -- core::fleet_monitor over 1..C
 //      channels with the span lane, reporting aggregate Mbit/s and the
 //      efficiency relative to one channel (bounded by the machine's core
-//      count; the report prints hardware_concurrency for context);
-//   4. sliced lane                  -- a 64-channel fleet on the cheap
-//      always-on design (frequency + runs, n = 2^16), span lane vs the
-//      bit-sliced transposed lane (hw::sliced_block), reporting the
-//      aggregate Mbit/s of each and their ratio;
-//   5. single worker                -- the same 64-channel cheap config
-//      pinned to ONE worker thread, fused span (generate + test inline)
-//      vs the fused 64x64 tile lane (fill_tile -> one transpose per
-//      tile -> feed_tile).  OTF_ENFORCE_FUSED_BAR=1 turns the tile >=
-//      span comparison into an exit code for CI.
+//      count; the report prints hardware_concurrency for context).
 //
 // Timing only -- equivalence is proven separately by
 // tests/test_kernel_oracle and test_fleet_monitor.  Results are also
-// written to BENCH_fleet.json (schema "otf-fleet-bench/5", see
+// written to BENCH_fleet.json (schema "otf-fleet-bench/6", see
 // docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the output directory) so CI
 // can archive the perf trajectory.
 #include "base/env.hpp"
@@ -35,7 +26,6 @@
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
-#include "hw/sliced_block.hpp"
 #include "trng/sources.hpp"
 #include "what_ran.hpp"
 
@@ -153,66 +143,9 @@ int main(int argc, char** argv)
         scaling.push_back({channels, mbps, mbps / one_channel_mbps});
     }
 
-    // 4. Sliced lane: 64 channels of the cheap always-on design, span
-    // lane per channel vs one bit-sliced group advancing all 64 together.
-    hw::block_config cheap = core::custom_design(
-        16, hw::test_set{}
-                .with(hw::test_id::frequency)
-                .with(hw::test_id::runs));
-    cheap.name = "frequency+runs n=2^16";
-    const unsigned sliced_channels = hw::sliced_block::lanes;
-    const std::uint64_t sliced_windows = smoke_scaled<std::uint64_t>(8, 1);
-    const auto run_cheap_fleet = [&](core::ingest_lane lane,
-                                     unsigned threads) {
-        core::fleet_config cfg;
-        cfg.block = cheap;
-        cfg.channels = sliced_channels;
-        cfg.threads = threads;
-        cfg.lane = lane;
-        core::fleet_monitor fleet(cfg);
-        const auto report = fleet.run(
-            [](unsigned c) {
-                return std::make_unique<trng::ideal_source>(3000 + c);
-            },
-            sliced_windows);
-        return report.bits_per_second() / 1e6;
-    };
-    std::printf("\nsliced lane (%s, %u channels):\n", cheap.name.c_str(),
-                sliced_channels);
-    const double cheap_span_mbps =
-        run_cheap_fleet(core::ingest_lane::span, 0);
-    const double cheap_sliced_mbps =
-        run_cheap_fleet(core::ingest_lane::sliced, 0);
-    std::printf("  span lane   : %10.1f Mbit/s\n"
-                "  sliced lane : %10.1f Mbit/s   (%.2fx span)\n",
-                cheap_span_mbps, cheap_sliced_mbps,
-                cheap_sliced_mbps / cheap_span_mbps);
-
-    // 5. One worker thread, same data: the fused span lane against the
-    // fused 64x64 tile lane, both generating and testing inline on the
-    // one core.
-    std::printf("\nsingle worker (%s, %u channels, 1 thread):\n",
-                cheap.name.c_str(), sliced_channels);
-    const double fused_span_mbps =
-        run_cheap_fleet(core::ingest_lane::span, 1);
-    const double fused_tile_mbps =
-        run_cheap_fleet(core::ingest_lane::sliced, 1);
-    const double tile_over_span = fused_tile_mbps / fused_span_mbps;
-    std::printf("  fused span       : %10.1f Mbit/s\n"
-                "  fused 64x64 tile : %10.1f Mbit/s   (%.2fx span)\n",
-                fused_span_mbps, fused_tile_mbps, tile_over_span);
-    bool fused_bar_ok = true;
-    if (env_flag("OTF_ENFORCE_FUSED_BAR") && tile_over_span < 1.0) {
-        std::fprintf(stderr,
-                     "FAIL: fused tile lane %.2fx fused span "
-                     "(must be >= 1.0x)\n",
-                     tile_over_span);
-        fused_bar_ok = false;
-    }
-
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-fleet-bench/5");
+    json.value("schema", "otf-fleet-bench/6");
     json.value("smoke", smoke_mode());
     write_what_ran(json);
     json.value("design", design.name);
@@ -223,23 +156,6 @@ int main(int argc, char** argv)
     json.value("per_bit_mbps", bit_mbps);
     json.value("span_mbps", span_mbps);
     json.value("span_speedup", span_mbps / bit_mbps);
-    json.begin_object("sliced");
-    json.value("design", cheap.name);
-    json.value("channels", sliced_channels);
-    json.value("windows_per_channel", sliced_windows);
-    json.value("span_mbps", cheap_span_mbps);
-    json.value("sliced_mbps", cheap_sliced_mbps);
-    json.value("sliced_over_span", cheap_sliced_mbps / cheap_span_mbps);
-    json.end_object();
-    json.begin_object("single_worker");
-    json.value("design", cheap.name);
-    json.value("channels", sliced_channels);
-    json.value("threads", 1u);
-    json.value("tile_words", std::uint64_t{hw::sliced_block::lanes});
-    json.value("fused_span_mbps", fused_span_mbps);
-    json.value("fused_tile_mbps", fused_tile_mbps);
-    json.value("fused_tile_over_span", tile_over_span);
-    json.end_object();
     json.begin_array("fleet");
     for (const scaling_point& p : scaling) {
         json.begin_object();
@@ -260,5 +176,5 @@ int main(int argc, char** argv)
         return 1;
     }
     std::printf("\nwrote %s\n", path.c_str());
-    return fused_bar_ok ? 0 : 1;
+    return 0;
 }

@@ -73,26 +73,20 @@ for name in ("fleet", "scenarios", "stream", "escalation", "population",
 print("ok: kernel_variant + simd_compiled in all six BENCH files")
 EOF
 
-    echo "== validating otf-fleet-bench/5 schema =="
-    # The fleet bench must report the /5 schema: the per-bit vs span lane
-    # and scaling axes plus the single-worker fused span vs fused 64x64
-    # tile pair -- and no execution axis (docs/BENCHMARKS.md).
+    echo "== validating otf-fleet-bench/6 schema =="
+    # The fleet bench must report the /6 schema: the per-bit vs span lane
+    # and scaling axes -- and no execution axis, no bit-sliced lane and no
+    # single-worker tile pair (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_fleet.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-fleet-bench/5", doc["schema"]
-assert "word_mbps" not in doc, "the word lane is gone"
-assert "execution" not in doc, "the execution axis is gone"
+assert doc["schema"] == "otf-fleet-bench/6", doc["schema"]
+for key in ("word_mbps", "execution", "sliced", "single_worker"):
+    assert key not in doc, key
 assert doc["span_speedup"] > 0, doc["span_speedup"]
-one = doc["single_worker"]
-assert one["threads"] == 1, one
-assert one["tile_words"] == 64, one
-for key in ("fused_span_mbps", "fused_tile_mbps", "fused_tile_over_span"):
-    assert one[key] > 0, (key, one)
-assert not any("threaded" in k for k in one), one
-print("ok: otf-fleet-bench/5 (fused tile %.2fx span)"
-      % one["fused_tile_over_span"])
+assert doc["fleet"] and all(p["mbps"] > 0 for p in doc["fleet"]), doc
+print("ok: otf-fleet-bench/6 (span %.1fx per-bit)" % doc["span_speedup"])
 EOF
 
     echo "== validating otf-population/5 schema =="
@@ -157,15 +151,3 @@ print("ok: otf-stream-bench/6 (%d generation models, short windows %s)"
                                 for p in short)))
 EOF
 fi
-
-echo "== Release perf guard: fused tile vs fused span fleet lane =="
-# A separate Release build runs the fleet bench with the enforcement
-# flag: on a single worker the fused 64x64 tile lane must not fall
-# behind the fused span lane on the same channels (fused_tile_over_span
-# >= 1.0 in BENCH_fleet.json).
-PERF_DIR="$BUILD_DIR-perfguard"
-cmake -B "$PERF_DIR" -S "$(dirname "$0")/.." -DCMAKE_BUILD_TYPE=Release \
-    -DOTF_BUILD_EXAMPLES=OFF
-cmake --build "$PERF_DIR" -j "$JOBS" --target bench_fleet_throughput
-OTF_SMOKE=1 OTF_ENFORCE_FUSED_BAR=1 OTF_BENCH_DIR="$PERF_DIR" \
-    "$PERF_DIR"/bench/bench_fleet_throughput

@@ -8,9 +8,8 @@
 // tests need (population count, slicing, parsing from ASCII).
 //
 // `otf::bits` holds the portable kernel primitives behind the span ingestion
-// lane (engine::consume_span) and the bit-sliced fleet lane
-// (hw::sliced_block): span popcount, transition counting, the +/-1 walk
-// summary behind the cusum engine, and the 64x64 bit-matrix transpose.
+// lane (engine::consume_span): span popcount, transition counting and the
+// +/-1 walk summary behind the cusum engine.
 // Every primitive is runtime-dispatched through a process-wide
 // kernel_variant so the differential test harness can pin each variant
 // against the per-bit oracle and the benches can report a per-variant axis.
@@ -155,7 +154,7 @@ private:
 
 namespace bits {
 
-/// \brief Which implementation the span/sliced kernel primitives use.
+/// \brief Which implementation the span kernel primitives use.
 /// All variants are register-exact by contract (tests/test_kernel_oracle
 /// is the fuzz oracle); they differ only in speed.
 enum class kernel_variant {
@@ -527,22 +526,6 @@ inline walk_summary span_walk(const std::uint64_t* words, std::size_t nwords)
         acc.delta += s.delta;
     }
     return acc;
-}
-
-/// \brief In-place 64x64 bit-matrix transpose (Hacker's Delight recursive
-/// block swap): afterwards bit j of m[i] is the old bit i of m[j].  The
-/// bit-sliced fleet lane uses it to turn 64 channel words into 64 time
-/// planes (plane t holds bit t of every channel).
-inline void transpose_64x64(std::uint64_t m[64])
-{
-    std::uint64_t mask = 0x00000000ffffffffull;
-    for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-        for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const std::uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
-            m[k] ^= t << j;
-            m[k + j] ^= t;
-        }
-    }
 }
 
 } // namespace bits

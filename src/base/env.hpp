@@ -27,15 +27,6 @@ T smoke_scaled(T full, T reduced)
     return smoke_mode() ? reduced : full;
 }
 
-/// True when the named environment flag is set to anything but "" or
-/// "0" -- the same convention as OTF_SMOKE, for opt-in bench
-/// enforcement knobs like OTF_ENFORCE_FUSED_BAR.
-inline bool env_flag(const char* name)
-{
-    const char* v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 /// Process-wide bench output directory override (set by the --bench-dir=
 /// CLI flag); wins over the OTF_BENCH_DIR environment variable.
 inline std::string& bench_dir_override()

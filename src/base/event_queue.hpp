@@ -180,9 +180,12 @@ private:
 
     void note_occupancy(std::uint64_t tail_after)
     {
+        // The consumer may already have popped past tail_after by the
+        // time head is read; that sample is an empty queue, not a wrap.
         const std::uint64_t head = head_.load(std::memory_order_relaxed);
-        const std::size_t occ =
-            static_cast<std::size_t>(tail_after - head);
+        const std::size_t occ = tail_after > head
+            ? static_cast<std::size_t>(tail_after - head)
+            : 0;
         std::size_t seen = max_occupancy_.load(std::memory_order_relaxed);
         while (occ > seen
                && !max_occupancy_.compare_exchange_weak(

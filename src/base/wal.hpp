@@ -214,6 +214,15 @@ public:
     std::size_t remaining() const { return len_ - pos_; }
     bool exhausted() const { return pos_ == len_; }
 
+    /// Capacity to reserve for `count` elements about to be read: at
+    /// most the bytes left (every element takes at least one), so a
+    /// forged count fails as "truncated" on the first missing element
+    /// instead of allocating for the claim.
+    std::size_t reserve_bound(std::size_t count) const
+    {
+        return count < remaining() ? count : remaining();
+    }
+
 private:
     const std::uint8_t* take(std::size_t n)
     {

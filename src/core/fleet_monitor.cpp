@@ -1,7 +1,5 @@
 #include "core/fleet_monitor.hpp"
 
-#include "hw/sliced_block.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -28,33 +26,13 @@ void fleet_config::validate() const
     }
 }
 
-bool fleet_config::uses_sliced_lane() const
-{
-    // The bit-sliced lane needs 64 identical channels side by side, a
-    // word-granular window, no supervision (escalation reprograms a
-    // channel to a heavy design mid-run) and a test set the sliced
-    // software pass can verify.  Everything else degrades to the span
-    // lane per channel.
-    return lane == ingest_lane::sliced && !escalated_block
-        && channels >= hw::sliced_block::lanes && block.n() >= 64
-        && sliced_pass_supported(block.tests);
-}
-
 std::string fleet_config::lane_description() const
 {
-    if (uses_sliced_lane()) {
-        return channels % hw::sliced_block::lanes == 0 ? "sliced"
-                                                       : "sliced+span";
-    }
     switch (lane) {
     case ingest_lane::span:
         return "span";
     case ingest_lane::per_bit:
         return "per_bit";
-    case ingest_lane::sliced:
-        // Asked for sliced, not eligible: the fallback that used to be
-        // silent.
-        return "span (sliced fallback)";
     }
     return "?";
 }
@@ -212,91 +190,16 @@ channel_report run_fleet_channel(
     return std::move(state.report);
 }
 
-/// One bit-sliced work unit: 64 channels advance together through one
-/// hw::sliced_block.  Windows stay channel-synchronous -- every member's
-/// window w is generated, transposed and verified before window w + 1 --
-/// so the per-channel reports are the same pure function of the seeds as
-/// on the scalar lanes (modulo sw_cycles, which the sliced lane reports
-/// as 0: there is no per-channel software pass to charge).
-void run_fleet_sliced_group(const fleet_config& cfg,
-                            const critical_values& cv,
-                            trng::entropy_source* const* sources,
-                            unsigned first_channel, std::uint64_t windows,
-                            channel_report* reports)
-{
-    constexpr unsigned lanes = hw::sliced_block::lanes;
-    std::vector<std::unique_ptr<channel_state>> states;
-    states.reserve(lanes);
-    for (unsigned i = 0; i < lanes; ++i) {
-        states.push_back(std::make_unique<channel_state>(
-            cfg, cv, std::nullopt, *sources[i]));
-        states.back()->report.channel = first_channel + i;
-    }
-    if (windows != 0) {
-        const std::size_t nwords =
-            static_cast<std::size_t>(cfg.block.n() / 64);
-        hw::sliced_config scfg;
-        scfg.n = cfg.block.n();
-        hw::sliced_block group(scfg);
-        // The 64x64-word tile pipeline: generate up to 64 words per
-        // channel into a cache-resident channel-major tile (32 KiB --
-        // generation writes it and feed_tile reads it straight back out
-        // of L1/L2), then hand the whole tile to the sliced block,
-        // which pays *one* transpose per tile instead of one per word.
-        // Each channel's stream is still drawn in order, so the data --
-        // and the report -- are unchanged.
-        constexpr std::size_t tile_words = hw::sliced_block::lanes;
-        std::vector<std::uint64_t> tile(std::size_t{lanes} * tile_words);
-        for (std::uint64_t w = 0; w < windows; ++w) {
-            if (w != 0) {
-                group.restart();
-            }
-            for (std::size_t base = 0; base < nwords;
-                 base += tile_words) {
-                const std::size_t take = nwords - base < tile_words
-                    ? nwords - base
-                    : tile_words;
-                trng::fill_tile(sources, lanes, tile.data(), tile_words,
-                                take);
-                group.feed_tile(tile.data(), tile_words, take);
-            }
-            for (unsigned i = 0; i < lanes; ++i) {
-                window_report wr;
-                wr.window_index = w;
-                wr.generation_cycles = cfg.block.n();
-                wr.software = sliced_software_pass(
-                    cfg.block, cv, group.s_final(i), group.n_runs(i));
-                states[i]->observe(wr);
-            }
-        }
-        for (unsigned i = 0; i < lanes; ++i) {
-            states[i]->finish();
-        }
-    }
-    for (unsigned i = 0; i < lanes; ++i) {
-        reports[i] = std::move(states[i]->report);
-    }
-}
-
 unit_pool::unit_pool(unsigned workers)
     : requested_(workers != 0 ? workers
                               : std::thread::hardware_concurrency())
 {
 }
 
-void unit_pool::add(unsigned shard, unsigned first, unsigned count,
-                    bool sliced)
+void unit_pool::add(unsigned shard, unsigned first, unsigned count)
 {
-    constexpr unsigned lanes = hw::sliced_block::lanes;
-    const unsigned end = first + count;
-    unsigned c = first;
-    if (sliced) {
-        for (; c + lanes <= end; c += lanes) {
-            units_.push_back(pool_unit{shard, c, lanes});
-        }
-    }
-    for (; c < end; ++c) {
-        units_.push_back(pool_unit{shard, c, 1});
+    for (unsigned c = first; c < first + count; ++c) {
+        units_.push_back(pool_unit{shard, c});
     }
 }
 
@@ -364,42 +267,20 @@ fleet_report fleet_monitor::run(const source_factory& make_source,
     }
     std::vector<channel_report> reports(cfg_.channels);
 
-    // On the sliced lane, whole groups of 64 channels advance together
-    // through one hw::sliced_block and form one unit; leftover and
-    // ineligible channels stay one-channel units on their scalar lanes.
     unit_pool pool(cfg_.threads);
-    pool.add(0, 0, cfg_.channels, cfg_.uses_sliced_lane());
+    pool.add(0, 0, cfg_.channels);
     pool.run([&](unsigned, const pool_unit& unit) {
-        if (unit.count == 1) {
-            const unsigned c = unit.first;
-            try {
-                reports[c] = run_fleet_channel(cfg_, cv_, cv_escalated_,
-                                               *sources[c], c,
-                                               windows_per_channel);
-            } catch (const std::exception& e) {
-                // Name the offending channel: "a source threw" is
-                // undebuggable in an N-channel fleet without it.
-                throw std::runtime_error(
-                    "fleet_monitor: channel " + std::to_string(c)
-                    + " (source \"" + sources[c]->name() + "\"): "
-                    + e.what());
-            }
-            return;
-        }
-        trng::entropy_source* group[hw::sliced_block::lanes];
-        for (unsigned i = 0; i < unit.count; ++i) {
-            group[i] = sources[unit.first + i].get();
-        }
+        const unsigned c = unit.first;
         try {
-            run_fleet_sliced_group(cfg_, cv_, group, unit.first,
-                                   windows_per_channel,
-                                   reports.data() + unit.first);
+            reports[c] = run_fleet_channel(cfg_, cv_, cv_escalated_,
+                                           *sources[c], c,
+                                           windows_per_channel);
         } catch (const std::exception& e) {
+            // Name the offending channel: "a source threw" is
+            // undebuggable in an N-channel fleet without it.
             throw std::runtime_error(
-                "fleet_monitor: sliced group (channels "
-                + std::to_string(unit.first) + ".."
-                + std::to_string(unit.first + unit.count - 1)
-                + "): " + e.what());
+                "fleet_monitor: channel " + std::to_string(c) + " (source \""
+                + sources[c]->name() + "\"): " + e.what());
         }
     });
 

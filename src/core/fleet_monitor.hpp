@@ -10,14 +10,12 @@
 //
 // Execution is *fused*: the worker thread that owns a channel generates
 // its words and tests them in the same pass on the same core, through
-// the shared window loop (core::run_windows).  Groups of 64 eligible
-// channels additionally ride the bit-sliced lane through a 64x64-word
-// tile (one transpose per tile, hw::sliced_block::feed_tile).  The
-// per-bit lane is the differential oracle the fast lanes must match bit
+// the shared window loop (core::run_windows) on the span lane.  The
+// per-bit lane is the differential oracle the span lane must match bit
 // for bit (tests/test_fleet_monitor.cpp pins the equivalence).
 // Scheduling is one unit_pool, shared with the population layer
-// (core/population.hpp): a table of work units -- whole sliced groups,
-// then one-channel units -- that the workers claim off one atomic cursor.
+// (core/population.hpp): a table of one-channel work units that the
+// workers claim off one atomic cursor.
 //
 // Telemetry is aggregated two ways: per channel (windows, failures,
 // failures-by-test, an AIS-31-style windowed alarm) and fleet-wide
@@ -57,10 +55,7 @@ struct fleet_config {
     unsigned threads = 0;
     /// Ingestion lane for every channel (span fast lane by default).
     /// The per-bit lane is kept selectable as the equivalence oracle:
-    /// all lanes must produce identical reports for the same seeds.
-    /// `sliced` batches eligible channels (cheap always-on designs, no
-    /// supervision) 64-wide through hw::sliced_block; ineligible
-    /// channels fall back to the span lane.
+    /// both lanes must produce identical reports for the same seeds.
     ingest_lane lane = ingest_lane::span;
     /// AIS-31-style per-channel alarm: raise when at least
     /// `fail_threshold` of the last `policy_window` window verdicts
@@ -94,19 +89,8 @@ struct fleet_config {
     /// \throws std::bad_optional_access unless escalated_block is set
     supervisor_config supervised_config() const;
 
-    /// True when this configuration routes channel groups of 64 through
-    /// the bit-sliced lane (hw::sliced_block): lane == sliced, at least
-    /// 64 channels, no supervision, a word-granular window and a test set limited to
-    /// the cheap always-on tests (frequency, runs).  Leftover and
-    /// ineligible channels ride the span lane instead.
-    bool uses_sliced_lane() const;
-
-    /// The lane this configuration *actually* runs, fallback included:
-    /// "span", "per_bit", "sliced" (all groups of 64 sliced),
-    /// "sliced+span" (leftover channels on the span lane), or
-    /// "span (sliced fallback)" when lane == sliced but
-    /// uses_sliced_lane() is false -- the silent degradations, made
-    /// visible in the reports.
+    /// The lane this configuration runs, for the reports: "span" or
+    /// "per_bit".
     std::string lane_description() const;
 };
 
@@ -150,13 +134,11 @@ struct fleet_report {
     unsigned channels_escalated = 0;  ///< channels that escalated at all
     unsigned confirmed_escalations = 0; ///< offline battery agreed
     std::map<std::string, std::uint64_t> failures_by_test;
-    /// How the run executed: the lane actually used with fallbacks
-    /// spelled out (fleet_config::lane_description -- a silent
-    /// sliced-to-span degradation is visible here) and the thread budget
-    /// it really spent.  Deterministic given the configuration, but
-    /// descriptive of the execution rather than the data, so outside
-    /// same_counters: the determinism guarantee compares *across* lanes
-    /// and thread counts.
+    /// How the run executed: the lane used (fleet_config::
+    /// lane_description) and the thread budget it really spent.
+    /// Deterministic given the configuration, but descriptive of the
+    /// execution rather than the data, so outside same_counters: the
+    /// determinism guarantee compares *across* lanes and thread counts.
     std::string lane;
     unsigned worker_threads = 0; ///< pool size after capping
     /// Wall-clock duration of the run (the only nondeterministic field).
@@ -246,32 +228,11 @@ channel_report run_fleet_channel(
     trng::entropy_source& source, unsigned channel,
     std::uint64_t windows);
 
-/// \brief Run one 64-channel bit-sliced group to completion on the
-/// calling thread: the 64x64-word tile pipeline (generate one tile,
-/// transpose once, feed all planes -- hw::sliced_block::feed_tile).
-/// cfg.uses_sliced_lane() must hold.  reports[i] receives channel
-/// `first_channel + i`'s outcome, bit-identical to the scalar lanes for
-/// the same seeds.
-/// \param cfg           a *validated* sliced-eligible configuration
-/// \param cv            bounds for cfg.block at cfg.alpha
-/// \param sources       64 non-null sources (borrowed), one per lane
-/// \param first_channel channel id of lane 0 (ids are consecutive)
-/// \param windows       windows to run per channel
-/// \param reports       destination for 64 channel reports
-void run_fleet_sliced_group(const fleet_config& cfg,
-                            const critical_values& cv,
-                            trng::entropy_source* const* sources,
-                            unsigned first_channel, std::uint64_t windows,
-                            channel_report* reports);
-
-/// \brief One schedulable unit of a unit_pool: `count` consecutive
-/// channels from `first`, all in reporting group `shard` -- either a whole
-/// bit-sliced group (count == hw::sliced_block::lanes) or one scalar
-/// channel (count == 1).
+/// \brief One schedulable unit of a unit_pool: channel `first` of
+/// reporting group `shard`.
 struct pool_unit {
     unsigned shard = 0;
     unsigned first = 0;
-    unsigned count = 1;
 };
 
 /// \brief The worker pool behind fleet_monitor::run and
@@ -281,7 +242,7 @@ struct pool_unit {
 ///
 /// Usage:
 ///   core::unit_pool pool(threads);
-///   pool.add(0, 0, channels, cfg.uses_sliced_lane());
+///   pool.add(0, 0, channels);
 ///   pool.run([&](unsigned worker, const core::pool_unit& u) { ... });
 class unit_pool {
 public:
@@ -292,10 +253,9 @@ public:
     /// concurrency
     explicit unit_pool(unsigned workers);
 
-    /// Append channels [first, first + count) of reporting group `shard`:
-    /// whole 64-channel sliced groups from the front when `sliced`, then
-    /// one unit per remaining channel.
-    void add(unsigned shard, unsigned first, unsigned count, bool sliced);
+    /// Append channels [first, first + count) of reporting group `shard`,
+    /// one unit per channel.
+    void add(unsigned shard, unsigned first, unsigned count);
 
     const std::vector<pool_unit>& units() const { return units_; }
 

@@ -95,7 +95,6 @@ void monitor::feed_packed(const std::uint64_t* words, std::size_t nwords,
 {
     switch (lane) {
     case ingest_lane::span:
-    case ingest_lane::sliced: // a lone monitor has no 64-channel group
         block_.feed_span(words, nwords * 64);
         break;
     case ingest_lane::per_bit:

@@ -46,18 +46,11 @@ struct window_report {
 /// the paper-faithful equivalence oracle, the span lane the fast path
 /// (tests/test_kernel_oracle.cpp enforces the equivalence).  The values
 /// are the lane codes of supervisor checkpoints (core/telemetry_log.hpp);
-/// code 0 was the retired word lane.
+/// codes 0 and 3 were the retired word and bit-sliced lanes.
 enum class ingest_lane {
     per_bit = 1, ///< one feed() per bit (one hardware clock per bit)
     /// hw::testing_block::feed_span whole-span kernels (the default)
     span = 2,
-    /// Bit-sliced transposed lane (hw::sliced_block): 64 fleet channels
-    /// advance per instruction through the cheap always-on tests.  Only
-    /// the fleet honors it -- it needs 64 channels side by side -- and
-    /// only for eligible designs (frequency/runs, no supervision);
-    /// ineligible channels fall back to the span lane.  A single monitor
-    /// asked for this lane uses the span lane instead.
-    sliced = 3,
 };
 
 /// \brief Per-window callback of run_windows(): alarm policies, scenario
@@ -139,7 +132,7 @@ public:
     /// \param words  LSB-first packed window; `nwords * 64` must equal n
     /// \param nwords number of 64-bit words
     /// \param lane   span fast lane or per-bit oracle lane;
-    ///               register-exact either way (sliced degrades to span)
+    ///               register-exact either way
     /// \throws std::invalid_argument naming the expected and actual
     /// lengths when they differ
     window_report test_packed(const std::uint64_t* words,
@@ -153,7 +146,7 @@ public:
     /// ragged spans are register-exact with one whole-window feed.
     /// \param words  LSB-first packed span
     /// \param nwords span length in 64-bit words
-    /// \param lane   ingestion lane (sliced degrades to span)
+    /// \param lane   ingestion lane
     void feed_packed(const std::uint64_t* words, std::size_t nwords,
                      ingest_lane lane = ingest_lane::span);
 

@@ -1,7 +1,5 @@
 #include "core/population.hpp"
 
-#include "hw/sliced_block.hpp"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -210,15 +208,11 @@ population_report population_monitor::run()
         threads_per_shard = std::max(1u, hw / cfg_.shards);
     }
 
-    // The unit table: per shard, the grouping fleet_monitor would use
-    // for a shard of that size (sliced 64-device groups when eligible,
-    // then one unit per device).
+    // The unit table: one unit per device, shard after shard.
     const fleet_config fcfg = cfg_.shard_fleet_config();
     unit_pool pool(threads_per_shard * cfg_.shards);
     for (unsigned s = 0; s < cfg_.shards; ++s) {
-        fleet_config probe = fcfg;
-        probe.channels = first[s + 1] - first[s];
-        pool.add(s, first[s], probe.channels, probe.uses_sliced_lane());
+        pool.add(s, first[s], first[s + 1] - first[s]);
     }
 
     population_report report;
@@ -231,74 +225,45 @@ population_report population_monitor::run()
                                          worker_partial(cfg_.shards));
 
     pool.run([&](unsigned w, const pool_unit& u) {
-        const auto emit = [&](const channel_report& cr,
-                              const trng::device_profile& p) {
-            device_record rec;
-            rec.device = p.device;
-            rec.shard = u.shard;
-            rec.kind = p.kind;
-            rec.attacked = p.attacked();
-            rec.churned = p.churns;
-            rec.alarm = cr.alarm;
-            rec.onset_window = p.onset_window;
-            rec.first_alarm_window = cr.first_alarm_window;
-            rec.windows = cr.windows;
-            rec.failures = cr.failures;
-            rec.bits = cr.bits;
-            rec.escalations = cr.escalations;
-            rec.confirmed_escalations = cr.confirmed_escalations;
-            rec.de_escalations = cr.de_escalations;
-            rec.windows_escalated = cr.windows_escalated;
-            partials[w].fold(rec, cr.failures_by_test);
-            if (cfg_.keep_device_records) {
-                // Each device owns its slot: no two workers share one.
-                report.device_records[rec.device] = rec;
-            }
-        };
-        const unsigned channel = u.first - first[u.shard];
+        const std::uint32_t d = u.first;
+        const trng::device_profile& p = profiles[d];
+        channel_report cr;
         try {
-            if (u.count == 1) {
-                const std::uint32_t d = u.first;
-                auto src =
-                    trng::make_device_source(profiles[d], cfg_.block.n());
-                channel_report cr;
-                try {
-                    cr = run_fleet_channel(fcfg, cv_, cv_escalated_, *src,
-                                           channel,
-                                           cfg_.windows_per_device);
-                } catch (const std::exception& e) {
-                    throw std::runtime_error(
-                        "device " + std::to_string(d) + " (source \""
-                        + src->name() + "\"): " + e.what());
-                }
-                emit(cr, profiles[d]);
-                return;
-            }
-            constexpr unsigned lanes = hw::sliced_block::lanes;
-            std::unique_ptr<trng::entropy_source> srcs[lanes];
-            trng::entropy_source* raw[lanes];
-            for (unsigned i = 0; i < lanes; ++i) {
-                srcs[i] = trng::make_device_source(profiles[u.first + i],
-                                                   cfg_.block.n());
-                raw[i] = srcs[i].get();
-            }
-            std::vector<channel_report> crs(lanes);
+            auto src = trng::make_device_source(p, cfg_.block.n());
             try {
-                run_fleet_sliced_group(fcfg, cv_, raw, channel,
-                                       cfg_.windows_per_device, crs.data());
+                cr = run_fleet_channel(fcfg, cv_, cv_escalated_, *src,
+                                       d - first[u.shard],
+                                       cfg_.windows_per_device);
             } catch (const std::exception& e) {
                 throw std::runtime_error(
-                    "devices " + std::to_string(u.first) + ".."
-                    + std::to_string(u.first + lanes - 1) + ": "
-                    + e.what());
-            }
-            for (unsigned i = 0; i < lanes; ++i) {
-                emit(crs[i], profiles[u.first + i]);
+                    "device " + std::to_string(d) + " (source \""
+                    + src->name() + "\"): " + e.what());
             }
         } catch (const std::exception& e) {
             throw std::runtime_error("population_monitor: shard "
                                      + std::to_string(u.shard) + ": "
                                      + e.what());
+        }
+        device_record rec;
+        rec.device = p.device;
+        rec.shard = u.shard;
+        rec.kind = p.kind;
+        rec.attacked = p.attacked();
+        rec.churned = p.churns;
+        rec.alarm = cr.alarm;
+        rec.onset_window = p.onset_window;
+        rec.first_alarm_window = cr.first_alarm_window;
+        rec.windows = cr.windows;
+        rec.failures = cr.failures;
+        rec.bits = cr.bits;
+        rec.escalations = cr.escalations;
+        rec.confirmed_escalations = cr.confirmed_escalations;
+        rec.de_escalations = cr.de_escalations;
+        rec.windows_escalated = cr.windows_escalated;
+        partials[w].fold(rec, cr.failures_by_test);
+        if (cfg_.keep_device_records) {
+            // Each device owns its slot: no two workers share one.
+            report.device_records[rec.device] = rec;
         }
     });
 
@@ -388,17 +353,7 @@ population_report population_monitor::run()
     }
 
     report.execution = "fused";
-    const auto sliced_units = static_cast<std::size_t>(std::count_if(
-        pool.units().begin(), pool.units().end(),
-        [](const pool_unit& u) { return u.count != 1; }));
-    if (cfg_.lane != ingest_lane::sliced) {
-        report.lane = fcfg.lane_description();
-    } else if (sliced_units == 0) {
-        report.lane = "span (sliced fallback)";
-    } else {
-        report.lane = sliced_units == pool.units().size() ? "sliced"
-                                                          : "sliced+span";
-    }
+    report.lane = fcfg.lane_description();
     report.worker_threads = pool.workers();
     report.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)

@@ -7,8 +7,8 @@
 // different operating point.  This layer answers that at simulation scale:
 //
 //   population_monitor
-//     unit table: per shard, whole sliced 64-device groups, then
-//     │           one-device units (core::unit_pool, as the fleet)
+//     unit table: one unit per device, shard after shard
+//     │           (core::unit_pool, as the fleet)
 //     ├── worker 0 ─┐  claim the next unit off one atomic cursor;
 //     ├── worker 1 ─┤  fused generation + testing; fold each
 //     │     ...     ─┘  device_record into a worker-local partial
@@ -21,9 +21,9 @@
 // reporting granularity), but the pool is population-wide: one unit
 // table over every shard, so a shard full of escalating devices does not
 // strand the workers of the quiet ones.  Each worker runs its devices
-// through the fused fleet lanes (core/fleet_monitor.hpp:
-// run_fleet_channel / run_fleet_sliced_group), with critical values
-// inverted once for the whole population and shared.  Devices are
+// through the fused fleet lane (core/fleet_monitor.hpp:
+// run_fleet_channel), with critical values inverted once for the whole
+// population and shared.  Devices are
 // heterogeneous: trng::sample_device draws each unit's bias point,
 // attack model, severity and onset from the master seed (a pure
 // function of (master_seed, device id)), so the population is identical
@@ -241,8 +241,7 @@ struct population_report {
     /// descriptive of the schedule, not the data -- outside
     /// same_counters, which compares across lanes and layouts): the
     /// execution model (always "fused": workers generate and test in one
-    /// pass), the lane actually used (fallbacks spelled out) and the
-    /// global worker-pool size.
+    /// pass), the lane used and the global worker-pool size.
     std::string execution;
     std::string lane;
     unsigned worker_threads = 0;

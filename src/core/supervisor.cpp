@@ -133,7 +133,7 @@ supervision_event parse_event(base::byte_cursor& cursor)
         conf.battery.failed = cursor.u32();
         conf.battery.skipped = cursor.u32();
         const std::uint32_t entries = cursor.u32();
-        conf.battery.entries.reserve(entries);
+        conf.battery.entries.reserve(cursor.reserve_bound(entries));
         for (std::uint32_t i = 0; i < entries; ++i) {
             nist::battery_entry entry;
             entry.test_number = cursor.u32();
@@ -204,7 +204,7 @@ supervisor_checkpoint parse_checkpoint(const std::uint8_t* data,
     cp.pending_escalation = cursor.boolean();
     cp.clean_streak = cursor.u64();
     const std::uint32_t history = cursor.u32();
-    cp.alarm_history.reserve(history);
+    cp.alarm_history.reserve(cursor.reserve_bound(history));
     for (std::uint32_t i = 0; i < history; ++i) {
         cp.alarm_history.push_back(cursor.boolean());
     }
@@ -224,19 +224,19 @@ supervisor_checkpoint parse_checkpoint(const std::uint8_t* data,
         cp.failures_by_test[std::move(name)] = cursor.u64();
     }
     const std::uint32_t evidence = cursor.u32();
-    cp.evidence_ring.reserve(evidence);
+    cp.evidence_ring.reserve(cursor.reserve_bound(evidence));
     for (std::uint32_t i = 0; i < evidence; ++i) {
         supervisor_checkpoint::evidence ev;
         ev.index = cursor.u64();
         const std::uint32_t nwords = cursor.u32();
-        ev.words.reserve(nwords);
+        ev.words.reserve(cursor.reserve_bound(nwords));
         for (std::uint32_t w = 0; w < nwords; ++w) {
             ev.words.push_back(cursor.u64());
         }
         cp.evidence_ring.push_back(std::move(ev));
     }
     const std::uint32_t events = cursor.u32();
-    cp.events.reserve(events);
+    cp.events.reserve(cursor.reserve_bound(events));
     for (std::uint32_t i = 0; i < events; ++i) {
         cp.events.push_back(parse_event(cursor));
     }

@@ -130,8 +130,8 @@ struct supervisor_config {
     double offline_alpha = 0.01;
     nist::battery_selection offline_tests = nist::battery_selection::all();
     unsigned offline_min_failures = 2;
-    /// Ingestion lane (span fast lane by default; a supervised monitor
-    /// asked for `sliced` uses the span lane -- see core::ingest_lane).
+    /// Ingestion lane (span fast lane by default; the per-bit lane is
+    /// the oracle -- see core::ingest_lane).
     ingest_lane lane = ingest_lane::span;
 
     /// \throws std::invalid_argument on inconsistent designs (both must

@@ -526,72 +526,4 @@ test_verdict software_runner::run_cumulative_sums(soft_cpu& cpu) const
     return verdict;
 }
 
-// ------------------------------------------------------- sliced lane --
-bool sliced_pass_supported(const hw::test_set& tests)
-{
-    constexpr std::uint16_t cheap =
-        (1u << static_cast<unsigned>(hw::test_id::frequency))
-        | (1u << static_cast<unsigned>(hw::test_id::runs));
-    return tests.count() > 0 && (tests.to_raw() & ~cheap) == 0;
-}
-
-software_result sliced_software_pass(const hw::block_config& cfg,
-                                     const critical_values& cv,
-                                     std::int64_t s_final,
-                                     std::uint64_t n_runs)
-{
-    if (!sliced_pass_supported(cfg.tests)) {
-        throw std::invalid_argument(
-            "sliced_software_pass: design \"" + cfg.name
-            + "\" enables tests beyond frequency/runs; those need the "
-              "scalar engines");
-    }
-    software_result result;
-    const std::int64_t magnitude = s_final < 0 ? -s_final : s_final;
-
-    // Same decisions, in the same verdict order, as run_frequency and
-    // run_runs above -- only without a soft_cpu charging instructions.
-    if (cfg.tests.has(hw::test_id::frequency)) {
-        test_verdict verdict;
-        verdict.id = hw::test_id::frequency;
-        verdict.name = "frequency";
-        verdict.statistic = magnitude;
-        verdict.bound = cv.t1_max_deviation;
-        verdict.pass = magnitude <= cv.t1_max_deviation;
-        result.all_pass = result.all_pass && verdict.pass;
-        result.verdicts.push_back(std::move(verdict));
-    }
-    if (cfg.tests.has(hw::test_id::runs)) {
-        test_verdict verdict;
-        verdict.id = hw::test_id::runs;
-        verdict.name = "runs";
-        if (magnitude >= cv.t3_prereq_deviation) {
-            verdict.statistic = magnitude;
-            verdict.bound = cv.t3_prereq_deviation;
-            verdict.pass = false;
-        } else {
-            const std::int64_t ones =
-                (s_final + static_cast<std::int64_t>(cfg.n())) >> 1;
-            std::size_t lo = 0;
-            std::size_t hi = cv.t3_intervals.size() - 1;
-            while (lo < hi) {
-                const std::size_t mid = (lo + hi) / 2;
-                if (ones > cv.t3_intervals[mid].ones_hi) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            const runs_interval& iv = cv.t3_intervals[lo];
-            const auto runs = static_cast<std::int64_t>(n_runs);
-            verdict.statistic = runs;
-            verdict.bound = iv.runs_hi;
-            verdict.pass = runs >= iv.runs_lo && runs <= iv.runs_hi;
-        }
-        result.all_pass = result.all_pass && verdict.pass;
-        result.verdicts.push_back(std::move(verdict));
-    }
-    return result;
-}
-
 } // namespace otf::core

@@ -113,27 +113,4 @@ private:
     test_verdict run_cumulative_sums(sw16::soft_cpu& cpu) const;
 };
 
-/// \brief True when `tests` only enables tests the bit-sliced fleet lane
-/// (hw::sliced_block) can verify: frequency and runs.  Everything else
-/// needs the scalar engines and stays on the span lane.
-bool sliced_pass_supported(const hw::test_set& tests);
-
-/// \brief The sliced lane's software pass: the frequency and runs
-/// verdicts computed straight from the bit-sliced statistics, decision
-/// for decision identical to software_runner::run on the scalar
-/// registers (same verdict order, names, statistics and bounds).  The
-/// instruction accounting is zero -- the sliced lane trades the
-/// per-channel cycle model for 64-wide batching, so a channel's
-/// sw_cycles reads 0 there.
-/// \param cfg     design point; its test set must satisfy
-///                sliced_pass_supported()
-/// \param cv      precomputed acceptance bounds for `cfg`
-/// \param s_final final cusum walk value (2 * ones - n)
-/// \param n_runs  runs count (transitions + 1)
-/// \throws std::invalid_argument when the test set needs scalar engines
-software_result sliced_software_pass(const hw::block_config& cfg,
-                                     const critical_values& cv,
-                                     std::int64_t s_final,
-                                     std::uint64_t n_runs);
-
 } // namespace otf::core

@@ -95,15 +95,18 @@ supervisor_config parse_supervisor_config(base::byte_cursor& cursor)
     }
     cfg.offline_tests = offline;
     cfg.offline_min_failures = cursor.u32();
+    // Codes 0 and 3 are the retired word and bit-sliced lanes, both
+    // register-exact with the span lane that replaced them; no writer
+    // ever emitted a code above 3.
     const std::uint8_t lane = cursor.u8();
-    if (lane > static_cast<std::uint8_t>(ingest_lane::sliced)) {
+    if (lane > 3) {
         throw std::runtime_error(
             "parse_supervisor_config: unknown ingest_lane "
             + std::to_string(lane));
     }
-    // Code 0 is the retired word lane, register-exact with the span lane
-    // that replaced it.
-    cfg.lane = lane == 0 ? ingest_lane::span : static_cast<ingest_lane>(lane);
+    cfg.lane = lane == static_cast<std::uint8_t>(ingest_lane::per_bit)
+        ? ingest_lane::per_bit
+        : ingest_lane::span;
     return cfg;
 }
 
@@ -260,7 +263,7 @@ telemetry_run parse_telemetry(const base::wal_read_result& wal)
             logged_window win;
             win.index = cursor.u64();
             const std::uint32_t nwords = cursor.u32();
-            win.words.reserve(nwords);
+            win.words.reserve(cursor.reserve_bound(nwords));
             for (std::uint32_t i = 0; i < nwords; ++i) {
                 win.words.push_back(cursor.u64());
             }

@@ -77,24 +77,4 @@ public:
     void generate_words(std::vector<std::uint64_t>& out, std::size_t nwords);
 };
 
-/// \brief Fill one row of a channel-major tile per source: sources[i]
-/// writes `words` packed words at tile[i * stride].  The fused fleet
-/// lanes stage generation through cache-resident tiles (row i is channel
-/// i's next stream words, the hw::sliced_block::feed_tile layout); each
-/// source is drawn in stream order, so the tile holds exactly the words
-/// per-channel fill_words() calls would have produced.
-/// \param sources `count` non-null sources, one per tile row
-/// \param count   rows to fill
-/// \param tile    destination, at least `(count - 1) * stride + words`
-/// \param stride  words between consecutive rows (>= words)
-/// \param words   words per row
-inline void fill_tile(entropy_source* const* sources, std::size_t count,
-                      std::uint64_t* tile, std::size_t stride,
-                      std::size_t words)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        sources[i]->fill_words(tile + i * stride, words);
-    }
-}
-
 } // namespace otf::trng

@@ -1,13 +1,12 @@
 // Property tests for the span-kernel primitives in base/bits.hpp: every
 // kernel variant (reference, portable, simd) must agree with a naive
-// per-bit model on ragged lengths, word seams and extreme inputs, the
-// 64x64 transpose must be an involution with the documented orientation,
-// and bit_sequence must round-trip through its packed form.
+// per-bit model on ragged lengths, word seams and extreme inputs, and
+// bit_sequence must round-trip through its packed form.
 //
 // tests/test_kernel_oracle.cpp pins the *users* of these primitives (the
-// engines' consume_span kernels, the sliced block) against the per-bit
-// oracle; this file pins the primitives themselves, so a kernel bug fails
-// here first with a small reproducer instead of deep inside a design run.
+// engines' consume_span kernels) against the per-bit oracle; this file
+// pins the primitives themselves, so a kernel bug fails here first with a
+// small reproducer instead of deep inside a design run.
 #include "base/bits.hpp"
 #include "trng/xoshiro.hpp"
 
@@ -327,52 +326,6 @@ TEST(bits_kernels, span_walk_tracks_extremes_across_word_boundaries)
         EXPECT_EQ(s.delta, 64) << variant_name(v);
         EXPECT_EQ(s.max_prefix, 64) << variant_name(v);
         EXPECT_EQ(s.min_prefix, 0) << variant_name(v);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// transpose_64x64: involution + orientation.
-// ---------------------------------------------------------------------------
-
-TEST(bits_kernels, transpose_is_an_involution)
-{
-    const auto original = random_words(fixture_seed(5), 64);
-    std::uint64_t m[64];
-    for (unsigned i = 0; i < 64; ++i) {
-        m[i] = original[i];
-    }
-    bits::transpose_64x64(m);
-    bits::transpose_64x64(m);
-    for (unsigned i = 0; i < 64; ++i) {
-        EXPECT_EQ(m[i], original[i]) << "row " << i;
-    }
-}
-
-TEST(bits_kernels, transpose_orientation_swaps_row_and_column)
-{
-    const auto original = random_words(fixture_seed(6), 64);
-    std::uint64_t m[64];
-    for (unsigned i = 0; i < 64; ++i) {
-        m[i] = original[i];
-    }
-    bits::transpose_64x64(m);
-    for (unsigned i = 0; i < 64; ++i) {
-        for (unsigned j = 0; j < 64; ++j) {
-            ASSERT_EQ((m[i] >> j) & 1u, (original[j] >> i) & 1u)
-                << "bit (" << i << ", " << j << ")";
-        }
-    }
-}
-
-TEST(bits_kernels, transpose_of_identity_is_identity)
-{
-    std::uint64_t m[64];
-    for (unsigned i = 0; i < 64; ++i) {
-        m[i] = std::uint64_t{1} << i;
-    }
-    bits::transpose_64x64(m);
-    for (unsigned i = 0; i < 64; ++i) {
-        EXPECT_EQ(m[i], std::uint64_t{1} << i) << "row " << i;
     }
 }
 

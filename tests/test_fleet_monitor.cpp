@@ -85,16 +85,13 @@ TEST(fleet, every_ingest_lane_agrees_with_the_per_bit_oracle)
     const auto bit =
         core::fleet_monitor(base_config(4, 2, core::ingest_lane::per_bit))
             .run(ideal_factory(), windows);
-    for (const core::ingest_lane lane :
-         {core::ingest_lane::span, core::ingest_lane::sliced}) {
-        const auto fast = core::fleet_monitor(base_config(4, 2, lane))
-                              .run(ideal_factory(), windows);
-        EXPECT_TRUE(fast.same_counters(bit));
-        ASSERT_EQ(fast.channels.size(), bit.channels.size());
-        for (std::size_t c = 0; c < fast.channels.size(); ++c) {
-            EXPECT_EQ(fast.channels[c], bit.channels[c])
-                << "channel " << c;
-        }
+    const auto fast =
+        core::fleet_monitor(base_config(4, 2, core::ingest_lane::span))
+            .run(ideal_factory(), windows);
+    EXPECT_TRUE(fast.same_counters(bit));
+    ASSERT_EQ(fast.channels.size(), bit.channels.size());
+    for (std::size_t c = 0; c < fast.channels.size(); ++c) {
+        EXPECT_EQ(fast.channels[c], bit.channels[c]) << "channel " << c;
     }
 }
 
@@ -354,7 +351,7 @@ TEST(fleet, null_source_factory_result_names_the_channel)
     }
 }
 
-// ------------------------------------- fast lanes vs per-bit oracle --
+// -------------------------------------- span lane vs per-bit oracle --
 
 TEST(fleet, span_lane_matches_the_per_bit_oracle_at_every_thread_count)
 {
@@ -380,12 +377,11 @@ TEST(fleet, span_lane_matches_the_per_bit_oracle_at_every_thread_count)
     }
 }
 
-TEST(fleet, fused_tile_lane_matches_the_per_bit_oracle)
+TEST(fleet, wide_fleet_matches_the_per_bit_oracle_at_every_thread_count)
 {
-    // 66 channels: one full 64-wide group riding the 64x64 tile
-    // pipeline (fill_tile -> one transpose per tile -> feed_tile) plus
-    // two span leftovers; the per-bit lane is the oracle.  Both must
-    // produce byte-identical channel reports at every thread count.
+    // 66 channels on the cheap frequency/runs design, more channels than
+    // workers at every thread count; the per-bit lane is the oracle.
+    // Both must produce byte-identical channel reports.
     const unsigned channels = 66;
     const std::uint64_t windows = 4;
     const auto design = core::custom_design(
@@ -404,33 +400,16 @@ TEST(fleet, fused_tile_lane_matches_the_per_bit_oracle)
     const auto oracle =
         core::fleet_monitor(make_cfg(core::ingest_lane::per_bit, 2))
             .run(ideal_factory(), windows);
-    // The sliced lane reports sw_cycles on its own scale (one sliced
-    // pass covers 64 channels), so the byte-identity guarantee covers
-    // every field except the two cycle counters.
-    const auto strip_cycles = [](core::channel_report ch) {
-        ch.sw_cycles = 0;
-        ch.worst_sw_cycles = 0;
-        return ch;
-    };
     for (const unsigned threads : {1u, 2u, 4u}) {
-        auto fused = make_cfg(core::ingest_lane::sliced, threads);
-        ASSERT_TRUE(fused.uses_sliced_lane());
-        EXPECT_EQ(fused.lane_description(), "sliced+span");
         const auto report =
-            core::fleet_monitor(fused).run(ideal_factory(), windows);
+            core::fleet_monitor(make_cfg(core::ingest_lane::span, threads))
+                .run(ideal_factory(), windows);
         const std::string ctx =
             report.lane + " threads " + std::to_string(threads);
-        EXPECT_EQ(report.windows, oracle.windows) << ctx;
-        EXPECT_EQ(report.failures, oracle.failures) << ctx;
-        EXPECT_EQ(report.bits, oracle.bits) << ctx;
-        EXPECT_EQ(report.channels_in_alarm, oracle.channels_in_alarm)
-            << ctx;
-        EXPECT_EQ(report.failures_by_test, oracle.failures_by_test)
-            << ctx;
+        EXPECT_TRUE(report.same_counters(oracle)) << ctx;
         ASSERT_EQ(report.channels.size(), oracle.channels.size());
         for (std::size_t c = 0; c < report.channels.size(); ++c) {
-            EXPECT_EQ(strip_cycles(report.channels[c]),
-                      strip_cycles(oracle.channels[c]))
+            EXPECT_EQ(report.channels[c], oracle.channels[c])
                 << ctx << " channel " << c;
         }
     }
@@ -439,20 +418,18 @@ TEST(fleet, fused_tile_lane_matches_the_per_bit_oracle)
 TEST(fleet, lane_metadata_is_reported)
 {
     // The report must say which ingest lane actually ran and how many
-    // worker threads were spawned -- in particular the sliced->span
-    // fallback that used to be silent.
+    // worker threads were spawned.
     const std::uint64_t windows = 2;
-    auto cfg = base_config(3, 2);
     const auto fused =
-        core::fleet_monitor(cfg).run(ideal_factory(), windows);
+        core::fleet_monitor(base_config(3, 2)).run(ideal_factory(), windows);
     EXPECT_EQ(fused.lane, "span");
     EXPECT_EQ(fused.worker_threads, 2u);
 
-    const auto fallback = base_config(3, 1, core::ingest_lane::sliced);
-    const auto degraded =
-        core::fleet_monitor(fallback).run(ideal_factory(), windows);
-    EXPECT_EQ(degraded.lane, "span (sliced fallback)")
-        << "too few channels for a tile group must be visible";
+    const auto oracle =
+        core::fleet_monitor(base_config(3, 1, core::ingest_lane::per_bit))
+            .run(ideal_factory(), windows);
+    EXPECT_EQ(oracle.lane, "per_bit");
+    EXPECT_EQ(oracle.worker_threads, 1u);
 }
 
 // ------------------------------------------- per-channel supervision --
@@ -632,27 +609,23 @@ TEST(fleet, bits_per_second_handles_a_zero_duration_run)
     EXPECT_DOUBLE_EQ(report.bits_per_second(), (1u << 20) / 2.0);
 }
 
-TEST(unit_pool, unit_table_is_sliced_groups_then_single_channels)
+TEST(unit_pool, unit_table_is_one_unit_per_channel_in_shard_order)
 {
     core::unit_pool pool(2);
-    pool.add(0, 0, 130, true);   // two sliced groups + 2 singles
-    pool.add(1, 130, 64, true);  // exactly one sliced group
-    pool.add(2, 194, 10, true);  // too few for a group: 10 singles
-    pool.add(3, 204, 70, false); // not sliced: 70 singles
+    pool.add(0, 0, 130);
+    pool.add(1, 130, 64);
+    pool.add(2, 194, 10);
+    pool.add(3, 204, 70);
     const std::vector<core::pool_unit>& units = pool.units();
-    ASSERT_EQ(units.size(), 2u + 2u + 1u + 10u + 70u);
+    ASSERT_EQ(units.size(), 274u);
     const auto shard_of = [](unsigned c) {
         return c < 130 ? 0u : c < 194 ? 1u : c < 204 ? 2u : 3u;
     };
-    unsigned next = 0;
     for (std::size_t i = 0; i < units.size(); ++i) {
         const core::pool_unit& u = units[i];
-        EXPECT_EQ(u.first, next) << "unit " << i;
-        EXPECT_EQ(u.count, i < 2 || i == 4 ? 64u : 1u) << "unit " << i;
+        EXPECT_EQ(u.first, i) << "unit " << i;
         EXPECT_EQ(u.shard, shard_of(u.first)) << "unit " << i;
-        next += u.count;
     }
-    EXPECT_EQ(next, 274u);
     EXPECT_EQ(pool.workers(), 2u);
     EXPECT_EQ(core::unit_pool(1000).workers(), 1u)
         << "an empty table still runs on one worker";
@@ -666,7 +639,7 @@ TEST(unit_pool, every_unit_is_claimed_exactly_once)
     constexpr unsigned units = 4096;
     for (const unsigned threads : {1u, 2u, 8u}) {
         core::unit_pool pool(threads);
-        pool.add(0, 0, units, false);
+        pool.add(0, 0, units);
         ASSERT_EQ(pool.workers(), threads);
         std::vector<std::atomic<unsigned>> claimed(units);
         const std::thread::id caller = std::this_thread::get_id();
@@ -691,7 +664,7 @@ TEST(unit_pool, first_exception_is_rethrown_after_every_worker_joins)
 {
     constexpr unsigned units = 2000;
     core::unit_pool pool(4);
-    pool.add(0, 0, units, false);
+    pool.add(0, 0, units);
     std::atomic<unsigned> started{0};
     std::atomic<unsigned> running{0};
     try {

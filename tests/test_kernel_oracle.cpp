@@ -1,7 +1,6 @@
 // Differential kernel-oracle harness: the per-bit lane is the ground
-// truth, and every fast lane -- span (under each kernel variant, at every
-// chunking) and the bit-sliced fleet lane -- must reproduce it
-// register-exactly.
+// truth, and the span lane -- under each kernel variant, at every
+// chunking -- must reproduce it register-exactly.
 //
 // The span kernels (base/bits.hpp) are runtime-dispatched through a
 // process-wide kernel_variant; this suite pins each variant (reference,
@@ -9,20 +8,14 @@
 // points, seeded random streams, adversarial source models at several
 // severities, and pathological inputs (all-zero, all-one, alternating,
 // template floods, a single flipped bit at every word offset), fed as one
-// span or as chunks of every size from 1 to 64 bits.  The sliced lane
-// (hw::sliced_block) is pinned against 64 independent scalar engines fed
-// the same per-channel streams, and core::sliced_software_pass against
-// the full software_runner verdict path.
+// span or as chunks of every size from 1 to 64 bits.
 #include "base/bits.hpp"
-#include "core/critical_values.hpp"
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
 #include "core/population.hpp"
 #include "core/scenario.hpp"
-#include "core/sw_routines.hpp"
 #include "hw/health_tests.hpp"
-#include "hw/sliced_block.hpp"
 #include "hw/testing_block.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
@@ -479,8 +472,8 @@ TEST(kernel_oracle, shared_window_engine_must_override_consume_span)
 }
 
 // ---------------------------------------------------------------------------
-// Monitor end to end: every selectable lane produces the same window
-// report for the same packed window (a lone monitor maps sliced to span).
+// Monitor end to end: the span lane produces the same window report as
+// the per-bit lane for the same packed window.
 // ---------------------------------------------------------------------------
 
 TEST(kernel_oracle, monitor_lanes_agree_end_to_end)
@@ -493,547 +486,19 @@ TEST(kernel_oracle, monitor_lanes_agree_end_to_end)
     const auto a =
         oracle.test_packed(words.data(), words.size(),
                            core::ingest_lane::per_bit);
-    for (const core::ingest_lane lane :
-         {core::ingest_lane::span, core::ingest_lane::sliced}) {
-        core::monitor fast(cfg, 0.01);
-        const auto b = fast.test_packed(words.data(), words.size(), lane);
-        EXPECT_EQ(a.software.all_pass, b.software.all_pass);
-        ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size());
-        for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
-            EXPECT_EQ(a.software.verdicts[i].pass,
-                      b.software.verdicts[i].pass);
-            EXPECT_EQ(a.software.verdicts[i].statistic,
-                      b.software.verdicts[i].statistic)
-                << a.software.verdicts[i].name;
-            EXPECT_EQ(a.software.verdicts[i].bound,
-                      b.software.verdicts[i].bound);
-        }
-        EXPECT_EQ(a.sw_cycles, b.sw_cycles);
+    core::monitor fast(cfg, 0.01);
+    const auto b = fast.test_packed(words.data(), words.size(),
+                                    core::ingest_lane::span);
+    EXPECT_EQ(a.software.all_pass, b.software.all_pass);
+    ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size());
+    for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
+        EXPECT_EQ(a.software.verdicts[i].pass, b.software.verdicts[i].pass);
+        EXPECT_EQ(a.software.verdicts[i].statistic,
+                  b.software.verdicts[i].statistic)
+            << a.software.verdicts[i].name;
+        EXPECT_EQ(a.software.verdicts[i].bound, b.software.verdicts[i].bound);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Bit-sliced lane vs 64 independent scalar engines.  Every channel gets
-// its own stream (healthy, biased, sticky, and stuck channels mixed), the
-// sliced group consumes them transposed, and every per-channel statistic
-// must match the scalar engines bit for bit -- across window restarts,
-// with the continuous health tests running through them.
-// ---------------------------------------------------------------------------
-
-struct scalar_channel {
-    bit_sequence seq;
-    hw::repetition_count_hw rct;
-    hw::adaptive_proportion_hw apt;
-
-    scalar_channel(bit_sequence s, unsigned rct_cutoff, unsigned apt_log2,
-                   unsigned apt_cutoff)
-        : seq(std::move(s)), rct(rct_cutoff), apt(apt_log2, apt_cutoff)
-    {
-    }
-};
-
-bit_sequence channel_stream(unsigned channel, std::uint64_t nbits)
-{
-    const std::uint64_t seed = fixture_seed(60 + channel);
-    switch (channel % 5) {
-    case 0:
-        return trng::ideal_source(seed).generate(nbits);
-    case 1:
-        return trng::biased_source(seed, 0.3).generate(nbits);
-    case 2:
-        // Sticky: mean run ~33 bits, far beyond the RCT cutoff of 21.
-        return trng::markov_source(seed, 0.97).generate(nbits);
-    case 3:
-        return trng::biased_source(seed, 0.85).generate(nbits);
-    default:
-        // Stuck-at-one: trips the RCT and saturates the APT count.
-        return bit_sequence(nbits, true);
-    }
-}
-
-TEST(kernel_oracle, sliced_block_matches_scalar_engines_across_windows)
-{
-    constexpr unsigned lanes = hw::sliced_block::lanes;
-    constexpr std::uint64_t window = 1024;
-    constexpr std::uint64_t nwindows = 3;
-    constexpr std::uint64_t nbits = window * nwindows;
-    constexpr unsigned rct_cutoff = 21;
-    constexpr unsigned apt_log2 = 10;
-    constexpr unsigned apt_cutoff = 700;
-
-    hw::sliced_config scfg;
-    scfg.n = window;
-    scfg.rct = true;
-    scfg.rct_cutoff = rct_cutoff;
-    scfg.apt = true;
-    scfg.apt_log2_window = apt_log2;
-    scfg.apt_cutoff = apt_cutoff;
-    hw::sliced_block group(scfg);
-
-    std::vector<std::unique_ptr<scalar_channel>> channels;
-    channels.reserve(lanes);
-    for (unsigned c = 0; c < lanes; ++c) {
-        channels.push_back(std::make_unique<scalar_channel>(
-            channel_stream(c, nbits), rct_cutoff, apt_log2, apt_cutoff));
-    }
-
-    for (std::uint64_t w = 0; w < nwindows; ++w) {
-        if (w != 0) {
-            group.restart();
-        }
-        // Sliced lane: 64-bit channel-major chunks, transposed inside.
-        for (std::uint64_t k = 0; k < window / 64; ++k) {
-            std::uint64_t chunk[lanes];
-            for (unsigned c = 0; c < lanes; ++c) {
-                const auto words = pack_range(channels[c]->seq,
-                                              w * window + k * 64, 64);
-                chunk[c] = words[0];
-            }
-            group.feed_chunk(chunk);
-        }
-        // Scalar lane: one engine pair per channel plus naive per-window
-        // frequency/runs references.
-        for (unsigned c = 0; c < lanes; ++c) {
-            std::uint64_t ones = 0;
-            std::uint64_t runs = 0;
-            bool prev = false;
-            for (std::uint64_t i = 0; i < window; ++i) {
-                const std::uint64_t global = w * window + i;
-                const bool bit = channels[c]->seq[global];
-                channels[c]->rct.consume(bit, global);
-                channels[c]->apt.consume(bit, global);
-                ones += bit ? 1 : 0;
-                if (i == 0 || bit != prev) {
-                    ++runs;
-                }
-                prev = bit;
-            }
-            const std::string ctx =
-                "channel " + std::to_string(c) + " window "
-                + std::to_string(w);
-            EXPECT_EQ(group.ones(c), ones) << ctx;
-            EXPECT_EQ(group.s_final(c),
-                      2 * static_cast<std::int64_t>(ones)
-                          - static_cast<std::int64_t>(window))
-                << ctx;
-            EXPECT_EQ(group.n_runs(c), runs) << ctx;
-            EXPECT_EQ(group.rct_alarm(c), channels[c]->rct.alarm()) << ctx;
-            EXPECT_EQ(group.rct_current_run(c),
-                      channels[c]->rct.current_run())
-                << ctx;
-            EXPECT_EQ(group.rct_longest_run(c),
-                      channels[c]->rct.longest_run())
-                << ctx;
-            EXPECT_EQ(group.apt_alarm(c), channels[c]->apt.alarm()) << ctx;
-            EXPECT_EQ(group.apt_current_count(c),
-                      channels[c]->apt.current_count())
-                << ctx;
-        }
-        EXPECT_EQ(group.window_bits(), window);
-        EXPECT_EQ(group.bits_consumed(), (w + 1) * window);
-    }
-    // The mixed channel set must actually exercise both alarm paths.
-    EXPECT_TRUE(group.rct_alarm(2));  // sticky markov channel
-    EXPECT_TRUE(group.apt_alarm(4));  // stuck-at-one channel
-    EXPECT_FALSE(group.rct_alarm(0)); // healthy channel stays quiet
-    EXPECT_FALSE(group.apt_alarm(0));
-}
-
-TEST(kernel_oracle, sliced_block_validates_configuration_and_overruns)
-{
-    hw::sliced_config bad;
-    bad.n = 100; // not a multiple of 64
-    EXPECT_THROW(hw::sliced_block{bad}, std::invalid_argument);
-    bad.n = 0;
-    EXPECT_THROW(hw::sliced_block{bad}, std::invalid_argument);
-    bad.n = 128;
-    bad.rct = true;
-    bad.rct_cutoff = 1;
-    EXPECT_THROW(hw::sliced_block{bad}, std::invalid_argument);
-    bad.rct_cutoff = 21;
-    bad.apt = true;
-    bad.apt_log2_window = 5; // below the 64-step transposed chunk
-    EXPECT_THROW(hw::sliced_block{bad}, std::invalid_argument);
-    bad.apt_log2_window = 17;
-    EXPECT_THROW(hw::sliced_block{bad}, std::invalid_argument);
-    bad.apt_log2_window = 10;
-
-    hw::sliced_block group({.n = 128});
-    const std::uint64_t zeros[hw::sliced_block::lanes] = {};
-    group.feed_chunk(zeros);
-    group.feed_chunk(zeros);
-    EXPECT_THROW(group.step(0), std::logic_error);
-    EXPECT_THROW(group.feed_chunk(zeros), std::logic_error);
-    EXPECT_THROW(group.ones(64), std::invalid_argument);
-    // Health-test accessors refuse when the test is not configured.
-    EXPECT_THROW(group.rct_alarm(0), std::logic_error);
-    EXPECT_THROW(group.apt_alarm(0), std::logic_error);
-    group.restart();
-    group.feed_chunk(zeros); // restart reopens the window
-    EXPECT_EQ(group.window_bits(), 64u);
-    EXPECT_EQ(group.bits_consumed(), 192u);
-}
-
-// ---------------------------------------------------------------------------
-// sliced_software_pass vs the full software_runner: identical verdict
-// vectors for the cheap always-on test set, on streams spanning clean
-// passes and both failure directions.
-// ---------------------------------------------------------------------------
-
-// Without health tests configured, feed_chunk takes a batched path
-// (per-channel popcounts rippled in as sliced multi-bit addends) instead
-// of 64 per-plane step() calls.  Both must land on identical counters,
-// including the run seam between consecutive chunks and across restarts.
-TEST(kernel_oracle, sliced_batched_feed_matches_stepwise)
-{
-    constexpr unsigned lanes = hw::sliced_block::lanes;
-    constexpr std::uint64_t n = 4 * 64;
-    hw::sliced_block batched({.n = n});
-    hw::sliced_block stepwise({.n = n});
-    trng::xoshiro256ss rng(fixture_seed(0x511cedfeedULL));
-
-    for (std::uint64_t window = 0; window < 3; ++window) {
-        if (window != 0) {
-            batched.restart();
-            stepwise.restart();
-        }
-        for (std::uint64_t chunk = 0; chunk < n / 64; ++chunk) {
-            std::uint64_t words[lanes];
-            for (unsigned i = 0; i < lanes; ++i) {
-                // Mix pathological channels in with random ones so the
-                // popcount extremes (0, 64) and long runs cross chunks.
-                switch (i % 4) {
-                case 0: words[i] = rng.next(); break;
-                case 1: words[i] = 0; break;
-                case 2: words[i] = ~std::uint64_t{0}; break;
-                default: words[i] = 0xaaaaaaaaaaaaaaaaULL; break;
-                }
-            }
-            batched.feed_chunk(words);
-            std::uint64_t planes[lanes];
-            for (unsigned i = 0; i < lanes; ++i) {
-                planes[i] = words[i];
-            }
-            bits::transpose_64x64(planes);
-            for (unsigned t = 0; t < lanes; ++t) {
-                stepwise.step(planes[t]);
-            }
-        }
-        for (unsigned c = 0; c < lanes; ++c) {
-            ASSERT_EQ(batched.ones(c), stepwise.ones(c)) << "channel " << c;
-            ASSERT_EQ(batched.n_runs(c), stepwise.n_runs(c))
-                << "channel " << c;
-            ASSERT_EQ(batched.s_final(c), stepwise.s_final(c))
-                << "channel " << c;
-        }
-        EXPECT_EQ(batched.window_bits(), stepwise.window_bits());
-        EXPECT_EQ(batched.bits_consumed(), stepwise.bits_consumed());
-    }
-}
-
-// feed_tile is the fused fleet's ingest call: a channel-major tile of up
-// to 64 words per channel, one transpose per tile instead of one per
-// 64-bit chunk.  It must be bit-exact with the equivalent sequence of
-// feed_chunk calls -- across ragged tile widths, window restarts, run
-// seams between tiles, and with the health tests configured.
-TEST(kernel_oracle, feed_tile_matches_feed_chunk)
-{
-    constexpr unsigned lanes = hw::sliced_block::lanes;
-    constexpr std::uint64_t n = 6 * 64;
-    constexpr std::size_t stride = 8; // > words: the stride is honoured
-    hw::sliced_block tiled({.n = n});
-    hw::sliced_block worded({.n = n});
-    trng::xoshiro256ss rng(fixture_seed(0x7117eULL));
-    std::vector<std::uint64_t> tile(std::size_t{lanes} * stride);
-
-    for (std::uint64_t window = 0; window < 3; ++window) {
-        if (window != 0) {
-            tiled.restart();
-            worded.restart();
-        }
-        // 6 words per window, fed as ragged tiles of 1, 3 and 2 words:
-        // run seams land both inside a tile and between tiles.
-        for (const std::size_t words : {1u, 3u, 2u}) {
-            for (unsigned i = 0; i < lanes; ++i) {
-                for (std::size_t k = 0; k < words; ++k) {
-                    std::uint64_t w = 0;
-                    switch (i % 4) {
-                    case 0: w = rng.next(); break;
-                    case 1: w = 0; break;
-                    case 2: w = ~std::uint64_t{0}; break;
-                    default: w = 0xaaaaaaaaaaaaaaaaULL; break;
-                    }
-                    tile[std::size_t{i} * stride + k] = w;
-                }
-            }
-            tiled.feed_tile(tile.data(), stride, words);
-            std::uint64_t chunk[lanes];
-            for (std::size_t k = 0; k < words; ++k) {
-                for (unsigned i = 0; i < lanes; ++i) {
-                    chunk[i] = tile[std::size_t{i} * stride + k];
-                }
-                worded.feed_chunk(chunk);
-            }
-        }
-        for (unsigned c = 0; c < lanes; ++c) {
-            ASSERT_EQ(tiled.ones(c), worded.ones(c)) << "channel " << c;
-            ASSERT_EQ(tiled.n_runs(c), worded.n_runs(c)) << "channel " << c;
-            ASSERT_EQ(tiled.s_final(c), worded.s_final(c))
-                << "channel " << c;
-        }
-        EXPECT_EQ(tiled.window_bits(), worded.window_bits());
-        EXPECT_EQ(tiled.bits_consumed(), worded.bits_consumed());
-    }
-}
-
-TEST(kernel_oracle, full_width_feed_tile_matches_scalar_engines)
-{
-    // The fused fleet feeds whole 64x64 tiles (64 words = 4096 bits per
-    // channel per tile) with the health tests live; pin the tile path
-    // against per-bit scalar engines on the adversarial channel mix.
-    constexpr unsigned lanes = hw::sliced_block::lanes;
-    constexpr std::uint64_t window = 2 * 64 * 64;
-    constexpr std::uint64_t nwindows = 2;
-    constexpr unsigned rct_cutoff = 21;
-    constexpr unsigned apt_log2 = 10;
-    constexpr unsigned apt_cutoff = 700;
-
-    hw::sliced_config scfg;
-    scfg.n = window;
-    scfg.rct = true;
-    scfg.rct_cutoff = rct_cutoff;
-    scfg.apt = true;
-    scfg.apt_log2_window = apt_log2;
-    scfg.apt_cutoff = apt_cutoff;
-    hw::sliced_block group(scfg);
-
-    std::vector<std::unique_ptr<scalar_channel>> channels;
-    channels.reserve(lanes);
-    for (unsigned c = 0; c < lanes; ++c) {
-        channels.push_back(std::make_unique<scalar_channel>(
-            channel_stream(c, window * nwindows), rct_cutoff, apt_log2,
-            apt_cutoff));
-    }
-
-    constexpr std::size_t tile_words = 64;
-    std::vector<std::uint64_t> tile(std::size_t{lanes} * tile_words);
-    for (std::uint64_t w = 0; w < nwindows; ++w) {
-        if (w != 0) {
-            group.restart();
-        }
-        for (std::uint64_t base = 0; base < window / 64;
-             base += tile_words) {
-            for (unsigned c = 0; c < lanes; ++c) {
-                const auto words =
-                    pack_range(channels[c]->seq,
-                               w * window + base * 64, tile_words * 64);
-                for (std::size_t k = 0; k < tile_words; ++k) {
-                    tile[std::size_t{c} * tile_words + k] = words[k];
-                }
-            }
-            group.feed_tile(tile.data(), tile_words, tile_words);
-        }
-        for (unsigned c = 0; c < lanes; ++c) {
-            std::uint64_t ones = 0;
-            std::uint64_t runs = 0;
-            bool prev = false;
-            for (std::uint64_t i = 0; i < window; ++i) {
-                const std::uint64_t global = w * window + i;
-                const bool bit = channels[c]->seq[global];
-                channels[c]->rct.consume(bit, global);
-                channels[c]->apt.consume(bit, global);
-                ones += bit ? 1 : 0;
-                if (i == 0 || bit != prev) {
-                    ++runs;
-                }
-                prev = bit;
-            }
-            const std::string ctx = "channel " + std::to_string(c)
-                + " window " + std::to_string(w);
-            ASSERT_EQ(group.ones(c), ones) << ctx;
-            ASSERT_EQ(group.n_runs(c), runs) << ctx;
-            ASSERT_EQ(group.rct_alarm(c), channels[c]->rct.alarm()) << ctx;
-            ASSERT_EQ(group.rct_longest_run(c),
-                      channels[c]->rct.longest_run())
-                << ctx;
-            ASSERT_EQ(group.apt_alarm(c), channels[c]->apt.alarm()) << ctx;
-            ASSERT_EQ(group.apt_current_count(c),
-                      channels[c]->apt.current_count())
-                << ctx;
-        }
-    }
-    EXPECT_TRUE(group.rct_alarm(2)) << "sticky markov channel";
-    EXPECT_TRUE(group.apt_alarm(4)) << "stuck-at-one channel";
-}
-
-TEST(kernel_oracle, feed_tile_validates_width_and_overruns)
-{
-    hw::sliced_block group({.n = 128});
-    std::vector<std::uint64_t> tile(std::size_t{hw::sliced_block::lanes}
-                                    * 65,
-                                    0);
-    EXPECT_THROW(group.feed_tile(tile.data(), 65, 65),
-                 std::invalid_argument)
-        << "a tile wider than 64 words cannot be transposed in one pass";
-    group.feed_tile(tile.data(), 65, 0); // zero-width tile is a no-op
-    EXPECT_EQ(group.window_bits(), 0u);
-    group.feed_tile(tile.data(), 65, 2); // fills the 128-bit window
-    EXPECT_EQ(group.window_bits(), 128u);
-    EXPECT_THROW(group.feed_tile(tile.data(), 65, 1), std::logic_error)
-        << "feeding past the window must be refused";
-}
-
-TEST(kernel_oracle, sliced_software_pass_matches_software_runner)
-{
-    const hw::block_config cfg = core::custom_design(
-        10, hw::test_set{}
-                .with(hw::test_id::frequency)
-                .with(hw::test_id::runs));
-    const core::critical_values cv =
-        core::compute_critical_values(cfg, 0.01);
-    ASSERT_TRUE(core::sliced_pass_supported(cfg.tests));
-
-    for (unsigned c = 0; c < 24; ++c) {
-        const bit_sequence seq = channel_stream(c, cfg.n());
-        // Scalar path: the real register map through the real runner.
-        core::monitor mon(cfg, 0.01);
-        const auto scalar = mon.test_sequence(seq).software;
-        // Sliced path: verdicts straight from the sliced statistics.
-        std::uint64_t ones = 0;
-        std::uint64_t runs = 0;
-        bool prev = false;
-        for (std::size_t i = 0; i < seq.size(); ++i) {
-            ones += seq[i] ? 1 : 0;
-            if (i == 0 || seq[i] != prev) {
-                ++runs;
-            }
-            prev = seq[i];
-        }
-        const auto sliced = core::sliced_software_pass(
-            cfg, cv,
-            2 * static_cast<std::int64_t>(ones)
-                - static_cast<std::int64_t>(cfg.n()),
-            runs);
-
-        const std::string ctx = "channel " + std::to_string(c);
-        EXPECT_EQ(scalar.all_pass, sliced.all_pass) << ctx;
-        ASSERT_EQ(scalar.verdicts.size(), sliced.verdicts.size()) << ctx;
-        for (std::size_t i = 0; i < scalar.verdicts.size(); ++i) {
-            EXPECT_EQ(scalar.verdicts[i].id, sliced.verdicts[i].id) << ctx;
-            EXPECT_EQ(scalar.verdicts[i].name, sliced.verdicts[i].name)
-                << ctx;
-            EXPECT_EQ(scalar.verdicts[i].pass, sliced.verdicts[i].pass)
-                << ctx << " " << scalar.verdicts[i].name;
-            EXPECT_EQ(scalar.verdicts[i].statistic,
-                      sliced.verdicts[i].statistic)
-                << ctx << " " << scalar.verdicts[i].name;
-            EXPECT_EQ(scalar.verdicts[i].bound, sliced.verdicts[i].bound)
-                << ctx << " " << scalar.verdicts[i].name;
-        }
-    }
-}
-
-TEST(kernel_oracle, sliced_pass_rejects_heavy_test_sets)
-{
-    const hw::block_config heavy = paper_design(16, tier::high);
-    EXPECT_FALSE(core::sliced_pass_supported(heavy.tests));
-    EXPECT_FALSE(core::sliced_pass_supported(hw::test_set{}));
-    const core::critical_values cv =
-        core::compute_critical_values(heavy, 0.01);
-    EXPECT_THROW(core::sliced_software_pass(heavy, cv, 0, 1),
-                 std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Fleet: sliced lane vs span lane on an eligible design.  65 channels so
-// one leftover channel rides the span lane alongside the sliced group;
-// every deterministic verdict field must agree, with sw_cycles the one
-// documented difference (zero for sliced-group channels).
-// ---------------------------------------------------------------------------
-
-TEST(kernel_oracle, fleet_sliced_lane_matches_span_lane_verdicts)
-{
-    core::fleet_config cfg;
-    cfg.block = core::custom_design(
-        7, hw::test_set{}
-               .with(hw::test_id::frequency)
-               .with(hw::test_id::runs));
-    cfg.channels = hw::sliced_block::lanes + 1;
-    cfg.threads = 4;
-    const auto make_source = [](unsigned c)
-        -> std::unique_ptr<trng::entropy_source> {
-        // A few heavily biased channels guarantee failing windows, so the
-        // comparison covers failures_by_test and the alarm path too.
-        if (c % 8 == 3) {
-            return std::make_unique<trng::biased_source>(fixture_seed(c),
-                                                         0.2);
-        }
-        return std::make_unique<trng::ideal_source>(fixture_seed(c));
-    };
-
-    cfg.lane = core::ingest_lane::sliced;
-    ASSERT_TRUE(cfg.uses_sliced_lane());
-    core::fleet_monitor sliced_fleet(cfg);
-    const auto sliced = sliced_fleet.run(make_source, 6);
-
-    cfg.lane = core::ingest_lane::span;
-    EXPECT_FALSE(cfg.uses_sliced_lane());
-    core::fleet_monitor span_fleet(cfg);
-    const auto span = span_fleet.run(make_source, 6);
-
-    EXPECT_EQ(sliced.windows, span.windows);
-    EXPECT_EQ(sliced.failures, span.failures);
-    EXPECT_EQ(sliced.bits, span.bits);
-    EXPECT_EQ(sliced.channels_in_alarm, span.channels_in_alarm);
-    EXPECT_EQ(sliced.failures_by_test, span.failures_by_test);
-    EXPECT_GT(sliced.failures, 0u) << "biased channels must fail windows";
-    ASSERT_EQ(sliced.channels.size(), span.channels.size());
-    for (std::size_t c = 0; c < sliced.channels.size(); ++c) {
-        const auto& a = sliced.channels[c];
-        const auto& b = span.channels[c];
-        const std::string ctx = "channel " + std::to_string(c);
-        EXPECT_EQ(a.windows, b.windows) << ctx;
-        EXPECT_EQ(a.failures, b.failures) << ctx;
-        EXPECT_EQ(a.alarm, b.alarm) << ctx;
-        EXPECT_EQ(a.first_alarm_window, b.first_alarm_window) << ctx;
-        EXPECT_EQ(a.bits, b.bits) << ctx;
-        EXPECT_EQ(a.failures_by_test, b.failures_by_test) << ctx;
-        if (c < hw::sliced_block::lanes) {
-            // Sliced-group channels trade the cycle model for batching.
-            EXPECT_EQ(a.sw_cycles, 0u) << ctx;
-        } else {
-            // The leftover channel rode the span lane in both fleets.
-            EXPECT_EQ(a.sw_cycles, b.sw_cycles) << ctx;
-        }
-    }
-}
-
-TEST(kernel_oracle, sliced_lane_eligibility_rules)
-{
-    core::fleet_config cfg;
-    cfg.block = core::custom_design(
-        7, hw::test_set{}
-               .with(hw::test_id::frequency)
-               .with(hw::test_id::runs));
-    cfg.channels = 64;
-    cfg.lane = core::ingest_lane::sliced;
-    EXPECT_TRUE(cfg.uses_sliced_lane());
-
-    core::fleet_config fewer = cfg;
-    fewer.channels = 63; // not even one full group
-    EXPECT_FALSE(fewer.uses_sliced_lane());
-
-    core::fleet_config heavy = cfg;
-    heavy.block = paper_design(16, tier::high);
-    EXPECT_FALSE(heavy.uses_sliced_lane());
-
-    core::fleet_config supervised = cfg;
-    supervised.escalated_block = paper_design(16, tier::light);
-    EXPECT_FALSE(supervised.uses_sliced_lane());
-
-    core::fleet_config per_bit = cfg;
-    per_bit.lane = core::ingest_lane::per_bit;
-    EXPECT_FALSE(per_bit.uses_sliced_lane());
+    EXPECT_EQ(a.sw_cycles, b.sw_cycles);
 }
 
 // ---------------------------------------------------------------------------

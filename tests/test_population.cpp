@@ -114,15 +114,13 @@ TEST(population, per_bit_lane_never_changes_the_report)
     }
 }
 
-TEST(population, sliced_lane_agrees_across_lanes_and_layouts)
+TEST(population, wide_population_agrees_across_lanes_and_layouts)
 {
-    // A sliced-eligible population (>= 64 devices per shard) rides the
-    // fused 64x64 tile lane; smaller shards degrade to the span lane,
-    // and the per-bit lane is the oracle.  All of it must land on the
-    // same numbers.
+    // 128 devices on the cheap frequency/runs design over 1, 2, 3 and 4
+    // shards on the default span lane, with the per-bit lane as the
+    // oracle.  All of it must land on the same numbers.
     const auto run_with = [](unsigned shards, core::ingest_lane lane) {
         core::population_config cfg = small_config();
-        // Only the cheap always-on pair rides the sliced verdict path.
         cfg.block = core::custom_design(7, hw::test_set{}
                                                .with(hw::test_id::frequency)
                                                .with(hw::test_id::runs));
@@ -132,16 +130,15 @@ TEST(population, sliced_lane_agrees_across_lanes_and_layouts)
         return core::population_monitor(cfg).run();
     };
     const core::population_report baseline =
-        run_with(1, core::ingest_lane::sliced);
-    EXPECT_EQ(baseline.lane, "sliced")
-        << "128 devices in one shard must fill two whole tile groups";
+        run_with(1, core::ingest_lane::span);
+    EXPECT_EQ(baseline.lane, "span");
     const struct {
         unsigned shards;
         core::ingest_lane lane;
-    } layouts[] = {{2, core::ingest_lane::sliced},
-                   {4, core::ingest_lane::sliced},
+    } layouts[] = {{2, core::ingest_lane::span},
+                   {4, core::ingest_lane::span},
                    {1, core::ingest_lane::per_bit},
-                   {3, core::ingest_lane::sliced}};
+                   {3, core::ingest_lane::span}};
     for (const auto& l : layouts) {
         const core::population_report report = run_with(l.shards, l.lane);
         EXPECT_TRUE(baseline.same_counters(report))

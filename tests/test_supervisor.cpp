@@ -270,15 +270,12 @@ TEST(supervisor, every_ingest_lane_agrees_with_the_per_bit_oracle)
         return sup.run(source, 24);
     };
     const auto bit = run_lane(core::ingest_lane::per_bit);
-    for (const core::ingest_lane lane :
-         {core::ingest_lane::span, core::ingest_lane::sliced}) {
-        const auto fast = run_lane(lane);
-        EXPECT_EQ(fast.failures, bit.failures);
-        EXPECT_EQ(fast.escalations, bit.escalations);
-        EXPECT_EQ(fast.de_escalations, bit.de_escalations);
-        EXPECT_EQ(fast.failures_by_test, bit.failures_by_test);
-        EXPECT_EQ(fast.events.size(), bit.events.size());
-    }
+    const auto fast = run_lane(core::ingest_lane::span);
+    EXPECT_EQ(fast.failures, bit.failures);
+    EXPECT_EQ(fast.escalations, bit.escalations);
+    EXPECT_EQ(fast.de_escalations, bit.de_escalations);
+    EXPECT_EQ(fast.failures_by_test, bit.failures_by_test);
+    EXPECT_EQ(fast.events.size(), bit.events.size());
 }
 
 TEST(supervisor, event_log_serializes_as_json)

@@ -520,6 +520,110 @@ TEST(TelemetryRecords, CheckpointRejectsTrailingBytes)
     EXPECT_THROW(core::parse_checkpoint(bytes), std::runtime_error);
 }
 
+// ---------------------------------------------------------------------
+// Forged element counts: a payload that claims 0xFFFFFFFF elements and
+// carries none must fail as the cursor's "truncated" error on the first
+// missing element, never by reserving memory for the claim.
+// ---------------------------------------------------------------------
+
+/// `bytes` cut right after the u32 element count at offset `at`, with
+/// that count forged to 0xFFFFFFFF.
+std::vector<std::uint8_t> forged_count(std::vector<std::uint8_t> bytes,
+                                       std::size_t at)
+{
+    bytes.resize(at + 4);
+    std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(at), bytes.end(),
+              std::uint8_t{0xFF});
+    return bytes;
+}
+
+template <class Parse>
+void expect_truncated(Parse parse)
+{
+    try {
+        parse();
+        ADD_FAILURE() << "a forged element count parsed";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ForgedCounts, WindowWordCount)
+{
+    base::byte_sink sink;
+    sink.u64(7); // window index
+    base::wal_read_result wal;
+    wal.header_ok = true;
+    wal.records.push_back(
+        {static_cast<std::uint8_t>(core::telemetry_record::window),
+         forged_count(sink.take(), 8)});
+    expect_truncated([&] { core::parse_telemetry(wal); });
+}
+
+TEST(ForgedCounts, BatteryEntryCount)
+{
+    core::supervision_event ev = make_event(true);
+    ev.confirmation->battery.entries.clear();
+    base::byte_sink sink;
+    core::serialize_event(sink, ev);
+    // The entry count is the last field of an event without entries.
+    const std::size_t at = sink.bytes().size() - 4;
+    const auto bytes = forged_count(sink.take(), at);
+    base::byte_cursor cursor(bytes);
+    expect_truncated([&] { core::parse_event(cursor); });
+}
+
+TEST(ForgedCounts, AlarmHistoryCount)
+{
+    // The history count follows state (u8), pending (bool) and the
+    // clean streak (u64).
+    const auto bytes =
+        forged_count(core::serialize(make_checkpoint()), 1 + 1 + 8);
+    expect_truncated([&] { core::parse_checkpoint(bytes); });
+}
+
+// A checkpoint without events ends in its u32 event count (0) and the
+// u64 monitor_windows; the evidence ring (u32 size, then per entry a u64
+// index, a u32 word count and the words) comes just before.
+constexpr std::size_t empty_events_tail = 4 + 8;
+
+TEST(ForgedCounts, EvidenceRingCount)
+{
+    core::supervisor_checkpoint cp = make_checkpoint();
+    cp.evidence_ring.clear();
+    cp.events.clear();
+    const auto bytes = core::serialize(cp);
+    expect_truncated([&] {
+        core::parse_checkpoint(
+            forged_count(bytes, bytes.size() - empty_events_tail - 4));
+    });
+}
+
+TEST(ForgedCounts, EvidenceWordCount)
+{
+    core::supervisor_checkpoint cp = make_checkpoint();
+    cp.evidence_ring.resize(1);
+    cp.evidence_ring[0].words.clear();
+    cp.events.clear();
+    const auto bytes = core::serialize(cp);
+    expect_truncated([&] {
+        core::parse_checkpoint(
+            forged_count(bytes, bytes.size() - empty_events_tail - 4));
+    });
+}
+
+TEST(ForgedCounts, EventCount)
+{
+    core::supervisor_checkpoint cp = make_checkpoint();
+    cp.events.clear();
+    const auto bytes = core::serialize(cp);
+    expect_truncated([&] {
+        core::parse_checkpoint(
+            forged_count(bytes, bytes.size() - empty_events_tail));
+    });
+}
+
 TEST(TelemetryRecords, SupervisorConfigRoundTrip)
 {
     core::supervisor_config cfg;
@@ -563,14 +667,21 @@ TEST(TelemetryRecords, SupervisorConfigRoundTrip)
     EXPECT_EQ(back.offline_min_failures, cfg.offline_min_failures);
     EXPECT_EQ(back.lane, cfg.lane);
 
-    // The lane travels as its enum code in the last byte: code 0, the
-    // retired word lane, restores as the span lane that replaced it, and
-    // codes past `sliced` are refused.
+    // The lane travels as its enum code in the last byte: codes 0 and 3,
+    // the retired word and bit-sliced lanes, restore as the span lane,
+    // and codes past 3 are refused.
     std::vector<std::uint8_t> bytes = sink.bytes();
-    bytes.back() = 0;
-    base::byte_cursor legacy(bytes);
-    EXPECT_EQ(core::parse_supervisor_config(legacy).lane,
-              core::ingest_lane::span);
+    bytes.back() = static_cast<std::uint8_t>(core::ingest_lane::per_bit);
+    base::byte_cursor oracle(bytes);
+    EXPECT_EQ(core::parse_supervisor_config(oracle).lane,
+              core::ingest_lane::per_bit);
+    for (const std::uint8_t retired : {0, 3}) {
+        bytes.back() = retired;
+        base::byte_cursor legacy(bytes);
+        EXPECT_EQ(core::parse_supervisor_config(legacy).lane,
+                  core::ingest_lane::span)
+            << "lane code " << int{retired};
+    }
     bytes.back() = 4;
     base::byte_cursor unknown(bytes);
     EXPECT_THROW(core::parse_supervisor_config(unknown), std::runtime_error);
