@@ -7,8 +7,9 @@
 //
 // Phase 1 runs a supervised attack (the substitution scenario from the
 // adversarial library) with a durable telemetry log attached: every
-// evidence window, supervision event and checkpoint goes through the
-// MPMC queue to the WAL segment (BENCH_replay.wal).  Phase 2 reads the
+// evidence window, supervision event and checkpoint is handed to the
+// log's writer thread, which appends it to the WAL segment
+// (BENCH_replay.wal).  Phase 2 reads the
 // segment back and replays it: the offline battery re-run over the
 // logged evidence must reproduce the live confirmation verdicts
 // bit-identically.  Phase 3 measures the logging overhead on a healthy
@@ -133,7 +134,6 @@ double logged_mbps_best(const core::supervisor_config& cfg,
     for (unsigned r = 0; r < reps; ++r) {
         core::telemetry_config tcfg;
         tcfg.path = path;
-        tcfg.queue_capacity = 4096;
         tcfg.log_windows = log_windows;
         core::telemetry_log log(tcfg);
         best = std::max(best, healthy_mbps(cfg, cv_base, cv_esc,
@@ -178,7 +178,6 @@ int main(int argc, char** argv)
     {
         core::telemetry_config tcfg;
         tcfg.path = wal_path;
-        tcfg.queue_capacity = 4096;
         core::telemetry_log log(tcfg);
         const auto t0 = std::chrono::steady_clock::now();
         live = run_attack(cfg, cv_base, cv_esc, windows, onset, &log);

@@ -29,17 +29,21 @@
 //
 // The writer is bounded (`max_bytes`): an append that would overflow the
 // bound is dropped and counted, never torn.  Writes go through stdio
-// with an explicit flush() hook; the hot paths above never call this
-// class directly -- they serialize into the MPMC event queue and a
-// single writer thread owns the file (core/telemetry_log.hpp).
+// with an explicit flush() hook, and every failed write, flush or close
+// throws naming the segment path -- a full disk is an error, not a
+// silent loss.  The supervision loop never calls this class directly:
+// it hands serialized records to one writer thread that owns the file
+// (core/telemetry_log.hpp).
 #pragma once
 
 #include <array>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__SSE4_2__)
@@ -321,7 +325,15 @@ public:
     wal_writer(const wal_writer&) = delete;
     wal_writer& operator=(const wal_writer&) = delete;
 
-    ~wal_writer() { close(); }
+    /// Closes without throwing: a caller that needs to know whether the
+    /// tail reached the OS calls close() first.
+    ~wal_writer()
+    {
+        try {
+            close();
+        } catch (const std::runtime_error&) {
+        }
+    }
 
     /// \brief Append one framed record.
     /// \return false (and count the drop) when the frame would cross the
@@ -358,18 +370,25 @@ public:
     /// across flushes the caller sees; stdio buffering is transparent to
     /// the recovery protocol either way -- a torn tail is recovered, not
     /// prevented).
+    /// \throws std::runtime_error naming the path when the OS rejects
+    /// the buffered bytes (e.g. a full disk)
     void flush()
     {
-        if (file_ != nullptr) {
-            std::fflush(file_);
+        if (file_ != nullptr && std::fflush(file_) != 0) {
+            fail("flush of");
         }
     }
 
+    /// \brief Flush and close the segment; idempotent.
+    /// \throws std::runtime_error naming the path when the final flush
+    /// or the close fails (the file is released either way)
     void close()
     {
-        if (file_ != nullptr) {
-            std::fclose(file_);
-            file_ = nullptr;
+        if (file_ == nullptr) {
+            return;
+        }
+        if (std::fclose(std::exchange(file_, nullptr)) != 0) {
+            fail("close of");
         }
     }
 
@@ -396,9 +415,15 @@ private:
     void write_bytes(const void* data, std::size_t len)
     {
         if (len != 0 && std::fwrite(data, 1, len, file_) != len) {
-            throw std::runtime_error("wal_writer: write to \"" + path_
-                                     + "\" failed");
+            fail("write to");
         }
+    }
+
+    [[noreturn]] void fail(const char* what) const
+    {
+        throw std::runtime_error("wal_writer: " + std::string(what) + " \""
+                                 + path_ + "\" failed: "
+                                 + std::strerror(errno));
     }
 
     std::string path_;

@@ -293,8 +293,9 @@ public:
     /// the supervisor or be detached with nullptr).  Logs the run
     /// configuration immediately; from then on every captured evidence
     /// window, every supervision event and a checkpoint at each
-    /// escalate/de-escalate transition are appended through the log's
-    /// MPMC queue -- the supervision hot path never blocks on I/O.
+    /// escalate/de-escalate transition are handed to the log's writer
+    /// thread -- the window loop only serializes a record and appends
+    /// it to a mutex-guarded batch, so CRC32C and I/O stay off it.
     void attach_telemetry(telemetry_log* log);
 
     /// \brief Capture the complete between-windows state (legal at a

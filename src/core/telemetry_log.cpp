@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 
 namespace otf::core {
 
@@ -111,38 +112,36 @@ supervisor_config parse_supervisor_config(base::byte_cursor& cursor)
 }
 
 // ---------------------------------------------------------------------
-// telemetry_log: producers serialize + enqueue, one thread writes.
+// telemetry_log: producers serialize + batch, one thread writes.
 // ---------------------------------------------------------------------
 
 telemetry_log::telemetry_log(telemetry_config cfg)
     : cfg_(std::move(cfg)),
-      writer_(cfg_.path, telemetry_schema, cfg_.max_bytes),
-      queue_(cfg_.queue_capacity)
+      writer_(cfg_.path, telemetry_schema, cfg_.max_bytes)
 {
     writer_thread_ = std::thread([this] { writer_loop(); });
 }
 
 telemetry_log::~telemetry_log()
 {
-    close();
+    try {
+        close();
+    } catch (const std::exception&) {
+        // A destructor must not throw; close() reports the error.
+    }
 }
 
 void telemetry_log::enqueue(telemetry_record kind, base::byte_sink&& sink)
 {
-    if (closed_.load(std::memory_order_acquire)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (!closed_ && pending_.size() < telemetry_max_pending) {
+            pending_.push_back({kind, sink.take()});
+            logged_.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
     }
-    auto* payload = new std::vector<std::uint8_t>(sink.take());
-    pending p;
-    p.kind = static_cast<std::uint8_t>(kind);
-    p.payload = payload;
-    if (queue_.try_push(p)) {
-        logged_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        delete payload;
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
+    dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void telemetry_log::log_run_config(const supervisor_config& cfg)
@@ -195,45 +194,66 @@ void telemetry_log::log_checkpoint(const supervisor_checkpoint& cp)
 
 void telemetry_log::close()
 {
-    bool expected = false;
-    if (closed_.compare_exchange_strong(expected, true,
-                                        std::memory_order_acq_rel)) {
-        queue_.close();
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        closed_ = true;
     }
+    closing_.notify_one();
     if (writer_thread_.joinable()) {
         writer_thread_.join();
     }
+    if (error_) {
+        std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+}
+
+void telemetry_log::write_batch(const std::vector<record>& batch)
+{
+    std::size_t done = 0;
+    if (!error_) {
+        try {
+            for (; done < batch.size(); ++done) {
+                const record& r = batch[done];
+                if (!writer_.append(static_cast<std::uint8_t>(r.kind),
+                                    r.payload)) {
+                    // Segment bound reached: the frame was dropped whole.
+                    dropped_.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+        } catch (const std::exception&) {
+            error_ = std::current_exception();
+        }
+    }
+    // After a write error nothing more reaches the segment.
+    dropped_.fetch_add(batch.size() - done, std::memory_order_relaxed);
+    bytes_written_.store(writer_.bytes_written(),
+                         std::memory_order_relaxed);
 }
 
 void telemetry_log::writer_loop()
 {
-    pending p;
-    for (;;) {
-        if (queue_.try_pop(p)) {
-            std::unique_ptr<std::vector<std::uint8_t>> payload(p.payload);
-            if (!writer_.append(p.kind, payload->data(),
-                                payload->size())) {
-                // Segment bound reached: the frame was dropped whole.
-                dropped_.fetch_add(1, std::memory_order_relaxed);
-            }
-            bytes_written_.store(writer_.bytes_written(),
-                                 std::memory_order_relaxed);
-            continue;
+    std::vector<record> batch;
+    for (bool last = false; !last;) {
+        {
+            // Producers never notify: durability has no latency
+            // deadline, so records wait for the next sweep (or close())
+            // and the supervisor's thread never pays for a wakeup.
+            std::unique_lock<std::mutex> lock(mutex_);
+            closing_.wait_for(lock, std::chrono::milliseconds(2),
+                              [this] { return closed_; });
+            batch.swap(pending_);
+            last = closed_;
         }
-        if (queue_.drained()) {
-            break;
-        }
-        // Empty but still open: back off hard instead of spinning a
-        // core the pipeline threads want.  Durability has no latency
-        // deadline -- records sit in the queue until the next sweep (or
-        // close()), so a long sleep costs nothing but keeps the wakeup
-        // preemption off the hot threads (measurably so on one core).
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        write_batch(batch);
+        batch.clear();
     }
-    writer_.flush();
-    writer_.close();
-    bytes_written_.store(writer_.bytes_written(),
-                         std::memory_order_relaxed);
+    try {
+        writer_.close();
+    } catch (const std::exception&) {
+        if (!error_) {
+            error_ = std::current_exception();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

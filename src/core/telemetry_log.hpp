@@ -1,15 +1,19 @@
 // Durable telemetry: the supervision loop's events, evidence windows and
 // checkpoints appended to a crash-tolerant segment (base/wal.hpp).
 //
-// The supervision hot path must never block on I/O -- a fleet channel
-// that stalls on fwrite() is a fleet channel that drops words.  So the
-// log is split across a thread boundary by a lock-free MPMC event queue
-// (base/event_queue.hpp): producers
-// serialize each record into a heap buffer and enqueue a descriptor;
-// one writer thread owns the wal_writer and drains the queue.  When the
-// queue is full the record is *dropped and counted*, never waited on --
-// durability degrades before latency does, and the drop counter makes
-// the degradation observable.
+// Producers serialize each record on their own thread and append it to
+// a pending batch under one mutex; one writer thread swaps the batch
+// out and appends it to the segment.  The thread is there because it
+// is measured to pay: appending on the supervisor's thread puts the
+// CRC32C and the write syscalls on the window loop, which raised the
+// full-capture overhead of bench/replay.cpp from a median of 3 % to
+// 45 % (6 runs each, 4-vCPU x86-64 host).  At most
+// `telemetry_max_pending` records wait for the writer; past that a
+// record is *dropped and counted*, never waited on -- durability
+// degrades before latency does, and the drop counter makes the
+// degradation observable.  A failed write (a full disk) does not take
+// the process down: the writer counts every record it could no longer
+// append as dropped, and close() throws the error.
 //
 // Record kinds (the WAL frame's type byte):
 //
@@ -25,12 +29,14 @@
 // replay proves it (tools/otf_replay is the CLI over this).
 #pragma once
 
-#include "base/event_queue.hpp"
 #include "base/wal.hpp"
 #include "core/supervisor.hpp"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,11 +67,12 @@ void serialize_config(base::byte_sink& sink, const supervisor_config& cfg);
 /// \throws std::runtime_error on a truncated or malformed payload
 supervisor_config parse_supervisor_config(base::byte_cursor& cursor);
 
+/// Records that may wait for the writer thread; a producer that finds
+/// this many pending drops its record (counted) instead of waiting.
+inline constexpr std::size_t telemetry_max_pending = 4096;
+
 struct telemetry_config {
     std::string path;       ///< segment file to create (truncates)
-    /// MPMC queue depth between producers and the writer thread; a full
-    /// queue drops records (counted), it never blocks a producer.
-    std::size_t queue_capacity = 1024;
     /// Segment size bound forwarded to base::wal_writer (0 = unbounded);
     /// appends past the bound are dropped and counted, never torn.
     std::uint64_t max_bytes = 0;
@@ -82,18 +89,17 @@ struct telemetry_config {
 /// \brief The durable sink a supervisor attaches to
 /// (supervisor::attach_telemetry).  Producers may call the log_* methods
 /// from any thread; one background thread owns the segment file.
-/// close() (or destruction) drains the queue and seals the segment --
-/// call it only after the producers have quiesced, exactly like the
-/// event queue's own close() protocol.
+/// close() (or destruction) writes what is pending and seals the
+/// segment -- call it only after the producers have quiesced.
 class telemetry_log {
 public:
-    /// \throws std::invalid_argument on a zero queue capacity
     /// \throws std::runtime_error when the segment cannot be created
     explicit telemetry_log(telemetry_config cfg);
 
     telemetry_log(const telemetry_log&) = delete;
     telemetry_log& operator=(const telemetry_log&) = delete;
 
+    /// Closes without throwing; call close() to learn of a write error.
     ~telemetry_log();
 
     // -- producer side (any thread; never blocks on I/O) --------------
@@ -106,17 +112,23 @@ public:
 
     // -- owner side ----------------------------------------------------
 
-    /// \brief Drain the queue, seal the segment and join the writer
-    /// thread.  Call after every producer has quiesced; idempotent.
+    /// \brief Write every pending record, seal the segment and join the
+    /// writer thread.  Call after every producer has quiesced;
+    /// idempotent.
+    /// \throws std::runtime_error naming the segment path when a write,
+    /// flush or close failed (records the writer could no longer append
+    /// are counted in records_dropped()); thrown once, later calls
+    /// return quietly
     void close();
 
     const std::string& path() const { return cfg_.path; }
-    /// Records accepted into the queue so far.
+    /// Records accepted into the pending batch so far.
     std::uint64_t records_logged() const
     {
         return logged_.load(std::memory_order_relaxed);
     }
-    /// Records lost to a full queue or the segment size bound.
+    /// Records lost to a full batch, the segment size bound or a write
+    /// error.
     std::uint64_t records_dropped() const
     {
         return dropped_.load(std::memory_order_relaxed);
@@ -128,23 +140,27 @@ public:
     }
 
 private:
-    /// Queue descriptor: the payload lives on the heap so the queue cell
-    /// stays trivially copyable; the writer thread takes ownership.
-    struct pending {
-        std::uint8_t kind = 0;
-        std::vector<std::uint8_t>* payload = nullptr;
+    struct record {
+        telemetry_record kind;
+        std::vector<std::uint8_t> payload;
     };
 
     void enqueue(telemetry_record kind, base::byte_sink&& sink);
     void writer_loop();
+    void write_batch(const std::vector<record>& batch);
 
     telemetry_config cfg_;
     base::wal_writer writer_;
-    base::event_queue<pending> queue_;
+    std::mutex mutex_;
+    std::condition_variable closing_;
+    std::vector<record> pending_; ///< guarded by mutex_
+    bool closed_ = false;         ///< guarded by mutex_
+    /// First write/flush/close failure; owned by the writer thread until
+    /// it is joined.
+    std::exception_ptr error_;
     std::atomic<std::uint64_t> logged_{0};
     std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> bytes_written_{0};
-    std::atomic<bool> closed_{false};
     std::thread writer_thread_;
 };
 

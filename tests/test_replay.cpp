@@ -9,12 +9,14 @@
 // are exercised -- full raw-evidence capture and transitions-only --
 // and the valid-prefix story is carried through the typed layer:
 // truncating a real segment yields a replayable prefix, and a frame
-// with an unknown type byte is skipped, not fatal.
+// with an unknown type byte is skipped, not fatal.  A full disk under a
+// supervised run is counted and reported by close(), never a crash.
 #include "core/telemetry_log.hpp"
 
 #include "core/design_config.hpp"
 #include "core/scenario.hpp"
 #include "core/supervisor.hpp"
+#include "support/dev_full.hpp"
 #include "support/fixed_seed.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
@@ -102,7 +104,6 @@ core::telemetry_run check_scenario(const core::scenario& sc,
     {
         core::telemetry_config tcfg;
         tcfg.path = path;
-        tcfg.queue_capacity = 4096;
         tcfg.log_windows = log_windows;
         core::telemetry_log log(tcfg);
         live = run_scenario(sc, cfg, cv_base, cv_esc, &log);
@@ -219,7 +220,6 @@ std::vector<std::uint8_t> attack_segment_image(bool log_windows)
     {
         core::telemetry_config tcfg;
         tcfg.path = path;
-        tcfg.queue_capacity = 4096;
         tcfg.log_windows = log_windows;
         core::telemetry_log log(tcfg);
         run_scenario(scenarios.front(), cfg, cv_base, cv_esc, &log);
@@ -297,6 +297,75 @@ TEST(Replay, UnknownRecordKindIsSkipped)
     ASSERT_TRUE(run.has_config);
     const core::replay_report rep = core::verify_replay(run);
     EXPECT_TRUE(rep.verified);
+}
+
+// ---------------------------------------------------------------------
+// A full disk under a supervised run.
+// ---------------------------------------------------------------------
+
+/// One supervised run of the null scenario logging to /dev/full.
+core::supervision_report run_to_full_disk(core::telemetry_log& log)
+{
+    const core::supervisor_config cfg = make_config();
+    std::vector<core::scenario> scenarios =
+        core::standard_scenarios(kOnset, kRamp);
+    std::erase_if(scenarios, [](const core::scenario& sc) {
+        return sc.expect_alarm;
+    });
+    return run_scenario(scenarios.front(), cfg,
+                        core::compute_critical_values(cfg.baseline,
+                                                      cfg.alpha),
+                        core::compute_critical_values(cfg.escalated,
+                                                      cfg.alpha),
+                        &log);
+}
+
+TEST(Replay, WriteErrorIsCountedAndRethrownByClose)
+{
+    if (!test::dev_full_available()) {
+        GTEST_SKIP() << test::kDevFull << " is not available";
+    }
+    // Full capture of 64 n = 2^16 windows is ~0.5 MB: far more than the
+    // stdio buffer, so appends fail on the writer thread mid-run.
+    core::telemetry_config tcfg;
+    tcfg.path = test::kDevFull;
+    core::telemetry_log log(tcfg);
+    const core::supervision_report live = run_to_full_disk(log);
+    EXPECT_EQ(live.windows, kWindows);
+    const std::string err = test::runtime_error_of([&] { log.close(); });
+    EXPECT_NE(err.find(test::kDevFull), std::string::npos) << err;
+    EXPECT_GT(log.records_dropped(), 0u);
+    EXPECT_LE(log.records_dropped(), log.records_logged());
+    // Reported once: the destructor's close() stays quiet.
+    EXPECT_NO_THROW(log.close());
+}
+
+TEST(Replay, FailedFlushIsReportedNotSilent)
+{
+    if (!test::dev_full_available()) {
+        GTEST_SKIP() << test::kDevFull << " is not available";
+    }
+    // Transitions-only capture of a quiet run is one small record: it
+    // never leaves the stdio buffer until the final flush, which fails.
+    core::telemetry_config tcfg;
+    tcfg.path = test::kDevFull;
+    tcfg.log_windows = false;
+    core::telemetry_log log(tcfg);
+    run_to_full_disk(log);
+    const std::string err = test::runtime_error_of([&] { log.close(); });
+    EXPECT_NE(err.find(test::kDevFull), std::string::npos) << err;
+}
+
+TEST(Replay, DestructorSwallowsAWriteError)
+{
+    if (!test::dev_full_available()) {
+        GTEST_SKIP() << test::kDevFull << " is not available";
+    }
+    // No close(): the implicit one in the destructor must not throw.
+    core::telemetry_config tcfg;
+    tcfg.path = test::kDevFull;
+    core::telemetry_log log(tcfg);
+    run_to_full_disk(log);
 }
 
 TEST(Replay, MissingConfigIsAnError)

@@ -6,8 +6,9 @@
 // before the first damaged byte, never a garbage record and never a
 // crash.  This suite makes that a tested property instead of a claim:
 // truncation at every byte offset of the segment, a single-bit flip at
-// every bit of the segment, and drop-not-tear behaviour at the size
-// bound.  All randomness is seeded (support/fixed_seed.hpp) via
+// every bit of the segment, drop-not-tear behaviour at the size bound,
+// and write errors (a full disk) that throw naming the path instead of
+// passing for success.  All randomness is seeded (support/fixed_seed.hpp) via
 // mt19937_64, whose output is pinned by the standard, so every run
 // injects exactly the same faults.
 #include "base/wal.hpp"
@@ -15,6 +16,7 @@
 #include "core/design_config.hpp"
 #include "core/supervisor.hpp"
 #include "core/telemetry_log.hpp"
+#include "support/dev_full.hpp"
 #include "support/fixed_seed.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -415,6 +418,98 @@ TEST(WalBounded, DropsWholeRecordsAtTheBound)
                   static_cast<std::uint8_t>(i));
     }
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Write errors: loud, naming the path, never silent success.
+// ---------------------------------------------------------------------
+
+TEST(WalDiskFull, FlushAndCloseNameThePath)
+{
+    if (!test::dev_full_available()) {
+        GTEST_SKIP() << test::kDevFull << " is not available";
+    }
+    const std::uint8_t payload[16] = {};
+    {
+        // A few small records sit in the stdio buffer until the flush.
+        base::wal_writer writer(test::kDevFull, 1);
+        EXPECT_TRUE(writer.append(2, payload, sizeof payload));
+        const std::string err =
+            test::runtime_error_of([&] { writer.flush(); });
+        EXPECT_NE(err.find(test::kDevFull), std::string::npos) << err;
+    }
+    base::wal_writer writer(test::kDevFull, 1);
+    EXPECT_TRUE(writer.append(2, payload, sizeof payload));
+    const std::string err = test::runtime_error_of([&] { writer.close(); });
+    EXPECT_NE(err.find(test::kDevFull), std::string::npos) << err;
+    // The file is released either way: a second close is a no-op.
+    EXPECT_NO_THROW(writer.close());
+}
+
+TEST(WalDiskFull, OverflowingAppendThrowsAndDestructorSwallows)
+{
+    if (!test::dev_full_available()) {
+        GTEST_SKIP() << test::kDevFull << " is not available";
+    }
+    // Larger than the stdio buffer, so the append itself hits the disk.
+    const std::vector<std::uint8_t> payload(std::size_t{1} << 20, 0x5a);
+    base::wal_writer writer(test::kDevFull, 1);
+    const std::string err =
+        test::runtime_error_of([&] { writer.append(2, payload); });
+    EXPECT_NE(err.find(test::kDevFull), std::string::npos) << err;
+    // Leaving scope with the failed tail still buffered must not throw.
+}
+
+// ---------------------------------------------------------------------
+// telemetry_log: any thread may produce.
+// ---------------------------------------------------------------------
+
+TEST(TelemetryLog, TwoProducersKeepEveryRecordInProducerOrder)
+{
+    // Both producers' records must reach the segment, each producer's in
+    // the order it logged them.  The total stays within the pending
+    // bound, so no record may be dropped however the writer is
+    // scheduled.
+    constexpr std::uint64_t kPerProducer = 1500;
+    static_assert(2 * kPerProducer <= core::telemetry_max_pending);
+    const std::string path = temp_path("two_producers");
+    core::telemetry_config tcfg;
+    tcfg.path = path;
+    core::telemetry_log log(tcfg);
+    const auto produce = [&log](std::uint64_t producer) {
+        for (std::uint64_t seq = 0; seq < kPerProducer; ++seq) {
+            const std::uint64_t words[2] = {producer, seq};
+            log.log_window((producer << 32) | seq, words, 2);
+        }
+    };
+    std::thread first(produce, 1);
+    std::thread second(produce, 2);
+    first.join();
+    second.join();
+    log.close();
+    EXPECT_EQ(log.records_logged(), 2 * kPerProducer);
+    EXPECT_EQ(log.records_dropped(), 0u);
+
+    // A record logged after close() is dropped, not written.
+    const std::uint64_t late[1] = {0};
+    log.log_window(0, late, 1);
+    EXPECT_EQ(log.records_logged(), 2 * kPerProducer);
+    EXPECT_EQ(log.records_dropped(), 1u);
+
+    const core::telemetry_run run = core::read_telemetry(path);
+    std::remove(path.c_str());
+    EXPECT_TRUE(run.clean);
+    ASSERT_EQ(run.windows.size(), 2 * kPerProducer);
+    std::uint64_t next[3] = {0, 0, 0};
+    for (const core::logged_window& win : run.windows) {
+        const std::uint64_t producer = win.index >> 32;
+        ASSERT_TRUE(producer == 1 || producer == 2) << win.index;
+        const std::uint64_t seq = next[producer]++;
+        ASSERT_EQ(win.index & 0xffffffffu, seq) << "producer " << producer;
+        ASSERT_EQ(win.words, (std::vector<std::uint64_t>{producer, seq}));
+    }
+    EXPECT_EQ(next[1], kPerProducer);
+    EXPECT_EQ(next[2], kPerProducer);
 }
 
 // ---------------------------------------------------------------------
