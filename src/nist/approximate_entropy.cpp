@@ -1,6 +1,7 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -38,8 +39,11 @@ approximate_entropy_result approximate_entropy_test(const bit_sequence& seq,
     r.phi_m = phi(r.nu_m, n);
     r.phi_m1 = phi(r.nu_m1, n);
     r.apen = r.phi_m - r.phi_m1;
-    r.chi_squared =
-        2.0 * static_cast<double>(n) * (std::log(2.0) - r.apen);
+    // ApEn <= ln 2 holds exactly, but on a perfectly balanced sequence
+    // (every (m+1)-bit pattern equally often, e.g. a de Bruijn period) the
+    // rounded difference can land a few ulps below 0, which igamc rejects.
+    r.chi_squared = std::max(
+        0.0, 2.0 * static_cast<double>(n) * (std::log(2.0) - r.apen));
     const double dof = std::ldexp(1.0, static_cast<int>(m)); // 2^m
     r.p_value = igamc(dof / 2.0, r.chi_squared / 2.0);
     return r;

@@ -1,11 +1,119 @@
 #include "nist/extended_tests.hpp"
-#include "nist/fft.hpp"
 #include "nist/special_functions.hpp"
 
 #include <cmath>
+#include <complex>
+#include <numbers>
 #include <stdexcept>
 
 namespace otf::nist {
+
+namespace {
+
+using cplx = std::complex<double>;
+
+// Textbook product.  std::complex's operator* goes through __muldc3 for
+// its inf/NaN recovery, which no finite transform input needs.
+cplx mul(cplx a, cplx b)
+{
+    return {a.real() * b.real() - a.imag() * b.imag(),
+            a.real() * b.imag() + a.imag() * b.real()};
+}
+
+// Mixed-radix decimation in time: out[0, len) = DFT of in[0], in[stride],
+// ..., where twiddle[k * tw_stride] = exp(-2 pi i k / len).  len = p m
+// splits over its smallest prime factor p into p length-m transforms of
+// the decimated subsequences, stored at out[r m, (r + 1) m); a prime len
+// is the direct sum over the table.  scratch holds >= p entries.
+void transform(cplx* out, const cplx* in, std::size_t len,
+               std::size_t stride, const cplx* twiddle,
+               std::size_t tw_stride, cplx* scratch)
+{
+    if (len == 1) {
+        out[0] = in[0];
+        return;
+    }
+    std::size_t p = 2;
+    while (p * p <= len && len % p != 0) {
+        ++p;
+    }
+    p = len % p == 0 ? p : len;
+    const std::size_t m = len / p;
+    for (std::size_t r = 0; r < p; ++r) {
+        transform(out + r * m, in + r * stride, m, stride * p, twiddle,
+                  tw_stride * p, scratch);
+    }
+    for (std::size_t q = 0; q < m; ++q) {
+        for (std::size_t r = 0; r < p; ++r) {
+            scratch[r] = mul(out[r * m + q], twiddle[r * q * tw_stride]);
+        }
+        if (p == 2) {
+            out[q] = scratch[0] + scratch[1];
+            out[q + m] = scratch[0] - scratch[1];
+            continue;
+        }
+        // out[q + s m] = sum_r scratch[r] exp(-2 pi i r s / p).
+        for (std::size_t s = 0; s < p; ++s) {
+            cplx sum = scratch[0];
+            std::size_t k = 0; // r s mod p
+            for (std::size_t r = 1; r < p; ++r) {
+                k = (k + s) % p;
+                sum += mul(scratch[r], twiddle[k * m * tw_stride]);
+            }
+            out[q + s * m] = sum;
+        }
+    }
+}
+
+} // namespace
+
+std::vector<double> dft_magnitudes(const std::vector<double>& input)
+{
+    const std::size_t n = input.size();
+    const std::size_t half = n / 2;
+    std::vector<double> magnitudes(half, 0.0);
+    if (n < 2) {
+        return magnitudes;
+    }
+    // twiddle[k] = exp(-2 pi i k / n); the upper half mirrors the lower.
+    std::vector<cplx> twiddle(n);
+    for (std::size_t k = 0; k <= half; ++k) {
+        const double angle = -2.0 * std::numbers::pi * static_cast<double>(k)
+            / static_cast<double>(n);
+        twiddle[k] = {std::cos(angle), std::sin(angle)};
+    }
+    for (std::size_t k = half + 1; k < n; ++k) {
+        twiddle[k] = std::conj(twiddle[n - k]);
+    }
+    // An even n runs as a half-length complex transform of the packed
+    // pairs z[k] = x[2k] + i x[2k+1] (its twiddles are every other entry);
+    // an odd n runs at full length.
+    const bool even = n % 2 == 0;
+    const std::size_t len = even ? half : n;
+    std::vector<cplx> packed(len);
+    for (std::size_t k = 0; k < len; ++k) {
+        packed[k] = even ? cplx(input[2 * k], input[2 * k + 1])
+                         : cplx(input[k], 0.0);
+    }
+    std::vector<cplx> z(len);
+    std::vector<cplx> scratch(len);
+    transform(z.data(), packed.data(), len, 1, twiddle.data(), even ? 2 : 1,
+              scratch.data());
+    for (std::size_t j = 0; j < half; ++j) {
+        cplx x = z[j];
+        if (even) {
+            // Z[j] = E[j] + i O[j] for the DFTs E, O of the even and odd
+            // samples; real inputs give conj(Z[len - j]) = E[j] - i O[j].
+            const cplx mirror = std::conj(z[j == 0 ? 0 : len - j]);
+            const cplx e = 0.5 * (z[j] + mirror);
+            const cplx d = z[j] - mirror;
+            const cplx o(0.5 * d.imag(), -0.5 * d.real());
+            x = e + mul(twiddle[j], o);
+        }
+        magnitudes[j] = std::abs(x);
+    }
+    return magnitudes;
+}
 
 dft_result dft_test(const bit_sequence& seq)
 {

@@ -3,8 +3,9 @@
 // reference implementations -- the paper's future-work item of covering
 // the remaining suite, and the quantitative backing for Table I's
 // exclusion reasons (each needs whole-sequence buffering or heavy
-// software: GF(2) elimination, an FFT, a last-occurrence table,
-// Berlekamp-Massey, or cycle-structure bookkeeping).
+// software: GF(2) elimination, an n-point spectral transform, a
+// last-occurrence table, Berlekamp-Massey, or cycle-structure
+// bookkeeping).
 //
 // Together with tests.hpp this completes the 15-test SP 800-22 battery
 // (see battery.hpp for the one-call runner).
@@ -42,6 +43,12 @@ struct dft_result {
     double p_value;
 };
 dft_result dft_test(const bit_sequence& seq);
+
+/// Magnitudes of the first floor(n/2) DFT bins of a real input of any
+/// length n, through one mixed-radix transform: O(n log n) at the
+/// platform's evidence lengths n = 128 * w, O(n p) for a largest prime
+/// factor p.
+std::vector<double> dft_magnitudes(const std::vector<double>& input);
 
 // ---------------------------------------------------------------- test 9 --
 /// 2.9 Maurer's "universal statistical" test.

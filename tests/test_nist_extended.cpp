@@ -1,19 +1,20 @@
 // Tests of the six extended NIST tests (the paper's future-work coverage
-// of the remaining suite): GF(2) rank against exhaustive enumeration,
-// FFT against a direct DFT, Berlekamp-Massey against known LFSRs, the
-// universal statistic against the SP 800-22 worked example, excursion
-// probabilities against their closed forms, and defect-detection
-// properties for each test.
+// of the remaining suite): GF(2) rank against exhaustive enumeration, the
+// spectral transform against a direct DFT, Berlekamp-Massey against known
+// LFSRs, the universal statistic against the SP 800-22 worked example,
+// excursion probabilities against their closed forms, and
+// defect-detection properties for each test.
 #include "base/json.hpp"
 #include "nist/battery.hpp"
 #include "nist/extended_tests.hpp"
-#include "nist/fft.hpp"
 #include "nist/gf2.hpp"
 #include "trng/sources.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <numbers>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -89,39 +90,51 @@ TEST(matrix_rank_test, rank_deficient_stream_fails)
     EXPECT_LT(r.p_value, 1e-12);
 }
 
-// -------------------------------------------------------------------- FFT --
-TEST(fft, matches_direct_dft)
+// -------------------------------------------------------------------- DFT --
+// The direct O(n^2) sum, in long double with the angle index reduced mod n:
+// the oracle for the one transform behind dft_magnitudes.
+std::vector<double> direct_dft_magnitudes(const std::vector<double>& x)
 {
-    trng::ideal_source src(5);
-    std::vector<double> x(64);
-    for (auto& v : x) {
-        v = src.next_bit() ? 1.0 : -1.0;
-    }
-    // Power-of-two path (FFT).
-    const auto fast = dft_magnitudes(x);
-    // Force the direct path by appending one sample of a 65-length copy.
-    std::vector<double> y(x.begin(), x.end());
-    y.push_back(1.0);
-    const auto direct = dft_magnitudes(y);
-    // Compare the FFT against an independent direct computation at n=64.
-    for (std::size_t j = 0; j < fast.size(); ++j) {
-        double re = 0.0;
-        double im = 0.0;
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            const double a = -2.0 * M_PI * static_cast<double>(j)
-                * static_cast<double>(i) / 64.0;
+    const std::size_t n = x.size();
+    std::vector<double> magnitudes(n / 2);
+    for (std::size_t j = 0; j < n / 2; ++j) {
+        long double re = 0.0L;
+        long double im = 0.0L;
+        for (std::size_t i = 0; i < n; ++i) {
+            const long double a = -2.0L * std::numbers::pi_v<long double>
+                * static_cast<long double>(j * i % n)
+                / static_cast<long double>(n);
             re += x[i] * std::cos(a);
             im += x[i] * std::sin(a);
         }
-        EXPECT_NEAR(fast[j], std::hypot(re, im), 1e-9) << "bin " << j;
+        magnitudes[j] = static_cast<double>(std::hypot(re, im));
     }
-    EXPECT_EQ(direct.size(), 32u);
+    return magnitudes;
 }
 
-TEST(fft, rejects_non_power_of_two)
+TEST(dft_magnitudes, matches_direct_dft_at_every_length)
 {
-    std::vector<std::complex<double>> data(12);
-    EXPECT_THROW(fft_radix2(data), std::invalid_argument);
+    // Every evidence length 128 w (w = 1..8), the NIST worked-example
+    // lengths 10 and 100, odd/prime lengths, and the binless 0 and 1.
+    // Relative tolerance, with a floor of 1 on the scale for bins near 0.
+    std::vector<std::size_t> lengths = {10, 100, 0, 1, 2, 3, 65, 97, 127, 129};
+    for (std::size_t w = 1; w <= 8; ++w) {
+        lengths.push_back(128 * w);
+    }
+    for (const std::size_t n : lengths) {
+        trng::ideal_source src(n);
+        std::vector<double> x(n);
+        for (auto& v : x) {
+            v = src.next_bit() ? 1.0 : -1.0;
+        }
+        const auto fast = dft_magnitudes(x);
+        const auto direct = direct_dft_magnitudes(x);
+        ASSERT_EQ(fast.size(), n / 2) << "n = " << n;
+        for (std::size_t j = 0; j < fast.size(); ++j) {
+            EXPECT_NEAR(fast[j], direct[j], 1e-9 * std::max(direct[j], 1.0))
+                << "n = " << n << ", bin " << j;
+        }
+    }
 }
 
 TEST(dft_test, healthy_source_passes)
@@ -339,6 +352,28 @@ TEST(battery, stuck_source_fails_broadly)
     const auto report = run_battery(bit_sequence(65536, true), 0.01);
     EXPECT_GT(report.failed, 3u);
     EXPECT_FALSE(report.all_pass());
+}
+
+TEST(battery, short_period_lock_in_runs_to_completion)
+{
+    // A source locked onto the 16-bit de Bruijn period B(2, 4): at
+    // n = 1024 approximate entropy runs at m = 3 on exactly balanced
+    // pattern counts, where the rounded chi^2 used to go a few ulps
+    // negative and throw out of the whole battery.
+    std::string text;
+    for (unsigned i = 0; i < 64; ++i) {
+        text += "0000100110101111";
+    }
+    const auto report = run_battery(bit_sequence::from_string(text), 0.01);
+    EXPECT_FALSE(report.all_pass());
+    bool found = false;
+    for (const auto& e : report.entries) {
+        if (e.test_number == 12) {
+            EXPECT_NEAR(e.p_value, 1.0, 1e-9);
+            found = true;
+        }
+    }
+    EXPECT_TRUE(found);
 }
 
 TEST(battery, registry_covers_all_fifteen_tests_in_order)

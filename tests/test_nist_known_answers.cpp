@@ -11,6 +11,8 @@
 #include "nist/tests.hpp"
 
 #include <gtest/gtest.h>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -24,6 +26,32 @@ const char* const pi_100 =
 bit_sequence pi_bits()
 {
     return bit_sequence::from_string(pi_100);
+}
+
+// Binary de Bruijn sequence B(2, k) (length 2^k) by the
+// Fredricksen-Kessler-Maiorana concatenation of Lyndon words.
+bit_sequence de_bruijn(unsigned k)
+{
+    std::vector<unsigned> a(k + 1, 0);
+    std::string text;
+    const auto visit = [&](const auto& self, unsigned t, unsigned p) -> void {
+        if (t > k) {
+            if (k % p == 0) {
+                for (unsigned j = 1; j <= p; ++j) {
+                    text.push_back(a[j] ? '1' : '0');
+                }
+            }
+            return;
+        }
+        a[t] = a[t - p];
+        self(self, t + 1, p);
+        if (a[t - p] == 0) {
+            a[t] = 1;
+            self(self, t + 1, t);
+        }
+    };
+    visit(visit, 1, 1);
+    return bit_sequence::from_string(text);
 }
 
 TEST(frequency_kat, small_example)
@@ -154,6 +182,19 @@ TEST(approximate_entropy_kat, pi_100)
     EXPECT_NEAR(r.apen, 0.665393, 1e-6);
     EXPECT_NEAR(r.chi_squared, 5.550792, 1e-6);
     EXPECT_NEAR(r.p_value, 0.235301, 1e-6);
+}
+
+TEST(approximate_entropy_kat, de_bruijn_sequence_is_perfectly_balanced)
+{
+    // One period of B(2, m + 1) holds every (m + 1)-bit pattern once and
+    // every m-bit pattern twice (cyclically), so ApEn = ln 2 exactly:
+    // chi^2 = 0 and P = 1.  The rounded chi^2 must not go negative.
+    for (const unsigned m : {2u, 3u, 5u, 7u, 8u, 10u, 12u, 13u}) {
+        const auto r = approximate_entropy_test(de_bruijn(m + 1), m);
+        EXPECT_GE(r.chi_squared, 0.0) << "m = " << m;
+        EXPECT_NEAR(r.chi_squared, 0.0, 1e-9) << "m = " << m;
+        EXPECT_NEAR(r.p_value, 1.0, 1e-9) << "m = " << m;
+    }
 }
 
 TEST(cumulative_sums_kat, small_example)
