@@ -1,6 +1,6 @@
 // Stream throughput bench: the shared window loop (core::run_windows)
-// per ingestion lane and kernel variant, fleet scaling, and the
-// generation lane that feeds it.
+// per ingestion lane and kernel variant, fleet scaling, and the source
+// models that feed it.
 //
 //   $ ./bench_stream_throughput            # full run (enforces the bars)
 //   $ OTF_SMOKE=1 ./bench_stream_throughput  # ctest / verify.sh smoke entry
@@ -17,12 +17,11 @@
 //      variant on full runs;
 //   3. fleet           -- core::fleet_monitor over 1..C channels,
 //      reporting aggregate Mbit/s and the scaling over one channel;
-//   4. generation lane -- every adversarial source model at severity 1.0
-//      over an ideal inner, per-word lane (fill_words_scalar) against
-//      the batched lane (fill_words); the acceptance bar is >= 3x
-//      batched-over-scalar for every model on full runs.  The two lanes
-//      are bit-exact (tests/test_generation_oracle.cpp); this times the
-//      generation side of the window loop;
+//   4. generation      -- every adversarial source model at default
+//      parameters and severity 1.0 over an ideal inner, timed through
+//      fill_words (one next_word() per output word); this times the
+//      generation side of the window loop (its stream is pinned by
+//      tests/test_generation_oracle.cpp);
 //   5. short windows   -- core::run_windows on the n = 128 light and
 //      medium designs, where the window close (result latch, register
 //      readout, sw16 software pass) dominates: Mbit/s, close us per
@@ -34,7 +33,7 @@
 // Equivalence is proven separately (tests/test_core_monitor.cpp,
 // tests/test_kernel_oracle.cpp and tests/test_generation_oracle.cpp);
 // this is timing only.  Results go to BENCH_stream.json (schema
-// "otf-stream-bench/6", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
+// "otf-stream-bench/7", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
 // output directory).
 #include "base/bits.hpp"
 #include "base/env.hpp"
@@ -184,14 +183,11 @@ int main(int argc, char** argv)
         scaling.push_back(p);
     }
 
-    // 4. Generation lane: every adversarial source model at full
-    // severity over an ideal inner, per-word lane against the batched
-    // lane.  Bit-exactness of the two lanes is the oracle test's job
-    // (tests/test_generation_oracle.cpp); this times them.
+    // 4. Generation: every adversarial source model at default
+    // parameters and full severity over an ideal inner.
     struct generation_point {
         const char* model;
-        double scalar_mwps;
-        double batched_mwps;
+        double mwps;
     };
     const std::uint64_t gen_words = smoke_scaled<std::uint64_t>(
         std::uint64_t{1} << 21, std::uint64_t{1} << 14);
@@ -203,29 +199,12 @@ int main(int argc, char** argv)
         const char* name;
         std::function<std::unique_ptr<trng::source_model>()> make;
     };
-    // rtn and bias_drift are parameterized to exercise their batched
-    // algorithms rather than the shared per-word RNG draw chains, which
-    // bit-exactness forbids shortening: long dwells give the run-length
-    // expansion whole spans per toggle (default 256-bit dwells spend most
-    // of the time re-drawing dwell lengths in both lanes), and a pinned
-    // half-rail walk holds the drift at q = 128 where the mask fold is
-    // the single-draw steady state (the default walk oscillates through
-    // odd q values costing 8 shared draws per word in both lanes).
     const gen_model gen_models[] = {
         {"rtn",
-         [&] {
-             trng::rtn_parameters p;
-             p.dwell_on = 8192.0;
-             return std::make_unique<trng::rtn_source>(inner(), 11, p);
-         }},
+         [&] { return std::make_unique<trng::rtn_source>(inner(), 11); }},
         {"bias_drift",
          [&] {
-             trng::bias_drift_parameters p;
-             p.p_out = 1.0;
-             p.p_back = 0.0;
-             p.max_shift_q = 128;
-             return std::make_unique<trng::bias_drift_source>(inner(), 12,
-                                                              p);
+             return std::make_unique<trng::bias_drift_source>(inner(), 12);
          }},
         {"lockin",
          [&] {
@@ -246,48 +225,25 @@ int main(int argc, char** argv)
                                                                 16);
          }},
     };
-    const auto time_generation = [&](trng::source_model& model,
-                                     bool batched) {
-        std::vector<std::uint64_t> buf(gen_batch);
-        double best_mwps = 0.0;
+    std::vector<generation_point> generation;
+    std::printf("\ngeneration (severity 1.0, batch %zu words, "
+                "%llu words/model):\n",
+                gen_batch, static_cast<unsigned long long>(gen_words));
+    std::vector<std::uint64_t> gen_buf(gen_batch);
+    for (const gen_model& gm : gen_models) {
+        const auto model = gm.make();
+        generation_point p{gm.name, 0.0};
         for (unsigned r = 0; r < reps; ++r) {
             const auto t0 = clock_type::now();
             for (std::uint64_t made = 0; made < gen_words;
                  made += gen_batch) {
-                if (batched) {
-                    model.fill_words(buf.data(), gen_batch);
-                } else {
-                    model.fill_words_scalar(buf.data(), gen_batch);
-                }
+                model->fill_words(gen_buf.data(), gen_batch);
             }
-            best_mwps = std::max(
-                best_mwps, mwords_per_s(gen_words, seconds_since(t0)));
-        }
-        return best_mwps;
-    };
-    std::vector<generation_point> generation;
-    double generation_min_speedup = 0.0;
-    std::printf("\ngeneration lane (severity 1.0, batch %zu words, "
-                "%llu words/model):\n",
-                gen_batch, static_cast<unsigned long long>(gen_words));
-    for (const gen_model& gm : gen_models) {
-        generation_point p{gm.name, 0.0, 0.0};
-        {
-            const auto model = gm.make();
-            p.scalar_mwps = time_generation(*model, false);
-        }
-        {
-            const auto model = gm.make();
-            p.batched_mwps = time_generation(*model, true);
-        }
-        const double speedup = p.batched_mwps / p.scalar_mwps;
-        if (generation.empty() || speedup < generation_min_speedup) {
-            generation_min_speedup = speedup;
+            p.mwps = std::max(p.mwps,
+                              mwords_per_s(gen_words, seconds_since(t0)));
         }
         generation.push_back(p);
-        std::printf("  %-18s scalar %8.2f  batched %8.2f Mwords/s "
-                    "(%.2fx)\n",
-                    gm.name, p.scalar_mwps, p.batched_mwps, speedup);
+        std::printf("  %-18s %8.2f Mwords/s\n", gm.name, p.mwps);
     }
 
     // 5. Short windows.  Golden windows 0 and 1 are the n = 128 light and
@@ -356,7 +312,7 @@ int main(int argc, char** argv)
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-stream-bench/6");
+    json.value("schema", "otf-stream-bench/7");
     json.value("smoke", smoke_mode());
     write_what_ran(json);
     json.value("design", design.name);
@@ -391,13 +347,10 @@ int main(int argc, char** argv)
     for (const generation_point& p : generation) {
         json.begin_object();
         json.value("model", p.model);
-        json.value("scalar_mwords_per_s", p.scalar_mwps);
-        json.value("batched_mwords_per_s", p.batched_mwps);
-        json.value("speedup", p.batched_mwps / p.scalar_mwps);
+        json.value("mwords_per_s", p.mwps);
         json.end_object();
     }
     json.end_array();
-    json.value("generation_min_speedup", generation_min_speedup);
     json.begin_array("short_windows");
     for (const short_point& p : short_points) {
         json.begin_object();
@@ -424,11 +377,10 @@ int main(int argc, char** argv)
     }
     std::printf("\nwrote %s\n", path.c_str());
 
-    // Acceptance bars, on full runs only (smoke runs are too short to
+    // Acceptance bar, on full runs only (smoke runs are too short to
     // time reliably): the dispatched span kernels must run at least 5x
-    // the per-bit lane, and the batched generation lane must at least
-    // triple the per-word lane for every model.  The golden software
-    // accounting is exact, so it holds on every run.
+    // the per-bit lane.  The golden software accounting is exact, so it
+    // holds on every run.
     bool failed = false;
     for (const short_point& p : short_points) {
         if (!p.golden_match) {
@@ -443,21 +395,11 @@ int main(int argc, char** argv)
                     span_over_per_bit);
         failed = true;
     }
-    if (!smoke_mode() && generation_min_speedup < 3.0) {
-        std::printf("BAR FAILED: generation batched/scalar = %.3f < 3.0 "
-                    "(worst model)\n",
-                    generation_min_speedup);
-        failed = true;
-    }
     if (failed) {
         return 1;
     }
     std::printf("span/per-bit   = %.3f (bar: >= 5.0%s)\n",
                 span_over_per_bit,
-                smoke_mode() ? ", not enforced in smoke mode" : "");
-    std::printf("generation     = %.3fx batched/scalar, worst model "
-                "(bar: >= 3.0%s)\n",
-                generation_min_speedup,
                 smoke_mode() ? ", not enforced in smoke mode" : "");
     return 0;
 }

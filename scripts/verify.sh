@@ -116,24 +116,30 @@ assert doc["windows"] == doc["devices"] * doc["windows_per_device"], doc
 print("ok: otf-population/5 (%d workers)" % exe["worker_threads"])
 EOF
 
-    echo "== validating otf-stream-bench/6 schema =="
-    # The stream bench must report the /6 schema: span kernels measured
-    # against the per-bit lane, the generation axis with all six
-    # adversarial models and the n = 128 short-window section -- and no
-    # streamed, zero-copy, batch-sweep or ring keys (docs/BENCHMARKS.md).
+    echo "== validating otf-stream-bench/7 schema =="
+    # The stream bench must report the /7 schema: span kernels measured
+    # against the per-bit lane, the generation axis with one rate for each
+    # of the six adversarial models and the n = 128 short-window section
+    # -- and no streamed, zero-copy, batch-sweep or ring keys, and no
+    # scalar/batched generation lanes (docs/BENCHMARKS.md).
     # The bench itself exits nonzero unless each short run's first window
     # reproduces the golden sw16 accounting (tests/support/sw_golden.hpp).
     python3 - "$BUILD_DIR"/BENCH_stream.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-stream-bench/6", doc["schema"]
+assert doc["schema"] == "otf-stream-bench/7", doc["schema"]
 assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
 assert all("over_per_bit_lane" in k for k in doc["span_kernels"])
 models = [g["model"] for g in doc["generation"]]
 expected = {"rtn", "bias_drift", "lockin", "fault", "entropy_collapse",
             "substitution"}
 assert set(models) == expected and len(models) == 6, models
+for g in doc["generation"]:
+    assert g["mwords_per_s"] > 0, g
+    for key in ("scalar_mwords_per_s", "batched_mwords_per_s", "speedup"):
+        assert key not in g, (key, g)
+assert "generation_min_speedup" not in doc
 for key in ("streamed_mwords_per_s", "streamed_over_fused",
             "zero_copy_windows", "batch_sweep", "channel_ring"):
     assert key not in doc, key
@@ -146,7 +152,7 @@ for p in short:
                 "sw_cycles_per_window"):
         assert p[key] > 0, (key, p)
     assert p["golden_ops_match"] is True, p
-print("ok: otf-stream-bench/6 (%d generation models, short windows %s)"
+print("ok: otf-stream-bench/7 (%d generation models, short windows %s)"
       % (len(models), ", ".join("%.1f Mbit/s" % p["mbit_per_s"]
                                 for p in short)))
 EOF

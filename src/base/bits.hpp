@@ -219,46 +219,6 @@ inline std::uint64_t low_mask(unsigned nbits)
                        : (std::uint64_t{1} << nbits) - 1;
 }
 
-/// \brief OR the low `nbits` bits of `value` into a packed span at bit
-/// offset `pos` (LSB-first words; nbits in [1, 64], may straddle one word
-/// boundary).  The generation lane's span writer: source models emit whole
-/// dwell/run spans at arbitrary bit offsets with two ORs instead of a
-/// per-bit loop.
-inline void or_bits(std::uint64_t* words, std::uint64_t pos,
-                    std::uint64_t value, unsigned nbits)
-{
-    const std::size_t w = static_cast<std::size_t>(pos / 64);
-    const unsigned off = static_cast<unsigned>(pos % 64);
-    value &= low_mask(nbits);
-    words[w] |= value << off;
-    if (off + nbits > 64) {
-        words[w + 1] |= value >> (64 - off);
-    }
-}
-
-/// \brief Set `nbits` consecutive bits to one starting at bit offset `pos`
-/// (partial head word, full middle words, partial tail word).
-inline void set_bit_run(std::uint64_t* words, std::uint64_t pos,
-                        std::uint64_t nbits)
-{
-    std::size_t w = static_cast<std::size_t>(pos / 64);
-    const unsigned off = static_cast<unsigned>(pos % 64);
-    if (off != 0) {
-        const unsigned head = off + nbits >= 64
-            ? 64 - off
-            : static_cast<unsigned>(nbits);
-        words[w] |= low_mask(head) << off;
-        nbits -= head;
-        ++w;
-    }
-    for (; nbits >= 64; nbits -= 64) {
-        words[w++] = ~std::uint64_t{0};
-    }
-    if (nbits != 0) {
-        words[w] |= low_mask(static_cast<unsigned>(nbits));
-    }
-}
-
 /// \brief Population count of the low `k` bits of `w` (k in [0, 64]).
 inline unsigned prefix_popcount(std::uint64_t w, unsigned k)
 {

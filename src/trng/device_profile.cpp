@@ -242,18 +242,13 @@ void device_source::transition_at(std::uint64_t word_index)
     }
 }
 
-std::uint64_t device_source::take_chain_word()
-{
-    std::uint64_t w = 0;
-    chain_->fill_words(&w, 1);
-    return w;
-}
-
 std::uint64_t device_source::next_word()
 {
     transition_at(words_produced_);
     ++words_produced_;
-    return take_chain_word();
+    std::uint64_t w = 0;
+    chain_->fill_words(&w, 1);
+    return w;
 }
 
 bool device_source::next_bit()
@@ -268,32 +263,11 @@ bool device_source::next_bit()
     return bit;
 }
 
-void device_source::produce_words(std::uint64_t* out, std::size_t nwords)
-{
-    std::size_t j = 0;
-    while (j < nwords) {
-        transition_at(words_produced_);
-        // Clamp the run so the next scheduled transition still lands
-        // exactly on its word boundary; past both boundaries the whole
-        // remainder goes to the chain in one batched call.
-        std::uint64_t run = nwords - j;
-        if (dial_ != nullptr && words_produced_ < onset_word_) {
-            run = std::min<std::uint64_t>(run,
-                                          onset_word_ - words_produced_);
-        }
-        if (profile_.churns && words_produced_ < churn_word_) {
-            run = std::min<std::uint64_t>(run,
-                                          churn_word_ - words_produced_);
-        }
-        chain_->fill_words(out + j, static_cast<std::size_t>(run));
-        words_produced_ += run;
-        j += static_cast<std::size_t>(run);
-    }
-}
-
 void device_source::fill_words(std::uint64_t* out, std::size_t nwords)
 {
-    produce_words(out, nwords);
+    for (std::size_t j = 0; j < nwords; ++j) {
+        out[j] = next_word();
+    }
     if (out_left_ == 0 || nwords == 0) {
         return;
     }

@@ -22,8 +22,10 @@
 // dialed from 0 (dormant) to the device's sampled peak at its sampled
 // onset window.  Healthy devices may instead *churn*: the unit is swapped
 // for a fresh one (new seed, new bias point) mid-run, modelling fleet
-// turnover.  All transitions land on 64-bit word boundaries, so per-bit
-// and word lanes stay bit-exact (the source_model contract).
+// turnover.  All transitions land on 64-bit word boundaries and both lanes
+// produce word by word through one next_word(), which checks for a
+// scheduled transition before every word, so per-bit and word lanes stay
+// bit-exact (the source_model contract).
 #pragma once
 
 #include "trng/entropy_source.hpp"
@@ -151,15 +153,11 @@ public:
     const device_profile& profile() const { return profile_; }
 
 private:
+    /// The next output word: transitions first, then one chain word.
+    /// Both lanes produce through it, one word at a time.
     std::uint64_t next_word();
     /// Apply any transition scheduled for the word about to be produced.
     void transition_at(std::uint64_t word_index);
-    std::uint64_t take_chain_word();
-    /// Batched production: whole chain_->fill_words() runs between
-    /// scheduled transitions (onset, churn), which always land on word
-    /// boundaries -- the chain is never re-scalarized into per-word
-    /// virtual calls.
-    void produce_words(std::uint64_t* out, std::size_t nwords);
 
     device_profile profile_;
     std::unique_ptr<entropy_source> chain_;

@@ -34,8 +34,9 @@ public:
     ///
     /// The default assembles words from next_bit(), so every model is
     /// automatically bit-exact across both lanes; models with a native
-    /// word generator (ideal_source, the source_model decorators)
-    /// override it for speed.
+    /// word generator override it for speed (ideal_source draws one
+    /// xoshiro word per 64 bits, the source_model decorators call their
+    /// one per-word generator, next_word(), once per output word).
     /// \param out    destination buffer of at least `nwords` words
     /// \param nwords number of 64-bit words (= 64 * nwords stream bits)
     virtual void fill_words(std::uint64_t* out, std::size_t nwords);

@@ -13,28 +13,15 @@
 // configured peak).
 //
 // Word-lane contract.  Every model generates natively 64 bits at a time
-// (`next_word()`); the base class drains that word for `next_bit()` and
-// splices it for `fill_words()`, exactly like xoshiro256ss's bit buffer.
+// through its only generator, `next_word()`; the base class drains that
+// word for `next_bit()` and calls it once per output word of
+// `fill_words()`, splicing exactly like xoshiro256ss's bit buffer.
 // Per-bit and word lanes are therefore bit-exact *by construction* for any
 // interleaving, and a stack of models keeps the fleet's word-at-a-time
 // throughput (a handful of PRNG draws per 64 bits instead of one per bit).
 // Severity changes take effect at the next 64-bit boundary; windows are
 // word-multiples, so per-window schedules are exact.
-//
-// Batched-lane contract.  `next_words(out, n)` is the bulk override point:
-// each model emits a whole batch at once (dwell-span expansion, Bernoulli
-// mask runs, fingerprint tiling) and drains its inner source in whole
-// batches through `inner_words()` / `take_inner_span()`, so a stack of
-// decorators never re-scalarizes into per-word virtual calls.  The batched
-// lane must be bit-exact with the per-word lane; that holds because (a)
-// each model preserves the order of its private `rng_` draws exactly, (b)
-// the inner stream is positional -- the bits consumed depend only on how
-// many were consumed before, not on the chunking -- so pre-draining it in
-// bulk is safe (the inner source's randomness is independent of the outer
-// model's rng_), and (c) severity is only changed between fill calls.
-// `fill_words_scalar()` keeps the per-word path reachable as the oracle
-// for the differential tests (tests/test_generation_oracle.cpp) and the
-// scalar baseline in bench/stream_throughput.
+// tests/test_generation_oracle.cpp pins every model's stream by digest.
 //
 // Physical motivation per model is documented in docs/SCENARIOS.md.
 #pragma once
@@ -51,10 +38,8 @@ namespace otf::trng {
 
 /// \brief Mask word with independent per-bit P[bit = 1] = q/256.
 ///
-/// Header-inlined: this is the per-word core of every batched mask
-/// fold, and an out-of-line call would force the caller's local
-/// generator copy back onto the stack (see the next_words
-/// implementations), forfeiting the register-resident batch loop.
+/// Header-inlined: this is the per-word core of every model's mask
+/// fold, a handful of draws that an out-of-line call would dominate.
 /// \param rng fair-word generator supplying the entropy
 /// \param q   probability numerator, clamped to [0, 256]
 /// \return 64 independent Bernoulli(q/256) bits (LSB-first, like every
@@ -104,16 +89,10 @@ public:
     /// lane by construction).
     bool next_bit() final;
 
-    /// Native word lane: batches generation through `next_words()` and
-    /// splices any partially drained buffer over the result, mirroring
+    /// Native word lane: one `next_word()` per output word, with any
+    /// partially drained buffer spliced over the result, mirroring
     /// xoshiro256ss::next_bits64.
     void fill_words(std::uint64_t* out, std::size_t nwords) final;
-
-    /// \brief The per-word reference lane: identical output to
-    /// fill_words(), generated one `next_word()` at a time.  This is the
-    /// bit-exact oracle the batched lane is pinned against and the scalar
-    /// baseline of the generation benchmarks.
-    void fill_words_scalar(std::uint64_t* out, std::size_t nwords);
 
     /// \brief Set the model's activation level.
     /// \param s severity in [0, 1]; takes effect at the next 64-bit word
@@ -129,12 +108,6 @@ protected:
     /// Produce the next 64 output bits (LSB-first stream order).
     virtual std::uint64_t next_word() = 0;
 
-    /// \brief Batch override point: produce the next `nwords` output words
-    /// at once.  The default loops `next_word()`; models override it with
-    /// a batched implementation that must be bit-exact with that loop
-    /// (including the order of every private PRNG draw).
-    virtual void next_words(std::uint64_t* out, std::size_t nwords);
-
     /// Hook: severity changed (e.g. resample a dwell time).
     virtual void severity_changed() {}
 
@@ -145,24 +118,9 @@ protected:
     /// Next 64 bits of the inner stream.
     std::uint64_t inner_word();
 
-    /// \brief Next `nwords * 64` bits of the inner stream in one inner
-    /// fill_words() call (plus the in-place splice of any buffered inner
-    /// bits) -- the batched counterpart of calling inner_word() `nwords`
-    /// times.
-    void inner_words(std::uint64_t* out, std::size_t nwords);
-
     /// \brief Next `k` bits of the inner stream, LSB-packed.
     /// \param k chunk size in [1, 64]
     std::uint64_t take_inner(unsigned k);
-
-    /// \brief OR the next `nbits` inner-stream bits into the packed span
-    /// `out` starting at bit offset `bit_pos` (arbitrary, unaligned).
-    /// Drains the buffered inner bits first, then fetches whole inner
-    /// words in one bulk fill_words() call; leaves the inner-side buffer
-    /// exactly as `nbits` take_inner() calls would.  The span expansion
-    /// primitive of the dwell-run models (RTN).
-    void take_inner_span(std::uint64_t* out, std::uint64_t bit_pos,
-                         std::uint64_t nbits);
 
 private:
     std::unique_ptr<entropy_source> inner_;
@@ -173,12 +131,6 @@ private:
     // Inner-side buffer (for models that consume sub-word chunks).
     std::uint64_t in_buf_ = 0;
     unsigned in_left_ = 0;
-    // Bulk-fetch scratch for take_inner_span (grown once, reused).
-    std::vector<std::uint64_t> inner_scratch_;
-
-    /// Splice `out_buf_`/`out_left_` over freshly generated words in
-    /// place (the carry loop shared by fill_words / fill_words_scalar).
-    void apply_out_splice(std::uint64_t* out, std::size_t nwords);
 };
 
 /// Random-telegraph-noise burst model: a slow oxide trap toggles the
@@ -218,10 +170,6 @@ public:
 
 protected:
     std::uint64_t next_word() override;
-    /// Batched: run-length expansion of the geometric dwells -- whole
-    /// burst spans become set_bit_run fills, whole healthy spans become
-    /// one take_inner_span each, instead of per-word state stepping.
-    void next_words(std::uint64_t* out, std::size_t nwords) override;
     void severity_changed() override;
 
 private:
@@ -271,9 +219,6 @@ public:
 
 protected:
     std::uint64_t next_word() override;
-    /// Batched: one bulk inner drain, then Bernoulli-mask runs between
-    /// walk steps with the quantized shift hoisted out of the word loop.
-    void next_words(std::uint64_t* out, std::size_t nwords) override;
 
 private:
     xoshiro256ss rng_;
@@ -302,19 +247,15 @@ public:
 
 protected:
     std::uint64_t next_word() override;
-    /// Batched: one bulk inner drain, the packed pattern tiled once per
-    /// batch (the phase cycles through period/gcd(period,64) distinct
-    /// words), mask folds per word.
-    void next_words(std::uint64_t* out, std::size_t nwords) override;
 
 private:
     xoshiro256ss rng_;
-    bit_sequence pattern_;
-    std::size_t phase_ = 0;
-    std::vector<std::uint64_t> tile_; // packed-pattern tile scratch
-
-    /// The 64 pattern bits starting at `phase`, LSB-packed.
-    std::uint64_t pattern_word(std::size_t phase) const;
+    std::size_t period_;
+    // The pattern's phase advances by 64 bits per word, so the word
+    // stream cycles through period / gcd(period, 64) distinct pattern
+    // words: packed once at construction, read in stream order.
+    std::vector<std::uint64_t> pattern_words_;
+    std::size_t pattern_pos_ = 0;
 };
 
 /// Stuck-at and bit-dropout faults: each output bit is independently
@@ -345,10 +286,6 @@ public:
 
 protected:
     std::uint64_t next_word() override;
-    /// Batched: one bulk inner drain, hoisted stuck/dropout quantization,
-    /// and the dropout sample-and-hold chain resolved per word by a
-    /// parallel-prefix fill instead of the 64-step bit-serial loop.
-    void next_words(std::uint64_t* out, std::size_t nwords) override;
 
 private:
     xoshiro256ss rng_;
@@ -394,10 +331,6 @@ public:
 
 protected:
     std::uint64_t next_word() override;
-    /// Batched: one bulk inner drain; a fully collapsed source is pure
-    /// fingerprint tiling (block copies, draw-free), partial collapse is
-    /// a mask fold per word with the quantized fraction hoisted.
-    void next_words(std::uint64_t* out, std::size_t nwords) override;
 
 private:
     xoshiro256ss rng_;
@@ -434,10 +367,6 @@ public:
 
 protected:
     std::uint64_t next_word() override;
-    /// Batched: one bulk inner drain; a full-severity substitution is a
-    /// looped block copy of the replayed trace (draw-free), partial
-    /// substitution a mask fold per word.
-    void next_words(std::uint64_t* out, std::size_t nwords) override;
 
 private:
     xoshiro256ss rng_;

@@ -8,8 +8,8 @@
 //
 // The draw path is header-inline: every adversarial model burns a handful
 // of draws per 64 output bits (Bernoulli mask folds, dwell sampling), so
-// an out-of-line call per draw would dominate the batched generation lane
-// (trng/source_model.hpp, next_words).
+// an out-of-line call per draw would dominate each model's next_word()
+// (trng/source_model.hpp).
 #pragma once
 
 #include <cstdint>
