@@ -9,16 +9,19 @@
 // adversarial library) with a durable telemetry log attached: every
 // evidence window, supervision event and checkpoint is handed to the
 // log's writer thread, which appends it to the WAL segment
-// (BENCH_replay.wal).  Phase 2 reads the
-// segment back and replays it: the offline battery re-run over the
-// logged evidence must reproduce the live confirmation verdicts
-// bit-identically.  Phase 3 measures the logging overhead on a healthy
+// (BENCH_replay.wal); the same attack is logged again transitions-only
+// (BENCH_replay_events.wal: events and checkpoints, no windows).
+// Phase 2 reads both segments back and replays them: the offline
+// battery re-run over the logged evidence -- the window records, or the
+// escalation checkpoints' rings -- must reproduce the live confirmation
+// verdicts bit-identically.  Phase 3 measures the logging overhead on a healthy
 // supervised stream against the same run without telemetry.
 //
 // Results go to BENCH_replay.json (schema "otf-replay/1", see
 // docs/BENCHMARKS.md).  Exit status enforces the contract:
-//   - the attack escalates and its confirmations replay bit-identical;
-//   - the segment is recovered clean and no record was dropped;
+//   - the attack escalates and its confirmations replay bit-identical
+//     from both segments;
+//   - both segments are recovered clean and no record was dropped;
 //   - logging overhead on the healthy stream (full runs only; smoke
 //     proves the plumbing): <= 10% for transitions-only capture, and
 //     full raw-evidence capture -- which necessarily pays the disk
@@ -187,6 +190,20 @@ int main(int argc, char** argv)
         log_records = log.records_logged();
         log_dropped = log.records_dropped();
     }
+    // The same attack, transitions-only: its confirmations can only
+    // replay from the rings the escalation checkpoints carry.
+    const std::string events_path =
+        bench_output_path("BENCH_replay_events.wal");
+    std::uint64_t events_dropped = 0;
+    {
+        core::telemetry_config tcfg;
+        tcfg.path = events_path;
+        tcfg.log_windows = false;
+        core::telemetry_log log(tcfg);
+        run_attack(cfg, cv_base, cv_esc, windows, onset, &log);
+        log.close();
+        events_dropped = log.records_dropped();
+    }
     std::printf("  logged run: %u escalation(s), %llu records, "
                 "%llu bytes, %llu dropped (%.2fs)\n",
                 live.escalations,
@@ -214,6 +231,14 @@ int main(int argc, char** argv)
                 replay.checkpoints_consistent ? "consistent"
                                               : "INCONSISTENT",
                 replay_seconds);
+    const core::telemetry_run events_run = core::read_telemetry(events_path);
+    const core::replay_report events_replay = core::verify_replay(events_run);
+    std::printf("  transitions-only replay: %llu checkpoints, %zu "
+                "confirmations, %s\n",
+                static_cast<unsigned long long>(
+                    events_replay.checkpoints_checked),
+                events_replay.confirmations.size(),
+                events_replay.verified ? "verified" : "NOT VERIFIED");
 
     // -- phase 3: logging overhead on a healthy stream -----------------
     // Two capture policies: transitions-only (events + checkpoints; the
@@ -253,10 +278,12 @@ int main(int argc, char** argv)
     // -- contract ------------------------------------------------------
     const bool attack_ok = live.escalations > 0
         && live.confirmed_escalations == live.escalations;
-    const bool log_ok = run.header_ok && run.clean && log_dropped == 0;
+    const bool log_ok = run.header_ok && run.clean && log_dropped == 0
+        && events_run.header_ok && events_run.clean && events_dropped == 0;
     const bool replay_ok = replay.verified
         && replay.confirmations.size() == live.escalations
-        && matched == replay.confirmations.size();
+        && matched == replay.confirmations.size() && events_replay.verified
+        && events_replay.confirmations.size() == live.escalations;
     const bool overhead_ok = !enforce_overhead
         || (events_overhead <= 0.10 && full_overhead <= 1.00);
     const bool ok = attack_ok && log_ok && replay_ok && overhead_ok;

@@ -45,9 +45,12 @@ echo "== replay / durable telemetry smoke (OTF_SMOKE=1) =="
 # confirmation verdicts (docs/ARCHITECTURE.md, durable telemetry).
 OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_replay
 
-echo "== offline replay of the just-written segment =="
-# The CLI must reach the same verdict as the in-process replay above.
+echo "== offline replay of the just-written segments =="
+# The CLI must reach the same verdict as the in-process replay above, on
+# the full-capture segment and on the transitions-only one (whose
+# confirmations replay from the escalation checkpoints' evidence rings).
 "$BUILD_DIR"/tools/otf_replay "$BUILD_DIR"/BENCH_replay.wal --quiet
+"$BUILD_DIR"/tools/otf_replay "$BUILD_DIR"/BENCH_replay_events.wal --quiet
 
 if command -v python3 >/dev/null 2>&1; then
     echo "== validating BENCH_*.json =="

@@ -2,6 +2,8 @@
 
 #include "core/telemetry_log.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <stdexcept>
 
@@ -74,10 +76,10 @@ supervisor::supervisor(supervisor_config cfg, critical_values baseline_cv,
 }
 
 // ---------------------------------------------------------------------
-// Raw event / checkpoint serialization (fixed-width little-endian
-// fields in declaration order; strings length-prefixed, doubles as IEEE
-// bit patterns).  Shared by the telemetry log and the checkpoint
-// payloads, so a replayed event parses back bit-identical.
+// Raw event / window / checkpoint serialization (fixed-width
+// little-endian fields in declaration order; strings length-prefixed,
+// doubles as IEEE bit patterns).  Shared by the telemetry log and the
+// checkpoint payloads, so a replayed record parses back bit-identical.
 // ---------------------------------------------------------------------
 
 void serialize_event(base::byte_sink& sink, const supervision_event& ev)
@@ -148,9 +150,37 @@ supervision_event parse_event(base::byte_cursor& cursor)
     return ev;
 }
 
-std::vector<std::uint8_t> serialize(const supervisor_checkpoint& cp)
+void serialize_window(base::byte_sink& sink, std::uint64_t index,
+                      const std::uint64_t* words, std::size_t nwords)
 {
-    base::byte_sink sink;
+    sink.u64(index);
+    sink.u32(static_cast<std::uint32_t>(nwords));
+    if constexpr (std::endian::native == std::endian::little) {
+        // The wire format is little-endian u64s; on a little-endian host
+        // the window's in-memory image already is that, and this runs
+        // per window on the window loop.
+        sink.raw(words, nwords * sizeof(std::uint64_t));
+    } else {
+        for (std::size_t i = 0; i < nwords; ++i) {
+            sink.u64(words[i]);
+        }
+    }
+}
+
+evidence_window parse_window(base::byte_cursor& cursor)
+{
+    evidence_window win;
+    win.index = cursor.u64();
+    const std::uint32_t nwords = cursor.u32();
+    win.words.reserve(cursor.reserve_bound(nwords));
+    for (std::uint32_t i = 0; i < nwords; ++i) {
+        win.words.push_back(cursor.u64());
+    }
+    return win;
+}
+
+void serialize(base::byte_sink& sink, const supervisor_checkpoint& cp)
+{
     sink.u8(static_cast<std::uint8_t>(cp.state));
     sink.boolean(cp.pending_escalation);
     sink.u64(cp.clean_streak);
@@ -174,25 +204,28 @@ std::vector<std::uint8_t> serialize(const supervisor_checkpoint& cp)
         sink.u64(count);
     }
     sink.u32(static_cast<std::uint32_t>(cp.evidence_ring.size()));
-    for (const supervisor_checkpoint::evidence& ev : cp.evidence_ring) {
-        sink.u64(ev.index);
-        sink.u32(static_cast<std::uint32_t>(ev.words.size()));
-        for (const std::uint64_t word : ev.words) {
-            sink.u64(word);
-        }
+    for (const evidence_window& win : cp.evidence_ring) {
+        serialize_window(sink, win.index, win.words.data(),
+                         win.words.size());
     }
     sink.u32(static_cast<std::uint32_t>(cp.events.size()));
     for (const supervision_event& ev : cp.events) {
         serialize_event(sink, ev);
     }
     sink.u64(cp.monitor_windows);
+}
+
+std::vector<std::uint8_t> serialize(const supervisor_checkpoint& cp)
+{
+    base::byte_sink sink;
+    serialize(sink, cp);
     return sink.take();
 }
 
-supervisor_checkpoint parse_checkpoint(const std::uint8_t* data,
-                                       std::size_t len)
+supervisor_checkpoint parse_checkpoint(
+    const std::vector<std::uint8_t>& bytes)
 {
-    base::byte_cursor cursor(data, len);
+    base::byte_cursor cursor(bytes);
     supervisor_checkpoint cp;
     const std::uint8_t state = cursor.u8();
     if (state > static_cast<std::uint8_t>(supervision_state::escalated)) {
@@ -226,14 +259,7 @@ supervisor_checkpoint parse_checkpoint(const std::uint8_t* data,
     const std::uint32_t evidence = cursor.u32();
     cp.evidence_ring.reserve(cursor.reserve_bound(evidence));
     for (std::uint32_t i = 0; i < evidence; ++i) {
-        supervisor_checkpoint::evidence ev;
-        ev.index = cursor.u64();
-        const std::uint32_t nwords = cursor.u32();
-        ev.words.reserve(cursor.reserve_bound(nwords));
-        for (std::uint32_t w = 0; w < nwords; ++w) {
-            ev.words.push_back(cursor.u64());
-        }
-        cp.evidence_ring.push_back(std::move(ev));
+        cp.evidence_ring.push_back(parse_window(cursor));
     }
     const std::uint32_t events = cursor.u32();
     cp.events.reserve(cursor.reserve_bound(events));
@@ -249,66 +275,92 @@ supervisor_checkpoint parse_checkpoint(const std::uint8_t* data,
     return cp;
 }
 
-supervisor_checkpoint parse_checkpoint(
-    const std::vector<std::uint8_t>& bytes)
+void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
+                   std::uint64_t index, const std::uint64_t* words,
+                   std::size_t nwords)
 {
-    return parse_checkpoint(bytes.data(), bytes.size());
+    if (ring.size() < depth) {
+        ring.emplace_back();
+    } else if (ring.empty()) {
+        return; // depth 0 (possible in a logged config) keeps nothing
+    } else {
+        // Full: the oldest slot becomes the newest, keeping its buffer.
+        std::rotate(ring.begin(), ring.begin() + 1, ring.end());
+    }
+    evidence_window& slot = ring.back();
+    slot.index = index;
+    slot.words.assign(words, words + nwords);
 }
 
-supervision_event& supervisor::push_event(std::uint64_t window,
-                                          supervision_event_kind kind)
+confirmation_result confirm_evidence(const std::vector<evidence_window>& ring,
+                                     const supervisor_config& cfg)
 {
-    supervision_event ev;
-    ev.sequence = events_.size();
+    std::vector<std::uint64_t> words;
+    for (const evidence_window& win : ring) {
+        words.insert(words.end(), win.words.begin(), win.words.end());
+    }
+    confirmation_result conf;
+    conf.evidence_windows = ring.size();
+    conf.evidence_bits = words.size() * 64;
+    conf.battery = nist::run_battery(
+        bit_sequence::from_words(words, conf.evidence_bits),
+        cfg.offline_alpha, cfg.offline_tests);
+    conf.confirmed = conf.battery.failed >= cfg.offline_min_failures;
+    return conf;
+}
+
+void supervisor::push_event(std::uint64_t window, supervision_event_kind kind,
+                            const std::string& from, const std::string& to,
+                            std::optional<confirmation_result> confirmation)
+{
+    supervision_event& ev = state_.events.emplace_back();
+    ev.sequence = state_.events.size() - 1;
     ev.window_index = window;
     ev.kind = kind;
-    ev.dwell = clean_streak_;
-    events_.push_back(std::move(ev));
-    return events_.back();
+    ev.dwell = state_.clean_streak;
+    ev.from_design = from;
+    ev.to_design = to;
+    ev.confirmation = std::move(confirmation);
+    if (telemetry_ != nullptr) {
+        telemetry_->log_event(ev);
+    }
 }
 
 void supervisor::observe(const window_report& report)
 {
-    ++windows_;
-    bits_ += mon_.config().n();
-    if (state_ == supervision_state::escalated) {
-        ++windows_escalated_;
+    ++state_.windows;
+    state_.bits += mon_.config().n();
+    const bool escalated = state_.state == supervision_state::escalated;
+    if (escalated) {
+        ++state_.windows_escalated;
     }
     const bool failed = !report.software.all_pass;
     if (failed) {
-        ++failures_;
+        ++state_.failures;
         for (const test_verdict& v : report.software.verdicts) {
             if (!v.pass) {
-                ++failures_by_test_[v.name];
+                ++state_.failures_by_test[v.name];
             }
         }
     }
     alarm_.record(failed);
     if (alarm_.rose()) {
+        if (!escalated) {
+            state_.pending_escalation = true;
+        }
         push_event(report.window_index,
                    supervision_event_kind::alarm_raised);
-        if (state_ == supervision_state::baseline) {
-            pending_escalation_ = true;
-        }
-        if (telemetry_ != nullptr) {
-            telemetry_->log_event(events_.back());
-        }
     }
-    if (state_ == supervision_state::escalated) {
-        clean_streak_ = failed ? 0 : clean_streak_ + 1;
+    if (escalated) {
+        state_.clean_streak = failed ? 0 : state_.clean_streak + 1;
     }
 }
 
 void supervisor::capture(std::uint64_t window_index,
                          const std::uint64_t* words, std::size_t nwords)
 {
-    evidence_window ev;
-    ev.index = window_index;
-    ev.words.assign(words, words + nwords);
-    evidence_.push_back(std::move(ev));
-    while (evidence_.size() > cfg_.evidence_windows) {
-        evidence_.pop_front();
-    }
+    push_evidence(state_.evidence_ring, cfg_.evidence_windows, window_index,
+                  words, nwords);
     if (telemetry_ != nullptr) {
         telemetry_->log_window(window_index, words, nwords);
     }
@@ -316,52 +368,45 @@ void supervisor::capture(std::uint64_t window_index,
 
 void supervisor::at_barrier(std::uint64_t next_window)
 {
-    if (pending_escalation_ && state_ == supervision_state::baseline) {
+    if (state_.pending_escalation
+        && state_.state == supervision_state::baseline) {
         escalate(next_window);
         return;
     }
-    pending_escalation_ = false;
-    if (state_ == supervision_state::escalated
-        && clean_streak_ >= cfg_.dwell_windows) {
+    state_.pending_escalation = false;
+    if (state_.state == supervision_state::escalated
+        && state_.clean_streak >= cfg_.dwell_windows) {
         de_escalate(next_window);
     }
 }
 
 void supervisor::escalate(std::uint64_t next_window)
 {
-    pending_escalation_ = false;
-    {
-        supervision_event& ev =
-            push_event(next_window, supervision_event_kind::escalated);
-        ev.from_design = cfg_.baseline.name;
-        ev.to_design = cfg_.escalated.name;
-        if (telemetry_ != nullptr) {
-            telemetry_->log_event(ev);
-        }
-    }
+    state_.pending_escalation = false;
+    push_event(next_window, supervision_event_kind::escalated,
+               cfg_.baseline.name, cfg_.escalated.name);
     // The on-the-fly reconfiguration itself: the live block is
     // reprogrammed through the register-map write path between windows.
     mon_.reconfigure(cfg_.escalated, cv_escalated_);
-    state_ = supervision_state::escalated;
-    clean_streak_ = 0;
-    ++escalations_;
-    if (!first_escalation_window_) {
-        first_escalation_window_ = next_window;
+    state_.state = supervision_state::escalated;
+    state_.clean_streak = 0;
+    ++state_.escalations;
+    if (!state_.has_first_escalation) {
+        state_.has_first_escalation = true;
+        state_.first_escalation_window = next_window;
     }
 
     // Offline confirmation: replay the captured evidence through the
     // composable battery.  Runs on the window loop's thread -- the
     // deployment analogue of the MCU shipping the suspicious stretch to a
     // host.
-    confirmation_result conf = confirm_offline();
+    confirmation_result conf = confirm_evidence(state_.evidence_ring, cfg_);
     if (conf.confirmed) {
-        ++confirmed_escalations_;
+        ++state_.confirmed_escalations;
     }
-    supervision_event& ev =
-        push_event(next_window, supervision_event_kind::confirmed);
-    ev.confirmation = std::move(conf);
+    push_event(next_window, supervision_event_kind::confirmed, {}, {},
+               std::move(conf));
     if (telemetry_ != nullptr) {
-        telemetry_->log_event(ev);
         // A state transition is the restart-relevant moment: persist the
         // full between-windows state so a crashed fleet resumes from the
         // escalated design with its alarm context intact.
@@ -373,47 +418,15 @@ void supervisor::de_escalate(std::uint64_t next_window)
 {
     alarm_.reset();
     push_event(next_window, supervision_event_kind::alarm_cleared);
-    if (telemetry_ != nullptr) {
-        telemetry_->log_event(events_.back());
-    }
-    supervision_event& ev =
-        push_event(next_window, supervision_event_kind::de_escalated);
-    ev.from_design = cfg_.escalated.name;
-    ev.to_design = cfg_.baseline.name;
-    if (telemetry_ != nullptr) {
-        telemetry_->log_event(ev);
-    }
+    push_event(next_window, supervision_event_kind::de_escalated,
+               cfg_.escalated.name, cfg_.baseline.name);
     mon_.reconfigure(cfg_.baseline, cv_baseline_);
-    state_ = supervision_state::baseline;
-    clean_streak_ = 0;
-    ++de_escalations_;
+    state_.state = supervision_state::baseline;
+    state_.clean_streak = 0;
+    ++state_.de_escalations;
     if (telemetry_ != nullptr) {
         telemetry_->log_checkpoint(checkpoint());
     }
-}
-
-confirmation_result supervisor::confirm_offline() const
-{
-    confirmation_result conf;
-    bit_sequence seq;
-    std::size_t total_words = 0;
-    for (const evidence_window& ev : evidence_) {
-        total_words += ev.words.size();
-    }
-    seq.reserve(total_words * 64);
-    for (const evidence_window& ev : evidence_) {
-        for (const std::uint64_t word : ev.words) {
-            for (unsigned i = 0; i < 64; ++i) {
-                seq.push_back(((word >> i) & 1u) != 0);
-            }
-        }
-        ++conf.evidence_windows;
-    }
-    conf.evidence_bits = seq.size();
-    conf.battery =
-        nist::run_battery(seq, cfg_.offline_alpha, cfg_.offline_tests);
-    conf.confirmed = conf.battery.failed >= cfg_.offline_min_failures;
-    return conf;
 }
 
 window_sink supervisor::sink()
@@ -460,19 +473,20 @@ supervision_report supervisor::run(trng::entropy_source& source,
 supervision_report supervisor::report() const
 {
     supervision_report rep;
-    rep.windows = windows_;
-    rep.failures = failures_;
-    rep.bits = bits_;
-    rep.escalations = escalations_;
-    rep.confirmed_escalations = confirmed_escalations_;
-    rep.de_escalations = de_escalations_;
-    rep.windows_escalated = windows_escalated_;
-    rep.first_escalation_window =
-        first_escalation_window_.value_or(windows_);
+    rep.windows = state_.windows;
+    rep.failures = state_.failures;
+    rep.bits = state_.bits;
+    rep.escalations = state_.escalations;
+    rep.confirmed_escalations = state_.confirmed_escalations;
+    rep.de_escalations = state_.de_escalations;
+    rep.windows_escalated = state_.windows_escalated;
+    rep.first_escalation_window = state_.has_first_escalation
+        ? state_.first_escalation_window
+        : state_.windows;
     rep.alarm = alarm_.alarm();
-    rep.final_state = state_;
-    rep.failures_by_test = failures_by_test_;
-    rep.events = events_;
+    rep.final_state = state_.state;
+    rep.failures_by_test = state_.failures_by_test;
+    rep.events = state_.events;
     return rep;
 }
 
@@ -486,38 +500,17 @@ void supervisor::attach_telemetry(telemetry_log* log)
 
 supervisor_checkpoint supervisor::checkpoint() const
 {
-    supervisor_checkpoint cp;
-    cp.state = state_;
-    cp.pending_escalation = pending_escalation_;
-    cp.clean_streak = clean_streak_;
+    supervisor_checkpoint cp = state_;
     cp.alarm_history = alarm_.history();
     cp.alarm_sticky = alarm_.alarm();
-    cp.windows = windows_;
-    cp.failures = failures_;
-    cp.bits = bits_;
-    cp.windows_escalated = windows_escalated_;
-    cp.escalations = escalations_;
-    cp.confirmed_escalations = confirmed_escalations_;
-    cp.de_escalations = de_escalations_;
-    cp.has_first_escalation = first_escalation_window_.has_value();
-    cp.first_escalation_window = first_escalation_window_.value_or(0);
-    cp.failures_by_test = failures_by_test_;
-    cp.evidence_ring.reserve(evidence_.size());
-    for (const evidence_window& ev : evidence_) {
-        supervisor_checkpoint::evidence e;
-        e.index = ev.index;
-        e.words = ev.words;
-        cp.evidence_ring.push_back(std::move(e));
-    }
-    cp.events = events_;
     cp.monitor_windows = mon_.windows_tested();
     return cp;
 }
 
 void supervisor::restore(const supervisor_checkpoint& cp)
 {
-    if (windows_ != 0 || !events_.empty()
-        || state_ != supervision_state::baseline) {
+    if (state_.windows != 0 || !state_.events.empty()
+        || state_.state != supervision_state::baseline) {
         throw std::logic_error(
             "supervisor: restore() needs a freshly constructed "
             "supervisor (this one has already observed windows)");
@@ -531,33 +524,11 @@ void supervisor::restore(const supervisor_checkpoint& cp)
     }
     // The alarm restore validates the history against the policy window.
     alarm_.restore(cp.alarm_history, cp.alarm_sticky);
-    state_ = cp.state;
-    pending_escalation_ = cp.pending_escalation;
-    clean_streak_ = cp.clean_streak;
-    windows_ = cp.windows;
-    failures_ = cp.failures;
-    bits_ = cp.bits;
-    windows_escalated_ = cp.windows_escalated;
-    escalations_ = cp.escalations;
-    confirmed_escalations_ = cp.confirmed_escalations;
-    de_escalations_ = cp.de_escalations;
-    first_escalation_window_.reset();
-    if (cp.has_first_escalation) {
-        first_escalation_window_ = cp.first_escalation_window;
-    }
-    failures_by_test_ = cp.failures_by_test;
-    evidence_.clear();
-    for (const supervisor_checkpoint::evidence& e : cp.evidence_ring) {
-        evidence_window ev;
-        ev.index = e.index;
-        ev.words = e.words;
-        evidence_.push_back(std::move(ev));
-    }
-    events_ = cp.events;
+    state_ = cp;
     // Reprogram the block to the checkpointed tier (the restart-time
     // analogue of the live escalation's register-map write path), then
     // continue the global window numbering.
-    if (state_ == supervision_state::escalated) {
+    if (state_.state == supervision_state::escalated) {
         mon_.reconfigure(cfg_.escalated, cv_escalated_);
     }
     mon_.restore_window_count(cp.monitor_windows);
@@ -567,7 +538,7 @@ void supervisor::write_events(json_writer& json,
                               std::string_view key) const
 {
     json.begin_array(key);
-    for (const supervision_event& ev : events_) {
+    for (const supervision_event& ev : state_.events) {
         json.begin_object();
         json.value("sequence", ev.sequence);
         json.value("window", ev.window_index);

@@ -29,6 +29,11 @@
 // it).  This is the MSP430 control flow of the paper grown into a policy:
 // cheap tests all the time, heavy tests on suspicion, software
 // confirmation before anyone pulls a deployed TRNG.
+//
+// The supervisor's state *is* a supervisor_checkpoint: checkpoint()
+// copies it, restore() assigns it.  Live escalation and log replay
+// (core/telemetry_log.hpp) share one evidence_window type and one
+// confirmation, confirm_evidence().
 #pragma once
 
 #include "base/wal.hpp"
@@ -37,7 +42,6 @@
 #include "nist/battery.hpp"
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -140,6 +144,38 @@ struct supervisor_config {
     void validate() const;
 };
 
+/// \brief One captured raw window (live ring, checkpoint ring, telemetry
+/// window records).
+struct evidence_window {
+    std::uint64_t index = 0;
+    std::vector<std::uint64_t> words;
+
+    friend bool operator==(const evidence_window&,
+                           const evidence_window&) = default;
+};
+
+/// \brief Raw serialization of one window (u64 index, u32 word count,
+/// little-endian u64 words): a telemetry window record's payload and a
+/// checkpoint ring entry.
+void serialize_window(base::byte_sink& sink, std::uint64_t index,
+                      const std::uint64_t* words, std::size_t nwords);
+/// \throws std::runtime_error on a truncated payload
+evidence_window parse_window(base::byte_cursor& cursor);
+
+/// \brief Append one window to an oldest-first evidence ring of at most
+/// `depth` windows.  A full ring rotates and reuses its oldest slot's
+/// buffer, so steady-state capture allocates nothing.
+void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
+                   std::uint64_t index, const std::uint64_t* words,
+                   std::size_t nwords);
+
+/// \brief The offline confirmation: the ring's words, oldest first and
+/// LSB-first, through the SP 800-22 battery (`cfg.offline_*`).  Live
+/// escalation and verify_replay() both call it, so a replayed verdict is
+/// bit-identical whenever the evidence is.
+confirmation_result confirm_evidence(const std::vector<evidence_window>& ring,
+                                     const supervisor_config& cfg);
+
 /// \brief Aggregated telemetry of one supervised run.  Deterministic for
 /// a fixed source except `seconds`.
 struct supervision_report {
@@ -190,13 +226,7 @@ struct supervisor_checkpoint {
     std::uint64_t first_escalation_window = 0;
     std::map<std::string, std::uint64_t> failures_by_test;
 
-    struct evidence {
-        std::uint64_t index = 0;
-        std::vector<std::uint64_t> words;
-
-        friend bool operator==(const evidence&, const evidence&) = default;
-    };
-    std::vector<evidence> evidence_ring; ///< oldest-first captured windows
+    std::vector<evidence_window> evidence_ring; ///< oldest-first
 
     std::vector<supervision_event> events; ///< full timeline so far
 
@@ -210,10 +240,10 @@ struct supervisor_checkpoint {
 
 /// \brief Raw byte-level serialization of a checkpoint (the payload of
 /// the telemetry log's checkpoint records).
+void serialize(base::byte_sink& sink, const supervisor_checkpoint& cp);
 std::vector<std::uint8_t> serialize(const supervisor_checkpoint& cp);
-/// \throws std::runtime_error on a truncated or malformed payload
-supervisor_checkpoint parse_checkpoint(const std::uint8_t* data,
-                                       std::size_t len);
+/// \throws std::runtime_error on a truncated or malformed payload, or
+/// on trailing bytes after it
 supervisor_checkpoint parse_checkpoint(
     const std::vector<std::uint8_t>& bytes);
 
@@ -236,9 +266,12 @@ public:
                critical_values escalated_cv);
 
     const supervisor_config& config() const { return cfg_; }
-    supervision_state state() const { return state_; }
+    supervision_state state() const { return state_.state; }
     monitor& inner() { return mon_; }
-    const std::vector<supervision_event>& events() const { return events_; }
+    const std::vector<supervision_event>& events() const
+    {
+        return state_.events;
+    }
 
     /// \brief Record one window verdict (the sink half of the loop):
     /// updates the alarm policy, queues an escalation on its rising edge
@@ -318,9 +351,10 @@ public:
 private:
     void escalate(std::uint64_t next_window);
     void de_escalate(std::uint64_t next_window);
-    confirmation_result confirm_offline() const;
-    supervision_event& push_event(std::uint64_t window,
-                                  supervision_event_kind kind);
+    /// Append an event to the timeline and hand it to the telemetry log.
+    void push_event(std::uint64_t window, supervision_event_kind kind,
+                    const std::string& from = {}, const std::string& to = {},
+                    std::optional<confirmation_result> confirmation = {});
 
     supervisor_config cfg_;
     critical_values cv_baseline_;
@@ -328,26 +362,9 @@ private:
     monitor mon_;
     windowed_alarm alarm_;
     telemetry_log* telemetry_ = nullptr; ///< borrowed durable sink
-    supervision_state state_ = supervision_state::baseline;
-    bool pending_escalation_ = false;
-    std::uint64_t clean_streak_ = 0;
-
-    struct evidence_window {
-        std::uint64_t index = 0;
-        std::vector<std::uint64_t> words;
-    };
-    std::deque<evidence_window> evidence_;
-
-    std::vector<supervision_event> events_;
-    std::uint64_t windows_ = 0;
-    std::uint64_t failures_ = 0;
-    std::uint64_t bits_ = 0;
-    std::uint64_t windows_escalated_ = 0;
-    unsigned escalations_ = 0;
-    unsigned confirmed_escalations_ = 0;
-    unsigned de_escalations_ = 0;
-    std::optional<std::uint64_t> first_escalation_window_;
-    std::map<std::string, std::uint64_t> failures_by_test_;
+    /// Everything but the alarm and monitor fields, which alarm_ and
+    /// mon_ own and checkpoint() fills in.
+    supervisor_checkpoint state_;
 };
 
 } // namespace otf::core

@@ -1,8 +1,7 @@
 #include "core/telemetry_log.hpp"
 
-#include <bit>
 #include <chrono>
-#include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -162,18 +161,7 @@ void telemetry_log::log_window(std::uint64_t window_index,
         return;
     }
     base::byte_sink sink;
-    sink.u64(window_index);
-    sink.u32(static_cast<std::uint32_t>(nwords));
-    if constexpr (std::endian::native == std::endian::little) {
-        // The wire format is little-endian u64s; on a little-endian
-        // host the window's in-memory image already is that, and this
-        // runs per window on the pump thread.
-        sink.raw(words, nwords * sizeof(std::uint64_t));
-    } else {
-        for (std::size_t i = 0; i < nwords; ++i) {
-            sink.u64(words[i]);
-        }
-    }
+    serialize_window(sink, window_index, words, nwords);
     enqueue(telemetry_record::window, std::move(sink));
 }
 
@@ -187,8 +175,7 @@ void telemetry_log::log_event(const supervision_event& ev)
 void telemetry_log::log_checkpoint(const supervisor_checkpoint& cp)
 {
     base::byte_sink sink;
-    const std::vector<std::uint8_t> bytes = serialize(cp);
-    sink.raw(bytes.data(), bytes.size());
+    serialize(sink, cp);
     enqueue(telemetry_record::checkpoint, std::move(sink));
 }
 
@@ -260,6 +247,19 @@ void telemetry_log::writer_loop()
 // Reader side.
 // ---------------------------------------------------------------------
 
+namespace {
+
+/// Leftover bytes mean another schema wrote the record: fail loudly.
+void expect_exhausted(const base::byte_cursor& cursor, const char* kind)
+{
+    if (!cursor.exhausted()) {
+        throw std::runtime_error("parse_telemetry: trailing bytes after a "
+                                 + std::string(kind) + " record");
+    }
+}
+
+} // namespace
+
 telemetry_run parse_telemetry(const base::wal_read_result& wal)
 {
     telemetry_run run;
@@ -269,43 +269,33 @@ telemetry_run parse_telemetry(const base::wal_read_result& wal)
     run.file_bytes = wal.file_bytes;
     run.valid_bytes = wal.valid_bytes;
     for (const base::wal_record& rec : wal.records) {
+        base::byte_cursor cursor(rec.payload);
         switch (static_cast<telemetry_record>(rec.type)) {
-        case telemetry_record::run_config: {
-            base::byte_cursor cursor(rec.payload);
+        case telemetry_record::run_config:
             run.config = parse_supervisor_config(cursor);
             run.windows_logged = cursor.boolean();
+            expect_exhausted(cursor, "run_config");
             run.has_config = true;
             run.order.push_back({telemetry_record::run_config, 0});
             break;
-        }
-        case telemetry_record::window: {
-            base::byte_cursor cursor(rec.payload);
-            logged_window win;
-            win.index = cursor.u64();
-            const std::uint32_t nwords = cursor.u32();
-            win.words.reserve(cursor.reserve_bound(nwords));
-            for (std::uint32_t i = 0; i < nwords; ++i) {
-                win.words.push_back(cursor.u64());
-            }
+        case telemetry_record::window:
             run.order.push_back(
                 {telemetry_record::window, run.windows.size()});
-            run.windows.push_back(std::move(win));
+            run.windows.push_back(parse_window(cursor));
+            expect_exhausted(cursor, "window");
             break;
-        }
-        case telemetry_record::event: {
-            base::byte_cursor cursor(rec.payload);
+        case telemetry_record::event:
             run.order.push_back(
                 {telemetry_record::event, run.events.size()});
             run.events.push_back(parse_event(cursor));
+            expect_exhausted(cursor, "event");
             break;
-        }
-        case telemetry_record::checkpoint: {
+        case telemetry_record::checkpoint:
+            // parse_checkpoint rejects trailing bytes itself.
             run.order.push_back(
                 {telemetry_record::checkpoint, run.checkpoints.size()});
-            run.checkpoints.push_back(
-                parse_checkpoint(rec.payload.data(), rec.payload.size()));
+            run.checkpoints.push_back(parse_checkpoint(rec.payload));
             break;
-        }
         default:
             // A newer writer's record kind: skip, do not fail the run.
             ++run.unknown_records;
@@ -320,39 +310,6 @@ telemetry_run read_telemetry(const std::string& path)
     return parse_telemetry(base::wal_read(path));
 }
 
-namespace {
-
-/// The replay-side twin of supervisor::confirm_offline(): identical
-/// concatenation order, identical battery invocation, so the verdict is
-/// bit-identical when the logged evidence is.
-confirmation_result confirm_from_ring(
-    const std::vector<const std::vector<std::uint64_t>*>& ring,
-    const supervisor_config& cfg)
-{
-    confirmation_result conf;
-    bit_sequence seq;
-    std::size_t total_words = 0;
-    for (const std::vector<std::uint64_t>* words : ring) {
-        total_words += words->size();
-    }
-    seq.reserve(total_words * 64);
-    for (const std::vector<std::uint64_t>* words : ring) {
-        for (const std::uint64_t word : *words) {
-            for (unsigned i = 0; i < 64; ++i) {
-                seq.push_back(((word >> i) & 1u) != 0);
-            }
-        }
-        ++conf.evidence_windows;
-    }
-    conf.evidence_bits = seq.size();
-    conf.battery =
-        nist::run_battery(seq, cfg.offline_alpha, cfg.offline_tests);
-    conf.confirmed = conf.battery.failed >= cfg.offline_min_failures;
-    return conf;
-}
-
-} // namespace
-
 replay_report verify_replay(const telemetry_run& run)
 {
     if (!run.has_config) {
@@ -361,22 +318,31 @@ replay_report verify_replay(const telemetry_run& run)
             "nothing to parameterize the offline battery with");
     }
     replay_report rep;
-    std::deque<const logged_window*> ring;
+    std::vector<evidence_window> ring;
     std::vector<supervision_event> seen;
+    const auto replay = [&](replay_confirmation& rc,
+                            const std::vector<evidence_window>& evidence) {
+        rc.replayed = confirm_evidence(evidence, run.config);
+        rc.match = (rc.live == rc.replayed);
+        if (!rc.match) {
+            rep.verified = false;
+        }
+    };
     // Transitions-only runs: the confirmation waits for the escalation
     // checkpoint, whose evidence ring is what the live battery saw.
-    std::size_t pending = std::size_t(-1);
+    std::optional<std::size_t> pending;
     for (const telemetry_run::item& item : run.order) {
         switch (item.kind) {
         case telemetry_record::run_config:
             break;
-        case telemetry_record::window:
-            ring.push_back(&run.windows[item.index]);
-            while (ring.size() > run.config.evidence_windows) {
-                ring.pop_front();
-            }
+        case telemetry_record::window: {
+            // The ring the live supervisor kept, by the same code.
+            const evidence_window& win = run.windows[item.index];
+            push_evidence(ring, run.config.evidence_windows, win.index,
+                          win.words.data(), win.words.size());
             ++rep.windows_replayed;
             break;
+        }
         case telemetry_record::event: {
             const supervision_event& ev = run.events[item.index];
             seen.push_back(ev);
@@ -387,19 +353,10 @@ replay_report verify_replay(const telemetry_run& run)
                 rc.window = ev.window_index;
                 rc.live = *ev.confirmation;
                 if (run.windows_logged) {
-                    // Full capture: rebuild the ring from the raw
-                    // window records -- an independent reconstruction
-                    // of the evidence.
-                    std::vector<const std::vector<std::uint64_t>*> r;
-                    r.reserve(ring.size());
-                    for (const logged_window* win : ring) {
-                        r.push_back(&win->words);
-                    }
-                    rc.replayed = confirm_from_ring(r, run.config);
-                    rc.match = (rc.live == rc.replayed);
-                    if (!rc.match) {
-                        rep.verified = false;
-                    }
+                    // Full capture: the ring rebuilt from the raw window
+                    // records -- an independent reconstruction of the
+                    // evidence.
+                    replay(rc, ring);
                 } else {
                     pending = rep.confirmations.size();
                 }
@@ -418,39 +375,21 @@ replay_report verify_replay(const telemetry_run& run)
                 rep.checkpoints_consistent = false;
                 rep.verified = false;
             }
-            if (run.windows_logged) {
-                // Full capture: the ring the checkpoint carries must be
-                // exactly the one the window records rebuild.
-                bool same = cp.evidence_ring.size() == ring.size();
-                for (std::size_t i = 0; same && i < ring.size(); ++i) {
-                    same = cp.evidence_ring[i].index == ring[i]->index
-                        && cp.evidence_ring[i].words == ring[i]->words;
-                }
-                if (!same) {
-                    rep.ring_consistent = false;
-                    rep.verified = false;
-                }
+            // Full capture: the ring the checkpoint carries must be
+            // exactly the one the window records rebuild.
+            if (run.windows_logged && cp.evidence_ring != ring) {
+                rep.ring_consistent = false;
+                rep.verified = false;
             }
-            if (pending != std::size_t(-1)) {
-                replay_confirmation& rc = rep.confirmations[pending];
-                std::vector<const std::vector<std::uint64_t>*> r;
-                r.reserve(cp.evidence_ring.size());
-                for (const supervisor_checkpoint::evidence& e :
-                     cp.evidence_ring) {
-                    r.push_back(&e.words);
-                }
-                rc.replayed = confirm_from_ring(r, run.config);
-                rc.match = (rc.live == rc.replayed);
-                if (!rc.match) {
-                    rep.verified = false;
-                }
-                pending = std::size_t(-1);
+            if (pending) {
+                replay(rep.confirmations[*pending], cp.evidence_ring);
+                pending.reset();
             }
             break;
         }
         }
     }
-    if (pending != std::size_t(-1)) {
+    if (pending) {
         // The checkpoint that would have carried the evidence was lost
         // (torn tail): the confirmation cannot be verified.
         rep.verified = false;

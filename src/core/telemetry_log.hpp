@@ -23,8 +23,8 @@
 //   checkpoint = 4  -- a supervisor_checkpoint at a state transition
 //
 // The reader side (`read_telemetry`) recovers the valid record prefix
-// and re-types it; `verify_replay` then re-runs the offline battery
-// over the logged evidence exactly as the live supervisor did and
+// and re-types it; `verify_replay` then re-runs the live supervisor's
+// own confirmation (confirm_evidence) over the logged evidence and
 // demands bit-identical P-values -- the log *is* the evidence, and
 // replay proves it (tools/otf_replay is the CLI over this).
 #pragma once
@@ -168,15 +168,6 @@ private:
 // Reader side: recovery + deterministic replay.
 // ---------------------------------------------------------------------
 
-/// One evidence window recovered from the log.
-struct logged_window {
-    std::uint64_t index = 0;
-    std::vector<std::uint64_t> words;
-
-    friend bool operator==(const logged_window&,
-                           const logged_window&) = default;
-};
-
 /// \brief Everything recovered from one telemetry segment: the typed
 /// records plus their original interleaving (`order`), which replay
 /// needs to rebuild the evidence ring the live run had at each
@@ -194,7 +185,7 @@ struct telemetry_run {
     /// (telemetry_config::log_windows; stored in the run_config record).
     bool windows_logged = true;
 
-    std::vector<logged_window> windows;
+    std::vector<evidence_window> windows; ///< captured evidence windows
     std::vector<supervision_event> events;
     std::vector<supervisor_checkpoint> checkpoints;
 
@@ -211,9 +202,10 @@ struct telemetry_run {
 };
 
 /// \brief Re-type the records of a recovered segment image.
-/// \throws std::runtime_error when a CRC-valid record fails to parse
-/// (schema mismatch -- corruption is caught by the WAL layer, which
-/// truncates to the valid prefix instead of throwing)
+/// \throws std::runtime_error when a CRC-valid record fails to parse or
+/// has trailing bytes, naming the record kind (schema mismatch --
+/// corruption is caught by the WAL layer, which truncates to the valid
+/// prefix instead of throwing)
 telemetry_run parse_telemetry(const base::wal_read_result& wal);
 
 /// \brief Read, recover and re-type a telemetry segment file.
@@ -251,14 +243,14 @@ struct replay_report {
 };
 
 /// \brief Deterministic replay: walk the records in file order,
-/// maintain the bounded evidence ring exactly as the live supervisor
-/// did, and at each `confirmed` event re-run the offline battery over
-/// the ring, demanding a bit-identical verdict.  On a full-capture run
-/// the ring is rebuilt from the logged window records (the raw stream
-/// is the evidence); on a transitions-only run it comes from the
-/// escalation checkpoint, which carries the exact ring the live
-/// battery saw.  Checkpoint records are cross-checked against the
-/// replayed event timeline (and, on full capture, the rebuilt ring).
+/// maintain the evidence ring with the supervisor's push_evidence(),
+/// and at each `confirmed` event re-run its confirm_evidence(),
+/// demanding a bit-identical verdict.  On a full-capture run the ring
+/// is rebuilt from the logged window records (the raw stream is the
+/// evidence); on a transitions-only run it comes from the escalation
+/// checkpoint, which carries the exact ring the live battery saw.
+/// Checkpoint records are cross-checked against the replayed event
+/// timeline (and, on full capture, the rebuilt ring).
 /// \throws std::invalid_argument when the run carries no config record
 /// (nothing to parameterize the battery with)
 replay_report verify_replay(const telemetry_run& run);

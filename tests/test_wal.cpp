@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -501,7 +502,7 @@ TEST(TelemetryLog, TwoProducersKeepEveryRecordInProducerOrder)
     EXPECT_TRUE(run.clean);
     ASSERT_EQ(run.windows.size(), 2 * kPerProducer);
     std::uint64_t next[3] = {0, 0, 0};
-    for (const core::logged_window& win : run.windows) {
+    for (const core::evidence_window& win : run.windows) {
         const std::uint64_t producer = win.index >> 32;
         ASSERT_TRUE(producer == 1 || producer == 2) << win.index;
         const std::uint64_t seq = next[producer]++;
@@ -615,6 +616,162 @@ TEST(TelemetryRecords, CheckpointRejectsTrailingBytes)
     EXPECT_THROW(core::parse_checkpoint(bytes), std::runtime_error);
 }
 
+// A checkpoint without events ends in its u32 event count (0) and the
+// u64 monitor_windows; the evidence ring (u32 size, then per entry a u64
+// index, a u32 word count and the words) comes just before.
+constexpr std::size_t empty_events_tail = 4 + 8;
+
+core::supervisor_config pinned_config()
+{
+    core::supervisor_config cfg;
+    cfg.baseline = core::paper_design(7, core::tier::light);
+    cfg.escalated = core::paper_design(7, core::tier::medium);
+    cfg.escalated.double_buffered = true;
+    cfg.alpha = 0.001;
+    cfg.fail_threshold = 2;
+    cfg.policy_window = 8;
+    cfg.evidence_windows = 8;
+    cfg.dwell_windows = 16;
+    cfg.offline_alpha = 0.01;
+    cfg.offline_tests = nist::battery_selection().with(1).with(3).with(13);
+    cfg.offline_min_failures = 2;
+    return cfg;
+}
+
+TEST(TelemetryRecords, EveryKindRejectsTrailingBytes)
+{
+    // A CRC-valid record with bytes past its last field came from another
+    // schema; parse_telemetry must throw naming the kind, as it does for
+    // checkpoints (CheckpointRejectsTrailingBytes).
+    base::byte_sink config;
+    core::serialize_config(config, pinned_config());
+    config.boolean(true); // log_windows
+    base::byte_sink window;
+    window.u64(5);
+    window.u32(1);
+    window.u64(0xfeedULL);
+    base::byte_sink event;
+    core::serialize_event(event, make_event(true));
+
+    const struct {
+        core::telemetry_record kind;
+        const char* name;
+        const base::byte_sink& payload;
+    } records[] = {
+        {core::telemetry_record::run_config, "run_config", config},
+        {core::telemetry_record::window, "window", window},
+        {core::telemetry_record::event, "event", event},
+    };
+    for (const auto& r : records) {
+        base::wal_read_result wal;
+        wal.header_ok = true;
+        wal.records.push_back(
+            {static_cast<std::uint8_t>(r.kind), r.payload.bytes()});
+        EXPECT_NO_THROW(core::parse_telemetry(wal)) << r.name;
+        wal.records.back().payload.push_back(0);
+        const std::string err =
+            test::runtime_error_of([&] { core::parse_telemetry(wal); });
+        EXPECT_NE(err.find(r.name), std::string::npos)
+            << r.name << ": " << err;
+    }
+}
+
+// ---------------------------------------------------------------------
+// On-disk format pins: one record of each kind written through a
+// telemetry_log, its payload hashed and compared against the digest of
+// the schema-1 writer.  A byte-format change fails here even when a
+// round trip still succeeds.
+// ---------------------------------------------------------------------
+
+/// FNV-1a 64 of a payload.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t b : bytes) {
+        h = (h ^ b) * 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/// A confirmed event whose P-values are literal IEEE bit patterns, so
+/// no libm result enters the pinned bytes.
+core::supervision_event pinned_event()
+{
+    core::supervision_event ev = make_event(true);
+    nist::battery_report& battery = ev.confirmation->battery;
+    battery.entries[0].p_value = std::bit_cast<double>(0x3f50000000000000ULL);
+    battery.entries[1].p_value = std::bit_cast<double>(0x3fe8000000000000ULL);
+    battery.entries[2].p_value = std::bit_cast<double>(0x3e112e0be826d695ULL);
+    battery.entries[3].p_value = std::bit_cast<double>(0x0000000000000001ULL);
+    return ev;
+}
+
+TEST(TelemetryFormat, RecordPayloadsMatchPinnedDigests)
+{
+    const core::evidence_window win{
+        77, {0x0123456789abcdefULL, ~0ULL, 0ULL, 0x8000000000000001ULL}};
+    core::supervisor_checkpoint cp = make_checkpoint();
+    cp.events = {make_event(false), pinned_event()};
+
+    const std::string path = temp_path("format");
+    {
+        core::telemetry_config tcfg;
+        tcfg.path = path;
+        core::telemetry_log log(tcfg);
+        log.log_run_config(pinned_config());
+        log.log_window(win.index, win.words.data(), win.words.size());
+        log.log_event(pinned_event());
+        log.log_checkpoint(cp);
+        log.close();
+    }
+    const base::wal_read_result wal = base::wal_read(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(wal.clean);
+    ASSERT_EQ(wal.records.size(), 4u);
+
+    // Digests of the schema-1 payloads; re-pin only for an intended
+    // format change (and a new telemetry_schema).
+    const struct {
+        core::telemetry_record kind;
+        std::uint64_t digest;
+    } want[] = {
+        {core::telemetry_record::run_config, 0x0620b953eb88c42fULL},
+        {core::telemetry_record::window, 0x6c4ce02f1ba3e9a5ULL},
+        {core::telemetry_record::event, 0x09e72978a5e8000aULL},
+        {core::telemetry_record::checkpoint, 0xbb3909dc11660cb0ULL},
+    };
+    for (std::size_t i = 0; i < wal.records.size(); ++i) {
+        EXPECT_EQ(wal.records[i].type,
+                  static_cast<std::uint8_t>(want[i].kind));
+        EXPECT_EQ(fnv1a(wal.records[i].payload), want[i].digest)
+            << "record " << i << std::hex << ": got 0x"
+            << fnv1a(wal.records[i].payload);
+    }
+
+    // The window record (written through the little-endian fast path)
+    // is the same window encoded field by field, and a checkpoint ring
+    // entry of that window carries exactly those bytes.
+    base::byte_sink by_word;
+    by_word.u64(win.index);
+    by_word.u32(static_cast<std::uint32_t>(win.words.size()));
+    for (const std::uint64_t word : win.words) {
+        by_word.u64(word);
+    }
+    EXPECT_EQ(wal.records[1].payload, by_word.bytes());
+
+    cp.evidence_ring = {win};
+    cp.events.clear();
+    const std::vector<std::uint8_t> ring_bytes = core::serialize(cp);
+    const std::size_t entry = by_word.bytes().size();
+    const std::size_t end = ring_bytes.size() - empty_events_tail;
+    ASSERT_GE(end, entry);
+    EXPECT_TRUE(std::equal(ring_bytes.begin()
+                               + static_cast<std::ptrdiff_t>(end - entry),
+                           ring_bytes.begin()
+                               + static_cast<std::ptrdiff_t>(end),
+                           by_word.bytes().begin(), by_word.bytes().end()));
+}
+
 // ---------------------------------------------------------------------
 // Forged element counts: a payload that claims 0xFFFFFFFF elements and
 // carries none must fail as the cursor's "truncated" error on the first
@@ -677,11 +834,6 @@ TEST(ForgedCounts, AlarmHistoryCount)
         forged_count(core::serialize(make_checkpoint()), 1 + 1 + 8);
     expect_truncated([&] { core::parse_checkpoint(bytes); });
 }
-
-// A checkpoint without events ends in its u32 event count (0) and the
-// u64 monitor_windows; the evidence ring (u32 size, then per entry a u64
-// index, a u32 word count and the words) comes just before.
-constexpr std::size_t empty_events_tail = 4 + 8;
 
 TEST(ForgedCounts, EvidenceRingCount)
 {
