@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -366,11 +365,7 @@ int main(int argc, char** argv)
     json.end_object();
 
     const std::string path = bench_output_path("BENCH_escalation.json");
-    std::ofstream out(path);
-    out << json.str();
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    if (!write_bench_json(path, json)) {
         return 1;
     }
     std::printf("\nwrote %s\n", path.c_str());

@@ -24,7 +24,6 @@
 #include "what_ran.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -184,11 +183,7 @@ int main(int argc, char** argv)
     json.end_object();
 
     const std::string path = bench_output_path("BENCH_population.json");
-    std::ofstream out(path);
-    out << json.str();
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    if (!write_bench_json(path, json)) {
         return 1;
     }
     std::printf("wrote %s\n", path.c_str());

@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -334,11 +333,7 @@ int main(int argc, char** argv)
     json.end_object();
 
     const std::string json_path = bench_output_path("BENCH_replay.json");
-    std::ofstream out(json_path);
-    out << json.str();
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
+    if (!write_bench_json(json_path, json)) {
         return 1;
     }
     std::printf("wrote %s\n", json_path.c_str());

@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -252,11 +251,7 @@ int main(int argc, char** argv)
     json.end_object();
 
     const std::string path = bench_output_path("BENCH_scenarios.json");
-    std::ofstream out(path);
-    out << json.str();
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    if (!write_bench_json(path, json)) {
         return 1;
     }
     std::printf("\nwrote %s\n", path.c_str());

@@ -49,7 +49,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -368,11 +367,7 @@ int main(int argc, char** argv)
     json.end_object();
 
     const std::string path = bench_output_path("BENCH_stream.json");
-    std::ofstream out(path);
-    out << json.str();
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    if (!write_bench_json(path, json)) {
         return 1;
     }
     std::printf("\nwrote %s\n", path.c_str());

@@ -55,9 +55,11 @@ int main()
     std::printf("%-8s %-9s %-7s %-7s %s\n", "window", "severity",
                 "verdict", "alarm", "failing tests");
     std::uint64_t caught_at = cfg.windows;
-    for (std::uint64_t w = 0; w < cfg.windows; ++w) {
+    const auto set_severity = [&](std::uint64_t w) {
         model->set_severity(ramp.severity_at(w));
-        const core::window_report wr = mon.test_window_words(*model);
+    };
+    const auto print_window = [&](const core::window_report& wr) {
+        const std::uint64_t w = wr.window_index;
         const bool failed = !wr.software.all_pass;
         const bool raised = alarm.record(failed);
         if (raised && caught_at == cfg.windows) {
@@ -73,7 +75,9 @@ int main()
                     static_cast<unsigned long long>(w),
                     ramp.severity_at(w), failed ? "FAIL" : "pass",
                     raised ? "RAISED" : "-", tests.c_str());
-    }
+    };
+    core::run_windows(mon, *model, cfg.windows, core::ingest_lane::span,
+                      {set_severity, nullptr, print_window});
     const bool timeline_ok = caught_at >= onset && caught_at < cfg.windows;
     std::printf("-> %s\n\n",
                 timeline_ok ? "attack caught after onset"

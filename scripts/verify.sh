@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, and run the full ctest suite, then the
-# fleet-throughput, scenario-matrix and stream-throughput smoke runs (the
-# span-lane/fleet, scenario and window-loop subsystems must never bit-rot
-# silently, so they run explicitly even outside ctest).  The
-# benches drop their BENCH_*.json telemetry into the build directory
+# smoke runs of the five JSON-writing benches (scenario matrix, stream
+# throughput, escalation, population and replay: those subsystems must
+# never bit-rot silently, so they run explicitly even outside ctest) and
+# an offline replay of the segments the replay bench wrote.  The benches
+# drop their BENCH_*.json telemetry into the build directory
 # (docs/BENCHMARKS.md); the files are validated as JSON when python3 is
 # available.
 # Usage: scripts/verify.sh [build-dir] [extra cmake args...]
@@ -17,9 +18,6 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." "$@"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" -j "$JOBS" --output-on-failure
-
-echo "== fleet bench smoke (OTF_SMOKE=1) =="
-OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_fleet_throughput
 
 echo "== scenario matrix smoke (OTF_SMOKE=1) =="
 OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_scenario_matrix
@@ -54,8 +52,8 @@ echo "== offline replay of the just-written segments =="
 
 if command -v python3 >/dev/null 2>&1; then
     echo "== validating BENCH_*.json =="
-    for f in "$BUILD_DIR"/BENCH_fleet.json "$BUILD_DIR"/BENCH_scenarios.json \
-             "$BUILD_DIR"/BENCH_stream.json "$BUILD_DIR"/BENCH_escalation.json \
+    for f in "$BUILD_DIR"/BENCH_scenarios.json "$BUILD_DIR"/BENCH_stream.json \
+             "$BUILD_DIR"/BENCH_escalation.json \
              "$BUILD_DIR"/BENCH_population.json "$BUILD_DIR"/BENCH_replay.json; do
         python3 -m json.tool "$f" >/dev/null
         echo "ok: $f"
@@ -66,30 +64,13 @@ if command -v python3 >/dev/null 2>&1; then
     # whether the AVX2 kernels were compiled in.
     python3 - "$BUILD_DIR" <<'EOF'
 import json, os, sys
-for name in ("fleet", "scenarios", "stream", "escalation", "population",
-             "replay"):
+for name in ("scenarios", "stream", "escalation", "population", "replay"):
     with open(os.path.join(sys.argv[1], "BENCH_%s.json" % name)) as f:
         doc = json.load(f)
     assert doc["kernel_variant"] in ("reference", "portable", "simd"), (
         name, doc.get("kernel_variant"))
     assert isinstance(doc["simd_compiled"], bool), name
-print("ok: kernel_variant + simd_compiled in all six BENCH files")
-EOF
-
-    echo "== validating otf-fleet-bench/6 schema =="
-    # The fleet bench must report the /6 schema: the per-bit vs span lane
-    # and scaling axes -- and no execution axis, no bit-sliced lane and no
-    # single-worker tile pair (docs/BENCHMARKS.md).
-    python3 - "$BUILD_DIR"/BENCH_fleet.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["schema"] == "otf-fleet-bench/6", doc["schema"]
-for key in ("word_mbps", "execution", "sliced", "single_worker"):
-    assert key not in doc, key
-assert doc["span_speedup"] > 0, doc["span_speedup"]
-assert doc["fleet"] and all(p["mbps"] > 0 for p in doc["fleet"]), doc
-print("ok: otf-fleet-bench/6 (span %.1fx per-bit)" % doc["span_speedup"])
+print("ok: kernel_variant + simd_compiled in all five BENCH files")
 EOF
 
     echo "== validating otf-population/5 schema =="
@@ -122,8 +103,9 @@ EOF
     echo "== validating otf-stream-bench/7 schema =="
     # The stream bench must report the /7 schema: span kernels measured
     # against the per-bit lane, the generation axis with one rate for each
-    # of the six adversarial models and the n = 128 short-window section
-    # -- and no streamed, zero-copy, batch-sweep or ring keys, and no
+    # of the six adversarial models, the fleet-scaling axis (non-empty,
+    # every point moving bits) and the n = 128 short-window section -- and
+    # no streamed, zero-copy, batch-sweep or ring keys, and no
     # scalar/batched generation lanes (docs/BENCHMARKS.md).
     # The bench itself exits nonzero unless each short run's first window
     # reproduces the golden sw16 accounting (tests/support/sw_golden.hpp).
@@ -146,6 +128,7 @@ assert "generation_min_speedup" not in doc
 for key in ("streamed_mwords_per_s", "streamed_over_fused",
             "zero_copy_windows", "batch_sweep", "channel_ring"):
     assert key not in doc, key
+assert doc["fleet"] and all(p["mbps"] > 0 for p in doc["fleet"]), doc["fleet"]
 assert all("stalls" not in k for p in doc["fleet"] for k in p), doc["fleet"]
 short = doc["short_windows"]
 assert [p["design"] for p in short] == ["n=128 light", "n=128 medium"], short

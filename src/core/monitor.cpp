@@ -46,15 +46,6 @@ window_report monitor::test_window(trng::entropy_source& source)
     return finish_window();
 }
 
-window_report monitor::test_window_words(trng::entropy_source& source,
-                                         ingest_lane lane)
-{
-    const std::uint64_t n = block_.config().n();
-    word_buffer_.resize(n / 64);
-    source.fill_words(word_buffer_.data(), word_buffer_.size());
-    return test_packed(word_buffer_.data(), word_buffer_.size(), lane);
-}
-
 window_report monitor::test_sequence(const bit_sequence& seq)
 {
     if (seq.size() != block_.config().n()) {
@@ -68,12 +59,6 @@ window_report monitor::test_sequence(const bit_sequence& seq)
         block_.feed(seq[i]);
     }
     return finish_window();
-}
-
-window_report monitor::test_sequence_words(
-    const std::vector<std::uint64_t>& words)
-{
-    return test_packed(words.data(), words.size());
 }
 
 window_report monitor::test_packed(const std::uint64_t* words,
@@ -159,7 +144,6 @@ void monitor::reconfigure(const hw::block_config& target,
 {
     block_.reprogram(target);
     runner_ = software_runner(block_.config(), std::move(cv));
-    word_buffer_.clear();
 }
 
 void monitor::reconfigure(const hw::block_config& target, double alpha)
@@ -229,6 +213,13 @@ health_monitor::health_monitor(hw::block_config cfg, double alpha, policy p,
       windowed_(p.fail_threshold, p.window)
 {
     if (policy_.sp800_90b) {
+        // Checked here, before the shift below, which is undefined for
+        // exponents of 32 and up.
+        if (policy_.apt_log2_window < 4 || policy_.apt_log2_window > 16) {
+            throw std::invalid_argument(
+                "health_monitor: apt_log2_window must be in [4, 16], got "
+                + std::to_string(policy_.apt_log2_window));
+        }
         rct_ = std::make_unique<hw::repetition_count_hw>(
             rct_cutoff(policy_.entropy_claim));
         apt_ = std::make_unique<hw::adaptive_proportion_hw>(

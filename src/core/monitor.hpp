@@ -109,23 +109,10 @@ public:
     /// pass and return the verdicts.
     window_report test_window(trng::entropy_source& source);
 
-    /// \brief Packed-lane variant of test_window(): bulk-generates the
-    /// window with entropy_source::fill_words and streams it through the
-    /// selected lane (the feed_span kernels by default).  Bit-exact with
-    /// test_window() for the same source state; many times faster in
-    /// simulation.
-    window_report test_window_words(trng::entropy_source& source,
-                                    ingest_lane lane = ingest_lane::span);
-
     /// \brief Test a pre-recorded sequence (length must equal n).
     /// \throws std::invalid_argument naming the expected and actual
     /// lengths when they differ.
     window_report test_sequence(const bit_sequence& seq);
-
-    /// \brief Span-lane variant of test_sequence() for a pre-packed
-    /// window (`words` must hold exactly n bits, LSB-first per word).
-    window_report test_sequence_words(
-        const std::vector<std::uint64_t>& words);
 
     /// \brief Test one pre-packed window from a raw span -- the
     /// allocation-free entry point of run_windows().
@@ -188,8 +175,6 @@ private:
     sw16::soft_cpu cpu_;
     sw16::cycle_model mcu_;
     std::uint64_t windows_ = 0;
-    /// Scratch buffer for test_window_words (reused across windows).
-    std::vector<std::uint64_t> word_buffer_;
 
     window_report finish_window();
 };

@@ -3,19 +3,42 @@
 #include "nist/special_functions.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace otf::core {
 
+namespace {
+
+/// Both cutoffs take a binary entropy claim in (0, 1] and a finite,
+/// positive false-alarm exponent; NaN fails every comparison, so the
+/// checks are written to accept only what is valid.
+void check_claim(const char* who, double entropy_per_sample,
+                 double alpha_exponent)
+{
+    if (!(entropy_per_sample > 0.0 && entropy_per_sample <= 1.0)) {
+        throw std::invalid_argument(
+            std::string(who) + ": binary entropy claim must be in (0, 1]");
+    }
+    if (!(std::isfinite(alpha_exponent) && alpha_exponent > 0.0)) {
+        throw std::invalid_argument(
+            std::string(who)
+            + ": false-alarm exponent must be finite and positive");
+    }
+}
+
+} // namespace
+
 unsigned rct_cutoff(double entropy_per_sample, double alpha_exponent)
 {
-    if (entropy_per_sample <= 0.0 || entropy_per_sample > 1.0) {
+    check_claim("rct_cutoff", entropy_per_sample, alpha_exponent);
+    const double cutoff = 1.0 + std::ceil(alpha_exponent / entropy_per_sample);
+    if (cutoff > std::numeric_limits<unsigned>::max()) {
         throw std::invalid_argument(
-            "rct_cutoff: binary entropy claim must be in (0, 1]");
+            "rct_cutoff: cutoff 1 + ceil(a / H) does not fit in unsigned");
     }
-    return 1u
-        + static_cast<unsigned>(
-               std::ceil(alpha_exponent / entropy_per_sample));
+    return static_cast<unsigned>(cutoff);
 }
 
 double binomial_survival(unsigned n, double p, unsigned k)
@@ -52,6 +75,7 @@ unsigned apt_cutoff(unsigned window, double entropy_per_sample,
     if (window < 2) {
         throw std::invalid_argument("apt_cutoff: window too small");
     }
+    check_claim("apt_cutoff", entropy_per_sample, alpha_exponent);
     const double p = std::pow(2.0, -entropy_per_sample);
     const double alpha = std::pow(2.0, -alpha_exponent);
     // Binary search the smallest c with survival(c) <= alpha.

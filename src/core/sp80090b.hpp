@@ -13,6 +13,8 @@ namespace otf::core {
 /// \brief Repetition Count Test cutoff: C = 1 + ceil(a / H).
 /// \param entropy_per_sample claimed entropy H per sample, in bits
 /// \param alpha_exponent     false-alarm rate 2^-a (the standard uses 20)
+/// \throws std::invalid_argument unless H is in (0, 1] and a is finite
+/// and positive, or when C does not fit in `unsigned`
 unsigned rct_cutoff(double entropy_per_sample, double alpha_exponent = 20.0);
 
 /// \brief Adaptive Proportion Test cutoff: the smallest c such that
@@ -21,6 +23,8 @@ unsigned rct_cutoff(double entropy_per_sample, double alpha_exponent = 20.0);
 /// \param window             APT window length in samples (a power of two)
 /// \param entropy_per_sample claimed entropy H per sample, in bits
 /// \param alpha_exponent     false-alarm rate 2^-a
+/// \throws std::invalid_argument unless window >= 2, H is in (0, 1] and
+/// a is finite and positive
 unsigned apt_cutoff(unsigned window, double entropy_per_sample = 1.0,
                     double alpha_exponent = 20.0);
 

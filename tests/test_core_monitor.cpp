@@ -222,7 +222,8 @@ TEST(monitor, rejects_wrong_sequence_length)
     // per-bit and the packed entry points.
     EXPECT_THROW(mon.test_sequence(bit_sequence(256, false)),
                  std::invalid_argument);
-    EXPECT_THROW(mon.test_sequence_words(std::vector<std::uint64_t>(3)),
+    const std::vector<std::uint64_t> three_words(3);
+    EXPECT_THROW(mon.test_packed(three_words.data(), three_words.size()),
                  std::invalid_argument);
     EXPECT_EQ(mon.windows_tested(), 0u);
 }
@@ -249,7 +250,8 @@ TEST(monitor, sequence_and_packed_sequence_agree)
     core::monitor oracle(cfg, 0.01);
     core::monitor fast(cfg, 0.01);
     const auto a = oracle.test_sequence(seq);
-    const auto b = fast.test_sequence_words(seq.to_words());
+    const std::vector<std::uint64_t> words = seq.to_words();
+    const auto b = fast.test_packed(words.data(), words.size());
     EXPECT_EQ(a.software.all_pass, b.software.all_pass);
     ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size());
     for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
@@ -337,10 +339,12 @@ TEST(run_windows, severity_schedule_is_bit_exact_with_set_then_test)
     trng::rtn_source ref_model(
         std::make_unique<trng::ideal_source>(test::fixture_seed(25)),
         test::fixture_seed(26));
+    std::vector<std::uint64_t> buf(static_cast<std::size_t>(cfg.n() / 64));
     std::vector<core::window_report> want;
     for (std::uint64_t w = 0; w < windows; ++w) {
         ref_model.set_severity(schedule.severity_at(w));
-        want.push_back(ref.test_window_words(ref_model));
+        ref_model.fill_words(buf.data(), buf.size());
+        want.push_back(ref.test_packed(buf.data(), buf.size()));
     }
 
     core::monitor mon(cfg, 0.01);

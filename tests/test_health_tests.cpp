@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
+#include <string>
 
 namespace {
 
@@ -18,6 +20,22 @@ using namespace otf;
 using core::apt_cutoff;
 using core::binomial_survival;
 using core::rct_cutoff;
+
+constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+constexpr double inf = std::numeric_limits<double>::infinity();
+
+/// The message of the std::invalid_argument `call` throws; empty when it
+/// throws nothing.
+template <class Call>
+std::string rejection(Call call)
+{
+    try {
+        (void)call();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return {};
+}
 
 // ------------------------------------------------------------- cutoffs --
 TEST(sp80090b_cutoffs, rct_follows_the_standard_formula)
@@ -28,6 +46,33 @@ TEST(sp80090b_cutoffs, rct_follows_the_standard_formula)
     EXPECT_EQ(rct_cutoff(0.25), 81u);
     EXPECT_THROW(rct_cutoff(0.0), std::invalid_argument);
     EXPECT_THROW(rct_cutoff(1.5), std::invalid_argument);
+    // A NaN claim fails every comparison; a tiny claim puts C past
+    // `unsigned`; a non-positive or non-finite exponent is no false-alarm
+    // rate.  Each is rejected instead of cast.
+    EXPECT_THROW(rct_cutoff(nan), std::invalid_argument);
+    EXPECT_THROW(rct_cutoff(1e-12), std::invalid_argument);
+    EXPECT_THROW(rct_cutoff(1.0, -5.0), std::invalid_argument);
+    EXPECT_THROW(rct_cutoff(1.0, 0.0), std::invalid_argument);
+    EXPECT_THROW(rct_cutoff(1.0, nan), std::invalid_argument);
+    EXPECT_THROW(rct_cutoff(1.0, inf), std::invalid_argument);
+}
+
+TEST(sp80090b_cutoffs, apt_cutoff_rejects_invalid_claims_by_name)
+{
+    for (const double claim : {nan, 0.0, -1.0, 1.5}) {
+        const std::string what =
+            rejection([&] { return apt_cutoff(1024, claim); });
+        EXPECT_NE(what.find("apt_cutoff: binary entropy claim"),
+                  std::string::npos)
+            << "claim " << claim << ": \"" << what << "\"";
+    }
+    for (const double exponent : {nan, inf, 0.0, -5.0}) {
+        const std::string what =
+            rejection([&] { return apt_cutoff(1024, 1.0, exponent); });
+        EXPECT_NE(what.find("apt_cutoff: false-alarm exponent"),
+                  std::string::npos)
+            << "exponent " << exponent << ": \"" << what << "\"";
+    }
 }
 
 TEST(sp80090b_cutoffs, binomial_survival_exact_small_cases)
@@ -202,6 +247,29 @@ TEST(health_monitor_90b, healthy_source_quiet_over_short_horizon)
         (void)hm.observe(src);
     }
     EXPECT_FALSE(hm.alarm());
+}
+
+TEST(health_monitor_90b, rejects_an_invalid_policy_by_name)
+{
+    const auto build = [](unsigned apt_log2_window, double entropy_claim) {
+        return core::health_monitor(
+            core::paper_design(16, core::tier::light), 0.01,
+            {.fail_threshold = 3,
+             .window = 8,
+             .sp800_90b = true,
+             .apt_log2_window = apt_log2_window,
+             .entropy_claim = entropy_claim});
+    };
+    // The window exponent is checked before 1 << exponent is formed.
+    for (const unsigned log2_window : {3u, 17u, 32u, 40u}) {
+        const std::string what =
+            rejection([&] { return build(log2_window, 1.0); });
+        EXPECT_NE(what.find("apt_log2_window"), std::string::npos)
+            << "apt_log2_window " << log2_window << ": \"" << what << "\"";
+    }
+    const std::string what = rejection([&] { return build(10, nan); });
+    EXPECT_NE(what.find("entropy claim"), std::string::npos)
+        << "\"" << what << "\"";
 }
 
 TEST(health_monitor_90b, disabled_by_default)
