@@ -7,6 +7,21 @@
 
 namespace otf::hw {
 
+namespace {
+
+// Validates before the exponent is used as a shift count and a counter
+// width: the member initializers below do both.
+unsigned checked_log2_window(unsigned log2_window)
+{
+    if (log2_window < 4 || log2_window > 16) {
+        throw std::invalid_argument(
+            "adaptive_proportion_hw: window must be 2^4..2^16 bits");
+    }
+    return log2_window;
+}
+
+} // namespace
+
 repetition_count_hw::repetition_count_hw(unsigned cutoff)
     : engine("repetition_count"), cutoff_(cutoff),
       // The run counter saturates just above the cutoff; runs longer than
@@ -108,15 +123,11 @@ rtl::resources repetition_count_hw::self_cost() const
 
 adaptive_proportion_hw::adaptive_proportion_hw(unsigned log2_window,
                                                unsigned cutoff)
-    : engine("adaptive_proportion"), log2_window_(log2_window),
-      cutoff_(cutoff),
-      window_mask_((std::uint64_t{1} << log2_window) - 1),
-      occurrences_("occurrences", log2_window + 1)
+    : engine("adaptive_proportion"),
+      log2_window_(checked_log2_window(log2_window)), cutoff_(cutoff),
+      window_mask_((std::uint64_t{1} << log2_window_) - 1),
+      occurrences_("occurrences", log2_window_ + 1)
 {
-    if (log2_window < 4 || log2_window > 16) {
-        throw std::invalid_argument(
-            "adaptive_proportion_hw: window must be 2^4..2^16 bits");
-    }
     if (cutoff < 2 || (std::uint64_t{cutoff} >> log2_window) != 0) {
         throw std::invalid_argument(
             "adaptive_proportion_hw: cutoff must fit inside the window");

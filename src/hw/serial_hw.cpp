@@ -1,7 +1,6 @@
 #include "hw/serial_hw.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace otf::hw {
@@ -19,6 +18,133 @@ std::vector<std::unique_ptr<rtl::counter>> make_file(const std::string& tag,
             tag + "[" + std::to_string(p) + "]", width));
     }
     return file;
+}
+
+/// The low `bits` bits of x in reverse order: converts between the window
+/// register's order (bit j is the bit j positions back) and stream order.
+std::uint64_t reverse_low(std::uint64_t x, unsigned bits)
+{
+    std::uint64_t r = 0;
+    for (unsigned j = 0; j < bits; ++j) {
+        r |= ((x >> j) & 1u) << (bits - 1 - j);
+    }
+    return r;
+}
+
+/// u64 words per byte-table entry: 2^M 4-bit fields.
+template <unsigned M>
+constexpr std::size_t entry_words = M < 4 ? 1 : (std::size_t{1} << M) / 16;
+
+/// Byte table for pattern length M.  The index is the previous M-1 stream
+/// bits followed by the next 8, in stream order (index bit t is stream
+/// bit base - (M-1) + t).  The entry holds, as 4-bit fields, how often each
+/// MSB-first M-bit pattern ends at one of the 8 new positions: field v of
+/// entry word v / 16 counts pattern v, at most 8.  Built on first use,
+/// once per process (a function-local static is thread-safe).
+template <unsigned M>
+const std::vector<std::uint64_t>& byte_table()
+{
+    static const std::vector<std::uint64_t> table = [] {
+        std::vector<std::uint64_t> t((std::size_t{1} << (M + 7))
+                                     * entry_words<M>);
+        for (std::size_t idx = 0; idx < (std::size_t{1} << (M + 7)); ++idx) {
+            for (unsigned p = 0; p < 8; ++p) {
+                // The pattern ending at position p covers index bits
+                // p .. p+M-1; its MSB is the oldest bit.
+                const std::uint64_t v = reverse_low(idx >> p, M);
+                t[idx * entry_words<M> + v / 16] += std::uint64_t{1}
+                    << (4 * (v % 16));
+            }
+        }
+        return t;
+    }();
+    return table;
+}
+
+/// Counts every M-bit pattern ending at stream positions [pos, pos + 8k)
+/// for the largest k that fits in nbits, one table lookup per byte.  `w`
+/// carries the window register (bit j = the bit j positions back) in and
+/// out; returns the first position not counted.
+template <unsigned M>
+std::size_t count_bytes(const std::uint64_t* words, std::size_t pos,
+                        std::size_t nbits, std::uint64_t& w,
+                        std::uint32_t* delta_m)
+{
+    constexpr unsigned kCtx = M - 1;
+    constexpr std::uint64_t kCtxMask = (std::uint64_t{1} << kCtx) - 1;
+    constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << (M + 7)) - 1;
+    constexpr std::size_t kEntryWords = entry_words<M>;
+    constexpr unsigned kLanes = M < 4 ? 4 : 8; // even (or odd) fields/word
+    constexpr std::uint64_t kLowNibbles = 0x0F0F0F0F0F0F0F0Full;
+    // One pattern can end at all 8 positions of a byte, so an 8-bit lane
+    // grows by up to 8 per byte: 3 chunks of 8 bytes (24 <= 31 bytes)
+    // stay below 256.
+    constexpr unsigned kChunksPerFlush = 3;
+    static_assert(kChunksPerFlush * 8 * 8 < 256);
+
+    const std::uint64_t* table = byte_table<M>().data();
+    // The previous kCtx bits in stream order.
+    std::uint64_t ctx = reverse_low(w, kCtx);
+    // acc[2k] lane L counts pattern 16k + 2L, acc[2k + 1] pattern
+    // 16k + 2L + 1.
+    std::uint64_t acc[2 * kEntryWords] = {};
+    const auto add = [&](std::uint64_t idx) {
+        const std::uint64_t* entry = table + idx * kEntryWords;
+        for (std::size_t k = 0; k < kEntryWords; ++k) {
+            acc[2 * k] += entry[k] & kLowNibbles;
+            acc[2 * k + 1] += (entry[k] >> 4) & kLowNibbles;
+        }
+    };
+    const auto flush = [&] {
+        for (std::size_t k = 0; k < kEntryWords; ++k) {
+            for (unsigned lane = 0; lane < kLanes; ++lane) {
+                delta_m[16 * k + 2 * lane] += static_cast<std::uint32_t>(
+                    (acc[2 * k] >> (8 * lane)) & 0xFFu);
+                delta_m[16 * k + 2 * lane + 1] += static_cast<std::uint32_t>(
+                    (acc[2 * k + 1] >> (8 * lane)) & 0xFFu);
+            }
+            acc[2 * k] = 0;
+            acc[2 * k + 1] = 0;
+        }
+    };
+    // Stream bits [pos, pos + 64), or up to the span's last word; bits past
+    // nbits are never indexed.
+    const std::size_t nwords = (nbits + 63) / 64;
+    const auto load = [&](std::size_t at) {
+        const std::size_t wi = at / 64;
+        const unsigned sh = at % 64;
+        std::uint64_t x = words[wi] >> sh;
+        if (sh != 0 && wi + 1 < nwords) {
+            x |= words[wi + 1] << (64 - sh);
+        }
+        return x;
+    };
+    // One chunk: `bytes` (1..8) lookups on x, every index a shift and a
+    // mask of x (byte 0 borrows the carried context).
+    const auto chunk = [&](std::uint64_t x, unsigned bytes) {
+        add(ctx | ((x & 0xFFu) << kCtx));
+        for (unsigned b = 1; b < bytes; ++b) {
+            add((x >> (8 * b - kCtx)) & kIndexMask);
+        }
+        ctx = (x >> (8 * bytes - kCtx)) & kCtxMask;
+        pos += 8 * bytes;
+    };
+
+    unsigned chunks = 0;
+    while (nbits - pos >= 64) {
+        chunk(load(pos), 8);
+        if (++chunks == kChunksPerFlush) {
+            flush();
+            chunks = 0;
+        }
+    }
+    if (nbits - pos >= 8) {
+        chunk(load(pos), static_cast<unsigned>((nbits - pos) / 8));
+    }
+    flush();
+    // Only the window's low m-1 bits matter to the next slide.
+    w = reverse_low(ctx, kCtx);
+    return pos;
 }
 
 } // namespace
@@ -111,62 +237,23 @@ void serial_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
     const std::uint64_t mask_m = (std::uint64_t{1} << m_) - 1;
     std::uint64_t w = window_.window() & mask_m;
     std::uint32_t delta_m[256] = {};
-    const auto slide = [&](std::size_t first, std::size_t last) {
-        for (std::size_t i = first; i < last; ++i) {
-            w = ((w << 1) | (bit_at(i) ? 1u : 0u)) & mask_m;
-            ++delta_m[w];
-        }
-    };
-    // Bits before the next word boundary slide one at a time, so the
-    // kernels below start word-aligned.
-    const std::size_t head_end = std::min(nbits, (done + 63) / 64 * 64);
-    slide(done, head_end);
-    std::size_t widx = head_end / 64;
-    const std::size_t full_end = nbits / 64;
-
-    if (m_ <= 5 && widx < full_end) {
-        // Match-mask kernel: z_j aligns the stream so that bit i of z_j is
-        // the window's bit j after consuming position i; AND-ing the
-        // selected/complemented z_j's per pattern leaves a mask whose
-        // popcount is that pattern's occurrence count in the word.  The
-        // first word borrows its pre-span bits from the window register
-        // (window bit k-1 is stream bit start-k, i.e. bit 64-k of the
-        // virtual previous word).
-        std::uint64_t prev = 0;
-        for (unsigned k = 1; k < m_; ++k) {
-            prev |= ((w >> (k - 1)) & 1u) << (64u - k);
-        }
-        for (; widx < full_end; ++widx) {
-            const std::uint64_t x = words[widx];
-            std::uint64_t z[5];
-            z[0] = x;
-            for (unsigned j = 1; j < m_; ++j) {
-                z[j] = (x << j) | (prev >> (64u - j));
-            }
-            for (std::uint32_t v = 0; v <= mask_m; ++v) {
-                std::uint64_t mask = (v & 1u) != 0 ? z[0] : ~z[0];
-                for (unsigned j = 1; j < m_; ++j) {
-                    mask &= ((v >> j) & 1u) != 0 ? z[j] : ~z[j];
-                }
-                delta_m[v] += static_cast<std::uint32_t>(
-                    std::popcount(mask));
-            }
-            prev = x;
-        }
-        // Rebuild the window value after the last full word: window bit j
-        // is that word's bit 63 - j.
-        w = 0;
-        for (unsigned j = 0; j < m_; ++j) {
-            w |= ((prev >> (63u - j)) & 1u) << j;
-        }
-    } else if (widx < full_end) {
-        // m in [6, 8]: the per-pattern mask set no longer pays for itself;
-        // slide the window in a local register instead (still one counter
-        // commit for the whole span).
-        slide(widx * 64, full_end * 64);
+    std::size_t pos = done;
+    switch (m_) {
+    case 3: pos = count_bytes<3>(words, done, nbits, w, delta_m); break;
+    case 4: pos = count_bytes<4>(words, done, nbits, w, delta_m); break;
+    case 5: pos = count_bytes<5>(words, done, nbits, w, delta_m); break;
+    default: break; // m in [6, 8]: the table would outgrow L1
     }
-    slide(std::max(head_end, full_end * 64), nbits);
+    // The last < 8 bits (every bit for m in [6, 8]) slide the window in a
+    // local register.
+    for (; pos < nbits; ++pos) {
+        w = ((w << 1) | (bit_at(pos) ? 1u : 0u)) & mask_m;
+        ++delta_m[w];
+    }
 
+    // The register advances past the steady-state bits: to the next word
+    // boundary, then by whole words.
+    const std::size_t head_end = std::min(nbits, (done + 63) / 64 * 64);
     if (head_end > done) {
         window_.shift_word(words[done / 64] >> (done % 64),
                            static_cast<unsigned>(head_end - done));

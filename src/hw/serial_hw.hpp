@@ -42,12 +42,15 @@ public:
     bool marginals_in_software() const { return marginals_in_software_; }
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Span kernel: for m <= 5 the occurrence count of every
-    /// pattern in a word is one popcount of an AND-combined match mask
-    /// (no per-position sliding); for m in [6, 8] the window slides in a
-    /// local register.  Either way the per-pattern deltas accumulate
-    /// span-locally, the marginal files are folded from the m-bit deltas,
-    /// and every touched counter commits exactly once per span.
+    /// \brief Span kernel: after the per-bit warm-up, for m <= 5 one
+    /// table lookup per 8 stream bits -- indexed by the previous m-1 bits
+    /// and the next 8 -- yields all 2^m pattern counts of those 8
+    /// positions as packed 4-bit fields, summed in 8-bit lanes that are
+    /// flushed before they can overflow; the last < 8 bits, and every bit
+    /// for m in [6, 8], slide the window in a local register.  Either way
+    /// the per-pattern deltas accumulate span-locally, the marginal files
+    /// are folded from the m-bit deltas, and every touched counter commits
+    /// exactly once per span.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void flush(bool bit, unsigned t) override;

@@ -11,6 +11,7 @@
 #include "trng/sources.hpp"
 #include "trng/xoshiro.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <set>
@@ -51,8 +52,9 @@ hw::block_config random_config(std::uint64_t seed)
     hw::block_config cfg = core::custom_design(log2_n, tests);
     if (serial) {
         // Sweep the pattern length too (the paper fixes m = 4; the
-        // engines support 3..8).
-        cfg.serial_m = 3 + static_cast<unsigned>(rng.next() % 3);
+        // engines support 3..8, below log2 n).
+        const unsigned max_m = std::min(8u, log2_n - 1);
+        cfg.serial_m = 3 + static_cast<unsigned>(rng.next() % (max_m - 2));
         if (rng.next_bit()) {
             cfg.serial_transfer_marginals = true;
         }

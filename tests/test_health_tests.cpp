@@ -203,6 +203,19 @@ TEST(adaptive_proportion, rejects_bad_parameters)
                  std::invalid_argument);
 }
 
+TEST(adaptive_proportion, rejects_a_wide_window_before_sizing_it)
+{
+    // The window exponent is checked before it becomes a shift count
+    // (undefined from 64 on) or a counter width.
+    for (const unsigned log2_window : {17u, 64u, 70u}) {
+        EXPECT_EQ(rejection([&] {
+                      return hw::adaptive_proportion_hw(log2_window, 3);
+                  }),
+                  "adaptive_proportion_hw: window must be 2^4..2^16 bits")
+            << "log2_window " << log2_window;
+    }
+}
+
 TEST(health_engines, cost_a_few_slices_only)
 {
     // The 90B tests are tiny -- the reason the standard can demand them

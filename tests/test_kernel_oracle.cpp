@@ -5,10 +5,11 @@
 // The span kernels (base/bits.hpp) are runtime-dispatched through a
 // process-wide kernel_variant; this suite pins each variant (reference,
 // portable, simd) against the per-bit oracle over all eight paper design
-// points, seeded random streams, adversarial source models at several
-// severities, and pathological inputs (all-zero, all-one, alternating,
-// template floods, a single flipped bit at every word offset), fed as one
-// span or as chunks of every size from 1 to 64 bits.
+// points and every serial pattern length, seeded random streams,
+// adversarial source models at several severities, and pathological inputs
+// (all-zero, all-one, alternating, template floods, a single flipped bit at
+// every word offset), fed as one span or as chunks of every size from 1 to
+// 64 bits.
 #include "base/bits.hpp"
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
@@ -26,8 +27,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -170,25 +173,16 @@ TEST_P(kernel_oracle_designs, span_lane_matches_per_bit_for_every_variant)
                                cfg.name + " template flood");
 }
 
-// ---------------------------------------------------------------------------
-// Every chunk size: the window fed as consecutive spans of 1..64 bits (and
-// a few longer odd lengths) walks every chunk seam through every word
-// offset -- the single-word case of the span lane, at every width.
-// ---------------------------------------------------------------------------
-
-TEST_P(kernel_oracle_designs, every_chunk_size_matches_per_bit)
+/// Run `seq` through the per-bit oracle once, then through the span lane
+/// fed as consecutive spans of each of `chunk_sizes` bits, asserting
+/// register-exact state each time (stops at the first failing size).
+void expect_chunked_spans_match_oracle(
+    const hw::block_config& cfg, const bit_sequence& seq,
+    const std::vector<std::size_t>& chunk_sizes, const std::string& context)
 {
-    const hw::block_config cfg = GetParam();
-    const bit_sequence seq = random_sequence(fixture_seed(14), cfg.n());
     hw::testing_block oracle(cfg);
     oracle.run(seq);
-
-    std::vector<std::size_t> sizes;
-    for (std::size_t c = 1; c <= 64; ++c) {
-        sizes.push_back(c);
-    }
-    sizes.insert(sizes.end(), {100, 997, 4097});
-    for (const std::size_t chunk_bits : sizes) {
+    for (const std::size_t chunk_bits : chunk_sizes) {
         hw::testing_block fast(cfg);
         for (std::size_t pos = 0; pos < seq.size(); pos += chunk_bits) {
             const std::size_t take = std::min(chunk_bits, seq.size() - pos);
@@ -198,11 +192,37 @@ TEST_P(kernel_oracle_designs, every_chunk_size_matches_per_bit)
         fast.finish();
         expect_identical_registers(
             oracle, fast,
-            cfg.name + " chunks of " + std::to_string(chunk_bits));
+            context + " chunks of " + std::to_string(chunk_bits));
         if (::testing::Test::HasFailure()) {
             return; // one failing width is enough to diagnose
         }
     }
+}
+
+/// Chunk sizes 1..64 followed by `extra`.
+std::vector<std::size_t> chunk_sizes_1_to_64(
+    std::initializer_list<std::size_t> extra)
+{
+    std::vector<std::size_t> sizes;
+    for (std::size_t c = 1; c <= 64; ++c) {
+        sizes.push_back(c);
+    }
+    sizes.insert(sizes.end(), extra);
+    return sizes;
+}
+
+// ---------------------------------------------------------------------------
+// Every chunk size: the window fed as consecutive spans of 1..64 bits (and
+// a few longer odd lengths) walks every chunk seam through every word
+// offset -- the single-word case of the span lane, at every width.
+// ---------------------------------------------------------------------------
+
+TEST_P(kernel_oracle_designs, every_chunk_size_matches_per_bit)
+{
+    const hw::block_config cfg = GetParam();
+    expect_chunked_spans_match_oracle(
+        cfg, random_sequence(fixture_seed(14), cfg.n()),
+        chunk_sizes_1_to_64({100, 997, 4097}), cfg.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -260,6 +280,52 @@ TEST(kernel_oracle, double_buffered_configuration_matches_per_bit)
         fast.feed_span(second_words.data(), cfg.n());
         fast.finish();
         expect_identical_registers(oracle2, fast, ctx + " window 2");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Serial engine at every pattern length: the paper fixes m = 4, but the
+// engine takes any m in [3, 8] below log2 n -- the byte-table kernel
+// (m <= 5) and the sliding window (m >= 6) -- with and without the
+// marginal counter files, on short and long windows, fed as one span and
+// in chunks of 1..64 and 997 bits.  The all-zero window puts all 8
+// positions of every byte on one pattern, the worst case for the table
+// kernel's 8-bit accumulator lanes.
+// ---------------------------------------------------------------------------
+
+TEST(kernel_oracle, serial_every_pattern_length_matches_per_bit)
+{
+    for (const unsigned log2_n : {7u, 16u}) {
+        const std::uint64_t n = std::uint64_t{1} << log2_n;
+        const std::pair<std::string, bit_sequence> inputs[] = {
+            {"random", random_sequence(fixture_seed(60), n)},
+            {"all-zero", bit_sequence(n, false)},
+            {"all-one", bit_sequence(n, true)},
+            {"alternating", alternating_sequence(n)},
+        };
+        std::vector<std::size_t> sizes = chunk_sizes_1_to_64({997});
+        sizes.insert(sizes.begin(), n);
+        for (unsigned m = 3; m <= 8 && m < log2_n; ++m) {
+            for (const bool marginals : {false, true}) {
+                hw::block_config cfg = core::custom_design(
+                    log2_n, hw::test_set{}
+                                .with(hw::test_id::serial)
+                                .with(hw::test_id::approximate_entropy));
+                cfg.serial_m = m;
+                cfg.serial_transfer_marginals = marginals;
+                cfg.validate();
+                for (const auto& [name, seq] : inputs) {
+                    expect_chunked_spans_match_oracle(
+                        cfg, seq, sizes,
+                        "n=2^" + std::to_string(log2_n) + " m="
+                            + std::to_string(m)
+                            + (marginals ? " marginals" : "") + " " + name);
+                    if (::testing::Test::HasFailure()) {
+                        return;
+                    }
+                }
+            }
+        }
     }
 }
 
