@@ -9,16 +9,15 @@
 // type-1 row.
 #include "base/env.hpp"
 #include "core/design_config.hpp"
-#include "core/monitor.hpp"
+#include "core/fleet_monitor.hpp"
 #include "core/sp80090b.hpp"
 #include "hw/health_tests.hpp"
 #include "trng/ring_oscillator.hpp"
 #include "trng/sources.hpp"
 
+#include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 
 using namespace otf;
@@ -32,26 +31,17 @@ struct sweep_result {
     std::string dominant_test{"-"};
 };
 
-sweep_result measure(core::monitor& mon, trng::entropy_source& src,
-                     unsigned windows)
+/// One fresh channel at `cfg` over `windows` windows of `src`.
+sweep_result measure(const core::fleet_config& cfg,
+                     const core::critical_values& cv,
+                     trng::entropy_source& src, unsigned windows)
 {
-    unsigned failures = 0;
-    std::map<std::string, unsigned> by_test;
-    for (unsigned w = 0; w < windows; ++w) {
-        const auto rep = mon.test_window(src);
-        if (!rep.software.all_pass) {
-            ++failures;
-            for (const auto& v : rep.software.verdicts) {
-                if (!v.pass) {
-                    ++by_test[v.name];
-                }
-            }
-        }
-    }
+    const core::channel_report ch =
+        core::run_fleet_channel(cfg, cv, std::nullopt, src, 0, windows);
     sweep_result r;
-    r.failure_rate = static_cast<double>(failures) / windows;
-    unsigned best = 0;
-    for (const auto& [name, count] : by_test) {
+    r.failure_rate = static_cast<double>(ch.failures) / windows;
+    std::uint64_t best = 0;
+    for (const auto& [name, count] : ch.failures_by_test) {
         if (count > best) {
             best = count;
             r.dominant_test = name;
@@ -64,7 +54,13 @@ sweep_result measure(core::monitor& mon, trng::entropy_source& src,
 
 int main()
 {
-    const auto cfg = core::paper_design(16, core::tier::high);
+    core::fleet_config channel;
+    channel.block = core::paper_design(16, core::tier::high);
+    channel.alpha = 0.01;
+    channel.validate();
+    const hw::block_config& cfg = channel.block;
+    const core::critical_values cv =
+        core::compute_critical_values(cfg, channel.alpha);
     const unsigned windows = smoke_scaled(24u, 6u);
 
     std::printf("Detection power of %s at alpha = 0.01, %u windows per "
@@ -74,9 +70,8 @@ int main()
                 "dominant detector");
 
     {
-        core::monitor mon(cfg, 0.01);
         trng::ideal_source src(1);
-        const auto r = measure(mon, src, windows);
+        const auto r = measure(channel, cv, src, windows);
         std::printf("%-34s %13.0f%% %24s   (type-1 calibration)\n",
                     "ideal", 100.0 * r.failure_rate,
                     r.dominant_test.c_str());
@@ -84,18 +79,16 @@ int main()
 
     std::printf("\nbias sweep (supply manipulation):\n");
     for (const double p : {0.505, 0.51, 0.52, 0.55}) {
-        core::monitor mon(cfg, 0.01);
         trng::biased_source src(7, p);
-        const auto r = measure(mon, src, windows);
+        const auto r = measure(channel, cv, src, windows);
         std::printf("%-34s %13.0f%% %24s\n", src.name().c_str(),
                     100.0 * r.failure_rate, r.dominant_test.c_str());
     }
 
     std::printf("\ncorrelation sweep (sticky sampling):\n");
     for (const double q : {0.505, 0.51, 0.52, 0.55}) {
-        core::monitor mon(cfg, 0.01);
         trng::markov_source src(8, q);
-        const auto r = measure(mon, src, windows);
+        const auto r = measure(channel, cv, src, windows);
         std::printf("%-34s %13.0f%% %24s\n", src.name().c_str(),
                     100.0 * r.failure_rate, r.dominant_test.c_str());
     }
@@ -103,22 +96,20 @@ int main()
     std::printf("\nfrequency-injection sweep (Markettos-Moore attack on a "
                 "ring-oscillator TRNG):\n");
     for (const double lock : {0.0, 0.5, 0.8, 0.9, 0.95}) {
-        core::monitor mon(cfg, 0.01);
         trng::ring_oscillator_source src(9, {});
         src.set_injection(lock);
-        const auto r = measure(mon, src, windows);
+        const auto r = measure(channel, cv, src, windows);
         std::printf("%-34s %13.0f%% %24s\n", src.name().c_str(),
                     100.0 * r.failure_rate, r.dominant_test.c_str());
     }
 
     std::printf("\nburst-failure sweep (intermittent faults):\n");
     for (const double rate : {0.0001, 0.0005, 0.002}) {
-        core::monitor mon(cfg, 0.01);
         trng::burst_failure_source src(10, rate, 128);
         char label[64];
         std::snprintf(label, sizeof label, "bursts(rate=%.4f,len=128)",
                       rate);
-        const auto r = measure(mon, src, windows);
+        const auto r = measure(channel, cv, src, windows);
         std::printf("%-34s %13.0f%% %24s\n", label,
                     100.0 * r.failure_rate, r.dominant_test.c_str());
     }

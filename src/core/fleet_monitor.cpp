@@ -5,6 +5,7 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace otf::core {
@@ -15,10 +16,19 @@ void fleet_config::validate() const
     if (channels == 0) {
         throw std::invalid_argument("fleet_config: need at least 1 channel");
     }
-    // The per-channel policy shares health_monitor's decision rule; its
-    // constructor is the authoritative validity check.
+    // The windowed_alarm constructor is the authoritative validity check
+    // of the per-channel policy.
     [[maybe_unused]] const windowed_alarm policy_check(fail_threshold,
                                                       policy_window);
+    if (lane == ingest_lane::span && block.n() < 64) {
+        // The span lane packs whole 64-bit words; only the per-bit lane
+        // clocks a sub-word window in one bit at a time.
+        throw std::invalid_argument(
+            "fleet_config: design \"" + block.name + "\" has n = "
+            + std::to_string(block.n())
+            + " bits, below one 64-bit word; the span lane needs n >= 64 "
+              "(use the per_bit lane)");
+    }
     if (escalated_block) {
         // The supervisor's own validation covers both designs and the
         // escalation knobs.
@@ -86,61 +96,57 @@ fleet_monitor::fleet_monitor(fleet_config cfg, critical_values cv,
     }
 }
 
-namespace {
-
-/// One channel: a monitor (or an escalation supervisor owning one), its
-/// source and the windowed alarm policy.
-struct channel_state {
-    channel_state(const fleet_config& cfg, const critical_values& cv,
-                  const std::optional<critical_values>& cv_escalated,
-                  trng::entropy_source& src)
-        : source(&src), alarm_policy(cfg.fail_threshold, cfg.policy_window)
-    {
-        if (cfg.escalated_block) {
-            sup = std::make_unique<supervisor>(cfg.supervised_config(),
-                                               cv, *cv_escalated);
-        } else {
-            mon.emplace(cfg.block, cv);
-        }
-        report.source_name = source->name();
+channel_report run_fleet_channel(
+    const fleet_config& cfg, const critical_values& cv,
+    const std::optional<critical_values>& cv_escalated,
+    trng::entropy_source& source, unsigned channel, std::uint64_t windows,
+    const window_hooks& caller)
+{
+    // Supervised channels own their monitor through the supervisor.
+    std::optional<supervisor> sup;
+    std::optional<monitor> plain;
+    if (cfg.escalated_block) {
+        sup.emplace(cfg.supervised_config(), cv, *cv_escalated);
+    } else {
+        plain.emplace(cfg.block, cv);
     }
+    monitor& mon = sup ? sup->inner() : *plain;
 
-    /// Supervised channels own their monitor through the supervisor.
-    std::unique_ptr<supervisor> sup;
-    std::optional<monitor> mon;
-    trng::entropy_source* source;
     channel_report report;
-    windowed_alarm alarm_policy;
+    report.channel = channel;
+    report.source_name = source.name();
+    // The channel's own k-of-w policy runs in both modes (a supervisor's
+    // copy decides escalation; this one keeps the sticky channel alarm
+    // and its rise window observable).
+    windowed_alarm policy(cfg.fail_threshold, cfg.policy_window);
 
-    monitor& active_monitor() { return sup ? sup->inner() : *mon; }
-
-    /// Run the channel through the shared window loop; a supervisor
-    /// plugs in its reconfiguration barrier and evidence tap.
-    void run(const fleet_config& cfg, std::uint64_t windows)
-    {
-        window_hooks hooks;
+    window_hooks hooks;
+    hooks.before = [&](std::uint64_t next) {
+        if (caller.before) {
+            caller.before(next);
+        }
         if (sup) {
-            hooks.before = sup->barrier();
-            hooks.tap = sup->tap();
+            sup->at_barrier(next);
         }
-        hooks.sink = [this](const window_report& wr) {
-            if (sup) {
-                sup->observe(wr);
-            }
-            observe(wr);
-        };
-        run_windows(active_monitor(), *source, windows, cfg.lane, hooks);
-        finish();
-    }
-
-    void observe(const window_report& wr)
-    {
+    };
+    hooks.tap = [&](std::uint64_t index, const std::uint64_t* words,
+                    std::size_t nwords) {
+        if (caller.tap) {
+            caller.tap(index, words, nwords);
+        }
+        if (sup) {
+            sup->capture(index, words, nwords);
+        }
+    };
+    hooks.sink = [&](const window_report& wr) {
+        if (sup) {
+            sup->observe(wr);
+        }
         ++report.windows;
-        report.bits += active_monitor().config().n();
+        report.bits += mon.config().n();
         report.sw_cycles += wr.sw_cycles;
-        if (wr.sw_cycles > report.worst_sw_cycles) {
-            report.worst_sw_cycles = wr.sw_cycles;
-        }
+        report.worst_sw_cycles =
+            std::max(report.worst_sw_cycles, wr.sw_cycles);
         const bool failed = !wr.software.all_pass;
         if (failed) {
             ++report.failures;
@@ -150,44 +156,28 @@ struct channel_state {
                 }
             }
         }
-        // The channel-local policy runs in both modes (in supervised
-        // mode the supervisor's copy decides escalation; this one keeps
-        // the sticky channel alarm and its rise window observable).
-        alarm_policy.record(failed);
-        if (alarm_policy.rose()) {
+        policy.record(failed);
+        if (policy.rose()) {
             report.first_alarm_window = wr.window_index;
         }
-        report.alarm = alarm_policy.alarm();
-    }
-
-    /// Post-run bookkeeping: sentinel the never-alarmed case and fold in
-    /// the supervisor's escalation telemetry.
-    void finish()
-    {
-        if (!report.alarm) {
-            report.first_alarm_window = report.windows;
+        if (caller.sink) {
+            caller.sink(wr);
         }
-        if (sup) {
-            const supervision_report sr = sup->report();
-            report.escalations = sr.escalations;
-            report.confirmed_escalations = sr.confirmed_escalations;
-            report.de_escalations = sr.de_escalations;
-            report.windows_escalated = sr.windows_escalated;
-        }
+    };
+    run_windows(mon, source, windows, cfg.lane, hooks);
+
+    report.alarm = policy.alarm();
+    if (!report.alarm) {
+        report.first_alarm_window = report.windows;
     }
-};
-
-} // namespace
-
-channel_report run_fleet_channel(
-    const fleet_config& cfg, const critical_values& cv,
-    const std::optional<critical_values>& cv_escalated,
-    trng::entropy_source& source, unsigned channel, std::uint64_t windows)
-{
-    channel_state state(cfg, cv, cv_escalated, source);
-    state.report.channel = channel;
-    state.run(cfg, windows);
-    return std::move(state.report);
+    if (sup) {
+        const supervision_report sr = sup->report();
+        report.escalations = sr.escalations;
+        report.confirmed_escalations = sr.confirmed_escalations;
+        report.de_escalations = sr.de_escalations;
+        report.windows_escalated = sr.windows_escalated;
+    }
+    return report;
 }
 
 unit_pool::unit_pool(unsigned workers)

@@ -57,9 +57,9 @@ struct fleet_config {
     /// The per-bit lane is kept selectable as the equivalence oracle:
     /// both lanes must produce identical reports for the same seeds.
     ingest_lane lane = ingest_lane::span;
-    /// AIS-31-style per-channel alarm: raise when at least
-    /// `fail_threshold` of the last `policy_window` window verdicts
-    /// failed.  Mirrors health_monitor::policy.
+    /// AIS-31-style per-channel alarm (core::windowed_alarm): raise when
+    /// at least `fail_threshold` of the last `policy_window` window
+    /// verdicts failed.
     unsigned fail_threshold = 2;
     unsigned policy_window = 8;
 
@@ -81,8 +81,9 @@ struct fleet_config {
     unsigned offline_min_failures = 2;
 
     /// \throws std::invalid_argument on an empty fleet, an inconsistent
-    /// alarm policy, or a non-streamable supervised design (supervision
-    /// needs n >= 64 for both tiers).
+    /// alarm policy, a sub-word design (n < 64) on the span lane, or a
+    /// non-streamable supervised design (supervision needs n >= 64 for
+    /// both tiers).
     void validate() const;
 
     /// The per-channel supervisor policy this configuration implies.
@@ -208,11 +209,18 @@ private:
 };
 
 /// \brief Run one channel to completion on the calling thread and return
-/// its report.  This is the per-channel work unit fleet_monitor::run
-/// executes on its unit_pool, exported so the population monitor can run
-/// devices directly on the same pool without instantiating a fleet per
-/// shard.  Runs the channel through core::run_windows on
-/// cfg.lane, under a supervisor when cfg.escalated_block is set.
+/// its report: the one runner of a monitored channel (fleet and
+/// population units, scenario trials, a single TRNG over its lifetime).
+/// Runs core::run_windows on cfg.lane, under a supervisor when
+/// cfg.escalated_block is set, and tallies windows, failures and the
+/// k-of-w alarm.  The caller's `hooks` wrap the supervisor's, per window:
+///
+///   hooks.before(i) -> barrier -> hooks.tap(i, words) -> evidence tap
+///     -> test -> supervisor + channel tally -> hooks.sink(report)
+///
+/// so a severity schedule in `before` applies ahead of any reprogramming
+/// (supervisor::run's order).  SP 800-90B continuous tests compose as a
+/// `tap` feeding hw::repetition_count_hw / adaptive_proportion_hw.
 /// \param cfg          a *validated* fleet configuration; channels /
 ///        threads are ignored here
 /// \param cv           bounds for cfg.block at cfg.alpha
@@ -221,12 +229,14 @@ private:
 /// \param source       the channel's entropy source (borrowed)
 /// \param channel      channel id stamped into the report
 /// \param windows      windows to run (0 runs nothing)
+/// \param hooks        caller's per-window callbacks (each may be null);
+///        the report changes only through what they do to `source`
 /// \throws std::runtime_error naming the source when it runs dry
 channel_report run_fleet_channel(
     const fleet_config& cfg, const critical_values& cv,
     const std::optional<critical_values>& cv_escalated,
     trng::entropy_source& source, unsigned channel,
-    std::uint64_t windows);
+    std::uint64_t windows, const window_hooks& hooks = {});
 
 /// \brief One schedulable unit of a unit_pool: channel `first` of
 /// reporting group `shard`.

@@ -1,7 +1,5 @@
 #include "core/monitor.hpp"
 
-#include "core/sp80090b.hpp"
-
 #include <stdexcept>
 #include <string>
 
@@ -205,68 +203,6 @@ void windowed_alarm::restore(const std::vector<bool>& history,
     }
     alarm_ = sticky_alarm;
     rose_ = false;
-}
-
-health_monitor::health_monitor(hw::block_config cfg, double alpha, policy p,
-                               sw16::cycle_model mcu)
-    : mon_(std::move(cfg), alpha, std::move(mcu)), policy_(p),
-      windowed_(p.fail_threshold, p.window)
-{
-    if (policy_.sp800_90b) {
-        // Checked here, before the shift below, which is undefined for
-        // exponents of 32 and up.
-        if (policy_.apt_log2_window < 4 || policy_.apt_log2_window > 16) {
-            throw std::invalid_argument(
-                "health_monitor: apt_log2_window must be in [4, 16], got "
-                + std::to_string(policy_.apt_log2_window));
-        }
-        rct_ = std::make_unique<hw::repetition_count_hw>(
-            rct_cutoff(policy_.entropy_claim));
-        apt_ = std::make_unique<hw::adaptive_proportion_hw>(
-            policy_.apt_log2_window,
-            apt_cutoff(1u << policy_.apt_log2_window,
-                       policy_.entropy_claim));
-    }
-}
-
-bool health_monitor::alarm() const
-{
-    return windowed_.alarm() || (rct_ && rct_->alarm())
-        || (apt_ && apt_->alarm());
-}
-
-window_report health_monitor::observe(trng::entropy_source& source)
-{
-    window_report report;
-    if (policy_.sp800_90b) {
-        // The continuous tests see every raw bit on its way into the
-        // window; their alarms are immediate, not end-of-window.
-        const bit_sequence window =
-            source.generate(mon_.config().n());
-        for (std::size_t i = 0; i < window.size(); ++i) {
-            rct_->consume(window[i], health_bit_index_);
-            apt_->consume(window[i], health_bit_index_);
-            ++health_bit_index_;
-        }
-        report = mon_.test_sequence(window);
-    } else {
-        report = mon_.test_window(source);
-    }
-    const bool failed = !report.software.all_pass;
-    if (failed) {
-        ++failed_;
-        for (const test_verdict& v : report.software.verdicts) {
-            if (!v.pass) {
-                ++failures_by_test_[v.name];
-            }
-        }
-    }
-    windowed_.record(failed);
-    if (windowed_.rose() && alarm_hook_) {
-        alarm_hook_(alarm_event{report.window_index,
-                                windowed_.recent_failures()});
-    }
-    return report;
 }
 
 } // namespace otf::core

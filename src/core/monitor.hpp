@@ -9,14 +9,15 @@
 // answer to the "tests change the chip's noise environment" objection --
 // and report numeric per-test verdicts rather than one alarm wire.
 //
-// `health_monitor` adds an AIS-31-flavoured decision policy on top: a
-// sliding window of recent verdicts, a noise-alarm threshold (k failures in
-// the last w windows), and failure counters per test.
+// `windowed_alarm` is the AIS-31-flavoured decision rule on top: a
+// sliding window of recent verdicts and a noise-alarm threshold (k
+// failures in the last w windows).  One monitored channel -- window loop,
+// per-test failure counters and the alarm -- runs through
+// core::run_fleet_channel (core/fleet_monitor.hpp).
 #pragma once
 
 #include "core/critical_values.hpp"
 #include "core/sw_routines.hpp"
-#include "hw/health_tests.hpp"
 #include "hw/testing_block.hpp"
 #include "sw16/cycle_model.hpp"
 #include "trng/entropy_source.hpp"
@@ -24,9 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <optional>
 #include <vector>
 
 namespace otf::core {
@@ -191,8 +189,9 @@ private:
 /// re-read after `before`, so a barrier that reconfigures the monitor
 /// re-frames the stream without dropping a word.  Sub-word designs
 /// (n < 64) on the per-bit lane are fed one next_bit() per clock instead
-/// (no packed words: the tap is not called); on the packed lanes they
-/// throw test_packed()'s length error.
+/// (no packed words: the tap is not called); on the span lane they
+/// throw test_packed()'s length error, which fleet_config::validate()
+/// reports up front instead.
 /// \param mon     the channel's monitor
 /// \param source  word supplier (entropy_source::fill_words_available)
 /// \param windows windows to test; 0 tests nothing
@@ -204,19 +203,8 @@ void run_windows(monitor& mon, trng::entropy_source& source,
                  std::uint64_t windows, ingest_lane lane = ingest_lane::span,
                  const window_hooks& hooks = {});
 
-/// \brief One observable rising edge of an alarm path.  The alarm used
-/// to be a bare boolean; supervision needs the *when* and the evidence
-/// level, so the path reports the transition as an event.
-struct alarm_event {
-    std::uint64_t window_index = 0; ///< window count at the rising edge
-    unsigned recent_failures = 0;   ///< failures inside the policy window
-};
-
-/// Observer of alarm-path transitions.
-using alarm_hook = std::function<void(const alarm_event&)>;
-
-/// \brief The AIS-31-style k-of-w decision rule shared by
-/// health_monitor, the fleet channels and the escalation supervisor: a
+/// \brief The AIS-31-style k-of-w decision rule shared by the fleet
+/// channels (core::run_fleet_channel) and the escalation supervisor: a
 /// sticky alarm raised when at least `threshold` of the last `window`
 /// per-window verdicts failed.  `reset()` clears the stickiness -- the
 /// supervisor's de-escalation path re-arms the policy after a clean
@@ -261,69 +249,6 @@ private:
     unsigned recent_failures_ = 0;
     bool alarm_ = false;
     bool rose_ = false;
-};
-
-/// AIS-31-style supervision: windowed failure counting with an alarm
-/// threshold, on top of the per-window verdicts.
-class health_monitor {
-public:
-    struct policy {
-        /// Raise the alarm when at least `fail_threshold` of the last
-        /// `window` window verdicts failed (any test).
-        unsigned fail_threshold = 2;
-        unsigned window = 8;
-        /// Also run the SP 800-90B continuous health tests (repetition
-        /// count + adaptive proportion) on the raw stream; their sticky
-        /// alarms OR into alarm().  The standard's false-alarm rate
-        /// (2^-20) and the entropy claim parameterize the cutoffs.
-        bool sp800_90b = false;
-        unsigned apt_log2_window = 10;
-        double entropy_claim = 1.0;
-    };
-
-    /// \brief Build the supervisor.
-    /// \param cfg   hardware design point for the inner monitor
-    /// \param alpha per-test level of significance
-    /// \param p     alarm policy (windowed threshold + optional SP
-    ///              800-90B continuous tests)
-    /// \param mcu   cycle model of the embedded CPU
-    health_monitor(hw::block_config cfg, double alpha, policy p,
-                   sw16::cycle_model mcu = sw16::msp430_model());
-
-    /// \brief Test one window; returns the report and updates the alarm
-    /// state (and feeds the continuous health tests when enabled).
-    window_report observe(trng::entropy_source& source);
-
-    /// \brief Observe alarm-path transitions (the rising edge of the
-    /// windowed policy) as events instead of polling alarm().
-    void on_alarm(alarm_hook hook) { alarm_hook_ = std::move(hook); }
-
-    /// \brief Policy alarm OR either SP 800-90B sticky alarm.
-    bool alarm() const;
-    /// The windowed-policy alarm alone.
-    bool policy_alarm() const { return windowed_.alarm(); }
-    /// The continuous health-test engines (null unless enabled).
-    const hw::repetition_count_hw* rct() const { return rct_.get(); }
-    const hw::adaptive_proportion_hw* apt() const { return apt_.get(); }
-    std::uint64_t windows_failed() const { return failed_; }
-    std::uint64_t windows_total() const { return mon_.windows_tested(); }
-    /// Failure count per test name across the whole run.
-    const std::map<std::string, std::uint64_t>& failures_by_test() const
-    {
-        return failures_by_test_;
-    }
-    monitor& inner() { return mon_; }
-
-private:
-    monitor mon_;
-    policy policy_;
-    windowed_alarm windowed_;
-    alarm_hook alarm_hook_;
-    std::uint64_t failed_ = 0;
-    std::map<std::string, std::uint64_t> failures_by_test_;
-    std::unique_ptr<hw::repetition_count_hw> rct_;
-    std::unique_ptr<hw::adaptive_proportion_hw> apt_;
-    std::uint64_t health_bit_index_ = 0;
 };
 
 } // namespace otf::core

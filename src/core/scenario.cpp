@@ -2,8 +2,12 @@
 
 #include "trng/sources.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace otf::core {
 
@@ -15,6 +19,20 @@ constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 std::uint64_t trial_seed(std::uint64_t base, unsigned trial, unsigned which)
 {
     return base + kGolden * (std::uint64_t{trial} * 2 + which + 1);
+}
+
+/// The unsupervised fleet channel every trial runs on.
+fleet_config trial_channel(hw::block_config block, const scenario_config& cfg)
+{
+    cfg.validate();
+    fleet_config fc;
+    fc.block = std::move(block);
+    fc.alpha = cfg.alpha;
+    fc.lane = cfg.lane;
+    fc.fail_threshold = cfg.fail_threshold;
+    fc.policy_window = cfg.policy_window;
+    fc.validate();
+    return fc;
 }
 
 } // namespace
@@ -65,16 +83,15 @@ void scenario_config::validate() const
     if (trials == 0) {
         throw std::invalid_argument("scenario_config: need >= 1 trial");
     }
-    // The alarm policy shares health_monitor's decision rule; its
-    // constructor is the authoritative validity check.
+    // The windowed_alarm constructor is the authoritative validity check
+    // of the alarm policy.
     [[maybe_unused]] const windowed_alarm policy_check(fail_threshold,
                                                       policy_window);
 }
 
 scenario_runner::scenario_runner(hw::block_config block, scenario_config cfg)
-    : block_(std::move(block)), cfg_(cfg),
-      cv_((cfg_.validate(), block_.validate(),
-           compute_critical_values(block_, cfg_.alpha)))
+    : cfg_(cfg), channel_(trial_channel(std::move(block), cfg_)),
+      cv_(compute_critical_values(channel_.block, cfg_.alpha))
 {
 }
 
@@ -85,7 +102,7 @@ scenario_report scenario_runner::run(const scenario& sc) const
 
     scenario_report rep;
     rep.scenario_name = sc.name;
-    rep.design = block_.name;
+    rep.design = channel_.block.name;
     rep.expect_alarm = sc.expect_alarm;
     rep.trials = cfg_.trials;
     rep.windows_per_trial = cfg_.windows;
@@ -98,9 +115,6 @@ scenario_report scenario_runner::run(const scenario& sc) const
     unsigned latency_count = 0;
 
     for (unsigned t = 0; t < cfg_.trials; ++t) {
-        monitor mon(block_, cv_);
-        windowed_alarm alarm(cfg_.fail_threshold, cfg_.policy_window);
-
         std::unique_ptr<trng::entropy_source> source =
             std::make_unique<trng::ideal_source>(
                 trial_seed(cfg_.seed, t, 0));
@@ -120,57 +134,50 @@ scenario_report scenario_runner::run(const scenario& sc) const
             rep.source = model ? model->name() : source->name();
         }
 
-        bool alarmed = false;
-        bool false_alarmed = false;
-        // One trial = one pass through the window loop: the severity
-        // schedule steps at every window boundary, and the detection
-        // accounting is the window sink.
+        // One trial = one fleet channel: the severity schedule steps at
+        // every window boundary, and the sink only splits the verdicts
+        // at the onset.
         window_hooks hooks;
         if (model) {
             hooks.before = [model, &sc](std::uint64_t w) {
                 model->set_severity(sc.schedule.severity_at(w));
             };
         }
-        hooks.sink = [&](const window_report& wr) {
-            const std::uint64_t w = wr.window_index;
+        hooks.sink = [&rep](const window_report& wr) {
             const bool failed = !wr.software.all_pass;
-            if (w < rep.onset_window) {
+            if (wr.window_index < rep.onset_window) {
                 ++rep.pre_onset_windows;
                 rep.pre_onset_failures += failed ? 1 : 0;
             } else {
                 ++rep.post_onset_windows;
                 rep.post_onset_failures += failed ? 1 : 0;
             }
-            if (failed) {
-                for (const test_verdict& v : wr.software.verdicts) {
-                    if (!v.pass) {
-                        ++rep.failures_by_test[v.name];
-                    }
-                }
-            }
-            if (alarm.record(failed) && !alarmed) {
-                alarmed = true;
-                if (w < rep.onset_window) {
-                    false_alarmed = true;
-                } else {
-                    const std::uint64_t latency = w - rep.onset_window + 1;
-                    latency_sum += latency;
-                    ++latency_count;
-                    if (latency > rep.worst_detection_latency) {
-                        rep.worst_detection_latency = latency;
-                    }
-                }
-            }
         };
+        channel_report ch;
         try {
-            run_windows(mon, *source, cfg_.windows, cfg_.lane, hooks);
+            ch = run_fleet_channel(channel_, cv_, std::nullopt, *source, t,
+                                   cfg_.windows, hooks);
         } catch (const std::exception& e) {
             throw std::runtime_error("scenario \"" + sc.name + "\" trial "
                                      + std::to_string(t) + ": " + e.what());
         }
-        rep.trials_alarmed += alarmed ? 1 : 0;
-        rep.trials_false_alarmed += false_alarmed ? 1 : 0;
-        rep.bits += cfg_.windows * block_.n();
+        if (ch.alarm) {
+            ++rep.trials_alarmed;
+            if (ch.first_alarm_window < rep.onset_window) {
+                ++rep.trials_false_alarmed;
+            } else {
+                const std::uint64_t latency =
+                    ch.first_alarm_window - rep.onset_window + 1;
+                latency_sum += latency;
+                ++latency_count;
+                rep.worst_detection_latency =
+                    std::max(rep.worst_detection_latency, latency);
+            }
+        }
+        for (const auto& [name, count] : ch.failures_by_test) {
+            rep.failures_by_test[name] += count;
+        }
+        rep.bits += ch.bits;
     }
 
     if (latency_count > 0) {

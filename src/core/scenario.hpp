@@ -7,10 +7,11 @@
 // runner executes the scenario against a `monitor` with the AIS-31-style
 // k-of-w alarm policy and reports detection latency, false alarms and
 // per-test failure attribution -- the platform's operating
-// characteristics, measured instead of assumed.  Each trial is one pass
-// through the window loop (core::run_windows): the severity schedule is
-// the boundary hook, stepped once per window, and the detection
-// accounting is the window sink.  `standard_scenarios()`
+// characteristics, measured instead of assumed.  Each trial is one
+// monitored channel (core::run_fleet_channel): the severity schedule is
+// the boundary hook, stepped once per window, the channel report carries
+// the alarm and its first window, and the window sink splits the
+// verdicts at the onset.  `standard_scenarios()`
 // is the library of the six adversarial models plus the healthy null
 // scenario; `bench/scenario_matrix.cpp` sweeps it across the eight paper
 // designs into BENCH_scenarios.json (schema: docs/BENCHMARKS.md; model
@@ -18,6 +19,7 @@
 #pragma once
 
 #include "core/critical_values.hpp"
+#include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
 #include "trng/source_model.hpp"
 
@@ -152,13 +154,15 @@ struct scenario_report {
 };
 
 /// \brief Executes scenarios against one design point.  Critical values
-/// are inverted once per runner and shared by every scenario and trial.
+/// are inverted once per runner and shared by every scenario and trial;
+/// each trial is one core::run_fleet_channel channel.
 class scenario_runner {
 public:
-    /// \throws std::invalid_argument on an invalid block or config
+    /// \throws std::invalid_argument on an invalid block or config,
+    /// including a sub-word design (n < 64) on the span lane
     scenario_runner(hw::block_config block, scenario_config cfg);
 
-    const hw::block_config& config() const { return block_; }
+    const hw::block_config& config() const { return channel_.block; }
     const scenario_config& runner_config() const { return cfg_; }
     const critical_values& bounds() const { return cv_; }
 
@@ -173,8 +177,8 @@ public:
         const std::vector<scenario>& scenarios) const;
 
 private:
-    hw::block_config block_;
     scenario_config cfg_;
+    fleet_config channel_; ///< the channel every trial runs
     critical_values cv_;
 };
 

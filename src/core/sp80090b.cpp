@@ -3,6 +3,7 @@
 #include "nist/special_functions.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -10,6 +11,14 @@
 namespace otf::core {
 
 namespace {
+
+/// `value` as %g ("nan", "inf", "1.5") for error messages.
+std::string shown(double value)
+{
+    char text[32];
+    std::snprintf(text, sizeof text, "%g", value);
+    return text;
+}
 
 /// Both cutoffs take a binary entropy claim in (0, 1] and a finite,
 /// positive false-alarm exponent; NaN fails every comparison, so the
@@ -19,12 +28,14 @@ void check_claim(const char* who, double entropy_per_sample,
 {
     if (!(entropy_per_sample > 0.0 && entropy_per_sample <= 1.0)) {
         throw std::invalid_argument(
-            std::string(who) + ": binary entropy claim must be in (0, 1]");
+            std::string(who) + ": binary entropy claim must be in (0, 1], got "
+            + shown(entropy_per_sample));
     }
     if (!(std::isfinite(alpha_exponent) && alpha_exponent > 0.0)) {
         throw std::invalid_argument(
             std::string(who)
-            + ": false-alarm exponent must be finite and positive");
+            + ": false-alarm exponent must be finite and positive, got "
+            + shown(alpha_exponent));
     }
 }
 

@@ -52,8 +52,8 @@ void supervisor_config::validate() const
         throw std::invalid_argument(
             "supervisor_config: offline_min_failures must be >= 1");
     }
-    // The alarm policy shares health_monitor's decision rule; its
-    // constructor is the authoritative validity check.
+    // The windowed_alarm constructor is the authoritative validity check
+    // of the alarm policy.
     [[maybe_unused]] const windowed_alarm policy_check(fail_threshold,
                                                       policy_window);
 }

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace otf::hw {
 
@@ -15,7 +16,8 @@ unsigned checked_log2_window(unsigned log2_window)
 {
     if (log2_window < 4 || log2_window > 16) {
         throw std::invalid_argument(
-            "adaptive_proportion_hw: window must be 2^4..2^16 bits");
+            "adaptive_proportion_hw: window must be 2^4..2^16 bits, got 2^"
+            + std::to_string(log2_window));
     }
     return log2_window;
 }

@@ -1,9 +1,11 @@
 // Tests of the on-the-fly monitor: statistical behaviour over many windows
 // (type-1 rate near alpha for ideal sources, detection of every defect
 // class), latency accounting against the paper's claims, the shared
-// window loop (core::run_windows) and the health-monitor alarm policy.
+// window loop (core::run_windows), and one channel supervised over its
+// lifetime (core::run_fleet_channel with the k-of-w windowed_alarm).
 #include "core/monitor.hpp"
 #include "core/design_config.hpp"
+#include "core/fleet_monitor.hpp"
 #include "core/scenario.hpp"
 #include "trng/ring_oscillator.hpp"
 #include "trng/source_model.hpp"
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -474,70 +477,87 @@ TEST(run_windows, zero_windows_runs_nothing)
         << "no word may be drawn";
 }
 
-TEST(health_monitor, alarm_after_threshold_failures)
+/// One unsupervised fleet channel at `design` with a k-of-w policy.
+core::fleet_config lifetime_channel(hw::block_config design,
+                                    unsigned fail_threshold,
+                                    unsigned policy_window)
 {
-    core::health_monitor hm(fast_cfg(), 0.01, {.fail_threshold = 2,
-                                               .window = 8});
-    trng::stuck_source bad(false);
-    (void)hm.observe(bad);
-    EXPECT_FALSE(hm.alarm()) << "one failure is below the threshold";
-    (void)hm.observe(bad);
-    EXPECT_TRUE(hm.alarm());
-    EXPECT_EQ(hm.windows_failed(), 2u);
+    core::fleet_config cfg;
+    cfg.block = std::move(design);
+    cfg.alpha = 0.01;
+    cfg.fail_threshold = fail_threshold;
+    cfg.policy_window = policy_window;
+    cfg.validate();
+    return cfg;
 }
 
-TEST(health_monitor, alarm_hook_fires_once_on_the_rising_edge)
+core::channel_report run_lifetime(const core::fleet_config& cfg,
+                                  trng::entropy_source& source,
+                                  std::uint64_t windows)
 {
-    core::health_monitor hm(fast_cfg(), 0.01, {.fail_threshold = 2,
-                                               .window = 8});
-    std::vector<core::alarm_event> events;
-    hm.on_alarm([&](const core::alarm_event& ev) {
-        events.push_back(ev);
-    });
+    return core::run_fleet_channel(
+        cfg, core::compute_critical_values(cfg.block, cfg.alpha),
+        std::nullopt, source, 0, windows);
+}
+
+TEST(fleet_channel, alarm_after_threshold_failures)
+{
+    const core::fleet_config cfg = lifetime_channel(fast_cfg(), 2, 8);
+    trng::stuck_source one_window(false);
+    const core::channel_report first = run_lifetime(cfg, one_window, 1);
+    EXPECT_EQ(first.failures, 1u);
+    EXPECT_FALSE(first.alarm) << "one failure is below the threshold";
+
     trng::stuck_source bad(false);
-    for (int w = 0; w < 4; ++w) {
-        (void)hm.observe(bad);
+    const core::channel_report report = run_lifetime(cfg, bad, 2);
+    EXPECT_TRUE(report.alarm);
+    EXPECT_EQ(report.first_alarm_window, 1u);
+    EXPECT_EQ(report.failures, 2u);
+}
+
+TEST(windowed_alarm, rose_fires_once_on_the_rising_edge)
+{
+    core::windowed_alarm policy(2, 8);
+    std::vector<std::uint64_t> edges;
+    for (std::uint64_t w = 0; w < 4; ++w) {
+        policy.record(true);
+        if (policy.rose()) {
+            edges.push_back(w);
+            EXPECT_EQ(policy.recent_failures(), 2u)
+                << "the edge carries the evidence count";
+        }
     }
-    // The edge, not the level: one event, at the window that crossed
-    // the threshold, carrying the evidence count.
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].window_index, 1u);
-    EXPECT_EQ(events[0].recent_failures, 2u);
+    // The edge, not the level: one rise, at the window that crossed the
+    // threshold, while the sticky alarm stays up.
+    ASSERT_EQ(edges.size(), 1u);
+    EXPECT_EQ(edges[0], 1u);
+    EXPECT_TRUE(policy.alarm());
 }
 
-TEST(health_monitor, healthy_source_rarely_alarms)
+TEST(fleet_channel, healthy_source_rarely_alarms)
 {
-    core::health_monitor hm(fast_cfg(), 0.01, {.fail_threshold = 3,
-                                               .window = 8});
+    const core::fleet_config cfg = lifetime_channel(fast_cfg(), 3, 8);
     trng::ideal_source src(31415);
-    for (unsigned w = 0; w < 100; ++w) {
-        (void)hm.observe(src);
-    }
-    EXPECT_FALSE(hm.alarm())
+    const core::channel_report report = run_lifetime(cfg, src, 100);
+    EXPECT_EQ(report.windows, 100u);
+    EXPECT_FALSE(report.alarm)
         << "3-in-8 coincidental failures at ~8% window failure rate is "
            "very unlikely";
 }
 
-TEST(health_monitor, tracks_failures_by_test)
+TEST(fleet_channel, tracks_failures_by_test)
 {
-    core::health_monitor hm(fast_cfg(), 0.01, {.fail_threshold = 2,
-                                               .window = 4});
+    const core::fleet_config cfg = lifetime_channel(fast_cfg(), 2, 4);
     trng::markov_source src(12, 0.65);
-    for (unsigned w = 0; w < 5; ++w) {
-        (void)hm.observe(src);
-    }
-    EXPECT_TRUE(hm.alarm());
-    EXPECT_GT(hm.failures_by_test().count("runs"), 0u);
+    const core::channel_report report = run_lifetime(cfg, src, 5);
+    EXPECT_TRUE(report.alarm);
+    EXPECT_GT(report.failures_by_test.count("runs"), 0u);
 }
 
-TEST(health_monitor, rejects_bad_policy)
+TEST(fleet_channel, rejects_bad_policy)
 {
-    EXPECT_THROW(core::health_monitor(fast_cfg(), 0.01,
-                                      {.fail_threshold = 0, .window = 4}),
-                 std::invalid_argument);
-    EXPECT_THROW(core::health_monitor(fast_cfg(), 0.01,
-                                      {.fail_threshold = 9, .window = 4}),
-                 std::invalid_argument);
+    EXPECT_THROW(lifetime_channel(fast_cfg(), 0, 4), std::invalid_argument);
+    EXPECT_THROW(lifetime_channel(fast_cfg(), 9, 4), std::invalid_argument);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // Tests of the multi-channel fleet monitor: determinism across thread
 // counts and ingestion lanes, telemetry aggregation, per-channel alarm
-// policy, configuration validation, and the unit pool that fleet and
-// population runs share.
+// policy, configuration validation, the caller hooks of one channel run,
+// and the unit pool that fleet and population runs share.
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "trng/sources.hpp"
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <gtest/gtest.h>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -276,6 +277,33 @@ TEST(fleet, configuration_is_validated)
     bad_policy.fail_threshold = 9;
     bad_policy.policy_window = 8;
     EXPECT_THROW(core::fleet_monitor{bad_policy}, std::invalid_argument);
+}
+
+TEST(fleet, sub_word_span_design_is_rejected_at_configuration)
+{
+    // n < 64 cannot be packed into 64-bit words: the span lane must fail
+    // when the fleet is configured, naming n and the lane, instead of in
+    // every channel's first window.
+    hw::block_config tiny;
+    tiny.name = "tiny n=32";
+    tiny.log2_n = 5;
+    tiny.tests = hw::test_set{}
+                     .with(hw::test_id::frequency)
+                     .with(hw::test_id::cumulative_sums);
+    core::fleet_config cfg;
+    cfg.block = tiny;
+    cfg.lane = core::ingest_lane::span;
+    try {
+        cfg.validate();
+        FAIL() << "a sub-word design on the span lane must be rejected";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("n = 32"), std::string::npos) << what;
+        EXPECT_NE(what.find("span lane"), std::string::npos) << what;
+    }
+    EXPECT_THROW(core::fleet_monitor{cfg}, std::invalid_argument);
+    cfg.lane = core::ingest_lane::per_bit;
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(fleet, worker_exception_propagates_naming_the_channel)
@@ -593,6 +621,130 @@ TEST(fleet_supervision, span_and_per_bit_lanes_agree)
     }
     EXPECT_GT(span.escalations, 0u)
         << "the differential run must actually cross an escalation";
+}
+
+// ------------------------------------------------ caller window hooks --
+
+/// Records every caller hook call of one channel run, in call order.
+struct hook_trace {
+    std::vector<std::string> calls;
+    std::vector<core::evidence_window> taps;
+
+    core::window_hooks hooks()
+    {
+        core::window_hooks h;
+        h.before = [this](std::uint64_t w) {
+            calls.push_back("before " + std::to_string(w));
+        };
+        h.tap = [this](std::uint64_t w, const std::uint64_t* words,
+                       std::size_t nwords) {
+            calls.push_back("tap " + std::to_string(w));
+            taps.push_back({w, {words, words + nwords}});
+        };
+        h.sink = [this](const core::window_report& wr) {
+            calls.push_back("sink " + std::to_string(wr.window_index));
+        };
+        return h;
+    }
+
+    /// before(i), tap(i), sink(i) for every window i, in order.
+    static std::vector<std::string> expected(std::uint64_t windows)
+    {
+        std::vector<std::string> out;
+        for (std::uint64_t w = 0; w < windows; ++w) {
+            for (const char* hook : {"before ", "tap ", "sink "}) {
+                out.push_back(hook + std::to_string(w));
+            }
+        }
+        return out;
+    }
+};
+
+TEST(fleet_channel_hooks, observe_an_unsupervised_channel_without_changing_it)
+{
+    const core::fleet_config cfg = base_config(1, 1);
+    const core::critical_values cv =
+        core::compute_critical_values(cfg.block, cfg.alpha);
+    const std::uint64_t windows = 5;
+
+    trng::biased_source plain_src(fixture_seed(3), 0.52);
+    const core::channel_report plain = core::run_fleet_channel(
+        cfg, cv, std::nullopt, plain_src, 3, windows);
+
+    hook_trace trace;
+    trng::biased_source hooked_src(fixture_seed(3), 0.52);
+    const core::channel_report hooked = core::run_fleet_channel(
+        cfg, cv, std::nullopt, hooked_src, 3, windows, trace.hooks());
+
+    EXPECT_EQ(hooked, plain);
+    EXPECT_EQ(trace.calls, hook_trace::expected(windows));
+    // The tap sees the raw stream, window by window.
+    trng::biased_source fresh(fixture_seed(3), 0.52);
+    for (const core::evidence_window& tap : trace.taps) {
+        EXPECT_EQ(tap.words, fresh.generate_words(cfg.block.n() / 64))
+            << "window " << tap.index;
+    }
+}
+
+TEST(fleet_channel_hooks, compose_with_a_supervised_channel)
+{
+    // Escalate to a 4x longer window, so the tap shows where the
+    // supervisor reprogrammed the block.
+    core::fleet_config cfg = supervised_config(1, 1);
+    cfg.escalated_block = core::custom_design(
+        9, hw::test_set{}
+               .with(hw::test_id::frequency)
+               .with(hw::test_id::runs)
+               .with(hw::test_id::cumulative_sums));
+    cfg.evidence_windows = 8;
+    const core::critical_values cv =
+        core::compute_critical_values(cfg.block, cfg.alpha);
+    const core::critical_values cv_escalated =
+        core::compute_critical_values(*cfg.escalated_block, cfg.alpha);
+    const std::uint64_t windows = 12;
+    const auto attacked = [] {
+        return trng::biased_source(fixture_seed(5), 0.95);
+    };
+
+    auto plain_src = attacked();
+    const core::channel_report plain = core::run_fleet_channel(
+        cfg, cv, cv_escalated, plain_src, 0, windows);
+    ASSERT_GT(plain.escalations, 0u) << "the run must cross an escalation";
+
+    hook_trace trace;
+    auto hooked_src = attacked();
+    const core::channel_report hooked = core::run_fleet_channel(
+        cfg, cv, cv_escalated, hooked_src, 0, windows, trace.hooks());
+    EXPECT_EQ(hooked, plain);
+    // Every boundary index reaches `before`, the escalation boundary
+    // included, ahead of that window's tap and its tallied verdicts.
+    EXPECT_EQ(trace.calls, hook_trace::expected(windows));
+
+    // Baseline windows are 2 words, escalated ones 8: the tap sees the
+    // design the supervisor programmed at that window's barrier.
+    std::uint64_t escalated = 0;
+    for (const core::evidence_window& tap : trace.taps) {
+        escalated += tap.words.size() == 8 ? 1 : 0;
+        EXPECT_TRUE(tap.words.size() == 2 || tap.words.size() == 8)
+            << "window " << tap.index;
+    }
+    EXPECT_EQ(escalated, hooked.windows_escalated);
+
+    // The caller's tap sees exactly the words of the supervisor's own
+    // evidence tap: replay the same source through a standalone
+    // supervisor and compare its evidence ring.
+    core::supervisor sup(cfg.supervised_config(), cv, cv_escalated);
+    auto sup_src = attacked();
+    const core::supervision_report sr = sup.run(sup_src, windows);
+    EXPECT_EQ(sr.escalations, hooked.escalations);
+    EXPECT_EQ(sr.windows_escalated, hooked.windows_escalated);
+    EXPECT_EQ(sr.failures_by_test, hooked.failures_by_test);
+    const core::supervisor_checkpoint cp = sup.checkpoint();
+    ASSERT_EQ(cp.evidence_ring.size(), cfg.evidence_windows);
+    for (const core::evidence_window& ev : cp.evidence_ring) {
+        ASSERT_LT(ev.index, trace.taps.size());
+        EXPECT_EQ(trace.taps[ev.index], ev) << "window " << ev.index;
+    }
 }
 
 TEST(fleet, bits_per_second_handles_a_zero_duration_run)

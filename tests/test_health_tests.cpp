@@ -1,9 +1,9 @@
 // Tests of the SP 800-90B continuous health tests: cutoff mathematics
 // (exact binomial quantiles), engine behaviour (sticky alarms, detection
 // latency in bits), false-alarm control on healthy streams, and the
-// health_monitor integration.
+// engines composed onto a monitored channel through its tap.
 #include "core/design_config.hpp"
-#include "core/monitor.hpp"
+#include "core/fleet_monitor.hpp"
 #include "core/sp80090b.hpp"
 #include "hw/health_tests.hpp"
 #include "trng/sources.hpp"
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <limits>
+#include <optional>
 #include <string>
 
 namespace {
@@ -211,7 +212,9 @@ TEST(adaptive_proportion, rejects_a_wide_window_before_sizing_it)
         EXPECT_EQ(rejection([&] {
                       return hw::adaptive_proportion_hw(log2_window, 3);
                   }),
-                  "adaptive_proportion_hw: window must be 2^4..2^16 bits")
+                  "adaptive_proportion_hw: window must be 2^4..2^16 bits, "
+                  "got 2^"
+                      + std::to_string(log2_window))
             << "log2_window " << log2_window;
     }
 }
@@ -227,70 +230,97 @@ TEST(health_engines, cost_a_few_slices_only)
 }
 
 // ----------------------------------------------------------- integration --
-TEST(health_monitor_90b, stuck_source_alarms_in_the_first_window)
+/// The SP 800-90B tests composed onto one fleet channel: a tap feeds every
+/// raw window to both engines with a running bit index, and records the
+/// window in which each engine first alarmed.
+struct continuous_tests {
+    hw::repetition_count_hw rct{rct_cutoff(1.0)};
+    hw::adaptive_proportion_hw apt{10, apt_cutoff(1024, 1.0)};
+    std::uint64_t bit_index = 0;
+    std::optional<std::uint64_t> rct_window;
+    std::optional<std::uint64_t> apt_window;
+
+    core::window_hooks hooks()
+    {
+        core::window_hooks h;
+        h.tap = [this](std::uint64_t window, const std::uint64_t* words,
+                       std::size_t nwords) {
+            rct.consume_span(words, nwords * 64, bit_index);
+            apt.consume_span(words, nwords * 64, bit_index);
+            bit_index += nwords * 64;
+            if (rct.alarm() && !rct_window) {
+                rct_window = window;
+            }
+            if (apt.alarm() && !apt_window) {
+                apt_window = window;
+            }
+        };
+        return h;
+    }
+};
+
+core::channel_report run_channel(trng::entropy_source& source,
+                                 std::uint64_t windows,
+                                 const core::window_hooks& hooks)
 {
-    core::health_monitor hm(core::paper_design(16, core::tier::light),
-                            0.01,
-                            {.fail_threshold = 3,
-                             .window = 8,
-                             .sp800_90b = true});
-    trng::stuck_source dead(true);
-    (void)hm.observe(dead);
-    EXPECT_TRUE(hm.alarm());
-    EXPECT_FALSE(hm.policy_alarm())
-        << "the window policy needs 3 failures; the RCT fired first";
-    ASSERT_NE(hm.rct(), nullptr);
-    EXPECT_TRUE(hm.rct()->alarm());
+    core::fleet_config cfg;
+    cfg.block = core::paper_design(16, core::tier::light);
+    cfg.alpha = 0.01;
+    cfg.fail_threshold = 3;
+    cfg.policy_window = 8;
+    cfg.validate();
+    return core::run_fleet_channel(
+        cfg, core::compute_critical_values(cfg.block, cfg.alpha),
+        std::nullopt, source, 0, windows, hooks);
 }
 
-TEST(health_monitor_90b, healthy_source_quiet_over_short_horizon)
+TEST(continuous_tests_tap, stuck_source_alarms_in_the_first_window)
+{
+    continuous_tests ct;
+    trng::stuck_source dead(true);
+    const core::channel_report report = run_channel(dead, 1, ct.hooks());
+    ASSERT_TRUE(ct.rct_window.has_value());
+    EXPECT_EQ(*ct.rct_window, 0u);
+    EXPECT_TRUE(ct.apt.alarm());
+    EXPECT_FALSE(report.alarm)
+        << "the window policy needs 3 failures; the RCT fired first";
+    EXPECT_EQ(report.failures, 1u);
+}
+
+TEST(continuous_tests_tap, healthy_source_quiet_over_short_horizon)
 {
     // The RCT's 2^-20 cutoff means a random 21-run -- a legitimate false
     // alarm -- is expected roughly once per 2M bits, so "quiet" can only
     // be asserted over a horizon well below that (here: 6 windows =
     // 393k bits, false-alarm probability ~17%; seed 123's first megabit
     // has an 18-run at most).
-    core::health_monitor hm(core::paper_design(16, core::tier::light),
-                            0.01,
-                            {.fail_threshold = 3,
-                             .window = 8,
-                             .sp800_90b = true});
+    continuous_tests ct;
     trng::ideal_source src(123);
-    for (unsigned w = 0; w < 6; ++w) {
-        (void)hm.observe(src);
-    }
-    EXPECT_FALSE(hm.alarm());
+    const core::channel_report report = run_channel(src, 6, ct.hooks());
+    EXPECT_EQ(ct.bit_index, 6u << 16);
+    EXPECT_FALSE(ct.rct.alarm());
+    EXPECT_FALSE(ct.apt.alarm());
+    EXPECT_FALSE(report.alarm);
 }
 
-TEST(health_monitor_90b, rejects_an_invalid_policy_by_name)
+TEST(continuous_tests_tap, rejects_invalid_parameters_by_value)
 {
-    const auto build = [](unsigned apt_log2_window, double entropy_claim) {
-        return core::health_monitor(
-            core::paper_design(16, core::tier::light), 0.01,
-            {.fail_threshold = 3,
-             .window = 8,
-             .sp800_90b = true,
-             .apt_log2_window = apt_log2_window,
-             .entropy_claim = entropy_claim});
-    };
     // The window exponent is checked before 1 << exponent is formed.
     for (const unsigned log2_window : {3u, 17u, 32u, 40u}) {
-        const std::string what =
-            rejection([&] { return build(log2_window, 1.0); });
-        EXPECT_NE(what.find("apt_log2_window"), std::string::npos)
-            << "apt_log2_window " << log2_window << ": \"" << what << "\"";
+        const std::string what = rejection([&] {
+            return hw::adaptive_proportion_hw(log2_window, 3);
+        });
+        EXPECT_NE(what.find("got 2^" + std::to_string(log2_window)),
+                  std::string::npos)
+            << "log2_window " << log2_window << ": \"" << what << "\"";
     }
-    const std::string what = rejection([&] { return build(10, nan); });
-    EXPECT_NE(what.find("entropy claim"), std::string::npos)
-        << "\"" << what << "\"";
-}
-
-TEST(health_monitor_90b, disabled_by_default)
-{
-    core::health_monitor hm(core::paper_design(16, core::tier::light),
-                            0.01, {.fail_threshold = 3, .window = 8});
-    EXPECT_EQ(hm.rct(), nullptr);
-    EXPECT_EQ(hm.apt(), nullptr);
+    for (const std::string& what :
+         {rejection([] { return rct_cutoff(nan); }),
+          rejection([] { return apt_cutoff(1024, nan); })}) {
+        EXPECT_NE(what.find("entropy claim must be in (0, 1], got nan"),
+                  std::string::npos)
+            << "\"" << what << "\"";
+    }
 }
 
 } // namespace

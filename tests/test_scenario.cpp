@@ -97,6 +97,38 @@ TEST(scenario_runner, config_is_validated)
                  std::invalid_argument);
 }
 
+TEST(scenario_runner, sub_word_span_design_is_rejected_at_configuration)
+{
+    // Trials run on fleet channels, so they inherit the fleet's check: a
+    // sub-word design on the span lane fails when the runner is built,
+    // not in every trial's first window.
+    hw::block_config tiny;
+    tiny.name = "tiny n=32";
+    tiny.log2_n = 5;
+    tiny.tests = hw::test_set{}
+                     .with(hw::test_id::frequency)
+                     .with(hw::test_id::cumulative_sums);
+    auto cfg = smoke_config();
+    cfg.lane = core::ingest_lane::span;
+    try {
+        const core::scenario_runner runner(tiny, cfg);
+        FAIL() << "a sub-word design on the span lane must be rejected";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("n = 32"), std::string::npos) << what;
+        EXPECT_NE(what.find("span lane"), std::string::npos) << what;
+    }
+    // The per-bit lane clocks sub-word windows one bit at a time.
+    cfg.lane = core::ingest_lane::per_bit;
+    cfg.windows = 4;
+    cfg.trials = 1;
+    const core::scenario_runner runner(tiny, cfg);
+    const auto reports = runner.run_all(core::standard_scenarios(2, 2));
+    for (const core::scenario_report& rep : reports) {
+        EXPECT_EQ(rep.bits, 4u * 32u) << rep.scenario_name;
+    }
+}
+
 TEST(scenario_runner, every_attack_scenario_alarms_and_null_holds)
 {
     // The detection smoke of the ISSUE acceptance: on a small all-tests
