@@ -11,7 +11,6 @@
 namespace otf::core {
 
 using sw16::bits_for_signed;
-using sw16::bits_for_unsigned;
 using sw16::reg;
 using sw16::soft_cpu;
 
@@ -25,10 +24,51 @@ const test_verdict* software_result::find(hw::test_id id) const
     return nullptr;
 }
 
+namespace {
+
+/// A program constant in the narrowest two's-complement register.
+reg immediate(std::int64_t value)
+{
+    return soft_cpu::constant(value, bits_for_signed(value));
+}
+
+std::vector<reg> immediates(const std::vector<std::int64_t>& values)
+{
+    std::vector<reg> regs;
+    regs.reserve(values.size());
+    for (const std::int64_t v : values) {
+        regs.push_back(immediate(v));
+    }
+    return regs;
+}
+
+} // namespace
+
 software_runner::software_runner(hw::block_config cfg, critical_values cv)
     : cfg_(std::move(cfg)), cv_(std::move(cv))
 {
     cfg_.validate();
+    consts_.t1_bound = immediate(cv_.t1_max_deviation);
+    consts_.t2_block_len = immediate(std::int64_t{1} << cfg_.bf_log2_m);
+    consts_.t2_bound = immediate(cv_.t2_sum_bound);
+    consts_.t3_prereq = immediate(cv_.t3_prereq_deviation);
+    consts_.t3_n = immediate(static_cast<std::int64_t>(cfg_.n()));
+    for (const runs_interval& iv : cv_.t3_intervals) {
+        consts_.t3_ones_hi.push_back(immediate(iv.ones_hi));
+        consts_.t3_runs_lo.push_back(immediate(iv.runs_lo));
+        consts_.t3_runs_hi.push_back(immediate(iv.runs_hi));
+    }
+    consts_.t4_weights = immediates(cv_.t4_weights_q);
+    consts_.t4_bound = immediate(cv_.t4_sum_bound);
+    consts_.t7_mu = immediate((std::int64_t{1} << cfg_.t7_log2_m)
+                         - cfg_.template_length + 1);
+    consts_.t7_bound = immediate(cv_.t7_sum_bound);
+    consts_.t8_weights = immediates(cv_.t8_weights_q);
+    consts_.t8_bound = immediate(cv_.t8_sum_bound);
+    consts_.t11_bound1 = immediate(cv_.t11_del1_bound);
+    consts_.t11_bound2 = immediate(cv_.t11_del2_bound);
+    consts_.t12_bound = immediate(cv_.t12_apen_min_q16);
+    consts_.t13_bound = immediate(cv_.t13_z_bound);
 }
 
 namespace {
@@ -252,13 +292,11 @@ test_verdict software_runner::run_frequency(soft_cpu& cpu) const
     // the cusum walk (sharing trick 1: no ones-counter exists in hardware).
     const reg s = store_[binding_.s_final];
     const reg magnitude = cpu.abs(s);
-    const reg bound = soft_cpu::constant(
-        cv_.t1_max_deviation, bits_for_signed(cv_.t1_max_deviation));
     test_verdict verdict;
     verdict.id = hw::test_id::frequency;
     verdict.statistic = magnitude.value;
     verdict.bound = cv_.t1_max_deviation;
-    verdict.pass = cpu.less_equal(magnitude, bound);
+    verdict.pass = cpu.less_equal(magnitude, consts_.t1_bound);
     return verdict;
 }
 
@@ -267,25 +305,20 @@ test_verdict software_runner::run_block_frequency(soft_cpu& cpu) const
 {
     // sum (2 eps_i - M)^2 <= M * chi2_crit(N dof).
     const unsigned blocks = 1u << (cfg_.log2_n - cfg_.bf_log2_m);
-    const std::int64_t m_value = std::int64_t{1} << cfg_.bf_log2_m;
-    const reg m_const =
-        soft_cpu::constant(m_value, bits_for_signed(m_value));
     reg acc = soft_cpu::constant(0, 1);
     for (unsigned i = 0; i < blocks; ++i) {
         const reg eps = store_[binding_.eps[i]];
         reg d = cpu.shift_left(eps, 1);
-        d = cpu.sub(d, m_const);
+        d = cpu.sub(d, consts_.t2_block_len);
         d = cpu.abs(d);
         const reg square = cpu.sqr(d);
         acc = cpu.add(acc, square);
     }
-    const reg bound = soft_cpu::constant(
-        cv_.t2_sum_bound, bits_for_signed(cv_.t2_sum_bound));
     test_verdict verdict;
     verdict.id = hw::test_id::block_frequency;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t2_sum_bound;
-    verdict.pass = cpu.less_equal(acc, bound);
+    verdict.pass = cpu.less_equal(acc, consts_.t2_bound);
     return verdict;
 }
 
@@ -298,9 +331,7 @@ test_verdict software_runner::run_runs(soft_cpu& cpu) const
     // Frequency prerequisite on the walk's final value.
     const reg s = store_[binding_.s_final];
     const reg magnitude = cpu.abs(s);
-    const reg prereq = soft_cpu::constant(
-        cv_.t3_prereq_deviation, bits_for_signed(cv_.t3_prereq_deviation));
-    if (cpu.greater_equal(magnitude, prereq)) {
+    if (cpu.greater_equal(magnitude, consts_.t3_prereq)) {
         verdict.statistic = magnitude.value;
         verdict.bound = cv_.t3_prereq_deviation;
         verdict.pass = false;
@@ -308,10 +339,7 @@ test_verdict software_runner::run_runs(soft_cpu& cpu) const
     }
 
     // N_ones = (S_final + n) / 2 -- derived, not counted (trick 1).
-    const std::int64_t n_value =
-        static_cast<std::int64_t>(cfg_.n());
-    reg ones = cpu.add(s, soft_cpu::constant(n_value,
-                                             bits_for_signed(n_value)));
+    reg ones = cpu.add(s, consts_.t3_n);
     ones = cpu.shift_right(ones, 1);
 
     // Binary search for the stored N_ones interval (the paper: "first
@@ -320,26 +348,17 @@ test_verdict software_runner::run_runs(soft_cpu& cpu) const
     std::size_t hi = cv_.t3_intervals.size() - 1;
     while (lo < hi) {
         const std::size_t mid = (lo + hi) / 2;
-        const runs_interval& iv = cv_.t3_intervals[mid];
-        const reg upper = soft_cpu::constant(
-            iv.ones_hi, bits_for_signed(iv.ones_hi));
-        if (cpu.greater(ones, upper)) {
+        if (cpu.greater(ones, consts_.t3_ones_hi[mid])) {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    const runs_interval& iv = cv_.t3_intervals[lo];
-
     const reg runs = store_[binding_.n_runs];
-    const reg lo_bound =
-        soft_cpu::constant(iv.runs_lo, bits_for_signed(iv.runs_lo));
-    const reg hi_bound =
-        soft_cpu::constant(iv.runs_hi, bits_for_signed(iv.runs_hi));
-    const bool above = cpu.greater_equal(runs, lo_bound);
-    const bool below = cpu.less_equal(runs, hi_bound);
+    const bool above = cpu.greater_equal(runs, consts_.t3_runs_lo[lo]);
+    const bool below = cpu.less_equal(runs, consts_.t3_runs_hi[lo]);
     verdict.statistic = runs.value;
-    verdict.bound = iv.runs_hi;
+    verdict.bound = cv_.t3_intervals[lo].runs_hi;
     verdict.pass = above && below;
     return verdict;
 }
@@ -352,18 +371,14 @@ test_verdict software_runner::run_longest_run(soft_cpu& cpu) const
     for (std::size_t c = 0; c < cv_.t4_weights_q.size(); ++c) {
         const reg nu = store_[binding_.lr_nu[c]];
         const reg square = cpu.sqr(nu);
-        const reg w = soft_cpu::constant(
-            cv_.t4_weights_q[c], bits_for_signed(cv_.t4_weights_q[c]));
-        const reg term = cpu.mul(square, w);
+        const reg term = cpu.mul(square, consts_.t4_weights[c]);
         acc = cpu.add(acc, term);
     }
-    const reg bound = soft_cpu::constant(
-        cv_.t4_sum_bound, bits_for_signed(cv_.t4_sum_bound));
     test_verdict verdict;
     verdict.id = hw::test_id::longest_run;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t4_sum_bound;
-    verdict.pass = cpu.less_equal(acc, bound);
+    verdict.pass = cpu.less_equal(acc, consts_.t4_bound);
     return verdict;
 }
 
@@ -372,25 +387,20 @@ test_verdict software_runner::run_non_overlapping(soft_cpu& cpu) const
 {
     // sum (2^m W_i - (M - m + 1))^2 <= 2^{2m} sigma^2 crit.
     const unsigned blocks = 1u << (cfg_.log2_n - cfg_.t7_log2_m);
-    const std::int64_t mu_scaled =
-        (std::int64_t{1} << cfg_.t7_log2_m) - cfg_.template_length + 1;
-    const reg mu = soft_cpu::constant(mu_scaled, bits_for_signed(mu_scaled));
     reg acc = soft_cpu::constant(0, 1);
     for (unsigned i = 0; i < blocks; ++i) {
         const reg w = store_[binding_.t7_w[i]];
         reg d = cpu.shift_left(w, cfg_.template_length);
-        d = cpu.sub(d, mu);
+        d = cpu.sub(d, consts_.t7_mu);
         d = cpu.abs(d);
         const reg square = cpu.sqr(d);
         acc = cpu.add(acc, square);
     }
-    const reg bound = soft_cpu::constant(
-        cv_.t7_sum_bound, bits_for_signed(cv_.t7_sum_bound));
     test_verdict verdict;
     verdict.id = hw::test_id::non_overlapping_template;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t7_sum_bound;
-    verdict.pass = cpu.less_equal(acc, bound);
+    verdict.pass = cpu.less_equal(acc, consts_.t7_bound);
     return verdict;
 }
 
@@ -401,18 +411,14 @@ test_verdict software_runner::run_overlapping(soft_cpu& cpu) const
     for (std::size_t c = 0; c < cv_.t8_weights_q.size(); ++c) {
         const reg nu = store_[binding_.t8_nu[c]];
         const reg square = cpu.sqr(nu);
-        const reg w = soft_cpu::constant(
-            cv_.t8_weights_q[c], bits_for_signed(cv_.t8_weights_q[c]));
-        const reg term = cpu.mul(square, w);
+        const reg term = cpu.mul(square, consts_.t8_weights[c]);
         acc = cpu.add(acc, term);
     }
-    const reg bound = soft_cpu::constant(
-        cv_.t8_sum_bound, bits_for_signed(cv_.t8_sum_bound));
     test_verdict verdict;
     verdict.id = hw::test_id::overlapping_template;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t8_sum_bound;
-    verdict.pass = cpu.less_equal(acc, bound);
+    verdict.pass = cpu.less_equal(acc, consts_.t8_bound);
     return verdict;
 }
 
@@ -449,12 +455,8 @@ test_verdict software_runner::run_serial(soft_cpu& cpu) const
     reg del2 = cpu.sub(sum_m_scaled, cpu.shift_left(sum_m1, m));
     del2 = cpu.add(del2, cpu.shift_left(sum_m2, m - 2));
 
-    const reg bound1 = soft_cpu::constant(
-        cv_.t11_del1_bound, bits_for_signed(cv_.t11_del1_bound));
-    const reg bound2 = soft_cpu::constant(
-        cv_.t11_del2_bound, bits_for_signed(cv_.t11_del2_bound));
-    const bool pass1 = cpu.less_equal(del1, bound1);
-    const bool pass2 = cpu.less_equal(del2, bound2);
+    const bool pass1 = cpu.less_equal(del1, consts_.t11_bound1);
+    const bool pass2 = cpu.less_equal(del2, consts_.t11_bound2);
 
     test_verdict verdict;
     verdict.id = hw::test_id::serial;
@@ -487,13 +489,11 @@ test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu) const
     const reg a = phi_sum(binding_.nu_m);
     const reg b = phi_sum(binding_.nu_m1);
     const reg apen_q16 = cpu.sub(a, b);
-    const reg bound = soft_cpu::constant(
-        cv_.t12_apen_min_q16, bits_for_signed(cv_.t12_apen_min_q16));
     test_verdict verdict;
     verdict.id = hw::test_id::approximate_entropy;
     verdict.statistic = apen_q16.value;
     verdict.bound = cv_.t12_apen_min_q16;
-    verdict.pass = cpu.greater_equal(apen_q16, bound);
+    verdict.pass = cpu.greater_equal(apen_q16, consts_.t12_bound);
     return verdict;
 }
 
@@ -513,10 +513,8 @@ test_verdict software_runner::run_cumulative_sums(soft_cpu& cpu) const
     const reg z_rev =
         cpu.max(cpu.sub(s_max, s_final), cpu.sub(s_final, s_min));
 
-    const reg bound = soft_cpu::constant(
-        cv_.t13_z_bound, bits_for_signed(cv_.t13_z_bound));
-    const bool pass_fwd = cpu.less_equal(z_fwd, bound);
-    const bool pass_rev = cpu.less_equal(z_rev, bound);
+    const bool pass_fwd = cpu.less_equal(z_fwd, consts_.t13_bound);
+    const bool pass_rev = cpu.less_equal(z_rev, consts_.t13_bound);
 
     test_verdict verdict;
     verdict.id = hw::test_id::cumulative_sums;

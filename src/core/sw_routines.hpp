@@ -92,8 +92,33 @@ private:
         bool derive_marginals = false;
     };
 
+    /// Every routine's constant operands, sized once per runner: the
+    /// acceptance bounds, the t4/t8 weights and the runs-interval limits
+    /// (the program's immediates; reading them charges nothing).
+    struct operands {
+        sw16::reg t1_bound;
+        sw16::reg t2_block_len;
+        sw16::reg t2_bound;
+        sw16::reg t3_prereq;
+        sw16::reg t3_n;
+        std::vector<sw16::reg> t3_ones_hi;
+        std::vector<sw16::reg> t3_runs_lo;
+        std::vector<sw16::reg> t3_runs_hi;
+        std::vector<sw16::reg> t4_weights;
+        sw16::reg t4_bound;
+        sw16::reg t7_mu;
+        sw16::reg t7_bound;
+        std::vector<sw16::reg> t8_weights;
+        sw16::reg t8_bound;
+        sw16::reg t11_bound1;
+        sw16::reg t11_bound2;
+        sw16::reg t12_bound;
+        sw16::reg t13_bound;
+    };
+
     hw::block_config cfg_;
     critical_values cv_;
+    operands consts_;
     mutable binding binding_;
     /// The collection pass's values: one slot per mapped entry in map
     /// order, then the derived marginals (reused across windows).

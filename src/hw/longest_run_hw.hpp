@@ -27,12 +27,14 @@ public:
                    unsigned v_hi);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Span kernel: per word- and block-bounded segment, the
-    /// carried-in run extends by the segment's leading ones, the interior
-    /// maximum comes from the shift-AND longest-run scan, and the
-    /// trailing ones carry out -- no per-bit counter stepping.  The
-    /// carried run and block maximum live in locals; the RTL counters
-    /// commit once per span.
+    /// \brief Span kernel: one lookup in a 256-entry table per 8 stream
+    /// bits gives the byte's leading, trailing and longest run of ones;
+    /// the carried-in run plus the leading ones, the longest run and the
+    /// block maximum combine by max, and a closing block's maximum clamps
+    /// to its category.  Partial bytes (unaligned heads, span tails,
+    /// M < 8) take the same table on masked bits.  The carried run, the
+    /// block maximum and a per-span category tally live in locals and
+    /// commit to the RTL counters once per span.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;
@@ -58,6 +60,8 @@ private:
     rtl::saturating_counter run_length_;
     rtl::max_tracker block_max_;
     std::vector<std::unique_ptr<rtl::counter>> categories_;
+    /// consume_span's closed blocks per category, zero between spans.
+    std::vector<std::uint64_t> tally_;
 };
 
 } // namespace otf::hw

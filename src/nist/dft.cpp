@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <complex>
+#include <map>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 
@@ -65,6 +67,57 @@ void transform(cplx* out, const cplx* in, std::size_t len,
     }
 }
 
+// twiddle[k] = exp(-2 pi i k / n); the upper half mirrors the lower.
+std::vector<cplx> make_twiddles(std::size_t n)
+{
+    const std::size_t half = n / 2;
+    std::vector<cplx> twiddle(n);
+    for (std::size_t k = 0; k <= half; ++k) {
+        const double angle = -2.0 * std::numbers::pi * static_cast<double>(k)
+            / static_cast<double>(n);
+        twiddle[k] = {std::cos(angle), std::sin(angle)};
+    }
+    for (std::size_t k = half + 1; k < n; ++k) {
+        twiddle[k] = std::conj(twiddle[n - k]);
+    }
+    return twiddle;
+}
+
+// Distinct lengths whose twiddles stay cached for the process lifetime
+// (the escalation evidence only produces 128 w bits, w <= 8); further
+// lengths build a table per call into `uncached`.
+constexpr std::size_t kCachedLengths = 64;
+
+// The twiddle table of length n, built once per length.  Concurrent
+// callers of one length wait for a single build (std::call_once); other
+// lengths build in parallel, outside the cache lock.
+const std::vector<cplx>& twiddles(std::size_t n, std::vector<cplx>& uncached)
+{
+    struct table {
+        std::once_flag built;
+        std::vector<cplx> twiddle;
+    };
+    static std::mutex mutex;
+    static std::map<std::size_t, table> cache; // nodes never move
+    table* t = nullptr;
+    {
+        const std::lock_guard lock(mutex);
+        auto it = cache.find(n);
+        if (it == cache.end() && cache.size() < kCachedLengths) {
+            it = cache.try_emplace(n).first;
+        }
+        if (it != cache.end()) {
+            t = &it->second;
+        }
+    }
+    if (t == nullptr) {
+        uncached = make_twiddles(n);
+        return uncached;
+    }
+    std::call_once(t->built, [&] { t->twiddle = make_twiddles(n); });
+    return t->twiddle;
+}
+
 } // namespace
 
 std::vector<double> dft_magnitudes(const std::vector<double>& input)
@@ -75,16 +128,8 @@ std::vector<double> dft_magnitudes(const std::vector<double>& input)
     if (n < 2) {
         return magnitudes;
     }
-    // twiddle[k] = exp(-2 pi i k / n); the upper half mirrors the lower.
-    std::vector<cplx> twiddle(n);
-    for (std::size_t k = 0; k <= half; ++k) {
-        const double angle = -2.0 * std::numbers::pi * static_cast<double>(k)
-            / static_cast<double>(n);
-        twiddle[k] = {std::cos(angle), std::sin(angle)};
-    }
-    for (std::size_t k = half + 1; k < n; ++k) {
-        twiddle[k] = std::conj(twiddle[n - k]);
-    }
+    std::vector<cplx> uncached;
+    const std::vector<cplx>& twiddle = twiddles(n, uncached);
     // An even n runs as a half-length complex transform of the packed
     // pairs z[k] = x[2k] + i x[2k+1] (its twiddles are every other entry);
     // an odd n runs at full length.

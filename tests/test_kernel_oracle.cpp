@@ -6,10 +6,11 @@
 // process-wide kernel_variant; this suite pins each variant (reference,
 // portable, simd) against the per-bit oracle over all eight paper design
 // points and every serial pattern length, seeded random streams,
-// adversarial source models at several severities, and pathological inputs
-// (all-zero, all-one, alternating, template floods, a single flipped bit at
-// every word offset), fed as one span or as chunks of every size from 1 to
-// 64 bits.
+// the longest-run engine at every block length and its widest category
+// range, adversarial source models at several severities, and pathological
+// inputs (all-zero, all-one, alternating, long ones-runs, template floods, a
+// single flipped bit at every word offset), fed as one span or as chunks of
+// every size from 1 to 64 bits.
 #include "base/bits.hpp"
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -320,6 +322,103 @@ TEST(kernel_oracle, serial_every_pattern_length_matches_per_bit)
                         "n=2^" + std::to_string(log2_n) + " m="
                             + std::to_string(m)
                             + (marginals ? " marginals" : "") + " " + name);
+                    if (::testing::Test::HasFailure()) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Longest-run engine at every block length: M = 2^lr_log2_m for every
+// lr_log2_m below log2 n (M < 8 takes only the kernel's masked pieces), over
+// the widest category range the block can map (v_hi = M, with v_lo = 0 --
+// one counter per possible longest run -- up to M = 64, then 125
+// categories) and a narrow range that clamps at both ends.  Each window is
+// fed as one span, in chunks of 1..64 bits, and in ragged chunks whose
+// lengths and stream offsets are rarely multiples of 8; the long-runs
+// window puts ones-runs of up to 300 bits across words and blocks.
+// ---------------------------------------------------------------------------
+
+/// Ones-runs of assorted lengths (around byte, word and block sizes), each
+/// closed by a single zero.
+bit_sequence long_runs_sequence(std::uint64_t n)
+{
+    constexpr std::uint64_t lengths[] = {1,  5,   8,   9,   15,  16,
+                                         17, 63,  64,  65,  100, 127,
+                                         128, 129, 255, 256, 300};
+    bit_sequence seq;
+    for (std::size_t k = 0; seq.size() < n; ++k) {
+        const std::uint64_t run = lengths[k % std::size(lengths)];
+        for (std::uint64_t i = 0; i < run && seq.size() < n; ++i) {
+            seq.push_back(true);
+        }
+        if (seq.size() < n) {
+            seq.push_back(false);
+        }
+    }
+    return seq;
+}
+
+/// Category counters a longest-run-only block can map: each is a
+/// top-level readout input, the 7-bit select addresses 128, and the
+/// always-present cusum walk takes three (s_final, s_max, s_min).
+constexpr unsigned kMaxLongestRunCategories = 125;
+
+TEST(kernel_oracle, longest_run_every_block_length_matches_per_bit)
+{
+    for (const unsigned log2_n : {7u, 10u}) {
+        const std::uint64_t n = std::uint64_t{1} << log2_n;
+        const std::pair<std::string, bit_sequence> inputs[] = {
+            {"random", random_sequence(fixture_seed(70), n)},
+            {"all-zero", bit_sequence(n, false)},
+            {"all-one", bit_sequence(n, true)},
+            {"alternating", alternating_sequence(n)},
+            {"long runs", long_runs_sequence(n)},
+        };
+        std::vector<std::size_t> sizes = chunk_sizes_1_to_64({});
+        sizes.insert(sizes.begin(), n);
+        for (unsigned log2_m = 1; log2_m < log2_n; ++log2_m) {
+            const unsigned block = 1u << log2_m;
+            // Widest: v_hi = M and as many categories below it as the
+            // readout mux can address.
+            const unsigned widest_lo =
+                block + 1 > kMaxLongestRunCategories
+                ? block + 1 - kMaxLongestRunCategories
+                : 0;
+            const std::pair<unsigned, unsigned> ranges[] = {
+                {widest_lo, block}, {1, 2}};
+            for (const auto& [v_lo, v_hi] : ranges) {
+                hw::block_config cfg = core::custom_design(
+                    log2_n, hw::test_set{}.with(hw::test_id::longest_run));
+                cfg.lr_log2_m = log2_m;
+                cfg.lr_v_lo = v_lo;
+                cfg.lr_v_hi = v_hi;
+                cfg.validate();
+                for (const auto& [name, seq] : inputs) {
+                    const std::string context = "n=2^"
+                        + std::to_string(log2_n) + " M=" + std::to_string(block)
+                        + " v=[" + std::to_string(v_lo) + ","
+                        + std::to_string(v_hi) + "] " + name;
+                    expect_chunked_spans_match_oracle(cfg, seq, sizes,
+                                                      context);
+
+                    hw::testing_block oracle(cfg);
+                    oracle.run(seq);
+                    hw::testing_block fast(cfg);
+                    trng::xoshiro256ss chunk_rng(fixture_seed(71));
+                    for (std::size_t pos = 0; pos < seq.size();) {
+                        const std::size_t take = std::min<std::size_t>(
+                            1 + chunk_rng.next() % 131, seq.size() - pos);
+                        const auto chunk = pack_range(seq, pos, take);
+                        fast.feed_span(chunk.data(), take);
+                        pos += take;
+                    }
+                    fast.finish();
+                    expect_identical_registers(oracle, fast,
+                                               context + " ragged chunks");
                     if (::testing::Test::HasFailure()) {
                         return;
                     }

@@ -18,6 +18,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -133,6 +134,44 @@ TEST(dft_magnitudes, matches_direct_dft_at_every_length)
         for (std::size_t j = 0; j < fast.size(); ++j) {
             EXPECT_NEAR(fast[j], direct[j], 1e-9 * std::max(direct[j], 1.0))
                 << "n = " << n << ", bin " << j;
+        }
+    }
+}
+
+TEST(dft_magnitudes, concurrent_first_calls_agree_with_a_later_call)
+{
+    // The twiddle table is built once per length and shared: threads that
+    // race to the first call of a length must all see one complete table.
+    // Lengths no other test here uses, so the first calls are these.
+    const std::vector<std::size_t> lengths = {210, 330, 462, 770, 1155};
+    const auto input = [](std::size_t n) {
+        trng::ideal_source src(n + 7);
+        std::vector<double> x(n);
+        for (auto& v : x) {
+            v = src.next_bit() ? 1.0 : -1.0;
+        }
+        return x;
+    };
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<std::vector<double>>> results(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = 0; i < lengths.size(); ++i) {
+                // Each thread walks the lengths from a different start.
+                const std::size_t n = lengths[(i + t) % lengths.size()];
+                results[t].push_back(dft_magnitudes(input(n)));
+            }
+        });
+    }
+    for (std::thread& th : threads) {
+        th.join();
+    }
+    for (unsigned t = 0; t < kThreads; ++t) {
+        for (std::size_t i = 0; i < lengths.size(); ++i) {
+            const std::size_t n = lengths[(i + t) % lengths.size()];
+            EXPECT_EQ(results[t][i], dft_magnitudes(input(n)))
+                << "thread " << t << ", n = " << n;
         }
     }
 }
