@@ -33,8 +33,9 @@ approximate_entropy_result approximate_entropy_test(const bit_sequence& seq,
     }
     approximate_entropy_result r;
     r.m = m;
-    r.nu_m = cyclic_pattern_counts(seq, m);
+    // One count pass at m+1; the m-bit counts are its marginals.
     r.nu_m1 = cyclic_pattern_counts(seq, m + 1);
+    r.nu_m = cyclic_marginal_counts(r.nu_m1);
     const std::size_t n = seq.size();
     r.phi_m = phi(r.nu_m, n);
     r.phi_m1 = phi(r.nu_m1, n);

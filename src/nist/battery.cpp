@@ -33,25 +33,26 @@ std::vector<battery_test> build_registry()
 {
     std::vector<battery_test> tests;
 
-    tests.push_back({1, "frequency", 0,
+    tests.push_back({1, "frequency", 1,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          add(out, 1, "frequency",
                              frequency_test(seq).p_value, alpha);
                      }});
 
-    tests.push_back({2, "block frequency", 0,
+    tests.push_back({2, "block frequency", 20,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          // M ~ n/64 but at least 20 (SP 800-22
-                         // recommendation M > 0.01 n, N < 100).
+                         // recommendation M > 0.01 n, N < 100); the
+                         // minimum length is one such block.
                          const unsigned m = static_cast<unsigned>(
                              std::max<std::size_t>(20, seq.size() / 64));
                          add(out, 2, "block frequency",
                              block_frequency_test(seq, m).p_value, alpha);
                      }});
 
-    tests.push_back({3, "runs", 0,
+    tests.push_back({3, "runs", 2,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          add(out, 3, "runs", runs_test(seq).p_value,
@@ -76,7 +77,7 @@ std::vector<battery_test> build_registry()
                              matrix_rank_test(seq).p_value, alpha);
                      }});
 
-    tests.push_back({6, "spectral (DFT)", 0,
+    tests.push_back({6, "spectral (DFT)", 2,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          add(out, 6, "spectral (DFT)",
@@ -119,7 +120,7 @@ std::vector<battery_test> build_registry()
                              alpha);
                      }});
 
-    tests.push_back({11, "serial", 0,
+    tests.push_back({11, "serial", 3,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          const unsigned m = (seq.size() >= 1024) ? 4 : 3;
@@ -128,7 +129,7 @@ std::vector<battery_test> build_registry()
                          add(out, 11, "serial P2", r.p_value2, alpha);
                      }});
 
-    tests.push_back({12, "approximate entropy", 0,
+    tests.push_back({12, "approximate entropy", 3,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          const unsigned m = (seq.size() >= 1024) ? 3 : 2;
@@ -137,7 +138,7 @@ std::vector<battery_test> build_registry()
                              alpha);
                      }});
 
-    tests.push_back({13, "cumulative sums", 0,
+    tests.push_back({13, "cumulative sums", 1,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          const auto r = cumulative_sums_test(seq);
@@ -147,7 +148,7 @@ std::vector<battery_test> build_registry()
                              alpha);
                      }});
 
-    tests.push_back({14, "random excursions", 0,
+    tests.push_back({14, "random excursions", 1,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          const auto r = random_excursions_test(seq);
@@ -160,7 +161,7 @@ std::vector<battery_test> build_registry()
                          }
                      }});
 
-    tests.push_back({15, "random excursions variant", 0,
+    tests.push_back({15, "random excursions variant", 1,
                      [](const bit_sequence& seq, double alpha,
                         battery_report& out) {
                          const auto r =

@@ -23,36 +23,63 @@ cplx mul(cplx a, cplx b)
 }
 
 // Mixed-radix decimation in time: out[0, len) = DFT of in[0], in[stride],
-// ..., where twiddle[k * tw_stride] = exp(-2 pi i k / len).  len = p m
-// splits over its smallest prime factor p into p length-m transforms of
-// the decimated subsequences, stored at out[r m, (r + 1) m); a prime len
-// is the direct sum over the table.  scratch holds >= p entries.
+// ..., where twiddle[k * tw_stride] = exp(-2 pi i k / len).  An even len
+// splits into the two length-len/2 transforms of the even and odd samples,
+// stored at out[0, len/2) and out[len/2, len), down to a length-4 or
+// length-2 butterfly.  An odd len = p m splits over its smallest prime
+// factor p into p length-m transforms of the decimated subsequences,
+// stored at out[r m, (r + 1) m); a prime len is the direct sum over the
+// table.  scratch holds >= p entries.
 void transform(cplx* out, const cplx* in, std::size_t len,
                std::size_t stride, const cplx* twiddle,
                std::size_t tw_stride, cplx* scratch)
 {
-    if (len == 1) {
-        out[0] = in[0];
+    if (len == 2) {
+        out[0] = in[0] + in[stride];
+        out[1] = in[0] - in[stride];
         return;
     }
-    std::size_t p = 2;
+    if (len == 4) {
+        const cplx a = in[0] + in[2 * stride];
+        const cplx b = in[0] - in[2 * stride];
+        const cplx c = in[stride] + in[3 * stride];
+        const cplx d = in[stride] - in[3 * stride];
+        const cplx minus_i_d(d.imag(), -d.real()); // exp(-2 pi i / 4) d
+        out[0] = a + c;
+        out[1] = b + minus_i_d;
+        out[2] = a - c;
+        out[3] = b - minus_i_d;
+        return;
+    }
+    if (len % 2 == 0) {
+        const std::size_t m = len / 2;
+        transform(out, in, m, stride * 2, twiddle, tw_stride * 2, scratch);
+        transform(out + m, in + stride, m, stride * 2, twiddle,
+                  tw_stride * 2, scratch);
+        for (std::size_t q = 0; q < m; ++q) {
+            const cplx t = mul(out[q + m], twiddle[q * tw_stride]);
+            out[q + m] = out[q] - t;
+            out[q] += t;
+        }
+        return;
+    }
+    std::size_t p = 3;
     while (p * p <= len && len % p != 0) {
-        ++p;
+        p += 2;
     }
     p = len % p == 0 ? p : len;
     const std::size_t m = len / p;
-    for (std::size_t r = 0; r < p; ++r) {
-        transform(out + r * m, in + r * stride, m, stride * p, twiddle,
-                  tw_stride * p, scratch);
+    if (m > 1) {
+        for (std::size_t r = 0; r < p; ++r) {
+            transform(out + r * m, in + r * stride, m, stride * p, twiddle,
+                      tw_stride * p, scratch);
+        }
     }
     for (std::size_t q = 0; q < m; ++q) {
         for (std::size_t r = 0; r < p; ++r) {
-            scratch[r] = mul(out[r * m + q], twiddle[r * q * tw_stride]);
-        }
-        if (p == 2) {
-            out[q] = scratch[0] + scratch[1];
-            out[q + m] = scratch[0] - scratch[1];
-            continue;
+            scratch[r] = m == 1
+                ? in[r * stride]
+                : mul(out[r * m + q], twiddle[r * q * tw_stride]);
         }
         // out[q + s m] = sum_r scratch[r] exp(-2 pi i r s / p).
         for (std::size_t s = 0; s < p; ++s) {
@@ -135,15 +162,15 @@ std::vector<double> dft_magnitudes(const std::vector<double>& input)
     // an odd n runs at full length.
     const bool even = n % 2 == 0;
     const std::size_t len = even ? half : n;
-    std::vector<cplx> packed(len);
+    // One buffer: the packed input, the transform and the radix scratch.
+    std::vector<cplx> buffer(3 * len);
+    cplx* const packed = buffer.data();
+    cplx* const z = packed + len;
     for (std::size_t k = 0; k < len; ++k) {
         packed[k] = even ? cplx(input[2 * k], input[2 * k + 1])
                          : cplx(input[k], 0.0);
     }
-    std::vector<cplx> z(len);
-    std::vector<cplx> scratch(len);
-    transform(z.data(), packed.data(), len, 1, twiddle.data(), even ? 2 : 1,
-              scratch.data());
+    transform(z, packed, len, 1, twiddle.data(), even ? 2 : 1, z + len);
     for (std::size_t j = 0; j < half; ++j) {
         cplx x = z[j];
         if (even) {
@@ -155,7 +182,9 @@ std::vector<double> dft_magnitudes(const std::vector<double>& input)
             const cplx o(0.5 * d.imag(), -0.5 * d.real());
             x = e + mul(twiddle[j], o);
         }
-        magnitudes[j] = std::abs(x);
+        // Not std::abs: its hypot guards an overflow no bin can reach.
+        magnitudes[j] =
+            std::sqrt(x.real() * x.real() + x.imag() * x.imag());
     }
     return magnitudes;
 }
@@ -168,7 +197,7 @@ dft_result dft_test(const bit_sequence& seq)
     }
     std::vector<double> x(n);
     for (std::size_t i = 0; i < n; ++i) {
-        x[i] = seq[i] ? 1.0 : -1.0;
+        x[i] = 2.0 * static_cast<double>(seq[i]) - 1.0;
     }
     const std::vector<double> magnitudes = dft_magnitudes(x);
 

@@ -2,6 +2,7 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace otf::nist {
@@ -11,17 +12,13 @@ namespace {
 unsigned longest_ones_run(const bit_sequence& seq, std::size_t first,
                           std::size_t length)
 {
+    // Branch-free: a zero bit resets the current run by multiplication
+    // (a `bit ? 1 : 0` operand lets the compiler put the branch back).
     unsigned longest = 0;
     unsigned current = 0;
     for (std::size_t i = 0; i < length; ++i) {
-        if (seq[first + i]) {
-            ++current;
-            if (current > longest) {
-                longest = current;
-            }
-        } else {
-            current = 0;
-        }
+        current = (current + 1) * static_cast<unsigned>(seq[first + i]);
+        longest = std::max(longest, current);
     }
     return longest;
 }

@@ -19,18 +19,37 @@ std::vector<std::uint64_t> cyclic_pattern_counts(const bit_sequence& seq,
     std::vector<std::uint64_t> counts(std::size_t{1} << m, 0);
     const std::uint32_t mask = (1u << m) - 1u;
     // Prime the window with the first m-1 bits, then slide once per start
-    // position; positions near the end wrap around (cyclic extension).
+    // position: over the straight part, the window's last bit runs from
+    // m-1 to n-1; the m-1 starts past n-m wrap around onto bits 0..m-2
+    // (cyclic extension).
     std::uint32_t window = 0;
     for (unsigned j = 0; j + 1 < m; ++j) {
         window = ((window << 1) | (seq[j] ? 1u : 0u)) & mask;
     }
     const std::size_t n = seq.size();
-    for (std::size_t start = 0; start < n; ++start) {
-        const std::size_t last = (start + m - 1) % n;
+    for (std::size_t last = m - 1; last < n; ++last) {
+        window = ((window << 1) | (seq[last] ? 1u : 0u)) & mask;
+        ++counts[window];
+    }
+    for (unsigned last = 0; last + 1 < m; ++last) {
         window = ((window << 1) | (seq[last] ? 1u : 0u)) & mask;
         ++counts[window];
     }
     return counts;
+}
+
+std::vector<std::uint64_t> cyclic_marginal_counts(
+    const std::vector<std::uint64_t>& counts)
+{
+    if (counts.size() < 2 || (counts.size() & (counts.size() - 1)) != 0) {
+        throw std::invalid_argument(
+            "cyclic_marginal_counts: need 2^m counts, m >= 1");
+    }
+    std::vector<std::uint64_t> marginal(counts.size() / 2);
+    for (std::size_t p = 0; p < marginal.size(); ++p) {
+        marginal[p] = counts[2 * p] + counts[2 * p + 1];
+    }
+    return marginal;
 }
 
 namespace {
@@ -55,18 +74,14 @@ serial_result serial_test(const bit_sequence& seq, unsigned m)
     }
     serial_result r;
     r.m = m;
+    // One count pass at m; the shorter counts are its marginals.
     r.nu_m = cyclic_pattern_counts(seq, m);
-    r.nu_m1 = cyclic_pattern_counts(seq, m - 1);
+    r.nu_m1 = cyclic_marginal_counts(r.nu_m);
+    r.nu_m2 = cyclic_marginal_counts(r.nu_m1);
     const std::size_t n = seq.size();
-    if (m == 2) {
-        // The "0-bit pattern" appears exactly n times; psi^2_0 is zero by
-        // definition (SP 800-22 section 2.11).
-        r.nu_m2 = {static_cast<std::uint64_t>(n)};
-        r.psi2_m2 = 0.0;
-    } else {
-        r.nu_m2 = cyclic_pattern_counts(seq, m - 2);
-        r.psi2_m2 = psi_squared(r.nu_m2, n);
-    }
+    // The "0-bit pattern" appears exactly n times; psi^2_0 is zero by
+    // definition (SP 800-22 section 2.11).
+    r.psi2_m2 = m == 2 ? 0.0 : psi_squared(r.nu_m2, n);
     r.psi2_m = psi_squared(r.nu_m, n);
     r.psi2_m1 = psi_squared(r.nu_m1, n);
     r.del1 = r.psi2_m - r.psi2_m1;

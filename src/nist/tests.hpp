@@ -173,4 +173,12 @@ double cumulative_sums_p_value(std::int64_t z, std::size_t n);
 std::vector<std::uint64_t> cyclic_pattern_counts(const bit_sequence& seq,
                                                  unsigned m);
 
+/// The (m-1)-bit counts from the 2^m cyclic m-bit counts, by summing
+/// sibling patterns: nu_{m-1}[p] = nu_m[2p] + nu_m[2p+1].  Exact for cyclic
+/// counts, so serial and approximate entropy count once at their longest
+/// pattern.  The marginal of the 1-bit counts is {n}.
+/// \throws std::invalid_argument unless counts.size() is 2^m, m >= 1
+std::vector<std::uint64_t> cyclic_marginal_counts(
+    const std::vector<std::uint64_t>& counts);
+
 } // namespace otf::nist

@@ -8,11 +8,13 @@
 #include "nist/battery.hpp"
 #include "nist/extended_tests.hpp"
 #include "nist/gf2.hpp"
+#include "nist/tests.hpp"
 #include "trng/sources.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <numbers>
 #include <numeric>
@@ -25,6 +27,33 @@ namespace {
 
 using namespace otf;
 using namespace otf::nist;
+
+// Bernoulli(p) bits from splitmix64.  Test corpora built from it depend
+// on this file alone, so only a change to the nist code can move them.
+bit_sequence bernoulli_bits(std::uint64_t seed, double p, std::size_t n)
+{
+    bit_sequence seq;
+    seq.reserve(n);
+    std::uint64_t state = seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        z ^= z >> 31;
+        seq.push_back(static_cast<double>(z >> 11) * 0x1.0p-53 < p);
+    }
+    return seq;
+}
+
+// 0101...: n bits.
+bit_sequence alternating_bits(std::size_t n)
+{
+    bit_sequence seq;
+    for (std::size_t i = 0; i < n; ++i) {
+        seq.push_back(i % 2 == 1);
+    }
+    return seq;
+}
 
 // ------------------------------------------------------------------ GF(2) --
 TEST(gf2, rank_of_known_matrices)
@@ -92,21 +121,30 @@ TEST(matrix_rank_test, rank_deficient_stream_fails)
 }
 
 // -------------------------------------------------------------------- DFT --
-// The direct O(n^2) sum, in long double with the angle index reduced mod n:
-// the oracle for the one transform behind dft_magnitudes.
+// The direct O(n^2) sum, in long double with the angle index reduced mod n
+// into a table of the n angles: the oracle for the one transform behind
+// dft_magnitudes.
 std::vector<double> direct_dft_magnitudes(const std::vector<double>& x)
 {
     const std::size_t n = x.size();
+    std::vector<long double> cos_table(n);
+    std::vector<long double> sin_table(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const long double a = -2.0L * std::numbers::pi_v<long double>
+            * static_cast<long double>(k) / static_cast<long double>(n);
+        cos_table[k] = std::cos(a);
+        sin_table[k] = std::sin(a);
+    }
     std::vector<double> magnitudes(n / 2);
     for (std::size_t j = 0; j < n / 2; ++j) {
         long double re = 0.0L;
         long double im = 0.0L;
+        std::size_t k = 0; // j i mod n
         for (std::size_t i = 0; i < n; ++i) {
-            const long double a = -2.0L * std::numbers::pi_v<long double>
-                * static_cast<long double>(j * i % n)
-                / static_cast<long double>(n);
-            re += x[i] * std::cos(a);
-            im += x[i] * std::sin(a);
+            re += x[i] * cos_table[k];
+            im += x[i] * sin_table[k];
+            k += j;
+            k -= k >= n ? n : 0;
         }
         magnitudes[j] = static_cast<double>(std::hypot(re, im));
     }
@@ -116,9 +154,12 @@ std::vector<double> direct_dft_magnitudes(const std::vector<double>& x)
 TEST(dft_magnitudes, matches_direct_dft_at_every_length)
 {
     // Every evidence length 128 w (w = 1..8), the NIST worked-example
-    // lengths 10 and 100, odd/prime lengths, and the binless 0 and 1.
-    // Relative tolerance, with a floor of 1 on the scale for bins near 0.
-    std::vector<std::size_t> lengths = {10, 100, 0, 1, 2, 3, 65, 97, 127, 129};
+    // lengths 10 and 100, the butterfly base cases and their mixed-radix
+    // neighbours (4, 6, 8, 12, 24), odd/prime lengths, and the binless 0
+    // and 1.  Relative tolerance, with a floor of 1 on the scale for bins
+    // near 0.
+    std::vector<std::size_t> lengths = {10, 100, 0,  1,  2,  3,  4,  6,
+                                        8,  12,  24, 65, 97, 127, 129};
     for (std::size_t w = 1; w <= 8; ++w) {
         lengths.push_back(128 * w);
     }
@@ -182,6 +223,30 @@ TEST(dft_test, healthy_source_passes)
     const auto r = dft_test(src.generate(4096));
     EXPECT_GT(r.p_value, 1e-4);
     EXPECT_NEAR(r.n0, 0.95 * 4096 / 2.0, 1e-9);
+}
+
+TEST(dft_test, below_threshold_count_matches_the_direct_dft)
+{
+    // The P-value depends on the transform only through n1, the count of
+    // bins below T: it must equal the direct DFT's count on every
+    // evidence length.
+    for (std::size_t w = 1; w <= 8; ++w) {
+        const std::size_t n = 128 * w;
+        for (std::uint64_t seed = 0; seed < 50; ++seed) {
+            const bit_sequence seq = bernoulli_bits(seed + 7919 * n, 0.5, n);
+            std::vector<double> x(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                x[i] = seq[i] ? 1.0 : -1.0;
+            }
+            const auto r = dft_test(seq);
+            std::size_t below = 0;
+            for (const double magnitude : direct_dft_magnitudes(x)) {
+                below += magnitude < r.threshold ? 1 : 0;
+            }
+            ASSERT_EQ(r.n1, static_cast<double>(below))
+                << "n = " << n << ", seed " << seed;
+        }
+    }
 }
 
 TEST(dft_test, periodic_source_fails)
@@ -478,6 +543,55 @@ TEST(battery, short_sequences_record_skips_instead_of_dropping)
     EXPECT_FALSE(report.entries[1].applicable);
 }
 
+TEST(battery, every_short_length_records_skips_instead_of_throwing)
+{
+    // Below a test's true minimum length the battery records a skip
+    // instead of throwing.  Degenerate sequences only: at these lengths
+    // random input can still reach the serial test's igamc throw.
+    for (std::size_t n = 0; n < 64; ++n) {
+        for (const bit_sequence& seq : {bit_sequence(n, false),
+                                        bit_sequence(n, true),
+                                        alternating_bits(n)}) {
+            battery_report report;
+            ASSERT_NO_THROW(report = run_battery(seq, 0.01)) << "n = " << n;
+            for (const battery_entry& e : report.entries) {
+                const battery_test& t = battery_tests()[e.test_number - 1];
+                if (n < t.min_length) {
+                    EXPECT_FALSE(e.applicable) << e.name << ", n = " << n;
+                }
+                if (!e.applicable) {
+                    continue;
+                }
+                EXPECT_GE(e.p_value, 0.0) << e.name << ", n = " << n;
+                // The cusum P-value is SP 800-22's truncated series, which
+                // exceeds 1 for a tiny maximum excursion (z = 1 at n = 4
+                // gives 1.10; the NIST reference code only warns).  A clamp
+                // would also move the last bit at longer lengths (z = 1 at
+                // n = 256 gives 1 + 4 ulp), so it stays out of this check.
+                if (e.test_number != 13) {
+                    EXPECT_LE(e.p_value, 1.0) << e.name << ", n = " << n;
+                } else {
+                    EXPECT_TRUE(std::isfinite(e.p_value)) << "n = " << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(battery, registry_minimum_lengths_are_the_tests_own)
+{
+    // block frequency needs one M = 20 block, runs and the spectral test
+    // two bits, serial and approximate entropy their 3-bit patterns.
+    const std::vector<std::size_t> expected = {
+        1, 20, 2, 128, 32 * 32 * 4, 2, 8 * 512, 1024 * 16,
+        10 * (std::size_t{1} << 6) * 7, 500 * 8, 3, 3, 1, 1, 1};
+    const auto& tests = battery_tests();
+    ASSERT_EQ(tests.size(), expected.size());
+    for (std::size_t i = 0; i < tests.size(); ++i) {
+        EXPECT_EQ(tests[i].min_length, expected[i]) << tests[i].name;
+    }
+}
+
 TEST(battery, selection_validates_test_numbers)
 {
     EXPECT_THROW(battery_selection{}.with(0), std::invalid_argument);
@@ -487,6 +601,107 @@ TEST(battery, selection_validates_test_numbers)
                              battery_selection{}),
                  std::invalid_argument);
     EXPECT_EQ(battery_selection::all().count(), 15u);
+}
+
+// 64-bit FNV-1a over raw bytes.
+struct fnv1a {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void bytes(const void* data, std::size_t size)
+    {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            h = (h ^ p[i]) * 0x100000001b3ull;
+        }
+    }
+    void text(const std::string& s) { bytes(s.data(), s.size() + 1); }
+};
+
+// One battery run folded into the digest: per entry the test number, the
+// name, the P-value's bit pattern, applicable and pass.  A throw is
+// folded in by its message, so a defect that throws stays visible.
+// Returns whether the battery threw.
+bool fold_battery(fnv1a& digest, const bit_sequence& seq)
+{
+    try {
+        const battery_report report = run_battery(seq, 0.01);
+        for (const battery_entry& e : report.entries) {
+            digest.bytes(&e.test_number, sizeof e.test_number);
+            digest.text(e.name);
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &e.p_value, sizeof bits);
+            digest.bytes(&bits, sizeof bits);
+            const unsigned char flags[2] = {e.applicable, e.pass};
+            digest.bytes(flags, sizeof flags);
+        }
+    } catch (const std::exception& ex) {
+        digest.text(std::string("throw: ") + ex.what());
+        return true;
+    }
+    return false;
+}
+
+// One period of the binary de Bruijn sequence of order k (2^k bits), by
+// concatenating the Lyndon words whose length divides k.
+bit_sequence de_bruijn(unsigned k)
+{
+    bit_sequence seq;
+    std::vector<unsigned> a(k + 1, 0);
+    const auto generate = [&](auto&& self, unsigned t, unsigned p) -> void {
+        if (t > k) {
+            if (k % p == 0) {
+                for (unsigned j = 1; j <= p; ++j) {
+                    seq.push_back(a[j] != 0);
+                }
+            }
+            return;
+        }
+        a[t] = a[t - p];
+        self(self, t + 1, p);
+        for (unsigned b = a[t - p] + 1; b < 2; ++b) {
+            a[t] = b;
+            self(self, t + 1, t);
+        }
+    };
+    generate(generate, 1, 1);
+    return seq;
+}
+
+TEST(battery, de_bruijn_period_holds_every_pattern_once)
+{
+    const bit_sequence seq = de_bruijn(10);
+    ASSERT_EQ(seq.size(), 1024u);
+    for (const std::uint64_t c : cyclic_pattern_counts(seq, 10)) {
+        ASSERT_EQ(c, 1u);
+    }
+}
+
+TEST(battery, pinned_digest_over_the_evidence_lengths)
+{
+    // Every P-value the offline confirmation can produce, pinned bit for
+    // bit: seeded Bernoulli(p) sequences at every escalation-evidence
+    // length 128 w (w = 1..8), the all-zero, all-one and alternating
+    // sequences at each length, and one de Bruijn period.  A speed-up of
+    // the battery must leave this constant alone; re-pin it only for a
+    // change that moves P-values on purpose, and say so in the change log.
+    fnv1a digest;
+    unsigned throws = 0;
+    for (std::size_t w = 1; w <= 8; ++w) {
+        const std::size_t n = 128 * w;
+        for (const double p : {0.42, 0.46, 0.5, 0.54, 0.58}) {
+            for (std::uint64_t seed = 0; seed < 32; ++seed) {
+                throws += fold_battery(
+                    digest, bernoulli_bits(seed * 1000 + n, p, n));
+            }
+        }
+        throws += fold_battery(digest, bit_sequence(n, false));
+        throws += fold_battery(digest, bit_sequence(n, true));
+        throws += fold_battery(digest, alternating_bits(n));
+    }
+    throws += fold_battery(digest, de_bruijn(10));
+    EXPECT_EQ(digest.h, 0xc06f74c2718b82afull);
+    // The serial test's known defect: at n = 640 (p = 0.42, seed 31) the
+    // rounded nabla^2 psi^2 lands below 0 and igamc throws.
+    EXPECT_EQ(throws, 1u);
 }
 
 TEST(battery, report_serializes_as_json)

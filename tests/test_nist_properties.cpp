@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <numeric>
+#include <vector>
 
 namespace {
 
@@ -33,16 +34,77 @@ TEST_P(seeded, cyclic_pattern_counts_sum_to_n)
     }
 }
 
+// The cyclic m-bit counts by their definition: the window at each start
+// reads bits (start + j) mod n.  The reference for cyclic_pattern_counts
+// and for the shorter counts serial and approximate entropy derive.
+std::vector<std::uint64_t> naive_cyclic_counts(const bit_sequence& seq,
+                                               unsigned m)
+{
+    const std::size_t n = seq.size();
+    std::vector<std::uint64_t> counts(std::size_t{1} << m, 0);
+    for (std::size_t start = 0; start < n; ++start) {
+        std::uint32_t v = 0;
+        for (unsigned j = 0; j < m; ++j) {
+            v = (v << 1) | (seq[(start + j) % n] ? 1u : 0u);
+        }
+        ++counts[v];
+    }
+    return counts;
+}
+
 TEST_P(seeded, cyclic_marginal_property)
 {
-    // Summing the 4-bit counts over the last bit yields the 3-bit counts
-    // exactly (the cyclic extension makes the marginal identity exact);
-    // this is the invariant behind a possible interface reduction.
+    // Summing the m-bit counts over the last bit yields the (m-1)-bit
+    // counts exactly (the cyclic extension makes the marginal identity
+    // exact).  Serial counts once at m and approximate entropy once at
+    // m+1 on this identity (cyclic_marginal_counts).
     const bit_sequence seq = ideal(2048);
-    const auto nu4 = cyclic_pattern_counts(seq, 4);
-    const auto nu3 = cyclic_pattern_counts(seq, 3);
-    for (std::uint32_t p = 0; p < 8; ++p) {
-        EXPECT_EQ(nu4[2 * p] + nu4[2 * p + 1], nu3[p]) << "pattern " << p;
+    for (unsigned m = 2; m <= 10; ++m) {
+        const auto nu = cyclic_pattern_counts(seq, m);
+        const auto nu1 = cyclic_pattern_counts(seq, m - 1);
+        for (std::uint32_t p = 0; p < nu1.size(); ++p) {
+            EXPECT_EQ(nu[2 * p] + nu[2 * p + 1], nu1[p])
+                << "m=" << m << ", pattern " << p;
+        }
+        EXPECT_EQ(cyclic_marginal_counts(nu), nu1) << "m=" << m;
+    }
+}
+
+TEST_P(seeded, cyclic_pattern_counts_match_the_naive_reference)
+{
+    // Wrap-heavy lengths: at n = m every window but the first wraps.
+    for (unsigned m = 1; m <= 10; ++m) {
+        for (const std::size_t n :
+             {std::size_t{m}, std::size_t{m} + 1, std::size_t{2 * m - 1},
+              std::size_t{127}, std::size_t{128}, std::size_t{1000}}) {
+            const bit_sequence seq = ideal(n);
+            EXPECT_EQ(cyclic_pattern_counts(seq, m),
+                      naive_cyclic_counts(seq, m))
+                << "m=" << m << ", n=" << n;
+        }
+    }
+}
+
+TEST_P(seeded, serial_and_apen_derived_counts_equal_direct_counts)
+{
+    for (const std::size_t n : {3u, 5u, 128u, 1000u, 1024u}) {
+        const bit_sequence seq = ideal(n);
+        for (unsigned m = 2; m <= 8 && m <= n; ++m) {
+            const auto r = serial_test(seq, m);
+            EXPECT_EQ(r.nu_m, naive_cyclic_counts(seq, m));
+            EXPECT_EQ(r.nu_m1, naive_cyclic_counts(seq, m - 1))
+                << "m=" << m << ", n=" << n;
+            const std::vector<std::uint64_t> nu_m2 = m == 2
+                ? std::vector<std::uint64_t>{n}
+                : naive_cyclic_counts(seq, m - 2);
+            EXPECT_EQ(r.nu_m2, nu_m2) << "m=" << m << ", n=" << n;
+        }
+        for (unsigned m = 1; m <= 7 && m < n; ++m) {
+            const auto r = approximate_entropy_test(seq, m);
+            EXPECT_EQ(r.nu_m, naive_cyclic_counts(seq, m))
+                << "m=" << m << ", n=" << n;
+            EXPECT_EQ(r.nu_m1, naive_cyclic_counts(seq, m + 1));
+        }
     }
 }
 
