@@ -23,7 +23,7 @@
 //      generation side of the window loop (its stream is pinned by
 //      tests/test_generation_oracle.cpp);
 //   5. short windows   -- core::run_windows on the n = 128 light and
-//      medium designs, where the window close (result latch, register
+//      medium designs, where the window close (register capture and
 //      readout, sw16 software pass) dominates: Mbit/s, close us per
 //      window, and sw16 instructions and MSP430 cycles per window.  The
 //      first window of each run is a golden Table III window

@@ -3,10 +3,7 @@
 #include "sw16/pwl_xlogx.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <span>
 #include <stdexcept>
-#include <string_view>
 
 namespace otf::core {
 
@@ -71,36 +68,6 @@ software_runner::software_runner(hw::block_config cfg, critical_values cv)
     consts_.t13_bound = immediate(cv_.t13_z_bound);
 }
 
-namespace {
-
-constexpr std::size_t unbound = static_cast<std::size_t>(-1);
-
-/// A register-map entry name split as "<prefix>[<index>]"; any other
-/// name is a scalar (`indexed` false, `prefix` the whole name).
-struct entry_name {
-    std::string_view prefix;
-    std::size_t index = 0;
-    bool indexed = false;
-};
-
-entry_name parse_entry_name(std::string_view name)
-{
-    const std::size_t open = name.find('[');
-    if (open == std::string_view::npos || name.back() != ']') {
-        return {name};
-    }
-    const char* first = name.data() + open + 1;
-    const char* last = name.data() + name.size() - 1;
-    std::size_t index = 0;
-    const auto [end, error] = std::from_chars(first, last, index);
-    if (error != std::errc{} || end != last) {
-        return {name};
-    }
-    return {name.substr(0, open), index, true};
-}
-
-} // namespace
-
 void software_runner::bind(const hw::register_map& map) const
 {
     using hw::test_id;
@@ -113,99 +80,69 @@ void software_runner::bind(const hw::register_map& map) const
     b.mapped = map.size();
     b.derive_marginals = cfg_.serial_transfer_marginals && serial_any;
 
-    // Every value the enabled routines read: a scalar entry, or a counter
-    // file of entries named "<name>[<index>]".
-    struct request {
-        std::string_view name;
-        bool indexed;
-        std::span<std::size_t> slots;
-    };
-    std::vector<request> wanted;
-    const auto scalar = [&](std::string_view name, std::size_t& slot) {
-        slot = unbound;
-        wanted.push_back({name, false, {&slot, 1}});
-    };
-    const auto file = [&](std::string_view name,
-                          std::vector<std::size_t>& slots,
-                          std::size_t count) {
-        slots.assign(count, unbound);
-        wanted.push_back({name, true, slots});
+    // A counter file is `count` consecutive entries named
+    // "<name>[0]" .. "<name>[count-1]".
+    const auto file = [&map](const std::string& name, std::size_t count) {
+        std::string element = name + "[";
+        const std::size_t stem = element.size();
+        element += "0]";
+        const file_slots slots{map.index_of(element), count};
+        for (std::size_t k = 1; k < count; ++k) {
+            element.resize(stem);
+            element += std::to_string(k);
+            element += ']';
+            const std::size_t i = slots.base + k;
+            if (i >= map.size() || map.entry(i).name != element) {
+                throw std::out_of_range(
+                    "software_runner: value not collected in file order: "
+                    + element);
+            }
+        }
+        return slots;
     };
     if (tests.has(test_id::frequency) || tests.has(test_id::runs)
         || tests.has(test_id::cumulative_sums)) {
-        scalar("cusum.s_final", b.s_final);
+        b.s_final = map.index_of("cusum.s_final");
     }
     if (tests.has(test_id::runs)) {
-        scalar("runs.n_runs", b.n_runs);
+        b.n_runs = map.index_of("runs.n_runs");
     }
     if (tests.has(test_id::cumulative_sums)) {
-        scalar("cusum.s_max", b.s_max);
-        scalar("cusum.s_min", b.s_min);
+        b.s_max = map.index_of("cusum.s_max");
+        b.s_min = map.index_of("cusum.s_min");
     }
     if (tests.has(test_id::block_frequency)) {
-        file("block_frequency.eps", b.eps,
-             std::size_t{1} << (cfg_.log2_n - cfg_.bf_log2_m));
+        b.eps = file("block_frequency.eps",
+                     std::size_t{1} << (cfg_.log2_n - cfg_.bf_log2_m));
     }
     if (tests.has(test_id::longest_run)) {
-        file("longest_run.nu", b.lr_nu, cv_.t4_weights_q.size());
+        b.lr_nu = file("longest_run.nu", cv_.t4_weights_q.size());
     }
     if (tests.has(test_id::non_overlapping_template)) {
-        file("non_overlapping.w", b.t7_w,
-             std::size_t{1} << (cfg_.log2_n - cfg_.t7_log2_m));
+        b.t7_w = file("non_overlapping.w",
+                      std::size_t{1} << (cfg_.log2_n - cfg_.t7_log2_m));
     }
     if (tests.has(test_id::overlapping_template)) {
-        file("overlapping.nu_temp", b.t8_nu, cv_.t8_weights_q.size());
+        b.t8_nu = file("overlapping.nu_temp", cv_.t8_weights_q.size());
     }
-    if (serial_any) {
-        file("serial.nu_m", b.nu_m, std::size_t{1} << m);
-        if (!b.derive_marginals) {
-            file("serial.nu_m1", b.nu_m1, std::size_t{1} << (m - 1));
-            file("serial.nu_m2", b.nu_m2, std::size_t{1} << (m - 2));
-        }
-    }
-
-    // One pass over the entries; a repeated name binds its last entry,
-    // as a by-name store would.
-    for (std::size_t i = 0; i < map.size(); ++i) {
-        const entry_name e = parse_entry_name(map.entry(i).name);
-        for (const request& r : wanted) {
-            if (r.indexed == e.indexed && r.name == e.prefix
-                && e.index < r.slots.size()) {
-                r.slots[e.index] = i;
-            }
-        }
-    }
-    for (const request& r : wanted) {
-        for (std::size_t k = 0; k < r.slots.size(); ++k) {
-            if (r.slots[k] == unbound) {
-                std::string name{r.name};
-                if (r.indexed) {
-                    name += "[" + std::to_string(k) + "]";
-                }
-                throw std::out_of_range(
-                    "software_runner: value not collected: " + name);
-            }
-        }
-    }
-
-    // Interface-reduction option: the shorter serial counts are derived
-    // in software (collect()) into slots past the end of the map.
     std::size_t next = b.mapped;
-    if (b.derive_marginals) {
-        const auto place = [&](std::vector<std::size_t>& slots,
-                               std::size_t count) {
-            slots.resize(count);
-            for (std::size_t& slot : slots) {
-                slot = next++;
-            }
-        };
-        place(b.nu_m1, std::size_t{1} << (m - 1));
-        place(b.nu_m2, std::size_t{1} << (m - 2));
+    if (serial_any) {
+        b.nu_m = file("serial.nu_m", std::size_t{1} << m);
+        if (b.derive_marginals) {
+            // Interface-reduction option: the shorter serial counts are
+            // derived in software (collect()) into slots past the map.
+            b.nu_m1 = {next, std::size_t{1} << (m - 1)};
+            b.nu_m2 = {next + b.nu_m1.count, std::size_t{1} << (m - 2)};
+            next = b.nu_m2.base + b.nu_m2.count;
+        } else {
+            b.nu_m1 = file("serial.nu_m1", std::size_t{1} << (m - 1));
+            b.nu_m2 = file("serial.nu_m2", std::size_t{1} << (m - 2));
+        }
     }
 
     store_.assign(next, reg{});
     b.layout = map.layout();
-    binding_ = std::move(b);
+    binding_ = b;
 }
 
 void software_runner::collect(const hw::register_map& map,
@@ -213,9 +150,9 @@ void software_runner::collect(const hw::register_map& map,
 {
     // The collection pass: one multi-word peripheral read per mapped value.
     for (std::size_t i = 0; i < binding_.mapped; ++i) {
-        const hw::map_entry& e = map.entry(i);
-        cpu.charge_read(e.width);
-        store_[i] = reg{map.read_value(i), e.width};
+        const unsigned width = map.entry(i).width;
+        cpu.charge_read(width);
+        store_[i] = reg{map.read_value(i), width};
     }
 
     // Interface-reduction option: the hardware only transfers the m-bit
@@ -224,11 +161,10 @@ void software_runner::collect(const hw::register_map& map,
     if (!binding_.derive_marginals) {
         return;
     }
-    const auto derive = [&](const std::vector<std::size_t>& from,
-                            const std::vector<std::size_t>& to) {
-        for (std::size_t p = 0; p < to.size(); ++p) {
-            store_[to[p]] =
-                cpu.add(store_[from[2 * p]], store_[from[2 * p + 1]]);
+    const auto derive = [&](const file_slots& from, const file_slots& to) {
+        for (std::size_t p = 0; p < to.count; ++p) {
+            store_[to.base + p] = cpu.add(store_[from.base + 2 * p],
+                                          store_[from.base + 2 * p + 1]);
         }
     };
     derive(binding_.nu_m, binding_.nu_m1);
@@ -304,10 +240,8 @@ test_verdict software_runner::run_frequency(soft_cpu& cpu) const
 test_verdict software_runner::run_block_frequency(soft_cpu& cpu) const
 {
     // sum (2 eps_i - M)^2 <= M * chi2_crit(N dof).
-    const unsigned blocks = 1u << (cfg_.log2_n - cfg_.bf_log2_m);
     reg acc = soft_cpu::constant(0, 1);
-    for (unsigned i = 0; i < blocks; ++i) {
-        const reg eps = store_[binding_.eps[i]];
+    for (const reg eps : file(binding_.eps)) {
         reg d = cpu.shift_left(eps, 1);
         d = cpu.sub(d, consts_.t2_block_len);
         d = cpu.abs(d);
@@ -369,7 +303,7 @@ test_verdict software_runner::run_longest_run(soft_cpu& cpu) const
     // sum nu_i^2 w_i <= 2^q N (crit + N), w_i = round(2^q / pi_i).
     reg acc = soft_cpu::constant(0, 1);
     for (std::size_t c = 0; c < cv_.t4_weights_q.size(); ++c) {
-        const reg nu = store_[binding_.lr_nu[c]];
+        const reg nu = file(binding_.lr_nu)[c];
         const reg square = cpu.sqr(nu);
         const reg term = cpu.mul(square, consts_.t4_weights[c]);
         acc = cpu.add(acc, term);
@@ -386,10 +320,8 @@ test_verdict software_runner::run_longest_run(soft_cpu& cpu) const
 test_verdict software_runner::run_non_overlapping(soft_cpu& cpu) const
 {
     // sum (2^m W_i - (M - m + 1))^2 <= 2^{2m} sigma^2 crit.
-    const unsigned blocks = 1u << (cfg_.log2_n - cfg_.t7_log2_m);
     reg acc = soft_cpu::constant(0, 1);
-    for (unsigned i = 0; i < blocks; ++i) {
-        const reg w = store_[binding_.t7_w[i]];
+    for (const reg w : file(binding_.t7_w)) {
         reg d = cpu.shift_left(w, cfg_.template_length);
         d = cpu.sub(d, consts_.t7_mu);
         d = cpu.abs(d);
@@ -409,7 +341,7 @@ test_verdict software_runner::run_overlapping(soft_cpu& cpu) const
 {
     reg acc = soft_cpu::constant(0, 1);
     for (std::size_t c = 0; c < cv_.t8_weights_q.size(); ++c) {
-        const reg nu = store_[binding_.t8_nu[c]];
+        const reg nu = file(binding_.t8_nu)[c];
         const reg square = cpu.sqr(nu);
         const reg term = cpu.mul(square, consts_.t8_weights[c]);
         acc = cpu.add(acc, term);
@@ -426,12 +358,11 @@ test_verdict software_runner::run_overlapping(soft_cpu& cpu) const
 namespace {
 
 /// Sum of squares over a counter file.
-reg sum_of_squares(soft_cpu& cpu, const std::vector<reg>& store,
-                   const std::vector<std::size_t>& file)
+reg sum_of_squares(soft_cpu& cpu, std::span<const reg> file)
 {
     reg acc = soft_cpu::constant(0, 1);
-    for (const std::size_t slot : file) {
-        const reg square = cpu.sqr(store[slot]);
+    for (const reg nu : file) {
+        const reg square = cpu.sqr(nu);
         acc = cpu.add(acc, square);
     }
     return acc;
@@ -443,9 +374,9 @@ reg sum_of_squares(soft_cpu& cpu, const std::vector<reg>& store,
 test_verdict software_runner::run_serial(soft_cpu& cpu) const
 {
     const unsigned m = cfg_.serial_m;
-    const reg sum_m = sum_of_squares(cpu, store_, binding_.nu_m);
-    const reg sum_m1 = sum_of_squares(cpu, store_, binding_.nu_m1);
-    const reg sum_m2 = sum_of_squares(cpu, store_, binding_.nu_m2);
+    const reg sum_m = sum_of_squares(cpu, file(binding_.nu_m));
+    const reg sum_m1 = sum_of_squares(cpu, file(binding_.nu_m1));
+    const reg sum_m2 = sum_of_squares(cpu, file(binding_.nu_m2));
 
     // n del-psi^2   = 2^m sum_m - 2^{m-1} sum_m1
     // n del2-psi^2  = 2^m sum_m - 2^m sum_m1 + 2^{m-2} sum_m2
@@ -478,16 +409,16 @@ test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu) const
         }
         return cpu.shift_left(nu, 16 - cfg_.log2_n);
     };
-    const auto phi_sum = [&](const std::vector<std::size_t>& file) {
+    const auto phi_sum = [&](std::span<const reg> counts) {
         reg acc = soft_cpu::constant(0, 1);
-        for (const std::size_t slot : file) {
-            const reg g = sw16::pwl_xlogx(cpu, to_q16(store_[slot]));
+        for (const reg nu : counts) {
+            const reg g = sw16::pwl_xlogx(cpu, to_q16(nu));
             acc = cpu.add(acc, g);
         }
         return acc;
     };
-    const reg a = phi_sum(binding_.nu_m);
-    const reg b = phi_sum(binding_.nu_m1);
+    const reg a = phi_sum(file(binding_.nu_m));
+    const reg b = phi_sum(file(binding_.nu_m1));
     const reg apen_q16 = cpu.sub(a, b);
     test_verdict verdict;
     verdict.id = hw::test_id::approximate_entropy;

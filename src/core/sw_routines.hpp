@@ -18,6 +18,7 @@
 #include "hw/register_map.hpp"
 #include "sw16/cpu.hpp"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,12 @@ struct software_result {
 
 /// The software pass of one design point.  It resolves where each value
 /// it reads sits in the register map once per map layout
-/// (hw::register_map::layout()) and keeps a reused flat store, so a
-/// window's pass does no name lookups and no allocation beyond its
-/// result.  That cached binding makes run() stateful: use one runner per
-/// monitor and never share one across threads.
+/// (hw::register_map::layout()): a scalar by its name, a counter file by
+/// the index of its element 0 plus a count.  It keeps a reused flat
+/// store, so a window's pass reads the map by index, with no name
+/// lookups and no allocation beyond its result.  That cached binding
+/// makes run() stateful: use one runner per monitor and never share one
+/// across threads.
 class software_runner {
 public:
     /// \brief Bind the software pass to one design point.
@@ -71,6 +74,12 @@ public:
                         sw16::soft_cpu& cpu) const;
 
 private:
+    /// One counter file: `count` consecutive slots of store_ from `base`.
+    struct file_slots {
+        std::size_t base = 0;
+        std::size_t count = 0;
+    };
+
     /// Positions in store_ of every value the routines read, resolved by
     /// name for one map layout.
     struct binding {
@@ -79,13 +88,13 @@ private:
         std::size_t s_max = 0;
         std::size_t s_min = 0;
         std::size_t n_runs = 0;
-        std::vector<std::size_t> eps;     ///< block_frequency.eps
-        std::vector<std::size_t> lr_nu;   ///< longest_run.nu
-        std::vector<std::size_t> t7_w;    ///< non_overlapping.w
-        std::vector<std::size_t> t8_nu;   ///< overlapping.nu_temp
-        std::vector<std::size_t> nu_m;    ///< serial.nu_m
-        std::vector<std::size_t> nu_m1;   ///< serial.nu_m1
-        std::vector<std::size_t> nu_m2;   ///< serial.nu_m2
+        file_slots eps;   ///< block_frequency.eps
+        file_slots lr_nu; ///< longest_run.nu
+        file_slots t7_w;  ///< non_overlapping.w
+        file_slots t8_nu; ///< overlapping.nu_temp
+        file_slots nu_m;  ///< serial.nu_m
+        file_slots nu_m1; ///< serial.nu_m1
+        file_slots nu_m2; ///< serial.nu_m2
         /// Entries in the map; derived marginals sit past them.
         std::size_t mapped = 0;
         /// serial_transfer_marginals: nu_m1/nu_m2 are derived from nu_m.
@@ -126,6 +135,11 @@ private:
 
     void bind(const hw::register_map& map) const;
     void collect(const hw::register_map& map, sw16::soft_cpu& cpu) const;
+    /// The collected values of one counter file.
+    std::span<const sw16::reg> file(const file_slots& slots) const
+    {
+        return {store_.data() + slots.base, slots.count};
+    }
 
     test_verdict run_frequency(sw16::soft_cpu& cpu) const;
     test_verdict run_block_frequency(sw16::soft_cpu& cpu) const;

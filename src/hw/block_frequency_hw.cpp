@@ -60,7 +60,14 @@ void block_frequency_hw::add_registers(register_map& map) const
         map.add_group_element(
             "block_frequency.eps", "block_frequency.eps[" + std::to_string(i)
                 + "]",
-            bank_.width(), false, [this, i] { return bank_.read(i); });
+            bank_.width(), false);
+    }
+}
+
+void block_frequency_hw::read_registers(std::uint64_t* out) const
+{
+    for (unsigned i = 0; i < block_count_; ++i) {
+        out[i] = bank_.read(i);
     }
 }
 

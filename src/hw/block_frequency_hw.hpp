@@ -28,6 +28,7 @@ public:
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;
+    void read_registers(std::uint64_t* out) const override;
 
     unsigned block_count() const { return block_count_; }
     unsigned block_length_log2() const { return log2_m_; }

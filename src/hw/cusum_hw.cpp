@@ -52,12 +52,16 @@ void cusum_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
 void cusum_hw::add_registers(register_map& map) const
 {
     const unsigned w = walk_.width();
-    map.add_scalar("cusum.s_final", w, true,
-                   [this] { return static_cast<std::uint64_t>(s_final()); });
-    map.add_scalar("cusum.s_max", w, true,
-                   [this] { return static_cast<std::uint64_t>(s_max()); });
-    map.add_scalar("cusum.s_min", w, true,
-                   [this] { return static_cast<std::uint64_t>(s_min()); });
+    map.add_scalar("cusum.s_final", w, true);
+    map.add_scalar("cusum.s_max", w, true);
+    map.add_scalar("cusum.s_min", w, true);
+}
+
+void cusum_hw::read_registers(std::uint64_t* out) const
+{
+    out[0] = static_cast<std::uint64_t>(s_final());
+    out[1] = static_cast<std::uint64_t>(s_max());
+    out[2] = static_cast<std::uint64_t>(s_min());
 }
 
 rtl::resources cusum_hw::self_cost() const

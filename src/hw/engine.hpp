@@ -89,9 +89,16 @@ public:
         (void)t;
     }
 
-    /// \brief Publish this engine's hardware values into the memory map.
+    /// \brief Declare this engine's values on the memory map: one
+    /// descriptor per value, no value yet.
     /// \param map the testing block's register map under construction
     virtual void add_registers(register_map& map) const = 0;
+
+    /// \brief Write the current value of every entry add_registers()
+    /// declared, in declaration order -- the readout the testing block
+    /// captures into the map's value file.
+    /// \param out the engine's first value slot
+    virtual void read_registers(std::uint64_t* out) const = 0;
 };
 
 } // namespace otf::hw

@@ -107,11 +107,14 @@ void repetition_count_hw::consume_span(const std::uint64_t* words,
 
 void repetition_count_hw::add_registers(register_map& map) const
 {
-    map.add_scalar("health.rct_longest", longest_.width(), false, [this] {
-        return static_cast<std::uint64_t>(longest_.value());
-    });
-    map.add_scalar("health.rct_alarm", 1, false,
-                   [this] { return alarm_ ? 1u : 0u; });
+    map.add_scalar("health.rct_longest", longest_.width(), false);
+    map.add_scalar("health.rct_alarm", 1, false);
+}
+
+void repetition_count_hw::read_registers(std::uint64_t* out) const
+{
+    out[0] = longest_run();
+    out[1] = alarm_ ? 1u : 0u;
 }
 
 rtl::resources repetition_count_hw::self_cost() const
@@ -178,10 +181,14 @@ void adaptive_proportion_hw::consume_span(const std::uint64_t* words,
 
 void adaptive_proportion_hw::add_registers(register_map& map) const
 {
-    map.add_scalar("health.apt_count", occurrences_.width(), false,
-                   [this] { return occurrences_.value(); });
-    map.add_scalar("health.apt_alarm", 1, false,
-                   [this] { return alarm_ ? 1u : 0u; });
+    map.add_scalar("health.apt_count", occurrences_.width(), false);
+    map.add_scalar("health.apt_alarm", 1, false);
+}
+
+void adaptive_proportion_hw::read_registers(std::uint64_t* out) const
+{
+    out[0] = current_count();
+    out[1] = alarm_ ? 1u : 0u;
 }
 
 rtl::resources adaptive_proportion_hw::self_cost() const

@@ -43,6 +43,7 @@ public:
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;
+    void read_registers(std::uint64_t* out) const override;
 
     bool alarm() const { return alarm_; }
     std::uint64_t current_run() const { return run_.value(); }
@@ -93,6 +94,7 @@ public:
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;
+    void read_registers(std::uint64_t* out) const override;
 
     bool alarm() const { return alarm_; }
     std::uint64_t current_count() const { return occurrences_.value(); }

@@ -192,8 +192,14 @@ void longest_run_hw::add_registers(register_map& map) const
 {
     for (unsigned c = 0; c < categories_.size(); ++c) {
         map.add_scalar("longest_run.nu[" + std::to_string(c) + "]",
-                       categories_[c]->width(), false,
-                       [this, c] { return categories_[c]->value(); });
+                       categories_[c]->width(), false);
+    }
+}
+
+void longest_run_hw::read_registers(std::uint64_t* out) const
+{
+    for (std::size_t c = 0; c < categories_.size(); ++c) {
+        out[c] = categories_[c]->value();
     }
 }
 

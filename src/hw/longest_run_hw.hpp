@@ -38,6 +38,7 @@ public:
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void add_registers(register_map& map) const override;
+    void read_registers(std::uint64_t* out) const override;
 
     unsigned category_count() const
     {

@@ -14,29 +14,59 @@ std::uint64_t next_layout()
     return stamps.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+std::uint64_t width_mask(unsigned width)
+{
+    return width >= 64 ? ~std::uint64_t{0}
+                       : ((std::uint64_t{1} << width) - 1);
+}
+
+/// Reject a registration whose width is outside [1, 64] or whose name is
+/// already taken on the plane `entries` belongs to.
+template <typename Entry>
+void check_new_entry(const std::vector<Entry>& entries,
+                     const std::string& name, unsigned width,
+                     const char* plane)
+{
+    if (width < 1 || width > 64) {
+        throw std::invalid_argument(
+            std::string{"register_map: "} + plane + " \"" + name
+            + "\" has width " + std::to_string(width)
+            + ", outside [1, 64]");
+    }
+    for (const Entry& e : entries) {
+        if (e.name == name) {
+            throw std::invalid_argument(std::string{"register_map: "}
+                                        + plane + " \"" + name
+                                        + "\" is already registered");
+        }
+    }
+}
+
 } // namespace
 
 register_map::register_map() : layout_(next_layout()) {}
 
-void register_map::add_scalar(std::string name, unsigned width,
-                              bool is_signed,
-                              std::function<std::uint64_t()> read)
+void register_map::add_entry(map_entry entry)
 {
+    check_new_entry(entries_, entry.name, entry.width, "entry");
     layout_ = next_layout();
-    entries_.push_back(map_entry{std::move(name), width, is_signed,
-                                 std::move(read), std::string{}});
+    entries_.push_back(std::move(entry));
+    values_.push_back(0);
+}
+
+void register_map::add_scalar(std::string name, unsigned width,
+                              bool is_signed)
+{
+    add_entry(map_entry{std::move(name), width, is_signed, std::string{}});
 }
 
 void register_map::add_group_element(std::string group, std::string name,
-                                     unsigned width, bool is_signed,
-                                     std::function<std::uint64_t()> read)
+                                     unsigned width, bool is_signed)
 {
     if (group.empty()) {
         throw std::invalid_argument("register_map: group name is empty");
     }
-    layout_ = next_layout();
-    entries_.push_back(map_entry{std::move(name), width, is_signed,
-                                 std::move(read), std::move(group)});
+    add_entry(map_entry{std::move(name), width, is_signed, std::move(group)});
 }
 
 const map_entry& register_map::entry(std::size_t index) const
@@ -56,20 +86,16 @@ std::size_t register_map::index_of(const std::string& name) const
 
 std::uint64_t register_map::read_raw(std::size_t index) const
 {
-    const map_entry& e = entries_.at(index);
-    const std::uint64_t mask = (e.width >= 64)
-        ? ~std::uint64_t{0}
-        : ((std::uint64_t{1} << e.width) - 1);
-    return e.read() & mask;
+    return values_.at(index) & width_mask(entries_[index].width);
 }
 
 std::int64_t register_map::read_value(std::size_t index) const
 {
-    const map_entry& e = entries_.at(index);
+    const map_entry& e = entry(index);
     std::uint64_t raw = read_raw(index);
     if (e.is_signed && e.width < 64
         && (raw & (std::uint64_t{1} << (e.width - 1)))) {
-        raw |= ~((std::uint64_t{1} << e.width) - 1); // sign-extend
+        raw |= ~width_mask(e.width); // sign-extend
     }
     return static_cast<std::int64_t>(raw);
 }
@@ -111,20 +137,11 @@ unsigned register_map::total_words(unsigned word_bits) const
     return words;
 }
 
-namespace {
-
-std::uint64_t width_mask(unsigned width)
-{
-    return width >= 64 ? ~std::uint64_t{0}
-                       : ((std::uint64_t{1} << width) - 1);
-}
-
-} // namespace
-
 void register_map::add_control(std::string name, unsigned width,
                                std::function<std::uint64_t()> read,
                                std::function<void(std::uint64_t)> write)
 {
+    check_new_entry(controls_, name, width, "control register");
     if (!read || !write) {
         throw std::invalid_argument(
             "register_map: control register \"" + name

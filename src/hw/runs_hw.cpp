@@ -69,8 +69,12 @@ void runs_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
 
 void runs_hw::add_registers(register_map& map) const
 {
-    map.add_scalar("runs.n_runs", runs_.width(), false,
-                   [this] { return n_runs(); });
+    map.add_scalar("runs.n_runs", runs_.width(), false);
+}
+
+void runs_hw::read_registers(std::uint64_t* out) const
+{
+    out[0] = n_runs();
 }
 
 rtl::resources runs_hw::self_cost() const

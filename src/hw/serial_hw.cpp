@@ -334,14 +334,28 @@ void serial_hw::add_registers(register_map& map) const
             map.add_group_element(
                 group,
                 std::string{group} + "[" + std::to_string(p) + "]",
-                file[p]->width(), false,
-                [this, length, p] { return count(length, p); });
+                file[p]->width(), false);
         }
     };
     add_file("serial.nu_m", m_);
     if (!marginals_in_software_) {
         add_file("serial.nu_m1", m_ - 1);
         add_file("serial.nu_m2", m_ - 2);
+    }
+}
+
+void serial_hw::read_registers(std::uint64_t* out) const
+{
+    const auto read_file =
+        [&out](const std::vector<std::unique_ptr<rtl::counter>>& file) {
+            for (const auto& counter : file) {
+                *out++ = counter->value();
+            }
+        };
+    read_file(file_m_);
+    if (!marginals_in_software_) {
+        read_file(file_m1_);
+        read_file(file_m2_);
     }
 }
 

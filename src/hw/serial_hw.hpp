@@ -55,6 +55,7 @@ public:
                       std::uint64_t bit_index) override;
     void flush(bool bit, unsigned t) override;
     void add_registers(register_map& map) const override;
+    void read_registers(std::uint64_t* out) const override;
 
     unsigned m() const { return m_; }
     /// \brief Pattern count nu for a `length`-bit pattern (MSB-first).

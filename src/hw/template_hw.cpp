@@ -207,7 +207,14 @@ void non_overlapping_hw::add_registers(register_map& map) const
         map.add_group_element(
             "non_overlapping.w",
             "non_overlapping.w[" + std::to_string(i) + "]", bank_.width(),
-            false, [this, i] { return bank_.read(i); });
+            false);
+    }
+}
+
+void non_overlapping_hw::read_registers(std::uint64_t* out) const
+{
+    for (unsigned i = 0; i < block_count_; ++i) {
+        out[i] = bank_.read(i);
     }
 }
 
@@ -348,8 +355,14 @@ void overlapping_hw::add_registers(register_map& map) const
 {
     for (unsigned c = 0; c < categories_.size(); ++c) {
         map.add_scalar("overlapping.nu_temp[" + std::to_string(c) + "]",
-                       categories_[c]->width(), false,
-                       [this, c] { return categories_[c]->value(); });
+                       categories_[c]->width(), false);
+    }
+}
+
+void overlapping_hw::read_registers(std::uint64_t* out) const
+{
+    for (std::size_t c = 0; c < categories_.size(); ++c) {
+        out[c] = categories_[c]->value();
     }
 }
 

@@ -50,6 +50,7 @@ public:
                       std::uint64_t bit_index) override;
     bool watches_shared_window() const override { return true; }
     void add_registers(register_map& map) const override;
+    void read_registers(std::uint64_t* out) const override;
 
     unsigned block_count() const { return block_count_; }
     std::uint64_t matches_in_block(unsigned index) const
@@ -94,6 +95,7 @@ public:
                       std::uint64_t bit_index) override;
     bool watches_shared_window() const override { return true; }
     void add_registers(register_map& map) const override;
+    void read_registers(std::uint64_t* out) const override;
 
     unsigned category_count() const
     {

@@ -80,29 +80,8 @@ void testing_block::build()
     }
 
     for (const engine* e : engines_) {
+        register_base_.push_back(map_.size());
         e->add_registers(map_);
-    }
-    if (config_.double_buffered) {
-        // Shadow the live counter values behind a result latch: each
-        // mapped value reads from the latch once one is captured, so the
-        // counters can restart while software drains the previous window.
-        latch_.assign(map_.size(), 0);
-        register_map latched;
-        for (std::size_t i = 0; i < map_.size(); ++i) {
-            const map_entry& e = map_.entry(i);
-            auto live = e.read;
-            auto wrapped = [this, i, live] {
-                return latch_valid_ ? latch_[i] : live();
-            };
-            if (e.group.empty()) {
-                latched.add_scalar(e.name, e.width, e.is_signed,
-                                   std::move(wrapped));
-            } else {
-                latched.add_group_element(e.group, e.name, e.width,
-                                          e.is_signed, std::move(wrapped));
-            }
-        }
-        map_ = std::move(latched);
     }
     mux_ = std::make_unique<rtl::readout_mux>(
         "readout_mux", map_.top_level_inputs(), map_.max_width());
@@ -222,7 +201,7 @@ void testing_block::apply_reconfigure()
     mux_.reset();
     global_counter_.reset();
     map_ = register_map{};
-    latch_.clear();
+    register_base_.clear();
     latch_valid_ = false;
     consumed_ = 0;
     done_ = false;
@@ -296,17 +275,17 @@ void testing_block::finish()
             serial_->flush(serial_->stored_opening_bit(t), t);
         }
     }
-    if (config_.double_buffered) {
-        // Capture the results; note latch_valid_ must stay false while
-        // reading the live values or the wrapped getters would return the
-        // stale latch.
-        latch_valid_ = false;
-        for (std::size_t i = 0; i < map_.size(); ++i) {
-            latch_[i] = map_.read_raw(i);
-        }
-        latch_valid_ = true;
-    }
+    capture();
+    latch_valid_ = config_.double_buffered;
     done_ = true;
+}
+
+void testing_block::capture()
+{
+    std::uint64_t* values = map_.values().data();
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+        engines_[i]->read_registers(values + register_base_[i]);
+    }
 }
 
 void testing_block::run(const bit_sequence& seq)
@@ -323,10 +302,14 @@ void testing_block::run(const bit_sequence& seq)
 
 void testing_block::restart()
 {
-    // component::reset() clears the engines; self_reset() leaves the
-    // result latch alone, so latched results (if any) survive and
-    // software can still read the finished window.
+    // component::reset() clears the engines.  A double-buffered block
+    // keeps the finished window's capture, so software can still read it
+    // while the next window streams; a plain block's interface shows the
+    // cleared counters.
     reset();
+    if (!config_.double_buffered) {
+        capture();
+    }
 }
 
 rtl::resources testing_block::self_cost() const

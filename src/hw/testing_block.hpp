@@ -10,9 +10,19 @@
 // Operation protocol:
 //   testing_block block(config);
 //   for each bit: block.feed(bit);      // n = config.n() bits
-//   block.finish();                     // serial cyclic flush (m-1 cycles)
+//   block.finish();                     // serial cyclic flush (m-1 cycles),
+//                                       // then capture every engine
 //   ... software reads block.registers() ...
 //   block.restart();                    // clear for the next sequence
+//
+// Readout: the register map is a value file, one slot per mapped entry.
+// finish() captures every engine into it (engine::read_registers, in the
+// order add_registers declared the entries), so software reads the
+// finished window by index.  restart() captures the cleared engines again
+// unless the block is double-buffered; then the file holds the finished
+// window while the next one streams (the result latch of continuous
+// operation, costed in self_cost()).
+// A fresh block's file reads the reset values (all zero).
 //
 // On-the-fly reconfiguration (the paper's "software-selectable sequence
 // length and parameters"): the register map's control plane stages a new
@@ -68,7 +78,8 @@ public:
     void feed_span(const std::uint64_t* words, std::size_t nbits);
 
     /// \brief End of sequence: replays the stored opening bits through
-    /// the serial engine (cyclic extension) and latches the done flag.
+    /// the serial engine (cyclic extension), captures every engine into
+    /// the register map's value file and latches the done flag.
     /// \throws std::logic_error unless exactly n bits have been fed
     void finish();
 
@@ -76,12 +87,13 @@ public:
     /// \param seq the window; its length must equal n
     void run(const bit_sequence& seq);
 
-    /// \brief Clear all engines for a fresh sequence.  With a
-    /// double-buffered configuration the latched results of the previous
-    /// window stay readable while the next window streams.
+    /// \brief Clear all engines for a fresh sequence.  A plain block's
+    /// register map then reads the cleared counters; with a
+    /// double-buffered configuration it keeps the previous window's
+    /// capture while the next window streams.
     void restart();
 
-    /// True when double-buffering holds a latched result set.
+    /// True when double-buffering holds a captured result set.
     bool latched() const { return latch_valid_; }
 
     bool done() const { return done_; }
@@ -130,6 +142,8 @@ private:
     /// Called by the constructor and again on every applied
     /// reconfiguration (after the old engines are torn down).
     void build();
+    /// Write every engine's values into the register map's value file.
+    void capture();
     /// Register the control-plane (`cfg.*` / `ctrl.*`) registers.
     void add_control_plane();
     /// The `ctrl.reconfigure` strobe: validate the staged design and
@@ -150,9 +164,10 @@ private:
     std::unique_ptr<overlapping_hw> t8_;
     std::unique_ptr<serial_hw> serial_;
     std::vector<engine*> engines_;
+    /// First value slot of each engine in `engines_`.
+    std::vector<std::size_t> register_base_;
     register_map map_;
     std::unique_ptr<rtl::readout_mux> mux_;
-    std::vector<std::uint64_t> latch_;
     bool latch_valid_ = false;
     std::uint64_t consumed_ = 0;
     bool done_ = false;

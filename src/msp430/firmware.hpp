@@ -4,7 +4,7 @@
 // cumulative-sums modes, plus the derivation of N_ones from the walk's
 // final value (sharing trick 1) -- written as an actual MSP430 program
 // and executed instruction by instruction on the CPU model against the
-// live register map of a testing block.  This turns Table IV's software
+// register map of a finished testing block.  This turns Table IV's software
 // latency from a cost-model estimate into an execution measurement.
 //
 // The full nine-test routine set remains on the instruction-accounting

@@ -69,12 +69,21 @@ class config_fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(config_fuzz, register_names_are_unique)
 {
     const hw::testing_block block(random_config(GetParam()));
+    const hw::register_map& map = block.registers();
     std::set<std::string> names;
-    for (const auto& e : block.registers().entries()) {
+    for (std::size_t i = 0; i < map.size(); ++i) {
+        const hw::map_entry& e = map.entry(i);
         EXPECT_TRUE(names.insert(e.name).second)
             << "duplicate register: " << e.name;
+        EXPECT_EQ(map.index_of(e.name), i)
+            << "a name must resolve to its own entry: " << e.name;
         EXPECT_GE(e.width, 1u);
         EXPECT_LE(e.width, 64u);
+    }
+    std::set<std::string> controls;
+    for (const hw::control_entry& c : map.controls()) {
+        EXPECT_TRUE(controls.insert(c.name).second)
+            << "duplicate control register: " << c.name;
     }
 }
 

@@ -15,25 +15,13 @@ namespace {
 
 using namespace otf;
 
-/// A register map that mirrors a real one but lets a test forge (or
-/// ground) a single named value -- the model of a probing attack on the
-/// bus.
+/// A copy of a real register map with a single named value forged (or
+/// grounded) -- the model of a probing attack on the bus.
 hw::register_map forge(const hw::register_map& genuine,
                        const std::string& victim, std::uint64_t forged)
 {
-    hw::register_map tampered;
-    for (const auto& e : genuine.entries()) {
-        auto read = (e.name == victim)
-            ? std::function<std::uint64_t()>([forged] { return forged; })
-            : e.read;
-        if (e.group.empty()) {
-            tampered.add_scalar(e.name, e.width, e.is_signed,
-                                std::move(read));
-        } else {
-            tampered.add_group_element(e.group, e.name, e.width,
-                                       e.is_signed, std::move(read));
-        }
-    }
+    hw::register_map tampered = genuine;
+    tampered.values()[tampered.index_of(victim)] = forged;
     return tampered;
 }
 

@@ -219,6 +219,33 @@ TEST(adaptive_proportion, rejects_a_wide_window_before_sizing_it)
     }
 }
 
+TEST(health_engines, each_mapped_name_reads_its_counter)
+{
+    // add_registers declares the names, read_registers writes the values
+    // in the same order: a stuck stream sets every counter and alarm.
+    hw::repetition_count_hw rct(5);
+    hw::adaptive_proportion_hw apt(4, 14);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        rct.consume(true, i);
+        apt.consume(true, i);
+    }
+    hw::register_map map;
+    rct.add_registers(map);
+    const std::size_t apt_base = map.size();
+    apt.add_registers(map);
+    rct.read_registers(map.values().data());
+    apt.read_registers(map.values().data() + apt_base);
+    ASSERT_EQ(map.size(), 4u);
+    EXPECT_EQ(map.read_value("health.rct_longest"), 12);
+    EXPECT_EQ(map.read_value("health.rct_alarm"), 1);
+    EXPECT_EQ(map.read_value("health.apt_count"), 12);
+    EXPECT_EQ(map.read_value("health.apt_alarm"), 0);
+    EXPECT_EQ(static_cast<std::uint64_t>(map.read_value("health.rct_longest")),
+              rct.longest_run());
+    EXPECT_EQ(static_cast<std::uint64_t>(map.read_value("health.apt_count")),
+              apt.current_count());
+}
+
 TEST(health_engines, cost_a_few_slices_only)
 {
     // The 90B tests are tiny -- the reason the standard can demand them

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -107,6 +108,101 @@ TEST(register_map, grouped_entries_share_one_mux_input)
     // one bank: the top-level mux stays far below the entry count.
     EXPECT_GT(map.size(), 50u);
     EXPECT_LT(map.top_level_inputs(), 25u);
+}
+
+/// Every value the block's engines hold, read through their typed
+/// accessors, under the name the register map must give it.
+std::vector<std::pair<std::string, std::int64_t>>
+typed_values(const hw::testing_block& block)
+{
+    std::vector<std::pair<std::string, std::int64_t>> values;
+    const auto add = [&values](std::string name, std::uint64_t value) {
+        values.emplace_back(std::move(name),
+                            static_cast<std::int64_t>(value));
+    };
+    const auto element = [](const char* file, std::size_t k) {
+        return std::string(file) + "[" + std::to_string(k) + "]";
+    };
+    const hw::cusum_hw& cusum = *block.cusum();
+    values.emplace_back("cusum.s_final", cusum.s_final());
+    values.emplace_back("cusum.s_max", cusum.s_max());
+    values.emplace_back("cusum.s_min", cusum.s_min());
+    if (const hw::runs_hw* runs = block.runs()) {
+        add("runs.n_runs", runs->n_runs());
+    }
+    if (const hw::block_frequency_hw* bf = block.block_frequency()) {
+        for (unsigned i = 0; i < bf->block_count(); ++i) {
+            add(element("block_frequency.eps", i), bf->ones_in_block(i));
+        }
+    }
+    if (const hw::longest_run_hw* lr = block.longest_run()) {
+        for (unsigned c = 0; c < lr->category_count(); ++c) {
+            add(element("longest_run.nu", c), lr->category(c));
+        }
+    }
+    if (const hw::non_overlapping_hw* t7 = block.non_overlapping()) {
+        for (unsigned i = 0; i < t7->block_count(); ++i) {
+            add(element("non_overlapping.w", i), t7->matches_in_block(i));
+        }
+    }
+    if (const hw::overlapping_hw* t8 = block.overlapping()) {
+        for (unsigned c = 0; c < t8->category_count(); ++c) {
+            add(element("overlapping.nu_temp", c), t8->category(c));
+        }
+    }
+    if (const hw::serial_hw* serial = block.serial()) {
+        const unsigned m = serial->m();
+        std::vector<std::pair<const char*, unsigned>> files = {
+            {"serial.nu_m", m}};
+        if (!serial->marginals_in_software()) {
+            files.emplace_back("serial.nu_m1", m - 1);
+            files.emplace_back("serial.nu_m2", m - 2);
+        }
+        for (const auto& [file, length] : files) {
+            for (std::uint32_t p = 0; p < (1u << length); ++p) {
+                add(element(file, p), serial->count(length, p));
+            }
+        }
+    }
+    return values;
+}
+
+TEST(register_map, each_name_reads_its_engines_counter)
+{
+    // add_registers (the names) and read_registers (the values) are two
+    // lists per engine that must agree.  Both lanes share them, so the
+    // lane oracle cannot catch them drifting apart; the typed accessors
+    // can.
+    std::vector<hw::block_config> designs = {
+        paper_design(7, tier::light), paper_design(7, tier::medium),
+        paper_design(16, tier::light), paper_design(16, tier::high)};
+    designs.push_back(paper_design(7, tier::medium));
+    designs.back().serial_transfer_marginals = true;
+    for (const bool buffered : {false, true}) {
+        for (hw::block_config cfg : designs) {
+            cfg.double_buffered = buffered;
+            hw::testing_block block(cfg);
+            trng::ideal_source src(0x5EED + cfg.log2_n);
+            std::vector<std::uint64_t> words(cfg.n() / 64);
+            for (unsigned window = 0; window < 3; ++window) {
+                src.fill_words(words.data(), words.size());
+                block.feed_span(words.data(), cfg.n());
+                block.finish();
+                const std::string label = cfg.name
+                    + (buffered ? " buffered" : "")
+                    + (cfg.serial_transfer_marginals ? " marginals" : "")
+                    + " window " + std::to_string(window);
+                const auto want = typed_values(block);
+                const hw::register_map& map = block.registers();
+                ASSERT_EQ(map.size(), want.size()) << label;
+                for (const auto& [name, value] : want) {
+                    EXPECT_EQ(map.read_value(name), value)
+                        << label << ": " << name;
+                }
+                block.restart();
+            }
+        }
+    }
 }
 
 TEST(register_map, total_words_counts_multiword_values)
@@ -296,28 +392,48 @@ TEST(reconfigure, reprogrammed_block_is_register_exact_with_fresh)
 {
     // The acceptance pin: a testing block reprogrammed via the register
     // map to design D matches a freshly constructed D on the same
-    // subsequent words -- across all 8 paper designs x both lanes.
+    // subsequent words -- across all 8 paper designs x both lanes, and
+    // double-buffered, from a block whose latch holds a dirty window.
     const auto designs = core::all_paper_designs();
-    for (const bool span_lane : {true, false}) {
-        for (std::size_t t = 0; t < designs.size(); ++t) {
-            // Escalate/de-escalate between neighbouring design points.
-            const hw::block_config& from =
-                designs[(t + 1) % designs.size()];
-            const hw::block_config& to = designs[t];
+    for (const bool buffered : {false, true}) {
+        for (const bool span_lane : {true, false}) {
+            for (std::size_t t = 0; t < designs.size(); ++t) {
+                // Escalate/de-escalate between neighbouring design points.
+                hw::block_config from = designs[(t + 1) % designs.size()];
+                hw::block_config to = designs[t];
+                from.double_buffered = buffered;
+                to.double_buffered = buffered;
+                const std::string label = to.name
+                    + (buffered ? " buffered" : "")
+                    + (span_lane ? " (span)" : " (per-bit)");
 
-            hw::testing_block reprogrammed(from);
-            reprogrammed.reprogram(to);
-            EXPECT_EQ(reprogrammed.config().name, to.name);
-            EXPECT_EQ(reprogrammed.reconfigurations(), 1u);
-            hw::testing_block fresh(to);
+                hw::testing_block reprogrammed(from);
+                if (buffered) {
+                    trng::ideal_source dirty(0xE0 + t);
+                    run_window(reprogrammed, dirty, span_lane);
+                    reprogrammed.restart();
+                    ASSERT_TRUE(reprogrammed.latched()) << label;
+                }
+                reprogrammed.reprogram(to);
+                EXPECT_EQ(reprogrammed.config().name, to.name);
+                EXPECT_EQ(reprogrammed.reconfigurations(), 1u);
+                hw::testing_block fresh(to);
+                EXPECT_FALSE(reprogrammed.latched()) << label;
+                expect_registers_equal(reprogrammed, fresh,
+                                       label + " before a window");
 
-            trng::ideal_source source_a(0xD0 + t), source_b(0xD0 + t);
-            run_window(reprogrammed, source_a, span_lane);
-            run_window(fresh, source_b, span_lane);
-            expect_registers_equal(reprogrammed, fresh,
-                                   to.name
-                                       + (span_lane ? " (span)"
-                                                    : " (per-bit)"));
+                trng::ideal_source source_a(0xD0 + t), source_b(0xD0 + t);
+                run_window(reprogrammed, source_a, span_lane);
+                run_window(fresh, source_b, span_lane);
+                expect_registers_equal(reprogrammed, fresh, label);
+                if (buffered) {
+                    // The next window's restart keeps both latches.
+                    reprogrammed.restart();
+                    fresh.restart();
+                    expect_registers_equal(reprogrammed, fresh,
+                                           label + " after restart");
+                }
+            }
         }
     }
 }

@@ -625,6 +625,7 @@ TEST(kernel_oracle, shared_window_engine_must_override_consume_span)
         void consume(bool, std::uint64_t) override {}
         bool watches_shared_window() const override { return true; }
         void add_registers(hw::register_map&) const override {}
+        void read_registers(std::uint64_t*) const override {}
 
     protected:
         rtl::resources self_cost() const override { return {}; }
