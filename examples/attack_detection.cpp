@@ -48,7 +48,8 @@ int main()
         std::string failing;
         for (const auto& v : report.software.verdicts) {
             if (!v.pass) {
-                failing += (failing.empty() ? "" : ", ") + v.name;
+                failing += failing.empty() ? "" : ", ";
+                failing += hw::to_string(v.id);
             }
         }
         if (!report.software.all_pass && detected_at == 0 && window >= 6) {

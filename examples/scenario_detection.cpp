@@ -68,7 +68,8 @@ int main()
         std::string tests;
         for (const core::test_verdict& v : wr.software.verdicts) {
             if (!v.pass) {
-                tests += (tests.empty() ? "" : ", ") + v.name;
+                tests += tests.empty() ? "" : ", ";
+                tests += hw::to_string(v.id);
             }
         }
         std::printf("%-8llu %-9.2f %-7s %-7s %s\n",

@@ -152,7 +152,7 @@ channel_report run_fleet_channel(
             ++report.failures;
             for (const test_verdict& v : wr.software.verdicts) {
                 if (!v.pass) {
-                    ++report.failures_by_test[v.name];
+                    ++report.failures_by_test[std::string(hw::to_string(v.id))];
                 }
             }
         }

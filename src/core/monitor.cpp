@@ -21,14 +21,12 @@ window_report monitor::finish_window()
 {
     block_.finish();
 
-    window_report report;
-    report.window_index = windows_;
-    report.generation_cycles = block_.config().n();
-
-    const sw16::op_counts before = cpu_.counts();
-    report.software = runner_.run(block_.registers(), cpu_);
-    const sw16::op_counts spent = cpu_.counts() - before;
-    report.sw_cycles = mcu_.cycles(spent);
+    window_report report{
+        .window_index = windows_,
+        .software = runner_.run(block_.registers(), cpu_),
+        .generation_cycles = block_.config().n(),
+    };
+    report.sw_cycles = mcu_.cycles(report.software.total_ops);
 
     ++windows_;
     block_.restart();

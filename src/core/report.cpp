@@ -9,7 +9,7 @@ std::string format_verdicts(const software_result& result)
 {
     std::ostringstream out;
     for (const test_verdict& v : result.verdicts) {
-        out << "  " << std::left << std::setw(26) << v.name
+        out << "  " << std::left << std::setw(26) << hw::to_string(v.id)
             << (v.pass ? "pass" : "FAIL") << "  statistic=" << v.statistic
             << " bound=" << v.bound << '\n';
     }

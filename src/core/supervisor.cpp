@@ -339,7 +339,7 @@ void supervisor::observe(const window_report& report)
         ++state_.failures;
         for (const test_verdict& v : report.software.verdicts) {
             if (!v.pass) {
-                ++state_.failures_by_test[v.name];
+                ++state_.failures_by_test[std::string(hw::to_string(v.id))];
             }
         }
     }

@@ -3,7 +3,9 @@
 #include "sw16/pwl_xlogx.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 namespace otf::core {
 
@@ -180,41 +182,32 @@ software_result software_runner::run(const hw::register_map& map,
     const sw16::op_counts before = cpu.counts();
     collect(map, cpu);
 
-    software_result result;
-    result.verdicts.reserve(cfg_.tests.count());
-    const auto run_one = [&](const char* name, test_verdict verdict) {
-        verdict.name = name;
-        result.all_pass = result.all_pass && verdict.pass;
-        result.verdicts.push_back(std::move(verdict));
+    using routine = test_verdict (software_runner::*)(soft_cpu&) const;
+    static constexpr std::pair<hw::test_id, routine> routines[] = {
+        {hw::test_id::frequency, &software_runner::run_frequency},
+        {hw::test_id::block_frequency, &software_runner::run_block_frequency},
+        {hw::test_id::runs, &software_runner::run_runs},
+        {hw::test_id::longest_run, &software_runner::run_longest_run},
+        {hw::test_id::non_overlapping_template,
+         &software_runner::run_non_overlapping},
+        {hw::test_id::overlapping_template, &software_runner::run_overlapping},
+        {hw::test_id::serial, &software_runner::run_serial},
+        {hw::test_id::approximate_entropy,
+         &software_runner::run_approximate_entropy},
+        {hw::test_id::cumulative_sums, &software_runner::run_cumulative_sums},
     };
+    static_assert(std::size(routines) == std::size(hw::all_tests));
 
-    using hw::test_id;
-    if (cfg_.tests.has(test_id::frequency)) {
-        run_one("frequency", run_frequency(cpu));
-    }
-    if (cfg_.tests.has(test_id::block_frequency)) {
-        run_one("block_frequency", run_block_frequency(cpu));
-    }
-    if (cfg_.tests.has(test_id::runs)) {
-        run_one("runs", run_runs(cpu));
-    }
-    if (cfg_.tests.has(test_id::longest_run)) {
-        run_one("longest_run", run_longest_run(cpu));
-    }
-    if (cfg_.tests.has(test_id::non_overlapping_template)) {
-        run_one("non_overlapping_template", run_non_overlapping(cpu));
-    }
-    if (cfg_.tests.has(test_id::overlapping_template)) {
-        run_one("overlapping_template", run_overlapping(cpu));
-    }
-    if (cfg_.tests.has(test_id::serial)) {
-        run_one("serial", run_serial(cpu));
-    }
-    if (cfg_.tests.has(test_id::approximate_entropy)) {
-        run_one("approximate_entropy", run_approximate_entropy(cpu));
-    }
-    if (cfg_.tests.has(test_id::cumulative_sums)) {
-        run_one("cumulative_sums", run_cumulative_sums(cpu));
+    software_result result;
+    for (const auto& [id, run_test] : routines) {
+        if (!cfg_.tests.has(id)) {
+            continue;
+        }
+        test_verdict verdict = (this->*run_test)(cpu);
+        verdict.id = id;
+        verdict.name = hw::to_string(id);
+        result.all_pass = result.all_pass && verdict.pass;
+        result.verdicts.items_[result.verdicts.size_++] = verdict;
     }
 
     result.total_ops = cpu.counts() - before;
@@ -229,7 +222,6 @@ test_verdict software_runner::run_frequency(soft_cpu& cpu) const
     const reg s = store_[binding_.s_final];
     const reg magnitude = cpu.abs(s);
     test_verdict verdict;
-    verdict.id = hw::test_id::frequency;
     verdict.statistic = magnitude.value;
     verdict.bound = cv_.t1_max_deviation;
     verdict.pass = cpu.less_equal(magnitude, consts_.t1_bound);
@@ -249,7 +241,6 @@ test_verdict software_runner::run_block_frequency(soft_cpu& cpu) const
         acc = cpu.add(acc, square);
     }
     test_verdict verdict;
-    verdict.id = hw::test_id::block_frequency;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t2_sum_bound;
     verdict.pass = cpu.less_equal(acc, consts_.t2_bound);
@@ -260,7 +251,6 @@ test_verdict software_runner::run_block_frequency(soft_cpu& cpu) const
 test_verdict software_runner::run_runs(soft_cpu& cpu) const
 {
     test_verdict verdict;
-    verdict.id = hw::test_id::runs;
 
     // Frequency prerequisite on the walk's final value.
     const reg s = store_[binding_.s_final];
@@ -309,7 +299,6 @@ test_verdict software_runner::run_longest_run(soft_cpu& cpu) const
         acc = cpu.add(acc, term);
     }
     test_verdict verdict;
-    verdict.id = hw::test_id::longest_run;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t4_sum_bound;
     verdict.pass = cpu.less_equal(acc, consts_.t4_bound);
@@ -329,7 +318,6 @@ test_verdict software_runner::run_non_overlapping(soft_cpu& cpu) const
         acc = cpu.add(acc, square);
     }
     test_verdict verdict;
-    verdict.id = hw::test_id::non_overlapping_template;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t7_sum_bound;
     verdict.pass = cpu.less_equal(acc, consts_.t7_bound);
@@ -347,7 +335,6 @@ test_verdict software_runner::run_overlapping(soft_cpu& cpu) const
         acc = cpu.add(acc, term);
     }
     test_verdict verdict;
-    verdict.id = hw::test_id::overlapping_template;
     verdict.statistic = acc.value;
     verdict.bound = cv_.t8_sum_bound;
     verdict.pass = cpu.less_equal(acc, consts_.t8_bound);
@@ -390,7 +377,6 @@ test_verdict software_runner::run_serial(soft_cpu& cpu) const
     const bool pass2 = cpu.less_equal(del2, consts_.t11_bound2);
 
     test_verdict verdict;
-    verdict.id = hw::test_id::serial;
     verdict.statistic = del1.value;
     verdict.bound = cv_.t11_del1_bound;
     verdict.pass = pass1 && pass2;
@@ -421,7 +407,6 @@ test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu) const
     const reg b = phi_sum(file(binding_.nu_m1));
     const reg apen_q16 = cpu.sub(a, b);
     test_verdict verdict;
-    verdict.id = hw::test_id::approximate_entropy;
     verdict.statistic = apen_q16.value;
     verdict.bound = cv_.t12_apen_min_q16;
     verdict.pass = cpu.greater_equal(apen_q16, consts_.t12_bound);
@@ -448,7 +433,6 @@ test_verdict software_runner::run_cumulative_sums(soft_cpu& cpu) const
     const bool pass_rev = cpu.less_equal(z_rev, consts_.t13_bound);
 
     test_verdict verdict;
-    verdict.id = hw::test_id::cumulative_sums;
     verdict.statistic = std::max(z_fwd.value, z_rev.value);
     verdict.bound = cv_.t13_z_bound;
     verdict.pass = pass_fwd && pass_rev;

@@ -8,9 +8,11 @@
 // which both computes the exact result and charges the 16-bit instruction
 // costs that regenerate the SW section of Table III.
 //
-// There is deliberately no single alarm output: the result is a vector of
+// There is deliberately no single alarm output: the result is a list of
 // per-test verdicts with their raw statistics (the anti-fault-attack
-// property discussed in the paper's introduction).
+// property discussed in the paper's introduction).  A verdict is a test id
+// and numbers; the list holds them inline, so a window's pass allocates
+// nothing.
 #pragma once
 
 #include "core/critical_values.hpp"
@@ -18,15 +20,18 @@
 #include "hw/register_map.hpp"
 #include "sw16/cpu.hpp"
 
+#include <array>
+#include <iterator>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace otf::core {
 
 struct test_verdict {
-    hw::test_id id;
-    std::string name;
+    hw::test_id id{};
+    /// hw::to_string(id); kept for the benchmark's report comparison.
+    std::string_view name;
     bool pass = false;
     /// The integer statistic the software computed.
     std::int64_t statistic = 0;
@@ -34,8 +39,24 @@ struct test_verdict {
     std::int64_t bound = 0;
 };
 
+/// One verdict per enabled test, in test-number order, held inline.
+class verdict_list {
+public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const test_verdict& operator[](std::size_t i) const { return items_[i]; }
+    test_verdict& front() { return items_[0]; }
+    const test_verdict* begin() const { return items_.data(); }
+    const test_verdict* end() const { return items_.data() + size_; }
+
+private:
+    friend class software_runner;
+    std::array<test_verdict, std::size(hw::all_tests)> items_{};
+    std::size_t size_ = 0;
+};
+
 struct software_result {
-    std::vector<test_verdict> verdicts;
+    verdict_list verdicts;
     bool all_pass = true;
     /// Every instruction the pass charged: the collection READs, the
     /// derived marginals and all test routines.
@@ -49,7 +70,7 @@ struct software_result {
 /// (hw::register_map::layout()): a scalar by its name, a counter file by
 /// the index of its element 0 plus a count.  It keeps a reused flat
 /// store, so a window's pass reads the map by index, with no name
-/// lookups and no allocation beyond its result.  That cached binding
+/// lookups and no allocation.  That cached binding
 /// makes run() stateful: use one runner per monitor and never share one
 /// across threads.
 class software_runner {
@@ -63,7 +84,8 @@ public:
     const critical_values& bounds() const { return cv_; }
 
     /// \brief Full pass: read the interface, run every enabled test's
-    /// routine.
+    /// routine.  Once bound to the map's layout, the pass allocates
+    /// nothing.
     /// \param map the testing block's memory-mapped counter values
     /// \param cpu instruction-accounting CPU that executes (and charges)
     ///            every READ and every arithmetic instruction
@@ -141,6 +163,7 @@ private:
         return {store_.data() + slots.base, slots.count};
     }
 
+    // The routines fill everything but the verdict's id and name.
     test_verdict run_frequency(sw16::soft_cpu& cpu) const;
     test_verdict run_block_frequency(sw16::soft_cpu& cpu) const;
     test_verdict run_runs(sw16::soft_cpu& cpu) const;

@@ -1,6 +1,8 @@
 #include "hw/config.hpp"
 
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 namespace otf::hw {
 
@@ -11,6 +13,17 @@ void block_config::validate() const
     }
     if (tests.count() == 0) {
         throw std::invalid_argument("block_config: no tests enabled");
+    }
+    std::uint16_t supported = 0;
+    for (const test_id id : all_tests) {
+        supported |= test_set{}.with(id).to_raw();
+    }
+    if ((tests.to_raw() & ~supported) != 0) {
+        char mask[8];
+        std::snprintf(mask, sizeof mask, "0x%04x", tests.to_raw());
+        throw std::invalid_argument(
+            std::string("block_config: tests mask ") + mask
+            + " enables a test number the platform does not support");
     }
     if (tests.has(test_id::block_frequency)) {
         if (bf_log2_m == 0 || bf_log2_m >= log2_n) {

@@ -11,6 +11,7 @@
 #include <bitset>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace otf::hw {
 
@@ -26,6 +27,36 @@ enum class test_id : unsigned {
     approximate_entropy = 12,
     cumulative_sums = 13,
 };
+
+/// Every supported test, in test-number order.
+inline constexpr test_id all_tests[] = {
+    test_id::frequency,
+    test_id::block_frequency,
+    test_id::runs,
+    test_id::longest_run,
+    test_id::non_overlapping_template,
+    test_id::overlapping_template,
+    test_id::serial,
+    test_id::approximate_entropy,
+    test_id::cumulative_sums,
+};
+
+/// The test's name in verdicts, tallies and logs.
+constexpr std::string_view to_string(test_id id)
+{
+    switch (id) {
+    case test_id::frequency: return "frequency";
+    case test_id::block_frequency: return "block_frequency";
+    case test_id::runs: return "runs";
+    case test_id::longest_run: return "longest_run";
+    case test_id::non_overlapping_template: return "non_overlapping_template";
+    case test_id::overlapping_template: return "overlapping_template";
+    case test_id::serial: return "serial";
+    case test_id::approximate_entropy: return "approximate_entropy";
+    case test_id::cumulative_sums: return "cumulative_sums";
+    }
+    return "?";
+}
 
 /// Set of enabled tests, indexed by NIST test number.
 class test_set {
@@ -107,8 +138,8 @@ struct block_config {
 
     /// \brief Check the design point for internal consistency.
     /// \throws std::invalid_argument when parameters are inconsistent
-    /// (block longer than sequence, categories out of range, template not
-    /// representable, ...)
+    /// (no test or an unsupported test number enabled, block longer than
+    /// sequence, categories out of range, template not representable, ...)
     void validate() const;
 };
 

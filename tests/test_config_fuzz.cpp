@@ -109,7 +109,7 @@ TEST_P(config_fuzz, window_runs_end_to_end_and_is_repeatable)
     for (std::size_t i = 0; i < first.software.verdicts.size(); ++i) {
         EXPECT_EQ(first.software.verdicts[i].statistic,
                   second.software.verdicts[i].statistic)
-            << first.software.verdicts[i].name;
+            << hw::to_string(first.software.verdicts[i].id);
     }
 }
 
@@ -144,7 +144,7 @@ TEST_P(config_fuzz, thirty_two_bit_platform_same_verdicts_fewer_ops)
     ASSERT_EQ(r16.verdicts.size(), r32.verdicts.size());
     for (std::size_t i = 0; i < r16.verdicts.size(); ++i) {
         EXPECT_EQ(r16.verdicts[i].pass, r32.verdicts[i].pass)
-            << r16.verdicts[i].name;
+            << hw::to_string(r16.verdicts[i].id);
         EXPECT_EQ(r16.verdicts[i].statistic, r32.verdicts[i].statistic);
     }
     EXPECT_LT(r32.total_ops.total(), r16.total_ops.total())

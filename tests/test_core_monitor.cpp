@@ -19,6 +19,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -63,12 +64,12 @@ TEST(monitor, per_test_type1_rates_are_near_alpha)
     core::monitor mon(fast_cfg(), 0.01);
     trng::ideal_source src(777);
     const unsigned windows = 400;
-    std::map<std::string, unsigned> failures;
+    std::map<std::string_view, unsigned> failures;
     for (unsigned w = 0; w < windows; ++w) {
         const auto rep = mon.test_window(src);
         for (const auto& v : rep.software.verdicts) {
             if (!v.pass) {
-                ++failures[v.name];
+                ++failures[hw::to_string(v.id)];
             }
         }
     }
@@ -98,7 +99,8 @@ TEST(monitor, window_verdicts_are_reproducible_run_to_run)
         for (std::size_t i = 0; i < rep_a.software.verdicts.size(); ++i) {
             EXPECT_EQ(rep_a.software.verdicts[i].pass,
                       rep_b.software.verdicts[i].pass)
-                << rep_a.software.verdicts[i].name << " at window " << w;
+                << hw::to_string(rep_a.software.verdicts[i].id) << " at window "
+                << w;
         }
     }
 }
@@ -279,10 +281,11 @@ void expect_same_report(const core::window_report& a,
     for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
         const core::test_verdict& x = a.software.verdicts[i];
         const core::test_verdict& y = b.software.verdicts[i];
-        EXPECT_EQ(x.name, y.name) << context;
-        EXPECT_EQ(x.pass, y.pass) << context << ": " << x.name;
-        EXPECT_EQ(x.statistic, y.statistic) << context << ": " << x.name;
-        EXPECT_EQ(x.bound, y.bound) << context << ": " << x.name;
+        const std::string_view name = hw::to_string(x.id);
+        EXPECT_EQ(x.id, y.id) << context;
+        EXPECT_EQ(x.pass, y.pass) << context << ": " << name;
+        EXPECT_EQ(x.statistic, y.statistic) << context << ": " << name;
+        EXPECT_EQ(x.bound, y.bound) << context << ": " << name;
     }
     EXPECT_EQ(a.sw_cycles, b.sw_cycles) << context;
     EXPECT_EQ(a.generation_cycles, b.generation_cycles) << context;

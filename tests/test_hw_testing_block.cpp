@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <gtest/gtest.h>
 #include <string>
 #include <utility>
@@ -231,6 +232,31 @@ TEST(config_validation, rejects_inconsistent_designs)
     cfg = paper_design(16, tier::high);
     cfg.t7_template = 0x3FF; // 10 bits into a 9-bit matcher
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(config_validation, rejects_unsupported_test_numbers)
+{
+    // Only the nine Table I tests have hardware.  Any other bit of the
+    // tests mask (test 5, bit 0, bit 15) is refused and named, alone or
+    // next to supported tests; otherwise a block with no test would pass
+    // every window with no verdict at all.
+    const hw::block_config light = paper_design(7, tier::light);
+    for (const std::uint16_t raw : {0x0020, 0x0001, 0x8000}) {
+        const std::uint16_t with_light = light.tests.to_raw() | raw;
+        for (const std::uint16_t mask : {raw, with_light}) {
+            hw::block_config cfg = light;
+            cfg.tests = hw::test_set::from_raw(mask);
+            try {
+                hw::testing_block block(cfg);
+                ADD_FAILURE() << "tests mask " << mask << " was accepted";
+            } catch (const std::invalid_argument& e) {
+                char hex[8];
+                std::snprintf(hex, sizeof hex, "0x%04x", mask);
+                EXPECT_NE(std::string(e.what()).find(hex), std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(config_validation, apen_requires_serial)
@@ -471,6 +497,24 @@ TEST(reconfigure, invalid_staged_design_throws_and_keeps_the_block)
     trng::ideal_source source(4);
     run_window(block, source, true);
     EXPECT_TRUE(block.done());
+}
+
+TEST(reconfigure, unsupported_test_number_on_the_bus_is_refused)
+{
+    hw::testing_block block(paper_design(7, tier::light));
+    hw::register_map& map = block.registers();
+    for (const std::uint16_t raw : {0x0020, 0x0001, 0x8000}) {
+        map.write_control("cfg.tests", raw);
+        EXPECT_THROW(map.write_control("ctrl.reconfigure", 1),
+                     std::invalid_argument)
+            << "tests mask " << raw;
+        hw::block_config target = paper_design(7, tier::light);
+        target.tests = hw::test_set::from_raw(raw);
+        EXPECT_THROW(block.reprogram(target), std::invalid_argument)
+            << "tests mask " << raw;
+    }
+    EXPECT_EQ(block.reconfigurations(), 0u);
+    EXPECT_EQ(block.config().tests, paper_design(7, tier::light).tests);
 }
 
 TEST(reconfigure, boundary_parameter_values_survive_the_bus)

@@ -10,7 +10,8 @@
 // range, adversarial source models at several severities, and pathological
 // inputs (all-zero, all-one, alternating, long ones-runs, template floods, a
 // single flipped bit at every word offset), fed as one span or as chunks of
-// every size from 1 to 64 bits.
+// every size from 1 to 64 bits.  Every finished window of both lanes must
+// also hold the counter invariants (support/counter_invariants.hpp).
 #include "base/bits.hpp"
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
@@ -23,6 +24,7 @@
 #include "trng/sources.hpp"
 #include "trng/xoshiro.hpp"
 
+#include "support/counter_invariants.hpp"
 #include "support/fixed_seed.hpp"
 
 #include <algorithm>
@@ -129,6 +131,18 @@ void expect_identical_registers(const hw::testing_block& oracle,
     }
     EXPECT_EQ(oracle.bits_consumed(), fast.bits_consumed()) << context;
     EXPECT_EQ(oracle.done(), fast.done()) << context;
+    if (!oracle.done() || !fast.done()) {
+        return; // the invariants hold for finished windows only
+    }
+    for (const hw::testing_block* block : {&oracle, &fast}) {
+        for (const std::string& invariant :
+             test::counter_invariant_violations(block->config(),
+                                                block->registers())) {
+            ADD_FAILURE() << context << ": " << invariant << " violated on "
+                          << (block == &oracle ? "per-bit" : "span")
+                          << " lane";
+        }
+    }
 }
 
 /// Run `seq` through the per-bit oracle once, then through the span lane
@@ -528,6 +542,61 @@ TEST(kernel_oracle, ragged_span_chunks_match_per_bit_for_every_variant)
 }
 
 // ---------------------------------------------------------------------------
+// Counter invariants: the checks above hold every finished window to them;
+// forging one value per invariant shows that each one fires (the paper's
+// Section I-B argument: a forged bus value breaks an identity).
+// ---------------------------------------------------------------------------
+
+TEST(kernel_oracle, one_forged_value_trips_each_counter_invariant)
+{
+    const hw::block_config cfg = paper_design(16, tier::high);
+    hw::testing_block block(cfg);
+    block.run(random_sequence(fixture_seed(80), cfg.n()));
+    const hw::register_map& genuine = block.registers();
+    ASSERT_TRUE(test::counter_invariant_violations(cfg, genuine).empty());
+
+    const auto n = static_cast<std::int64_t>(cfg.n());
+    const std::int64_t s_final = genuine.read_value("cusum.s_final");
+    // N_runs = n stays in range but exceeds 2 min(N_ones, N_zeros) + 1
+    // only when the ones and zeros are unbalanced.
+    ASSERT_NE(s_final, 0);
+    const struct {
+        const char* invariant;
+        const char* victim;
+        std::int64_t forged;
+    } cases[] = {
+        {"walk extrema sign", "cusum.s_max", -1},
+        {"walk final within extrema", "cusum.s_final",
+         genuine.read_value("cusum.s_max") + 2},
+        {"ones count range", "cusum.s_final", s_final + 1},
+        {"runs range", "runs.n_runs", 0},
+        {"runs within ones bound", "runs.n_runs", n},
+        {"block ones range", "block_frequency.eps[3]",
+         (std::int64_t{1} << cfg.bf_log2_m) + 1},
+        {"blocks partition the ones", "block_frequency.eps[3]",
+         genuine.read_value("block_frequency.eps[3]") + 1},
+        {"longest-run categories partition the blocks", "longest_run.nu[2]",
+         genuine.read_value("longest_run.nu[2]") + 3},
+        {"overlapping categories partition the blocks",
+         "overlapping.nu_temp[1]",
+         genuine.read_value("overlapping.nu_temp[1]") + 1},
+        {"patterns partition n", "serial.nu_m[5]",
+         genuine.read_value("serial.nu_m[5]") + 64},
+        {"pattern marginal identity", "serial.nu_m1[0]",
+         genuine.read_value("serial.nu_m1[0]") + 1},
+    };
+    for (const auto& c : cases) {
+        hw::register_map forged = genuine;
+        forged.values()[forged.index_of(c.victim)] =
+            static_cast<std::uint64_t>(c.forged);
+        const auto violated = test::counter_invariant_violations(cfg, forged);
+        EXPECT_NE(std::find(violated.begin(), violated.end(), c.invariant),
+                  violated.end())
+            << c.invariant << " missed a forged " << c.victim;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // SP 800-90B health-test engines: span chunks of every size from 1 to 64
 // bits, then random ragged sizes, against the per-bit engines on healthy,
 // sticky and stuck streams.
@@ -661,7 +730,7 @@ TEST(kernel_oracle, monitor_lanes_agree_end_to_end)
         EXPECT_EQ(a.software.verdicts[i].pass, b.software.verdicts[i].pass);
         EXPECT_EQ(a.software.verdicts[i].statistic,
                   b.software.verdicts[i].statistic)
-            << a.software.verdicts[i].name;
+            << hw::to_string(a.software.verdicts[i].id);
         EXPECT_EQ(a.software.verdicts[i].bound, b.software.verdicts[i].bound);
     }
     EXPECT_EQ(a.sw_cycles, b.sw_cycles);
@@ -713,7 +782,8 @@ TEST(kernel_oracle, default_feed_packed_is_register_exact_with_per_bit)
                       b.software.verdicts[i].pass);
             EXPECT_EQ(a.software.verdicts[i].statistic,
                       b.software.verdicts[i].statistic)
-                << a.software.verdicts[i].name << " window " << w;
+                << hw::to_string(a.software.verdicts[i].id) << " window "
+                << w;
         }
         EXPECT_EQ(a.sw_cycles, b.sw_cycles);
     }
