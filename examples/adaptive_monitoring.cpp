@@ -7,7 +7,7 @@
 // under a cheap always-on design; an SRAM-style entropy collapse hits
 // mid-run (a supply-voltage dip); the k-of-w alarm trips and the
 // supervisor reprograms the live testing block to the full nine-test
-// design *through the register map*, replays the captured evidence
+// design *through its control registers*, replays the captured evidence
 // through the offline SP 800-22 battery for confirmation, and -- once
 // the supply recovers and the heavy design has seen a clean dwell --
 // reprograms the block back to the baseline and re-arms the alarm.

@@ -66,7 +66,7 @@ struct fleet_config {
     /// Adaptive escalation (optional): when set, every channel runs
     /// under a core::supervisor -- `block` is the cheap always-on
     /// baseline, and this is the heavy design the channel's live testing
-    /// block is reprogrammed to (through the register-map write path) on
+    /// block is reprogrammed to (through the control-register write path) on
     /// a k-of-w alarm; the channel alarm policy doubles as the
     /// escalation trigger.  Critical values for both designs are
     /// inverted once and shared by every channel.

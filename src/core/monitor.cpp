@@ -103,11 +103,12 @@ void run_windows(monitor& mon, trng::entropy_source& source,
             // No window is in flight: the hook may reprogram the design.
             hooks.before(mon.windows_tested());
         }
-        const std::uint64_t n = mon.config().n();
-        window_report wr;
-        if (n < 64 && lane == ingest_lane::per_bit) {
-            wr = mon.test_window(source);
-        } else {
+        // Built in place: the report's inline verdicts are never copied.
+        const window_report wr = [&] {
+            const std::uint64_t n = mon.config().n();
+            if (n < 64 && lane == ingest_lane::per_bit) {
+                return mon.test_window(source);
+            }
             // Re-read per window: a reconfiguring barrier may have
             // changed the length.
             const auto nwords = static_cast<std::size_t>(n / 64);
@@ -127,8 +128,8 @@ void run_windows(monitor& mon, trng::entropy_source& source,
             if (hooks.tap) {
                 hooks.tap(mon.windows_tested(), staging.data(), nwords);
             }
-            wr = mon.test_packed(staging.data(), nwords, lane);
-        }
+            return mon.test_packed(staging.data(), nwords, lane);
+        }();
         if (hooks.sink) {
             hooks.sink(wr);
         }

@@ -142,7 +142,7 @@ public:
     window_report finish_packed();
 
     /// \brief On-the-fly reconfiguration: reprogram the live testing
-    /// block to `target` *through the register-map write path*
+    /// block to `target` *through the control-register write path*
     /// (hw::testing_block::reprogram) and swap the software pass to the
     /// matching precomputed bounds.  The window counter keeps running --
     /// the monitor's stream continues at the new design point.

@@ -386,7 +386,7 @@ void supervisor::escalate(std::uint64_t next_window)
     push_event(next_window, supervision_event_kind::escalated,
                cfg_.baseline.name, cfg_.escalated.name);
     // The on-the-fly reconfiguration itself: the live block is
-    // reprogrammed through the register-map write path between windows.
+    // reprogrammed through the control-register write path between windows.
     mon_.reconfigure(cfg_.escalated, cv_escalated_);
     state_.state = supervision_state::escalated;
     state_.clean_streak = 0;
@@ -526,7 +526,7 @@ void supervisor::restore(const supervisor_checkpoint& cp)
     alarm_.restore(cp.alarm_history, cp.alarm_sticky);
     state_ = cp;
     // Reprogram the block to the checkpointed tier (the restart-time
-    // analogue of the live escalation's register-map write path), then
+    // analogue of the live escalation's control-register write path), then
     // continue the global window numbering.
     if (state_.state == supervision_state::escalated) {
         mon_.reconfigure(cfg_.escalated, cv_escalated_);

@@ -11,7 +11,7 @@
 //
 //   1. escalate  -- at the next window boundary the live testing block is
 //                   reprogrammed to a heavier design point through the
-//                   hw::register_map write path (the paper's actual
+//                   testing block's control registers (the paper's actual
 //                   reconfiguration mechanism); no word of the stream is
 //                   dropped -- the next window is simply framed at the
 //                   new window length;
@@ -284,7 +284,7 @@ public:
                  std::size_t nwords);
 
     /// \brief The between-windows barrier action: apply a queued
-    /// escalation (reprogram through the register map + offline-confirm
+    /// escalation (reprogram through the control registers + offline-confirm
     /// the evidence) or a matured de-escalation.  Called by the window
     /// loop's barrier hook, never mid-window.
     void at_barrier(std::uint64_t next_window);

@@ -1,5 +1,6 @@
 #include "core/telemetry_log.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -11,43 +12,36 @@ namespace otf::core {
 // Configuration serialization.
 // ---------------------------------------------------------------------
 
+// A design point is its label and then every design register as a u32,
+// in table order.
+static_assert(std::ranges::all_of(hw::config_registers,
+                                  [](const hw::config_register& reg) {
+                                      return reg.width <= 32;
+                                  }),
+              "every design register must fit the u32 it is logged as");
+
 void serialize_config(base::byte_sink& sink, const hw::block_config& cfg)
 {
     sink.str(cfg.name);
-    sink.u8(static_cast<std::uint8_t>(cfg.log2_n));
-    sink.u16(cfg.tests.to_raw());
-    sink.u8(static_cast<std::uint8_t>(cfg.bf_log2_m));
-    sink.u8(static_cast<std::uint8_t>(cfg.lr_log2_m));
-    sink.u8(static_cast<std::uint8_t>(cfg.lr_v_lo));
-    sink.u8(static_cast<std::uint8_t>(cfg.lr_v_hi));
-    sink.u8(static_cast<std::uint8_t>(cfg.template_length));
-    sink.u32(cfg.t7_template);
-    sink.u8(static_cast<std::uint8_t>(cfg.t7_log2_m));
-    sink.u32(cfg.t8_template);
-    sink.u8(static_cast<std::uint8_t>(cfg.t8_log2_m));
-    sink.u8(static_cast<std::uint8_t>(cfg.t8_max_count));
-    sink.boolean(cfg.serial_transfer_marginals);
-    sink.boolean(cfg.double_buffered);
+    for (const hw::config_register& reg : hw::config_registers) {
+        sink.u32(static_cast<std::uint32_t>(reg.get(cfg)));
+    }
 }
 
 hw::block_config parse_block_config(base::byte_cursor& cursor)
 {
     hw::block_config cfg;
     cfg.name = cursor.str();
-    cfg.log2_n = cursor.u8();
-    cfg.tests = hw::test_set::from_raw(cursor.u16());
-    cfg.bf_log2_m = cursor.u8();
-    cfg.lr_log2_m = cursor.u8();
-    cfg.lr_v_lo = cursor.u8();
-    cfg.lr_v_hi = cursor.u8();
-    cfg.template_length = cursor.u8();
-    cfg.t7_template = cursor.u32();
-    cfg.t7_log2_m = cursor.u8();
-    cfg.t8_template = cursor.u32();
-    cfg.t8_log2_m = cursor.u8();
-    cfg.t8_max_count = cursor.u8();
-    cfg.serial_transfer_marginals = cursor.boolean();
-    cfg.double_buffered = cursor.boolean();
+    for (const hw::config_register& reg : hw::config_registers) {
+        const std::uint64_t value = cursor.u32();
+        if ((value >> reg.width) != 0) {
+            throw std::runtime_error(
+                "parse_block_config: " + std::string(reg.name) + " = "
+                + std::to_string(value) + " does not fit its "
+                + std::to_string(reg.width) + "-bit register");
+        }
+        reg.set(cfg, value);
+    }
     return cfg;
 }
 
@@ -262,6 +256,12 @@ void expect_exhausted(const base::byte_cursor& cursor, const char* kind)
 
 telemetry_run parse_telemetry(const base::wal_read_result& wal)
 {
+    if (wal.header_ok && wal.schema != telemetry_schema) {
+        throw std::runtime_error(
+            "parse_telemetry: segment schema " + std::to_string(wal.schema)
+            + " is not this reader's schema "
+            + std::to_string(telemetry_schema));
+    }
     telemetry_run run;
     run.header_ok = wal.header_ok;
     run.schema = wal.schema;

@@ -44,7 +44,8 @@
 namespace otf::core {
 
 /// Telemetry WAL schema version (the segment header's schema field).
-inline constexpr std::uint32_t telemetry_schema = 1;
+/// parse_telemetry() reads this schema only.
+inline constexpr std::uint32_t telemetry_schema = 2;
 
 /// WAL frame type byte of each telemetry record kind.
 enum class telemetry_record : std::uint8_t {
@@ -54,11 +55,12 @@ enum class telemetry_record : std::uint8_t {
     checkpoint = 4, ///< one supervisor_checkpoint
 };
 
-/// \brief Raw serialization of one design point (every block_config
-/// field, register_map-style), so a replay tool can rebuild the exact
-/// configuration the run used.
+/// \brief Raw serialization of one design point: the label, then every
+/// hw::config_registers field as a u32, so a replay tool can rebuild the
+/// exact configuration the run used.
 void serialize_config(base::byte_sink& sink, const hw::block_config& cfg);
-/// \throws std::runtime_error on a truncated payload
+/// \throws std::runtime_error on a truncated payload, or naming the
+/// register when a field does not fit its width
 hw::block_config parse_block_config(base::byte_cursor& cursor);
 
 /// \brief Raw serialization of the full supervision policy (both
@@ -202,10 +204,11 @@ struct telemetry_run {
 };
 
 /// \brief Re-type the records of a recovered segment image.
-/// \throws std::runtime_error when a CRC-valid record fails to parse or
-/// has trailing bytes, naming the record kind (schema mismatch --
-/// corruption is caught by the WAL layer, which truncates to the valid
-/// prefix instead of throwing)
+/// \throws std::runtime_error naming both schema numbers when the header
+/// carries another telemetry_schema, and when a CRC-valid record fails to
+/// parse or has trailing bytes, naming the record kind (corruption is
+/// caught by the WAL layer, which truncates to the valid prefix instead
+/// of throwing)
 telemetry_run parse_telemetry(const base::wal_read_result& wal);
 
 /// \brief Read, recover and re-type a telemetry segment file.

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace otf::hw {
 
@@ -141,6 +142,74 @@ struct block_config {
     /// (no test or an unsupported test number enabled, block longer than
     /// sequence, categories out of range, template not representable, ...)
     void validate() const;
+
+    bool operator==(const block_config&) const = default;
+};
+
+/// \brief One staged design register: its name on the control bus, its
+/// width, and how it maps onto block_config.
+struct config_register {
+    std::string_view name;
+    unsigned width;
+    std::uint64_t (*get)(const block_config&);
+    void (*set)(block_config&, std::uint64_t);
+};
+
+namespace detail {
+
+template <auto Member>
+constexpr config_register field(std::string_view name, unsigned width)
+{
+    return {name, width,
+            [](const block_config& c) {
+                return static_cast<std::uint64_t>(c.*Member);
+            },
+            [](block_config& c, std::uint64_t v) {
+                c.*Member = static_cast<
+                    std::remove_reference_t<decltype(c.*Member)>>(v);
+            }};
+}
+
+} // namespace detail
+
+/// \brief The one list of a design point's fields: every block_config
+/// field but the label (a software-side name, not a hardware parameter).
+/// The testing block's control plane stages a design through it and the
+/// telemetry log writes one with it, so a field added here is staged,
+/// reprogrammed, logged and replayed everywhere.
+inline constexpr config_register config_registers[] = {
+    detail::field<&block_config::log2_n>("cfg.log2_n", 5),
+    {"cfg.tests", 16,
+     [](const block_config& c) {
+         return static_cast<std::uint64_t>(c.tests.to_raw());
+     },
+     [](block_config& c, std::uint64_t v) {
+         c.tests = test_set::from_raw(static_cast<std::uint16_t>(v));
+     }},
+    detail::field<&block_config::bf_log2_m>("cfg.bf_log2_m", 5),
+    detail::field<&block_config::lr_log2_m>("cfg.lr_log2_m", 5),
+    // The longest-run category bounds are validated up to the block
+    // length 2^lr_log2_m (lr_log2_m < 30), and template_length up to 16:
+    // the register widths must cover the whole validated domain or a
+    // legal target would be silently truncated on the bus.
+    detail::field<&block_config::lr_v_lo>("cfg.lr_v_lo", 30),
+    detail::field<&block_config::lr_v_hi>("cfg.lr_v_hi", 30),
+    detail::field<&block_config::template_length>("cfg.template_length", 5),
+    detail::field<&block_config::t7_template>("cfg.t7_template", 16),
+    detail::field<&block_config::t7_log2_m>("cfg.t7_log2_m", 5),
+    detail::field<&block_config::t8_template>("cfg.t8_template", 16),
+    detail::field<&block_config::t8_log2_m>("cfg.t8_log2_m", 5),
+    detail::field<&block_config::t8_max_count>("cfg.t8_max_count", 4),
+    detail::field<&block_config::serial_m>("cfg.serial_m", 4),
+    {"cfg.options", 2,
+     [](const block_config& c) {
+         return std::uint64_t{(c.serial_transfer_marginals ? 1u : 0u)
+                              | (c.double_buffered ? 2u : 0u)};
+     },
+     [](block_config& c, std::uint64_t v) {
+         c.serial_transfer_marginals = (v & 1u) != 0;
+         c.double_buffered = (v & 2u) != 0;
+     }},
 };
 
 } // namespace otf::hw

@@ -16,17 +16,15 @@
 // significantly to the overall area", which the resource model here makes
 // measurable.
 //
-// Besides the read-only result plane the map carries a *control plane*:
-// writable configuration registers through which the software platform
-// reconfigures the testing block on the fly (the paper's future-work
-// flexibility -- "software-selectable sequence length and parameters").
-// Control registers live on the MCU's peripheral write bus, not behind the
-// readout mux, so they do not perturb the Table III interface accounting
-// (top_level_inputs / max_width / total_words cover the result plane only).
+// The map is the result plane only.  The writable configuration
+// registers through which software reconfigures the block on the fly live
+// on the MCU's peripheral write bus, not behind the readout mux, and
+// belong to testing_block (write_control / read_control); what the map
+// accounts for (top_level_inputs / max_width / total_words) is exactly
+// the Table III interface.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -44,15 +42,6 @@ struct map_entry {
     std::string group;
 };
 
-/// One writable configuration register of the control plane.  Reads return
-/// the currently staged value; writes stage a new one (masked to `width`).
-struct control_entry {
-    std::string name;
-    unsigned width = 16;
-    std::function<std::uint64_t()> read;
-    std::function<void(std::uint64_t)> write;
-};
-
 class register_map {
 public:
     register_map();
@@ -63,7 +52,7 @@ public:
     /// \param width     value width in bits, in [1, 64]
     /// \param is_signed two's-complement interpretation for read_value()
     /// \throws std::invalid_argument naming the entry when the width is
-    ///         outside [1, 64] or the name is already on the result plane
+    ///         outside [1, 64] or the name is already in the map
     void add_scalar(std::string name, unsigned width, bool is_signed);
 
     /// \brief Register one element of a sub-addressed group (bank /
@@ -114,42 +103,9 @@ public:
     /// the READ instruction count of a full collection pass.
     unsigned total_words(unsigned word_bits = 16) const;
 
-    // -- control plane (writable configuration registers) ------------------
-
-    /// \brief Register a writable control register.
-    /// \param name  control-plane unique name, e.g. "cfg.log2_n"
-    /// \param width value width in bits, in [1, 64]; writes are masked
-    /// \param read  getter returning the currently staged value
-    /// \param write setter staging a new value (receives the masked value)
-    /// \throws std::invalid_argument naming the register when the width is
-    ///         outside [1, 64], the name is already on the control plane
-    ///         or a callback is missing
-    void add_control(std::string name, unsigned width,
-                     std::function<std::uint64_t()> read,
-                     std::function<void(std::uint64_t)> write);
-
-    std::size_t control_count() const { return controls_.size(); }
-    const control_entry& control(std::size_t index) const;
-    const std::vector<control_entry>& controls() const { return controls_; }
-
-    /// Index of the control register called `name`, throws if absent.
-    std::size_t control_index_of(const std::string& name) const;
-
-    /// \brief Write a control register (value masked to its width).  Safe
-    /// against self-modifying writes: the setter is copied out of the map
-    /// before it runs, so a write that rebuilds the map (the reconfigure
-    /// strobe) does not destroy the function mid-call.
-    void write_control(std::size_t index, std::uint64_t value);
-    void write_control(const std::string& name, std::uint64_t value);
-
-    /// Currently staged value of a control register (masked to width).
-    std::uint64_t read_control(std::size_t index) const;
-    std::uint64_t read_control(const std::string& name) const;
-
 private:
     std::vector<map_entry> entries_;
     std::vector<std::uint64_t> values_;
-    std::vector<control_entry> controls_;
     std::uint64_t layout_;
 
     void add_entry(map_entry entry);

@@ -1,7 +1,8 @@
 #include "hw/testing_block.hpp"
 
+#include <iterator>
 #include <stdexcept>
-#include <type_traits>
+#include <string>
 
 namespace otf::hw {
 
@@ -86,92 +87,77 @@ void testing_block::build()
     mux_ = std::make_unique<rtl::readout_mux>(
         "readout_mux", map_.top_level_inputs(), map_.max_width());
     adopt(*mux_);
-    add_control_plane();
 }
 
 namespace {
 
-/// One staged design parameter of the control plane: its register name
-/// and width, and how it maps onto block_config.  The single source of
-/// truth shared by the register registration (add_control_plane) and
-/// the software-side write sequence (reprogram) -- a field added here
-/// is automatically staged, written and read back everywhere.
-struct config_register {
-    const char* name;
-    unsigned width;
-    std::uint64_t (*get)(const block_config&);
-    void (*set)(block_config&, std::uint64_t);
-};
+constexpr std::string_view reconfigure_strobe_name = "ctrl.reconfigure";
 
-template <auto Member>
-constexpr config_register field(const char* name, unsigned width)
+std::size_t control_index(std::string_view name)
 {
-    return {name, width,
-            [](const block_config& c) {
-                return static_cast<std::uint64_t>(c.*Member);
-            },
-            [](block_config& c, std::uint64_t v) {
-                c.*Member = static_cast<
-                    std::remove_reference_t<decltype(c.*Member)>>(v);
-            }};
+    for (std::size_t i = 0; i < std::size(config_registers); ++i) {
+        if (config_registers[i].name == name) {
+            return i;
+        }
+    }
+    if (name == reconfigure_strobe_name) {
+        return testing_block::reconfigure_strobe;
+    }
+    throw std::out_of_range("testing_block: no control register named "
+                            + std::string(name));
 }
 
-constexpr config_register kConfigRegisters[] = {
-    field<&block_config::log2_n>("cfg.log2_n", 5),
-    {"cfg.tests", 16,
-     [](const block_config& c) {
-         return static_cast<std::uint64_t>(c.tests.to_raw());
-     },
-     [](block_config& c, std::uint64_t v) {
-         c.tests = test_set::from_raw(static_cast<std::uint16_t>(v));
-     }},
-    field<&block_config::bf_log2_m>("cfg.bf_log2_m", 5),
-    field<&block_config::lr_log2_m>("cfg.lr_log2_m", 5),
-    // The longest-run category bounds are validated up to the block
-    // length 2^lr_log2_m (lr_log2_m < 30), and template_length up to 16:
-    // the register widths must cover the whole validated domain or a
-    // legal target would be silently truncated on the bus.
-    field<&block_config::lr_v_lo>("cfg.lr_v_lo", 30),
-    field<&block_config::lr_v_hi>("cfg.lr_v_hi", 30),
-    field<&block_config::template_length>("cfg.template_length", 5),
-    field<&block_config::t7_template>("cfg.t7_template", 16),
-    field<&block_config::t7_log2_m>("cfg.t7_log2_m", 5),
-    field<&block_config::t8_template>("cfg.t8_template", 16),
-    field<&block_config::t8_log2_m>("cfg.t8_log2_m", 5),
-    field<&block_config::t8_max_count>("cfg.t8_max_count", 4),
-    field<&block_config::serial_m>("cfg.serial_m", 4),
-    {"cfg.options", 2,
-     [](const block_config& c) {
-         return std::uint64_t{(c.serial_transfer_marginals ? 1u : 0u)
-                              | (c.double_buffered ? 2u : 0u)};
-     },
-     [](block_config& c, std::uint64_t v) {
-         c.serial_transfer_marginals = (v & 1u) != 0;
-         c.double_buffered = (v & 2u) != 0;
-     }},
-};
+const config_register& config_register_at(std::size_t index)
+{
+    if (index >= std::size(config_registers)) {
+        throw std::out_of_range("testing_block: no control register at "
+                                + std::to_string(index));
+    }
+    return config_registers[index];
+}
+
+/// `value` cut to the register's width (at most 32 bits).
+std::uint64_t masked(const config_register& reg, std::uint64_t value)
+{
+    return value & ((std::uint64_t{1} << reg.width) - 1);
+}
 
 } // namespace
 
-void testing_block::add_control_plane()
+void testing_block::write_control(std::size_t index, std::uint64_t value)
 {
-    // Each cfg.* register stages one design parameter; ctrl.reconfigure
-    // applies the staged set.  Reads return the staged (not yet applied)
-    // values, so software can read back what it wrote before strobing.
-    for (const config_register& reg : kConfigRegisters) {
-        map_.add_control(
-            reg.name, reg.width,
-            [this, &reg] { return reg.get(staged_); },
-            [this, &reg](std::uint64_t v) { reg.set(staged_, v); });
+    // A config register stages one design parameter; the 1-bit strobe
+    // applies the staged set.
+    if (index == reconfigure_strobe) {
+        if ((value & 1u) != 0) {
+            apply_reconfigure();
+        }
+        return;
     }
-    map_.add_control(
-        "ctrl.reconfigure", 1,
-        [this] { return std::uint64_t{0}; },
-        [this](std::uint64_t v) {
-            if (v != 0) {
-                apply_reconfigure();
-            }
-        });
+    const config_register& reg = config_register_at(index);
+    reg.set(staged_, masked(reg, value));
+}
+
+void testing_block::write_control(std::string_view name,
+                                  std::uint64_t value)
+{
+    write_control(control_index(name), value);
+}
+
+std::uint64_t testing_block::read_control(std::size_t index) const
+{
+    // Reads return the staged (not yet applied) values, so software can
+    // read back what it wrote before strobing.
+    if (index == reconfigure_strobe) {
+        return 0;
+    }
+    const config_register& reg = config_register_at(index);
+    return masked(reg, reg.get(staged_));
+}
+
+std::uint64_t testing_block::read_control(std::string_view name) const
+{
+    return read_control(control_index(name));
 }
 
 void testing_block::apply_reconfigure()
@@ -214,13 +200,13 @@ void testing_block::apply_reconfigure()
 void testing_block::reprogram(const block_config& target)
 {
     // The label is a software-side name, not a hardware parameter; every
-    // numeric field travels through the control plane, driven by the
-    // same register table the plane was built from.
+    // numeric field travels through the control plane, one register
+    // write per table entry, then the strobe.
     staged_.name = target.name;
-    for (const config_register& reg : kConfigRegisters) {
-        map_.write_control(reg.name, reg.get(target));
+    for (std::size_t i = 0; i < std::size(config_registers); ++i) {
+        write_control(i, config_registers[i].get(target));
     }
-    map_.write_control("ctrl.reconfigure", 1);
+    write_control(reconfigure_strobe, 1);
 }
 
 void testing_block::feed(bool bit)

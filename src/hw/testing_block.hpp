@@ -25,9 +25,12 @@
 // A fresh block's file reads the reset values (all zero).
 //
 // On-the-fly reconfiguration (the paper's "software-selectable sequence
-// length and parameters"): the register map's control plane stages a new
-// design point (`cfg.*` registers) and the `ctrl.reconfigure` strobe
-// applies it at a sequence boundary, rebuilding the engine set.  A
+// length and parameters"): the block's control plane -- one writable
+// register per entry of hw::config_registers, then the 1-bit
+// `ctrl.reconfigure` strobe -- stages a new design point and applies it
+// at a sequence boundary, rebuilding the engine set.  Control registers
+// sit on the MCU's peripheral write bus, not behind the readout mux, so
+// they are not part of the register map or its Table III accounting.  A
 // reprogrammed block is register-exact with a freshly constructed block of
 // the same design on all subsequent words.  `reprogram()` drives the whole
 // handshake through the register write path, exactly as the embedded
@@ -46,7 +49,9 @@
 #include "hw/template_hw.hpp"
 #include "rtl/mux.hpp"
 
+#include <iterator>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 namespace otf::hw {
@@ -100,10 +105,10 @@ public:
     std::uint64_t bits_consumed() const { return consumed_; }
 
     /// \brief Reprogram the live block to a new design point *through the
-    /// register map write path*: stages every `cfg.*` control register
-    /// from `target` and strobes `ctrl.reconfigure`.  Only the design
-    /// label travels out of band (it is a software-side name, not a
-    /// hardware parameter).
+    /// register write path*: one write_control() per config register,
+    /// staged from `target`, then the `ctrl.reconfigure` strobe.  Only the
+    /// design label travels out of band (it is a software-side name, not
+    /// a hardware parameter).
     /// \param target the new design point (validated on apply)
     /// \throws std::invalid_argument when `target` is inconsistent
     /// \throws std::logic_error when called mid-sequence (reconfiguration
@@ -113,12 +118,24 @@ public:
     /// Number of applied on-the-fly reconfigurations.
     std::uint64_t reconfigurations() const { return reconfigurations_; }
 
+    /// Index of the `ctrl.reconfigure` strobe; control index i below it
+    /// is config_registers[i].
+    static constexpr std::size_t reconfigure_strobe =
+        std::size(config_registers);
+
+    /// \brief Write a control register, masked to its width.  A config
+    /// register stages one design parameter; writing 1 to the strobe
+    /// validates the staged design and applies it.
+    /// \throws std::out_of_range for an unknown index or name (naming it)
+    void write_control(std::size_t index, std::uint64_t value);
+    void write_control(std::string_view name, std::uint64_t value);
+
+    /// Staged value of a control register (the strobe reads 0).
+    std::uint64_t read_control(std::size_t index) const;
+    std::uint64_t read_control(std::string_view name) const;
+
     /// The memory-mapped interface (valid for the lifetime of the block).
     const register_map& registers() const { return map_; }
-
-    /// Writable view of the interface, for software that drives the
-    /// control plane directly (register_map::write_control).
-    register_map& registers() { return map_; }
 
     // Typed access to the engines (null when the test is not in the set).
     const cusum_hw* cusum() const { return cusum_.get(); }
@@ -144,8 +161,6 @@ private:
     void build();
     /// Write every engine's values into the register map's value file.
     void capture();
-    /// Register the control-plane (`cfg.*` / `ctrl.*`) registers.
-    void add_control_plane();
     /// The `ctrl.reconfigure` strobe: validate the staged design and
     /// rebuild the block around it.
     void apply_reconfigure();

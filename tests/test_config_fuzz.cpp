@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <set>
 #include <string>
+#include <string_view>
 
 namespace {
 
@@ -80,10 +81,10 @@ TEST_P(config_fuzz, register_names_are_unique)
         EXPECT_GE(e.width, 1u);
         EXPECT_LE(e.width, 64u);
     }
-    std::set<std::string> controls;
-    for (const hw::control_entry& c : map.controls()) {
-        EXPECT_TRUE(controls.insert(c.name).second)
-            << "duplicate control register: " << c.name;
+    std::set<std::string_view> controls;
+    for (const hw::config_register& reg : hw::config_registers) {
+        EXPECT_TRUE(controls.insert(reg.name).second)
+            << "duplicate control register: " << reg.name;
     }
 }
 

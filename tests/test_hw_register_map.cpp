@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <iterator>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -72,14 +71,7 @@ TEST(register_map, registration_rejects_widths_outside_1_to_64)
     expect_rejected_naming(
         [&] { map.add_group_element("bank", "bank[0]", 0, false); },
         "bank[0]");
-    expect_rejected_naming(
-        [&] {
-            map.add_control(
-                "cfg.zero", 0, [] { return 0u; }, [](std::uint64_t) {});
-        },
-        "cfg.zero");
     EXPECT_EQ(map.size(), 0u);
-    EXPECT_EQ(map.control_count(), 0u);
 
     // Both ends of the range are legal; a signed 1-bit value is 0 or -1.
     map.add_scalar("bit", 1, true);
@@ -106,18 +98,6 @@ TEST(register_map, registration_rejects_a_repeated_name)
         "alpha");
     EXPECT_EQ(map.size(), 5u);
     EXPECT_EQ(map.layout(), layout) << "a refused entry changes nothing";
-
-    const auto noop = [](std::uint64_t) {};
-    map.add_control("cfg.x", 8, [] { return 0u; }, noop);
-    expect_rejected_naming(
-        [&] { map.add_control("cfg.x", 4, [] { return 0u; }, noop); },
-        "cfg.x");
-    EXPECT_EQ(map.control_count(), 1u);
-
-    // The planes are separate address spaces: a control register may
-    // share a result entry's name.
-    map.add_control("beta", 8, [] { return 0u; }, noop);
-    EXPECT_EQ(map.control_count(), 2u);
 }
 
 TEST(register_map, top_level_inputs_count_groups_once)
@@ -246,101 +226,14 @@ TEST(register_map, layout_stamp_changes_with_every_entry_list)
     const register_map copy = map;
     EXPECT_EQ(copy.layout(), map.layout());
 
-    // Every added entry renews it; a control register does not touch the
-    // result plane.
+    // Every added entry renews it.
     std::uint64_t before = map.layout();
     map.add_scalar("gamma", 4, false);
     EXPECT_NE(map.layout(), before);
     before = map.layout();
     map.add_group_element("bank", "bank[2]", 12, false);
     EXPECT_NE(map.layout(), before);
-    before = map.layout();
-    map.add_control(
-        "cfg.y", 4, [] { return std::uint64_t{0}; }, [](std::uint64_t) {});
-    EXPECT_EQ(map.layout(), before);
     EXPECT_NE(copy.layout(), map.layout());
-}
-
-// ----------------------------------------------------- control plane --
-
-TEST(control_plane, write_and_read_back)
-{
-    std::uint64_t staged = 3;
-    register_map map;
-    map.add_control(
-        "cfg.x", 8, [&staged] { return staged; },
-        [&staged](std::uint64_t v) { staged = v; });
-    EXPECT_EQ(map.control_count(), 1u);
-    EXPECT_EQ(map.read_control("cfg.x"), 3u);
-    map.write_control("cfg.x", 42);
-    EXPECT_EQ(staged, 42u);
-    EXPECT_EQ(map.read_control(0), 42u);
-}
-
-TEST(control_plane, writes_mask_to_width)
-{
-    std::uint64_t staged = 0;
-    register_map map;
-    map.add_control(
-        "cfg.narrow", 4, [&staged] { return staged; },
-        [&staged](std::uint64_t v) { staged = v; });
-    map.write_control("cfg.narrow", 0x1FF);
-    EXPECT_EQ(staged, 0xFu) << "a 4-bit register keeps 4 bits";
-    staged = 0x7C;
-    EXPECT_EQ(map.read_control("cfg.narrow"), 0xCu)
-        << "reads mask too (the bus only carries width bits)";
-}
-
-TEST(control_plane, unknown_name_throws)
-{
-    register_map map;
-    EXPECT_THROW(map.write_control("cfg.ghost", 1), std::out_of_range);
-    EXPECT_THROW((void)map.read_control("cfg.ghost"), std::out_of_range);
-    EXPECT_THROW((void)map.control(0), std::out_of_range);
-}
-
-TEST(control_plane, requires_getter_and_setter)
-{
-    register_map map;
-    EXPECT_THROW(map.add_control("cfg.x", 8, nullptr,
-                                 [](std::uint64_t) {}),
-                 std::invalid_argument);
-    EXPECT_THROW(map.add_control("cfg.x", 8, [] { return 0u; }, nullptr),
-                 std::invalid_argument);
-}
-
-TEST(control_plane, separate_from_result_plane_accounting)
-{
-    register_map map = small_map();
-    const unsigned inputs = map.top_level_inputs();
-    const unsigned words = map.total_words(16);
-    std::uint64_t staged = 0;
-    map.add_control(
-        "cfg.x", 16, [&staged] { return staged; },
-        [&staged](std::uint64_t v) { staged = v; });
-    EXPECT_EQ(map.size(), 5u) << "controls are not result entries";
-    EXPECT_EQ(map.top_level_inputs(), inputs);
-    EXPECT_EQ(map.total_words(16), words);
-    EXPECT_THROW((void)map.index_of("cfg.x"), std::out_of_range);
-}
-
-TEST(control_plane, self_modifying_write_is_safe)
-{
-    // The reconfigure strobe rebuilds the whole map from inside its own
-    // setter; write_control must survive the registered function being
-    // destroyed mid-call.
-    auto map = std::make_unique<register_map>();
-    bool fired = false;
-    register_map* raw = map.get();
-    raw->add_control(
-        "ctrl.rebuild", 1, [] { return 0u; },
-        [raw, &fired](std::uint64_t) {
-            *raw = register_map{}; // drops every entry, this one included
-            fired = true;
-        });
-    raw->write_control("ctrl.rebuild", 1);
-    EXPECT_TRUE(fired);
-    EXPECT_EQ(raw->control_count(), 0u);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 #include "hw/testing_block.hpp"
 #include "trng/sources.hpp"
 
+#include "support/print_config.hpp"
+
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -502,10 +504,9 @@ TEST(reconfigure, invalid_staged_design_throws_and_keeps_the_block)
 TEST(reconfigure, unsupported_test_number_on_the_bus_is_refused)
 {
     hw::testing_block block(paper_design(7, tier::light));
-    hw::register_map& map = block.registers();
     for (const std::uint16_t raw : {0x0020, 0x0001, 0x8000}) {
-        map.write_control("cfg.tests", raw);
-        EXPECT_THROW(map.write_control("ctrl.reconfigure", 1),
+        block.write_control("cfg.tests", raw);
+        EXPECT_THROW(block.write_control("ctrl.reconfigure", 1),
                      std::invalid_argument)
             << "tests mask " << raw;
         hw::block_config target = paper_design(7, tier::light);
@@ -527,6 +528,7 @@ TEST(reconfigure, boundary_parameter_values_survive_the_bus)
     target.t7_template = 0xFFFF;
     target.lr_v_lo = 60;
     target.lr_v_hi = 127; // up to 2^lr_log2_m (= 128 here)
+    target.serial_m = 8;  // validate() accepts [3, 8]
     target.validate();
 
     hw::testing_block block(paper_design(7, tier::light));
@@ -535,6 +537,7 @@ TEST(reconfigure, boundary_parameter_values_survive_the_bus)
     EXPECT_EQ(block.config().t7_template, 0xFFFFu);
     EXPECT_EQ(block.config().lr_v_lo, 60u);
     EXPECT_EQ(block.config().lr_v_hi, 127u);
+    EXPECT_EQ(block.config(), target) << "every field, not just these";
 
     // And the reprogrammed block still matches fresh construction.
     hw::testing_block fresh(target);
@@ -547,15 +550,14 @@ TEST(reconfigure, boundary_parameter_values_survive_the_bus)
 TEST(reconfigure, control_plane_stages_and_reads_back)
 {
     hw::testing_block block(paper_design(7, tier::light));
-    hw::register_map& map = block.registers();
-    EXPECT_GT(map.control_count(), 0u);
+    EXPECT_GT(hw::testing_block::reconfigure_strobe, 0u);
     // Reads return the staged values (initially the live design).
-    EXPECT_EQ(map.read_control("cfg.log2_n"), 7u);
-    map.write_control("cfg.log2_n", 16);
-    EXPECT_EQ(map.read_control("cfg.log2_n"), 16u);
+    EXPECT_EQ(block.read_control("cfg.log2_n"), 7u);
+    block.write_control("cfg.log2_n", 16);
+    EXPECT_EQ(block.read_control("cfg.log2_n"), 16u);
     // Staging alone changes nothing until the strobe.
     EXPECT_EQ(block.config().log2_n, 7u);
-    map.write_control("ctrl.reconfigure", 1);
+    block.write_control("ctrl.reconfigure", 1);
     EXPECT_EQ(block.config().log2_n, 16u);
     EXPECT_EQ(block.reconfigurations(), 1u);
 }
@@ -564,21 +566,90 @@ TEST(reconfigure, control_plane_does_not_touch_result_accounting)
 {
     // The write path must not perturb the Table III interface numbers:
     // controls live on the peripheral write bus, not behind the readout
-    // mux, so they appear in control_count() only -- never among the
-    // result-plane entries that size() / top_level_inputs() /
-    // total_words() account for.
+    // mux, so they belong to the block -- never among the result-plane
+    // entries that size() / top_level_inputs() / total_words() account
+    // for.
     const hw::testing_block block(paper_design(16, tier::high));
     const hw::register_map& map = block.registers();
-    EXPECT_EQ(map.control_count(), 15u);
+    EXPECT_EQ(hw::testing_block::reconfigure_strobe + 1, 15u);
     for (const hw::map_entry& e : map.entries()) {
         EXPECT_EQ(e.name.rfind("cfg.", 0), std::string::npos) << e.name;
         EXPECT_EQ(e.name.rfind("ctrl.", 0), std::string::npos) << e.name;
     }
-    for (const hw::control_entry& c : map.controls()) {
-        EXPECT_TRUE(c.name.rfind("cfg.", 0) == 0
-                    || c.name.rfind("ctrl.", 0) == 0)
-            << c.name;
+    for (const hw::config_register& reg : hw::config_registers) {
+        EXPECT_EQ(reg.name.rfind("cfg.", 0), 0u) << reg.name;
     }
+}
+
+// ---------------------------------------------------- control plane --
+
+TEST(control_plane, write_and_read_back_by_name_and_index)
+{
+    hw::testing_block block(paper_design(7, tier::light));
+    const std::size_t serial_m = 12; // config_registers order
+    ASSERT_EQ(hw::config_registers[serial_m].name, "cfg.serial_m");
+    EXPECT_EQ(block.read_control(serial_m), 4u);
+    block.write_control("cfg.serial_m", 6);
+    EXPECT_EQ(block.read_control(serial_m), 6u);
+    block.write_control(serial_m, 5);
+    EXPECT_EQ(block.read_control("cfg.serial_m"), 5u);
+    EXPECT_EQ(block.read_control("ctrl.reconfigure"), 0u)
+        << "the strobe reads 0";
+    EXPECT_EQ(block.config().serial_m, 4u) << "staged, not applied";
+}
+
+TEST(control_plane, writes_mask_to_width)
+{
+    hw::testing_block block(paper_design(7, tier::light));
+    block.write_control("cfg.t8_max_count", 0x1FF);
+    EXPECT_EQ(block.read_control("cfg.t8_max_count"), 0xFu)
+        << "a 4-bit register keeps 4 bits";
+    block.write_control("cfg.tests", 0x1'0000 | 0x2);
+    EXPECT_EQ(block.read_control("cfg.tests"), 0x2u);
+    // The strobe is one bit wide: a write with bit 0 clear is no strobe.
+    block.write_control("ctrl.reconfigure", 2);
+    EXPECT_EQ(block.reconfigurations(), 0u);
+}
+
+TEST(control_plane, unknown_register_throws_naming_it)
+{
+    hw::testing_block block(paper_design(7, tier::light));
+    const auto expect_naming_ghost = [](auto call) {
+        try {
+            call();
+            ADD_FAILURE() << "cfg.ghost resolved";
+        } catch (const std::out_of_range& e) {
+            EXPECT_NE(std::string(e.what()).find("cfg.ghost"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_naming_ghost([&] { block.write_control("cfg.ghost", 1); });
+    expect_naming_ghost([&] { (void)block.read_control("cfg.ghost"); });
+    const std::size_t past = hw::testing_block::reconfigure_strobe + 1;
+    EXPECT_THROW(block.write_control(past, 1), std::out_of_range);
+    EXPECT_THROW((void)block.read_control(past), std::out_of_range);
+}
+
+TEST(control_plane, separate_from_result_plane_accounting)
+{
+    hw::testing_block block(paper_design(16, tier::high));
+    const hw::register_map& map = block.registers();
+    const std::size_t size = map.size();
+    const unsigned inputs = map.top_level_inputs();
+    const unsigned words = map.total_words(16);
+    const std::uint64_t layout = map.layout();
+    for (std::size_t i = 0; i < hw::testing_block::reconfigure_strobe;
+         ++i) {
+        block.write_control(i, block.read_control(i));
+        EXPECT_THROW((void)map.index_of(
+                         std::string(hw::config_registers[i].name)),
+                     std::out_of_range);
+    }
+    EXPECT_EQ(map.size(), size) << "controls are not result entries";
+    EXPECT_EQ(map.top_level_inputs(), inputs);
+    EXPECT_EQ(map.total_words(16), words);
+    EXPECT_EQ(map.layout(), layout);
 }
 
 } // namespace

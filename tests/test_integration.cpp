@@ -7,6 +7,8 @@
 #include "core/report.hpp"
 #include "trng/sources.hpp"
 
+#include "support/print_config.hpp"
+
 #include <gtest/gtest.h>
 #include <string>
 

@@ -26,6 +26,7 @@
 
 #include "support/counter_invariants.hpp"
 #include "support/fixed_seed.hpp"
+#include "support/print_config.hpp"
 
 #include <algorithm>
 #include <cstdint>

@@ -174,11 +174,11 @@ TEST(sw_binding, control_plane_reprogramming_rebinds_a_live_runner)
         "block_frequency.eps[0]");
     block.restart();
 
-    hw::register_map& map = block.registers();
-    map.write_control("cfg.tests", n128(core::tier::light).tests.to_raw());
-    map.write_control("ctrl.reconfigure", 1);
+    block.write_control("cfg.tests",
+                        n128(core::tier::light).tests.to_raw());
+    block.write_control("ctrl.reconfigure", 1);
     ASSERT_EQ(block.reconfigurations(), 1u);
-    ASSERT_NE(map.index_of("block_frequency.eps[0]"), eps0);
+    ASSERT_NE(block.registers().index_of("block_frequency.eps[0]"), eps0);
 
     for (unsigned w = 0; w < 4; ++w) {
         block.run(src.generate(cfg.n()));

@@ -18,6 +18,7 @@
 #include "core/telemetry_log.hpp"
 #include "support/dev_full.hpp"
 #include "support/fixed_seed.hpp"
+#include "support/print_config.hpp"
 
 #include <gtest/gtest.h>
 
@@ -665,6 +666,7 @@ TEST(TelemetryRecords, EveryKindRejectsTrailingBytes)
     for (const auto& r : records) {
         base::wal_read_result wal;
         wal.header_ok = true;
+        wal.schema = core::telemetry_schema;
         wal.records.push_back(
             {static_cast<std::uint8_t>(r.kind), r.payload.bytes()});
         EXPECT_NO_THROW(core::parse_telemetry(wal)) << r.name;
@@ -676,10 +678,68 @@ TEST(TelemetryRecords, EveryKindRejectsTrailingBytes)
     }
 }
 
+TEST(TelemetryRecords, ForeignSchemaIsRefusedNamingBothSchemas)
+{
+    // A schema-1 segment carries a run_config in another layout: the
+    // reader must refuse the segment up front, not misread its designs.
+    const std::string path = temp_path("schema1");
+    base::byte_sink config;
+    core::serialize_config(config, pinned_config());
+    config.boolean(true); // log_windows
+    {
+        base::wal_writer writer(path, 1);
+        EXPECT_TRUE(writer.append(
+            static_cast<std::uint8_t>(core::telemetry_record::run_config),
+            config.bytes()));
+    }
+    const std::string err =
+        test::runtime_error_of([&] { core::read_telemetry(path); });
+    std::remove(path.c_str());
+    EXPECT_NE(err.find("schema 1"), std::string::npos) << err;
+    EXPECT_NE(err.find("schema 2"), std::string::npos) << err;
+
+    // The same records under this reader's schema parse.
+    base::wal_read_result wal;
+    wal.header_ok = true;
+    wal.schema = core::telemetry_schema;
+    wal.records.push_back(
+        {static_cast<std::uint8_t>(core::telemetry_record::run_config),
+         config.bytes()});
+    EXPECT_TRUE(core::parse_telemetry(wal).has_config);
+    wal.schema = core::telemetry_schema + 1;
+    EXPECT_THROW(core::parse_telemetry(wal), std::runtime_error);
+}
+
+TEST(TelemetryRecords, DesignFieldWiderThanItsRegisterIsRefused)
+{
+    // Every field travels as a u32, wider than most registers: a value
+    // past the register width is refused naming the register, not cut
+    // down to one validate() might accept.
+    const hw::block_config design =
+        core::paper_design(7, core::tier::light);
+    for (const hw::config_register& reg : hw::config_registers) {
+        if (reg.width >= 32) {
+            continue;
+        }
+        base::byte_sink sink;
+        sink.str(design.name);
+        for (const hw::config_register& field : hw::config_registers) {
+            const std::uint64_t value = field.get(design);
+            sink.u32(static_cast<std::uint32_t>(
+                &field == &reg ? value | (std::uint64_t{1} << reg.width)
+                               : value));
+        }
+        base::byte_cursor cursor(sink.bytes());
+        const std::string err = test::runtime_error_of(
+            [&] { core::parse_block_config(cursor); });
+        EXPECT_NE(err.find(reg.name), std::string::npos) << err;
+    }
+}
+
 // ---------------------------------------------------------------------
 // On-disk format pins: one record of each kind written through a
 // telemetry_log, its payload hashed and compared against the digest of
-// the schema-1 writer.  A byte-format change fails here even when a
+// the schema-2 writer.  A byte-format change fails here even when a
 // round trip still succeeds.
 // ---------------------------------------------------------------------
 
@@ -729,13 +789,14 @@ TEST(TelemetryFormat, RecordPayloadsMatchPinnedDigests)
     ASSERT_TRUE(wal.clean);
     ASSERT_EQ(wal.records.size(), 4u);
 
-    // Digests of the schema-1 payloads; re-pin only for an intended
-    // format change (and a new telemetry_schema).
+    // Digests of the schema-2 payloads; re-pin only for an intended
+    // format change (and a new telemetry_schema).  Schema 2 changed the
+    // run_config record only.
     const struct {
         core::telemetry_record kind;
         std::uint64_t digest;
     } want[] = {
-        {core::telemetry_record::run_config, 0x0620b953eb88c42fULL},
+        {core::telemetry_record::run_config, 0xd8c41d65991bacb0ULL},
         {core::telemetry_record::window, 0x6c4ce02f1ba3e9a5ULL},
         {core::telemetry_record::event, 0x09e72978a5e8000aULL},
         {core::telemetry_record::checkpoint, 0xbb3909dc11660cb0ULL},
@@ -807,6 +868,7 @@ TEST(ForgedCounts, WindowWordCount)
     sink.u64(7); // window index
     base::wal_read_result wal;
     wal.header_ok = true;
+    wal.schema = core::telemetry_schema;
     wal.records.push_back(
         {static_cast<std::uint8_t>(core::telemetry_record::window),
          forged_count(sink.take(), 8)});
@@ -876,7 +938,14 @@ TEST(TelemetryRecords, SupervisorConfigRoundTrip)
     core::supervisor_config cfg;
     cfg.baseline = core::paper_design(16, core::tier::light);
     cfg.baseline.double_buffered = true;
-    cfg.escalated = core::paper_design(16, core::tier::high);
+    // A valid design whose fields reach past a byte: the codec must carry
+    // every design register at its full width, serial_m included.
+    cfg.escalated = core::paper_design(16, core::tier::medium);
+    cfg.escalated.serial_m = 6;
+    cfg.escalated.lr_log2_m = 10;
+    cfg.escalated.lr_v_lo = 250;
+    cfg.escalated.lr_v_hi = 260;
+    cfg.escalated.validate();
     cfg.alpha = 0.0005;
     cfg.fail_threshold = 2;
     cfg.policy_window = 6;
@@ -895,13 +964,10 @@ TEST(TelemetryRecords, SupervisorConfigRoundTrip)
         core::parse_supervisor_config(cursor);
     EXPECT_TRUE(cursor.exhausted());
 
-    EXPECT_EQ(back.baseline.name, cfg.baseline.name);
-    EXPECT_EQ(back.baseline.log2_n, cfg.baseline.log2_n);
-    EXPECT_EQ(back.baseline.tests, cfg.baseline.tests);
-    EXPECT_EQ(back.baseline.double_buffered,
-              cfg.baseline.double_buffered);
-    EXPECT_EQ(back.escalated.name, cfg.escalated.name);
-    EXPECT_EQ(back.escalated.tests, cfg.escalated.tests);
+    EXPECT_EQ(back.baseline, cfg.baseline);
+    EXPECT_EQ(back.escalated, cfg.escalated);
+    EXPECT_EQ(back.escalated.serial_m, 6u);
+    EXPECT_EQ(back.escalated.lr_v_hi, 260u);
     EXPECT_EQ(back.alpha, cfg.alpha);
     EXPECT_EQ(back.fail_threshold, cfg.fail_threshold);
     EXPECT_EQ(back.policy_window, cfg.policy_window);

@@ -14,6 +14,7 @@
 #include "trng/sources.hpp"
 
 #include "support/fixed_seed.hpp"
+#include "support/print_config.hpp"
 
 #include <cstddef>
 #include <cstdint>
