@@ -97,6 +97,17 @@ void block_config::validate() const
             "block_config: the approximate-entropy test reuses the serial "
             "test's pattern counters (sharing trick 3); enable test 11 too");
     }
+    // Every field must fit its design register, enabled test or not, so a
+    // valid design crosses the control bus and the telemetry log exactly.
+    for (const config_register& reg : config_registers) {
+        const std::uint64_t value = reg.get(*this);
+        if ((value >> reg.width) != 0) {
+            throw std::invalid_argument(
+                "block_config: " + std::string(reg.name) + " = "
+                + std::to_string(value) + " does not fit its "
+                + std::to_string(reg.width) + "-bit register");
+        }
+    }
 }
 
 } // namespace otf::hw

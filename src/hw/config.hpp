@@ -140,7 +140,9 @@ struct block_config {
     /// \brief Check the design point for internal consistency.
     /// \throws std::invalid_argument when parameters are inconsistent
     /// (no test or an unsupported test number enabled, block longer than
-    /// sequence, categories out of range, template not representable, ...)
+    /// sequence, categories out of range, template not representable,
+    /// any field -- of an enabled test or not -- wider than its
+    /// config_registers entry, ...)
     void validate() const;
 
     bool operator==(const block_config&) const = default;

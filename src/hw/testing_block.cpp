@@ -116,12 +116,6 @@ const config_register& config_register_at(std::size_t index)
     return config_registers[index];
 }
 
-/// `value` cut to the register's width (at most 32 bits).
-std::uint64_t masked(const config_register& reg, std::uint64_t value)
-{
-    return value & ((std::uint64_t{1} << reg.width) - 1);
-}
-
 } // namespace
 
 void testing_block::write_control(std::size_t index, std::uint64_t value)
@@ -135,7 +129,7 @@ void testing_block::write_control(std::size_t index, std::uint64_t value)
         return;
     }
     const config_register& reg = config_register_at(index);
-    reg.set(staged_, masked(reg, value));
+    reg.set(staged_, value & ((std::uint64_t{1} << reg.width) - 1));
 }
 
 void testing_block::write_control(std::string_view name,
@@ -147,12 +141,13 @@ void testing_block::write_control(std::string_view name,
 std::uint64_t testing_block::read_control(std::size_t index) const
 {
     // Reads return the staged (not yet applied) values, so software can
-    // read back what it wrote before strobing.
+    // read back what it wrote before strobing.  A staged value always fits
+    // its register: writes are masked, and validate() bounds the design
+    // the block starts from.
     if (index == reconfigure_strobe) {
         return 0;
     }
-    const config_register& reg = config_register_at(index);
-    return masked(reg, reg.get(staged_));
+    return config_register_at(index).get(staged_);
 }
 
 std::uint64_t testing_block::read_control(std::string_view name) const

@@ -236,6 +236,42 @@ TEST(config_validation, rejects_inconsistent_designs)
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(config_validation, unused_fields_must_fit_their_registers)
+{
+    // A field of a disabled test is still a design register.  One wider
+    // than its register is refused at construction, naming it, so a valid
+    // design never loses bits on the control bus or in the telemetry log.
+    const hw::block_config light = paper_design(7, tier::light);
+    const auto expect_refused = [](const hw::block_config& cfg,
+                                   const std::string& reg) {
+        try {
+            const hw::testing_block block(cfg);
+            ADD_FAILURE() << reg << " wider than its register was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(reg), std::string::npos)
+                << e.what();
+        }
+    };
+    hw::block_config cfg = light;
+    cfg.t8_max_count = 0x7C; // test 8 is not in the light tier
+    expect_refused(cfg, "cfg.t8_max_count");
+    cfg = light;
+    cfg.t7_template = 0x1FFFF;
+    expect_refused(cfg, "cfg.t7_template");
+    cfg = light;
+    cfg.serial_m = 0x1F;
+    expect_refused(cfg, "cfg.serial_m");
+
+    // At the register's full width the unused field is legal and reads
+    // back exactly.
+    cfg = light;
+    cfg.t8_max_count = 0xF;
+    cfg.t7_template = 0xFFFF;
+    const hw::testing_block block(cfg);
+    EXPECT_EQ(block.read_control("cfg.t8_max_count"), 0xFu);
+    EXPECT_EQ(block.read_control("cfg.t7_template"), 0xFFFFu);
+}
+
 TEST(config_validation, rejects_unsupported_test_numbers)
 {
     // Only the nine Table I tests have hardware.  Any other bit of the

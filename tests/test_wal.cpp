@@ -938,6 +938,10 @@ TEST(TelemetryRecords, SupervisorConfigRoundTrip)
     core::supervisor_config cfg;
     cfg.baseline = core::paper_design(16, core::tier::light);
     cfg.baseline.double_buffered = true;
+    // Fields of tests the light tier leaves out, at full register width.
+    cfg.baseline.t7_template = 0xFFFF;
+    cfg.baseline.t8_max_count = 0xF;
+    cfg.baseline.validate();
     // A valid design whose fields reach past a byte: the codec must carry
     // every design register at its full width, serial_m included.
     cfg.escalated = core::paper_design(16, core::tier::medium);
