@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace otf::core {
@@ -172,6 +173,60 @@ std::vector<runs_interval> build_runs_intervals(std::uint64_t n,
 
 } // namespace
 
+hw::block_config inverted_design(const hw::block_config& cfg)
+{
+    hw::block_config d;
+    d.log2_n = cfg.log2_n;
+    d.tests = cfg.tests;
+    if (cfg.tests.has(test_id::block_frequency)) {
+        d.bf_log2_m = cfg.bf_log2_m;
+    }
+    if (cfg.tests.has(test_id::longest_run)) {
+        d.lr_log2_m = cfg.lr_log2_m;
+        d.lr_v_lo = cfg.lr_v_lo;
+        d.lr_v_hi = cfg.lr_v_hi;
+    }
+    const bool t7 = cfg.tests.has(test_id::non_overlapping_template);
+    const bool t8 = cfg.tests.has(test_id::overlapping_template);
+    if (t7 || t8) {
+        d.template_length = cfg.template_length;
+    }
+    if (t7) {
+        d.t7_template = cfg.t7_template;
+        d.t7_log2_m = cfg.t7_log2_m;
+    }
+    if (t8) {
+        d.t8_template = cfg.t8_template;
+        d.t8_log2_m = cfg.t8_log2_m;
+        d.t8_max_count = cfg.t8_max_count;
+    }
+    if (cfg.tests.has(test_id::serial)
+        || cfg.tests.has(test_id::approximate_entropy)) {
+        d.serial_m = cfg.serial_m;
+    }
+    return d;
+}
+
+void require_bounds_for(const hw::block_config& cfg,
+                        const critical_values& cv)
+{
+    const hw::block_config own = inverted_design(cfg);
+    if (cv.design == own) {
+        return;
+    }
+    std::string fields;
+    for (const hw::config_register& r : hw::config_registers) {
+        if (r.get(cv.design) != r.get(own)) {
+            fields += (fields.empty() ? "" : ", ") + std::string(r.name)
+                + " = " + std::to_string(r.get(cv.design)) + " (not "
+                + std::to_string(r.get(own)) + ")";
+        }
+    }
+    throw std::invalid_argument(
+        "critical values inverted for another design than \"" + cfg.name
+        + "\": one with " + fields);
+}
+
 critical_values compute_critical_values(const hw::block_config& cfg,
                                         double alpha,
                                         unsigned runs_intervals_count)
@@ -184,6 +239,7 @@ critical_values compute_critical_values(const hw::block_config& cfg,
 
     critical_values cv;
     cv.alpha = alpha;
+    cv.design = inverted_design(cfg);
     const std::uint64_t n = cfg.n();
     const double nd = static_cast<double>(n);
 

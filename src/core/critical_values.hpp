@@ -31,10 +31,17 @@ struct runs_interval {
     std::int64_t ones_hi; ///< inclusive
     std::int64_t runs_lo; ///< inclusive acceptance bound
     std::int64_t runs_hi; ///< inclusive acceptance bound
+
+    friend bool operator==(const runs_interval&,
+                           const runs_interval&) = default;
 };
 
 struct critical_values {
     double alpha = 0.01;
+    /// The design point the bounds were inverted for, reduced to the
+    /// fields they depend on (inverted_design()).  core::software_runner
+    /// refuses bounds whose design is not its own.
+    hw::block_config design;
 
     // -- test 1: frequency -------------------------------------------------
     /// Accept while |S_final| <= this (S = 2 N_ones - n).
@@ -81,7 +88,24 @@ struct critical_values {
     // -- test 13: cumulative sums ----------------------------------------------
     /// Accept while z <= this (applies to both modes).
     std::int64_t t13_z_bound = 0;
+
+    friend bool operator==(const critical_values&,
+                           const critical_values&) = default;
 };
+
+/// \brief The fields of `cfg` its critical values depend on: the
+/// sequence length, the enabled tests and their parameters.  The label,
+/// the readout options (marginal transfer, double buffering) and the
+/// parameters of disabled tests keep their defaults, so designs that
+/// differ only there share one set of bounds.
+hw::block_config inverted_design(const hw::block_config& cfg);
+
+/// \brief Refuse bounds inverted for another design point: the software
+/// pass would compare `cfg`'s counters against another design's constants.
+/// \throws std::invalid_argument unless cv.design == inverted_design(cfg),
+/// naming `cfg` and each field in which the bounds' design differs
+void require_bounds_for(const hw::block_config& cfg,
+                        const critical_values& cv);
 
 /// \brief Invert all statistics for the tests enabled in `cfg` at level
 /// `alpha` (the offline precomputation of Section III-A).

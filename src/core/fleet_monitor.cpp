@@ -96,37 +96,43 @@ fleet_monitor::fleet_monitor(fleet_config cfg, critical_values cv,
     }
 }
 
-channel_report run_fleet_channel(
+channel_runner::channel_runner(
     const fleet_config& cfg, const critical_values& cv,
-    const std::optional<critical_values>& cv_escalated,
-    trng::entropy_source& source, unsigned channel, std::uint64_t windows,
-    const window_hooks& caller)
+    const std::optional<critical_values>& cv_escalated)
+    : lane_(cfg.lane), policy_(cfg.fail_threshold, cfg.policy_window)
 {
-    // Supervised channels own their monitor through the supervisor.
-    std::optional<supervisor> sup;
-    std::optional<monitor> plain;
     if (cfg.escalated_block) {
-        sup.emplace(cfg.supervised_config(), cv, *cv_escalated);
+        sup_.emplace(cfg.supervised_config(), cv, *cv_escalated);
     } else {
-        plain.emplace(cfg.block, cv);
+        plain_.emplace(cfg.block, cv);
     }
-    monitor& mon = sup ? sup->inner() : *plain;
+}
+
+channel_report channel_runner::run(trng::entropy_source& source,
+                                   unsigned channel, std::uint64_t windows,
+                                   const window_hooks& caller)
+{
+    // Start over: the previous run may have thrown mid-window or ended
+    // escalated.
+    if (sup_) {
+        sup_->reset();
+    } else {
+        plain_->reset();
+    }
+    policy_.reset();
+    monitor& mon = sup_ ? sup_->inner() : *plain_;
 
     channel_report report;
     report.channel = channel;
     report.source_name = source.name();
-    // The channel's own k-of-w policy runs in both modes (a supervisor's
-    // copy decides escalation; this one keeps the sticky channel alarm
-    // and its rise window observable).
-    windowed_alarm policy(cfg.fail_threshold, cfg.policy_window);
 
     window_hooks hooks;
     hooks.before = [&](std::uint64_t next) {
         if (caller.before) {
             caller.before(next);
         }
-        if (sup) {
-            sup->at_barrier(next);
+        if (sup_) {
+            sup_->at_barrier(next);
         }
     };
     hooks.tap = [&](std::uint64_t index, const std::uint64_t* words,
@@ -134,13 +140,13 @@ channel_report run_fleet_channel(
         if (caller.tap) {
             caller.tap(index, words, nwords);
         }
-        if (sup) {
-            sup->capture(index, words, nwords);
+        if (sup_) {
+            sup_->capture(index, words, nwords);
         }
     };
     hooks.sink = [&](const window_report& wr) {
-        if (sup) {
-            sup->observe(wr);
+        if (sup_) {
+            sup_->observe(wr);
         }
         ++report.windows;
         report.bits += mon.config().n();
@@ -156,28 +162,38 @@ channel_report run_fleet_channel(
                 }
             }
         }
-        policy.record(failed);
-        if (policy.rose()) {
+        policy_.record(failed);
+        if (policy_.rose()) {
             report.first_alarm_window = wr.window_index;
         }
         if (caller.sink) {
             caller.sink(wr);
         }
     };
-    run_windows(mon, source, windows, cfg.lane, hooks);
+    run_windows(mon, source, windows, lane_, hooks);
 
-    report.alarm = policy.alarm();
+    report.alarm = policy_.alarm();
     if (!report.alarm) {
         report.first_alarm_window = report.windows;
     }
-    if (sup) {
-        const supervision_report sr = sup->report();
+    if (sup_) {
+        const supervision_report sr = sup_->report();
         report.escalations = sr.escalations;
         report.confirmed_escalations = sr.confirmed_escalations;
         report.de_escalations = sr.de_escalations;
         report.windows_escalated = sr.windows_escalated;
     }
     return report;
+}
+
+channel_report run_fleet_channel(
+    const fleet_config& cfg, const critical_values& cv,
+    const std::optional<critical_values>& cv_escalated,
+    trng::entropy_source& source, unsigned channel, std::uint64_t windows,
+    const window_hooks& hooks)
+{
+    return channel_runner(cfg, cv, cv_escalated)
+        .run(source, channel, windows, hooks);
 }
 
 unit_pool::unit_pool(unsigned workers)
@@ -259,12 +275,17 @@ fleet_report fleet_monitor::run(const source_factory& make_source,
 
     unit_pool pool(cfg_.threads);
     pool.add(0, 0, cfg_.channels);
-    pool.run([&](unsigned, const pool_unit& unit) {
+    // One channel runner per worker, built on first use by that worker.
+    std::vector<std::unique_ptr<channel_runner>> runners(pool.workers());
+    pool.run([&](unsigned w, const pool_unit& unit) {
         const unsigned c = unit.first;
         try {
-            reports[c] = run_fleet_channel(cfg_, cv_, cv_escalated_,
-                                           *sources[c], c,
-                                           windows_per_channel);
+            if (!runners[w]) {
+                runners[w] = std::make_unique<channel_runner>(
+                    cfg_, cv_, cv_escalated_);
+            }
+            reports[c] = runners[w]->run(*sources[c], c,
+                                         windows_per_channel);
         } catch (const std::exception& e) {
             // Name the offending channel: "a source threw" is
             // undebuggable in an N-channel fleet without it.

@@ -4,9 +4,10 @@
 // The paper deploys one testing block next to one TRNG.  A platform that
 // serves many TRNG channels (multiple oscillator banks on one FPGA, or many
 // devices reporting into one supervisor) replicates that per-channel
-// pipeline; nothing is shared between channels except the worker pool, so
-// the aggregated result is a pure function of the per-channel seeds --
-// independent of thread count and scheduling.
+// pipeline; nothing is shared between channels except the worker pool
+// and each worker's channel runner, which starts every channel from its
+// freshly constructed state, so the aggregated result is a pure function
+// of the per-channel seeds -- independent of thread count and scheduling.
 //
 // Execution is *fused*: the worker thread that owns a channel generates
 // its words and tests them in the same pass on the same core, through
@@ -208,12 +209,12 @@ private:
     std::optional<critical_values> cv_escalated_;
 };
 
-/// \brief Run one channel to completion on the calling thread and return
-/// its report: the one runner of a monitored channel (fleet and
-/// population units, scenario trials, a single TRNG over its lifetime).
-/// Runs core::run_windows on cfg.lane, under a supervisor when
-/// cfg.escalated_block is set, and tallies windows, failures and the
-/// k-of-w alarm.  The caller's `hooks` wrap the supervisor's, per window:
+/// \brief The runner of one monitored channel (fleet and population
+/// units, scenario trials, a single TRNG over its lifetime), built once
+/// and run device after device.  run() drives core::run_windows on
+/// cfg.lane, under a supervisor when cfg.escalated_block is set, and
+/// tallies windows, failures and the k-of-w alarm.  The caller's `hooks`
+/// wrap the supervisor's, per window:
 ///
 ///   hooks.before(i) -> barrier -> hooks.tap(i, words) -> evidence tap
 ///     -> test -> supervisor + channel tally -> hooks.sink(report)
@@ -221,17 +222,47 @@ private:
 /// so a severity schedule in `before` applies ahead of any reprogramming
 /// (supervisor::run's order).  SP 800-90B continuous tests compose as a
 /// `tap` feeding hw::repetition_count_hw / adaptive_proportion_hw.
-/// \param cfg          a *validated* fleet configuration; channels /
-///        threads are ignored here
-/// \param cv           bounds for cfg.block at cfg.alpha
-/// \param cv_escalated bounds for cfg.escalated_block; required exactly
-///        when that design is set
-/// \param source       the channel's entropy source (borrowed)
-/// \param channel      channel id stamped into the report
-/// \param windows      windows to run (0 runs nothing)
-/// \param hooks        caller's per-window callbacks (each may be null);
-///        the report changes only through what they do to `source`
-/// \throws std::runtime_error naming the source when it runs dry
+///
+/// Each run() starts from the state of a freshly constructed runner
+/// (supervisor::reset, monitor::reset): the testing block, its resident
+/// designs and the bound software passes are reused, so a pool worker
+/// that owns one runner builds each design once, not once per device.
+/// A runner is not shared between threads.
+class channel_runner {
+public:
+    /// \param cfg          a *validated* fleet configuration; channels /
+    ///        threads are ignored here
+    /// \param cv           bounds for cfg.block at cfg.alpha
+    /// \param cv_escalated bounds for cfg.escalated_block; required
+    ///        exactly when that design is set
+    channel_runner(const fleet_config& cfg, const critical_values& cv,
+                   const std::optional<critical_values>& cv_escalated);
+
+    /// \brief Run one channel to completion on the calling thread.
+    /// \param source  the channel's entropy source (borrowed)
+    /// \param channel channel id stamped into the report
+    /// \param windows windows to run (0 runs nothing)
+    /// \param hooks   caller's per-window callbacks (each may be null);
+    ///        the report changes only through what they do to `source`
+    /// \throws std::runtime_error naming the source when it runs dry (the
+    ///        next run() starts over all the same)
+    channel_report run(trng::entropy_source& source, unsigned channel,
+                       std::uint64_t windows, const window_hooks& hooks = {});
+
+private:
+    ingest_lane lane_;
+    /// The channel's own k-of-w policy, in both modes: a supervisor's
+    /// copy decides escalation; this one keeps the sticky channel alarm
+    /// and its rise window observable.
+    windowed_alarm policy_;
+    /// Supervised channels own their monitor through the supervisor.
+    std::optional<supervisor> sup_;
+    std::optional<monitor> plain_;
+};
+
+/// \brief One channel on a freshly constructed channel_runner:
+/// `channel_runner(cfg, cv, cv_escalated).run(source, channel, windows,
+/// hooks)`.
 channel_report run_fleet_channel(
     const fleet_config& cfg, const critical_values& cv,
     const std::optional<critical_values>& cv_escalated,

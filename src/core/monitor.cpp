@@ -1,5 +1,7 @@
 #include "core/monitor.hpp"
 
+#include "base/resident.hpp"
+
 #include <stdexcept>
 #include <string>
 
@@ -137,10 +139,25 @@ void run_windows(monitor& mon, trng::entropy_source& source,
 }
 
 void monitor::reconfigure(const hw::block_config& target,
-                          critical_values cv)
+                          const critical_values& cv)
 {
+    // Both checks come first, so a refused design changes nothing.
+    require_bounds_for(target, cv);
     block_.reprogram(target);
-    runner_ = software_runner(block_.config(), std::move(cv));
+    base::swap_in<hw::testing_block::resident_designs>(
+        runner_, parked_runners_,
+        [&](const software_runner& r) {
+            return r.config() == target && r.bounds() == cv;
+        },
+        [&] { return software_runner(target, cv); });
+}
+
+void monitor::reset()
+{
+    block_.restart();
+    block_.reprogram(block_.config());
+    cpu_.reset_counts();
+    windows_ = 0;
 }
 
 void monitor::reconfigure(const hw::block_config& target, double alpha)

@@ -13,7 +13,7 @@
 // sliding window of recent verdicts and a noise-alarm threshold (k
 // failures in the last w windows).  One monitored channel -- window loop,
 // per-test failure counters and the alarm -- runs through
-// core::run_fleet_channel (core/fleet_monitor.hpp).
+// core::channel_runner (core/fleet_monitor.hpp).
 #pragma once
 
 #include "core/critical_values.hpp"
@@ -145,15 +145,26 @@ public:
     /// block to `target` *through the control-register write path*
     /// (hw::testing_block::reprogram) and swap the software pass to the
     /// matching precomputed bounds.  The window counter keeps running --
-    /// the monitor's stream continues at the new design point.
+    /// the monitor's stream continues at the new design point.  The
+    /// monitor keeps the pass bound to each design the block keeps
+    /// resident, so switching back to one neither copies `cv` nor
+    /// rebinds to the register layout.
     /// \param target new design point
     /// \param cv     critical values precomputed for `target` (lets a
     ///               supervisor invert them once, not per escalation)
     /// \throws std::logic_error mid-window (only legal between windows)
-    /// \throws std::invalid_argument when `target` is inconsistent
-    void reconfigure(const hw::block_config& target, critical_values cv);
+    /// \throws std::invalid_argument when `target` is inconsistent or `cv`
+    /// was inverted for another design (the monitor is left unchanged)
+    void reconfigure(const hw::block_config& target,
+                     const critical_values& cv);
     /// Same, inverting the critical values for `target` at `alpha` here.
     void reconfigure(const hw::block_config& target, double alpha);
+
+    /// \brief Start over at the live design, as a freshly constructed
+    /// monitor would: the block restarts (dropping a window a throwing
+    /// source left half-fed) and is re-strobed at its design (no latch, a
+    /// zero value file), and the window and instruction counts clear.
+    void reset();
 
     /// Cumulative instruction counts across all windows so far.
     const sw16::op_counts& lifetime_ops() const { return cpu_.counts(); }
@@ -169,7 +180,11 @@ public:
 
 private:
     hw::testing_block block_;
+    /// The pass bound to the live design.
     software_runner runner_;
+    /// The passes of the block's other resident designs, most recently
+    /// used first.
+    std::vector<software_runner> parked_runners_;
     sw16::soft_cpu cpu_;
     sw16::cycle_model mcu_;
     std::uint64_t windows_ = 0;
@@ -204,7 +219,7 @@ void run_windows(monitor& mon, trng::entropy_source& source,
                  const window_hooks& hooks = {});
 
 /// \brief The AIS-31-style k-of-w decision rule shared by the fleet
-/// channels (core::run_fleet_channel) and the escalation supervisor: a
+/// channels (core::channel_runner) and the escalation supervisor: a
 /// sticky alarm raised when at least `threshold` of the last `window`
 /// per-window verdicts failed.  `reset()` clears the stickiness -- the
 /// supervisor's de-escalation path re-arms the policy after a clean

@@ -223,6 +223,9 @@ population_report population_monitor::run()
     }
     std::vector<worker_partial> partials(pool.workers(),
                                          worker_partial(cfg_.shards));
+    // One channel runner per worker, built on first use by that worker:
+    // a device resets it instead of building a supervisor.
+    std::vector<std::unique_ptr<channel_runner>> runners(pool.workers());
 
     pool.run([&](unsigned w, const pool_unit& u) {
         const std::uint32_t d = u.first;
@@ -231,9 +234,12 @@ population_report population_monitor::run()
         try {
             auto src = trng::make_device_source(p, cfg_.block.n());
             try {
-                cr = run_fleet_channel(fcfg, cv_, cv_escalated_, *src,
-                                       d - first[u.shard],
-                                       cfg_.windows_per_device);
+                if (!runners[w]) {
+                    runners[w] = std::make_unique<channel_runner>(
+                        fcfg, cv_, cv_escalated_);
+                }
+                cr = runners[w]->run(*src, d - first[u.shard],
+                                     cfg_.windows_per_device);
             } catch (const std::exception& e) {
                 throw std::runtime_error(
                     "device " + std::to_string(d) + " (source \""

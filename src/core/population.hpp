@@ -21,9 +21,10 @@
 // reporting granularity), but the pool is population-wide: one unit
 // table over every shard, so a shard full of escalating devices does not
 // strand the workers of the quiet ones.  Each worker runs its devices
-// through the fused fleet lane (core/fleet_monitor.hpp:
-// run_fleet_channel), with critical values inverted once for the whole
-// population and shared.  Devices are
+// through the fused fleet lane on one core::channel_runner of its own
+// (core/fleet_monitor.hpp), built on its first device and reset between
+// devices, so a worker builds each design once; critical values are
+// inverted once for the whole population and shared.  Devices are
 // heterogeneous: trng::sample_device draws each unit's bias point,
 // attack model, severity and onset from the master seed (a pure
 // function of (master_seed, device id)), so the population is identical

@@ -114,6 +114,8 @@ scenario_report scenario_runner::run(const scenario& sc) const
     std::uint64_t latency_sum = 0;
     unsigned latency_count = 0;
 
+    // One channel for every trial: each run() starts it over.
+    channel_runner runner(channel_, cv_, std::nullopt);
     for (unsigned t = 0; t < cfg_.trials; ++t) {
         std::unique_ptr<trng::entropy_source> source =
             std::make_unique<trng::ideal_source>(
@@ -155,8 +157,7 @@ scenario_report scenario_runner::run(const scenario& sc) const
         };
         channel_report ch;
         try {
-            ch = run_fleet_channel(channel_, cv_, std::nullopt, *source, t,
-                                   cfg_.windows, hooks);
+            ch = runner.run(*source, t, cfg_.windows, hooks);
         } catch (const std::exception& e) {
             throw std::runtime_error("scenario \"" + sc.name + "\" trial "
                                      + std::to_string(t) + ": " + e.what());

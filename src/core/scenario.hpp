@@ -8,7 +8,7 @@
 // k-of-w alarm policy and reports detection latency, false alarms and
 // per-test failure attribution -- the platform's operating
 // characteristics, measured instead of assumed.  Each trial is one
-// monitored channel (core::run_fleet_channel): the severity schedule is
+// monitored channel (core::channel_runner): the severity schedule is
 // the boundary hook, stepped once per window, the channel report carries
 // the alarm and its first window, and the window sink splits the
 // verdicts at the onset.  `standard_scenarios()`
@@ -155,7 +155,8 @@ struct scenario_report {
 
 /// \brief Executes scenarios against one design point.  Critical values
 /// are inverted once per runner and shared by every scenario and trial;
-/// each trial is one core::run_fleet_channel channel.
+/// each trial is one run of the core::channel_runner that serves all of a
+/// scenario's trials.
 class scenario_runner {
 public:
     /// \throws std::invalid_argument on an invalid block or config,

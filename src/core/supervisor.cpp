@@ -534,6 +534,15 @@ void supervisor::restore(const supervisor_checkpoint& cp)
     mon_.restore_window_count(cp.monitor_windows);
 }
 
+void supervisor::reset()
+{
+    mon_.reset();
+    mon_.reconfigure(cfg_.baseline, cv_baseline_);
+    alarm_.reset();
+    telemetry_ = nullptr;
+    state_ = supervisor_checkpoint{};
+}
+
 void supervisor::write_events(json_writer& json,
                               std::string_view key) const
 {

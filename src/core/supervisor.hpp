@@ -348,6 +348,15 @@ public:
     ///         policy window, evidence ring deeper than configured)
     void restore(const supervisor_checkpoint& cp);
 
+    /// \brief Return to the state of a freshly constructed supervisor of
+    /// this configuration, so one supervisor can run device after device:
+    /// the monitor restarts (a throwing source may have left a window
+    /// half-fed) and returns to the baseline design, a resident one; the
+    /// alarm policy, the counters, the evidence ring, the timeline and the
+    /// monitor's window and instruction counts clear, and a telemetry sink
+    /// is detached.
+    void reset();
+
 private:
     void escalate(std::uint64_t next_window);
     void de_escalate(std::uint64_t next_window);

@@ -47,6 +47,7 @@ software_runner::software_runner(hw::block_config cfg, critical_values cv)
     : cfg_(std::move(cfg)), cv_(std::move(cv))
 {
     cfg_.validate();
+    require_bounds_for(cfg_, cv_);
     consts_.t1_bound = immediate(cv_.t1_max_deviation);
     consts_.t2_block_len = immediate(std::int64_t{1} << cfg_.bf_log2_m);
     consts_.t2_bound = immediate(cv_.t2_sum_bound);

@@ -78,6 +78,9 @@ public:
     /// \brief Bind the software pass to one design point.
     /// \param cfg the design whose tests the pass must verify
     /// \param cv  precomputed integer acceptance bounds for that design
+    /// \throws std::invalid_argument when `cv` was inverted for another
+    /// design point (critical_values::design), naming `cfg` and the
+    /// fields in which the two differ
     software_runner(hw::block_config cfg, critical_values cv);
 
     const hw::block_config& config() const { return cfg_; }

@@ -1,5 +1,8 @@
 #include "hw/testing_block.hpp"
 
+#include "base/resident.hpp"
+
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -7,86 +10,99 @@
 namespace otf::hw {
 
 testing_block::testing_block(block_config config)
-    : rtl::component("testing_block"), config_(std::move(config))
+    : rtl::component("testing_block")
 {
-    config_.validate();
-    staged_ = config_;
-    build();
+    config.validate();
+    active_ = build(config);
+    staged_ = active_.config;
+    activate();
 }
 
-void testing_block::build()
+testing_block::design_set testing_block::build(const block_config& config)
 {
-    global_counter_ = std::make_unique<rtl::counter>("global_bit_counter",
-                                                     config_.log2_n);
-    adopt(*global_counter_);
+    design_set s;
+    s.config = config;
+    s.global_counter = std::make_unique<rtl::counter>("global_bit_counter",
+                                                      config.log2_n);
 
     const bool any_template =
-        config_.tests.has(test_id::non_overlapping_template)
-        || config_.tests.has(test_id::overlapping_template);
+        config.tests.has(test_id::non_overlapping_template)
+        || config.tests.has(test_id::overlapping_template);
     if (any_template) {
         // Sharing trick 4: one shift register serves both template tests.
-        template_window_ = std::make_unique<rtl::shift_register>(
-            "template_window", config_.template_length);
-        adopt(*template_window_);
+        s.template_window = std::make_unique<rtl::shift_register>(
+            "template_window", config.template_length);
     }
 
     // The cusum engine is always present: the frequency and runs tests
     // derive N_ones from its final walk value (sharing trick 1), and the
     // paper's designs all include tests 1, 3 and 13.
-    cusum_ = std::make_unique<cusum_hw>(config_.log2_n);
-    adopt(*cusum_);
-    engines_.push_back(cusum_.get());
+    s.cusum = std::make_unique<cusum_hw>(config.log2_n);
+    s.engines.push_back(s.cusum.get());
 
-    if (config_.tests.has(test_id::runs)) {
-        runs_ = std::make_unique<runs_hw>(config_.log2_n);
-        adopt(*runs_);
-        engines_.push_back(runs_.get());
+    if (config.tests.has(test_id::runs)) {
+        s.runs = std::make_unique<runs_hw>(config.log2_n);
+        s.engines.push_back(s.runs.get());
     }
-    if (config_.tests.has(test_id::block_frequency)) {
-        bf_ = std::make_unique<block_frequency_hw>(config_.log2_n,
-                                                   config_.bf_log2_m);
-        adopt(*bf_);
-        engines_.push_back(bf_.get());
+    if (config.tests.has(test_id::block_frequency)) {
+        s.bf = std::make_unique<block_frequency_hw>(config.log2_n,
+                                                    config.bf_log2_m);
+        s.engines.push_back(s.bf.get());
     }
-    if (config_.tests.has(test_id::longest_run)) {
-        lr_ = std::make_unique<longest_run_hw>(config_.log2_n,
-                                               config_.lr_log2_m,
-                                               config_.lr_v_lo,
-                                               config_.lr_v_hi);
-        adopt(*lr_);
-        engines_.push_back(lr_.get());
+    if (config.tests.has(test_id::longest_run)) {
+        s.lr = std::make_unique<longest_run_hw>(config.log2_n,
+                                                config.lr_log2_m,
+                                                config.lr_v_lo,
+                                                config.lr_v_hi);
+        s.engines.push_back(s.lr.get());
     }
-    if (config_.tests.has(test_id::non_overlapping_template)) {
-        t7_ = std::make_unique<non_overlapping_hw>(
-            config_.log2_n, config_.t7_log2_m, config_.t7_template,
-            config_.template_length, *template_window_);
-        adopt(*t7_);
-        engines_.push_back(t7_.get());
+    if (config.tests.has(test_id::non_overlapping_template)) {
+        s.t7 = std::make_unique<non_overlapping_hw>(
+            config.log2_n, config.t7_log2_m, config.t7_template,
+            config.template_length, *s.template_window);
+        s.engines.push_back(s.t7.get());
     }
-    if (config_.tests.has(test_id::overlapping_template)) {
-        t8_ = std::make_unique<overlapping_hw>(
-            config_.log2_n, config_.t8_log2_m, config_.t8_template,
-            config_.template_length, config_.t8_max_count,
-            *template_window_);
-        adopt(*t8_);
-        engines_.push_back(t8_.get());
+    if (config.tests.has(test_id::overlapping_template)) {
+        s.t8 = std::make_unique<overlapping_hw>(
+            config.log2_n, config.t8_log2_m, config.t8_template,
+            config.template_length, config.t8_max_count,
+            *s.template_window);
+        s.engines.push_back(s.t8.get());
     }
-    if (config_.tests.has(test_id::serial)
-        || config_.tests.has(test_id::approximate_entropy)) {
-        serial_ = std::make_unique<serial_hw>(
-            config_.log2_n, config_.serial_m,
-            config_.serial_transfer_marginals);
-        adopt(*serial_);
-        engines_.push_back(serial_.get());
+    if (config.tests.has(test_id::serial)
+        || config.tests.has(test_id::approximate_entropy)) {
+        s.serial = std::make_unique<serial_hw>(
+            config.log2_n, config.serial_m,
+            config.serial_transfer_marginals);
+        s.engines.push_back(s.serial.get());
     }
 
-    for (const engine* e : engines_) {
-        register_base_.push_back(map_.size());
-        e->add_registers(map_);
+    for (const engine* e : s.engines) {
+        s.register_base.push_back(s.map.size());
+        e->add_registers(s.map);
     }
-    mux_ = std::make_unique<rtl::readout_mux>(
-        "readout_mux", map_.top_level_inputs(), map_.max_width());
-    adopt(*mux_);
+    s.mux = std::make_unique<rtl::readout_mux>(
+        "readout_mux", s.map.top_level_inputs(), s.map.max_width());
+    return s;
+}
+
+void testing_block::activate()
+{
+    // The audit order: counter, template window, engines, readout mux.
+    disown_all();
+    adopt(*active_.global_counter);
+    if (active_.template_window) {
+        adopt(*active_.template_window);
+    }
+    for (engine* e : active_.engines) {
+        adopt(*e);
+    }
+    adopt(*active_.mux);
+    // A set is parked only at a sequence boundary, after restart()
+    // cleared it; the reset keeps the swap independent of that.
+    reset();
+    std::fill(active_.map.values().begin(), active_.map.values().end(), 0);
+    latch_valid_ = false;
 }
 
 namespace {
@@ -165,31 +181,12 @@ void testing_block::apply_reconfigure()
               "boundary");
     }
     staged_.validate();
-
-    // Tear the old engine set down and rebuild around the staged design.
-    // The register_map object survives (references held by the software
-    // runner stay valid); its entries are replaced wholesale.
-    disown_all();
-    engines_.clear();
-    cusum_.reset();
-    runs_.reset();
-    bf_.reset();
-    lr_.reset();
-    t7_.reset();
-    t8_.reset();
-    serial_.reset();
-    template_window_.reset();
-    mux_.reset();
-    global_counter_.reset();
-    map_ = register_map{};
-    register_base_.clear();
-    latch_valid_ = false;
-    consumed_ = 0;
-    done_ = false;
-
-    config_ = staged_;
+    base::swap_in<resident_designs>(
+        active_, parked_,
+        [this](const design_set& set) { return set.config == staged_; },
+        [this] { return build(staged_); });
     ++reconfigurations_;
-    build();
+    activate();
 }
 
 void testing_block::reprogram(const block_config& target)
@@ -206,19 +203,19 @@ void testing_block::reprogram(const block_config& target)
 
 void testing_block::feed(bool bit)
 {
-    if (consumed_ >= config_.n()) {
+    if (consumed_ >= active_.config.n()) {
         throw std::logic_error(
             "testing_block: sequence complete; call finish()/restart()");
     }
-    if (template_window_) {
-        template_window_->shift(bit);
+    if (active_.template_window) {
+        active_.template_window->shift(bit);
     }
     const std::uint64_t index = consumed_;
-    for (engine* e : engines_) {
+    for (engine* e : active_.engines) {
         e->consume(bit, index);
     }
     ++consumed_;
-    global_counter_->step();
+    active_.global_counter->step();
 }
 
 void testing_block::feed_span(const std::uint64_t* words, std::size_t nbits)
@@ -226,7 +223,7 @@ void testing_block::feed_span(const std::uint64_t* words, std::size_t nbits)
     if (nbits == 0) {
         return;
     }
-    if (consumed_ + nbits > config_.n()) {
+    if (consumed_ + nbits > active_.config.n()) {
         throw std::logic_error(
             "testing_block: span would run past the end of the sequence");
     }
@@ -234,44 +231,45 @@ void testing_block::feed_span(const std::uint64_t* words, std::size_t nbits)
     // Engines that watch the shared template window reconstruct it locally
     // from its pre-span state, so the shared register advances once, after
     // the engines have seen the whole span.
-    for (engine* e : engines_) {
+    for (engine* e : active_.engines) {
         e->consume_span(words, nbits, index);
     }
-    if (template_window_) {
-        template_window_->shift_span(words, nbits);
+    if (active_.template_window) {
+        active_.template_window->shift_span(words, nbits);
     }
     consumed_ += nbits;
-    global_counter_->advance(nbits);
+    active_.global_counter->advance(nbits);
 }
 
 void testing_block::finish()
 {
-    if (consumed_ != config_.n()) {
+    if (consumed_ != active_.config.n()) {
         throw std::logic_error(
             "testing_block: finish() before the full sequence was fed");
     }
-    if (serial_) {
+    if (serial_hw* serial = active_.serial.get()) {
         // Cyclic extension: replay the stored opening m-1 bits.
-        for (unsigned t = 0; t + 1 < config_.serial_m; ++t) {
-            serial_->flush(serial_->stored_opening_bit(t), t);
+        for (unsigned t = 0; t + 1 < active_.config.serial_m; ++t) {
+            serial->flush(serial->stored_opening_bit(t), t);
         }
     }
     capture();
-    latch_valid_ = config_.double_buffered;
+    latch_valid_ = active_.config.double_buffered;
     done_ = true;
 }
 
 void testing_block::capture()
 {
-    std::uint64_t* values = map_.values().data();
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        engines_[i]->read_registers(values + register_base_[i]);
+    std::uint64_t* values = active_.map.values().data();
+    for (std::size_t i = 0; i < active_.engines.size(); ++i) {
+        active_.engines[i]->read_registers(values
+                                           + active_.register_base[i]);
     }
 }
 
 void testing_block::run(const bit_sequence& seq)
 {
-    if (seq.size() != config_.n()) {
+    if (seq.size() != active_.config.n()) {
         throw std::invalid_argument(
             "testing_block: sequence length must equal n");
     }
@@ -288,7 +286,7 @@ void testing_block::restart()
     // while the next window streams; a plain block's interface shows the
     // cleared counters.
     reset();
-    if (!config_.double_buffered) {
+    if (!active_.config.double_buffered) {
         capture();
     }
 }
@@ -299,15 +297,15 @@ rtl::resources testing_block::self_cost() const
     // decode, end-of-sequence detect on the global counter.
     rtl::resources r{.ffs = 8, .luts = 6, .carry_bits = 0,
                      .mux_levels = 0};
-    if (config_.double_buffered) {
+    if (active_.config.double_buffered) {
         // The result latch: one FF per mapped bit plus a load-enable LUT
         // per value.
         std::uint32_t latch_ffs = 0;
-        for (const map_entry& e : map_.entries()) {
+        for (const map_entry& e : active_.map.entries()) {
             latch_ffs += e.width;
         }
         r.ffs += latch_ffs;
-        r.luts += static_cast<std::uint32_t>(map_.size());
+        r.luts += static_cast<std::uint32_t>(active_.map.size());
     }
     return r;
 }

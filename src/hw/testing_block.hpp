@@ -28,13 +28,19 @@
 // length and parameters"): the block's control plane -- one writable
 // register per entry of hw::config_registers, then the 1-bit
 // `ctrl.reconfigure` strobe -- stages a new design point and applies it
-// at a sequence boundary, rebuilding the engine set.  Control registers
-// sit on the MCU's peripheral write bus, not behind the readout mux, so
-// they are not part of the register map or its Table III accounting.  A
-// reprogrammed block is register-exact with a freshly constructed block of
-// the same design on all subsequent words.  `reprogram()` drives the whole
-// handshake through the register write path, exactly as the embedded
-// software would.
+// at a sequence boundary.  Control registers sit on the MCU's peripheral
+// write bus, not behind the readout mux, so they are not part of the
+// register map or its Table III accounting.  The block keeps the built
+// engine set, template window, register map and mux of the last
+// `resident_designs` design points it ran: strobing a resident design
+// swaps its set back in and resets it in place; any other design is built
+// and the least recently used parked set is dropped.  Only the live set
+// is adopted, so cost() and Table III count the active design alone.  A
+// reprogrammed block -- resident hit or fresh build -- is register-exact
+// with a freshly constructed block of the same design on all subsequent
+// words, and before them: no latch, a zero value file.
+// `reprogram()` drives the whole handshake through the register write
+// path, exactly as the embedded software would.
 #pragma once
 
 #include "base/bits.hpp"
@@ -63,7 +69,7 @@ public:
     ///        std::invalid_argument on inconsistency)
     explicit testing_block(block_config config);
 
-    const block_config& config() const { return config_; }
+    const block_config& config() const { return active_.config; }
 
     /// \brief Consume one random bit (one clock cycle).
     /// \throws std::logic_error if the sequence is already complete
@@ -115,13 +121,18 @@ public:
     /// is only legal at a sequence boundary: 0 bits consumed)
     void reprogram(const block_config& target);
 
-    /// Number of applied on-the-fly reconfigurations.
+    /// Number of applied `ctrl.reconfigure` strobes, resident hits and
+    /// re-strobes of the live design included.
     std::uint64_t reconfigurations() const { return reconfigurations_; }
 
     /// Index of the `ctrl.reconfigure` strobe; control index i below it
     /// is config_registers[i].
     static constexpr std::size_t reconfigure_strobe =
         std::size(config_registers);
+
+    /// Design points the block keeps built: the live one plus the most
+    /// recently used others (a supervisor alternates between two).
+    static constexpr std::size_t resident_designs = 2;
 
     /// \brief Write a control register, masked to its width.  A config
     /// register stages one design parameter; writing 1 to the strobe
@@ -134,17 +145,25 @@ public:
     std::uint64_t read_control(std::size_t index) const;
     std::uint64_t read_control(std::string_view name) const;
 
-    /// The memory-mapped interface (valid for the lifetime of the block).
-    const register_map& registers() const { return map_; }
+    /// The memory-mapped interface of the live design (valid until the
+    /// next applied reconfiguration).
+    const register_map& registers() const { return active_.map; }
 
-    // Typed access to the engines (null when the test is not in the set).
-    const cusum_hw* cusum() const { return cusum_.get(); }
-    const runs_hw* runs() const { return runs_.get(); }
-    const block_frequency_hw* block_frequency() const { return bf_.get(); }
-    const longest_run_hw* longest_run() const { return lr_.get(); }
-    const non_overlapping_hw* non_overlapping() const { return t7_.get(); }
-    const overlapping_hw* overlapping() const { return t8_.get(); }
-    const serial_hw* serial() const { return serial_.get(); }
+    // Typed access to the live engines (null when the test is not in the
+    // set; valid until the next applied reconfiguration).
+    const cusum_hw* cusum() const { return active_.cusum.get(); }
+    const runs_hw* runs() const { return active_.runs.get(); }
+    const block_frequency_hw* block_frequency() const
+    {
+        return active_.bf.get();
+    }
+    const longest_run_hw* longest_run() const { return active_.lr.get(); }
+    const non_overlapping_hw* non_overlapping() const
+    {
+        return active_.t7.get();
+    }
+    const overlapping_hw* overlapping() const { return active_.t8.get(); }
+    const serial_hw* serial() const { return active_.serial.get(); }
 
 protected:
     rtl::resources self_cost() const override;
@@ -155,34 +174,45 @@ protected:
     }
 
 private:
-    /// Build the engine set, result plane and readout mux from `config_`.
-    /// Called by the constructor and again on every applied
-    /// reconfiguration (after the old engines are torn down).
-    void build();
+    /// The built state of one design point: what a reconfiguration
+    /// builds, parks and swaps back in.
+    struct design_set {
+        block_config config;
+        std::unique_ptr<rtl::counter> global_counter;
+        std::unique_ptr<rtl::shift_register> template_window;
+        std::unique_ptr<cusum_hw> cusum;
+        std::unique_ptr<runs_hw> runs;
+        std::unique_ptr<block_frequency_hw> bf;
+        std::unique_ptr<longest_run_hw> lr;
+        std::unique_ptr<non_overlapping_hw> t7;
+        std::unique_ptr<overlapping_hw> t8;
+        std::unique_ptr<serial_hw> serial;
+        std::vector<engine*> engines;
+        /// First value slot of each engine in `engines`.
+        std::vector<std::size_t> register_base;
+        register_map map;
+        std::unique_ptr<rtl::readout_mux> mux;
+    };
+
+    /// Build the engine set, result plane and readout mux of `config`.
+    static design_set build(const block_config& config);
+    /// Adopt the active set's components and clear them to the state of
+    /// a freshly built block: counters reset, value file zero, no latch.
+    void activate();
     /// Write every engine's values into the register map's value file.
     void capture();
     /// The `ctrl.reconfigure` strobe: validate the staged design and
-    /// rebuild the block around it.
+    /// swap its set in.
     void apply_reconfigure();
 
-    block_config config_;
-    /// Design point staged by the control plane; becomes `config_` when
-    /// `ctrl.reconfigure` is strobed.
+    /// The live design; feed_span/finish read its members directly.
+    design_set active_;
+    /// The other resident designs, most recently used first (at most
+    /// resident_designs - 1).
+    std::vector<design_set> parked_;
+    /// Design point staged by the control plane; becomes the live design
+    /// when `ctrl.reconfigure` is strobed.
     block_config staged_;
-    std::unique_ptr<rtl::counter> global_counter_;
-    std::unique_ptr<rtl::shift_register> template_window_;
-    std::unique_ptr<cusum_hw> cusum_;
-    std::unique_ptr<runs_hw> runs_;
-    std::unique_ptr<block_frequency_hw> bf_;
-    std::unique_ptr<longest_run_hw> lr_;
-    std::unique_ptr<non_overlapping_hw> t7_;
-    std::unique_ptr<overlapping_hw> t8_;
-    std::unique_ptr<serial_hw> serial_;
-    std::vector<engine*> engines_;
-    /// First value slot of each engine in `engines_`.
-    std::vector<std::size_t> register_base_;
-    register_map map_;
-    std::unique_ptr<rtl::readout_mux> mux_;
     bool latch_valid_ = false;
     std::uint64_t consumed_ = 0;
     bool done_ = false;

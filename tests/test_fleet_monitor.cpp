@@ -1,7 +1,8 @@
 // Tests of the multi-channel fleet monitor: determinism across thread
 // counts and ingestion lanes, telemetry aggregation, per-channel alarm
 // policy, configuration validation, the caller hooks of one channel run,
-// and the unit pool that fleet and population runs share.
+// a channel runner reused device after device, and the unit pool that
+// fleet and population runs share.
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "trng/sources.hpp"
@@ -744,6 +745,130 @@ TEST(fleet_channel_hooks, compose_with_a_supervised_channel)
     for (const core::evidence_window& ev : cp.evidence_ring) {
         ASSERT_LT(ev.index, trace.taps.size());
         EXPECT_EQ(trace.taps[ev.index], ev) << "window " << ev.index;
+    }
+}
+
+// ------------------------------------------- reused channel runners --
+
+/// Device `device` of a small supervised population, built twice from the
+/// same seed: one copy for the reused runner, one for the fresh one.
+std::unique_ptr<trng::entropy_source> reuse_device(unsigned device)
+{
+    const std::size_t window_words = 2; // n = 128 at both tiers
+    const auto trace = [&](unsigned bad_windows, unsigned good_windows,
+                           std::size_t extra_words) {
+        trng::biased_source bad(fixture_seed(40 + device), 0.95);
+        trng::ideal_source good(fixture_seed(50 + device));
+        std::vector<std::uint64_t> words =
+            bad.generate_words(bad_windows * window_words);
+        const std::vector<std::uint64_t> tail =
+            good.generate_words(good_windows * window_words + extra_words);
+        words.insert(words.end(), tail.begin(), tail.end());
+        return std::make_unique<trng::replay_source>(
+            bit_sequence::from_words(words, words.size() * 64));
+    };
+    switch (device) {
+    case 0: // quiet
+        return std::make_unique<trng::ideal_source>(fixture_seed(60));
+    case 1: // escalates, is confirmed, de-escalates after the dwell
+        return trace(6, 30, 0);
+    case 2: // ends escalated
+        return std::make_unique<trng::biased_source>(fixture_seed(61),
+                                                     0.95);
+    case 3: // runs dry inside window 8, escalated: run() throws
+        return trace(8, 0, 1);
+    default: // quiet after the throw, then de-escalating again
+        return device == 4 ? reuse_device(0) : reuse_device(1);
+    }
+}
+
+TEST(channel_runner, a_reused_runner_reports_as_a_fresh_one)
+{
+    core::fleet_config cfg = supervised_config(1, 1);
+    cfg.dwell_windows = 3;
+    const core::critical_values cv =
+        core::compute_critical_values(cfg.block, cfg.alpha);
+    const std::optional<core::critical_values> cv_escalated =
+        core::compute_critical_values(*cfg.escalated_block, cfg.alpha);
+    const std::uint64_t windows = 24;
+
+    core::channel_runner reused(cfg, cv, cv_escalated);
+    std::vector<core::channel_report> fresh_reports;
+    for (unsigned d = 0; d < 6; ++d) {
+        const auto reused_src = reuse_device(d);
+        const auto fresh_src = reuse_device(d);
+        if (d == 3) {
+            EXPECT_THROW(reused.run(*reused_src, d, windows),
+                         std::runtime_error);
+            EXPECT_THROW(core::run_fleet_channel(cfg, cv, cv_escalated,
+                                                 *fresh_src, d, windows),
+                         std::runtime_error);
+            continue;
+        }
+        const core::channel_report got = reused.run(*reused_src, d, windows);
+        const core::channel_report want = core::run_fleet_channel(
+            cfg, cv, cv_escalated, *fresh_src, d, windows);
+        EXPECT_EQ(got, want) << "device " << d;
+        fresh_reports.push_back(want);
+    }
+    // The sequence covers every way a device can leave the runner.
+    ASSERT_EQ(fresh_reports.size(), 5u);
+    EXPECT_EQ(fresh_reports[0].escalations, 0u);
+    EXPECT_GT(fresh_reports[1].confirmed_escalations, 0u);
+    EXPECT_GT(fresh_reports[1].de_escalations, 0u);
+    EXPECT_GT(fresh_reports[2].escalations, fresh_reports[2].de_escalations)
+        << "device 2 must end escalated";
+}
+
+TEST(channel_runner, a_reset_supervisor_restores_a_checkpoint)
+{
+    core::supervisor_config cfg = supervised_config(1, 1).supervised_config();
+    trng::biased_source attacked(fixture_seed(70), 0.95);
+    core::supervisor origin(cfg);
+    origin.run(attacked, 6);
+    ASSERT_EQ(origin.state(), core::supervision_state::escalated);
+    const core::supervisor_checkpoint cp = origin.checkpoint();
+
+    // A supervisor that ran another device, reset, takes the checkpoint
+    // like a fresh one and continues alike.
+    core::supervisor reused(cfg);
+    trng::biased_source other(fixture_seed(71), 0.95);
+    reused.run(other, 9);
+    reused.reset();
+    EXPECT_NO_THROW(reused.restore(cp));
+    core::supervisor fresh(cfg);
+    fresh.restore(cp);
+    trng::ideal_source tail_a(fixture_seed(72)), tail_b(fixture_seed(72));
+    reused.run(tail_a, 8);
+    fresh.run(tail_b, 8);
+    EXPECT_EQ(reused.checkpoint(), fresh.checkpoint());
+}
+
+TEST(channel_runner, a_reset_monitor_drops_a_half_fed_window)
+{
+    const hw::block_config design = core::paper_design(7, core::tier::light);
+    const core::critical_values cv =
+        core::compute_critical_values(design, 0.01);
+    trng::ideal_source src(fixture_seed(80));
+    const std::vector<std::uint64_t> words = src.generate_words(4);
+
+    core::monitor reused(design, cv);
+    reused.test_packed(words.data(), 2);
+    reused.feed_packed(words.data(), 1);
+    reused.reset();
+    EXPECT_EQ(reused.windows_tested(), 0u);
+    EXPECT_EQ(reused.lifetime_ops().total(), 0u);
+    core::monitor fresh(design, cv);
+    const core::window_report got = reused.test_packed(words.data() + 2, 2);
+    const core::window_report want = fresh.test_packed(words.data() + 2, 2);
+    EXPECT_EQ(got.window_index, want.window_index);
+    EXPECT_EQ(got.sw_cycles, want.sw_cycles);
+    EXPECT_EQ(got.software.all_pass, want.software.all_pass);
+    EXPECT_EQ(reused.lifetime_ops().total(), fresh.lifetime_ops().total());
+    ASSERT_EQ(got.software.verdicts.size(), want.software.verdicts.size());
+    for (std::size_t i = 0; i < got.software.verdicts.size(); ++i) {
+        EXPECT_EQ(got.software.verdicts[i].statistic,
+                  want.software.verdicts[i].statistic);
     }
 }
 

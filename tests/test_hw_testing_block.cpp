@@ -452,51 +452,81 @@ void expect_registers_equal(const hw::testing_block& a,
     }
 }
 
+/// `block`, just reprogrammed to `design`, is a fresh block of `design`:
+/// no latch, the reset value file and the same Table III inventory, then
+/// the same values on the same words and after the next restart.
+void expect_matches_fresh(hw::testing_block& block,
+                          const hw::block_config& design, bool span_lane,
+                          std::uint64_t seed, const std::string& label)
+{
+    hw::testing_block fresh(design);
+    EXPECT_EQ(block.config(), design) << label;
+    EXPECT_FALSE(block.latched()) << label;
+    expect_registers_equal(block, fresh, label + " before a window");
+    EXPECT_EQ(block.cost(), fresh.cost()) << label;
+    EXPECT_EQ(rtl::resource_audit(block), rtl::resource_audit(fresh))
+        << label;
+
+    trng::ideal_source source_a(seed), source_b(seed);
+    run_window(block, source_a, span_lane);
+    run_window(fresh, source_b, span_lane);
+    expect_registers_equal(block, fresh, label);
+    // Double-buffered, the next window's restart keeps both latches.
+    block.restart();
+    fresh.restart();
+    expect_registers_equal(block, fresh, label + " after restart");
+}
+
 TEST(reconfigure, reprogrammed_block_is_register_exact_with_fresh)
 {
-    // The acceptance pin: a testing block reprogrammed via the register
-    // map to design D matches a freshly constructed D on the same
-    // subsequent words -- across all 8 paper designs x both lanes, and
-    // double-buffered, from a block whose latch holds a dirty window.
+    // The acceptance pin: a testing block reprogrammed through the
+    // control registers to design D matches a freshly constructed D --
+    // whether D is built (a miss), swapped back in (a resident hit) or
+    // rebuilt after eviction, and each time from a block with a dirty
+    // window (and, double-buffered, a latched one) -- across all 8 paper
+    // designs x both lanes x both buffering modes.
+    constexpr std::size_t resident = hw::testing_block::resident_designs;
     const auto designs = core::all_paper_designs();
     for (const bool buffered : {false, true}) {
         for (const bool span_lane : {true, false}) {
             for (std::size_t t = 0; t < designs.size(); ++t) {
-                // Escalate/de-escalate between neighbouring design points.
-                hw::block_config from = designs[(t + 1) % designs.size()];
-                hw::block_config to = designs[t];
-                from.double_buffered = buffered;
-                to.double_buffered = buffered;
-                const std::string label = to.name
+                // Neighbouring design points, design(0) the one under test.
+                const auto design = [&](std::size_t k) {
+                    hw::block_config cfg = designs[(t + k) % designs.size()];
+                    cfg.double_buffered = buffered;
+                    return cfg;
+                };
+                const std::string label = design(0).name
                     + (buffered ? " buffered" : "")
                     + (span_lane ? " (span)" : " (per-bit)");
+                hw::testing_block block(design(1));
+                std::uint64_t seed = 0xD000 + 0x100 * t;
+                const auto dirty_then_reprogram =
+                    [&](const hw::block_config& to, const std::string& step) {
+                        // Any lane dirties the counters; the span lane
+                        // is the quicker.
+                        trng::ideal_source dirty(seed++);
+                        run_window(block, dirty, true);
+                        block.restart();
+                        EXPECT_EQ(block.latched(), buffered) << label;
+                        block.reprogram(to);
+                        expect_matches_fresh(block, to, span_lane, seed++,
+                                             label + step + " " + to.name);
+                    };
 
-                hw::testing_block reprogrammed(from);
-                if (buffered) {
-                    trng::ideal_source dirty(0xE0 + t);
-                    run_window(reprogrammed, dirty, span_lane);
-                    reprogrammed.restart();
-                    ASSERT_TRUE(reprogrammed.latched()) << label;
+                dirty_then_reprogram(design(0), ": built");
+                const hw::cusum_hw* const engines = block.cusum();
+                dirty_then_reprogram(design(1), ": resident");
+                dirty_then_reprogram(design(0), ": resident");
+                EXPECT_EQ(block.cusum(), engines)
+                    << label << ": the resident set was rebuilt";
+                // `resident` more designs evict design(0); it comes back
+                // built.
+                for (std::size_t k = 2; k < 2 + resident; ++k) {
+                    dirty_then_reprogram(design(k), ": built");
                 }
-                reprogrammed.reprogram(to);
-                EXPECT_EQ(reprogrammed.config().name, to.name);
-                EXPECT_EQ(reprogrammed.reconfigurations(), 1u);
-                hw::testing_block fresh(to);
-                EXPECT_FALSE(reprogrammed.latched()) << label;
-                expect_registers_equal(reprogrammed, fresh,
-                                       label + " before a window");
-
-                trng::ideal_source source_a(0xD0 + t), source_b(0xD0 + t);
-                run_window(reprogrammed, source_a, span_lane);
-                run_window(fresh, source_b, span_lane);
-                expect_registers_equal(reprogrammed, fresh, label);
-                if (buffered) {
-                    // The next window's restart keeps both latches.
-                    reprogrammed.restart();
-                    fresh.restart();
-                    expect_registers_equal(reprogrammed, fresh,
-                                           label + " after restart");
-                }
+                dirty_then_reprogram(design(0), ": after eviction");
+                EXPECT_EQ(block.reconfigurations(), 4 + resident) << label;
             }
         }
     }

@@ -128,6 +128,62 @@ TEST(sw_binding, another_designs_map_throws_naming_the_missing_value)
                 fresh_pass(light_runner, ok.registers()), "after throw");
 }
 
+TEST(sw_binding, another_designs_bounds_are_refused_naming_both)
+{
+    const hw::block_config light = n128(core::tier::light);
+    const hw::block_config medium = n128(core::tier::medium);
+    const core::critical_values light_cv =
+        core::compute_critical_values(light, alpha);
+    const auto refused = [](auto&& make, const std::string& design,
+                            const std::string& field) {
+        try {
+            make();
+            ADD_FAILURE() << design << " accepted another design's bounds";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find('"' + design + '"'), std::string::npos)
+                << what;
+            EXPECT_NE(what.find(field), std::string::npos) << what;
+        }
+    };
+    // The light bounds have no constant for tests 4, 11 and 12.
+    refused([&] { core::monitor mon(medium, light_cv); }, medium.name,
+            "cfg.tests = " + std::to_string(light.tests.to_raw()) + " (not "
+                + std::to_string(medium.tests.to_raw()) + ")");
+    // n = 2^16 bounds on an n = 128 block.
+    const hw::block_config long_light =
+        core::paper_design(16, core::tier::light);
+    refused(
+        [&] {
+            const core::software_runner runner(
+                light, core::compute_critical_values(long_light, alpha));
+        },
+        light.name, "cfg.log2_n = 16 (not 7)");
+
+    // A refused reconfiguration leaves the monitor at its design.
+    core::monitor live(light, light_cv);
+    refused([&] { live.reconfigure(medium, light_cv); }, medium.name,
+            "cfg.tests");
+    EXPECT_EQ(live.config(), light);
+    EXPECT_EQ(live.block().reconfigurations(), 0u);
+    core::monitor fresh(light, light_cv);
+    trng::ideal_source src(5);
+    const std::vector<std::uint64_t> words = src.generate_words(2);
+    expect_same(live.test_packed(words.data(), 2).software,
+                fresh.test_packed(words.data(), 2).software,
+                "after the refusal");
+
+    // The label, the readout options and disabled tests' parameters are
+    // not part of the bounds' design.
+    hw::block_config variant = light;
+    variant.name = "renamed";
+    variant.double_buffered = true;
+    variant.serial_transfer_marginals = true;
+    variant.serial_m = 6;
+    EXPECT_NO_THROW({ const core::monitor mon(variant, light_cv); });
+    EXPECT_EQ(core::compute_critical_values(variant, alpha), light_cv);
+}
+
 TEST(sw_binding, reused_runner_matches_a_fresh_runner_every_window)
 {
     hw::block_config marginal = n128(core::tier::medium);

@@ -3,7 +3,9 @@
 // every paper design allocates nothing -- on the span and per-bit lanes,
 // with and without the result latch, through test_packed and through
 // feed_packed + finish_packed.  The paper's MCU returns a fixed set of
-// numbers per window; so does the model.
+// numbers per window; so does the model.  Switching back and forth
+// between two resident designs (an escalation and its return) allocates
+// nothing either.
 //
 // This binary replaces the global operator new/delete with forwards to
 // malloc/free that count the allocations of an armed thread, so it stays
@@ -122,6 +124,36 @@ TEST_P(window_allocations, windows_after_the_binding_one_allocate_nothing)
             }
         }
     }
+}
+
+TEST(window_allocations, a_resident_round_trip_allocates_nothing)
+{
+    // Escalation and its return switch between the block's resident
+    // designs and the monitor's bound passes: once both designs are
+    // built, a light -> medium -> light round trip, a window at each
+    // design included, copies no bounds, builds no engine and rebinds
+    // nothing.
+    const hw::block_config light = core::paper_design(7, core::tier::light);
+    const hw::block_config medium = core::paper_design(7, core::tier::medium);
+    const core::critical_values light_cv =
+        core::compute_critical_values(light, 0.01);
+    const core::critical_values medium_cv =
+        core::compute_critical_values(medium, 0.01);
+    trng::ideal_source src(test::fixture_seed(91));
+    const std::vector<std::uint64_t> words = src.generate_words(4);
+    core::monitor mon(light, light_cv);
+    mon.test_packed(words.data(), 2); // binds the light pass
+    const auto round_trip = [&] {
+        mon.reconfigure(medium, medium_cv);
+        mon.test_packed(words.data(), 2);
+        mon.reconfigure(light, light_cv);
+        mon.test_packed(words.data() + 2, 2);
+    };
+    round_trip(); // builds and binds the medium design
+    EXPECT_EQ(allocations_during(round_trip), 0u);
+    EXPECT_EQ(allocations_during(round_trip), 0u);
+    EXPECT_EQ(mon.config(), light);
+    EXPECT_EQ(mon.block().reconfigurations(), 6u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
