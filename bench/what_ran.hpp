@@ -12,13 +12,15 @@
 
 namespace otf {
 
-/// \brief Write the dispatched bits kernel variant and whether the AVX2
-/// kernels were compiled in into the open JSON object.
+/// \brief Write the dispatched bits kernel variant, whether the x86-64-v3
+/// clone is in the binary and the ISA the dispatched span kernels run
+/// into the open JSON object.
 inline void write_what_ran(json_writer& json)
 {
-    json.value("kernel_variant",
-               bits::to_string(bits::active_kernel_variant()));
+    const bits::kernel_variant variant = bits::active_kernel_variant();
+    json.value("kernel_variant", bits::to_string(variant));
     json.value("simd_compiled", bits::simd_compiled());
+    json.value("kernel_isa", bits::kernel_isa(variant));
 }
 
 /// \brief Write the finished document to `path`.

@@ -60,8 +60,8 @@ if command -v python3 >/dev/null 2>&1; then
     done
 
     echo "== validating what ran =="
-    # Every BENCH JSON records the dispatched bits kernel variant and
-    # whether the AVX2 kernels were compiled in.
+    # Every BENCH JSON records the dispatched bits kernel variant, whether
+    # the x86-64-v3 clone is in the binary and the ISA the variant runs.
     python3 - "$BUILD_DIR" <<'EOF'
 import json, os, sys
 for name in ("scenarios", "stream", "escalation", "population", "replay"):
@@ -70,7 +70,11 @@ for name in ("scenarios", "stream", "escalation", "population", "replay"):
     assert doc["kernel_variant"] in ("reference", "portable", "simd"), (
         name, doc.get("kernel_variant"))
     assert isinstance(doc["simd_compiled"], bool), name
-print("ok: kernel_variant + simd_compiled in all five BENCH files")
+    assert doc["kernel_isa"] in ("x86-64-v3", "x86-64", "baseline"), (
+        name, doc.get("kernel_isa"))
+    assert (doc["kernel_isa"] == "x86-64-v3") == (
+        doc["kernel_variant"] == "simd"), name
+print("ok: kernel_variant + simd_compiled + kernel_isa in all five BENCH files")
 EOF
 
     echo "== validating otf-population/5 schema =="

@@ -7,12 +7,16 @@
 // a simple dynamic array of bits with the few bulk operations the statistical
 // tests need (population count, slicing, parsing from ASCII).
 //
-// `otf::bits` holds the portable kernel primitives behind the span ingestion
-// lane (engine::consume_span): span popcount, transition counting and the
-// +/-1 walk summary behind the cusum engine.
-// Every primitive is runtime-dispatched through a process-wide
-// kernel_variant so the differential test harness can pin each variant
-// against the per-bit oracle and the benches can report a per-variant axis.
+// `otf::bits` holds the kernel primitives behind the span ingestion lane
+// (engine::consume_span): span popcount, transition counting and the +/-1
+// walk summary behind the cusum engine.  They are plain C++; the ISA is
+// picked per engine span kernel instead.  Each consume_span body runs
+// through span_kernel(), which compiles it twice -- for the baseline ISA
+// and, on x86-64, for x86-64-v3 (popcnt, BMI1/2, AVX2) -- and runs the
+// clone the process-wide kernel_variant selects: `simd` (the v3 clone)
+// when CPUID reports the features, `portable` otherwise, `reference` for
+// the per-bit loops.  The differential test harness pins each variant
+// against the per-bit oracle and the benches report a per-variant axis.
 #pragma once
 
 #include <array>
@@ -24,10 +28,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace otf {
 
@@ -159,8 +159,8 @@ namespace bits {
 /// is the fuzz oracle); they differ only in speed.
 enum class kernel_variant {
     reference, ///< naive per-bit loops -- the in-module oracle
-    portable,  ///< byte-table / std::popcount batching, plain C++
-    simd,      ///< AVX2 kernels when compiled in, else == portable
+    portable,  ///< byte-table / std::popcount batching, baseline ISA clone
+    simd,      ///< the same kernels in the x86-64-v3 clone (span_kernel)
 };
 
 /// Stable lowercase name ("reference" / "portable" / "simd") for reports
@@ -178,39 +178,132 @@ constexpr const char* to_string(kernel_variant v)
     return "unknown";
 }
 
-/// True when the translation unit was built with AVX2 enabled
-/// (e.g. the -march=x86-64-v3 CI leg); the `simd` variant silently
-/// behaves like `portable` otherwise.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define OTF_BITS_V3_CLONE 1
+#else
+#define OTF_BITS_V3_CLONE 0
+#endif
+
+/// True when this binary holds the x86-64-v3 clone of every span kernel
+/// (any x86-64 build with GCC or Clang; see span_kernel()).
 constexpr bool simd_compiled()
 {
-#if defined(__AVX2__)
-    return true;
+    return OTF_BITS_V3_CLONE != 0;
+}
+
+/// True when this host can run the x86-64-v3 clone: CPUID reports the
+/// features its target attribute enables (read once per process).
+inline bool simd_supported()
+{
+#if OTF_BITS_V3_CLONE
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi")
+            && __builtin_cpu_supports("bmi2")
+            && __builtin_cpu_supports("popcnt");
+    }();
+    return supported;
 #else
     return false;
 #endif
 }
 
-/// The variant a process starts with: `simd` when AVX2 is compiled in,
-/// `portable` otherwise -- so reports name the code that actually runs.
-constexpr kernel_variant default_kernel_variant()
+/// The variant a process starts with: `simd` where the host runs the
+/// x86-64-v3 clone, `portable` otherwise -- so reports name the code that
+/// actually runs.
+inline kernel_variant default_kernel_variant()
 {
-    return simd_compiled() ? kernel_variant::simd : kernel_variant::portable;
+    return simd_supported() ? kernel_variant::simd : kernel_variant::portable;
 }
 
 namespace detail {
-inline std::atomic<kernel_variant> g_kernel_variant{default_kernel_variant()};
+/// Not yet chosen: the process-wide variant is constant-initialised to
+/// this and resolved to default_kernel_variant() on its first read, so no
+/// static initialiser can observe a half-built default.
+inline constexpr auto unresolved_variant = static_cast<kernel_variant>(-1);
+inline std::atomic<kernel_variant> g_kernel_variant{unresolved_variant};
+
+/// The per-bit check inside the primitives: the unresolved value is never
+/// `reference`, so it needs no resolution.
+inline bool per_bit_selected()
+{
+    return g_kernel_variant.load(std::memory_order_relaxed)
+        == kernel_variant::reference;
+}
 } // namespace detail
 
 inline kernel_variant active_kernel_variant()
 {
-    return detail::g_kernel_variant.load(std::memory_order_relaxed);
+    kernel_variant v = detail::g_kernel_variant.load(std::memory_order_relaxed);
+    if (v == detail::unresolved_variant) [[unlikely]] {
+        const kernel_variant chosen = default_kernel_variant();
+        // A concurrent set_kernel_variant() wins over the default.
+        return detail::g_kernel_variant.compare_exchange_strong(
+                   v, chosen, std::memory_order_relaxed)
+            ? chosen
+            : v;
+    }
+    return v;
 }
 
 /// \brief Select the process-wide kernel variant (benches sweep this as a
 /// measurement axis; tests pin each variant against the per-bit oracle).
+/// `simd` on a host that cannot run the x86-64-v3 clone selects
+/// `portable`: active_kernel_variant() always names the code that runs.
 inline void set_kernel_variant(kernel_variant v)
 {
+    if (v == kernel_variant::simd && !simd_supported()) {
+        v = kernel_variant::portable;
+    }
     detail::g_kernel_variant.store(v, std::memory_order_relaxed);
+}
+
+/// Instruction set the span kernels of variant `v` are compiled for
+/// ("x86-64-v3" for the simd clone, "x86-64" or "baseline" otherwise).
+constexpr const char* kernel_isa(kernel_variant v)
+{
+    if (v == kernel_variant::simd && simd_compiled()) {
+        return "x86-64-v3";
+    }
+#if defined(__x86_64__)
+    return "x86-64";
+#else
+    return "baseline";
+#endif
+}
+
+namespace detail {
+template <class Body>
+[[gnu::flatten]] inline void run_baseline(Body& body)
+{
+    body();
+}
+
+#if OTF_BITS_V3_CLONE
+template <class Body>
+[[gnu::flatten, gnu::target("avx2,bmi,bmi2,popcnt")]] inline void
+run_x86_64_v3(Body& body)
+{
+    body();
+}
+#endif
+} // namespace detail
+
+/// \brief Run an engine's span kernel body in the clone the active
+/// variant selects.  Each trampoline inlines the whole body -- the bits::
+/// primitives with it -- so the body is compiled twice: for the baseline
+/// ISA and for x86-64-v3 (std::popcount becomes popcnt, shifts and
+/// trailing-zero counts take BMI encodings).
+template <class Body>
+inline void span_kernel(Body&& body)
+{
+#if OTF_BITS_V3_CLONE
+    if (active_kernel_variant() == kernel_variant::simd) {
+        detail::run_x86_64_v3(body);
+        return;
+    }
+#endif
+    detail::run_baseline(body);
 }
 
 inline std::uint64_t low_mask(unsigned nbits)
@@ -222,7 +315,7 @@ inline std::uint64_t low_mask(unsigned nbits)
 /// \brief Population count of the low `k` bits of `w` (k in [0, 64]).
 inline unsigned prefix_popcount(std::uint64_t w, unsigned k)
 {
-    if (active_kernel_variant() == kernel_variant::reference) {
+    if (detail::per_bit_selected()) {
         unsigned total = 0;
         for (unsigned i = 0; i < k; ++i) {
             total += static_cast<unsigned>((w >> i) & 1u);
@@ -239,40 +332,14 @@ inline std::uint64_t span_popcount(const std::uint64_t* words,
 {
     const std::size_t nwords = nbits / 64;
     const unsigned tail = static_cast<unsigned>(nbits % 64);
-    const kernel_variant variant = active_kernel_variant();
     std::uint64_t total = 0;
-    if (variant == kernel_variant::reference) {
+    if (detail::per_bit_selected()) {
         for (std::size_t i = 0; i < nbits; ++i) {
             total += (words[i / 64] >> (i % 64)) & 1u;
         }
         return total;
     }
     std::size_t j = 0;
-#if defined(__AVX2__)
-    if (variant == kernel_variant::simd && nwords >= 4) {
-        // Nibble-LUT popcount (no AVX-512 vpopcnt needed): per-byte counts
-        // via pshufb, folded with sad against zero.
-        const __m256i lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-        const __m256i nibble = _mm256_set1_epi8(0x0f);
-        __m256i acc = _mm256_setzero_si256();
-        for (; j + 4 <= nwords; j += 4) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(words + j));
-            const __m256i lo = _mm256_shuffle_epi8(
-                lut, _mm256_and_si256(v, nibble));
-            const __m256i hi = _mm256_shuffle_epi8(
-                lut, _mm256_and_si256(_mm256_srli_epi32(v, 4), nibble));
-            acc = _mm256_add_epi64(
-                acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi),
-                                     _mm256_setzero_si256()));
-        }
-        alignas(32) std::uint64_t lanes[4];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-        total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    }
-#endif
     for (; j + 4 <= nwords; j += 4) {
         total += static_cast<std::uint64_t>(std::popcount(words[j]))
             + static_cast<std::uint64_t>(std::popcount(words[j + 1]))
@@ -314,7 +381,7 @@ inline std::uint64_t span_transitions(const std::uint64_t* words,
     if (nwords == 0) {
         return 0;
     }
-    if (active_kernel_variant() == kernel_variant::reference) {
+    if (detail::per_bit_selected()) {
         std::uint64_t total = 0;
         for (std::size_t i = 1; i < nwords * 64; ++i) {
             const unsigned a =
@@ -383,8 +450,7 @@ constexpr std::array<byte_walk, 256> make_walk_table()
 inline constexpr std::array<byte_walk, 256> kWalkTable = make_walk_table();
 
 /// Byte-table fold over the low `k` bits of `x`: one lookup per whole
-/// byte, then single steps for the last k % 8 bits.  Faster than a SWAR
-/// byte-lane walk without AVX2, so it is the portable variant.
+/// byte, then single steps for the last k % 8 bits.
 inline walk_summary walk_bits_portable(std::uint64_t x, unsigned k)
 {
     int s = 0;
@@ -423,60 +489,20 @@ inline walk_summary walk_bits_reference(std::uint64_t x, unsigned k)
 /// \brief Walk summary of the low `k` bits of `x` (k in [0, 64]).
 inline walk_summary prefix_walk(std::uint64_t x, unsigned k)
 {
-    if (active_kernel_variant() == kernel_variant::reference) {
+    if (detail::per_bit_selected()) {
         return detail::walk_bits_reference(x, k);
     }
     return detail::walk_bits_portable(x, k);
 }
 
-/// \brief Walk summary of a whole full-word span: the per-word summaries
-/// (a SWAR byte-lane walk four words at a time under AVX2, the byte
-/// table otherwise) folded left to right into the exact span trajectory.
+/// \brief Walk summary of a whole full-word span: the per-word byte-table
+/// summaries folded left to right into the exact span trajectory.
 inline walk_summary span_walk(const std::uint64_t* words, std::size_t nwords)
 {
     walk_summary acc{0, -65, 65};
-    const kernel_variant variant = active_kernel_variant();
-    std::size_t j = 0;
-#if defined(__AVX2__)
-    if (variant == kernel_variant::simd) {
-        const __m256i lanes_one = _mm256_set1_epi8(1);
-        for (; j + 4 <= nwords; j += 4) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(words + j));
-            __m256i first = _mm256_and_si256(v, lanes_one);
-            first = _mm256_add_epi8(first, first);
-            __m256i w = _mm256_add_epi8(
-                _mm256_sub_epi8(_mm256_set1_epi8(8), lanes_one), first);
-            __m256i mx = w;
-            __m256i mn = w;
-            for (unsigned k = 1; k < 8; ++k) {
-                __m256i b = _mm256_and_si256(_mm256_srli_epi64(v, k),
-                                             lanes_one);
-                b = _mm256_add_epi8(b, b);
-                w = _mm256_sub_epi8(_mm256_add_epi8(w, b), lanes_one);
-                mx = _mm256_max_epu8(mx, w);
-                mn = _mm256_min_epu8(mn, w);
-            }
-            alignas(32) std::uint8_t wl[32];
-            alignas(32) std::uint8_t mxl[32];
-            alignas(32) std::uint8_t mnl[32];
-            _mm256_store_si256(reinterpret_cast<__m256i*>(wl), w);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(mxl), mx);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(mnl), mn);
-            for (unsigned lane = 0; lane < 32; ++lane) {
-                const int byte_hi = acc.delta + mxl[lane] - 8;
-                const int byte_lo = acc.delta + mnl[lane] - 8;
-                acc.max_prefix =
-                    byte_hi > acc.max_prefix ? byte_hi : acc.max_prefix;
-                acc.min_prefix =
-                    byte_lo < acc.min_prefix ? byte_lo : acc.min_prefix;
-                acc.delta += wl[lane] - 8;
-            }
-        }
-    }
-#endif
-    for (; j < nwords; ++j) {
-        const walk_summary s = variant == kernel_variant::reference
+    const bool per_bit = detail::per_bit_selected();
+    for (std::size_t j = 0; j < nwords; ++j) {
+        const walk_summary s = per_bit
             ? detail::walk_bits_reference(words[j], 64)
             : detail::walk_bits_portable(words[j], 64);
         const int hi = acc.delta + s.max_prefix;

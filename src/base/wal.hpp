@@ -19,7 +19,7 @@
 //
 // Every frame carries its own CRC32C (the Castagnoli polynomial --
 // single-bit errors over the covered bytes are detected by construction,
-// and the SSE4.2 crc32 instruction accelerates it where compiled in).
+// and the SSE4.2 crc32 instruction accelerates it where CPUID reports it).
 // The reader walks frames from the front and stops at the FIRST invalid
 // frame -- short header, impossible length, or CRC mismatch -- yielding
 // exactly the prefix of valid records and never a garbage record.  That
@@ -46,8 +46,11 @@
 #include <utility>
 #include <vector>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define OTF_WAL_CRC32C_SSE42 1
 #include <nmmintrin.h>
+#else
+#define OTF_WAL_CRC32C_SSE42 0
 #endif
 
 namespace otf::base {
@@ -76,17 +79,6 @@ inline constexpr std::array<std::uint32_t, 256> crc32c_table =
 
 } // namespace detail
 
-/// True when the translation unit was built with SSE4.2 enabled (the
-/// x86-64-v3 CI leg); crc32c() silently uses the table path otherwise.
-constexpr bool crc32c_hw_compiled()
-{
-#if defined(__SSE4_2__)
-    return true;
-#else
-    return false;
-#endif
-}
-
 /// \brief Byte-at-a-time table CRC32C -- the portable reference the
 /// hardware path is pinned against in tests/test_wal.cpp.
 inline std::uint32_t crc32c_table_path(const void* data, std::size_t len,
@@ -100,12 +92,25 @@ inline std::uint32_t crc32c_table_path(const void* data, std::size_t len,
     return ~crc;
 }
 
-/// \brief CRC32C of `len` bytes (SSE4.2 crc32 instruction when compiled
-/// in, table fallback otherwise; identical results by construction).
-inline std::uint32_t crc32c(const void* data, std::size_t len,
-                            std::uint32_t seed = 0)
+#if OTF_WAL_CRC32C_SSE42
+namespace detail {
+
+/// True when this host runs the SSE4.2 crc32 instruction (CPUID, read
+/// once per process).
+inline bool crc32c_sse42_supported()
 {
-#if defined(__SSE4_2__)
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("sse4.2") != 0;
+    }();
+    return supported;
+}
+
+/// The SSE4.2 crc32 loop, compiled for SSE4.2 in every x86-64 build and
+/// run only where crc32c_sse42_supported().
+[[gnu::target("sse4.2")]] inline std::uint32_t
+crc32c_sse42(const void* data, std::size_t len, std::uint32_t seed)
+{
     const auto* p = static_cast<const unsigned char*>(data);
     std::uint32_t crc = ~seed;
     while (len >= 8) {
@@ -121,9 +126,22 @@ inline std::uint32_t crc32c(const void* data, std::size_t len,
         --len;
     }
     return ~crc;
-#else
-    return crc32c_table_path(data, len, seed);
+}
+
+} // namespace detail
 #endif
+
+/// \brief CRC32C of `len` bytes (the SSE4.2 crc32 instruction where the
+/// host has it, the table otherwise; identical results by construction).
+inline std::uint32_t crc32c(const void* data, std::size_t len,
+                            std::uint32_t seed = 0)
+{
+#if OTF_WAL_CRC32C_SSE42
+    if (detail::crc32c_sse42_supported()) {
+        return detail::crc32c_sse42(data, len, seed);
+    }
+#endif
+    return crc32c_table_path(data, len, seed);
 }
 
 // ---------------------------------------------------------------------

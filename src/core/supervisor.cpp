@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <iterator>
 #include <stdexcept>
 
 namespace otf::core {
@@ -73,6 +74,9 @@ supervisor::supervisor(supervisor_config cfg, critical_values baseline_cv,
       mon_(cfg_.baseline, cv_baseline_),
       alarm_(cfg_.fail_threshold, cfg_.policy_window)
 {
+    // Sized for a full ring, so reset() moves one into the spares without
+    // allocating.
+    spare_windows_.reserve(cfg_.evidence_windows);
 }
 
 // ---------------------------------------------------------------------
@@ -277,10 +281,15 @@ supervisor_checkpoint parse_checkpoint(
 
 void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
                    std::uint64_t index, const std::uint64_t* words,
-                   std::size_t nwords)
+                   std::size_t nwords, std::vector<evidence_window>* spare)
 {
     if (ring.size() < depth) {
-        ring.emplace_back();
+        if (spare != nullptr && !spare->empty()) {
+            ring.push_back(std::move(spare->back()));
+            spare->pop_back();
+        } else {
+            ring.emplace_back();
+        }
     } else if (ring.empty()) {
         return; // depth 0 (possible in a logged config) keeps nothing
     } else {
@@ -360,7 +369,7 @@ void supervisor::capture(std::uint64_t window_index,
                          const std::uint64_t* words, std::size_t nwords)
 {
     push_evidence(state_.evidence_ring, cfg_.evidence_windows, window_index,
-                  words, nwords);
+                  words, nwords, &spare_windows_);
     if (telemetry_ != nullptr) {
         telemetry_->log_window(window_index, words, nwords);
     }
@@ -540,7 +549,14 @@ void supervisor::reset()
     mon_.reconfigure(cfg_.baseline, cv_baseline_);
     alarm_.reset();
     telemetry_ = nullptr;
+    // The evidence ring keeps its storage for the next run: the captured
+    // windows (word buffers included) move to the spares, the emptied
+    // vector keeps its capacity.
+    std::vector<evidence_window> ring = std::move(state_.evidence_ring);
+    std::move(ring.begin(), ring.end(), std::back_inserter(spare_windows_));
+    ring.clear();
     state_ = supervisor_checkpoint{};
+    state_.evidence_ring = std::move(ring);
 }
 
 void supervisor::write_events(json_writer& json,

@@ -164,10 +164,12 @@ evidence_window parse_window(base::byte_cursor& cursor);
 
 /// \brief Append one window to an oldest-first evidence ring of at most
 /// `depth` windows.  A full ring rotates and reuses its oldest slot's
-/// buffer, so steady-state capture allocates nothing.
+/// buffer, so steady-state capture allocates nothing; a growing ring takes
+/// its new slot from `spare` first, when given and not empty.
 void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
                    std::uint64_t index, const std::uint64_t* words,
-                   std::size_t nwords);
+                   std::size_t nwords,
+                   std::vector<evidence_window>* spare = nullptr);
 
 /// \brief The offline confirmation: the ring's words, oldest first and
 /// LSB-first, through the SP 800-22 battery (`cfg.offline_*`).  Live
@@ -354,7 +356,8 @@ public:
     /// half-fed) and returns to the baseline design, a resident one; the
     /// alarm policy, the counters, the evidence ring, the timeline and the
     /// monitor's window and instruction counts clear, and a telemetry sink
-    /// is detached.
+    /// is detached.  The evidence ring's storage is kept, so a quiet
+    /// device refills it without allocating.
     void reset();
 
 private:
@@ -374,6 +377,8 @@ private:
     /// Everything but the alarm and monitor fields, which alarm_ and
     /// mon_ own and checkpoint() fills in.
     supervisor_checkpoint state_;
+    /// Evidence slots reset() took off the ring, reused as it refills.
+    std::vector<evidence_window> spare_windows_;
 };
 
 } // namespace otf::core

@@ -36,22 +36,24 @@ void block_frequency_hw::consume_span(const std::uint64_t* words,
                                       std::size_t nbits,
                                       std::uint64_t bit_index)
 {
-    std::size_t done = 0;
-    while (done < nbits) {
-        const std::uint64_t pos_in_block = (bit_index + done) & block_mask_;
-        const std::uint64_t to_boundary = (block_mask_ + 1) - pos_in_block;
-        const std::size_t take = to_boundary < nbits - done
-            ? static_cast<std::size_t>(to_boundary)
-            : nbits - done;
-        ones_.advance(bits::range_popcount(words, done, take));
-        if (pos_in_block + take == block_mask_ + 1) {
-            const auto slot =
-                static_cast<unsigned>((bit_index + done) >> log2_m_);
-            bank_.write(slot, ones_.value());
-            ones_.clear();
+    bits::span_kernel([&] {
+        std::size_t done = 0;
+        while (done < nbits) {
+            const std::uint64_t pos_in_block = (bit_index + done) & block_mask_;
+            const std::uint64_t to_boundary = (block_mask_ + 1) - pos_in_block;
+            const std::size_t take = to_boundary < nbits - done
+                ? static_cast<std::size_t>(to_boundary)
+                : nbits - done;
+            ones_.advance(bits::range_popcount(words, done, take));
+            if (pos_in_block + take == block_mask_ + 1) {
+                const auto slot =
+                    static_cast<unsigned>((bit_index + done) >> log2_m_);
+                bank_.write(slot, ones_.value());
+                ones_.clear();
+            }
+            done += take;
         }
-        done += take;
-    }
+    });
 }
 
 void block_frequency_hw::add_registers(register_map& map) const

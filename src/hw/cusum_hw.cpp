@@ -24,29 +24,32 @@ void cusum_hw::consume(bool bit, std::uint64_t bit_index)
 void cusum_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
                             std::uint64_t bit_index)
 {
-    (void)bit_index;
-    std::int64_t walk = walk_.value();
-    std::int64_t hi = walk_.min_representable();
-    std::int64_t lo = walk_.max_representable();
-    const std::size_t nwords = nbits / 64;
-    if (nwords != 0) {
-        const bits::walk_summary ws = bits::span_walk(words, nwords);
-        const std::int64_t whi = walk + ws.max_prefix;
-        const std::int64_t wlo = walk + ws.min_prefix;
-        hi = whi > hi ? whi : hi;
-        lo = wlo < lo ? wlo : lo;
-        walk += ws.delta;
-    }
-    const unsigned tail = static_cast<unsigned>(nbits % 64);
-    if (tail != 0) {
-        const bits::walk_summary ts = bits::prefix_walk(words[nwords], tail);
-        hi = walk + ts.max_prefix > hi ? walk + ts.max_prefix : hi;
-        lo = walk + ts.min_prefix < lo ? walk + ts.min_prefix : lo;
-        walk += ts.delta;
-    }
-    walk_.advance(walk - walk_.value());
-    max_.observe(hi);
-    min_.observe(lo);
+    bits::span_kernel([&] {
+        (void)bit_index;
+        std::int64_t walk = walk_.value();
+        std::int64_t hi = walk_.min_representable();
+        std::int64_t lo = walk_.max_representable();
+        const std::size_t nwords = nbits / 64;
+        if (nwords != 0) {
+            const bits::walk_summary ws = bits::span_walk(words, nwords);
+            const std::int64_t whi = walk + ws.max_prefix;
+            const std::int64_t wlo = walk + ws.min_prefix;
+            hi = whi > hi ? whi : hi;
+            lo = wlo < lo ? wlo : lo;
+            walk += ws.delta;
+        }
+        const unsigned tail = static_cast<unsigned>(nbits % 64);
+        if (tail != 0) {
+            const bits::walk_summary ts =
+                bits::prefix_walk(words[nwords], tail);
+            hi = walk + ts.max_prefix > hi ? walk + ts.max_prefix : hi;
+            lo = walk + ts.min_prefix < lo ? walk + ts.min_prefix : lo;
+            walk += ts.delta;
+        }
+        walk_.advance(walk - walk_.value());
+        max_.observe(hi);
+        min_.observe(lo);
+    });
 }
 
 void cusum_hw::add_registers(register_map& map) const

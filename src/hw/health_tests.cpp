@@ -58,51 +58,53 @@ void repetition_count_hw::consume_span(const std::uint64_t* words,
                                        std::size_t nbits,
                                        std::uint64_t bit_index)
 {
-    (void)bit_index;
-    if (nbits == 0) {
-        return;
-    }
-    const std::uint64_t sat = run_.max_value();
-    std::uint64_t longest = static_cast<std::uint64_t>(longest_.value());
-    std::uint64_t run = run_.value();
-    bool prev = prev_;
-    bool primed = primed_;
-    bool alarm = alarm_;
-    std::size_t done = 0;
-    while (done < nbits) {
-        const unsigned take = nbits - done < 64
-            ? static_cast<unsigned>(nbits - done)
-            : 64u;
-        const std::uint64_t word = words[done / 64];
-        unsigned pos = 0;
-        while (pos < take) {
-            const bool cur = ((word >> pos) & 1u) != 0;
-            const std::uint64_t same = cur ? (word >> pos) : ~(word >> pos);
-            unsigned len = static_cast<unsigned>(std::countr_one(same));
-            if (len > take - pos) {
-                len = take - pos;
-            }
-            if (pos == 0 && primed && cur == prev) {
-                run = run + len >= sat ? sat : run + len;
-            } else {
-                run = len >= sat ? sat : len;
-            }
-            longest = run > longest ? run : longest;
-            if (run >= cutoff_) {
-                alarm = true;
-            }
-            prev = cur;
-            pos += len;
+    bits::span_kernel([&] {
+        (void)bit_index;
+        if (nbits == 0) {
+            return;
         }
-        primed = true;
-        done += take;
-    }
-    prev_ = prev;
-    primed_ = primed;
-    alarm_ = alarm;
-    run_.clear();
-    run_.advance(run);
-    longest_.observe(static_cast<std::int64_t>(longest));
+        const std::uint64_t sat = run_.max_value();
+        std::uint64_t longest = static_cast<std::uint64_t>(longest_.value());
+        std::uint64_t run = run_.value();
+        bool prev = prev_;
+        bool primed = primed_;
+        bool alarm = alarm_;
+        std::size_t done = 0;
+        while (done < nbits) {
+            const unsigned take = nbits - done < 64
+                ? static_cast<unsigned>(nbits - done)
+                : 64u;
+            const std::uint64_t word = words[done / 64];
+            unsigned pos = 0;
+            while (pos < take) {
+                const bool cur = ((word >> pos) & 1u) != 0;
+                const std::uint64_t same = cur ? (word >> pos) : ~(word >> pos);
+                unsigned len = static_cast<unsigned>(std::countr_one(same));
+                if (len > take - pos) {
+                    len = take - pos;
+                }
+                if (pos == 0 && primed && cur == prev) {
+                    run = run + len >= sat ? sat : run + len;
+                } else {
+                    run = len >= sat ? sat : len;
+                }
+                longest = run > longest ? run : longest;
+                if (run >= cutoff_) {
+                    alarm = true;
+                }
+                prev = cur;
+                pos += len;
+            }
+            primed = true;
+            done += take;
+        }
+        prev_ = prev;
+        primed_ = primed;
+        alarm_ = alarm;
+        run_.clear();
+        run_.advance(run);
+        longest_.observe(static_cast<std::int64_t>(longest));
+    });
 }
 
 void repetition_count_hw::add_registers(register_map& map) const
@@ -159,24 +161,26 @@ void adaptive_proportion_hw::consume_span(const std::uint64_t* words,
                                           std::size_t nbits,
                                           std::uint64_t bit_index)
 {
-    std::size_t done = 0;
-    while (done < nbits) {
-        const std::uint64_t pos = (bit_index + done) & window_mask_;
-        if (pos == 0) {
-            reference_ = ((words[done / 64] >> (done % 64)) & 1u) != 0;
-            occurrences_.clear();
+    bits::span_kernel([&] {
+        std::size_t done = 0;
+        while (done < nbits) {
+            const std::uint64_t pos = (bit_index + done) & window_mask_;
+            if (pos == 0) {
+                reference_ = ((words[done / 64] >> (done % 64)) & 1u) != 0;
+                occurrences_.clear();
+            }
+            const std::uint64_t to_boundary = (window_mask_ + 1) - pos;
+            const std::size_t take = to_boundary < nbits - done
+                ? static_cast<std::size_t>(to_boundary)
+                : nbits - done;
+            const std::uint64_t ones = bits::range_popcount(words, done, take);
+            occurrences_.advance(reference_ ? ones : take - ones);
+            if (occurrences_.value() >= cutoff_) {
+                alarm_ = true;
+            }
+            done += take;
         }
-        const std::uint64_t to_boundary = (window_mask_ + 1) - pos;
-        const std::size_t take = to_boundary < nbits - done
-            ? static_cast<std::size_t>(to_boundary)
-            : nbits - done;
-        const std::uint64_t ones = bits::range_popcount(words, done, take);
-        occurrences_.advance(reference_ ? ones : take - ones);
-        if (occurrences_.value() >= cutoff_) {
-            alarm_ = true;
-        }
-        done += take;
-    }
+    });
 }
 
 void adaptive_proportion_hw::add_registers(register_map& map) const

@@ -1,5 +1,7 @@
 #include "hw/longest_run_hw.hpp"
 
+#include "base/bits.hpp"
+
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -99,93 +101,96 @@ const std::array<byte_runs, 256>& run_table()
 void longest_run_hw::consume_span(const std::uint64_t* words,
                                   std::size_t nbits, std::uint64_t bit_index)
 {
-    // The carried run and the block maximum live in locals; closed blocks
-    // tally per category and the RTL counters commit once at the end of
-    // the span.  A run never outgrows its block (M < 2^(log2 M + 1)), so
-    // the saturating run counter never clamps.
-    const byte_runs* table = run_table().data();
-    const std::uint64_t block_bits = block_mask_ + 1;
-    const std::uint64_t v_lo = v_lo_;
-    const std::uint64_t top_category = v_hi_ - v_lo_;
-    std::uint64_t* tally = tally_.data();
-    std::uint64_t run = run_length_.value();
-    std::uint64_t bmax = static_cast<std::uint64_t>(block_max_.value());
-    std::uint64_t to_block_end = block_bits - (bit_index & block_mask_);
-    const bool closes = nbits >= to_block_end;
+    bits::span_kernel([&] {
+        // The carried run and the block maximum live in locals; closed blocks
+        // tally per category and the RTL counters commit once at the end of
+        // the span.  A run never outgrows its block (M < 2^(log2 M + 1)), so
+        // the saturating run counter never clamps.
+        const byte_runs* table = run_table().data();
+        const std::uint64_t block_bits = block_mask_ + 1;
+        const std::uint64_t v_lo = v_lo_;
+        const std::uint64_t top_category = v_hi_ - v_lo_;
+        std::uint64_t* tally = tally_.data();
+        std::uint64_t run = run_length_.value();
+        std::uint64_t bmax = static_cast<std::uint64_t>(block_max_.value());
+        std::uint64_t to_block_end = block_bits - (bit_index & block_mask_);
+        const bool closes = nbits >= to_block_end;
 
-    // k (1..8) stream bits, LSB first in the low bits of x.  The low-masked
-    // bits give the leading and longest runs; the same bits shifted to the
-    // top of the byte give the trailing run (k = 8: the same entry).
-    const auto step = [&](std::uint64_t x, unsigned k) {
-        const unsigned low = static_cast<unsigned>(x) & (0xFFu >> (8 - k));
-        const byte_runs& e = table[low];
-        const byte_runs& top = table[(low << (8 - k)) & 0xFFu];
-        const std::uint64_t head = run + e.lead;
-        const std::uint64_t longest = head > e.inner ? head : e.inner;
-        bmax = longest > bmax ? longest : bmax;
-        run = e.lead == k ? run + k : top.trail;
-    };
+        // k (1..8) stream bits, LSB first in the low bits of x.  The low-masked
+        // bits give the leading and longest runs; the same bits shifted to the
+        // top of the byte give the trailing run (k = 8: the same entry).
+        const auto step = [&](std::uint64_t x, unsigned k) {
+            const unsigned low = static_cast<unsigned>(x) & (0xFFu >> (8 - k));
+            const byte_runs& e = table[low];
+            const byte_runs& top = table[(low << (8 - k)) & 0xFFu];
+            const std::uint64_t head = run + e.lead;
+            const std::uint64_t longest = head > e.inner ? head : e.inner;
+            bmax = longest > bmax ? longest : bmax;
+            run = e.lead == k ? run + k : top.trail;
+        };
 
-    const auto close_block = [&] {
-        // Category = the block maximum clamped to [v_lo, v_hi], minus
-        // v_lo, by masks: the category is random per block, so a branch
-        // here mispredicts.
-        std::uint64_t category =
-            (bmax - v_lo) & (std::uint64_t{0} - (bmax >= v_lo));
-        category -= (category - top_category)
-            & (std::uint64_t{0} - (category > top_category));
-        ++tally[category];
-        run = 0;
-        bmax = 0;
-        to_block_end = block_bits;
-    };
+        const auto close_block = [&] {
+            // Category = the block maximum clamped to [v_lo, v_hi], minus
+            // v_lo, by masks: the category is random per block, so a branch
+            // here mispredicts.
+            std::uint64_t category =
+                (bmax - v_lo) & (std::uint64_t{0} - (bmax >= v_lo));
+            category -= (category - top_category)
+                & (std::uint64_t{0} - (category > top_category));
+            ++tally[category];
+            run = 0;
+            bmax = 0;
+            to_block_end = block_bits;
+        };
 
-    // Per span word: eight whole-byte steps when its block ends fall on
-    // byte boundaries; otherwise pieces of up to 8 bits that stop at block
-    // ends (M < 8, unaligned blocks, the span's last word, whose bits past
-    // nbits the piece masks drop).
-    for (std::size_t done = 0; done < nbits; done += 64) {
-        const std::uint64_t x = words[done / 64];
-        const unsigned avail =
-            static_cast<unsigned>(std::min<std::size_t>(64, nbits - done));
-        if (avail == 64 && to_block_end % 8 == 0) {
-            // Unrolled, so the byte offsets are constants; a block may
-            // close after any byte (M = 8..32, or a longer block's end).
-            [&]<unsigned... B>(std::integer_sequence<unsigned, B...>) {
-                ((step(x >> (8 * B), 8), to_block_end -= 8,
-                  to_block_end == 0 ? close_block() : void()),
-                 ...);
-            }(std::make_integer_sequence<unsigned, 8>{});
-        } else {
-            for (unsigned used = 0; used < avail;) {
-                const unsigned k = static_cast<unsigned>(
-                    std::min<std::uint64_t>({8, avail - used, to_block_end}));
-                if (k == 8) { // the constant k folds to one lookup
-                    step(x >> used, 8);
-                } else {
-                    step(x >> used, k);
-                }
-                used += k;
-                to_block_end -= k;
-                if (to_block_end == 0) {
-                    close_block();
+        // Per span word: eight whole-byte steps when its block ends fall on
+        // byte boundaries; otherwise pieces of up to 8 bits that stop at block
+        // ends (M < 8, unaligned blocks, the span's last word, whose bits past
+        // nbits the piece masks drop).
+        for (std::size_t done = 0; done < nbits; done += 64) {
+            const std::uint64_t x = words[done / 64];
+            const unsigned avail =
+                static_cast<unsigned>(std::min<std::size_t>(64, nbits - done));
+            if (avail == 64 && to_block_end % 8 == 0) {
+                // Unrolled, so the byte offsets are constants; a block may
+                // close after any byte (M = 8..32, or a longer block's end).
+                [&]<unsigned... B>(std::integer_sequence<unsigned, B...>) {
+                    ((step(x >> (8 * B), 8), to_block_end -= 8,
+                      to_block_end == 0 ? close_block() : void()),
+                     ...);
+                }(std::make_integer_sequence<unsigned, 8>{});
+            } else {
+                for (unsigned used = 0; used < avail;) {
+                    const unsigned k =
+                        static_cast<unsigned>(std::min<std::uint64_t>(
+                            {8, avail - used, to_block_end}));
+                    if (k == 8) { // the constant k folds to one lookup
+                        step(x >> used, 8);
+                    } else {
+                        step(x >> used, k);
+                    }
+                    used += k;
+                    to_block_end -= k;
+                    if (to_block_end == 0) {
+                        close_block();
+                    }
                 }
             }
         }
-    }
 
-    if (closes) {
-        for (std::size_t c = 0; c < tally_.size(); ++c) {
-            categories_[c]->advance(tally_[c]);
-            tally_[c] = 0;
+        if (closes) {
+            for (std::size_t c = 0; c < tally_.size(); ++c) {
+                categories_[c]->advance(tally_[c]);
+                tally_[c] = 0;
+            }
         }
-    }
-    run_length_.clear();
-    run_length_.advance(run);
-    block_max_.clear();
-    if (bmax > 0) {
-        block_max_.observe(static_cast<std::int64_t>(bmax));
-    }
+        run_length_.clear();
+        run_length_.advance(run);
+        block_max_.clear();
+        if (bmax > 0) {
+            block_max_.observe(static_cast<std::int64_t>(bmax));
+        }
+    });
 }
 
 void longest_run_hw::add_registers(register_map& map) const

@@ -29,42 +29,44 @@ void runs_hw::consume(bool bit, std::uint64_t bit_index)
 void runs_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
                            std::uint64_t bit_index)
 {
-    (void)bit_index;
-    if (nbits == 0) {
-        return;
-    }
-    const std::size_t nwords = nbits / 64;
-    std::uint64_t steps = bits::span_transitions(words, nwords);
-    bool prev = prev_;
-    bool primed = primed_;
-    if (nwords != 0) {
-        const bool first = (words[0] & 1u) != 0;
-        if (!primed) {
-            ++steps;
-            primed = true;
-        } else if (first != prev) {
-            ++steps;
+    bits::span_kernel([&] {
+        (void)bit_index;
+        if (nbits == 0) {
+            return;
         }
-        prev = (words[nwords - 1] >> 63) != 0;
-    }
-    const unsigned tail = static_cast<unsigned>(nbits % 64);
-    if (tail != 0) {
-        const std::uint64_t x = words[nwords] & bits::low_mask(tail);
-        const std::uint64_t pair_mask = bits::low_mask(tail - 1);
-        steps += static_cast<std::uint64_t>(
-            std::popcount((x ^ (x >> 1)) & pair_mask));
-        const bool first = (x & 1u) != 0;
-        if (!primed) {
-            ++steps;
-            primed = true;
-        } else if (first != prev) {
-            ++steps;
+        const std::size_t nwords = nbits / 64;
+        std::uint64_t steps = bits::span_transitions(words, nwords);
+        bool prev = prev_;
+        bool primed = primed_;
+        if (nwords != 0) {
+            const bool first = (words[0] & 1u) != 0;
+            if (!primed) {
+                ++steps;
+                primed = true;
+            } else if (first != prev) {
+                ++steps;
+            }
+            prev = (words[nwords - 1] >> 63) != 0;
         }
-        prev = ((x >> (tail - 1)) & 1u) != 0;
-    }
-    runs_.advance(steps);
-    prev_ = prev;
-    primed_ = primed;
+        const unsigned tail = static_cast<unsigned>(nbits % 64);
+        if (tail != 0) {
+            const std::uint64_t x = words[nwords] & bits::low_mask(tail);
+            const std::uint64_t pair_mask = bits::low_mask(tail - 1);
+            steps += static_cast<std::uint64_t>(
+                std::popcount((x ^ (x >> 1)) & pair_mask));
+            const bool first = (x & 1u) != 0;
+            if (!primed) {
+                ++steps;
+                primed = true;
+            } else if (first != prev) {
+                ++steps;
+            }
+            prev = ((x >> (tail - 1)) & 1u) != 0;
+        }
+        runs_.advance(steps);
+        prev_ = prev;
+        primed_ = primed;
+    });
 }
 
 void runs_hw::add_registers(register_map& map) const

@@ -1,5 +1,7 @@
 #include "hw/serial_hw.hpp"
 
+#include "base/bits.hpp"
+
 #include <algorithm>
 #include <stdexcept>
 
@@ -220,70 +222,72 @@ void serial_hw::consume(bool bit, std::uint64_t bit_index)
 void serial_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
                              std::uint64_t bit_index)
 {
-    const auto bit_at = [words](std::size_t i) {
-        return ((words[i / 64] >> (i % 64)) & 1u) != 0;
-    };
-    // Warm-up (window not yet full / opening bits still latching) runs on
-    // the per-bit path; it only ever covers the first m bits of a window,
-    // so every position below is steady-state.
-    std::size_t done = 0;
-    for (; done < nbits && seen_ < m_; ++done) {
-        consume(bit_at(done), bit_index + done);
-    }
-    if (done == nbits) {
-        return;
-    }
-
-    const std::uint64_t mask_m = (std::uint64_t{1} << m_) - 1;
-    std::uint64_t w = window_.window() & mask_m;
-    std::uint32_t delta_m[256] = {};
-    std::size_t pos = done;
-    switch (m_) {
-    case 3: pos = count_bytes<3>(words, done, nbits, w, delta_m); break;
-    case 4: pos = count_bytes<4>(words, done, nbits, w, delta_m); break;
-    case 5: pos = count_bytes<5>(words, done, nbits, w, delta_m); break;
-    default: break; // m in [6, 8]: the table would outgrow L1
-    }
-    // The last < 8 bits (every bit for m in [6, 8]) slide the window in a
-    // local register.
-    for (; pos < nbits; ++pos) {
-        w = ((w << 1) | (bit_at(pos) ? 1u : 0u)) & mask_m;
-        ++delta_m[w];
-    }
-
-    // The register advances past the steady-state bits: to the next word
-    // boundary, then by whole words.
-    const std::size_t head_end = std::min(nbits, (done + 63) / 64 * 64);
-    if (head_end > done) {
-        window_.shift_word(words[done / 64] >> (done % 64),
-                           static_cast<unsigned>(head_end - done));
-    }
-    window_.shift_span(words + head_end / 64, nbits - head_end);
-    seen_ += nbits - done;
-    for (std::uint32_t p = 0; p <= mask_m; ++p) {
-        if (delta_m[p] != 0) {
-            file_m_[p]->advance(delta_m[p]);
+    bits::span_kernel([&] {
+        const auto bit_at = [words](std::size_t i) {
+            return ((words[i / 64] >> (i % 64)) & 1u) != 0;
+        };
+        // Warm-up (window not yet full / opening bits still latching) runs on
+        // the per-bit path; it only ever covers the first m bits of a window,
+        // so every position below is steady-state.
+        std::size_t done = 0;
+        for (; done < nbits && seen_ < m_; ++done) {
+            consume(bit_at(done), bit_index + done);
         }
-    }
-    if (!marginals_in_software_) {
-        // Every steady-state position increments all three lengths, so the
-        // shorter files are exact marginals of the span-local m-bit deltas.
-        const std::uint32_t half = 1u << (m_ - 1);
-        const std::uint32_t quarter = 1u << (m_ - 2);
-        for (std::uint32_t q = 0; q < half; ++q) {
-            const std::uint32_t d = delta_m[q] + delta_m[q | half];
-            if (d != 0) {
-                file_m1_[q]->advance(d);
+        if (done == nbits) {
+            return;
+        }
+
+        const std::uint64_t mask_m = (std::uint64_t{1} << m_) - 1;
+        std::uint64_t w = window_.window() & mask_m;
+        std::uint32_t delta_m[256] = {};
+        std::size_t pos = done;
+        switch (m_) {
+        case 3: pos = count_bytes<3>(words, done, nbits, w, delta_m); break;
+        case 4: pos = count_bytes<4>(words, done, nbits, w, delta_m); break;
+        case 5: pos = count_bytes<5>(words, done, nbits, w, delta_m); break;
+        default: break; // m in [6, 8]: the table would outgrow L1
+        }
+        // The last < 8 bits (every bit for m in [6, 8]) slide the window in a
+        // local register.
+        for (; pos < nbits; ++pos) {
+            w = ((w << 1) | (bit_at(pos) ? 1u : 0u)) & mask_m;
+            ++delta_m[w];
+        }
+
+        // The register advances past the steady-state bits: to the next word
+        // boundary, then by whole words.
+        const std::size_t head_end = std::min(nbits, (done + 63) / 64 * 64);
+        if (head_end > done) {
+            window_.shift_word(words[done / 64] >> (done % 64),
+                               static_cast<unsigned>(head_end - done));
+        }
+        window_.shift_span(words + head_end / 64, nbits - head_end);
+        seen_ += nbits - done;
+        for (std::uint32_t p = 0; p <= mask_m; ++p) {
+            if (delta_m[p] != 0) {
+                file_m_[p]->advance(delta_m[p]);
             }
         }
-        for (std::uint32_t q = 0; q < quarter; ++q) {
-            const std::uint32_t d = delta_m[q] + delta_m[q | quarter]
-                + delta_m[q | half] + delta_m[q | half | quarter];
-            if (d != 0) {
-                file_m2_[q]->advance(d);
+        if (!marginals_in_software_) {
+            // Every steady-state position increments all three lengths, so the
+            // shorter files are exact marginals of the span-local m-bit deltas.
+            const std::uint32_t half = 1u << (m_ - 1);
+            const std::uint32_t quarter = 1u << (m_ - 2);
+            for (std::uint32_t q = 0; q < half; ++q) {
+                const std::uint32_t d = delta_m[q] + delta_m[q | half];
+                if (d != 0) {
+                    file_m1_[q]->advance(d);
+                }
+            }
+            for (std::uint32_t q = 0; q < quarter; ++q) {
+                const std::uint32_t d = delta_m[q] + delta_m[q | quarter]
+                    + delta_m[q | half] + delta_m[q | half | quarter];
+                if (d != 0) {
+                    file_m2_[q]->advance(d);
+                }
             }
         }
-    }
+    });
 }
 
 void serial_hw::flush(bool bit, unsigned t)

@@ -112,93 +112,95 @@ void non_overlapping_hw::consume_span(const std::uint64_t* words,
                                       std::size_t nbits,
                                       std::uint64_t bit_index)
 {
-    const std::uint64_t len_mask =
-        (std::uint64_t{1} << template_length_) - 1;
-    const std::uint64_t pattern = matcher_.pattern() & len_mask;
-    const std::uint64_t w_mask =
-        (std::uint64_t{1} << w_.width()) - 1;
-    std::uint64_t matches = w_.value();
-    unsigned inhibit = inhibit_;
+    bits::span_kernel([&] {
+        const std::uint64_t len_mask =
+            (std::uint64_t{1} << template_length_) - 1;
+        const std::uint64_t pattern = matcher_.pattern() & len_mask;
+        const std::uint64_t w_mask =
+            (std::uint64_t{1} << w_.width()) - 1;
+        std::uint64_t matches = w_.value();
+        unsigned inhibit = inhibit_;
 
-    // Shared-window engines reconstruct the window across the whole span
-    // (the block shifts the shared register only after the span), so both
-    // paths below track it locally; the per-bit default would read a
-    // stale register and is never used here.
-    const auto scan = [&](std::uint64_t& w, std::size_t first,
-                          std::size_t last) {
-        for (std::size_t i = first; i < last; ++i) {
-            w = (w << 1) | ((words[i / 64] >> (i % 64)) & 1u);
-            const std::uint64_t idx = bit_index + i;
-            const std::uint64_t pos_in_block = idx & block_mask_;
-            if (pos_in_block >= template_length_ - 1 && inhibit == 0
-                && (w & len_mask) == pattern) {
-                ++matches;
-                inhibit = template_length_ - 1;
-            } else if (inhibit > 0) {
-                --inhibit;
-            }
-            if (pos_in_block == block_mask_) {
-                bank_.write(static_cast<unsigned>(idx >> log2_m_),
-                            matches & w_mask);
-                matches = 0;
-                inhibit = 0;
-            }
-        }
-    };
-
-    if (log2_m_ < 6 || bit_index % 64 != 0) {
-        std::uint64_t w = window_.window();
-        scan(w, 0, nbits);
-    } else {
-        // Word-aligned fast path: one match mask per word, matches picked
-        // greedily with the non-overlap restart tracked as the next
-        // eligible position (`inhibit` remaining skips = position of the
-        // next eligible bit relative to the word start).
-        const std::size_t full_end = nbits / 64;
-        const std::uint64_t eligible_start =
-            ~bits::low_mask(template_length_ - 1);
-        std::uint64_t prev =
-            prev_from_window(window_.window(), template_length_);
-        unsigned next_ok = inhibit;
-        for (std::size_t widx = 0; widx < full_end; ++widx) {
-            const std::uint64_t x = words[widx];
-            const std::uint64_t word_start = bit_index + widx * 64;
-            std::uint64_t mask =
-                match_mask(x, prev, pattern, template_length_);
-            if ((word_start & block_mask_) == 0) {
-                mask &= eligible_start;
-            }
-            while (mask != 0) {
-                const unsigned i =
-                    static_cast<unsigned>(std::countr_zero(mask));
-                mask &= mask - 1;
-                if (i < next_ok) {
-                    continue;
+        // Shared-window engines reconstruct the window across the whole span
+        // (the block shifts the shared register only after the span), so both
+        // paths below track it locally; the per-bit default would read a
+        // stale register and is never used here.
+        const auto scan = [&](std::uint64_t& w, std::size_t first,
+                              std::size_t last) {
+            for (std::size_t i = first; i < last; ++i) {
+                w = (w << 1) | ((words[i / 64] >> (i % 64)) & 1u);
+                const std::uint64_t idx = bit_index + i;
+                const std::uint64_t pos_in_block = idx & block_mask_;
+                if (pos_in_block >= template_length_ - 1 && inhibit == 0
+                    && (w & len_mask) == pattern) {
+                    ++matches;
+                    inhibit = template_length_ - 1;
+                } else if (inhibit > 0) {
+                    --inhibit;
                 }
-                ++matches;
-                next_ok = i + template_length_;
+                if (pos_in_block == block_mask_) {
+                    bank_.write(static_cast<unsigned>(idx >> log2_m_),
+                                matches & w_mask);
+                    matches = 0;
+                    inhibit = 0;
+                }
             }
-            next_ok = next_ok > 64 ? next_ok - 64 : 0;
-            if ((word_start & block_mask_) == block_mask_ + 1 - 64) {
-                bank_.write(
-                    static_cast<unsigned>((word_start + 63) >> log2_m_),
-                    matches & w_mask);
-                matches = 0;
-                next_ok = 0;
+        };
+
+        if (log2_m_ < 6 || bit_index % 64 != 0) {
+            std::uint64_t w = window_.window();
+            scan(w, 0, nbits);
+        } else {
+            // Word-aligned fast path: one match mask per word, matches picked
+            // greedily with the non-overlap restart tracked as the next
+            // eligible position (`inhibit` remaining skips = position of the
+            // next eligible bit relative to the word start).
+            const std::size_t full_end = nbits / 64;
+            const std::uint64_t eligible_start =
+                ~bits::low_mask(template_length_ - 1);
+            std::uint64_t prev =
+                prev_from_window(window_.window(), template_length_);
+            unsigned next_ok = inhibit;
+            for (std::size_t widx = 0; widx < full_end; ++widx) {
+                const std::uint64_t x = words[widx];
+                const std::uint64_t word_start = bit_index + widx * 64;
+                std::uint64_t mask =
+                    match_mask(x, prev, pattern, template_length_);
+                if ((word_start & block_mask_) == 0) {
+                    mask &= eligible_start;
+                }
+                while (mask != 0) {
+                    const unsigned i =
+                        static_cast<unsigned>(std::countr_zero(mask));
+                    mask &= mask - 1;
+                    if (i < next_ok) {
+                        continue;
+                    }
+                    ++matches;
+                    next_ok = i + template_length_;
+                }
+                next_ok = next_ok > 64 ? next_ok - 64 : 0;
+                if ((word_start & block_mask_) == block_mask_ + 1 - 64) {
+                    bank_.write(
+                        static_cast<unsigned>((word_start + 63) >> log2_m_),
+                        matches & w_mask);
+                    matches = 0;
+                    next_ok = 0;
+                }
+                prev = x;
             }
-            prev = x;
+            inhibit = next_ok;
+            if (nbits % 64 != 0) {
+                std::uint64_t w = full_end != 0
+                    ? window_from_word(prev, template_length_)
+                    : window_.window();
+                scan(w, full_end * 64, nbits);
+            }
         }
-        inhibit = next_ok;
-        if (nbits % 64 != 0) {
-            std::uint64_t w = full_end != 0
-                ? window_from_word(prev, template_length_)
-                : window_.window();
-            scan(w, full_end * 64, nbits);
-        }
-    }
-    w_.clear();
-    w_.advance(matches);
-    inhibit_ = inhibit;
+        w_.clear();
+        w_.advance(matches);
+        inhibit_ = inhibit;
+    });
 }
 
 void non_overlapping_hw::add_registers(register_map& map) const
@@ -281,74 +283,76 @@ void overlapping_hw::consume(bool bit, std::uint64_t bit_index)
 void overlapping_hw::consume_span(const std::uint64_t* words,
                                   std::size_t nbits, std::uint64_t bit_index)
 {
-    const std::uint64_t len_mask =
-        (std::uint64_t{1} << template_length_) - 1;
-    const std::uint64_t pattern = matcher_.pattern() & len_mask;
-    const std::uint64_t sat = block_matches_.max_value();
-    std::uint64_t matches = block_matches_.value();
+    bits::span_kernel([&] {
+        const std::uint64_t len_mask =
+            (std::uint64_t{1} << template_length_) - 1;
+        const std::uint64_t pattern = matcher_.pattern() & len_mask;
+        const std::uint64_t sat = block_matches_.max_value();
+        std::uint64_t matches = block_matches_.value();
 
-    const auto scan = [&](std::uint64_t& w, std::size_t first,
-                          std::size_t last) {
-        for (std::size_t i = first; i < last; ++i) {
-            w = (w << 1) | ((words[i / 64] >> (i % 64)) & 1u);
-            const std::uint64_t idx = bit_index + i;
-            const std::uint64_t pos_in_block = idx & block_mask_;
-            if (pos_in_block >= template_length_ - 1
-                && (w & len_mask) == pattern && matches < sat) {
-                ++matches;
+        const auto scan = [&](std::uint64_t& w, std::size_t first,
+                              std::size_t last) {
+            for (std::size_t i = first; i < last; ++i) {
+                w = (w << 1) | ((words[i / 64] >> (i % 64)) & 1u);
+                const std::uint64_t idx = bit_index + i;
+                const std::uint64_t pos_in_block = idx & block_mask_;
+                if (pos_in_block >= template_length_ - 1
+                    && (w & len_mask) == pattern && matches < sat) {
+                    ++matches;
+                }
+                if (pos_in_block == block_mask_) {
+                    const unsigned category = matches >= max_count_
+                        ? max_count_
+                        : static_cast<unsigned>(matches);
+                    categories_[category]->step();
+                    matches = 0;
+                }
             }
-            if (pos_in_block == block_mask_) {
-                const unsigned category = matches >= max_count_
-                    ? max_count_
-                    : static_cast<unsigned>(matches);
-                categories_[category]->step();
-                matches = 0;
-            }
-        }
-    };
+        };
 
-    if (log2_m_ < 6 || bit_index % 64 != 0) {
-        std::uint64_t w = window_.window();
-        scan(w, 0, nbits);
-    } else {
-        // Word-aligned fast path: overlapping matches are just the
-        // popcount of the match mask; the saturating clamp commutes with
-        // batching because the count only grows within a block.
-        const std::size_t full_end = nbits / 64;
-        const std::uint64_t eligible_start =
-            ~bits::low_mask(template_length_ - 1);
-        std::uint64_t prev =
-            prev_from_window(window_.window(), template_length_);
-        for (std::size_t widx = 0; widx < full_end; ++widx) {
-            const std::uint64_t x = words[widx];
-            const std::uint64_t word_start = bit_index + widx * 64;
-            std::uint64_t mask =
-                match_mask(x, prev, pattern, template_length_);
-            if ((word_start & block_mask_) == 0) {
-                mask &= eligible_start;
+        if (log2_m_ < 6 || bit_index % 64 != 0) {
+            std::uint64_t w = window_.window();
+            scan(w, 0, nbits);
+        } else {
+            // Word-aligned fast path: overlapping matches are just the
+            // popcount of the match mask; the saturating clamp commutes with
+            // batching because the count only grows within a block.
+            const std::size_t full_end = nbits / 64;
+            const std::uint64_t eligible_start =
+                ~bits::low_mask(template_length_ - 1);
+            std::uint64_t prev =
+                prev_from_window(window_.window(), template_length_);
+            for (std::size_t widx = 0; widx < full_end; ++widx) {
+                const std::uint64_t x = words[widx];
+                const std::uint64_t word_start = bit_index + widx * 64;
+                std::uint64_t mask =
+                    match_mask(x, prev, pattern, template_length_);
+                if ((word_start & block_mask_) == 0) {
+                    mask &= eligible_start;
+                }
+                matches += static_cast<std::uint64_t>(std::popcount(mask));
+                if (matches > sat) {
+                    matches = sat;
+                }
+                if ((word_start & block_mask_) == block_mask_ + 1 - 64) {
+                    const unsigned category = matches >= max_count_
+                        ? max_count_
+                        : static_cast<unsigned>(matches);
+                    categories_[category]->step();
+                    matches = 0;
+                }
+                prev = x;
             }
-            matches += static_cast<std::uint64_t>(std::popcount(mask));
-            if (matches > sat) {
-                matches = sat;
+            if (nbits % 64 != 0) {
+                std::uint64_t w = full_end != 0
+                    ? window_from_word(prev, template_length_)
+                    : window_.window();
+                scan(w, full_end * 64, nbits);
             }
-            if ((word_start & block_mask_) == block_mask_ + 1 - 64) {
-                const unsigned category = matches >= max_count_
-                    ? max_count_
-                    : static_cast<unsigned>(matches);
-                categories_[category]->step();
-                matches = 0;
-            }
-            prev = x;
         }
-        if (nbits % 64 != 0) {
-            std::uint64_t w = full_end != 0
-                ? window_from_word(prev, template_length_)
-                : window_.window();
-            scan(w, full_end * 64, nbits);
-        }
-    }
-    block_matches_.clear();
-    block_matches_.advance(matches);
+        block_matches_.clear();
+        block_matches_.advance(matches);
+    });
 }
 
 void overlapping_hw::add_registers(register_map& map) const

@@ -738,6 +738,97 @@ TEST(kernel_oracle, monitor_lanes_agree_end_to_end)
 }
 
 // ---------------------------------------------------------------------------
+// Dispatch: the startup variant follows CPUID, and every variant this host
+// can run -- the x86-64-v3 clone included -- yields the per-bit lane's
+// window reports over all eight paper designs, in one process.
+// ---------------------------------------------------------------------------
+
+/// True when CPUID reports the features the x86-64-v3 clone is compiled
+/// for (AVX2, BMI1, BMI2, POPCNT), read here independently of bits::.
+bool host_runs_x86_64_v3()
+{
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi")
+        && __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("popcnt");
+#else
+    return false;
+#endif
+}
+
+/// FNV-1a over 64-bit values.
+std::uint64_t fold(std::uint64_t h, std::uint64_t v)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        h = (h ^ ((v >> (8 * byte)) & 0xffu)) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+/// Digest of two windows per paper design over one fixed-seed stream on
+/// `lane`: every verdict (id, pass, statistic, bound), the all-pass flag,
+/// the software cycles and every captured register.
+std::uint64_t paper_designs_digest(core::ingest_lane lane)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const hw::block_config& cfg : core::all_paper_designs()) {
+        trng::ideal_source src(fixture_seed(60));
+        core::monitor mon(cfg, 0.01);
+        for (int w = 0; w < 2; ++w) {
+            const auto words = src.generate_words(cfg.n() / 64);
+            const core::window_report r =
+                mon.test_packed(words.data(), words.size(), lane);
+            for (const core::test_verdict& v : r.software.verdicts) {
+                h = fold(h, static_cast<std::uint64_t>(v.id));
+                h = fold(h, v.pass ? 1 : 0);
+                h = fold(h, static_cast<std::uint64_t>(v.statistic));
+                h = fold(h, static_cast<std::uint64_t>(v.bound));
+            }
+            h = fold(h, r.software.all_pass ? 1 : 0);
+            h = fold(h, r.sw_cycles);
+            const hw::register_map& regs = mon.block().registers();
+            for (std::size_t i = 0; i < regs.size(); ++i) {
+                h = fold(h, regs.read_raw(i));
+            }
+        }
+    }
+    return h;
+}
+
+TEST(kernel_oracle, default_variant_is_simd_exactly_on_an_x86_64_v3_host)
+{
+    const bool v3 = host_runs_x86_64_v3();
+    EXPECT_EQ(bits::simd_supported(), v3);
+    EXPECT_EQ(bits::default_kernel_variant(),
+              v3 ? bits::kernel_variant::simd
+                 : bits::kernel_variant::portable);
+    EXPECT_EQ(std::string(bits::kernel_isa(bits::default_kernel_variant()))
+                  == "x86-64-v3",
+              v3);
+}
+
+TEST(kernel_oracle, every_variant_the_host_runs_gives_the_per_bit_digest)
+{
+    const std::uint64_t oracle =
+        paper_designs_digest(core::ingest_lane::per_bit);
+    variant_guard guard;
+    for (const bits::kernel_variant v : kAllVariants) {
+        if (v == bits::kernel_variant::simd && !bits::simd_supported()) {
+            continue;
+        }
+        bits::set_kernel_variant(v);
+        ASSERT_EQ(bits::active_kernel_variant(), v);
+        EXPECT_EQ(paper_designs_digest(core::ingest_lane::span), oracle)
+            << variant_name(v) << " (" << bits::kernel_isa(v) << ")";
+    }
+    if (!bits::simd_supported()) {
+        GTEST_SKIP() << "this host lacks AVX2/BMI1/BMI2/POPCNT: the "
+                        "x86-64-v3 clone was not run (reference and "
+                        "portable were compared)";
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Defaults: with no lane named, every layer runs the span lane, and the
 // default packed feed is register-exact with the per-bit oracle.
 // ---------------------------------------------------------------------------

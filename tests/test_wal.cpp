@@ -50,9 +50,10 @@ TEST(Crc32c, KnownAnswer)
 
 TEST(Crc32c, HardwarePathMatchesTable)
 {
-    // Whatever path crc32c() compiled to (SSE4.2 or table), it must be
-    // bit-identical to the byte-at-a-time reference, at every length
-    // and alignment a frame walk can produce.
+    // crc32c() takes the SSE4.2 loop wherever the host has it (every
+    // x86-64 build compiles that loop), so this compares two code paths;
+    // it must be bit-identical to the byte-at-a-time reference, at every
+    // length and alignment a frame walk can produce.
     std::mt19937_64 rng(test::kCanonicalSeed);
     std::vector<std::uint8_t> buf(257);
     for (std::uint8_t& b : buf) {

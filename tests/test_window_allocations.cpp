@@ -5,13 +5,15 @@
 // feed_packed + finish_packed.  The paper's MCU returns a fixed set of
 // numbers per window; so does the model.  Switching back and forth
 // between two resident designs (an escalation and its return) allocates
-// nothing either.
+// nothing either, and a reused channel runner refills a quiet device's
+// evidence ring in place.
 //
 // This binary replaces the global operator new/delete with forwards to
 // malloc/free that count the allocations of an armed thread, so it stays
 // a binary of its own: the replacement reaches no other test.
 #include "core/critical_values.hpp"
 #include "core/design_config.hpp"
+#include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
 #include "trng/sources.hpp"
 
@@ -23,6 +25,7 @@
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -154,6 +157,40 @@ TEST(window_allocations, a_resident_round_trip_allocates_nothing)
     EXPECT_EQ(allocations_during(round_trip), 0u);
     EXPECT_EQ(mon.config(), light);
     EXPECT_EQ(mon.block().reconfigurations(), 6u);
+}
+
+TEST(window_allocations, a_reused_runner_refills_the_evidence_ring_in_place)
+{
+    // A pool worker runs device after device on one channel_runner.  Once
+    // it has run one device, a quiet device on the population design
+    // (n = 128 light, escalating to medium) allocates twice -- the run's
+    // window sink closure and run_windows' word buffer: the supervisor's
+    // reset() keeps the evidence
+    // ring's storage -- the ring vector and each window's word buffer --
+    // instead of making eight buffers and four vector growths again.
+    core::fleet_config cfg;
+    cfg.block = core::paper_design(7, core::tier::light);
+    cfg.escalated_block = core::paper_design(7, core::tier::medium);
+    cfg.validate();
+    const core::critical_values cv =
+        core::compute_critical_values(cfg.block, cfg.alpha);
+    const std::optional<core::critical_values> cv_escalated =
+        core::compute_critical_values(*cfg.escalated_block, cfg.alpha);
+    core::channel_runner runner(cfg, cv, cv_escalated);
+    constexpr std::uint64_t kWindows = 2 * 8; // two evidence-ring depths
+
+    trng::ideal_source first(test::fixture_seed(92));
+    const core::channel_report quiet = runner.run(first, 0, kWindows);
+    ASSERT_EQ(quiet.windows, kWindows);
+    ASSERT_EQ(quiet.failures, 0u) << "the device must be quiet";
+    ASSERT_EQ(quiet.escalations, 0u);
+
+    trng::ideal_source second(test::fixture_seed(92));
+    core::channel_report again;
+    const std::size_t allocated = allocations_during(
+        [&] { again = runner.run(second, 0, kWindows); });
+    EXPECT_EQ(again.failures, 0u);
+    EXPECT_EQ(allocated, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
