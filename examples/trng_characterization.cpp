@@ -49,7 +49,8 @@ int main()
 
         std::printf("%-14.3f %-16.3f %4u fail/%3zu     %4u fail/%zu\n",
                     jitter, source.effective_sigma(), offline.failed,
-                    offline.entries.size(), online_failures,
+                    std::size_t{offline.passed + offline.failed},
+                    online_failures,
                     online.software.verdicts.size());
     }
 

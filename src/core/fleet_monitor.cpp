@@ -126,30 +126,39 @@ channel_report channel_runner::run(trng::entropy_source& source,
     report.channel = channel;
     report.source_name = source.name();
 
+    // Each hook captures one pointer, which fits std::function's inline
+    // buffer: building the hooks allocates nothing.
+    struct run_context {
+        channel_runner& self;
+        monitor& mon;
+        channel_report& report;
+        const window_hooks& caller;
+    } ctx{*this, mon, report, caller};
     window_hooks hooks;
-    hooks.before = [&](std::uint64_t next) {
-        if (caller.before) {
-            caller.before(next);
+    hooks.before = [&ctx](std::uint64_t next) {
+        if (ctx.caller.before) {
+            ctx.caller.before(next);
         }
-        if (sup_) {
-            sup_->at_barrier(next);
-        }
-    };
-    hooks.tap = [&](std::uint64_t index, const std::uint64_t* words,
-                    std::size_t nwords) {
-        if (caller.tap) {
-            caller.tap(index, words, nwords);
-        }
-        if (sup_) {
-            sup_->capture(index, words, nwords);
+        if (ctx.self.sup_) {
+            ctx.self.sup_->at_barrier(next);
         }
     };
-    hooks.sink = [&](const window_report& wr) {
-        if (sup_) {
-            sup_->observe(wr);
+    hooks.tap = [&ctx](std::uint64_t index, const std::uint64_t* words,
+                       std::size_t nwords) {
+        if (ctx.caller.tap) {
+            ctx.caller.tap(index, words, nwords);
+        }
+        if (ctx.self.sup_) {
+            ctx.self.sup_->capture(index, words, nwords);
+        }
+    };
+    hooks.sink = [&ctx](const window_report& wr) {
+        channel_report& report = ctx.report;
+        if (ctx.self.sup_) {
+            ctx.self.sup_->observe(wr);
         }
         ++report.windows;
-        report.bits += mon.config().n();
+        report.bits += ctx.mon.config().n();
         report.sw_cycles += wr.sw_cycles;
         report.worst_sw_cycles =
             std::max(report.worst_sw_cycles, wr.sw_cycles);
@@ -162,12 +171,12 @@ channel_report channel_runner::run(trng::entropy_source& source,
                 }
             }
         }
-        policy_.record(failed);
-        if (policy_.rose()) {
+        ctx.self.policy_.record(failed);
+        if (ctx.self.policy_.rose()) {
             report.first_alarm_window = wr.window_index;
         }
-        if (caller.sink) {
-            caller.sink(wr);
+        if (ctx.caller.sink) {
+            ctx.caller.sink(wr);
         }
     };
     run_windows(mon, source, windows, lane_, hooks);
@@ -177,11 +186,10 @@ channel_report channel_runner::run(trng::entropy_source& source,
         report.first_alarm_window = report.windows;
     }
     if (sup_) {
-        const supervision_report sr = sup_->report();
-        report.escalations = sr.escalations;
-        report.confirmed_escalations = sr.confirmed_escalations;
-        report.de_escalations = sr.de_escalations;
-        report.windows_escalated = sr.windows_escalated;
+        report.escalations = sup_->escalations();
+        report.confirmed_escalations = sup_->confirmed_escalations();
+        report.de_escalations = sup_->de_escalations();
+        report.windows_escalated = sup_->windows_escalated();
     }
     return report;
 }

@@ -99,7 +99,7 @@ void run_windows(monitor& mon, trng::entropy_source& source,
                  std::uint64_t windows, ingest_lane lane,
                  const window_hooks& hooks)
 {
-    std::vector<std::uint64_t> staging;
+    std::vector<std::uint64_t>& staging = mon.staging_;
     for (std::uint64_t w = 0; w < windows; ++w) {
         if (hooks.before) {
             // No window is in flight: the hook may reprogram the design.

@@ -179,6 +179,10 @@ public:
     void restore_window_count(std::uint64_t windows) { windows_ = windows; }
 
 private:
+    friend void run_windows(monitor& mon, trng::entropy_source& source,
+                            std::uint64_t windows, ingest_lane lane,
+                            const window_hooks& hooks);
+
     hw::testing_block block_;
     /// The pass bound to the live design.
     software_runner runner_;
@@ -188,6 +192,9 @@ private:
     sw16::soft_cpu cpu_;
     sw16::cycle_model mcu_;
     std::uint64_t windows_ = 0;
+    /// The word buffer run_windows() frames each window in, kept across
+    /// runs so a reused monitor's windows allocate nothing.
+    std::vector<std::uint64_t> staging_;
 
     window_report finish_window();
 };

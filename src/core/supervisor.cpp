@@ -82,7 +82,8 @@ supervisor::supervisor(supervisor_config cfg, critical_values baseline_cv,
 // ---------------------------------------------------------------------
 // Raw event / window / checkpoint serialization (fixed-width
 // little-endian fields in declaration order; strings length-prefixed,
-// doubles as IEEE bit patterns).  Shared by the telemetry log and the
+// doubles as IEEE bit patterns; a battery entry is its id, a u8 test
+// number and the sub-index as an i8).  Shared by the telemetry log and the
 // checkpoint payloads, so a replayed record parses back bit-identical.
 // ---------------------------------------------------------------------
 
@@ -105,8 +106,8 @@ void serialize_event(base::byte_sink& sink, const supervision_event& ev)
         sink.u32(conf.battery.skipped);
         sink.u32(static_cast<std::uint32_t>(conf.battery.entries.size()));
         for (const nist::battery_entry& entry : conf.battery.entries) {
-            sink.u32(entry.test_number);
-            sink.str(entry.name);
+            sink.u8(static_cast<std::uint8_t>(entry.test_number));
+            sink.u8(static_cast<std::uint8_t>(entry.sub));
             sink.f64(entry.p_value);
             sink.boolean(entry.applicable);
             sink.boolean(entry.pass);
@@ -141,13 +142,18 @@ supervision_event parse_event(base::byte_cursor& cursor)
         const std::uint32_t entries = cursor.u32();
         conf.battery.entries.reserve(cursor.reserve_bound(entries));
         for (std::uint32_t i = 0; i < entries; ++i) {
-            nist::battery_entry entry;
-            entry.test_number = cursor.u32();
-            entry.name = cursor.str();
+            nist::battery_entry& entry = conf.battery.entries.emplace_back();
+            entry.test_number = cursor.u8();
+            entry.sub = static_cast<std::int8_t>(cursor.u8());
+            if (!nist::is_entry_id(entry.test_number, entry.sub)) {
+                throw std::runtime_error(
+                    "parse_event: no battery entry (test "
+                    + std::to_string(entry.test_number) + ", sub "
+                    + std::to_string(entry.sub) + ")");
+            }
             entry.p_value = cursor.f64();
             entry.applicable = cursor.boolean();
             entry.pass = cursor.boolean();
-            conf.battery.entries.push_back(std::move(entry));
         }
         ev.confirmation = std::move(conf);
     }

@@ -274,6 +274,18 @@ public:
     {
         return state_.events;
     }
+    /// The counters report() aggregates, read without copying the
+    /// timeline or the per-test failure map.
+    unsigned escalations() const { return state_.escalations; }
+    unsigned confirmed_escalations() const
+    {
+        return state_.confirmed_escalations;
+    }
+    unsigned de_escalations() const { return state_.de_escalations; }
+    std::uint64_t windows_escalated() const
+    {
+        return state_.windows_escalated;
+    }
 
     /// \brief Record one window verdict (the sink half of the loop):
     /// updates the alarm policy, queues an escalation on its rising edge

@@ -144,6 +144,10 @@ void software_runner::bind(const hw::register_map& map) const
     }
 
     store_.assign(next, reg{});
+    reads_.clear();
+    for (const hw::map_entry& e : map.entries()) {
+        reads_.push_back({e.width, 64 - e.width, e.is_signed});
+    }
     b.layout = map.layout();
     binding_ = b;
 }
@@ -151,11 +155,18 @@ void software_runner::bind(const hw::register_map& map) const
 void software_runner::collect(const hw::register_map& map,
                               soft_cpu& cpu) const
 {
-    // The collection pass: one multi-word peripheral read per mapped value.
+    // The collection pass: one multi-word peripheral read per mapped value,
+    // its bits above the width dropped and signed values sign-extended (as
+    // register_map::read_value does).
+    const std::span<const std::uint64_t> values = map.values();
     for (std::size_t i = 0; i < binding_.mapped; ++i) {
-        const unsigned width = map.entry(i).width;
-        cpu.charge_read(width);
-        store_[i] = reg{map.read_value(i), width};
+        const value_read& r = reads_[i];
+        cpu.charge_read(r.width);
+        const std::uint64_t top = values[i] << r.shift;
+        store_[i] = reg{r.is_signed
+                            ? static_cast<std::int64_t>(top) >> r.shift
+                            : static_cast<std::int64_t>(top >> r.shift),
+                        r.width};
     }
 
     // Interface-reduction option: the hardware only transfers the m-bit

@@ -150,10 +150,20 @@ private:
         sw16::reg t13_bound;
     };
 
+    /// How the collection pass reads one mapped value, resolved once per
+    /// layout from its map_entry.
+    struct value_read {
+        unsigned width = 0;
+        unsigned shift = 0; ///< 64 - width: drops the bits above it
+        bool is_signed = false;
+    };
+
     hw::block_config cfg_;
     critical_values cv_;
     operands consts_;
     mutable binding binding_;
+    /// One per mapped entry, in map order.
+    mutable std::vector<value_read> reads_;
     /// The collection pass's values: one slot per mapped entry in map
     /// order, then the derived marginals (reused across windows).
     mutable std::vector<sw16::reg> store_;

@@ -44,8 +44,10 @@
 namespace otf::core {
 
 /// Telemetry WAL schema version (the segment header's schema field).
-/// parse_telemetry() reads this schema only.
-inline constexpr std::uint32_t telemetry_schema = 2;
+/// parse_telemetry() reads this schema only.  Schema 3 writes a
+/// confirmation's battery entries by id (nist::battery_entry), not by
+/// name.
+inline constexpr std::uint32_t telemetry_schema = 3;
 
 /// WAL frame type byte of each telemetry record kind.
 enum class telemetry_record : std::uint8_t {

@@ -85,12 +85,25 @@ linear_complexity_result linear_complexity_test(const bit_sequence& seq,
 /// and for the Table I storage/complexity quantification).
 unsigned berlekamp_massey(const std::vector<std::uint8_t>& bits);
 
+// ---------------------------------------------------------- tests 14, 15 --
+/// Whether the excursion tests apply to a sequence.
+struct excursion_gate_result {
+    std::uint64_t cycles; ///< J: zero-to-zero cycles of the +-1 walk
+    bool applicable;      ///< J >= max(0.005 sqrt(n), 500)
+};
+/// \brief SP 800-22's applicability rule of tests 14 and 15 (sections
+/// 3.14-3.15), in one integer pass: J counts the walk's returns to zero
+/// plus one for a final partial walk.  Both tests take their `cycles`
+/// and `applicable` from here, and run_battery() asks it before running
+/// either test.
+excursion_gate_result excursion_gate(const bit_sequence& seq);
+
 // --------------------------------------------------------------- test 14 --
 /// 2.14 Random excursions test: one chi-squared per state x in
 /// {-4..-1, 1..4}.
 struct random_excursions_result {
-    std::uint64_t cycles;             ///< J
-    bool applicable;                  ///< J >= max(0.005 sqrt(n), 500)
+    std::uint64_t cycles;             ///< J (excursion_gate)
+    bool applicable;                  ///< excursion_gate(seq).applicable
     std::vector<int> states;          ///< the 8 states in order
     std::vector<double> chi_squared;  ///< per state
     std::vector<double> p_values;     ///< per state
@@ -101,8 +114,8 @@ random_excursions_result random_excursions_test(const bit_sequence& seq);
 /// 2.15 Random excursions variant test: one P-value per state x in
 /// {-9..-1, 1..9}.
 struct random_excursions_variant_result {
-    std::uint64_t cycles;             ///< J
-    bool applicable;
+    std::uint64_t cycles;             ///< J (excursion_gate)
+    bool applicable;                  ///< excursion_gate(seq).applicable
     std::vector<int> states;          ///< the 18 states in order
     std::vector<std::uint64_t> visits;///< total visits per state
     std::vector<double> p_values;

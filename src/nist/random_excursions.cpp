@@ -30,11 +30,10 @@ double excursion_visit_probability(int state, unsigned k)
 namespace {
 
 // Walk the sequence, cutting it into zero-to-zero cycles, and count the
-// visits to every state in [-9, 9] per cycle.  `per_cycle_capped` bins
-// counts for the 8 inner states at 5+; `total_visits` accumulates raw
-// visits for the 18 variant states.
+// visits to every state in [-9, 9] per cycle.  `binned` bins the per-cycle
+// counts of the 8 inner states at 5+; `totals` accumulates raw visits for
+// the 18 variant states.  The cycles themselves are excursion_gate()'s.
 struct excursion_scan {
-    std::uint64_t cycles = 0;
     // [state index 0..7 for -4..-1,1..4][bin 0..5]
     std::uint64_t binned[8][6] = {};
     // [state index 0..17 for -9..-1,1..9]
@@ -59,7 +58,6 @@ excursion_scan scan_cycles(const bit_sequence& seq)
     std::int64_t s = 0;
     std::uint64_t in_cycle[8] = {};
     const auto close_cycle = [&] {
-        ++scan.cycles;
         for (int i = 0; i < 8; ++i) {
             const std::uint64_t k = in_cycle[i] > 5 ? 5 : in_cycle[i];
             ++scan.binned[i][k];
@@ -89,20 +87,35 @@ excursion_scan scan_cycles(const bit_sequence& seq)
 
 } // namespace
 
+excursion_gate_result excursion_gate(const bit_sequence& seq)
+{
+    std::int64_t s = 0;
+    std::uint64_t returns = 0;
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        s += seq[i] ? 1 : -1;
+        returns += s == 0 ? 1 : 0;
+    }
+    excursion_gate_result gate;
+    gate.cycles = returns + (s != 0 ? 1 : 0);
+    const double min_cycles = std::max(
+        0.005 * std::sqrt(static_cast<double>(seq.size())), 500.0);
+    gate.applicable = static_cast<double>(gate.cycles) >= min_cycles;
+    return gate;
+}
+
 random_excursions_result random_excursions_test(const bit_sequence& seq)
 {
     if (seq.empty()) {
         throw std::invalid_argument("random_excursions_test: empty input");
     }
+    const excursion_gate_result gate = excursion_gate(seq);
     const excursion_scan scan = scan_cycles(seq);
 
     random_excursions_result r;
-    r.cycles = scan.cycles;
-    const double min_cycles = std::max(
-        0.005 * std::sqrt(static_cast<double>(seq.size())), 500.0);
-    r.applicable = static_cast<double>(scan.cycles) >= min_cycles;
+    r.cycles = gate.cycles;
+    r.applicable = gate.applicable;
 
-    const double j = static_cast<double>(scan.cycles);
+    const double j = static_cast<double>(gate.cycles);
     for (const int state : {-4, -3, -2, -1, 1, 2, 3, 4}) {
         r.states.push_back(state);
         double chi = 0.0;
@@ -129,15 +142,14 @@ random_excursions_variant_result random_excursions_variant_test(
         throw std::invalid_argument(
             "random_excursions_variant_test: empty input");
     }
+    const excursion_gate_result gate = excursion_gate(seq);
     const excursion_scan scan = scan_cycles(seq);
 
     random_excursions_variant_result r;
-    r.cycles = scan.cycles;
-    const double min_cycles = std::max(
-        0.005 * std::sqrt(static_cast<double>(seq.size())), 500.0);
-    r.applicable = static_cast<double>(scan.cycles) >= min_cycles;
+    r.cycles = gate.cycles;
+    r.applicable = gate.applicable;
 
-    const double j = static_cast<double>(scan.cycles);
+    const double j = static_cast<double>(gate.cycles);
     for (int state = -9; state <= 9; ++state) {
         if (state == 0) {
             continue;

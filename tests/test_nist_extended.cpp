@@ -441,6 +441,14 @@ TEST(battery, healthy_source_passes_nearly_everything)
     EXPECT_EQ(report.skipped, 0u) << "this window qualifies every test";
     // ~40 P-values at alpha = 0.01: allow a small number of type-1 events.
     EXPECT_LE(report.failed, 2u);
+    // Every entry has an id, and no two share a name.
+    std::vector<std::string> names;
+    for (const battery_entry& e : report.entries) {
+        ASSERT_TRUE(is_entry_id(e.test_number, e.sub));
+        names.push_back(entry_name(e));
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 }
 
 TEST(battery, short_sequences_skip_inapplicable_tests)
@@ -519,13 +527,13 @@ TEST(battery, subset_matches_the_full_pass_entry_for_entry)
     for (const auto& e : subset.entries) {
         bool found = false;
         for (const auto& f : full.entries) {
-            if (f.test_number == e.test_number && f.name == e.name) {
-                EXPECT_EQ(f.p_value, e.p_value) << e.name;
-                EXPECT_EQ(f.pass, e.pass) << e.name;
+            if (f.test_number == e.test_number && f.sub == e.sub) {
+                EXPECT_EQ(f.p_value, e.p_value) << entry_name(e);
+                EXPECT_EQ(f.pass, e.pass) << entry_name(e);
                 found = true;
             }
         }
-        EXPECT_TRUE(found) << e.name;
+        EXPECT_TRUE(found) << entry_name(e);
     }
 }
 
@@ -557,19 +565,21 @@ TEST(battery, every_short_length_records_skips_instead_of_throwing)
             for (const battery_entry& e : report.entries) {
                 const battery_test& t = battery_tests()[e.test_number - 1];
                 if (n < t.min_length) {
-                    EXPECT_FALSE(e.applicable) << e.name << ", n = " << n;
+                    EXPECT_FALSE(e.applicable)
+                        << entry_name(e) << ", n = " << n;
                 }
                 if (!e.applicable) {
                     continue;
                 }
-                EXPECT_GE(e.p_value, 0.0) << e.name << ", n = " << n;
+                EXPECT_GE(e.p_value, 0.0) << entry_name(e) << ", n = " << n;
                 // The cusum P-value is SP 800-22's truncated series, which
                 // exceeds 1 for a tiny maximum excursion (z = 1 at n = 4
                 // gives 1.10; the NIST reference code only warns).  A clamp
                 // would also move the last bit at longer lengths (z = 1 at
                 // n = 256 gives 1 + 4 ulp), so it stays out of this check.
                 if (e.test_number != 13) {
-                    EXPECT_LE(e.p_value, 1.0) << e.name << ", n = " << n;
+                    EXPECT_LE(e.p_value, 1.0)
+                        << entry_name(e) << ", n = " << n;
                 } else {
                     EXPECT_TRUE(std::isfinite(e.p_value)) << "n = " << n;
                 }
@@ -616,25 +626,34 @@ struct fnv1a {
     void text(const std::string& s) { bytes(s.data(), s.size() + 1); }
 };
 
-// One battery run folded into the digest: per entry the test number, the
-// name, the P-value's bit pattern, applicable and pass.  A throw is
-// folded in by its message, so a defect that throws stays visible.
-// Returns whether the battery threw.
-bool fold_battery(fnv1a& digest, const bit_sequence& seq)
+// One battery run folded into two digests.  `all` takes per entry the
+// test number, the name, the P-value's bit pattern, applicable and pass;
+// `applied` takes the test number, the P-value bits and pass of the
+// applicable entries only, so how skips are recorded does not move it.
+// A throw is folded into both by its message, so a defect that throws
+// stays visible.  Returns whether the battery threw.
+bool fold_battery(fnv1a& all, fnv1a& applied, const bit_sequence& seq)
 {
     try {
         const battery_report report = run_battery(seq, 0.01);
         for (const battery_entry& e : report.entries) {
-            digest.bytes(&e.test_number, sizeof e.test_number);
-            digest.text(e.name);
             std::uint64_t bits = 0;
             std::memcpy(&bits, &e.p_value, sizeof bits);
-            digest.bytes(&bits, sizeof bits);
+            all.bytes(&e.test_number, sizeof e.test_number);
+            all.text(entry_name(e));
+            all.bytes(&bits, sizeof bits);
             const unsigned char flags[2] = {e.applicable, e.pass};
-            digest.bytes(flags, sizeof flags);
+            all.bytes(flags, sizeof flags);
+            if (e.applicable) {
+                applied.bytes(&e.test_number, sizeof e.test_number);
+                applied.bytes(&bits, sizeof bits);
+                applied.bytes(&flags[1], 1);
+            }
         }
     } catch (const std::exception& ex) {
-        digest.text(std::string("throw: ") + ex.what());
+        const std::string message = std::string("throw: ") + ex.what();
+        all.text(message);
+        applied.text(message);
         return true;
     }
     return false;
@@ -684,24 +703,135 @@ TEST(battery, pinned_digest_over_the_evidence_lengths)
     // the battery must leave this constant alone; re-pin it only for a
     // change that moves P-values on purpose, and say so in the change log.
     fnv1a digest;
+    fnv1a applied;
     unsigned throws = 0;
     for (std::size_t w = 1; w <= 8; ++w) {
         const std::size_t n = 128 * w;
         for (const double p : {0.42, 0.46, 0.5, 0.54, 0.58}) {
             for (std::uint64_t seed = 0; seed < 32; ++seed) {
                 throws += fold_battery(
-                    digest, bernoulli_bits(seed * 1000 + n, p, n));
+                    digest, applied, bernoulli_bits(seed * 1000 + n, p, n));
             }
         }
-        throws += fold_battery(digest, bit_sequence(n, false));
-        throws += fold_battery(digest, bit_sequence(n, true));
-        throws += fold_battery(digest, alternating_bits(n));
+        throws += fold_battery(digest, applied, bit_sequence(n, false));
+        throws += fold_battery(digest, applied, bit_sequence(n, true));
+        throws += fold_battery(digest, applied, alternating_bits(n));
     }
-    throws += fold_battery(digest, de_bruijn(10));
-    EXPECT_EQ(digest.h, 0xc06f74c2718b82afull);
+    throws += fold_battery(digest, applied, de_bruijn(10));
+    EXPECT_EQ(digest.h, 0xedf729daa612f0bbull);
+    // The applicable entries alone.  Gating the excursion tests and
+    // naming entries by id changed only the skips, so this constant
+    // predates both.
+    EXPECT_EQ(applied.h, 0xc539478c2aab9cceull);
     // The serial test's known defect: at n = 640 (p = 0.42, seed 31) the
     // rounded nabla^2 psi^2 lands below 0 and igamc throws.
     EXPECT_EQ(throws, 1u);
+}
+
+// J counted independently of excursion_gate(): the partial sums that
+// return to zero, plus one for a walk that ends away from it.
+std::uint64_t zero_crossing_cycles(const bit_sequence& seq)
+{
+    std::vector<int> steps(seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        steps[i] = seq[i] ? 1 : -1;
+    }
+    std::vector<int> sums(steps.size());
+    std::partial_sum(steps.begin(), steps.end(), sums.begin());
+    const auto returns = static_cast<std::uint64_t>(
+        std::count(sums.begin(), sums.end(), 0));
+    return returns + (sums.empty() || sums.back() == 0 ? 0 : 1);
+}
+
+TEST(battery, excursion_gate_decides_as_the_tests_and_keeps_their_entries)
+{
+    // run_battery() asks excursion_gate() before tests 14 and 15.  At
+    // every evidence length 128 w, on seeded and degenerate sequences
+    // and one de Bruijn period, the gate must decide as the tests' own
+    // rule (J >= max(0.005 sqrt(n), 500)), and where it lets them run
+    // their entries must be the direct calls' bit for bit.
+    std::vector<bit_sequence> corpus;
+    for (std::size_t w = 1; w <= 8; ++w) {
+        const std::size_t n = 128 * w;
+        corpus.push_back(bit_sequence(n, false));
+        corpus.push_back(bit_sequence(n, true));
+        corpus.push_back(alternating_bits(n));
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            corpus.push_back(bernoulli_bits(seed * 1000 + n, 0.5, n));
+        }
+    }
+    corpus.push_back(de_bruijn(10));
+
+    unsigned applied = 0;
+    for (const bit_sequence& seq : corpus) {
+        const std::size_t n = seq.size();
+        const excursion_gate_result gate = excursion_gate(seq);
+        const std::uint64_t cycles = zero_crossing_cycles(seq);
+        EXPECT_EQ(gate.cycles, cycles) << "n = " << n;
+        const bool rule = static_cast<double>(cycles)
+            >= std::max(500.0, 0.005 * std::sqrt(static_cast<double>(n)));
+        EXPECT_EQ(gate.applicable, rule) << "n = " << n;
+
+        const auto r14 = random_excursions_test(seq);
+        const auto r15 = random_excursions_variant_test(seq);
+        EXPECT_EQ(r14.applicable, gate.applicable) << "n = " << n;
+        EXPECT_EQ(r15.applicable, gate.applicable) << "n = " << n;
+
+        const battery_report report = run_battery(
+            seq, 0.01, battery_selection{}.with(14).with(15));
+        if (!gate.applicable) {
+            // One skip per test, under its registry name.
+            ASSERT_EQ(report.entries.size(), 2u) << "n = " << n;
+            EXPECT_EQ(report.skipped, 2u);
+            for (unsigned i = 0; i < 2; ++i) {
+                const battery_entry& e = report.entries[i];
+                EXPECT_EQ(e.test_number, 14 + i);
+                EXPECT_EQ(e.sub, 0);
+                EXPECT_FALSE(e.applicable);
+                EXPECT_EQ(entry_name(e), battery_tests()[13 + i].name);
+            }
+            continue;
+        }
+        ++applied;
+        std::vector<battery_entry> direct;
+        for (std::size_t i = 0; i < r14.states.size(); ++i) {
+            direct.push_back({14, r14.states[i], r14.p_values[i], true,
+                              r14.p_values[i] >= 0.01});
+        }
+        for (std::size_t i = 0; i < r15.states.size(); ++i) {
+            direct.push_back({15, r15.states[i], r15.p_values[i], true,
+                              r15.p_values[i] >= 0.01});
+        }
+        ASSERT_EQ(report.entries.size(), direct.size()) << "n = " << n;
+        for (std::size_t i = 0; i < direct.size(); ++i) {
+            EXPECT_EQ(report.entries[i], direct[i])
+                << entry_name(direct[i]) << ", n = " << n;
+        }
+    }
+    // The alternating sequence at n = 1024 has J = 512.
+    EXPECT_GE(applied, 1u);
+}
+
+TEST(battery, entry_names_format_every_id)
+{
+    for (const battery_test& t : battery_tests()) {
+        EXPECT_EQ(entry_name(t.number, 0), t.name);
+    }
+    EXPECT_EQ(entry_name(11, 1), "serial P1");
+    EXPECT_EQ(entry_name(11, 2), "serial P2");
+    EXPECT_EQ(entry_name(13, 1), "cusum forward");
+    EXPECT_EQ(entry_name(13, 2), "cusum backward");
+    EXPECT_EQ(entry_name(14, -4), "excursions x=-4");
+    EXPECT_EQ(entry_name(14, 4), "excursions x=4");
+    EXPECT_EQ(entry_name(15, -9), "excursions variant x=-9");
+    EXPECT_EQ(entry_name(15, 9), "excursions variant x=9");
+
+    for (const auto& [test, sub] : std::vector<std::pair<unsigned, int>>{
+             {0, 0}, {16, 0}, {1, 1}, {6, -1}, {11, 3}, {11, -1}, {13, 3},
+             {14, 5}, {14, -5}, {15, 10}, {15, -10}}) {
+        EXPECT_FALSE(is_entry_id(test, sub)) << test << ", " << sub;
+        EXPECT_THROW(entry_name(test, sub), std::invalid_argument);
+    }
 }
 
 TEST(battery, report_serializes_as_json)

@@ -539,10 +539,10 @@ core::supervision_event make_event(bool with_confirmation)
         conf.battery.failed = 2;
         conf.battery.skipped = 1;
         conf.battery.entries = {
-            {1, "frequency", 0.0012207031, true, false},
-            {3, "runs", 0.75, true, true},
-            {11, "serial P1", 1e-9, true, false},
-            {14, "excursions", 0.0, false, false},
+            {1, 0, 0.0012207031, true, false},
+            {3, 0, 0.75, true, true},
+            {11, 1, 1e-9, true, false},
+            {14, 0, 0.0, false, false},
         };
         ev.confirmation = std::move(conf);
     }
@@ -697,7 +697,9 @@ TEST(TelemetryRecords, ForeignSchemaIsRefusedNamingBothSchemas)
         test::runtime_error_of([&] { core::read_telemetry(path); });
     std::remove(path.c_str());
     EXPECT_NE(err.find("schema 1"), std::string::npos) << err;
-    EXPECT_NE(err.find("schema 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("schema " + std::to_string(core::telemetry_schema)),
+              std::string::npos)
+        << err;
 
     // The same records under this reader's schema parse.
     base::wal_read_result wal;
@@ -709,6 +711,62 @@ TEST(TelemetryRecords, ForeignSchemaIsRefusedNamingBothSchemas)
     EXPECT_TRUE(core::parse_telemetry(wal).has_config);
     wal.schema = core::telemetry_schema + 1;
     EXPECT_THROW(core::parse_telemetry(wal), std::runtime_error);
+}
+
+TEST(TelemetryRecords, SchemaTwoSegmentIsRefusedNamingTwoAndThree)
+{
+    // Schema 2 wrote a battery entry as a u32 test number and its name;
+    // schema 3 writes the id.  A schema-2 segment must be refused up
+    // front, naming both schemas, not read as ids.
+    ASSERT_EQ(core::telemetry_schema, 3u);
+    base::byte_sink event;
+    event.u64(3);  // sequence
+    event.u64(41); // window index
+    event.u8(static_cast<std::uint8_t>(
+        core::supervision_event_kind::confirmed));
+    event.u64(0);  // dwell
+    event.str({}); // from
+    event.str({}); // to
+    event.boolean(true);  // has a confirmation
+    event.u64(1);         // evidence windows
+    event.u64(128);       // evidence bits
+    event.boolean(false); // confirmed
+    event.u32(0);         // passed
+    event.u32(1);         // failed
+    event.u32(0);         // skipped
+    event.u32(1);         // entries
+    event.u32(11);        // the entry: test number and name
+    event.str("serial P1");
+    event.f64(1e-9);
+    event.boolean(true);
+    event.boolean(false);
+
+    const std::string path = temp_path("schema2");
+    {
+        base::wal_writer writer(path, 2);
+        EXPECT_TRUE(writer.append(
+            static_cast<std::uint8_t>(core::telemetry_record::event),
+            event.bytes()));
+    }
+    const std::string err =
+        test::runtime_error_of([&] { core::read_telemetry(path); });
+    std::remove(path.c_str());
+    EXPECT_NE(err.find("schema 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("schema 3"), std::string::npos) << err;
+}
+
+TEST(TelemetryRecords, EventRejectsAnUnknownEntryId)
+{
+    base::byte_sink sink;
+    core::serialize_event(sink, make_event(true));
+    std::vector<std::uint8_t> bytes = sink.take();
+    // The last entry (test 14, sub 0) ends in its id, an f64 and two
+    // bools; sub 5 is no excursion state.
+    bytes[bytes.size() - 11] = 5;
+    base::byte_cursor cursor(bytes.data(), bytes.size());
+    const std::string err =
+        test::runtime_error_of([&] { core::parse_event(cursor); });
+    EXPECT_NE(err.find("test 14, sub 5"), std::string::npos) << err;
 }
 
 TEST(TelemetryRecords, DesignFieldWiderThanItsRegisterIsRefused)
@@ -740,7 +798,7 @@ TEST(TelemetryRecords, DesignFieldWiderThanItsRegisterIsRefused)
 // ---------------------------------------------------------------------
 // On-disk format pins: one record of each kind written through a
 // telemetry_log, its payload hashed and compared against the digest of
-// the schema-2 writer.  A byte-format change fails here even when a
+// the schema-3 writer.  A byte-format change fails here even when a
 // round trip still succeeds.
 // ---------------------------------------------------------------------
 
@@ -790,17 +848,18 @@ TEST(TelemetryFormat, RecordPayloadsMatchPinnedDigests)
     ASSERT_TRUE(wal.clean);
     ASSERT_EQ(wal.records.size(), 4u);
 
-    // Digests of the schema-2 payloads; re-pin only for an intended
+    // Digests of the schema-3 payloads; re-pin only for an intended
     // format change (and a new telemetry_schema).  Schema 2 changed the
-    // run_config record only.
+    // run_config record only; schema 3 the battery entries of the event
+    // record, and so of the checkpoint that carries events.
     const struct {
         core::telemetry_record kind;
         std::uint64_t digest;
     } want[] = {
         {core::telemetry_record::run_config, 0xd8c41d65991bacb0ULL},
         {core::telemetry_record::window, 0x6c4ce02f1ba3e9a5ULL},
-        {core::telemetry_record::event, 0x09e72978a5e8000aULL},
-        {core::telemetry_record::checkpoint, 0xbb3909dc11660cb0ULL},
+        {core::telemetry_record::event, 0x589e9a850fe9be95ULL},
+        {core::telemetry_record::checkpoint, 0x58482cb9f9791e4fULL},
     };
     for (std::size_t i = 0; i < wal.records.size(); ++i) {
         EXPECT_EQ(wal.records[i].type,

@@ -163,11 +163,11 @@ TEST(window_allocations, a_reused_runner_refills_the_evidence_ring_in_place)
 {
     // A pool worker runs device after device on one channel_runner.  Once
     // it has run one device, a quiet device on the population design
-    // (n = 128 light, escalating to medium) allocates twice -- the run's
-    // window sink closure and run_windows' word buffer: the supervisor's
-    // reset() keeps the evidence
-    // ring's storage -- the ring vector and each window's word buffer --
-    // instead of making eight buffers and four vector growths again.
+    // (n = 128 light, escalating to medium) allocates nothing: the
+    // supervisor's reset() keeps the evidence ring's storage -- the ring
+    // vector and each window's word buffer -- the monitor keeps the word
+    // buffer run_windows() frames windows in, and every hook closure of
+    // the run fits std::function's inline buffer.
     core::fleet_config cfg;
     cfg.block = core::paper_design(7, core::tier::light);
     cfg.escalated_block = core::paper_design(7, core::tier::medium);
@@ -190,7 +190,7 @@ TEST(window_allocations, a_reused_runner_refills_the_evidence_ring_in_place)
     const std::size_t allocated = allocations_during(
         [&] { again = runner.run(second, 0, kWindows); });
     EXPECT_EQ(again.failures, 0u);
-    EXPECT_EQ(allocated, 2u);
+    EXPECT_EQ(allocated, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
