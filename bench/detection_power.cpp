@@ -41,10 +41,10 @@ sweep_result measure(const core::fleet_config& cfg,
     sweep_result r;
     r.failure_rate = static_cast<double>(ch.failures) / windows;
     std::uint64_t best = 0;
-    for (const auto& [name, count] : ch.failures_by_test) {
-        if (count > best) {
-            best = count;
-            r.dominant_test = name;
+    for (const hw::test_id id : hw::all_tests) {
+        if (ch.failures_by_test[id] > best) {
+            best = ch.failures_by_test[id];
+            r.dominant_test = hw::to_string(id);
         }
     }
     return r;

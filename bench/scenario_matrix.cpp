@@ -143,12 +143,17 @@ int main(int argc, char** argv)
             }
             std::string tests;
             unsigned listed = 0;
-            for (const auto& [name, count] : rep.failures_by_test) {
+            for (const hw::test_id id : hw::all_tests) {
+                const std::uint64_t count = rep.failures_by_test[id];
+                if (count == 0) {
+                    continue;
+                }
                 if (listed++ == 3) {
                     tests += ", ...";
                     break;
                 }
-                tests += (tests.empty() ? "" : ", ") + name + " x"
+                tests += (tests.empty() ? "" : ", ")
+                    + std::string(hw::to_string(id)) + " x"
                     + std::to_string(count);
             }
             std::printf("  %-14s %u/%-7u %-10s %-12.4f %s\n",
@@ -227,8 +232,10 @@ int main(int argc, char** argv)
         json.value("seconds", rep.seconds);
         json.value("bits_per_second", rep.bits_per_second());
         json.begin_object("failures_by_test");
-        for (const auto& [name, count] : rep.failures_by_test) {
-            json.value(name, count);
+        for (const hw::test_id id : hw::all_tests) {
+            if (const std::uint64_t count = rep.failures_by_test[id]) {
+                json.value(hw::to_string(id), count);
+            }
         }
         json.end_object();
         json.end_object();

@@ -16,8 +16,10 @@
 #include "hw/health_tests.hpp"
 #include "trng/sources.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <string>
 #include <vector>
 
 int main()
@@ -91,9 +93,12 @@ int main()
                 static_cast<unsigned long long>(report.windows));
     std::printf("  windows failed: %llu\n",
                 static_cast<unsigned long long>(report.failures));
-    for (const auto& [test, count] : report.failures_by_test) {
-        std::printf("  %-24s flagged %llu time(s)\n", test.c_str(),
-                    static_cast<unsigned long long>(count));
+    for (const hw::test_id id : hw::all_tests) {
+        if (const std::uint64_t count = report.failures_by_test[id]) {
+            std::printf("  %-24s flagged %llu time(s)\n",
+                        std::string(hw::to_string(id)).c_str(),
+                        static_cast<unsigned long long>(count));
+        }
     }
     std::printf("  SP 800-90B repetition count:   %s (longest run %llu, "
                 "cutoff %u)\n",

@@ -77,6 +77,27 @@ for name in ("scenarios", "stream", "escalation", "population", "replay"):
 print("ok: kernel_variant + simd_compiled + kernel_isa in all five BENCH files")
 EOF
 
+    echo "== validating failures_by_test names =="
+    # A failure tally is counted by test id and named only when written:
+    # every key must be one of the nine test names (hw::to_string), in
+    # test-number order, with a nonzero count (zero counts are omitted).
+    python3 - "$BUILD_DIR"/BENCH_scenarios.json <<'EOF'
+import json, sys
+TESTS = ["frequency", "block_frequency", "runs", "longest_run",
+         "non_overlapping_template", "overlapping_template", "serial",
+         "approximate_entropy", "cumulative_sums"]
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+for r in doc["results"]:
+    tally = r["failures_by_test"]
+    assert all(k in TESTS for k in tally), (r["scenario"], tally)
+    order = [TESTS.index(k) for k in tally]
+    assert order == sorted(order), (r["scenario"], list(tally))
+    assert all(v > 0 for v in tally.values()), (r["scenario"], tally)
+print("ok: failures_by_test keys in test-number order (%d results)"
+      % len(doc["results"]))
+EOF
+
     echo "== validating otf-population/5 schema =="
     # The population bench must report the /5 schema: the execution
     # block (model, lane, pool size), the layout sweep deterministic,

@@ -91,17 +91,6 @@ public:
         return out;
     }
 
-    /// The m-bit pattern value starting at `pos`, reading the sequence
-    /// cyclically (NIST serial / approximate-entropy convention), MSB first.
-    std::uint32_t cyclic_window(std::size_t pos, unsigned m) const
-    {
-        std::uint32_t v = 0;
-        for (unsigned j = 0; j < m; ++j) {
-            v = (v << 1) | ((*this)[(pos + j) % size()] ? 1u : 0u);
-        }
-        return v;
-    }
-
     /// Pack the sequence into 64-bit words for the packed span lane: bit i
     /// of word j is bit 64*j + i of the sequence (LSB-first stream order,
     /// the convention of engine::consume_span).  Bits past the end of a

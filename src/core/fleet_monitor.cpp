@@ -167,7 +167,7 @@ channel_report channel_runner::run(trng::entropy_source& source,
             ++report.failures;
             for (const test_verdict& v : wr.software.verdicts) {
                 if (!v.pass) {
-                    ++report.failures_by_test[std::string(hw::to_string(v.id))];
+                    ++report.failures_by_test[v.id];
                 }
             }
         }
@@ -313,9 +313,7 @@ fleet_report fleet_monitor::run(const source_factory& make_source,
         fleet.escalations += cr.escalations;
         fleet.channels_escalated += cr.escalations > 0 ? 1 : 0;
         fleet.confirmed_escalations += cr.confirmed_escalations;
-        for (const auto& [name, count] : cr.failures_by_test) {
-            fleet.failures_by_test[name] += count;
-        }
+        fleet.failures_by_test += cr.failures_by_test;
     }
     fleet.lane = cfg_.lane_description();
     fleet.worker_threads = pool.workers();

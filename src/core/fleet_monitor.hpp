@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -117,8 +116,8 @@ struct channel_report {
     unsigned confirmed_escalations = 0; ///< offline battery agreed
     unsigned de_escalations = 0;
     std::uint64_t windows_escalated = 0;
-    /// Failure count per test name across the channel's run.
-    std::map<std::string, std::uint64_t> failures_by_test;
+    /// Failure count per test across the channel's run.
+    hw::test_tally failures_by_test;
 
     friend bool operator==(const channel_report&,
                            const channel_report&) = default;
@@ -135,7 +134,7 @@ struct fleet_report {
     unsigned escalations = 0;         ///< fleet-wide escalation total
     unsigned channels_escalated = 0;  ///< channels that escalated at all
     unsigned confirmed_escalations = 0; ///< offline battery agreed
-    std::map<std::string, std::uint64_t> failures_by_test;
+    hw::test_tally failures_by_test;
     /// How the run executed: the lane used (fleet_config::
     /// lane_description) and the thread budget it really spent.
     /// Deterministic given the configuration, but descriptive of the

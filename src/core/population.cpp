@@ -147,10 +147,9 @@ struct worker_partial {
     std::uint32_t churned = 0; ///< healthy devices that churned
     std::uint64_t healthy_windows = 0;
     std::vector<std::uint64_t> latencies;
-    std::map<std::string, std::uint64_t> failures_by_test;
+    hw::test_tally failures_by_test;
 
-    void fold(const device_record& rec,
-              const std::map<std::string, std::uint64_t>& fails)
+    void fold(const device_record& rec, const hw::test_tally& fails)
     {
         population_shard_report& sr = shards[rec.shard];
         sr.windows += rec.windows;
@@ -171,9 +170,7 @@ struct worker_partial {
             healthy_windows += rec.windows;
             churned += rec.churned ? 1 : 0;
         }
-        for (const auto& [name, count] : fails) {
-            failures_by_test[name] += count;
-        }
+        failures_by_test += fails;
     }
 };
 
@@ -297,9 +294,7 @@ population_report population_monitor::run()
         report.healthy_windows += part.healthy_windows;
         latencies.insert(latencies.end(), part.latencies.begin(),
                          part.latencies.end());
-        for (const auto& [name, count] : part.failures_by_test) {
-            report.failures_by_test[name] += count;
-        }
+        report.failures_by_test += part.failures_by_test;
     }
 
     // Population totals are the shard sums; the attacked/healthy split is

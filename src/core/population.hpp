@@ -41,7 +41,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -233,7 +232,7 @@ struct population_report {
     /// the configured device bit rate.
     double false_escalations_per_device_day = 0.0;
 
-    std::map<std::string, std::uint64_t> failures_by_test;
+    hw::test_tally failures_by_test;
     std::vector<population_shard_report> shard_reports;
     /// Every device's record, in device order (keep_device_records).
     std::vector<device_record> device_records;

@@ -42,9 +42,12 @@ std::string format_fleet(const fleet_report& report)
         << "escalations" << "  failing tests\n";
     for (const channel_report& ch : report.channels) {
         std::string tests;
-        for (const auto& [name, count] : ch.failures_by_test) {
-            tests += (tests.empty() ? "" : ", ") + name + " x"
-                + std::to_string(count);
+        for (const hw::test_id id : hw::all_tests) {
+            if (const std::uint64_t count = ch.failures_by_test[id]) {
+                tests += (tests.empty() ? "" : ", ")
+                    + std::string(hw::to_string(id)) + " x"
+                    + std::to_string(count);
+            }
         }
         std::string escalations = "-";
         if (ch.escalations > 0) {

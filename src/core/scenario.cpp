@@ -175,9 +175,7 @@ scenario_report scenario_runner::run(const scenario& sc) const
                     std::max(rep.worst_detection_latency, latency);
             }
         }
-        for (const auto& [name, count] : ch.failures_by_test) {
-            rep.failures_by_test[name] += count;
-        }
+        rep.failures_by_test += ch.failures_by_test;
         rep.bits += ch.bits;
     }
 

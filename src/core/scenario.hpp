@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,7 +122,7 @@ struct scenario_report {
     std::uint64_t post_onset_windows = 0;
     std::uint64_t post_onset_failures = 0;
     /// Failure attribution across all trials and windows.
-    std::map<std::string, std::uint64_t> failures_by_test;
+    hw::test_tally failures_by_test;
 
     std::uint64_t bits = 0; ///< bits tested across all trials
     double seconds = 0.0;   ///< wall clock (the only nondeterministic field)

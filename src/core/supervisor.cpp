@@ -208,10 +208,8 @@ void serialize(base::byte_sink& sink, const supervisor_checkpoint& cp)
     sink.u32(cp.de_escalations);
     sink.boolean(cp.has_first_escalation);
     sink.u64(cp.first_escalation_window);
-    sink.u32(static_cast<std::uint32_t>(cp.failures_by_test.size()));
-    for (const auto& [name, count] : cp.failures_by_test) {
-        sink.str(name);
-        sink.u64(count);
+    for (const hw::test_id id : hw::all_tests) {
+        sink.u64(cp.failures_by_test[id]);
     }
     sink.u32(static_cast<std::uint32_t>(cp.evidence_ring.size()));
     for (const evidence_window& win : cp.evidence_ring) {
@@ -261,10 +259,8 @@ supervisor_checkpoint parse_checkpoint(
     cp.de_escalations = cursor.u32();
     cp.has_first_escalation = cursor.boolean();
     cp.first_escalation_window = cursor.u64();
-    const std::uint32_t tests = cursor.u32();
-    for (std::uint32_t i = 0; i < tests; ++i) {
-        std::string name = cursor.str();
-        cp.failures_by_test[std::move(name)] = cursor.u64();
+    for (const hw::test_id id : hw::all_tests) {
+        cp.failures_by_test[id] = cursor.u64();
     }
     const std::uint32_t evidence = cursor.u32();
     cp.evidence_ring.reserve(cursor.reserve_bound(evidence));
@@ -354,7 +350,7 @@ void supervisor::observe(const window_report& report)
         ++state_.failures;
         for (const test_verdict& v : report.software.verdicts) {
             if (!v.pass) {
-                ++state_.failures_by_test[std::string(hw::to_string(v.id))];
+                ++state_.failures_by_test[v.id];
             }
         }
     }

@@ -3,11 +3,11 @@
 //
 // The paper's platform is sold on two mechanisms this module finally wires
 // together: the testing block is *reconfigured on the fly* through its
-// register map, and online hardware verdicts are *re-verified offline in
-// software*.  The supervisor runs the window loop (core::run_windows) at
-// a cheap always-on baseline design, keeps a bounded evidence ring of
-// recent raw windows (tapped off the loop), and reacts to a k-of-w alarm
-// in three moves:
+// control registers, and online hardware verdicts are *re-verified
+// offline in software*.  The supervisor runs the window loop
+// (core::run_windows) at a cheap always-on baseline design, keeps a
+// bounded evidence ring of recent raw windows (tapped off the loop), and
+// reacts to a k-of-w alarm in three moves:
 //
 //   1. escalate  -- at the next window boundary the live testing block is
 //                   reprogrammed to a heavier design point through the
@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -192,7 +191,7 @@ struct supervision_report {
     std::uint64_t first_escalation_window = 0;
     bool alarm = false; ///< online alarm state at the end of the run
     supervision_state final_state = supervision_state::baseline;
-    std::map<std::string, std::uint64_t> failures_by_test;
+    hw::test_tally failures_by_test;
     /// The full structured timeline.
     std::vector<supervision_event> events;
     double seconds = 0.0; ///< wall clock (run() only)
@@ -226,7 +225,7 @@ struct supervisor_checkpoint {
     unsigned de_escalations = 0;
     bool has_first_escalation = false;
     std::uint64_t first_escalation_window = 0;
-    std::map<std::string, std::uint64_t> failures_by_test;
+    hw::test_tally failures_by_test;
 
     std::vector<evidence_window> evidence_ring; ///< oldest-first
 
@@ -275,7 +274,7 @@ public:
         return state_.events;
     }
     /// The counters report() aggregates, read without copying the
-    /// timeline or the per-test failure map.
+    /// timeline.
     unsigned escalations() const { return state_.escalations; }
     unsigned confirmed_escalations() const
     {

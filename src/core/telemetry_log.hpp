@@ -46,8 +46,9 @@ namespace otf::core {
 /// Telemetry WAL schema version (the segment header's schema field).
 /// parse_telemetry() reads this schema only.  Schema 3 writes a
 /// confirmation's battery entries by id (nist::battery_entry), not by
-/// name.
-inline constexpr std::uint32_t telemetry_schema = 3;
+/// name; schema 4 writes a checkpoint's failure tally as one count per
+/// hw::all_tests entry, without names.
+inline constexpr std::uint32_t telemetry_schema = 4;
 
 /// WAL frame type byte of each telemetry record kind.
 enum class telemetry_record : std::uint8_t {

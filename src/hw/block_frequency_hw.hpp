@@ -31,7 +31,6 @@ public:
     void read_registers(std::uint64_t* out) const override;
 
     unsigned block_count() const { return block_count_; }
-    unsigned block_length_log2() const { return log2_m_; }
     std::uint64_t ones_in_block(unsigned index) const
     {
         return bank_.read(index);

@@ -8,6 +8,7 @@
 // falls out of the global bit counter.
 #pragma once
 
+#include <array>
 #include <bitset>
 #include <cstdint>
 #include <string>
@@ -58,6 +59,27 @@ constexpr std::string_view to_string(test_id id)
     }
     return "?";
 }
+
+/// Failure count per test, indexed by test id (one slot per NIST test
+/// number up to 13; the unsupported numbers' slots stay 0).  Names appear
+/// only where a tally is printed: walk `all_tests`, name with `to_string`.
+class test_tally {
+public:
+    std::uint64_t& operator[](test_id id) { return counts_[index(id)]; }
+    std::uint64_t operator[](test_id id) const { return counts_[index(id)]; }
+    test_tally& operator+=(const test_tally& other)
+    {
+        for (std::size_t i = 0; i < counts_.size(); ++i) {
+            counts_[i] += other.counts_[i];
+        }
+        return *this;
+    }
+    friend bool operator==(const test_tally&, const test_tally&) = default;
+
+private:
+    static unsigned index(test_id id) { return static_cast<unsigned>(id); }
+    std::array<std::uint64_t, 14> counts_{};
+};
 
 /// Set of enabled tests, indexed by NIST test number.
 class test_set {

@@ -106,10 +106,6 @@ public:
     void write_word(std::uint16_t address, std::uint16_t value);
 
     std::uint16_t reg(unsigned index) const { return registers_.at(index); }
-    void set_reg(unsigned index, std::uint16_t value)
-    {
-        registers_.at(index) = value;
-    }
     const flags& status() const { return flags_; }
 
     /// Hook invoked for reads in [testing_block_base, 0xFFFF): returns the

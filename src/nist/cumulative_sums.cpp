@@ -59,9 +59,13 @@ cumulative_sums_result cumulative_sums_test(const bit_sequence& seq)
     // the hardware stores (Table II, last row).
     r.z_forward = std::max(r.s_max, -r.s_min);
     r.z_backward = std::max(r.s_max - r.s_final, r.s_final - r.s_min);
+    // The truncated series exceeds 1 for a tiny excursion (1.10 at z = 1,
+    // n = 4): clamp the P-value here, not the series the bounds invert.
     const std::size_t n = seq.size();
-    r.p_forward = cumulative_sums_p_value(r.z_forward, n);
-    r.p_backward = cumulative_sums_p_value(r.z_backward, n);
+    r.p_forward =
+        std::clamp(cumulative_sums_p_value(r.z_forward, n), 0.0, 1.0);
+    r.p_backward =
+        std::clamp(cumulative_sums_p_value(r.z_backward, n), 0.0, 1.0);
     return r;
 }
 

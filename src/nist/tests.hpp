@@ -163,7 +163,8 @@ struct cumulative_sums_result {
 cumulative_sums_result cumulative_sums_test(const bit_sequence& seq);
 
 /// The cusum P-value as a standalone function of (z, n): used both by the
-/// test itself and by the critical-value precomputation.
+/// test itself (which clamps it to [0, 1]) and by the critical-value
+/// precomputation (which inverts the unclamped series).
 double cumulative_sums_p_value(std::int64_t z, std::size_t n);
 
 // ---------------------------------------------------------------- helpers --

@@ -30,8 +30,6 @@ public:
 
     std::uint64_t value() const { return value_; }
     unsigned width() const { return width_; }
-    /// 2^width, the wrap modulus.
-    std::uint64_t modulus() const { return modulus_; }
 
     /// Model-only helper for tests: force a value (masked to width).
     void load(std::uint64_t v) { value_ = v & (modulus_ - 1); }

@@ -166,7 +166,6 @@ public:
                parameters params = {});
 
     std::string name() const override;
-    bool trap_active() const { return active_; }
 
 protected:
     std::uint64_t next_word() override;

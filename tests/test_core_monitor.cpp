@@ -554,7 +554,7 @@ TEST(fleet_channel, tracks_failures_by_test)
     trng::markov_source src(12, 0.65);
     const core::channel_report report = run_lifetime(cfg, src, 5);
     EXPECT_TRUE(report.alarm);
-    EXPECT_GT(report.failures_by_test.count("runs"), 0u);
+    EXPECT_GT(report.failures_by_test[hw::test_id::runs], 0u);
 }
 
 TEST(fleet_channel, rejects_bad_policy)

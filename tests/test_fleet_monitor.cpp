@@ -144,7 +144,7 @@ TEST(fleet, degraded_channel_raises_only_its_own_alarm)
     EXPECT_FALSE(report.channels[2].alarm);
     EXPECT_EQ(report.channels_in_alarm, 1u);
     EXPECT_EQ(report.channels[1].failures, 8u);
-    EXPECT_FALSE(report.channels[1].failures_by_test.empty());
+    EXPECT_NE(report.channels[1].failures_by_test, hw::test_tally{});
     EXPECT_EQ(report.channels[1].source_name, "stuck-at-1");
 }
 

@@ -206,6 +206,19 @@ TEST(cumulative_sums_kat, small_example)
     EXPECT_NEAR(r.p_forward, 0.4116588, 1e-5);
 }
 
+TEST(cumulative_sums_kat, tiny_excursion_p_value_is_clamped_to_one)
+{
+    // eps = 1010: z = 1 both ways.  SP 800-22's truncated series gives
+    // 1.1005 there (the NIST reference code only warns); the test reports
+    // a P-value, so it clamps, while the series itself stays as it is.
+    const auto r = cumulative_sums_test(bit_sequence::from_string("1010"));
+    EXPECT_EQ(r.z_forward, 1);
+    EXPECT_EQ(r.z_backward, 1);
+    EXPECT_EQ(r.p_forward, 1.0);
+    EXPECT_EQ(r.p_backward, 1.0);
+    EXPECT_NEAR(cumulative_sums_p_value(1, 4), 1.1005, 1e-4);
+}
+
 TEST(cumulative_sums_kat, pi_100)
 {
     // 2.13.8: forward P = 0.219194, backward P = 0.114866.

@@ -154,7 +154,8 @@ TEST(scenario_runner, every_attack_scenario_alarms_and_null_holds)
                                                      .fail_threshold))
                 << rep.scenario_name
                 << ": a k-of-w alarm needs at least k windows";
-            EXPECT_FALSE(rep.failures_by_test.empty()) << rep.scenario_name;
+            EXPECT_NE(rep.failures_by_test, hw::test_tally{})
+                << rep.scenario_name;
         } else {
             EXPECT_EQ(rep.scenario_name, "null");
             EXPECT_TRUE(rep.expectation_met())

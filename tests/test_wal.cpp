@@ -589,7 +589,8 @@ core::supervisor_checkpoint make_checkpoint()
     cp.de_escalations = 1;
     cp.has_first_escalation = true;
     cp.first_escalation_window = 12;
-    cp.failures_by_test = {{"frequency", 9}, {"runs", 4}};
+    cp.failures_by_test[hw::test_id::frequency] = 9;
+    cp.failures_by_test[hw::test_id::runs] = 4;
     cp.evidence_ring.resize(2);
     cp.evidence_ring[0].index = 88;
     cp.evidence_ring[0].words = {0x0123456789abcdefULL, ~0ULL, 0ULL};
@@ -713,12 +714,11 @@ TEST(TelemetryRecords, ForeignSchemaIsRefusedNamingBothSchemas)
     EXPECT_THROW(core::parse_telemetry(wal), std::runtime_error);
 }
 
-TEST(TelemetryRecords, SchemaTwoSegmentIsRefusedNamingTwoAndThree)
+TEST(TelemetryRecords, SchemaTwoSegmentIsRefusedNamingBothSchemas)
 {
     // Schema 2 wrote a battery entry as a u32 test number and its name;
-    // schema 3 writes the id.  A schema-2 segment must be refused up
-    // front, naming both schemas, not read as ids.
-    ASSERT_EQ(core::telemetry_schema, 3u);
+    // since schema 3 the event writes the id.  A schema-2 segment must be
+    // refused up front, naming both schemas, not read as ids.
     base::byte_sink event;
     event.u64(3);  // sequence
     event.u64(41); // window index
@@ -752,7 +752,9 @@ TEST(TelemetryRecords, SchemaTwoSegmentIsRefusedNamingTwoAndThree)
         test::runtime_error_of([&] { core::read_telemetry(path); });
     std::remove(path.c_str());
     EXPECT_NE(err.find("schema 2"), std::string::npos) << err;
-    EXPECT_NE(err.find("schema 3"), std::string::npos) << err;
+    EXPECT_NE(err.find("schema " + std::to_string(core::telemetry_schema)),
+              std::string::npos)
+        << err;
 }
 
 TEST(TelemetryRecords, EventRejectsAnUnknownEntryId)
@@ -798,7 +800,7 @@ TEST(TelemetryRecords, DesignFieldWiderThanItsRegisterIsRefused)
 // ---------------------------------------------------------------------
 // On-disk format pins: one record of each kind written through a
 // telemetry_log, its payload hashed and compared against the digest of
-// the schema-3 writer.  A byte-format change fails here even when a
+// the schema-4 writer.  A byte-format change fails here even when a
 // round trip still succeeds.
 // ---------------------------------------------------------------------
 
@@ -848,10 +850,11 @@ TEST(TelemetryFormat, RecordPayloadsMatchPinnedDigests)
     ASSERT_TRUE(wal.clean);
     ASSERT_EQ(wal.records.size(), 4u);
 
-    // Digests of the schema-3 payloads; re-pin only for an intended
+    // Digests of the schema-4 payloads; re-pin only for an intended
     // format change (and a new telemetry_schema).  Schema 2 changed the
     // run_config record only; schema 3 the battery entries of the event
-    // record, and so of the checkpoint that carries events.
+    // record, and so of the checkpoint that carries events; schema 4 the
+    // checkpoint's failure tally.
     const struct {
         core::telemetry_record kind;
         std::uint64_t digest;
@@ -859,7 +862,7 @@ TEST(TelemetryFormat, RecordPayloadsMatchPinnedDigests)
         {core::telemetry_record::run_config, 0xd8c41d65991bacb0ULL},
         {core::telemetry_record::window, 0x6c4ce02f1ba3e9a5ULL},
         {core::telemetry_record::event, 0x589e9a850fe9be95ULL},
-        {core::telemetry_record::checkpoint, 0x58482cb9f9791e4fULL},
+        {core::telemetry_record::checkpoint, 0x4e9476c77a8983d8ULL},
     };
     for (std::size_t i = 0; i < wal.records.size(); ++i) {
         EXPECT_EQ(wal.records[i].type,

@@ -6,7 +6,7 @@
 // numbers per window; so does the model.  Switching back and forth
 // between two resident designs (an escalation and its return) allocates
 // nothing either, and a reused channel runner refills a quiet device's
-// evidence ring in place.
+// evidence ring and tallies a failing device's windows in place.
 //
 // This binary replaces the global operator new/delete with forwards to
 // malloc/free that count the allocations of an armed thread, so it stays
@@ -191,6 +191,48 @@ TEST(window_allocations, a_reused_runner_refills_the_evidence_ring_in_place)
         [&] { again = runner.run(second, 0, kWindows); });
     EXPECT_EQ(again.failures, 0u);
     EXPECT_EQ(allocated, 0u);
+}
+
+TEST(window_allocations, a_reused_runner_tallies_failing_windows_in_place)
+{
+    // A device whose windows fail now and then, but never k of the last
+    // w, raises no alarm and never escalates.  Its per-test failure tally
+    // is one fixed counter per test, so on a reused runner the run
+    // allocates nothing, plain and supervised.  The source's name fits
+    // the small-string buffer, so the report's copy of it is free too.
+    for (const bool supervised : {false, true}) {
+        core::fleet_config cfg;
+        cfg.block = core::paper_design(7, core::tier::light);
+        if (supervised) {
+            cfg.escalated_block = core::paper_design(7, core::tier::medium);
+        }
+        cfg.alpha = 0.05;
+        cfg.fail_threshold = 8; // only 8 failures in a row raise the alarm
+        cfg.policy_window = 8;
+        cfg.validate();
+        const core::critical_values cv =
+            core::compute_critical_values(cfg.block, cfg.alpha);
+        std::optional<core::critical_values> cv_escalated;
+        if (supervised) {
+            cv_escalated =
+                core::compute_critical_values(*cfg.escalated_block, cfg.alpha);
+        }
+        core::channel_runner runner(cfg, cv, cv_escalated);
+        constexpr std::uint64_t kWindows = 32;
+
+        trng::ideal_source first(test::fixture_seed(93));
+        const core::channel_report failing = runner.run(first, 0, kWindows);
+        ASSERT_GT(failing.failures, 0u) << "the windows must fail";
+        ASSERT_FALSE(failing.alarm);
+        ASSERT_EQ(failing.escalations, 0u);
+
+        trng::ideal_source second(test::fixture_seed(93));
+        core::channel_report again;
+        const std::size_t allocated = allocations_during(
+            [&] { again = runner.run(second, 0, kWindows); });
+        EXPECT_EQ(again, failing) << "supervised = " << supervised;
+        EXPECT_EQ(allocated, 0u) << "supervised = " << supervised;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
