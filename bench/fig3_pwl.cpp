@@ -41,6 +41,7 @@ int main()
     std::printf("\nthe approximation is within the paper's bound on the "
                 "interior; relative\nerror is unbounded only next to the "
                 "zeros of f where the function sinks\nbelow the Q16 "
-                "resolution (see EXPERIMENTS.md).\n");
+                "resolution (see \"Calibrating the ApEn bound\" in\n"
+                "docs/ARCHITECTURE.md).\n");
     return 0;
 }

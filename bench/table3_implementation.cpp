@@ -10,7 +10,8 @@
 //
 // The paper's reported values are printed next to the model's so the
 // shapes can be compared directly (we reproduce ordering and scaling, not
-// synthesis-exact numbers -- see EXPERIMENTS.md).
+// synthesis-exact numbers -- the technology models' calibration is
+// documented in src/rtl/resources.hpp).
 #include "core/design_config.hpp"
 #include "core/monitor.hpp"
 #include "trng/sources.hpp"

@@ -1,12 +1,13 @@
 #include "core/critical_values.hpp"
 
+#include "hw/serial_hw.hpp"
 #include "nist/distributions.hpp"
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
 #include "sw16/pwl_xlogx.hpp"
 #include "trng/xoshiro.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -37,15 +38,15 @@ std::int64_t q_round(double v, unsigned fraction_bits)
 /// implemented statistic under H0.  That quantile is computed here, offline
 /// like every other constant: a deterministic Monte-Carlo run over ideal
 /// sequences fits mean and variance of the PWL statistic and places the
-/// bound a normal quantile below the mean.  See EXPERIMENTS.md for the
-/// quantization analysis.
-std::int64_t calibrate_apen_threshold(unsigned log2_n, unsigned serial_m,
+/// bound a normal quantile below the mean (docs/ARCHITECTURE.md,
+/// "Calibrating the ApEn bound").
+std::int64_t calibrate_apen_threshold(unsigned log2_n, unsigned m,
                                       double alpha)
 {
     static std::mutex mutex;
     static std::map<std::tuple<unsigned, unsigned, double>, std::int64_t>
         cache;
-    const auto key = std::make_tuple(log2_n, serial_m, alpha);
+    const auto key = std::make_tuple(log2_n, m, alpha);
     {
         const std::lock_guard<std::mutex> lock(mutex);
         const auto it = cache.find(key);
@@ -54,7 +55,6 @@ std::int64_t calibrate_apen_threshold(unsigned log2_n, unsigned serial_m,
         }
     }
 
-    const unsigned m = serial_m;            // top file length (e.g. 4)
     const std::uint64_t n = std::uint64_t{1} << log2_n;
     const unsigned samples = 256;
     trng::xoshiro256ss rng(0xA9E117C0FEE5ull);
@@ -66,47 +66,39 @@ std::int64_t calibrate_apen_threshold(unsigned log2_n, unsigned serial_m,
         return static_cast<std::uint32_t>(nu << (16 - log2_n));
     };
 
+    std::vector<std::uint64_t> words((n + 63) / 64);
+    std::vector<std::uint32_t> counts_m(std::size_t{1} << m);
+    const std::size_t half = counts_m.size() / 2;
     double sum = 0.0;
     double sum_sq = 0.0;
-    std::vector<std::uint64_t> counts_m(std::size_t{1} << m);
-    std::vector<std::uint64_t> counts_m1(std::size_t{1} << (m - 1));
     for (unsigned s = 0; s < samples; ++s) {
-        std::fill(counts_m.begin(), counts_m.end(), 0);
-        std::fill(counts_m1.begin(), counts_m1.end(), 0);
-        const std::uint32_t mask_m = (1u << m) - 1u;
-        const std::uint32_t mask_m1 = (1u << (m - 1)) - 1u;
-        std::uint32_t window = 0;
-        std::uint32_t opening = 0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint32_t bit = rng.next_bit() ? 1u : 0u;
-            if (i < m - 1) {
-                opening |= bit << i;
-            }
-            window = ((window << 1) | bit) & mask_m;
-            if (i + 1 >= m) {
-                ++counts_m[window];
-            }
-            if (i + 1 >= m - 1) {
-                ++counts_m1[window & mask_m1];
+        // Sample s is bits [s n, (s + 1) n) of the generator's LSB-first
+        // stream: whole words, or for n < 64 a slice of a shared word.
+        const std::uint64_t begin = s * n % 64;
+        if (begin == 0) {
+            for (std::uint64_t& w : words) {
+                w = rng.next();
             }
         }
-        for (unsigned t = 0; t + 1 < m; ++t) { // cyclic flush
-            const std::uint32_t bit = (opening >> t) & 1u;
-            window = ((window << 1) | bit) & mask_m;
-            if (t < m - 1) {
-                ++counts_m[window];
-            }
-            if (t < m - 2) {
-                ++counts_m1[window & mask_m1];
-            }
+        // Entering the sample with its last m-1 bits in the window makes
+        // the n patterns ending at its bits exactly the n cyclic ones.
+        std::uint64_t window = 0;
+        for (unsigned j = 0; j + 1 < m; ++j) {
+            const std::uint64_t i = begin + n - 1 - j;
+            window |= ((words[i / 64] >> (i % 64)) & 1u) << j;
         }
+        std::fill(counts_m.begin(), counts_m.end(), 0u);
+        hw::count_patterns(words.data(), begin, begin + n, m, window,
+                           counts_m.data());
         std::int64_t a = 0;
-        for (const std::uint64_t nu : counts_m) {
+        for (const std::uint32_t nu : counts_m) {
             a += sw16::pwl_xlogx_q16(to_q16(nu));
         }
+        // nu_{m-1}[q] = nu_m[q] + nu_m[q + 2^{m-1}]: the (m-1)-bit pattern
+        // is the m-bit one without its oldest bit.
         std::int64_t b = 0;
-        for (const std::uint64_t nu : counts_m1) {
-            b += sw16::pwl_xlogx_q16(to_q16(nu));
+        for (std::size_t q = 0; q < half; ++q) {
+            b += sw16::pwl_xlogx_q16(to_q16(counts_m[q] + counts_m[q + half]));
         }
         const double apen = static_cast<double>(a - b);
         sum += apen;

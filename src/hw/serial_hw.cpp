@@ -3,6 +3,7 @@
 #include "base/bits.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace otf::hw {
@@ -37,31 +38,30 @@ std::uint64_t reverse_low(std::uint64_t x, unsigned bits)
 template <unsigned M>
 constexpr std::size_t entry_words = M < 4 ? 1 : (std::size_t{1} << M) / 16;
 
-/// Byte table for pattern length M.  The index is the previous M-1 stream
-/// bits followed by the next 8, in stream order (index bit t is stream
-/// bit base - (M-1) + t).  The entry holds, as 4-bit fields, how often each
+/// Byte table for pattern length M (8 / 16 / 64 KiB for M = 3 / 4 / 5),
+/// built by the compiler.  The index is the previous M-1 stream bits
+/// followed by the next 8, in stream order (index bit t is stream bit
+/// base - (M-1) + t).  The entry holds, as 4-bit fields, how often each
 /// MSB-first M-bit pattern ends at one of the 8 new positions: field v of
-/// entry word v / 16 counts pattern v, at most 8.  Built on first use,
-/// once per process (a function-local static is thread-safe).
+/// entry word v / 16 counts pattern v, at most 8.
 template <unsigned M>
-const std::vector<std::uint64_t>& byte_table()
-{
-    static const std::vector<std::uint64_t> table = [] {
-        std::vector<std::uint64_t> t((std::size_t{1} << (M + 7))
-                                     * entry_words<M>);
-        for (std::size_t idx = 0; idx < (std::size_t{1} << (M + 7)); ++idx) {
-            for (unsigned p = 0; p < 8; ++p) {
-                // The pattern ending at position p covers index bits
-                // p .. p+M-1; its MSB is the oldest bit.
-                const std::uint64_t v = reverse_low(idx >> p, M);
-                t[idx * entry_words<M> + v / 16] += std::uint64_t{1}
+constexpr auto byte_table = [] {
+    constexpr std::size_t kIndices = std::size_t{1} << (M + 7);
+    std::array<std::uint64_t, kIndices * entry_words<M>> table{};
+    for (std::size_t idx = 0; idx < kIndices; ++idx) {
+        // Slide the index bits through an M-bit window, oldest bit first;
+        // from index bit M-1 on, the window is the pattern ending there.
+        std::uint64_t v = 0;
+        for (unsigned t = 0; t < M + 7; ++t) {
+            v = ((v << 1) | ((idx >> t) & 1u)) & ((1u << M) - 1);
+            if (t + 1 >= M) {
+                table[idx * entry_words<M> + v / 16] += std::uint64_t{1}
                     << (4 * (v % 16));
             }
         }
-        return t;
-    }();
+    }
     return table;
-}
+}();
 
 /// Counts every M-bit pattern ending at stream positions [pos, pos + 8k)
 /// for the largest k that fits in nbits, one table lookup per byte.  `w`
@@ -70,7 +70,7 @@ const std::vector<std::uint64_t>& byte_table()
 template <unsigned M>
 std::size_t count_bytes(const std::uint64_t* words, std::size_t pos,
                         std::size_t nbits, std::uint64_t& w,
-                        std::uint32_t* delta_m)
+                        std::uint32_t* counts)
 {
     constexpr unsigned kCtx = M - 1;
     constexpr std::uint64_t kCtxMask = (std::uint64_t{1} << kCtx) - 1;
@@ -84,7 +84,7 @@ std::size_t count_bytes(const std::uint64_t* words, std::size_t pos,
     constexpr unsigned kChunksPerFlush = 3;
     static_assert(kChunksPerFlush * 8 * 8 < 256);
 
-    const std::uint64_t* table = byte_table<M>().data();
+    const std::uint64_t* table = byte_table<M>.data();
     // The previous kCtx bits in stream order.
     std::uint64_t ctx = reverse_low(w, kCtx);
     // acc[2k] lane L counts pattern 16k + 2L, acc[2k + 1] pattern
@@ -100,9 +100,9 @@ std::size_t count_bytes(const std::uint64_t* words, std::size_t pos,
     const auto flush = [&] {
         for (std::size_t k = 0; k < kEntryWords; ++k) {
             for (unsigned lane = 0; lane < kLanes; ++lane) {
-                delta_m[16 * k + 2 * lane] += static_cast<std::uint32_t>(
+                counts[16 * k + 2 * lane] += static_cast<std::uint32_t>(
                     (acc[2 * k] >> (8 * lane)) & 0xFFu);
-                delta_m[16 * k + 2 * lane + 1] += static_cast<std::uint32_t>(
+                counts[16 * k + 2 * lane + 1] += static_cast<std::uint32_t>(
                     (acc[2 * k + 1] >> (8 * lane)) & 0xFFu);
             }
             acc[2 * k] = 0;
@@ -151,6 +151,29 @@ std::size_t count_bytes(const std::uint64_t* words, std::size_t pos,
 
 } // namespace
 
+void count_patterns(const std::uint64_t* words, std::size_t begin,
+                    std::size_t end, unsigned m, std::uint64_t window,
+                    std::uint32_t* counts)
+{
+    bits::span_kernel([&] {
+        std::size_t pos = begin;
+        switch (m) {
+        case 3: pos = count_bytes<3>(words, begin, end, window, counts); break;
+        case 4: pos = count_bytes<4>(words, begin, end, window, counts); break;
+        case 5: pos = count_bytes<5>(words, begin, end, window, counts); break;
+        default: break; // m in [6, 8]: the table would outgrow L1
+        }
+        // The last < 8 bits (every bit for m in [6, 8]) slide the window in
+        // a local register.
+        const std::uint64_t mask = (std::uint64_t{1} << m) - 1;
+        for (; pos < end; ++pos) {
+            window = ((window << 1) | ((words[pos / 64] >> (pos % 64)) & 1u))
+                & mask;
+            ++counts[window];
+        }
+    });
+}
+
 serial_hw::serial_hw(unsigned log2_n, unsigned m,
                      bool marginals_in_software)
     : engine("serial"), m_(m),
@@ -165,7 +188,8 @@ serial_hw::serial_hw(unsigned log2_n, unsigned m,
                    : make_file("nu_m1", 1u << (m - 1), log2_n + 1)),
       file_m2_(marginals_in_software
                    ? std::vector<std::unique_ptr<rtl::counter>>{}
-                   : make_file("nu_m2", 1u << (m - 2), log2_n + 1))
+                   : make_file("nu_m2", 1u << (m - 2), log2_n + 1)),
+      deltas_(std::size_t{1} << m)
 {
     if (m < 3 || m > 8) {
         throw std::invalid_argument("serial_hw: m must be in [3, 8]");
@@ -222,72 +246,48 @@ void serial_hw::consume(bool bit, std::uint64_t bit_index)
 void serial_hw::consume_span(const std::uint64_t* words, std::size_t nbits,
                              std::uint64_t bit_index)
 {
-    bits::span_kernel([&] {
-        const auto bit_at = [words](std::size_t i) {
-            return ((words[i / 64] >> (i % 64)) & 1u) != 0;
-        };
-        // Warm-up (window not yet full / opening bits still latching) runs on
-        // the per-bit path; it only ever covers the first m bits of a window,
-        // so every position below is steady-state.
-        std::size_t done = 0;
-        for (; done < nbits && seen_ < m_; ++done) {
-            consume(bit_at(done), bit_index + done);
-        }
-        if (done == nbits) {
-            return;
-        }
+    // Warm-up (window not yet full / opening bits still latching) runs on
+    // the per-bit path; it only ever covers the first m bits of a window, so
+    // every position below is steady-state.
+    std::size_t done = 0;
+    for (; done < nbits && seen_ < m_; ++done) {
+        consume(((words[done / 64] >> (done % 64)) & 1u) != 0,
+                bit_index + done);
+    }
+    if (done == nbits) {
+        return;
+    }
 
-        const std::uint64_t mask_m = (std::uint64_t{1} << m_) - 1;
-        std::uint64_t w = window_.window() & mask_m;
-        std::uint32_t delta_m[256] = {};
-        std::size_t pos = done;
-        switch (m_) {
-        case 3: pos = count_bytes<3>(words, done, nbits, w, delta_m); break;
-        case 4: pos = count_bytes<4>(words, done, nbits, w, delta_m); break;
-        case 5: pos = count_bytes<5>(words, done, nbits, w, delta_m); break;
-        default: break; // m in [6, 8]: the table would outgrow L1
-        }
-        // The last < 8 bits (every bit for m in [6, 8]) slide the window in a
-        // local register.
-        for (; pos < nbits; ++pos) {
-            w = ((w << 1) | (bit_at(pos) ? 1u : 0u)) & mask_m;
-            ++delta_m[w];
-        }
+    std::fill(deltas_.begin(), deltas_.end(), 0u);
+    count_patterns(words, done, nbits, m_, window_.window(), deltas_.data());
 
-        // The register advances past the steady-state bits: to the next word
-        // boundary, then by whole words.
-        const std::size_t head_end = std::min(nbits, (done + 63) / 64 * 64);
-        if (head_end > done) {
-            window_.shift_word(words[done / 64] >> (done % 64),
-                               static_cast<unsigned>(head_end - done));
+    // The register advances past the steady-state bits: to the next word
+    // boundary, then by whole words.
+    const std::size_t head_end = std::min(nbits, (done + 63) / 64 * 64);
+    if (head_end > done) {
+        window_.shift_word(words[done / 64] >> (done % 64),
+                           static_cast<unsigned>(head_end - done));
+    }
+    window_.shift_span(words + head_end / 64, nbits - head_end);
+    seen_ += nbits - done;
+    for (std::uint32_t p = 0; p < deltas_.size(); ++p) {
+        if (deltas_[p] != 0) {
+            file_m_[p]->advance(deltas_[p]);
         }
-        window_.shift_span(words + head_end / 64, nbits - head_end);
-        seen_ += nbits - done;
-        for (std::uint32_t p = 0; p <= mask_m; ++p) {
-            if (delta_m[p] != 0) {
-                file_m_[p]->advance(delta_m[p]);
-            }
-        }
-        if (!marginals_in_software_) {
-            // Every steady-state position increments all three lengths, so the
-            // shorter files are exact marginals of the span-local m-bit deltas.
-            const std::uint32_t half = 1u << (m_ - 1);
-            const std::uint32_t quarter = 1u << (m_ - 2);
-            for (std::uint32_t q = 0; q < half; ++q) {
-                const std::uint32_t d = delta_m[q] + delta_m[q | half];
-                if (d != 0) {
-                    file_m1_[q]->advance(d);
-                }
-            }
-            for (std::uint32_t q = 0; q < quarter; ++q) {
-                const std::uint32_t d = delta_m[q] + delta_m[q | quarter]
-                    + delta_m[q | half] + delta_m[q | half | quarter];
-                if (d != 0) {
-                    file_m2_[q]->advance(d);
+    }
+    if (!marginals_in_software_) {
+        // Every steady-state position increments all three lengths, so each
+        // shorter file is the marginal of the next longer one's deltas,
+        // folded in place: nu_{k-1}[q] = nu_k[q] + nu_k[q + 2^{k-1}].
+        for (const auto* file : {&file_m1_, &file_m2_}) {
+            for (std::size_t q = 0; q < file->size(); ++q) {
+                deltas_[q] += deltas_[q + file->size()];
+                if (deltas_[q] != 0) {
+                    (*file)[q]->advance(deltas_[q]);
                 }
             }
         }
-    });
+    }
 }
 
 void serial_hw::flush(bool bit, unsigned t)

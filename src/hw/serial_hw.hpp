@@ -26,6 +26,19 @@
 
 namespace otf::hw {
 
+/// \brief Adds one to counts[v] for every MSB-first m-bit pattern v that
+/// ends at a stream bit i in [begin, end) (bit i % 64 of words[i / 64]).
+/// `window` is the window register before `begin` (bit j = the bit j + 1
+/// positions before it; only its low m-1 bits are read).  For m <= 5 one
+/// compile-time table lookup per 8 stream bits, for m in [6, 8] a sliding
+/// window; runs under bits::span_kernel.  The serial engine's span kernel
+/// and the approximate-entropy calibration (core/critical_values) share it.
+/// \param m      pattern length, in [3, 8]
+/// \param counts 2^m entries
+void count_patterns(const std::uint64_t* words, std::size_t begin,
+                    std::size_t end, unsigned m, std::uint64_t window,
+                    std::uint32_t* counts);
+
 class serial_hw final : public engine {
 public:
     /// \brief Counts patterns of lengths m, m-1 and m-2 over a
@@ -42,15 +55,9 @@ public:
     bool marginals_in_software() const { return marginals_in_software_; }
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Span kernel: after the per-bit warm-up, for m <= 5 one
-    /// table lookup per 8 stream bits -- indexed by the previous m-1 bits
-    /// and the next 8 -- yields all 2^m pattern counts of those 8
-    /// positions as packed 4-bit fields, summed in 8-bit lanes that are
-    /// flushed before they can overflow; the last < 8 bits, and every bit
-    /// for m in [6, 8], slide the window in a local register.  Either way
-    /// the per-pattern deltas accumulate span-locally, the marginal files
-    /// are folded from the m-bit deltas, and every touched counter commits
-    /// exactly once per span.
+    /// \brief Span kernel: after the per-bit warm-up, count_patterns()
+    /// fills the span-local deltas, the marginal files fold from them, and
+    /// every touched counter commits exactly once per span.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
     void flush(bool bit, unsigned t) override;
@@ -79,6 +86,7 @@ private:
     std::vector<std::unique_ptr<rtl::counter>> file_m_;
     std::vector<std::unique_ptr<rtl::counter>> file_m1_;
     std::vector<std::unique_ptr<rtl::counter>> file_m2_;
+    std::vector<std::uint32_t> deltas_; ///< 2^m span-local pattern counts
     std::uint64_t seen_ = 0;
 
     void count_window(unsigned flush_t, bool flushing);

@@ -7,10 +7,14 @@
 #include "nist/distributions.hpp"
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
+#include "sw16/pwl_xlogx.hpp"
+#include "trng/xoshiro.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <vector>
 
 namespace {
 
@@ -146,6 +150,117 @@ TEST(critical_values, apen_calibration_is_cached_and_deterministic)
     const std::int64_t ln2_q16 = 45426;
     EXPECT_LT(a.t12_apen_min_q16, ln2_q16);
     EXPECT_GT(a.t12_apen_min_q16, ln2_q16 - 3000);
+}
+
+/// The ApEn calibration counted bit by bit: the same 256 seeded samples,
+/// drawn by next_bit(), each slid through an m-bit window and closed by
+/// the cyclic flush of its opening m-1 bits, the way the serial engine's
+/// per-bit lane counts a window.  The span-kernel calibration must give
+/// the same bound.
+std::int64_t per_bit_apen_threshold(unsigned log2_n, unsigned m, double alpha)
+{
+    const std::uint64_t n = std::uint64_t{1} << log2_n;
+    const unsigned samples = 256;
+    trng::xoshiro256ss rng(0xA9E117C0FEE5ull);
+    const auto to_q16 = [&](std::uint64_t nu) -> std::uint32_t {
+        if (log2_n >= 16) {
+            return static_cast<std::uint32_t>(nu >> (log2_n - 16));
+        }
+        return static_cast<std::uint32_t>(nu << (16 - log2_n));
+    };
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    std::vector<std::uint64_t> counts_m(std::size_t{1} << m);
+    std::vector<std::uint64_t> counts_m1(std::size_t{1} << (m - 1));
+    for (unsigned s = 0; s < samples; ++s) {
+        std::fill(counts_m.begin(), counts_m.end(), 0);
+        std::fill(counts_m1.begin(), counts_m1.end(), 0);
+        const std::uint32_t mask_m = (1u << m) - 1u;
+        const std::uint32_t mask_m1 = (1u << (m - 1)) - 1u;
+        std::uint32_t window = 0;
+        std::uint32_t opening = 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::uint32_t bit = rng.next_bit() ? 1u : 0u;
+            if (i < m - 1) {
+                opening |= bit << i;
+            }
+            window = ((window << 1) | bit) & mask_m;
+            if (i + 1 >= m) {
+                ++counts_m[window];
+            }
+            if (i + 1 >= m - 1) {
+                ++counts_m1[window & mask_m1];
+            }
+        }
+        for (unsigned t = 0; t + 1 < m; ++t) { // cyclic flush
+            const std::uint32_t bit = (opening >> t) & 1u;
+            window = ((window << 1) | bit) & mask_m;
+            ++counts_m[window];
+            if (t < m - 2) {
+                ++counts_m1[window & mask_m1];
+            }
+        }
+        std::int64_t a = 0;
+        for (const std::uint64_t nu : counts_m) {
+            a += sw16::pwl_xlogx_q16(to_q16(nu));
+        }
+        std::int64_t b = 0;
+        for (const std::uint64_t nu : counts_m1) {
+            b += sw16::pwl_xlogx_q16(to_q16(nu));
+        }
+        const double apen = static_cast<double>(a - b);
+        sum += apen;
+        sum_sq += apen * apen;
+    }
+    const double mean = sum / samples;
+    const double variance =
+        (sum_sq - sum * sum / samples) / (samples - 1);
+    const double z = nist::normal_quantile(1.0 - alpha);
+    return static_cast<std::int64_t>(
+        std::floor(mean - z * std::sqrt(std::max(variance, 1.0))));
+}
+
+TEST(critical_values, apen_calibration_matches_the_per_bit_count)
+{
+    // n = 32 draws two samples from each generator word.
+    for (const unsigned log2_n : {5u, 7u, 10u}) {
+        for (const unsigned m : {3u, 4u, 5u, 6u, 8u}) {
+            if (m >= log2_n) {
+                continue;
+            }
+            hw::block_config cfg;
+            cfg.log2_n = log2_n;
+            cfg.tests = hw::test_set{}
+                            .with(hw::test_id::serial)
+                            .with(hw::test_id::approximate_entropy);
+            cfg.serial_m = m;
+            for (const double alpha : {0.01, 0.001}) {
+                EXPECT_EQ(compute_critical_values(cfg, alpha).t12_apen_min_q16,
+                          per_bit_apen_threshold(log2_n, m, alpha))
+                    << "n = 2^" << log2_n << ", m = " << m
+                    << ", alpha = " << alpha;
+            }
+        }
+    }
+}
+
+TEST(critical_values, apen_bounds_of_the_paper_designs_are_pinned)
+{
+    // Computed by the per-bit calibration; a change to how the samples
+    // are drawn or counted must not move them.
+    struct pinned {
+        unsigned log2_n;
+        core::tier tier;
+        std::int64_t t12_apen_min_q16;
+    };
+    for (const pinned& p : {pinned{7, core::tier::medium, 39281},
+                            pinned{16, core::tier::high, 45207},
+                            pinned{20, core::tier::high, 45362}}) {
+        const hw::block_config cfg = core::paper_design(p.log2_n, p.tier);
+        EXPECT_EQ(compute_critical_values(cfg, 0.01).t12_apen_min_q16,
+                  p.t12_apen_min_q16)
+            << cfg.name;
+    }
 }
 
 TEST(critical_values, rejects_nonsense_alpha)

@@ -19,6 +19,7 @@
 #include "core/population.hpp"
 #include "core/scenario.hpp"
 #include "hw/health_tests.hpp"
+#include "hw/serial_hw.hpp"
 #include "hw/testing_block.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
@@ -340,6 +341,40 @@ TEST(kernel_oracle, serial_every_pattern_length_matches_per_bit)
                     if (::testing::Test::HasFailure()) {
                         return;
                     }
+                }
+            }
+        }
+    }
+}
+
+// Every byte-table entry, read through the shared pattern counter: a span
+// of exactly 8 bits after every (m-1)-bit window is one table lookup for
+// m <= 5 (one index per window and byte), and the sliding window for
+// m >= 6.  Each must give the per-bit count of the patterns ending at
+// those 8 positions.
+TEST(kernel_oracle, serial_pattern_counter_matches_per_bit_on_every_byte)
+{
+    const variant_guard restore;
+    for (const bits::kernel_variant v : kAllVariants) {
+        bits::set_kernel_variant(v);
+        for (unsigned m = 3; m <= 8; ++m) {
+            const std::uint64_t mask = (std::uint64_t{1} << m) - 1;
+            std::vector<std::uint32_t> counts(std::size_t{1} << m);
+            std::vector<std::uint32_t> expected(counts.size());
+            for (std::uint64_t window = 0; window < (mask + 1) / 2;
+                 ++window) {
+                for (std::uint64_t byte = 0; byte < 256; ++byte) {
+                    std::fill(counts.begin(), counts.end(), 0u);
+                    hw::count_patterns(&byte, 0, 8, m, window, counts.data());
+                    std::fill(expected.begin(), expected.end(), 0u);
+                    std::uint64_t w = window;
+                    for (unsigned i = 0; i < 8; ++i) {
+                        w = ((w << 1) | ((byte >> i) & 1u)) & mask;
+                        ++expected[w];
+                    }
+                    ASSERT_EQ(counts, expected)
+                        << variant_name(v) << " m=" << m << " window="
+                        << window << " byte=" << byte;
                 }
             }
         }
