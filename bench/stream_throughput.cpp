@@ -17,11 +17,12 @@
 //      variant on full runs;
 //   3. fleet           -- core::fleet_monitor over 1..C channels,
 //      reporting aggregate Mbit/s and the scaling over one channel;
-//   4. generation      -- every adversarial source model at default
-//      parameters and severity 1.0 over an ideal inner, timed through
-//      fill_words (one next_word() per output word); this times the
-//      generation side of the window loop (its stream is pinned by
-//      tests/test_generation_oracle.cpp);
+//   4. generation      -- the healthy device inner (biased_source at
+//      p = 0.5, the Bernoulli word kernel) and every adversarial source
+//      model at default parameters and severity 1.0 over an ideal inner,
+//      timed through fill_words (one next_word() per model output word);
+//      this times the generation side of the window loop (its stream is
+//      pinned by tests/test_generation_oracle.cpp);
 //   5. short windows   -- core::run_windows on the n = 128 light and
 //      medium designs, where the window close (register capture and
 //      readout, sw16 software pass) dominates: Mbit/s, close us per
@@ -182,8 +183,9 @@ int main(int argc, char** argv)
         scaling.push_back(p);
     }
 
-    // 4. Generation: every adversarial source model at default
-    // parameters and full severity over an ideal inner.
+    // 4. Generation: the healthy device inner, then every adversarial
+    // source model at default parameters and full severity over an ideal
+    // inner.
     struct generation_point {
         const char* model;
         double mwps;
@@ -196,9 +198,11 @@ int main(int argc, char** argv)
     };
     struct gen_model {
         const char* name;
-        std::function<std::unique_ptr<trng::source_model>()> make;
+        std::function<std::unique_ptr<trng::entropy_source>()> make;
     };
     const gen_model gen_models[] = {
+        {"biased",
+         [] { return std::make_unique<trng::biased_source>(10, 0.5); }},
         {"rtn",
          [&] { return std::make_unique<trng::rtn_source>(inner(), 11); }},
         {"bias_drift",

@@ -127,8 +127,9 @@ EOF
 
     echo "== validating otf-stream-bench/7 schema =="
     # The stream bench must report the /7 schema: span kernels measured
-    # against the per-bit lane, the generation axis with one rate for each
-    # of the six adversarial models, the fleet-scaling axis (non-empty,
+    # against the per-bit lane, the generation axis with one rate for the
+    # healthy device inner (biased) and each of the six adversarial
+    # models, the fleet-scaling axis (non-empty,
     # every point moving bits) and the n = 128 short-window section -- and
     # no streamed, zero-copy, batch-sweep or ring keys, and no
     # scalar/batched generation lanes (docs/BENCHMARKS.md).
@@ -142,9 +143,9 @@ assert doc["schema"] == "otf-stream-bench/7", doc["schema"]
 assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
 assert all("over_per_bit_lane" in k for k in doc["span_kernels"])
 models = [g["model"] for g in doc["generation"]]
-expected = {"rtn", "bias_drift", "lockin", "fault", "entropy_collapse",
-            "substitution"}
-assert set(models) == expected and len(models) == 6, models
+expected = {"biased", "rtn", "bias_drift", "lockin", "fault",
+            "entropy_collapse", "substitution"}
+assert set(models) == expected and len(models) == 7, models
 for g in doc["generation"]:
     assert g["mwords_per_s"] > 0, g
     for key in ("scalar_mwords_per_s", "batched_mwords_per_s", "speedup"):

@@ -23,6 +23,17 @@ std::vector<std::unique_ptr<rtl::counter>> make_file(const std::string& tag,
     return file;
 }
 
+// Validates before m is used as a shift count and a register width: the
+// member initializers below do both.
+unsigned checked_pattern_length(unsigned m)
+{
+    if (m < 3 || m > 8) {
+        throw std::invalid_argument("serial_hw: m must be in [3, 8], got "
+                                    + std::to_string(m));
+    }
+    return m;
+}
+
 /// The low `bits` bits of x in reverse order: converts between the window
 /// register's order (bit j is the bit j positions back) and stream order.
 std::uint64_t reverse_low(std::uint64_t x, unsigned bits)
@@ -176,24 +187,21 @@ void count_patterns(const std::uint64_t* words, std::size_t begin,
 
 serial_hw::serial_hw(unsigned log2_n, unsigned m,
                      bool marginals_in_software)
-    : engine("serial"), m_(m),
+    : engine("serial"), m_(checked_pattern_length(m)),
       marginals_in_software_(marginals_in_software),
-      window_("window", m),
-      opening_bits_("opening_bits", m - 1),
+      window_("window", m_),
+      opening_bits_("opening_bits", m_ - 1),
       // A pattern can occur at all n cyclic positions (e.g. 0000 in the
       // all-zeros sequence), so counters must hold the value n itself.
-      file_m_(make_file("nu_m", 1u << m, log2_n + 1)),
+      file_m_(make_file("nu_m", 1u << m_, log2_n + 1)),
       file_m1_(marginals_in_software
                    ? std::vector<std::unique_ptr<rtl::counter>>{}
-                   : make_file("nu_m1", 1u << (m - 1), log2_n + 1)),
+                   : make_file("nu_m1", 1u << (m_ - 1), log2_n + 1)),
       file_m2_(marginals_in_software
                    ? std::vector<std::unique_ptr<rtl::counter>>{}
-                   : make_file("nu_m2", 1u << (m - 2), log2_n + 1)),
-      deltas_(std::size_t{1} << m)
+                   : make_file("nu_m2", 1u << (m_ - 2), log2_n + 1)),
+      deltas_(std::size_t{1} << m_)
 {
-    if (m < 3 || m > 8) {
-        throw std::invalid_argument("serial_hw: m must be in [3, 8]");
-    }
     adopt(window_);
     adopt(opening_bits_);
     for (auto& c : file_m_) {

@@ -265,8 +265,20 @@ bool device_source::next_bit()
 
 void device_source::fill_words(std::uint64_t* out, std::size_t nwords)
 {
-    for (std::size_t j = 0; j < nwords; ++j) {
-        out[j] = next_word();
+    // The words between two transitions go to the chain in one call: a
+    // biased inner then runs its Bernoulli kernel over the whole run.
+    for (std::size_t j = 0; j < nwords;) {
+        transition_at(words_produced_);
+        std::uint64_t run = nwords - j;
+        if (dial_ != nullptr && onset_word_ > words_produced_) {
+            run = std::min(run, onset_word_ - words_produced_);
+        }
+        if (profile_.churns && churn_word_ > words_produced_) {
+            run = std::min(run, churn_word_ - words_produced_);
+        }
+        chain_->fill_words(out + j, static_cast<std::size_t>(run));
+        j += static_cast<std::size_t>(run);
+        words_produced_ += run;
     }
     if (out_left_ == 0 || nwords == 0) {
         return;

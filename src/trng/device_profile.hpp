@@ -23,8 +23,9 @@
 // onset window.  Healthy devices may instead *churn*: the unit is swapped
 // for a fresh one (new seed, new bias point) mid-run, modelling fleet
 // turnover.  All transitions land on 64-bit word boundaries and both lanes
-// produce word by word through one next_word(), which checks for a
-// scheduled transition before every word, so per-bit and word lanes stay
+// apply them before the word they are scheduled for: next_bit() draws one
+// chain word at a time, fill_words() hands the chain each run of words
+// between two transitions in one call, so per-bit and word lanes stay
 // bit-exact (the source_model contract).
 #pragma once
 
@@ -153,8 +154,8 @@ public:
     const device_profile& profile() const { return profile_; }
 
 private:
-    /// The next output word: transitions first, then one chain word.
-    /// Both lanes produce through it, one word at a time.
+    /// The next output word for the bit lane: transitions first, then
+    /// one chain word.
     std::uint64_t next_word();
     /// Apply any transition scheduled for the word about to be produced.
     void transition_at(std::uint64_t word_index);

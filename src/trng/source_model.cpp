@@ -444,16 +444,11 @@ entropy_collapse_source::entropy_collapse_source(
     }
     // The power-up fingerprint is a fixed property of the simulated
     // device: sampled once at construction from the model's own PRNG.
+    // One Bernoulli(cell_one_prob) draw per cell, in cell order.
     fingerprint_.resize(
         static_cast<std::size_t>(params.fingerprint_bits / 64));
-    for (std::uint64_t& word : fingerprint_) {
-        word = 0;
-        for (unsigned i = 0; i < 64; ++i) {
-            if (rng_.next_double() < params.cell_one_prob) {
-                word |= std::uint64_t{1} << i;
-            }
-        }
-    }
+    rng_.fill_below(bernoulli_threshold(params.cell_one_prob),
+                    fingerprint_.data(), fingerprint_.size());
 }
 
 std::uint64_t entropy_collapse_source::next_word()

@@ -10,29 +10,17 @@ biased_source::biased_source(std::uint64_t seed, double p_one)
     if (!(p_one >= 0.0 && p_one <= 1.0)) {
         throw std::invalid_argument("biased_source: p_one must be in [0, 1]");
     }
+    threshold_ = bernoulli_threshold(p_one);
 }
 
 bool biased_source::next_bit()
 {
-    return rng_.next_double() < p_one_;
+    return (rng_.next() >> 11) < threshold_;
 }
 
 void biased_source::fill_words(std::uint64_t* out, std::size_t nwords)
 {
-    // Run the batch on a local generator copy: the state members are
-    // uint64_t like `out`, so drawing through `rng_` directly would
-    // force a state reload per iteration (may-alias with the stores).
-    xoshiro256ss rng = rng_;
-    const double p = p_one_;
-    for (std::size_t j = 0; j < nwords; ++j) {
-        std::uint64_t w = 0;
-        for (unsigned i = 0; i < 64; ++i) {
-            w |= static_cast<std::uint64_t>(rng.next_double() < p ? 1 : 0)
-                << i;
-        }
-        out[j] = w;
-    }
-    rng_ = rng;
+    rng_.fill_below(threshold_, out, nwords);
 }
 
 std::string biased_source::name() const

@@ -52,11 +52,10 @@ public:
     /// \throws std::invalid_argument unless p_one is in [0, 1]
     biased_source(std::uint64_t seed, double p_one);
     bool next_bit() override;
-    /// Batched: the 64 per-bit threshold draws inlined per word.  The
-    /// per-bit lane holds no buffer state, so this is bit-exact with
-    /// assembling words from next_bit() -- but without 64 virtual calls
-    /// per word, which matters because this is the inner source of every
-    /// device_source in a population run.
+    /// Batched through xoshiro256ss::fill_below, the same integer
+    /// threshold as next_bit().  The per-bit lane holds no buffer state,
+    /// so this is bit-exact with assembling words from next_bit() -- and
+    /// it is the inner source of every device_source in a population run.
     void fill_words(std::uint64_t* out, std::size_t nwords) override;
     std::string name() const override;
     double p_one() const { return p_one_; }
@@ -64,6 +63,7 @@ public:
 private:
     xoshiro256ss rng_;
     double p_one_;
+    std::uint64_t threshold_ = 0; // bernoulli_threshold(p_one_)
 };
 
 /// First-order Markov source: P[b_i == b_{i-1}] = persistence.

@@ -9,12 +9,24 @@
 // The draw path is header-inline: every adversarial model burns a handful
 // of draws per 64 output bits (Bernoulli mask folds, dwell sampling), so
 // an out-of-line call per draw would dominate each model's next_word()
-// (trng/source_model.hpp).
+// (trng/source_model.hpp).  The one bulk path, fill_below(), is out of
+// line: it decides 64 Bernoulli draws per call-level word.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace otf::trng {
+
+/// \brief Integer threshold of a Bernoulli(p) draw: T = ceil(p * 2^53).
+/// For an integer k, k * 2^-53 < p iff k < T, so `(next() >> 11) < T` is
+/// exactly `next_double() < p`.  p must already be validated to [0, 1]
+/// (the cast of a NaN is undefined); the result is in [0, 2^53].
+inline std::uint64_t bernoulli_threshold(double p)
+{
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 class xoshiro256ss {
 public:
@@ -76,6 +88,19 @@ public:
         // behind.
         return word;
     }
+
+    /// \brief Bernoulli words: bit i of out[j] is `(next() >> 11) <
+    /// threshold` for the (64 j + i)-th of 64 * nwords successive next()
+    /// draws -- with threshold = bernoulli_threshold(p), exactly the
+    /// `next_double() < p` decisions, in the same order.  The state walk
+    /// runs scalar and the scrambler plus the comparison four draws at a
+    /// time, under bits::span_kernel (both ISA clones).  Like next() and
+    /// next_double(), it neither reads nor drains the next_bit() buffer.
+    /// \param threshold in [0, 2^53] (0: all zeros, 2^53: all ones)
+    /// \param out       destination of at least `nwords` words
+    /// \param nwords    words to produce (64 draws each)
+    void fill_below(std::uint64_t threshold, std::uint64_t* out,
+                    std::size_t nwords);
 
 private:
     static std::uint64_t rotl(std::uint64_t x, int k)

@@ -7,12 +7,14 @@
 // onset/churn boundaries.  The kernel-side twin of this file is
 // test_kernel_oracle.cpp (SIMD vs scalar consumers); this one pins the
 // producer side.
+#include "base/bits.hpp"
 #include "trng/device_profile.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
 
 #include "support/fixed_seed.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -270,21 +272,126 @@ TEST(generation_oracle, interleaved_bit_and_word_drains_agree)
     }
 }
 
-TEST(generation_oracle, biased_source_batch_matches_per_bit)
+struct variant_guard {
+    ~variant_guard()
+    {
+        bits::set_kernel_variant(bits::default_kernel_variant());
+    }
+};
+
+constexpr bits::kernel_variant kAllVariants[] = {
+    bits::kernel_variant::reference,
+    bits::kernel_variant::portable,
+    bits::kernel_variant::simd,
+};
+
+/// The Bernoulli(p) decision as the double comparison it replaced, on a
+/// raw generator twin -- not biased_source::next_bit, which shares the
+/// integer threshold with the word kernel.
+bool double_draw(xoshiro256ss& twin, double p)
 {
-    // The biased healthy source overrides fill_words with a batched
-    // draw loop; its oracle is the per-bit lane of an identical twin.
-    biased_source batched(fixture_seed(63), 0.3);
-    biased_source oracle(fixture_seed(63), 0.3);
-    for (const std::size_t n : kRaggedSizes) {
-        std::vector<std::uint64_t> got(n, 0);
-        batched.fill_words(got.data(), n);
-        for (std::size_t j = 0; j < n; ++j) {
-            std::uint64_t want = 0;
-            for (unsigned b = 0; b < 64; ++b) {
-                want |= static_cast<std::uint64_t>(oracle.next_bit()) << b;
+    return twin.next_double() < p;
+}
+
+TEST(generation_oracle, biased_source_matches_the_double_comparison)
+{
+    // Both lanes of biased_source against a raw xoshiro256** twin
+    // computing next_double() < p, bit by bit: ragged word batches
+    // (0 included) interleaved with per-bit pulls, in every kernel
+    // variant's clone of the word kernel.
+    const double probabilities[] = {0.0,
+                                    1.0,
+                                    0.5,
+                                    0.25,
+                                    0.3,
+                                    std::nextafter(0.5, 0.0),
+                                    std::nextafter(0.5, 1.0),
+                                    1e-300};
+    const std::size_t batches[] = {0, 1, 2, 3, 5, 33};
+    variant_guard guard;
+    for (const bits::kernel_variant v : kAllVariants) {
+        bits::set_kernel_variant(v);
+        for (const double p : probabilities) {
+            biased_source source(fixture_seed(63), p);
+            xoshiro256ss twin(fixture_seed(63));
+            std::size_t step = 0;
+            for (int round = 0; round < 3; ++round) {
+                for (const std::size_t n : batches) {
+                    std::vector<std::uint64_t> got(n, 0);
+                    source.fill_words(got.data(), n);
+                    for (std::size_t j = 0; j < n; ++j) {
+                        std::uint64_t want = 0;
+                        for (unsigned b = 0; b < 64; ++b) {
+                            want |= static_cast<std::uint64_t>(
+                                        double_draw(twin, p))
+                                << b;
+                        }
+                        ASSERT_EQ(got[j], want)
+                            << bits::to_string(v) << " p=" << p
+                            << " n=" << n << " word " << j;
+                    }
+                    // 0..64 single bits between batches.
+                    for (std::size_t i = 0; i < (step * 13) % 65; ++i) {
+                        ASSERT_EQ(source.next_bit(), double_draw(twin, p))
+                            << bits::to_string(v) << " p=" << p
+                            << " after n=" << n << " bit " << i;
+                    }
+                    ++step;
+                }
             }
-            ASSERT_EQ(got[j], want) << "n=" << n << " word " << j;
+        }
+    }
+}
+
+TEST(generation_oracle, threshold_decides_like_the_double_at_its_edge)
+{
+    // k * 2^-53 < p iff k < ceil(p * 2^53): check both formulas on the
+    // two draws that straddle every threshold of a sweep of p, then the
+    // word kernel itself on a draw that sits exactly at its threshold.
+    std::vector<double> sweep = {0.0, 1.0, 0.5, 0.25, 0.3, 1e-300,
+                                 0x1.0p-53, 0x1.8p-53, 0x1.0p-54,
+                                 std::nextafter(0.0, 1.0),
+                                 std::nextafter(1.0, 0.0),
+                                 std::nextafter(0.5, 0.0),
+                                 std::nextafter(0.5, 1.0)};
+    xoshiro256ss rng(fixture_seed(65));
+    for (int i = 0; i < 2000; ++i) {
+        const double u = rng.next_double();
+        sweep.push_back(u);                         // on the 2^-53 grid
+        sweep.push_back(std::nextafter(u, 0.0));    // just below it
+        sweep.push_back(std::nextafter(u, 1.0));    // just above it
+        sweep.push_back(u * u);                     // finer than the grid
+    }
+    constexpr std::uint64_t kGrid = std::uint64_t{1} << 53;
+    for (const double p : sweep) {
+        const std::uint64_t t = bernoulli_threshold(p);
+        ASSERT_LE(t, kGrid) << p;
+        for (const std::uint64_t k : {t - 1, t}) {
+            if (k >= kGrid) {
+                continue; // draws are below 2^53 (t - 1 wraps at t = 0)
+            }
+            const double as_double = static_cast<double>(k) * 0x1.0p-53;
+            ASSERT_EQ(k < t, as_double < p) << "p=" << p << " k=" << k;
+        }
+    }
+
+    variant_guard guard;
+    for (const bits::kernel_variant v : kAllVariants) {
+        bits::set_kernel_variant(v);
+        for (unsigned lane = 0; lane < 64; ++lane) {
+            xoshiro256ss probe(fixture_seed(66) + lane);
+            xoshiro256ss skip = probe;
+            std::uint64_t k = 0;
+            for (unsigned i = 0; i <= lane; ++i) {
+                k = skip.next() >> 11;
+            }
+            for (const std::uint64_t t : {k, k + 1}) {
+                xoshiro256ss kernel = probe;
+                std::uint64_t w = 0;
+                kernel.fill_below(t, &w, 1);
+                EXPECT_EQ((w >> lane) & 1u, k < t ? 1u : 0u)
+                    << bits::to_string(v) << " lane " << lane << " t=" << t;
+            }
         }
     }
 }

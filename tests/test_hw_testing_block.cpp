@@ -2,6 +2,7 @@
 // structure, configuration validation and resource accounting, including
 // the paper's four sharing tricks as measurable properties.
 #include "core/design_config.hpp"
+#include "hw/serial_hw.hpp"
 #include "hw/standalone.hpp"
 #include "hw/testing_block.hpp"
 #include "trng/sources.hpp"
@@ -307,6 +308,23 @@ TEST(config_validation, apen_requires_serial)
                     .with(hw::test_id::cumulative_sums);
     EXPECT_THROW(cfg.validate(), std::invalid_argument)
         << "trick 3: test 12 has no hardware without test 11's counters";
+}
+
+TEST(config_validation, serial_engine_checks_m_before_sizing_it)
+{
+    // m is checked before it becomes a shift count (undefined from 32
+    // on) or a register width; block_config::validate() never lets the
+    // paper paths reach these values, a direct construction can.
+    for (const unsigned m : {0u, 2u, 9u, 16u, 40u}) {
+        try {
+            hw::serial_hw engine(16, m);
+            ADD_FAILURE() << "m = " << m << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "serial_hw: m must be in [3, 8], got "
+                          + std::to_string(m));
+        }
+    }
 }
 
 TEST(sharing_tricks, no_dedicated_ones_counter)
