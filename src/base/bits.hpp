@@ -122,6 +122,18 @@ public:
         return seq;
     }
 
+    /// Append every bit of `words`, LSB-first (the layout from_words()
+    /// reads), reusing the sequence's storage.
+    void append_words(const std::vector<std::uint64_t>& words)
+    {
+        const std::size_t first = bits_.size();
+        bits_.resize(first + words.size() * 64);
+        for (std::size_t i = 0; i < words.size() * 64; ++i) {
+            bits_[first + i] =
+                static_cast<std::uint8_t>((words[i / 64] >> (i % 64)) & 1u);
+        }
+    }
+
     std::string to_string() const
     {
         std::string s;

@@ -304,18 +304,18 @@ void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
 }
 
 confirmation_result confirm_evidence(const std::vector<evidence_window>& ring,
-                                     const supervisor_config& cfg)
+                                     const supervisor_config& cfg,
+                                     bit_sequence& bits)
 {
-    std::vector<std::uint64_t> words;
+    bits.clear();
     for (const evidence_window& win : ring) {
-        words.insert(words.end(), win.words.begin(), win.words.end());
+        bits.append_words(win.words);
     }
     confirmation_result conf;
     conf.evidence_windows = ring.size();
-    conf.evidence_bits = words.size() * 64;
-    conf.battery = nist::run_battery(
-        bit_sequence::from_words(words, conf.evidence_bits),
-        cfg.offline_alpha, cfg.offline_tests);
+    conf.evidence_bits = bits.size();
+    conf.battery =
+        nist::run_battery(bits, cfg.offline_alpha, cfg.offline_tests);
     conf.confirmed = conf.battery.failed >= cfg.offline_min_failures;
     return conf;
 }
@@ -411,7 +411,8 @@ void supervisor::escalate(std::uint64_t next_window)
     // composable battery.  Runs on the window loop's thread -- the
     // deployment analogue of the MCU shipping the suspicious stretch to a
     // host.
-    confirmation_result conf = confirm_evidence(state_.evidence_ring, cfg_);
+    confirmation_result conf =
+        confirm_evidence(state_.evidence_ring, cfg_, evidence_bits_);
     if (conf.confirmed) {
         ++state_.confirmed_escalations;
     }
@@ -553,12 +554,15 @@ void supervisor::reset()
     telemetry_ = nullptr;
     // The evidence ring keeps its storage for the next run: the captured
     // windows (word buffers included) move to the spares, the emptied
-    // vector keeps its capacity.
+    // vector keeps its capacity.  So does the timeline's vector.
     std::vector<evidence_window> ring = std::move(state_.evidence_ring);
     std::move(ring.begin(), ring.end(), std::back_inserter(spare_windows_));
     ring.clear();
+    std::vector<supervision_event> events = std::move(state_.events);
+    events.clear();
     state_ = supervisor_checkpoint{};
     state_.evidence_ring = std::move(ring);
+    state_.events = std::move(events);
 }
 
 void supervisor::write_events(json_writer& json,

@@ -173,9 +173,12 @@ void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
 /// \brief The offline confirmation: the ring's words, oldest first and
 /// LSB-first, through the SP 800-22 battery (`cfg.offline_*`).  Live
 /// escalation and verify_replay() both call it, so a replayed verdict is
-/// bit-identical whenever the evidence is.
+/// bit-identical whenever the evidence is.  The bits are unpacked into
+/// `bits`, refilled in place: a caller that keeps one reuses its storage
+/// from one confirmation to the next.
 confirmation_result confirm_evidence(const std::vector<evidence_window>& ring,
-                                     const supervisor_config& cfg);
+                                     const supervisor_config& cfg,
+                                     bit_sequence& bits);
 
 /// \brief Aggregated telemetry of one supervised run.  Deterministic for
 /// a fixed source except `seconds`.
@@ -367,8 +370,8 @@ public:
     /// half-fed) and returns to the baseline design, a resident one; the
     /// alarm policy, the counters, the evidence ring, the timeline and the
     /// monitor's window and instruction counts clear, and a telemetry sink
-    /// is detached.  The evidence ring's storage is kept, so a quiet
-    /// device refills it without allocating.
+    /// is detached.  The evidence ring's and the timeline's storage is
+    /// kept, so a quiet device refills the ring without allocating.
     void reset();
 
 private:
@@ -390,6 +393,8 @@ private:
     supervisor_checkpoint state_;
     /// Evidence slots reset() took off the ring, reused as it refills.
     std::vector<evidence_window> spare_windows_;
+    /// The offline confirmation's evidence bits, kept across runs.
+    bit_sequence evidence_bits_;
 };
 
 } // namespace otf::core

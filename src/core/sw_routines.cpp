@@ -3,7 +3,7 @@
 #include "sw16/pwl_xlogx.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -133,7 +133,8 @@ void software_runner::bind(const hw::register_map& map) const
         b.nu_m = file("serial.nu_m", std::size_t{1} << m);
         if (b.derive_marginals) {
             // Interface-reduction option: the shorter serial counts are
-            // derived in software (collect()) into slots past the map.
+            // derived in software (derive_marginals()) into slots past
+            // the map.
             b.nu_m1 = {next, std::size_t{1} << (m - 1)};
             b.nu_m2 = {next + b.nu_m1.count, std::size_t{1} << (m - 2)};
             next = b.nu_m2.base + b.nu_m2.count;
@@ -143,46 +144,94 @@ void software_runner::bind(const hw::register_map& map) const
         }
     }
 
+    // native_cpu::trace() counts a routine's negative abs() operands,
+    // which fixes their SUB charges only where the operands share one
+    // width.  Frequency and runs take one abs(); block frequency and
+    // non-overlapping take one per file element, as wide as the element.
+    const auto mixed_widths = [&map](const file_slots& f) {
+        for (std::size_t k = 1; k < f.count; ++k) {
+            if (map.entry(f.base + k).width != map.entry(f.base).width) {
+                return true;
+            }
+        }
+        return false;
+    };
+    if (tests.has(test_id::block_frequency) && mixed_widths(b.eps)) {
+        b.unkeyed.with(test_id::block_frequency);
+    }
+    if (tests.has(test_id::non_overlapping_template)
+        && mixed_widths(b.t7_w)) {
+        b.unkeyed.with(test_id::non_overlapping_template);
+    }
+
     store_.assign(next, reg{});
     reads_.clear();
     for (const hw::map_entry& e : map.entries()) {
-        reads_.push_back({e.width, 64 - e.width, e.is_signed});
+        store_[reads_.size()].bits = e.width;
+        reads_.push_back({64 - e.width, e.is_signed});
     }
+    std::size_t enabled = 0;
+    for (const test_id id : hw::all_tests) {
+        enabled += tests.has(id) ? 1 : 0;
+    }
+    memo_.assign(memo_slots * enabled, memo_slot{});
+    memo_word_bits_ = 0; // price() sizes the marginals and empties the memo
     b.layout = map.layout();
     binding_ = b;
 }
 
-void software_runner::collect(const hw::register_map& map,
-                              soft_cpu& cpu) const
+template <typename Cpu>
+void software_runner::derive_marginals(Cpu& cpu) const
 {
-    // The collection pass: one multi-word peripheral read per mapped value,
-    // its bits above the width dropped and signed values sign-extended (as
-    // register_map::read_value does).
-    const std::span<const std::uint64_t> values = map.values();
-    for (std::size_t i = 0; i < binding_.mapped; ++i) {
-        const value_read& r = reads_[i];
-        cpu.charge_read(r.width);
-        const std::uint64_t top = values[i] << r.shift;
-        store_[i] = reg{r.is_signed
-                            ? static_cast<std::int64_t>(top) >> r.shift
-                            : static_cast<std::int64_t>(top >> r.shift),
-                        r.width};
-    }
-
-    // Interface-reduction option: the hardware only transfers the m-bit
-    // pattern counts; the shorter counts are their cyclic marginals,
-    // nu_{k-1}[p] = nu_k[2p] + nu_k[2p+1], derived here at one ADD each.
-    if (!binding_.derive_marginals) {
-        return;
-    }
+    // The shorter serial counts are the cyclic marginals of the m-bit
+    // counts: nu_{k-1}[p] = nu_k[2p] + nu_k[2p+1].
     const auto derive = [&](const file_slots& from, const file_slots& to) {
         for (std::size_t p = 0; p < to.count; ++p) {
-            store_[to.base + p] = cpu.add(store_[from.base + 2 * p],
-                                          store_[from.base + 2 * p + 1]);
+            Cpu::store(store_[to.base + p],
+                       cpu.add(Cpu::load(store_[from.base + 2 * p]),
+                               Cpu::load(store_[from.base + 2 * p + 1])));
         }
     };
     derive(binding_.nu_m, binding_.nu_m1);
     derive(binding_.nu_m1, binding_.nu_m2);
+}
+
+void software_runner::price(unsigned word_bits) const
+{
+    // The collection pass charges the same on every window of a binding:
+    // one multi-word peripheral read per mapped value and, with the
+    // interface-reduction option, one ADD per derived marginal (which
+    // also sizes the marginals' registers).
+    soft_cpu cpu(word_bits);
+    for (std::size_t i = 0; i < binding_.mapped; ++i) {
+        cpu.charge_read(store_[i].bits);
+    }
+    if (binding_.derive_marginals) {
+        derive_marginals(cpu);
+    }
+    collect_ops_ = cpu.counts();
+    std::fill(memo_.begin(), memo_.end(), memo_slot{});
+    memo_word_bits_ = word_bits;
+}
+
+void software_runner::collect(const hw::register_map& map) const
+{
+    // The values of the collection pass (price() charges it): each mapped
+    // value with its bits above the width dropped and signed values
+    // sign-extended (as register_map::read_value does), then the derived
+    // marginals.
+    const std::span<const std::uint64_t> values = map.values();
+    for (std::size_t i = 0; i < binding_.mapped; ++i) {
+        const value_read& r = reads_[i];
+        const std::uint64_t top = values[i] << r.shift;
+        store_[i].value = r.is_signed
+            ? static_cast<std::int64_t>(top) >> r.shift
+            : static_cast<std::int64_t>(top >> r.shift);
+    }
+    if (binding_.derive_marginals) {
+        sw16::native_cpu cpu;
+        derive_marginals(cpu);
+    }
 }
 
 software_result software_runner::run(const hw::register_map& map,
@@ -191,91 +240,86 @@ software_result software_runner::run(const hw::register_map& map,
     if (map.layout() != binding_.layout) {
         bind(map);
     }
-    const sw16::op_counts before = cpu.counts();
-    collect(map, cpu);
-
-    using routine = test_verdict (software_runner::*)(soft_cpu&) const;
-    static constexpr std::pair<hw::test_id, routine> routines[] = {
-        {hw::test_id::frequency, &software_runner::run_frequency},
-        {hw::test_id::block_frequency, &software_runner::run_block_frequency},
-        {hw::test_id::runs, &software_runner::run_runs},
-        {hw::test_id::longest_run, &software_runner::run_longest_run},
-        {hw::test_id::non_overlapping_template,
-         &software_runner::run_non_overlapping},
-        {hw::test_id::overlapping_template, &software_runner::run_overlapping},
-        {hw::test_id::serial, &software_runner::run_serial},
-        {hw::test_id::approximate_entropy,
-         &software_runner::run_approximate_entropy},
-        {hw::test_id::cumulative_sums, &software_runner::run_cumulative_sums},
-    };
-    static_assert(std::size(routines) == std::size(hw::all_tests));
+    if (cpu.word_bits() != memo_word_bits_) {
+        price(cpu.word_bits());
+    }
+    collect(map);
 
     software_result result;
-    for (const auto& [id, run_test] : routines) {
+    sw16::op_counts ops = collect_ops_;
+    bool all_pass = true;
+    std::size_t count = 0;
+    memo_slot* slots = memo_.data();
+    for (const hw::test_id id : hw::all_tests) {
         if (!cfg_.tests.has(id)) {
             continue;
         }
-        test_verdict verdict = (this->*run_test)(cpu);
+        test_verdict& verdict = result.verdicts.items_[count++];
+        verdict = run_charged(
+            id, binding_.unkeyed.has(id) ? nullptr : slots, ops);
+        slots += memo_slots;
         verdict.id = id;
         verdict.name = hw::to_string(id);
-        result.all_pass = result.all_pass && verdict.pass;
-        result.verdicts.items_[result.verdicts.size_++] = verdict;
+        all_pass = all_pass && verdict.pass;
     }
-
-    result.total_ops = cpu.counts() - before;
+    result.verdicts.size_ = count;
+    result.all_pass = all_pass;
+    result.total_ops = ops;
+    cpu.charge(ops);
     return result;
 }
 
 // ---------------------------------------------------------------- test 1 --
-test_verdict software_runner::run_frequency(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_frequency(Cpu& cpu) const
 {
     // |S_final| <= precomputed sqrt(2n) erfc^-1(alpha).  S_final comes from
     // the cusum walk (sharing trick 1: no ones-counter exists in hardware).
-    const reg s = store_[binding_.s_final];
-    const reg magnitude = cpu.abs(s);
+    const auto magnitude = cpu.abs(Cpu::load(store_[binding_.s_final]));
     test_verdict verdict;
-    verdict.statistic = magnitude.value;
+    verdict.statistic = Cpu::value_of(magnitude);
     verdict.bound = cv_.t1_max_deviation;
-    verdict.pass = cpu.less_equal(magnitude, consts_.t1_bound);
+    verdict.pass = cpu.less_equal(magnitude, Cpu::load(consts_.t1_bound));
     return verdict;
 }
 
 // ---------------------------------------------------------------- test 2 --
-test_verdict software_runner::run_block_frequency(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_block_frequency(Cpu& cpu) const
 {
     // sum (2 eps_i - M)^2 <= M * chi2_crit(N dof).
-    reg acc = soft_cpu::constant(0, 1);
+    auto acc = Cpu::constant(0, 1);
     for (const reg eps : file(binding_.eps)) {
-        reg d = cpu.shift_left(eps, 1);
-        d = cpu.sub(d, consts_.t2_block_len);
+        auto d = cpu.shift_left(Cpu::load(eps), 1);
+        d = cpu.sub(d, Cpu::load(consts_.t2_block_len));
         d = cpu.abs(d);
-        const reg square = cpu.sqr(d);
-        acc = cpu.add(acc, square);
+        acc = cpu.add(acc, cpu.sqr(d));
     }
     test_verdict verdict;
-    verdict.statistic = acc.value;
+    verdict.statistic = Cpu::value_of(acc);
     verdict.bound = cv_.t2_sum_bound;
-    verdict.pass = cpu.less_equal(acc, consts_.t2_bound);
+    verdict.pass = cpu.less_equal(acc, Cpu::load(consts_.t2_bound));
     return verdict;
 }
 
 // ---------------------------------------------------------------- test 3 --
-test_verdict software_runner::run_runs(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_runs(Cpu& cpu) const
 {
     test_verdict verdict;
 
     // Frequency prerequisite on the walk's final value.
-    const reg s = store_[binding_.s_final];
-    const reg magnitude = cpu.abs(s);
-    if (cpu.greater_equal(magnitude, consts_.t3_prereq)) {
-        verdict.statistic = magnitude.value;
+    const auto s = Cpu::load(store_[binding_.s_final]);
+    const auto magnitude = cpu.abs(s);
+    if (cpu.greater_equal(magnitude, Cpu::load(consts_.t3_prereq))) {
+        verdict.statistic = Cpu::value_of(magnitude);
         verdict.bound = cv_.t3_prereq_deviation;
         verdict.pass = false;
         return verdict;
     }
 
     // N_ones = (S_final + n) / 2 -- derived, not counted (trick 1).
-    reg ones = cpu.add(s, consts_.t3_n);
+    auto ones = cpu.add(s, Cpu::load(consts_.t3_n));
     ones = cpu.shift_right(ones, 1);
 
     // Binary search for the stored N_ones interval (the paper: "first
@@ -284,72 +328,76 @@ test_verdict software_runner::run_runs(soft_cpu& cpu) const
     std::size_t hi = cv_.t3_intervals.size() - 1;
     while (lo < hi) {
         const std::size_t mid = (lo + hi) / 2;
-        if (cpu.greater(ones, consts_.t3_ones_hi[mid])) {
+        if (cpu.greater(ones, Cpu::load(consts_.t3_ones_hi[mid]))) {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    const reg runs = store_[binding_.n_runs];
-    const bool above = cpu.greater_equal(runs, consts_.t3_runs_lo[lo]);
-    const bool below = cpu.less_equal(runs, consts_.t3_runs_hi[lo]);
-    verdict.statistic = runs.value;
+    const auto runs = Cpu::load(store_[binding_.n_runs]);
+    const bool above =
+        cpu.greater_equal(runs, Cpu::load(consts_.t3_runs_lo[lo]));
+    const bool below =
+        cpu.less_equal(runs, Cpu::load(consts_.t3_runs_hi[lo]));
+    verdict.statistic = Cpu::value_of(runs);
     verdict.bound = cv_.t3_intervals[lo].runs_hi;
     verdict.pass = above && below;
     return verdict;
 }
 
 // ---------------------------------------------------------------- test 4 --
-test_verdict software_runner::run_longest_run(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_longest_run(Cpu& cpu) const
 {
     // sum nu_i^2 w_i <= 2^q N (crit + N), w_i = round(2^q / pi_i).
-    reg acc = soft_cpu::constant(0, 1);
-    for (std::size_t c = 0; c < cv_.t4_weights_q.size(); ++c) {
-        const reg nu = file(binding_.lr_nu)[c];
-        const reg square = cpu.sqr(nu);
-        const reg term = cpu.mul(square, consts_.t4_weights[c]);
-        acc = cpu.add(acc, term);
+    const std::span<const reg> nu = file(binding_.lr_nu);
+    auto acc = Cpu::constant(0, 1);
+    for (std::size_t c = 0; c < consts_.t4_weights.size(); ++c) {
+        const auto square = cpu.sqr(Cpu::load(nu[c]));
+        acc = cpu.add(acc,
+                      cpu.mul(square, Cpu::load(consts_.t4_weights[c])));
     }
     test_verdict verdict;
-    verdict.statistic = acc.value;
+    verdict.statistic = Cpu::value_of(acc);
     verdict.bound = cv_.t4_sum_bound;
-    verdict.pass = cpu.less_equal(acc, consts_.t4_bound);
+    verdict.pass = cpu.less_equal(acc, Cpu::load(consts_.t4_bound));
     return verdict;
 }
 
 // ---------------------------------------------------------------- test 7 --
-test_verdict software_runner::run_non_overlapping(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_non_overlapping(Cpu& cpu) const
 {
     // sum (2^m W_i - (M - m + 1))^2 <= 2^{2m} sigma^2 crit.
-    reg acc = soft_cpu::constant(0, 1);
+    auto acc = Cpu::constant(0, 1);
     for (const reg w : file(binding_.t7_w)) {
-        reg d = cpu.shift_left(w, cfg_.template_length);
-        d = cpu.sub(d, consts_.t7_mu);
+        auto d = cpu.shift_left(Cpu::load(w), cfg_.template_length);
+        d = cpu.sub(d, Cpu::load(consts_.t7_mu));
         d = cpu.abs(d);
-        const reg square = cpu.sqr(d);
-        acc = cpu.add(acc, square);
+        acc = cpu.add(acc, cpu.sqr(d));
     }
     test_verdict verdict;
-    verdict.statistic = acc.value;
+    verdict.statistic = Cpu::value_of(acc);
     verdict.bound = cv_.t7_sum_bound;
-    verdict.pass = cpu.less_equal(acc, consts_.t7_bound);
+    verdict.pass = cpu.less_equal(acc, Cpu::load(consts_.t7_bound));
     return verdict;
 }
 
 // ---------------------------------------------------------------- test 8 --
-test_verdict software_runner::run_overlapping(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_overlapping(Cpu& cpu) const
 {
-    reg acc = soft_cpu::constant(0, 1);
-    for (std::size_t c = 0; c < cv_.t8_weights_q.size(); ++c) {
-        const reg nu = file(binding_.t8_nu)[c];
-        const reg square = cpu.sqr(nu);
-        const reg term = cpu.mul(square, consts_.t8_weights[c]);
-        acc = cpu.add(acc, term);
+    const std::span<const reg> nu = file(binding_.t8_nu);
+    auto acc = Cpu::constant(0, 1);
+    for (std::size_t c = 0; c < consts_.t8_weights.size(); ++c) {
+        const auto square = cpu.sqr(Cpu::load(nu[c]));
+        acc = cpu.add(acc,
+                      cpu.mul(square, Cpu::load(consts_.t8_weights[c])));
     }
     test_verdict verdict;
-    verdict.statistic = acc.value;
+    verdict.statistic = Cpu::value_of(acc);
     verdict.bound = cv_.t8_sum_bound;
-    verdict.pass = cpu.less_equal(acc, consts_.t8_bound);
+    verdict.pass = cpu.less_equal(acc, Cpu::load(consts_.t8_bound));
     return verdict;
 }
 
@@ -357,12 +405,12 @@ test_verdict software_runner::run_overlapping(soft_cpu& cpu) const
 namespace {
 
 /// Sum of squares over a counter file.
-reg sum_of_squares(soft_cpu& cpu, std::span<const reg> file)
+template <typename Cpu>
+typename Cpu::value sum_of_squares(Cpu& cpu, std::span<const reg> file)
 {
-    reg acc = soft_cpu::constant(0, 1);
+    auto acc = Cpu::constant(0, 1);
     for (const reg nu : file) {
-        const reg square = cpu.sqr(nu);
-        acc = cpu.add(acc, square);
+        acc = cpu.add(acc, cpu.sqr(Cpu::load(nu)));
     }
     return acc;
 }
@@ -370,85 +418,147 @@ reg sum_of_squares(soft_cpu& cpu, std::span<const reg> file)
 } // namespace
 
 // --------------------------------------------------------------- test 11 --
-test_verdict software_runner::run_serial(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_serial(Cpu& cpu) const
 {
     const unsigned m = cfg_.serial_m;
-    const reg sum_m = sum_of_squares(cpu, file(binding_.nu_m));
-    const reg sum_m1 = sum_of_squares(cpu, file(binding_.nu_m1));
-    const reg sum_m2 = sum_of_squares(cpu, file(binding_.nu_m2));
+    const auto sum_m = sum_of_squares(cpu, file(binding_.nu_m));
+    const auto sum_m1 = sum_of_squares(cpu, file(binding_.nu_m1));
+    const auto sum_m2 = sum_of_squares(cpu, file(binding_.nu_m2));
 
     // n del-psi^2   = 2^m sum_m - 2^{m-1} sum_m1
     // n del2-psi^2  = 2^m sum_m - 2^m sum_m1 + 2^{m-2} sum_m2
-    const reg sum_m_scaled = cpu.shift_left(sum_m, m);
-    const reg del1 =
+    const auto sum_m_scaled = cpu.shift_left(sum_m, m);
+    const auto del1 =
         cpu.sub(sum_m_scaled, cpu.shift_left(sum_m1, m - 1));
-    reg del2 = cpu.sub(sum_m_scaled, cpu.shift_left(sum_m1, m));
+    auto del2 = cpu.sub(sum_m_scaled, cpu.shift_left(sum_m1, m));
     del2 = cpu.add(del2, cpu.shift_left(sum_m2, m - 2));
 
-    const bool pass1 = cpu.less_equal(del1, consts_.t11_bound1);
-    const bool pass2 = cpu.less_equal(del2, consts_.t11_bound2);
+    const bool pass1 = cpu.less_equal(del1, Cpu::load(consts_.t11_bound1));
+    const bool pass2 = cpu.less_equal(del2, Cpu::load(consts_.t11_bound2));
 
     test_verdict verdict;
-    verdict.statistic = del1.value;
+    verdict.statistic = Cpu::value_of(del1);
     verdict.bound = cv_.t11_del1_bound;
     verdict.pass = pass1 && pass2;
     return verdict;
 }
 
 // --------------------------------------------------------------- test 12 --
-test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_approximate_entropy(Cpu& cpu) const
 {
     // ApEn(m-1) = phi_{m-1} - phi_m = sum g(nu_m / n) - sum g(nu_{m-1} / n)
     // with g(x) = -x ln x evaluated by the 32-segment PWL table; the
     // division by n is a pure shift because n is a power of two.
-    const auto to_q16 = [&](reg nu) {
-        if (cfg_.log2_n >= 16) {
-            return cpu.shift_right(nu, cfg_.log2_n - 16);
-        }
-        return cpu.shift_left(nu, 16 - cfg_.log2_n);
-    };
     const auto phi_sum = [&](std::span<const reg> counts) {
-        reg acc = soft_cpu::constant(0, 1);
+        auto acc = Cpu::constant(0, 1);
         for (const reg nu : counts) {
-            const reg g = sw16::pwl_xlogx(cpu, to_q16(nu));
-            acc = cpu.add(acc, g);
+            const auto x_q16 = cfg_.log2_n >= 16
+                ? cpu.shift_right(Cpu::load(nu), cfg_.log2_n - 16)
+                : cpu.shift_left(Cpu::load(nu), 16 - cfg_.log2_n);
+            acc = cpu.add(acc, sw16::pwl_xlogx(cpu, x_q16));
         }
         return acc;
     };
-    const reg a = phi_sum(file(binding_.nu_m));
-    const reg b = phi_sum(file(binding_.nu_m1));
-    const reg apen_q16 = cpu.sub(a, b);
+    const auto a = phi_sum(file(binding_.nu_m));
+    const auto b = phi_sum(file(binding_.nu_m1));
+    const auto apen_q16 = cpu.sub(a, b);
     test_verdict verdict;
-    verdict.statistic = apen_q16.value;
+    verdict.statistic = Cpu::value_of(apen_q16);
     verdict.bound = cv_.t12_apen_min_q16;
-    verdict.pass = cpu.greater_equal(apen_q16, consts_.t12_bound);
+    verdict.pass =
+        cpu.greater_equal(apen_q16, Cpu::load(consts_.t12_bound));
     return verdict;
 }
 
 // --------------------------------------------------------------- test 13 --
-test_verdict software_runner::run_cumulative_sums(soft_cpu& cpu) const
+template <typename Cpu>
+test_verdict software_runner::run_cumulative_sums(Cpu& cpu) const
 {
     // Forward mode:  z = max(S_max, -S_min).
     // Backward mode: z = max(S_max - S_final, S_final - S_min) -- the
     // Table II formula; both modes from the same three registers.
-    const reg s_final = store_[binding_.s_final];
-    const reg s_max = store_[binding_.s_max];
-    const reg s_min = store_[binding_.s_min];
+    const auto s_final = Cpu::load(store_[binding_.s_final]);
+    const auto s_max = Cpu::load(store_[binding_.s_max]);
+    const auto s_min = Cpu::load(store_[binding_.s_min]);
 
-    const reg zero = soft_cpu::constant(0, 1);
-    const reg neg_min = cpu.sub(zero, s_min);
-    const reg z_fwd = cpu.max(s_max, neg_min);
-    const reg z_rev =
+    const auto neg_min = cpu.sub(Cpu::constant(0, 1), s_min);
+    const auto z_fwd = cpu.max(s_max, neg_min);
+    const auto z_rev =
         cpu.max(cpu.sub(s_max, s_final), cpu.sub(s_final, s_min));
 
-    const bool pass_fwd = cpu.less_equal(z_fwd, consts_.t13_bound);
-    const bool pass_rev = cpu.less_equal(z_rev, consts_.t13_bound);
+    const auto bound = Cpu::load(consts_.t13_bound);
+    const bool pass_fwd = cpu.less_equal(z_fwd, bound);
+    const bool pass_rev = cpu.less_equal(z_rev, bound);
 
     test_verdict verdict;
-    verdict.statistic = std::max(z_fwd.value, z_rev.value);
+    verdict.statistic =
+        std::max(Cpu::value_of(z_fwd), Cpu::value_of(z_rev));
     verdict.bound = cv_.t13_z_bound;
     verdict.pass = pass_fwd && pass_rev;
     return verdict;
+}
+
+// Inlined into run_charged(), so the native CPU's decision record stays in
+// registers instead of going through memory at every comparison.
+template <typename Cpu>
+[[gnu::always_inline]] inline test_verdict
+software_runner::run_test(hw::test_id id, Cpu& cpu) const
+{
+    using hw::test_id;
+    switch (id) {
+    case test_id::frequency:
+        return run_frequency(cpu);
+    case test_id::block_frequency:
+        return run_block_frequency(cpu);
+    case test_id::runs:
+        return run_runs(cpu);
+    case test_id::longest_run:
+        return run_longest_run(cpu);
+    case test_id::non_overlapping_template:
+        return run_non_overlapping(cpu);
+    case test_id::overlapping_template:
+        return run_overlapping(cpu);
+    case test_id::serial:
+        return run_serial(cpu);
+    case test_id::approximate_entropy:
+        return run_approximate_entropy(cpu);
+    case test_id::cumulative_sums:
+        return run_cumulative_sums(cpu);
+    }
+    throw std::logic_error("software_runner: no routine for the test");
+}
+
+test_verdict software_runner::run_charged(hw::test_id id, memo_slot* slots,
+                                          sw16::op_counts& ops) const
+{
+    // Every operand width is fixed by the binding, so the decisions the
+    // native run took (its trace) and the word width decide the charges.
+    std::uint64_t trace = 0;
+    memo_slot* slot = nullptr;
+    if (slots != nullptr) {
+        sw16::native_cpu native;
+        const test_verdict verdict = run_test(id, native);
+        trace = native.trace();
+        constexpr unsigned hash_shift = 64 - std::countr_zero(memo_slots);
+        if (trace != 0) {
+            slot = &slots[(trace * 0x9e3779b97f4a7c15u) >> hash_shift];
+            if (slot->trace == trace) [[likely]] {
+                ops += slot->ops;
+                return verdict;
+            }
+        }
+    }
+    // A path the memo lacks, one too long to key, or a routine the trace
+    // does not key: charge it.
+    soft_cpu accounted(memo_word_bits_);
+    const test_verdict charged = run_test(id, accounted);
+    ops += accounted.counts();
+    if (slot != nullptr) {
+        *slot = {trace, accounted.counts()};
+    }
+    return charged;
 }
 
 } // namespace otf::core

@@ -4,9 +4,14 @@
 // reads the hardware counter values over the memory-mapped interface and
 // verifies the randomness hypothesis using only add/subtract/multiply/
 // square/shift/compare instructions plus the PWL table -- no erfc, no
-// gamma, no division.  Every routine executes against a `sw16::soft_cpu`,
-// which both computes the exact result and charges the 16-bit instruction
-// costs that regenerate the SW section of Table III.
+// gamma, no division.  Each routine is one body, templated on the CPU.
+// On a `sw16::soft_cpu` it computes the exact result and charges the
+// 16-bit instruction costs that regenerate the SW section of Table III.
+// On a `sw16::native_cpu` it computes the same result in plain integers
+// and records its data-dependent decisions; with every operand width
+// fixed by the binding, that record and the word width decide the
+// charges, so the runner replays them from a per-routine memo and runs
+// the soft_cpu only on a decision path it has not seen.
 //
 // There is deliberately no single alarm output: the result is a list of
 // per-test verdicts with their raw statistics (the anti-fault-attack
@@ -70,9 +75,10 @@ struct software_result {
 /// (hw::register_map::layout()): a scalar by its name, a counter file by
 /// the index of its element 0 plus a count.  It keeps a reused flat
 /// store, so a window's pass reads the map by index, with no name
-/// lookups and no allocation.  That cached binding
-/// makes run() stateful: use one runner per monitor and never share one
-/// across threads.
+/// lookups and no allocation.  It also keeps, per enabled routine, the
+/// charges of the decision paths it has run, for the binding and word
+/// width at hand.  That cached state makes run() stateful: use one
+/// runner per monitor and never share one across threads.
 class software_runner {
 public:
     /// \brief Bind the software pass to one design point.
@@ -90,8 +96,9 @@ public:
     /// routine.  Once bound to the map's layout, the pass allocates
     /// nothing.
     /// \param map the testing block's memory-mapped counter values
-    /// \param cpu instruction-accounting CPU that executes (and charges)
-    ///            every READ and every arithmetic instruction
+    /// \param cpu instruction-accounting CPU charged with every READ and
+    ///            every arithmetic instruction of the pass, at its
+    ///            word_bits()
     /// \return per-test verdicts with raw statistics and op counts
     /// \throws std::out_of_range naming the first value the design needs
     /// that `map` lacks
@@ -124,6 +131,9 @@ private:
         std::size_t mapped = 0;
         /// serial_transfer_marginals: nu_m1/nu_m2 are derived from nu_m.
         bool derive_marginals = false;
+        /// Routines whose abs() operands differ in width, so the native
+        /// trace does not key their charges: charged on a soft_cpu.
+        hw::test_set unkeyed;
     };
 
     /// Every routine's constant operands, sized once per runner: the
@@ -153,10 +163,18 @@ private:
     /// How the collection pass reads one mapped value, resolved once per
     /// layout from its map_entry.
     struct value_read {
-        unsigned width = 0;
         unsigned shift = 0; ///< 64 - width: drops the bits above it
         bool is_signed = false;
     };
+
+    /// What one routine charged on one decision path.
+    struct memo_slot {
+        std::uint64_t trace = 0; ///< sw16::native_cpu::trace(); 0: empty
+        sw16::op_counts ops;
+    };
+    /// Direct-mapped slots per enabled routine, indexed by a hash of the
+    /// trace; a colliding path overwrites the slot.
+    static constexpr std::size_t memo_slots = 64;
 
     hw::block_config cfg_;
     critical_values cv_;
@@ -165,27 +183,49 @@ private:
     /// One per mapped entry, in map order.
     mutable std::vector<value_read> reads_;
     /// The collection pass's values: one slot per mapped entry in map
-    /// order, then the derived marginals (reused across windows).
+    /// order, then the derived marginals (reused across windows).  The
+    /// widths are fixed at bind(); a window writes the values.
     mutable std::vector<sw16::reg> store_;
+    /// memo_slots per enabled routine, in test-number order.
+    mutable std::vector<memo_slot> memo_;
+    /// Word width of the memo's and collect_ops_'s charges (0: none).
+    mutable unsigned memo_word_bits_ = 0;
+    /// What the collection pass charges at memo_word_bits_.
+    mutable sw16::op_counts collect_ops_;
 
     void bind(const hw::register_map& map) const;
-    void collect(const hw::register_map& map, sw16::soft_cpu& cpu) const;
+    /// Charge the collection pass once at `word_bits` and empty the memo.
+    void price(unsigned word_bits) const;
+    void collect(const hw::register_map& map) const;
+    /// The interface-reduction option's marginals on `cpu`: a soft_cpu
+    /// sizes and charges them, a native_cpu writes their values.
+    template <typename Cpu> void derive_marginals(Cpu& cpu) const;
     /// The collected values of one counter file.
     std::span<const sw16::reg> file(const file_slots& slots) const
     {
         return {store_.data() + slots.base, slots.count};
     }
 
+    /// One routine on plain integers, its charges replayed from `slots`
+    /// (or, on a path not there, charged on a soft_cpu that fills it) and
+    /// added to `ops`; with no `slots`, the soft_cpu run alone.
+    test_verdict run_charged(hw::test_id id, memo_slot* slots,
+                             sw16::op_counts& ops) const;
+    template <typename Cpu>
+    test_verdict run_test(hw::test_id id, Cpu& cpu) const;
+
     // The routines fill everything but the verdict's id and name.
-    test_verdict run_frequency(sw16::soft_cpu& cpu) const;
-    test_verdict run_block_frequency(sw16::soft_cpu& cpu) const;
-    test_verdict run_runs(sw16::soft_cpu& cpu) const;
-    test_verdict run_longest_run(sw16::soft_cpu& cpu) const;
-    test_verdict run_non_overlapping(sw16::soft_cpu& cpu) const;
-    test_verdict run_overlapping(sw16::soft_cpu& cpu) const;
-    test_verdict run_serial(sw16::soft_cpu& cpu) const;
-    test_verdict run_approximate_entropy(sw16::soft_cpu& cpu) const;
-    test_verdict run_cumulative_sums(sw16::soft_cpu& cpu) const;
+    template <typename Cpu> test_verdict run_frequency(Cpu& cpu) const;
+    template <typename Cpu> test_verdict run_block_frequency(Cpu& cpu) const;
+    template <typename Cpu> test_verdict run_runs(Cpu& cpu) const;
+    template <typename Cpu> test_verdict run_longest_run(Cpu& cpu) const;
+    template <typename Cpu> test_verdict run_non_overlapping(Cpu& cpu) const;
+    template <typename Cpu> test_verdict run_overlapping(Cpu& cpu) const;
+    template <typename Cpu> test_verdict run_serial(Cpu& cpu) const;
+    template <typename Cpu>
+    test_verdict run_approximate_entropy(Cpu& cpu) const;
+    template <typename Cpu>
+    test_verdict run_cumulative_sums(Cpu& cpu) const;
 };
 
 } // namespace otf::core

@@ -74,27 +74,22 @@ struct byte_runs {
     std::uint8_t inner; ///< longest run of ones anywhere in the byte
 };
 
-/// The 256-entry run table, built on first use, once per process (a
-/// function-local static is thread-safe).
-const std::array<byte_runs, 256>& run_table()
-{
-    static const std::array<byte_runs, 256> table = [] {
-        std::array<byte_runs, 256> t{};
-        for (unsigned b = 0; b < 256; ++b) {
-            unsigned inner = 0;
-            for (unsigned y = b; y != 0; y &= y << 1) {
-                ++inner;
-            }
-            t[b] = byte_runs{
-                static_cast<std::uint8_t>(std::countr_one(b)),
-                static_cast<std::uint8_t>(
-                    std::countl_one(static_cast<std::uint8_t>(b))),
-                static_cast<std::uint8_t>(inner)};
+/// The 256-entry run table, built by the compiler.
+constexpr auto run_table = [] {
+    std::array<byte_runs, 256> t{};
+    for (unsigned b = 0; b < 256; ++b) {
+        unsigned inner = 0;
+        for (unsigned y = b; y != 0; y &= y << 1) {
+            ++inner;
         }
-        return t;
-    }();
-    return table;
-}
+        t[b] = byte_runs{
+            static_cast<std::uint8_t>(std::countr_one(b)),
+            static_cast<std::uint8_t>(
+                std::countl_one(static_cast<std::uint8_t>(b))),
+            static_cast<std::uint8_t>(inner)};
+    }
+    return t;
+}();
 
 } // namespace
 
@@ -106,7 +101,7 @@ void longest_run_hw::consume_span(const std::uint64_t* words,
         // tally per category and the RTL counters commit once at the end of
         // the span.  A run never outgrows its block (M < 2^(log2 M + 1)), so
         // the saturating run counter never clamps.
-        const byte_runs* table = run_table().data();
+        const byte_runs* table = run_table.data();
         const std::uint64_t block_bits = block_mask_ + 1;
         const std::uint64_t v_lo = v_lo_;
         const std::uint64_t top_category = v_hi_ - v_lo_;

@@ -5,19 +5,6 @@
 
 namespace otf::sw16 {
 
-op_counts& op_counts::operator+=(const op_counts& o)
-{
-    add += o.add;
-    sub += o.sub;
-    mul += o.mul;
-    sqr += o.sqr;
-    shift += o.shift;
-    comp += o.comp;
-    lut += o.lut;
-    read += o.read;
-    return *this;
-}
-
 op_counts operator-(const op_counts& a, const op_counts& b)
 {
     op_counts r;

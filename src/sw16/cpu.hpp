@@ -11,7 +11,9 @@
 //
 // The instruction classes match the paper's table rows exactly:
 // ADD, SUB, MUL, SQR, SHIFT, COMP, LUT (table lookup) and READ (one
-// memory-mapped peripheral word read).
+// memory-mapped peripheral word read).  `native_cpu` offers the same
+// operations on plain integers, for routines whose charges are known
+// from an earlier soft_cpu run of the same decision path.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +35,18 @@ struct op_counts {
     std::uint64_t lut = 0;
     std::uint64_t read = 0;
 
-    op_counts& operator+=(const op_counts& o);
+    op_counts& operator+=(const op_counts& o)
+    {
+        add += o.add;
+        sub += o.sub;
+        mul += o.mul;
+        sqr += o.sqr;
+        shift += o.shift;
+        comp += o.comp;
+        lut += o.lut;
+        read += o.read;
+        return *this;
+    }
     friend op_counts operator+(op_counts a, const op_counts& b)
     {
         a += b;
@@ -64,6 +77,9 @@ struct reg {
 /// than the arithmetic it accounts.
 class soft_cpu {
 public:
+    /// What the operations take and return (native_cpu: a plain integer).
+    using value = reg;
+
     /// `word_bits` is the native register width: 16 for the paper's
     /// openMSP430 platform, 32 for the "future work" Cortex-class estimate.
     explicit soft_cpu(unsigned word_bits = 16);
@@ -71,6 +87,14 @@ public:
     unsigned word_bits() const { return word_bits_; }
     const op_counts& counts() const { return counts_; }
     void reset_counts() { counts_ = {}; }
+    /// Add instructions counted elsewhere (a replayed routine's charges).
+    void charge(const op_counts& ops) { counts_ += ops; }
+
+    /// An operand held in a register of the program, and a result put
+    /// back in one.
+    static reg load(reg r) { return r; }
+    static void store(reg& r, reg v) { r = v; }
+    static std::int64_t value_of(reg r) { return r.value; }
 
     /// Words needed to hold a `bits`-wide value.
     unsigned words(unsigned bits) const
@@ -222,6 +246,70 @@ private:
             throw std::invalid_argument(
                 "soft_cpu: operand width out of range");
         }
+    }
+};
+
+/// The same operations as soft_cpu on plain integers: no widths, no
+/// charges.  It records the data-dependent decisions instead, so a routine
+/// run on it can look up what the identical run on a soft_cpu charges
+/// (core::software_runner): each comparison outcome, in order, and how
+/// many abs() operands were negative.  The comparisons decide the control
+/// flow, so they fix every operation and width of the run; an abs() sign
+/// changes only its own SUB, so where all of a routine's abs() operands
+/// share one width, their count fixes the rest.
+class native_cpu {
+public:
+    using value = std::int64_t;
+    static constexpr unsigned max_decisions = 47;
+    static constexpr unsigned max_negatives = 0xffff;
+
+    static value load(reg r) { return r.value; }
+    static void store(reg& r, value v) { r.value = v; }
+    static std::int64_t value_of(value v) { return v; }
+    static value constant(std::int64_t v, unsigned) { return v; }
+
+    /// The record as one key: the comparison outcomes in bits 0..47,
+    /// newest in bit 0, behind a leading 1 bit; the negative abs()
+    /// operands in bits 48..63.  0 past `max_decisions` comparisons or
+    /// `max_negatives` negative operands.
+    std::uint64_t trace() const
+    {
+        return depth_ <= max_decisions && negatives_ <= max_negatives
+            ? std::uint64_t{negatives_} << 48 | trace_
+            : 0;
+    }
+
+    value add(value a, value b) { return a + b; }
+    value sub(value a, value b) { return a - b; }
+    value mul(value a, value b) { return a * b; }
+    value sqr(value a) { return a * a; }
+    value shift_left(value a, unsigned positions) { return a << positions; }
+    value shift_right(value a, unsigned positions) { return a >> positions; }
+
+    bool less(value a, value b) { return decide(a < b); }
+    bool less_equal(value a, value b) { return decide(a <= b); }
+    bool greater(value a, value b) { return decide(a > b); }
+    bool greater_equal(value a, value b) { return decide(a >= b); }
+    value abs(value a)
+    {
+        const bool negative = a < 0;
+        negatives_ += negative ? 1 : 0;
+        return negative ? -a : a;
+    }
+    value max(value a, value b) { return less(a, b) ? b : a; }
+
+    void charge_lut(unsigned = 1) {}
+
+private:
+    std::uint64_t trace_ = 1;
+    unsigned depth_ = 0;
+    unsigned negatives_ = 0;
+
+    bool decide(bool outcome)
+    {
+        trace_ = trace_ << 1 | std::uint64_t{outcome};
+        ++depth_;
+        return outcome;
     }
 };
 

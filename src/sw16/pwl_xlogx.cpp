@@ -1,6 +1,5 @@
 #include "sw16/pwl_xlogx.hpp"
 
-#include <array>
 #include <cmath>
 
 namespace otf::sw16 {
@@ -11,72 +10,6 @@ double xlogx_exact(double x)
         return 0.0;
     }
     return -x * std::log(x);
-}
-
-namespace {
-
-// Breakpoints y_i = round(g(i/32) * 2^16), i = 0..32.  Built once; constant
-// data in program memory on the real platform.
-std::array<std::uint32_t, pwl_segments + 1> build_table()
-{
-    std::array<std::uint32_t, pwl_segments + 1> table{};
-    for (unsigned i = 0; i <= pwl_segments; ++i) {
-        const double x = static_cast<double>(i) / pwl_segments;
-        const double y = xlogx_exact(x);
-        table[i] = static_cast<std::uint32_t>(
-            std::lround(y * static_cast<double>(1u << pwl_fraction_bits)));
-    }
-    return table;
-}
-
-const std::array<std::uint32_t, pwl_segments + 1>& table()
-{
-    static const auto t = build_table();
-    return t;
-}
-
-// Q16 segment geometry: segment width is 2^16 / 32 = 2^11.
-constexpr unsigned segment_shift = pwl_fraction_bits - 5; // log2(width) = 11
-constexpr std::uint32_t frac_mask = (1u << segment_shift) - 1u;
-
-} // namespace
-
-std::uint32_t pwl_xlogx_q16(std::uint32_t x_q16)
-{
-    if (x_q16 >= (1u << pwl_fraction_bits)) {
-        return 0; // g(1) = 0; clamp anything at or above 1.0
-    }
-    const std::uint32_t seg = x_q16 >> segment_shift;
-    const std::uint32_t frac = x_q16 & frac_mask;
-    const std::int64_t y0 = table()[seg];
-    const std::int64_t y1 = table()[seg + 1];
-    const std::int64_t interpolated =
-        y0 + (((y1 - y0) * static_cast<std::int64_t>(frac))
-              >> segment_shift);
-    return static_cast<std::uint32_t>(interpolated);
-}
-
-reg pwl_xlogx(soft_cpu& cpu, reg x_q16)
-{
-    // One table fetch retrieves the segment's (y0, y1) pair; the segment
-    // index is the top bits of x (free operand addressing).
-    cpu.charge_lut(1);
-    const auto x = static_cast<std::uint32_t>(x_q16.value);
-    const std::uint32_t seg =
-        (x >= (1u << pwl_fraction_bits)) ? pwl_segments - 1
-                                         : (x >> segment_shift);
-    const reg y0 = soft_cpu::constant(table()[seg], 18);
-    const reg y1 = soft_cpu::constant(table()[seg + 1], 18);
-    const reg frac = soft_cpu::constant(x & frac_mask, segment_shift);
-    reg delta = cpu.sub(y1, y0);
-    reg scaled = cpu.mul(delta, frac);
-    scaled = cpu.shift_right(scaled, segment_shift);
-    reg y = cpu.add(y0, scaled);
-    // The accounted path must agree bit-for-bit with the host-arithmetic
-    // path; reuse it for the value.
-    y.value = static_cast<std::int64_t>(pwl_xlogx_q16(x));
-    y.bits = 18;
-    return y;
 }
 
 double pwl_max_abs_error()

@@ -171,6 +171,82 @@ TEST(op_counts, arithmetic_and_formatting)
     EXPECT_NE(s.find("READ=7"), std::string::npos);
 }
 
+TEST(soft_cpu, charge_adds_a_whole_vector)
+{
+    soft_cpu cpu(16);
+    (void)cpu.add(reg{1, 8}, reg{2, 8});
+    op_counts replayed;
+    replayed.sub = 3;
+    replayed.read = 2;
+    cpu.charge(replayed);
+    EXPECT_EQ(cpu.counts().add, 1u);
+    EXPECT_EQ(cpu.counts().sub, 3u);
+    EXPECT_EQ(cpu.counts().read, 2u);
+}
+
+TEST(native_cpu, computes_what_soft_cpu_computes)
+{
+    soft_cpu soft(16);
+    native_cpu native;
+    const reg a{-300, 10};
+    const reg b{7, 4};
+    EXPECT_EQ(native.add(a.value, b.value), soft.add(a, b).value);
+    EXPECT_EQ(native.sub(a.value, b.value), soft.sub(a, b).value);
+    EXPECT_EQ(native.mul(a.value, b.value), soft.mul(a, b).value);
+    EXPECT_EQ(native.sqr(a.value), soft.sqr(a).value);
+    EXPECT_EQ(native.shift_left(a.value, 3), soft.shift_left(a, 3).value);
+    EXPECT_EQ(native.shift_right(a.value, 3), soft.shift_right(a, 3).value);
+    EXPECT_EQ(native.abs(a.value), soft.abs(a).value);
+    EXPECT_EQ(native.max(a.value, b.value), soft.max(a, b).value);
+}
+
+TEST(native_cpu, trace_keys_the_comparisons_and_the_negative_count)
+{
+    // The comparison outcomes behind a leading 1 in the low bits, the
+    // number of negative abs() operands from bit 48.
+    native_cpu cpu;
+    EXPECT_EQ(cpu.trace(), 1u);
+    (void)cpu.abs(-5);
+    (void)cpu.less(3, 2);          // 0
+    (void)cpu.max(1, 2);           // less(1, 2): 1
+    (void)cpu.greater_equal(2, 2); // 1
+    (void)cpu.abs(4);
+    EXPECT_EQ(cpu.trace(), std::uint64_t{1} << 48 | 0b1011u);
+
+    // Where the negative operands fall among the comparisons does not
+    // matter; the order of the comparisons does.
+    native_cpu moved;
+    (void)moved.abs(4);
+    (void)moved.less(3, 2);
+    (void)moved.max(1, 2);
+    (void)moved.abs(-7);
+    (void)moved.greater_equal(2, 2);
+    EXPECT_EQ(moved.trace(), cpu.trace());
+    native_cpu reordered;
+    (void)reordered.greater_equal(2, 2);
+    (void)reordered.less(3, 2);
+    (void)reordered.max(1, 2);
+    (void)reordered.abs(-5);
+    EXPECT_NE(reordered.trace(), cpu.trace());
+
+    native_cpu longest;
+    for (unsigned i = 0; i < native_cpu::max_decisions; ++i) {
+        (void)longest.less(0, 1);
+    }
+    EXPECT_EQ(longest.trace(), (std::uint64_t{1} << 48) - 1);
+    (void)longest.less(0, 1);
+    EXPECT_EQ(longest.trace(), 0u) << "48 comparisons do not fit a key";
+
+    native_cpu most_negative;
+    for (unsigned i = 0; i < native_cpu::max_negatives; ++i) {
+        (void)most_negative.abs(-1);
+    }
+    EXPECT_EQ(most_negative.trace(),
+              std::uint64_t{native_cpu::max_negatives} << 48 | 1u);
+    (void)most_negative.abs(-1);
+    EXPECT_EQ(most_negative.trace(), 0u);
+}
+
 TEST(bits_for, unsigned_and_signed_widths)
 {
     EXPECT_EQ(bits_for_unsigned(0), 1u);

@@ -27,6 +27,17 @@ TEST(pwl, breakpoints_are_exact_to_rounding)
     }
 }
 
+TEST(pwl, breakpoint_table_is_the_rounded_function)
+{
+    for (unsigned i = 0; i <= pwl_segments; ++i) {
+        const double y = xlogx_exact(static_cast<double>(i) / pwl_segments);
+        EXPECT_EQ(pwl_breakpoints[i],
+                  static_cast<std::uint32_t>(std::lround(y * 65536.0)))
+            << "breakpoint " << i;
+    }
+    static_assert(pwl_xlogx_q16(1u << 15) == pwl_breakpoints[16]);
+}
+
 TEST(pwl, paper_error_bound_holds)
 {
     // "resulting in less than 3% error": relative error on the interior
@@ -93,6 +104,18 @@ TEST(pwl, accounted_path_matches_plain_path)
         EXPECT_EQ(r.value, static_cast<std::int64_t>(pwl_xlogx_q16(x)))
             << "x=" << x;
     }
+}
+
+TEST(pwl, native_path_matches_accounted_path)
+{
+    soft_cpu soft(16);
+    native_cpu native;
+    for (std::uint32_t x = 0; x <= 70000; x += 13) {
+        const auto v = static_cast<std::int64_t>(x);
+        EXPECT_EQ(pwl_xlogx(native, v), pwl_xlogx(soft, reg{v, 17}).value)
+            << "x=" << x;
+    }
+    EXPECT_EQ(native.trace(), 1u) << "the clamp changes no charge";
 }
 
 TEST(pwl, accounted_path_charges_one_lut_per_eval)

@@ -1,15 +1,19 @@
 // The software pass (core::software_runner): its exact accounting on the
-// Table III windows, and its register-map binding -- positions resolved
+// Table III windows, its charges replayed per decision path against the
+// fully accounted pass, and its register-map binding -- positions resolved
 // by name once per map layout must read the same values a by-name lookup
 // would, across reused runners, several blocks, control-plane
 // reprogramming and monitor reconfiguration.
 #include "core/design_config.hpp"
 #include "core/monitor.hpp"
+#include "support/fixed_seed.hpp"
 #include "support/sw_golden.hpp"
+#include "sw16/cycle_model.hpp"
 #include "trng/sources.hpp"
 
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -86,6 +90,203 @@ TEST(sw_golden, table3_windows_pin_ops_cycles_and_verdicts)
                 << where << " " << want.name;
             EXPECT_EQ(got.bound, want.bound) << where << " " << want.name;
         }
+    }
+}
+
+/// The largest unsigned value of `bits` bits.
+std::uint64_t all_ones(unsigned bits)
+{
+    return bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+}
+
+/// Register files for the replay oracle: windows of an ideal and two
+/// biased sources, then files written into the map -- all zero,
+/// saturated at width (all ones, and the largest positive value of a
+/// signed entry), extreme walk values, and N_ones on both sides of every
+/// runs-interval edge with the run count on its acceptance edges.
+std::vector<hw::register_map> register_files(const hw::block_config& cfg,
+                                             const core::critical_values& cv)
+{
+    hw::testing_block block(cfg);
+    const std::size_t windows = cfg.log2_n >= 16 ? 4 : 24;
+    std::vector<hw::register_map> files;
+    std::vector<std::unique_ptr<trng::entropy_source>> sources;
+    sources.push_back(std::make_unique<trng::ideal_source>(
+        test::fixture_seed(cfg.log2_n)));
+    sources.push_back(std::make_unique<trng::biased_source>(
+        test::fixture_seed(cfg.log2_n + 100), 0.55));
+    sources.push_back(std::make_unique<trng::biased_source>(
+        test::fixture_seed(cfg.log2_n + 200), 0.9));
+    for (const auto& src : sources) {
+        for (std::size_t w = 0; w < windows; ++w) {
+            const std::vector<std::uint64_t> words =
+                src->generate_words(cfg.n() / 64);
+            block.feed_span(words.data(), cfg.n());
+            block.finish();
+            files.push_back(block.registers());
+            block.restart();
+        }
+    }
+
+    const hw::register_map base = files.front();
+    const auto write = [](hw::register_map& map, const std::string& name,
+                          std::int64_t v) {
+        const std::size_t i = map.index_of(name);
+        map.values()[i] =
+            static_cast<std::uint64_t>(v) & all_ones(map.entry(i).width);
+    };
+    const auto filled = [&](auto&& value_of_entry) {
+        hw::register_map map = base;
+        for (std::size_t i = 0; i < map.size(); ++i) {
+            map.values()[i] = value_of_entry(map.entry(i));
+        }
+        return map;
+    };
+    files.push_back(filled([](const hw::map_entry&) { return 0u; }));
+    files.push_back(
+        filled([](const hw::map_entry& e) { return all_ones(e.width); }));
+    files.push_back(filled([](const hw::map_entry& e) {
+        return all_ones(e.is_signed ? e.width - 1 : e.width);
+    }));
+
+    const auto n = static_cast<std::int64_t>(cfg.n());
+    const std::int64_t walk_ends[] = {-n, -1, 0, 1, n};
+    for (const std::int64_t s_final : walk_ends) {
+        for (const std::int64_t s_max : {std::int64_t{0}, n}) {
+            for (const std::int64_t s_min : {-n, std::int64_t{0}}) {
+                hw::register_map map = base;
+                write(map, "cusum.s_final", s_final);
+                write(map, "cusum.s_max", s_max);
+                write(map, "cusum.s_min", s_min);
+                files.push_back(map);
+            }
+        }
+    }
+    if (cfg.tests.has(hw::test_id::runs)) {
+        for (const core::runs_interval& iv : cv.t3_intervals) {
+            for (const std::int64_t ones : {iv.ones_hi, iv.ones_hi + 1}) {
+                for (const std::int64_t runs :
+                     {iv.runs_lo - 1, iv.runs_lo, iv.runs_hi,
+                      iv.runs_hi + 1}) {
+                    hw::register_map map = base;
+                    write(map, "cusum.s_final", 2 * ones - n);
+                    write(map, "runs.n_runs", runs);
+                    files.push_back(map);
+                }
+            }
+        }
+    }
+    return files;
+}
+
+TEST(sw_routines, path_charged_pass_matches_the_accounted_pass)
+{
+    // A fresh runner has an empty memo: every routine misses, so its
+    // verdicts and charges come from the soft_cpu alone.  One warm runner
+    // per design replays the charges of the decision paths it has seen;
+    // both must agree on every file, on a 16-bit and a 32-bit CPU (the
+    // switch between them empties the warm memo), and the warm CPU's
+    // lifetime counts must equal the fresh passes' sum.
+    std::vector<hw::block_config> designs = core::all_paper_designs();
+    hw::block_config marginal = core::paper_design(16, core::tier::high);
+    marginal.serial_transfer_marginals = true;
+    marginal.name += " (marginal transfer)";
+    designs.push_back(marginal);
+    hw::test_set every_test;
+    for (const hw::test_id id : hw::all_tests) {
+        every_test.with(id);
+    }
+    for (const unsigned log2_n : {8u, 10u, 12u, 14u, 15u}) {
+        designs.push_back(core::custom_design(log2_n, every_test));
+    }
+
+    for (const hw::block_config& cfg : designs) {
+        const core::critical_values cv =
+            core::compute_critical_values(cfg, alpha);
+        const std::vector<hw::register_map> files = register_files(cfg, cv);
+        const core::software_runner warm(cfg, cv);
+        for (const unsigned word_bits : {16u, 32u, 16u}) {
+            const sw16::cycle_model model = word_bits == 16
+                ? sw16::msp430_model()
+                : sw16::cortex_like_model();
+            sw16::soft_cpu warm_cpu(word_bits);
+            sw16::op_counts fresh_lifetime;
+            for (unsigned pass = 0; pass < 2; ++pass) {
+                for (std::size_t f = 0; f < files.size(); ++f) {
+                    const std::string where = cfg.name + " "
+                        + std::to_string(word_bits) + "-bit pass "
+                        + std::to_string(pass) + " file "
+                        + std::to_string(f);
+                    const core::software_runner fresh(cfg, cv);
+                    sw16::soft_cpu fresh_cpu(word_bits);
+                    const core::software_result want =
+                        fresh.run(files[f], fresh_cpu);
+                    const core::software_result got =
+                        warm.run(files[f], warm_cpu);
+                    expect_same(got, want, where);
+                    EXPECT_EQ(model.cycles(got.total_ops),
+                              model.cycles(want.total_ops))
+                        << where;
+                    fresh_lifetime += fresh_cpu.counts();
+                    ASSERT_EQ(test::op_vector(warm_cpu.counts()),
+                              test::op_vector(fresh_lifetime))
+                        << where;
+                }
+            }
+        }
+    }
+}
+
+TEST(sw_routines, abs_operands_of_mixed_width_are_charged_in_full)
+{
+    // The native trace counts a routine's negative abs() operands, which
+    // keys its charges only where the operands share one width.  Here the
+    // block-frequency file mixes widths, so a negative wide element costs
+    // more SUBs than a negative narrow one: the runner must charge that
+    // routine on the soft_cpu, not replay the charges of another path
+    // with the same count.
+    const hw::block_config cfg = n128(core::tier::light);
+    const hw::testing_block block(cfg);
+    hw::register_map mixed;
+    for (const hw::map_entry& e : block.registers().entries()) {
+        const unsigned width =
+            e.name == "block_frequency.eps[1]" ? 40 : e.width;
+        if (e.group.empty()) {
+            mixed.add_scalar(e.name, width, e.is_signed);
+        } else {
+            mixed.add_group_element(e.group, e.name, width, e.is_signed);
+        }
+    }
+    // 2 eps - M is negative below half a block and zero at it.
+    const std::uint64_t half = (std::uint64_t{1} << cfg.bf_log2_m) / 2;
+    const auto with_negative = [&](std::size_t negative,
+                                   std::size_t positive) {
+        hw::register_map map = mixed;
+        for (std::size_t i = 0; i < map.size(); ++i) {
+            if (map.entry(i).name.starts_with("block_frequency.eps[")) {
+                map.values()[i] = half;
+            }
+        }
+        const std::string eps = "block_frequency.eps[";
+        map.values()[map.index_of(eps + std::to_string(negative) + "]")] =
+            half - 1;
+        map.values()[map.index_of(eps + std::to_string(positive) + "]")] =
+            half + 1;
+        return map;
+    };
+    const hw::register_map narrow_negative = with_negative(0, 1);
+    const hw::register_map wide_negative = with_negative(1, 0);
+
+    const core::software_runner warm(cfg,
+                                     core::compute_critical_values(cfg, alpha));
+    EXPECT_LT(fresh_pass(warm, narrow_negative).total_ops.sub,
+              fresh_pass(warm, wide_negative).total_ops.sub);
+    sw16::soft_cpu cpu(16);
+    for (const hw::register_map* map :
+         {&narrow_negative, &wide_negative, &narrow_negative}) {
+        expect_same(warm.run(*map, cpu), fresh_pass(warm, *map),
+                    map == &wide_negative ? "wide negative"
+                                          : "narrow negative");
     }
 }
 

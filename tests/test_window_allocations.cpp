@@ -6,7 +6,8 @@
 // numbers per window; so does the model.  Switching back and forth
 // between two resident designs (an escalation and its return) allocates
 // nothing either, and a reused channel runner refills a quiet device's
-// evidence ring and tallies a failing device's windows in place.
+// evidence ring, tallies a failing device's windows and assembles an
+// escalated device's offline evidence in place.
 //
 // This binary replaces the global operator new/delete with forwards to
 // malloc/free that count the allocations of an armed thread, so it stays
@@ -233,6 +234,45 @@ TEST(window_allocations, a_reused_runner_tallies_failing_windows_in_place)
         EXPECT_EQ(again, failing) << "supervised = " << supervised;
         EXPECT_EQ(allocated, 0u) << "supervised = " << supervised;
     }
+}
+
+TEST(window_allocations, a_reused_runner_confirms_an_escalation_in_place)
+{
+    // A device that escalates on its first windows and whose evidence the
+    // offline battery confirms.  On a reused runner the confirmation
+    // unpacks the evidence ring into the supervisor's bit sequence, and
+    // reset() keeps the timeline's storage.  What the second run still
+    // allocates is the offline battery's own work (18) and the report's
+    // copy of the source's name, which outgrows the small-string buffer
+    // (1); the count is pinned so that a new allocation on this path
+    // shows.
+    core::fleet_config cfg;
+    cfg.block = core::paper_design(7, core::tier::light);
+    cfg.escalated_block = core::paper_design(7, core::tier::medium);
+    cfg.alpha = 0.001;
+    cfg.fail_threshold = 2;
+    cfg.policy_window = 4;
+    cfg.evidence_windows = 4;
+    cfg.dwell_windows = 1000; // stay escalated once triggered
+    cfg.validate();
+    const core::critical_values cv =
+        core::compute_critical_values(cfg.block, cfg.alpha);
+    const std::optional<core::critical_values> cv_escalated =
+        core::compute_critical_values(*cfg.escalated_block, cfg.alpha);
+    core::channel_runner runner(cfg, cv, cv_escalated);
+    constexpr std::uint64_t kWindows = 16;
+
+    trng::biased_source first(test::fixture_seed(94), 0.95);
+    const core::channel_report escalated = runner.run(first, 0, kWindows);
+    ASSERT_EQ(escalated.escalations, 1u);
+    ASSERT_EQ(escalated.confirmed_escalations, 1u);
+
+    trng::biased_source second(test::fixture_seed(94), 0.95);
+    core::channel_report again;
+    const std::size_t allocated = allocations_during(
+        [&] { again = runner.run(second, 0, kWindows); });
+    EXPECT_EQ(again, escalated);
+    EXPECT_EQ(allocated, 19u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
