@@ -29,12 +29,16 @@
 //      window, and sw16 instructions and MSP430 cycles per window.  The
 //      first window of each run is a golden Table III window
 //      (tests/support/sw_golden.hpp); its instruction vector and cycle
-//      count must match exactly on every run, smoke included.
+//      count must match exactly on every run, smoke included;
+//   6. offline battery -- nist::run_battery, every SP 800-22 test, at the
+//      escalation evidence lengths n = 128 w, w = 1..8, on biased_source
+//      (p = 0.5) bits, with one workspace kept across calls as the
+//      escalation supervisor keeps one: us per call.
 //
 // Equivalence is proven separately (tests/test_core_monitor.cpp,
 // tests/test_kernel_oracle.cpp and tests/test_generation_oracle.cpp);
 // this is timing only.  Results go to BENCH_stream.json (schema
-// "otf-stream-bench/7", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
+// "otf-stream-bench/8", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
 // output directory).
 #include "base/bits.hpp"
 #include "base/env.hpp"
@@ -42,6 +46,7 @@
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
+#include "nist/battery.hpp"
 #include "support/sw_golden.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
@@ -52,6 +57,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -313,9 +319,49 @@ int main(int argc, char** argv)
         short_points.push_back(p);
     }
 
+    // 6. Offline battery.  A sequence on which the serial test throws
+    // (its known igamc defect, e.g. at n = 640) is timed to the throw.
+    struct battery_point {
+        std::size_t bits;
+        double us_per_call;
+    };
+    const std::size_t battery_sequences = smoke_scaled<std::size_t>(400, 20);
+    std::vector<battery_point> battery_points;
+    std::printf("\noffline battery (%zu sequences per length, all 15 "
+                "tests):\n",
+                battery_sequences);
+    nist::battery_workspace battery_ws;
+    for (std::size_t w = 1; w <= 8; ++w) {
+        const std::size_t n = 128 * w;
+        trng::biased_source src(17 + w, 0.5);
+        std::vector<bit_sequence> sequences;
+        std::vector<std::uint64_t> words(n / 64);
+        for (std::size_t i = 0; i < battery_sequences; ++i) {
+            src.fill_words(words.data(), words.size());
+            sequences.push_back(bit_sequence::from_words(words, n));
+        }
+        battery_point p{n, 0.0};
+        // Pass 0 warms the length's spectral plan and the workspace.
+        for (unsigned r = 0; r <= reps; ++r) {
+            const auto t0 = clock_type::now();
+            for (const bit_sequence& seq : sequences) {
+                try {
+                    nist::run_battery(seq, 0.01, nist::battery_selection::all(),
+                                      battery_ws);
+                } catch (const std::domain_error&) {
+                }
+            }
+            const double us = seconds_since(t0) * 1e6
+                / static_cast<double>(battery_sequences);
+            p.us_per_call = r == 1 ? us : std::min(p.us_per_call, us);
+        }
+        std::printf("  n = %4zu  %7.2f us/call\n", n, p.us_per_call);
+        battery_points.push_back(p);
+    }
+
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-stream-bench/7");
+    json.value("schema", "otf-stream-bench/8");
     json.value("smoke", smoke_mode());
     write_what_ran(json);
     json.value("design", design.name);
@@ -365,6 +411,14 @@ int main(int argc, char** argv)
         json.value("sw_ops_per_window", p.ops_per_window);
         json.value("sw_cycles_per_window", p.cycles_per_window);
         json.value("golden_ops_match", p.golden_match);
+        json.end_object();
+    }
+    json.end_array();
+    json.begin_array("offline_battery");
+    for (const battery_point& p : battery_points) {
+        json.begin_object();
+        json.value("bits", static_cast<std::uint64_t>(p.bits));
+        json.value("us_per_call", p.us_per_call);
         json.end_object();
     }
     json.end_array();

@@ -125,12 +125,13 @@ assert doc["windows"] == doc["devices"] * doc["windows_per_device"], doc
 print("ok: otf-population/5 (%d workers)" % exe["worker_threads"])
 EOF
 
-    echo "== validating otf-stream-bench/7 schema =="
-    # The stream bench must report the /7 schema: span kernels measured
+    echo "== validating otf-stream-bench/8 schema =="
+    # The stream bench must report the /8 schema: span kernels measured
     # against the per-bit lane, the generation axis with one rate for the
     # healthy device inner (biased) and each of the six adversarial
     # models, the fleet-scaling axis (non-empty,
-    # every point moving bits) and the n = 128 short-window section -- and
+    # every point moving bits), the n = 128 short-window section and the
+    # offline battery's us per call at n = 128 w, w = 1..8 -- and
     # no streamed, zero-copy, batch-sweep or ring keys, and no
     # scalar/batched generation lanes (docs/BENCHMARKS.md).
     # The bench itself exits nonzero unless each short run's first window
@@ -139,7 +140,7 @@ EOF
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-stream-bench/7", doc["schema"]
+assert doc["schema"] == "otf-stream-bench/8", doc["schema"]
 assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
 assert all("over_per_bit_lane" in k for k in doc["span_kernels"])
 models = [g["model"] for g in doc["generation"]]
@@ -164,8 +165,12 @@ for p in short:
                 "sw_cycles_per_window"):
         assert p[key] > 0, (key, p)
     assert p["golden_ops_match"] is True, p
-print("ok: otf-stream-bench/7 (%d generation models, short windows %s)"
+battery = doc["offline_battery"]
+assert [p["bits"] for p in battery] == [128 * w for w in range(1, 9)], battery
+assert all(p["us_per_call"] > 0 for p in battery), battery
+print("ok: otf-stream-bench/8 (%d generation models, short windows %s, "
+      "battery %.1f us at n = 1024)"
       % (len(models), ", ".join("%.1f Mbit/s" % p["mbit_per_s"]
-                                for p in short)))
+                                for p in short), battery[-1]["us_per_call"]))
 EOF
 fi

@@ -4,7 +4,7 @@
 // The TRNG delivers one bit per clock; the hardware models consume bits one
 // at a time; the reference NIST implementations and the golden models in the
 // test suite work on whole sequences.  `bit_sequence` is the common currency:
-// a simple dynamic array of bits with the few bulk operations the statistical
+// a word-packed array of bits with the few bulk operations the statistical
 // tests need (population count, slicing, parsing from ASCII).
 //
 // `otf::bits` holds the kernel primitives behind the span ingestion lane
@@ -31,22 +31,27 @@
 
 namespace otf {
 
+/// \brief A sequence of bits, packed LSB-first into 64-bit words: bit i is
+/// bit i % 64 of word i / 64 (the layout of engine::consume_span), so the
+/// packed conversions are copies.  Bits past size() in the last word are
+/// always zero; the defaulted equality relies on it.
 class bit_sequence {
 public:
     bit_sequence() = default;
     explicit bit_sequence(std::size_t n, bool value = false)
-        : bits_(n, value ? 1 : 0)
+        : words_(word_count(n), value ? ~std::uint64_t{0} : 0), size_(n)
     {
+        clear_tail();
     }
 
     /// Parse from ASCII; accepts '0'/'1' and ignores whitespace.
     static bit_sequence from_string(std::string_view text)
     {
         bit_sequence seq;
-        seq.bits_.reserve(text.size());
+        seq.reserve(text.size());
         for (const char c : text) {
             if (c == '0' || c == '1') {
-                seq.bits_.push_back(c == '1' ? 1 : 0);
+                seq.push_back(c == '1');
             } else if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
                 continue;
             } else {
@@ -57,23 +62,49 @@ public:
         return seq;
     }
 
-    void push_back(bool bit) { bits_.push_back(bit ? 1 : 0); }
-    void reserve(std::size_t n) { bits_.reserve(n); }
-    void clear() { bits_.clear(); }
+    void push_back(bool bit)
+    {
+        if (size_ % 64 == 0) {
+            words_.push_back(0);
+        }
+        words_.back() |= static_cast<std::uint64_t>(bit) << (size_ % 64);
+        ++size_;
+    }
+    void reserve(std::size_t n) { words_.reserve(word_count(n)); }
+    void clear()
+    {
+        words_.clear();
+        size_ = 0;
+    }
 
-    bool operator[](std::size_t i) const { return bits_[i] != 0; }
-    bool at(std::size_t i) const { return bits_.at(i) != 0; }
-    void set(std::size_t i, bool v) { bits_.at(i) = v ? 1 : 0; }
+    bool operator[](std::size_t i) const
+    {
+        return ((words_[i / 64] >> (i % 64)) & 1u) != 0;
+    }
+    bool at(std::size_t i) const
+    {
+        check(i);
+        return (*this)[i];
+    }
+    void set(std::size_t i, bool v)
+    {
+        check(i);
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        words_[i / 64] = v ? words_[i / 64] | bit : words_[i / 64] & ~bit;
+    }
 
-    std::size_t size() const { return bits_.size(); }
-    bool empty() const { return bits_.empty(); }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /// The packed words, ceil(size() / 64) of them (zero past size()).
+    const std::vector<std::uint64_t>& words() const { return words_; }
 
     /// Number of ones in the whole sequence.
     std::size_t count_ones() const
     {
         std::size_t total = 0;
-        for (const std::uint8_t b : bits_) {
-            total += b;
+        for (const std::uint64_t w : words_) {
+            total += static_cast<std::size_t>(std::popcount(w));
         }
         return total;
     }
@@ -81,29 +112,29 @@ public:
     /// Copy of bits [first, first + length).
     bit_sequence slice(std::size_t first, std::size_t length) const
     {
-        if (first + length > bits_.size()) {
+        if (first + length > size_) {
             throw std::out_of_range("bit_sequence::slice out of range");
         }
         bit_sequence out;
-        out.bits_.assign(bits_.begin() + static_cast<std::ptrdiff_t>(first),
-                         bits_.begin()
-                             + static_cast<std::ptrdiff_t>(first + length));
+        out.words_.resize(word_count(length));
+        out.size_ = length;
+        const std::size_t skip = first / 64;
+        const unsigned off = static_cast<unsigned>(first % 64);
+        for (std::size_t j = 0; j < out.words_.size(); ++j) {
+            std::uint64_t w = words_[skip + j] >> off;
+            if (off != 0 && skip + j + 1 < words_.size()) {
+                w |= words_[skip + j + 1] << (64 - off);
+            }
+            out.words_[j] = w;
+        }
+        out.clear_tail();
         return out;
     }
 
-    /// Pack the sequence into 64-bit words for the packed span lane: bit i
-    /// of word j is bit 64*j + i of the sequence (LSB-first stream order,
-    /// the convention of engine::consume_span).  Bits past the end of a
-    /// partial final word are zero.
-    std::vector<std::uint64_t> to_words() const
-    {
-        std::vector<std::uint64_t> words((bits_.size() + 63) / 64, 0);
-        for (std::size_t i = 0; i < bits_.size(); ++i) {
-            words[i / 64] |= static_cast<std::uint64_t>(bits_[i])
-                << (i % 64);
-        }
-        return words;
-    }
+    /// The packed words for the span lane: bit i of word j is bit 64*j + i
+    /// of the sequence.  Bits past the end of a partial final word are
+    /// zero.
+    std::vector<std::uint64_t> to_words() const { return words_; }
 
     /// Inverse of to_words(): the first `nbits` packed bits as a sequence.
     static bit_sequence from_words(const std::vector<std::uint64_t>& words,
@@ -114,11 +145,11 @@ public:
                 "bit_sequence::from_words: nbits exceeds the word buffer");
         }
         bit_sequence seq;
-        seq.bits_.reserve(nbits);
-        for (std::size_t i = 0; i < nbits; ++i) {
-            seq.bits_.push_back(
-                static_cast<std::uint8_t>((words[i / 64] >> (i % 64)) & 1u));
-        }
+        seq.words_.assign(words.begin(),
+                          words.begin()
+                              + static_cast<std::ptrdiff_t>(word_count(nbits)));
+        seq.size_ = nbits;
+        seq.clear_tail();
         return seq;
     }
 
@@ -126,31 +157,50 @@ public:
     /// reads), reusing the sequence's storage.
     void append_words(const std::vector<std::uint64_t>& words)
     {
-        const std::size_t first = bits_.size();
-        bits_.resize(first + words.size() * 64);
-        for (std::size_t i = 0; i < words.size() * 64; ++i) {
-            bits_[first + i] =
-                static_cast<std::uint8_t>((words[i / 64] >> (i % 64)) & 1u);
+        const unsigned off = static_cast<unsigned>(size_ % 64);
+        if (off == 0) {
+            words_.insert(words_.end(), words.begin(), words.end());
+        } else {
+            for (const std::uint64_t w : words) {
+                words_.back() |= w << off;
+                words_.push_back(w >> (64 - off));
+            }
         }
+        size_ += words.size() * 64;
     }
 
     std::string to_string() const
     {
         std::string s;
-        s.reserve(bits_.size());
-        for (const std::uint8_t b : bits_) {
-            s.push_back(b ? '1' : '0');
+        s.reserve(size_);
+        for (std::size_t i = 0; i < size_; ++i) {
+            s.push_back((*this)[i] ? '1' : '0');
         }
         return s;
     }
 
     friend bool operator==(const bit_sequence&, const bit_sequence&) = default;
 
-    auto begin() const { return bits_.begin(); }
-    auto end() const { return bits_.end(); }
-
 private:
-    std::vector<std::uint8_t> bits_;
+    static std::size_t word_count(std::size_t nbits) { return (nbits + 63) / 64; }
+
+    void check(std::size_t i) const
+    {
+        if (i >= size_) {
+            throw std::out_of_range("bit_sequence: index out of range");
+        }
+    }
+
+    /// Zero the bits past size() in the last word.
+    void clear_tail()
+    {
+        if (size_ % 64 != 0) {
+            words_.back() &= (std::uint64_t{1} << (size_ % 64)) - 1;
+        }
+    }
+
+    std::vector<std::uint64_t> words_;
+    std::size_t size_ = 0;
 };
 
 namespace bits {

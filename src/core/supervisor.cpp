@@ -305,8 +305,9 @@ void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
 
 confirmation_result confirm_evidence(const std::vector<evidence_window>& ring,
                                      const supervisor_config& cfg,
-                                     bit_sequence& bits)
+                                     confirmation_storage& storage)
 {
+    bit_sequence& bits = storage.bits;
     bits.clear();
     for (const evidence_window& win : ring) {
         bits.append_words(win.words);
@@ -314,8 +315,8 @@ confirmation_result confirm_evidence(const std::vector<evidence_window>& ring,
     confirmation_result conf;
     conf.evidence_windows = ring.size();
     conf.evidence_bits = bits.size();
-    conf.battery =
-        nist::run_battery(bits, cfg.offline_alpha, cfg.offline_tests);
+    conf.battery = nist::run_battery(bits, cfg.offline_alpha,
+                                     cfg.offline_tests, storage.battery);
     conf.confirmed = conf.battery.failed >= cfg.offline_min_failures;
     return conf;
 }
@@ -412,7 +413,7 @@ void supervisor::escalate(std::uint64_t next_window)
     // deployment analogue of the MCU shipping the suspicious stretch to a
     // host.
     confirmation_result conf =
-        confirm_evidence(state_.evidence_ring, cfg_, evidence_bits_);
+        confirm_evidence(state_.evidence_ring, cfg_, confirm_storage_);
     if (conf.confirmed) {
         ++state_.confirmed_escalations;
     }

@@ -170,15 +170,21 @@ void push_evidence(std::vector<evidence_window>& ring, std::size_t depth,
                    std::size_t nwords,
                    std::vector<evidence_window>* spare = nullptr);
 
+/// \brief What confirm_evidence() refills in place: a caller that keeps
+/// one reuses its storage from one confirmation to the next.
+struct confirmation_storage {
+    bit_sequence bits;               ///< the ring's words, oldest first
+    nist::battery_workspace battery; ///< the offline battery's own work
+};
+
 /// \brief The offline confirmation: the ring's words, oldest first and
 /// LSB-first, through the SP 800-22 battery (`cfg.offline_*`).  Live
 /// escalation and verify_replay() both call it, so a replayed verdict is
-/// bit-identical whenever the evidence is.  The bits are unpacked into
-/// `bits`, refilled in place: a caller that keeps one reuses its storage
-/// from one confirmation to the next.
+/// bit-identical whenever the evidence is.  The words are copied into
+/// `storage.bits` and the battery runs on `storage.battery`.
 confirmation_result confirm_evidence(const std::vector<evidence_window>& ring,
                                      const supervisor_config& cfg,
-                                     bit_sequence& bits);
+                                     confirmation_storage& storage);
 
 /// \brief Aggregated telemetry of one supervised run.  Deterministic for
 /// a fixed source except `seconds`.
@@ -393,8 +399,9 @@ private:
     supervisor_checkpoint state_;
     /// Evidence slots reset() took off the ring, reused as it refills.
     std::vector<evidence_window> spare_windows_;
-    /// The offline confirmation's evidence bits, kept across runs.
-    bit_sequence evidence_bits_;
+    /// The offline confirmation's evidence bits and battery workspace,
+    /// kept across runs.
+    confirmation_storage confirm_storage_;
 };
 
 } // namespace otf::core

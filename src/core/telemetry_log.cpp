@@ -320,10 +320,10 @@ replay_report verify_replay(const telemetry_run& run)
     replay_report rep;
     std::vector<evidence_window> ring;
     std::vector<supervision_event> seen;
-    bit_sequence evidence_bits;
+    confirmation_storage storage;
     const auto replay = [&](replay_confirmation& rc,
                             const std::vector<evidence_window>& evidence) {
-        rc.replayed = confirm_evidence(evidence, run.config, evidence_bits);
+        rc.replayed = confirm_evidence(evidence, run.config, storage);
         rc.match = (rc.live == rc.replayed);
         if (!rc.match) {
             rep.verified = false;

@@ -2,6 +2,7 @@
 #include "nist/tests.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -32,11 +33,24 @@ approximate_entropy_result approximate_entropy_test(const bit_sequence& seq,
         throw std::invalid_argument("approximate_entropy_test: m must be > 0");
     }
     approximate_entropy_result r;
-    r.m = m;
     // One count pass at m+1; the m-bit counts are its marginals.
-    r.nu_m1 = cyclic_pattern_counts(seq, m + 1);
-    r.nu_m = cyclic_marginal_counts(r.nu_m1);
-    const std::size_t n = seq.size();
+    approximate_entropy_test(cyclic_pattern_counts(seq, m + 1), seq.size(),
+                             r);
+    return r;
+}
+
+void approximate_entropy_test(const std::vector<std::uint64_t>& counts,
+                              std::size_t n, approximate_entropy_result& r)
+{
+    const auto m1 = static_cast<unsigned>(std::countr_zero(counts.size()));
+    if (m1 < 2 || counts.size() != std::size_t{1} << m1) {
+        throw std::invalid_argument(
+            "approximate_entropy_test: need 2^(m+1) counts, m >= 1");
+    }
+    const unsigned m = m1 - 1;
+    r.m = m;
+    r.nu_m1.assign(counts.begin(), counts.end());
+    cyclic_marginal_counts(r.nu_m1, r.nu_m);
     r.phi_m = phi(r.nu_m, n);
     r.phi_m1 = phi(r.nu_m1, n);
     r.apen = r.phi_m - r.phi_m1;
@@ -47,7 +61,6 @@ approximate_entropy_result approximate_entropy_test(const bit_sequence& seq,
         0.0, 2.0 * static_cast<double>(n) * (std::log(2.0) - r.apen));
     const double dof = std::ldexp(1.0, static_cast<int>(m)); // 2^m
     r.p_value = igamc(dof / 2.0, r.chi_squared / 2.0);
-    return r;
 }
 
 } // namespace otf::nist

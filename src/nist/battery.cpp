@@ -1,12 +1,10 @@
 #include "nist/battery.hpp"
 
-#include "nist/extended_tests.hpp"
-#include "nist/tests.hpp"
+#include "nist/distributions.hpp"
 
 #include <array>
 #include <cmath>
 #include <iterator>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -68,56 +66,60 @@ std::vector<battery_test> build_registry()
 
     tests.push_back({1, names[0].test, 1,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          add(out, 1, 0, frequency_test(seq).p_value,
                              alpha);
                      }});
 
     tests.push_back({2, names[1].test, 20,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace& ws, battery_report& out) {
                          // M ~ n/64 but at least 20 (SP 800-22
                          // recommendation M > 0.01 n, N < 100); the
                          // minimum length is one such block.
                          const unsigned m = static_cast<unsigned>(
                              std::max<std::size_t>(20, seq.size() / 64));
-                         add(out, 2, 0,
-                             block_frequency_test(seq, m).p_value, alpha);
+                         block_frequency_test(seq, m, ws.block_frequency);
+                         add(out, 2, 0, ws.block_frequency.p_value, alpha);
                      }});
 
     tests.push_back({3, names[2].test, 2,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          add(out, 3, 0, runs_test(seq).p_value, alpha);
                      }});
 
     tests.push_back({4, names[3].test, 128,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace& ws, battery_report& out) {
                          const std::size_t n = seq.size();
                          const unsigned m = (n >= 750000)
                              ? 10000
                              : (n >= 6272 ? 128 : 8);
-                         add(out, 4, 0,
-                             longest_run_test(seq, m).p_value, alpha);
+                         const longest_run_categories c =
+                             recommended_longest_run_categories(m);
+                         longest_run_test(seq, m, c.v_lo, c.v_hi,
+                                          ws.longest_run);
+                         add(out, 4, 0, ws.longest_run.p_value, alpha);
                      }});
 
     tests.push_back({5, names[4].test, 32 * 32 * 4,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          add(out, 5, 0, matrix_rank_test(seq).p_value,
                              alpha);
                      }});
 
     tests.push_back({6, names[5].test, 2,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
-                         add(out, 6, 0, dft_test(seq).p_value, alpha);
+                        battery_workspace& ws, battery_report& out) {
+                         add(out, 6, 0, dft_test(seq, ws.spectral).p_value,
+                             alpha);
                      }});
 
     tests.push_back({7, names[6].test, 8 * 512,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          const unsigned blocks = 8;
                          add(out, 7, 0,
                              non_overlapping_template_test(
@@ -128,7 +130,7 @@ std::vector<battery_test> build_registry()
 
     tests.push_back({8, names[7].test, 1024 * 16,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          add(out, 8, 0,
                              overlapping_template_test(seq, 9, 1024, 5)
                                  .p_value,
@@ -138,14 +140,14 @@ std::vector<battery_test> build_registry()
     // Enough for L >= 5 with Q + K blocks.
     tests.push_back({9, names[8].test, 10 * (std::size_t{1} << 6) * 7,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          add(out, 9, 0, universal_test(seq).p_value,
                              alpha);
                      }});
 
     tests.push_back({10, names[9].test, 500 * 8,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          add(out, 10, 0,
                              linear_complexity_test(seq, 500).p_value,
                              alpha);
@@ -153,33 +155,33 @@ std::vector<battery_test> build_registry()
 
     tests.push_back({11, names[10].test, 3,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
-                         const unsigned m = (seq.size() >= 1024) ? 4 : 3;
-                         const auto r = serial_test(seq, m);
-                         add(out, 11, 1, r.p_value1, alpha);
-                         add(out, 11, 2, r.p_value2, alpha);
+                        battery_workspace& ws, battery_report& out) {
+                         serial_test(ws.patterns, seq.size(), ws.serial);
+                         add(out, 11, 1, ws.serial.p_value1, alpha);
+                         add(out, 11, 2, ws.serial.p_value2, alpha);
                      }});
 
     tests.push_back({12, names[11].test, 3,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
-                         const unsigned m = (seq.size() >= 1024) ? 3 : 2;
-                         add(out, 12, 0,
-                             approximate_entropy_test(seq, m).p_value,
+                        battery_workspace& ws, battery_report& out) {
+                         approximate_entropy_test(ws.patterns, seq.size(),
+                                                  ws.approximate_entropy);
+                         add(out, 12, 0, ws.approximate_entropy.p_value,
                              alpha);
                      }});
 
     tests.push_back({13, names[12].test, 1,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
-                         const auto r = cumulative_sums_test(seq);
+                        battery_workspace& ws, battery_report& out) {
+                         const auto r =
+                             cumulative_sums_test(ws.walk, seq.size());
                          add(out, 13, 1, r.p_forward, alpha);
                          add(out, 13, 2, r.p_backward, alpha);
                      }});
 
     tests.push_back({14, names[13].test, 1,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          const auto r = random_excursions_test(seq);
                          for (std::size_t i = 0; i < r.states.size();
                               ++i) {
@@ -190,7 +192,7 @@ std::vector<battery_test> build_registry()
 
     tests.push_back({15, names[14].test, 1,
                      [](const bit_sequence& seq, double alpha,
-                        battery_report& out) {
+                        battery_workspace&, battery_report& out) {
                          const auto r =
                              random_excursions_variant_test(seq);
                          for (std::size_t i = 0; i < r.states.size();
@@ -270,29 +272,33 @@ unsigned battery_selection::count() const
 }
 
 battery_report run_battery(const bit_sequence& seq, double alpha,
-                           const battery_selection& select)
+                           const battery_selection& select,
+                           battery_workspace& ws)
 {
     if (select.empty()) {
         throw std::invalid_argument(
             "run_battery: empty test selection");
     }
+    const std::size_t n = seq.size();
+    // What several tests read, computed once: the walk behind cusum and
+    // the excursion gate, and the cyclic counts behind serial (m) and
+    // approximate entropy (m - 1).
+    if ((select.has(13) || select.has(14) || select.has(15)) && n > 0) {
+        ws.walk = random_walk(seq);
+    }
+    if ((select.has(11) || select.has(12)) && n >= 3) {
+        cyclic_pattern_counts(seq, n >= 1024 ? 4 : 3, ws.patterns);
+    }
     battery_report report;
     // One entry per test, two for serial and cusum: the excursion tests'
     // 26 only come with ~500 zero crossings.
     report.entries.reserve(select.count() + 2);
-    // Tests 14 and 15 share one applicability rule, counted once.
-    std::optional<bool> excursions_apply;
     const auto applies = [&](const battery_test& t) {
-        if (seq.size() < t.min_length) {
+        if (n < t.min_length) {
             return false;
         }
-        if (t.number != 14 && t.number != 15) {
-            return true;
-        }
-        if (!excursions_apply) {
-            excursions_apply = excursion_gate(seq).applicable;
-        }
-        return *excursions_apply;
+        return (t.number != 14 && t.number != 15)
+            || excursion_gate(ws.walk, n).applicable;
     };
     for (const battery_test& t : battery_tests()) {
         if (!select.has(t.number)) {
@@ -305,9 +311,16 @@ battery_report run_battery(const bit_sequence& seq, double alpha,
             add(report, t.number, 0, 0.0, alpha, false);
             continue;
         }
-        t.run(seq, alpha, report);
+        t.run(seq, alpha, ws, report);
     }
     return report;
+}
+
+battery_report run_battery(const bit_sequence& seq, double alpha,
+                           const battery_selection& select)
+{
+    battery_workspace ws;
+    return run_battery(seq, alpha, select, ws);
 }
 
 battery_report run_battery(const bit_sequence& seq, double alpha)

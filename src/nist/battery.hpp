@@ -13,7 +13,10 @@
 
 #include "base/bits.hpp"
 #include "base/json.hpp"
+#include "nist/extended_tests.hpp"
+#include "nist/tests.hpp"
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -64,15 +67,34 @@ inline std::string entry_name(const battery_entry& e)
 /// Whether (`test_number`, `sub`) names an entry the battery can emit.
 bool is_entry_id(unsigned test_number, int sub);
 
+/// \brief What run_battery() reuses from one call to the next, and what
+/// one call shares between its tests.  The shared part is filled once per
+/// call: the +/-1 walk (cusum, both directions, and the excursion gate)
+/// and the cyclic pattern counts at the serial test's m (serial at m,
+/// approximate entropy at m - 1).  The rest is the tests' own result
+/// storage and the spectral transform's buffer.  A caller that keeps one
+/// workspace makes the battery's own work allocation-free once its
+/// vectors have grown (the escalation supervisor keeps one per channel).
+struct battery_workspace {
+    walk_extent walk;                       ///< tests 13-15
+    std::vector<std::uint64_t> patterns;    ///< tests 11 and 12
+    block_frequency_result block_frequency;
+    longest_run_result longest_run;
+    serial_result serial;
+    approximate_entropy_result approximate_entropy;
+    dft_workspace spectral;
+};
+
 /// \brief One composable offline test.  `run` appends one battery_entry
 /// per P-value (several tests emit more than one: serial, cusum, the
-/// excursion families) and maintains the report's pass/fail/skip tallies.
+/// excursion families) and maintains the report's pass/fail/skip tallies;
+/// it reads the call's shared walk and counts from the workspace.
 struct battery_test {
     unsigned number = 0;        ///< NIST numbering 1..15
     std::string_view name;      ///< registry name, e.g. "linear complexity"
     std::size_t min_length = 0; ///< shortest sequence the test accepts
     std::function<void(const bit_sequence& seq, double alpha,
-                       battery_report& out)>
+                       battery_workspace& ws, battery_report& out)>
         run;
 };
 
@@ -107,8 +129,13 @@ private:
 /// silently dropped, whichever gate stopped it: the minimum-length
 /// recommendation, or for the two excursion tests fewer zero-crossing
 /// cycles than excursion_gate() requires.  `alpha` is the per-test
-/// significance level.
+/// significance level.  `ws` is refilled in place.
 /// \throws std::invalid_argument on an empty selection
+battery_report run_battery(const bit_sequence& seq, double alpha,
+                           const battery_selection& select,
+                           battery_workspace& ws);
+
+/// The same on a fresh workspace.
 battery_report run_battery(const bit_sequence& seq, double alpha,
                            const battery_selection& select);
 

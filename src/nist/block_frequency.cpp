@@ -1,5 +1,6 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
+#include "nist/word_loops.hpp"
 
 #include <stdexcept>
 
@@ -7,6 +8,14 @@ namespace otf::nist {
 
 block_frequency_result block_frequency_test(const bit_sequence& seq,
                                             unsigned block_length)
+{
+    block_frequency_result r;
+    block_frequency_test(seq, block_length, r);
+    return r;
+}
+
+void block_frequency_test(const bit_sequence& seq, unsigned block_length,
+                          block_frequency_result& r)
 {
     if (block_length == 0) {
         throw std::invalid_argument("block_frequency_test: M must be > 0");
@@ -16,15 +25,10 @@ block_frequency_result block_frequency_test(const bit_sequence& seq,
         throw std::invalid_argument(
             "block_frequency_test: sequence shorter than one block");
     }
-    block_frequency_result r;
     r.block_count = static_cast<unsigned>(block_count);
-    r.ones.reserve(block_count);
+    r.ones.resize(block_count);
     for (std::size_t b = 0; b < block_count; ++b) {
-        std::uint64_t ones = 0;
-        for (std::size_t i = 0; i < block_length; ++i) {
-            ones += seq[b * block_length + i] ? 1u : 0u;
-        }
-        r.ones.push_back(ones);
+        r.ones[b] = ones_in(seq, b * block_length, block_length);
     }
     // chi^2 = 4 M sum (pi_i - 1/2)^2, with pi_i = ones_i / M.
     double chi = 0.0;
@@ -36,7 +40,6 @@ block_frequency_result block_frequency_test(const bit_sequence& seq,
     r.chi_squared = 4.0 * M * chi;
     r.p_value = igamc(static_cast<double>(block_count) / 2.0,
                       r.chi_squared / 2.0);
-    return r;
 }
 
 } // namespace otf::nist

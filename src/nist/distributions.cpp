@@ -1,5 +1,7 @@
 #include "nist/distributions.hpp"
 
+#include "nist/published_cache.hpp"
+
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -51,6 +53,20 @@ std::vector<double> longest_run_category_probs(unsigned block_length,
     }
     probs.push_back(1.0 - below);
     return probs;
+}
+
+void cached_longest_run_category_probs(unsigned block_length, unsigned v_lo,
+                                       unsigned v_hi,
+                                       std::vector<double>& out)
+{
+    static published_cache<std::array<unsigned, 3>, std::vector<double>, 64>
+        cache;
+    std::optional<std::vector<double>> uncached;
+    const std::vector<double>& probs =
+        cache.get({block_length, v_lo, v_hi}, uncached, [&] {
+            return longest_run_category_probs(block_length, v_lo, v_hi);
+        });
+    out.assign(probs.begin(), probs.end());
 }
 
 longest_run_categories recommended_longest_run_categories(

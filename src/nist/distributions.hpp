@@ -31,6 +31,14 @@ double prob_longest_run_at_most(unsigned length, unsigned max_run);
 std::vector<double> longest_run_category_probs(unsigned block_length,
                                                unsigned v_lo, unsigned v_hi);
 
+/// The same probabilities into `out`, computed once per (block_length,
+/// v_lo, v_hi) and cached for the process (thread-safe; the first 64 keys
+/// stay cached, later ones are recomputed).  Bit-identical to
+/// longest_run_category_probs().
+void cached_longest_run_category_probs(unsigned block_length, unsigned v_lo,
+                                       unsigned v_hi,
+                                       std::vector<double>& out);
+
 /// NIST-recommended category bounds for a given longest-run block length:
 /// M = 8 -> {1, 4}, M = 128 -> {4, 9}, larger blocks -> {10, 16}.
 struct longest_run_categories {

@@ -12,7 +12,9 @@
 #pragma once
 
 #include "base/bits.hpp"
+#include "nist/tests.hpp"
 
+#include <complex>
 #include <cstdint>
 #include <vector>
 
@@ -44,10 +46,21 @@ struct dft_result {
 };
 dft_result dft_test(const bit_sequence& seq);
 
+/// Storage dft_test() reuses: the transform's points and the bins'
+/// squared magnitudes.
+struct dft_workspace {
+    std::vector<std::complex<double>> points;
+    std::vector<double> squared;
+};
+/// The same test in `ws` (no allocation once it has grown, while the
+/// length's plan is cached).
+dft_result dft_test(const bit_sequence& seq, dft_workspace& ws);
+
 /// Magnitudes of the first floor(n/2) DFT bins of a real input of any
 /// length n, through one mixed-radix transform: O(n log n) at the
 /// platform's evidence lengths n = 128 * w, O(n p) for a largest prime
-/// factor p.
+/// factor p.  Each length's plan (input permutation and twiddles) is
+/// built once and cached for the process; reading it takes no lock.
 std::vector<double> dft_magnitudes(const std::vector<double>& input);
 
 // ---------------------------------------------------------------- test 9 --
@@ -97,6 +110,8 @@ struct excursion_gate_result {
 /// and `applicable` from here, and run_battery() asks it before running
 /// either test.
 excursion_gate_result excursion_gate(const bit_sequence& seq);
+/// The same rule for an n-bit sequence from its walk (random_walk()).
+excursion_gate_result excursion_gate(const walk_extent& walk, std::size_t n);
 
 // --------------------------------------------------------------- test 14 --
 /// 2.14 Random excursions test: one chi-squared per state x in

@@ -89,16 +89,15 @@ excursion_scan scan_cycles(const bit_sequence& seq)
 
 excursion_gate_result excursion_gate(const bit_sequence& seq)
 {
-    std::int64_t s = 0;
-    std::uint64_t returns = 0;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        s += seq[i] ? 1 : -1;
-        returns += s == 0 ? 1 : 0;
-    }
+    return excursion_gate(random_walk(seq), seq.size());
+}
+
+excursion_gate_result excursion_gate(const walk_extent& walk, std::size_t n)
+{
     excursion_gate_result gate;
-    gate.cycles = returns + (s != 0 ? 1 : 0);
-    const double min_cycles = std::max(
-        0.005 * std::sqrt(static_cast<double>(seq.size())), 500.0);
+    gate.cycles = walk.zero_returns + (walk.final != 0 ? 1 : 0);
+    const double min_cycles =
+        std::max(0.005 * std::sqrt(static_cast<double>(n)), 500.0);
     gate.applicable = static_cast<double>(gate.cycles) >= min_cycles;
     return gate;
 }

@@ -1,5 +1,6 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
+#include "nist/word_loops.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -20,13 +21,7 @@ runs_result runs_test(const bit_sequence& seq)
     const double tau = 2.0 / std::sqrt(n);
     r.applicable = std::fabs(r.pi - 0.5) < tau;
 
-    std::uint64_t runs = 1;
-    for (std::size_t i = 1; i < seq.size(); ++i) {
-        if (seq[i] != seq[i - 1]) {
-            ++runs;
-        }
-    }
-    r.v_n = runs;
+    r.v_n = 1 + transitions(seq);
 
     if (!r.applicable) {
         r.p_value = 0.0;

@@ -47,6 +47,10 @@ struct block_frequency_result {
 };
 block_frequency_result block_frequency_test(const bit_sequence& seq,
                                             unsigned block_length);
+/// The same test into `out`, reusing its vector (no allocation once it
+/// has grown).
+void block_frequency_test(const bit_sequence& seq, unsigned block_length,
+                          block_frequency_result& out);
 
 // ---------------------------------------------------------------- test 3 --
 /// 2.3 Runs test.
@@ -70,12 +74,17 @@ struct longest_run_result {
     double p_value;
 };
 /// Category bounds default to the NIST recommendation for `block_length`;
-/// probabilities are recomputed exactly for the given length.
+/// probabilities are computed exactly for the given length, once per
+/// (length, bounds) (cached_longest_run_category_probs()).
 longest_run_result longest_run_test(const bit_sequence& seq,
                                     unsigned block_length);
 longest_run_result longest_run_test(const bit_sequence& seq,
                                     unsigned block_length, unsigned v_lo,
                                     unsigned v_hi);
+/// The same test into `out`, reusing its vectors (no allocation once they
+/// have grown).
+void longest_run_test(const bit_sequence& seq, unsigned block_length,
+                      unsigned v_lo, unsigned v_hi, longest_run_result& out);
 
 // ---------------------------------------------------------------- test 7 --
 /// 2.7 Non-overlapping template matching test.
@@ -133,6 +142,10 @@ struct serial_result {
     double p_value2;
 };
 serial_result serial_test(const bit_sequence& seq, unsigned m);
+/// The serial test of an n-bit sequence from its 2^m cyclic m-bit counts
+/// (cyclic_pattern_counts()), into `out`, reusing its vectors.
+void serial_test(const std::vector<std::uint64_t>& counts, std::size_t n,
+                 serial_result& out);
 
 // --------------------------------------------------------------- test 12 --
 /// 2.12 Approximate entropy test.
@@ -148,6 +161,10 @@ struct approximate_entropy_result {
 };
 approximate_entropy_result approximate_entropy_test(const bit_sequence& seq,
                                                     unsigned m);
+/// The test at m of an n-bit sequence from its 2^(m+1) cyclic
+/// (m+1)-bit counts, into `out`, reusing its vectors.
+void approximate_entropy_test(const std::vector<std::uint64_t>& counts,
+                              std::size_t n, approximate_entropy_result& out);
 
 // --------------------------------------------------------------- test 13 --
 /// 2.13 Cumulative sums test, both modes from a single walk.
@@ -162,6 +179,22 @@ struct cumulative_sums_result {
 };
 cumulative_sums_result cumulative_sums_test(const bit_sequence& seq);
 
+/// The +/-1 walk of a sequence (bit 1 steps up, S_0 = 0): the extrema of
+/// S_0..S_n, the final value S_n and the returns to zero among S_1..S_n.
+/// The cusum test and the excursion gate read nothing else, so
+/// run_battery() walks once per call and hands the summary to both.
+struct walk_extent {
+    std::int64_t max = 0;
+    std::int64_t min = 0;
+    std::int64_t final = 0;
+    std::uint64_t zero_returns = 0;
+};
+walk_extent random_walk(const bit_sequence& seq);
+
+/// The cusum test of an n-bit sequence (n >= 1) from its walk.
+cumulative_sums_result cumulative_sums_test(const walk_extent& walk,
+                                            std::size_t n);
+
 /// The cusum P-value as a standalone function of (z, n): used both by the
 /// test itself (which clamps it to [0, 1]) and by the critical-value
 /// precomputation (which inverts the unclamped series).
@@ -173,6 +206,9 @@ double cumulative_sums_p_value(std::int64_t z, std::size_t n);
 /// MSB-first pattern value; result has 2^m entries summing to n.
 std::vector<std::uint64_t> cyclic_pattern_counts(const bit_sequence& seq,
                                                  unsigned m);
+/// The same counts into `counts`, reusing its storage.
+void cyclic_pattern_counts(const bit_sequence& seq, unsigned m,
+                           std::vector<std::uint64_t>& counts);
 
 /// The (m-1)-bit counts from the 2^m cyclic m-bit counts, by summing
 /// sibling patterns: nu_{m-1}[p] = nu_m[2p] + nu_m[2p+1].  Exact for cyclic
@@ -181,5 +217,8 @@ std::vector<std::uint64_t> cyclic_pattern_counts(const bit_sequence& seq,
 /// \throws std::invalid_argument unless counts.size() is 2^m, m >= 1
 std::vector<std::uint64_t> cyclic_marginal_counts(
     const std::vector<std::uint64_t>& counts);
+/// The same marginal into `marginal`, reusing its storage.
+void cyclic_marginal_counts(const std::vector<std::uint64_t>& counts,
+                            std::vector<std::uint64_t>& marginal);
 
 } // namespace otf::nist

@@ -240,12 +240,13 @@ TEST(window_allocations, a_reused_runner_confirms_an_escalation_in_place)
 {
     // A device that escalates on its first windows and whose evidence the
     // offline battery confirms.  On a reused runner the confirmation
-    // unpacks the evidence ring into the supervisor's bit sequence, and
+    // copies the evidence ring's words into the supervisor's bit
+    // sequence, the battery works in the supervisor's workspace, and
     // reset() keeps the timeline's storage.  What the second run still
-    // allocates is the offline battery's own work (18) and the report's
-    // copy of the source's name, which outgrows the small-string buffer
-    // (1); the count is pinned so that a new allocation on this path
-    // shows.
+    // allocates is the battery report's entries, which move into the
+    // confirmed event (1), and the report's copy of the source's name,
+    // which outgrows the small-string buffer (1); the count is pinned so
+    // that a new allocation on this path shows.
     core::fleet_config cfg;
     cfg.block = core::paper_design(7, core::tier::light);
     cfg.escalated_block = core::paper_design(7, core::tier::medium);
@@ -272,7 +273,7 @@ TEST(window_allocations, a_reused_runner_confirms_an_escalation_in_place)
     const std::size_t allocated = allocations_during(
         [&] { again = runner.run(second, 0, kWindows); });
     EXPECT_EQ(again, escalated);
-    EXPECT_EQ(allocated, 19u);
+    EXPECT_EQ(allocated, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
